@@ -10,7 +10,6 @@ from .funcfield import (
     parse_function,
 )
 from .polylog import (
-    BACKEND,
     ConvergenceError,
     PathError,
     PathSpec,

@@ -1,10 +1,9 @@
-"""Pure-Python evaluation kernel (fallback for the compiled extension).
+"""RK4 transport of the single-valued polylogarithms along a polyline.
 
-Same API as the compiled module `_svkernel`:
-
-  li_series(n, z, eps)                  polylog series, |z| <= 0.75 enforced
-  sv_direct_state(n, betas, z, eps)     [L1..Ln] by the projected beta-combination
-  path_state(n, betas, nodes, steps, y) RK4 transport of [L2..Ln] along a polyline
+`path_state` is the independent oracle behind `polylog.PathSpec`: it
+integrates the differential system below instead of summing the closed forms
+of the default routes (series, log-expansion, inversion), so agreement of the
+two along paths of a test's choosing certifies both.
 
 State convention: y[j] holds the weight-(j+2) single-valued value; weight 1
 is the closed form -log|1-z| and is never integrated.
@@ -24,38 +23,6 @@ preserves the parity subspace (weight-m values in i^{m-1} R) exactly.
 from __future__ import annotations
 
 from math import log
-
-_MAX_TERMS = 20000
-
-
-def li_series(n: int, z: complex, eps: float) -> complex:
-    if abs(z) > 0.75:
-        raise ValueError("li_series: |z| too large for the series region")
-    total = 0j
-    zk = 1 + 0j
-    for k in range(1, _MAX_TERMS):
-        zk *= z
-        term = zk / float(k) ** n
-        total += term
-        if abs(term) <= eps * (abs(total) + 1e-300):
-            return total
-    raise ArithmeticError("li_series: no convergence at requested precision")
-
-
-def sv_direct_state(n: int, betas, z: complex, eps: float):
-    if abs(z) < 1e-150:
-        return [0j] * n
-    lis = [li_series(m, z, eps) for m in range(1, n + 1)]
-    l0 = log(abs(z))
-    out = []
-    for m in range(1, n + 1):
-        acc = 0j
-        power = 1.0
-        for k in range(m):
-            acc += betas[k] * lis[m - k - 1] * power
-            power *= l0
-        out.append(complex(acc.real, 0.0) if m % 2 else complex(0.0, acc.imag))
-    return out
 
 
 def _rhs(n: int, betas, z: complex, zdot: complex, y):

@@ -26,7 +26,7 @@ from .exact import (
 )
 from .funcfield import parse_function
 from .polycomplex import parse_element, residue_chain_check
-from .polylog import BACKEND, sv_polylog, sv_polylog_check_symmetries
+from .polylog import sv_polylog, sv_polylog_check_symmetries
 from .regulator import (
     _GOLDEN_DIR,
     RegulatorConfig,
@@ -81,7 +81,7 @@ def _versions() -> dict:
     digests = {}
     for path in sorted(_GOLDEN_DIR.glob("*.txt")):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-    return {"package": __version__, "backend": BACKEND, "golden": digests}
+    return {"package": __version__, "golden": digests}
 
 
 def _config_dict(cfg: RegulatorConfig, extra: Optional[dict] = None) -> dict:
@@ -171,10 +171,10 @@ def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[d
     return [rows, proposition, grid]
 
 
-def _sv_report(weight: int, at: str, precision: int, rk_tol: float) -> dict:
+def _sv_report(weight: int, at: str, precision: int) -> dict:
     if precision <= 53:
         z = complex(at.replace("i", "j").replace(" ", ""))
-        value = sv_polylog(weight, z, precision_bits=precision, rk_tol=rk_tol)
+        value = sv_polylog(weight, z, precision_bits=precision)
         rendered = [value.real, value.imag]
     else:
         import mpmath as mp
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--at", required=True, help="complex point, e.g. '0.3+0.2j'")
     p.add_argument("--precision", type=int, default=53)
-    p.add_argument("--rk-tol", type=float, default=1e-9)
 
     p = sub.add_parser("polylog-symmetries", help="inversion/conjugation/parity suite")
     p.add_argument("--weight", type=int, default=2)
@@ -325,7 +324,7 @@ def _dispatch(args) -> RunManifest:
         }
     elif command == "sv-polylog":
         cfg = RegulatorConfig()
-        results = [_sv_report(args.weight, args.at, args.precision, args.rk_tol)]
+        results = [_sv_report(args.weight, args.at, args.precision)]
         extra = {"precision": args.precision}
     elif command == "polylog-symmetries":
         cfg = _make_config(args)

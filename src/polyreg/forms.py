@@ -376,7 +376,6 @@ def alternation_bruteforce(
 @dataclass
 class EvalContext:
     clearance: float = 1e-6
-    rk_tol: float = 1e-9
     fd_step: float = 1e-5
 
 
@@ -421,7 +420,7 @@ def _scalar_value(s, x: dict, ctx: EvalContext) -> complex:
     zf = _guarded_value(f, x, ctx.clearance)
     if abs(zf - 1.0) < ctx.clearance:
         raise GenericityError("sv argument too close to 1")
-    return sv_state(p, zf, rk_tol=ctx.rk_tol)[p - 1]
+    return sv_state(p, zf)[p - 1]
 
 
 def _covector(gen, x: dict, v: dict, ctx: EvalContext) -> complex:

@@ -10,46 +10,32 @@ weight 2 is the Bloch-Wigner function times i.  Values lie in i^(n-1) R and
 are continuous on C minus {0, 1} with limits sv(n, 0) = 0 and, for n >= 2,
 sv(n, 1) = pi_n(zeta(n)).
 
-Two evaluation routes:
-
-  * double precision (precision_bits <= 53): the series-based direct formula
-    inside |z| <= 1/2, otherwise RK4 transport of the coupled total
-    differential along a polyline from 1/2 that keeps clearance from 0 and 1,
-    with step doubling and Richardson extrapolation;
-  * high precision (precision_bits > 53): the defining combination evaluated
-    with mpmath (own series inside |z| <= 1/2, mpmath's polylog outside).
-    This route is the certification oracle for the double route.
-
-The hot kernels live in the compiled module `_svkernel` with a pure-Python
-fallback `_kernel_py`; set POLYREG_PURE=1 to force the fallback.
+Double precision (precision_bits <= 53) takes one of three routes by |z|:
+  * |z| <= 1/2: the power series of Li_1 .. Li_n;
+  * 1/2 < |z| <= 2: the log-expansion of Li_k(e^w) in w = log z, or of
+    Li_k(-e^u) in u = log(-z) when Re z < 0 (D. C. Wood 1992, R. Crandall 2006);
+  * |z| > 2: inversion, sv(n, z) = (-1)^(n-1) sv(n, 1/z) for n >= 2.
+Weight 1 is -log|1-z| on every route.  High precision (precision_bits > 53)
+evaluates the defining combination with mpmath; it is the certification
+oracle for the double routes.  RK4 transport along a polyline
+(`_kernel_py.path_state`, reached through a PathSpec) is a second oracle.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
-import os
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence, Union
 
 import mpmath as mp
 
-from .exact import beta
-
-if os.environ.get("POLYREG_PURE"):
-    from . import _kernel_py as _kernel
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _svkernel as _kernel  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernel_py as _kernel
-
-        BACKEND = "pure"
+from . import _kernel_py
+from .exact import bernoulli, beta
 
 
 class ConvergenceError(ArithmeticError):
@@ -61,9 +47,10 @@ class PathError(ValueError):
 
 
 DEFAULT_RK_TOL = 1e-9
-# tightest tolerance the adaptive loop will chase before giving up
 _MAX_STEPS = 16384
 _BASE_POINT = 0.5 + 0j
+# bound on |log z| over 1/2 < |z| <= 2, Re z >= 0, and on |log(-z)| over its mirror
+_HALF_ANNULUS_RADIUS = 1.72
 
 
 @dataclass(frozen=True)
@@ -79,8 +66,9 @@ class PathSpec:
         return [complex(self.base_point), *map(complex, self.waypoints), complex(target)]
 
 
-def _betas_float(n: int) -> List[float]:
-    return [float(beta(k)) for k in range(n + 1)]
+@functools.lru_cache(maxsize=None)
+def _betas_float(n: int) -> tuple:
+    return tuple(float(beta(k)) for k in range(n + 1))
 
 
 def pi_projection(n: int, w: complex) -> complex:
@@ -96,11 +84,21 @@ def li(n: int, z: complex, precision_bits: int = 53):
     """Polylogarithm by its power series; defined for |z| <= 1/2 only."""
     if n < 1:
         raise ValueError("weight must be >= 1")
-    if abs(complex(z)) > 0.5:
+    if not abs(complex(z)) <= 0.5:
         raise ValueError("li: series route requires |z| <= 1/2")
     if precision_bits <= 53:
-        return _kernel.li_series(n, complex(z), 2.0 ** (-precision_bits))
+        return _li_series(n, complex(z), 2.0 ** (-precision_bits))
     return _li_mp(n, mp.mpc(z), precision_bits)
+
+
+def _li_series(n: int, z: complex, eps: float) -> complex:
+    total, zk = 0j, 1 + 0j
+    for k in itertools.count(1):
+        zk *= z
+        term = zk / float(k) ** n
+        total += term
+        if abs(term) <= eps * (abs(total) + 1e-300):
+            return total
 
 
 def _li_mp(n: int, z, precision_bits: int):
@@ -122,8 +120,20 @@ def _zeta_value(n: int, precision_bits: int):
         return +mp.zeta(n)
 
 
+def _mp_fraction(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator
+
+
+def _project(lis: Sequence, l0, betas: Sequence) -> list:
+    """[sv(1) .. sv(n)] from Li_1 .. Li_n at z and l0 = log|z|."""
+    return [
+        pi_projection(m, sum(betas[k] * lis[m - k - 1] * l0**k for k in range(m)))
+        for m in range(1, len(lis) + 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# path planning
+# path transport (the oracle behind PathSpec)
 
 
 def _seg_distance(p: complex, a: complex, b: complex) -> float:
@@ -134,29 +144,6 @@ def _seg_distance(p: complex, a: complex, b: complex) -> float:
     t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
     t = min(1.0, max(0.0, t))
     return abs(p - (a + t * d))
-
-
-def _plan_nodes(z: complex, clearance: float) -> List[complex]:
-    """Polyline 1/2 -> z with detours around 0 and 1 where needed."""
-    a, b = _BASE_POINT, z
-    d = b - a
-    inserts = []
-    for s in (0j, 1 + 0j):
-        if abs(z - s) <= clearance:  # endpoint sits close; no detour possible
-            continue
-        if _seg_distance(s, a, b) >= clearance:
-            continue
-        dd = d.real * d.real + d.imag * d.imag
-        t = ((s - a).real * d.real + (s - a).imag * d.imag) / dd
-        t = min(1.0, max(0.0, t))
-        foot = a + t * d
-        away = foot - s
-        if abs(away) < 1e-12:
-            away = d * 1j  # segment runs through s; step off sideways
-        away /= abs(away)
-        inserts.append((t, s + 1.6 * clearance * away))
-    inserts.sort(key=lambda item: item[0])
-    return [a, *(w for _, w in inserts), b]
 
 
 def _check_clearance(nodes: Sequence[complex], clearance: float) -> None:
@@ -171,40 +158,14 @@ def _check_clearance(nodes: Sequence[complex], clearance: float) -> None:
                 raise PathError("path violates clearance around 0 or 1")
 
 
-# ---------------------------------------------------------------------------
-# double-precision evaluation
-
-
-@functools.lru_cache(maxsize=8192)
-def _sv_state_double(n: int, z: complex, rk_tol: float) -> tuple:
-    """Values [sv(1,z) .. sv(n,z)] at double precision."""
-    if z == 0:
-        return (0j,) * n
-    if z == 1:
-        out = [None]  # weight 1 diverges at z = 1
-        for m in range(2, n + 1):
-            val = complex(_zeta_value(m, 53)) if m % 2 else 0j
-            out.append(val)
-        return tuple(out)
-    if abs(z) <= 0.5:
-        return tuple(_kernel.sv_direct_state(n, _betas_float(n + 1), z, 2.0 ** -53))
-    lead = complex(-cmath.log(1 - z).real, 0.0)
-    if n == 1:
-        return (lead,)
-    nodes = _plan_nodes(z, 0.12)
-    _check_clearance(nodes, 0.12)
-    tail = _integrate(n, nodes, 256, rk_tol)
-    return (lead, *tail)
-
-
 def _integrate(n: int, nodes: Sequence[complex], steps: int, rk_tol: float) -> List[complex]:
     betas = _betas_float(n + 1)
-    base = _kernel.sv_direct_state(n, betas, complex(nodes[0]), 2.0 ** -53)[1:]
     nodes = [complex(w) for w in nodes]
-    coarse = _kernel.path_state(n, betas, nodes, steps, base)
+    base = _sv_state_double(n, nodes[0])[1:]
+    coarse = _kernel_py.path_state(n, betas, nodes, steps, base)
     while True:
         steps *= 2
-        fine = _kernel.path_state(n, betas, nodes, steps, base)
+        fine = _kernel_py.path_state(n, betas, nodes, steps, base)
         err = max(abs(f - c) for f, c in zip(fine, coarse)) / 15.0
         if err <= rk_tol:
             # one Richardson step: RK4 leading error cancels between the pair
@@ -217,6 +178,81 @@ def _integrate(n: int, nodes: Sequence[complex], steps: int, rk_tol: float) -> L
 
 
 # ---------------------------------------------------------------------------
+# double-precision evaluation
+
+
+def _zeta_at(s: int):
+    """zeta(s) at an integer s != 1; from Bernoulli numbers for s <= 0."""
+    if s >= 2:
+        return _zeta_value(s, 53)
+    return _mp_fraction(Fraction(-1, 2) if s == 0 else -bernoulli(1 - s) / (1 - s))
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(k: int, center: int) -> tuple:
+    """Taylor coefficients c_j of Li_k(center * e^v) in v, cut where the
+    tail drops below 1e-20 on |v| <= _HALF_ANNULUS_RADIUS.  Center 1:
+    zeta(k-j)/j!, but H_{k-1}/(k-1)! at j = k-1, where Li_k also carries
+    -v^(k-1)/(k-1)! log(-v).  Center -1: Li_{k-j}(-1)/j!, with
+    Li_s(-1) = (2^(1-s) - 1) zeta(s) and Li_1(-1) = -log 2."""
+    out = []
+    with mp.workprec(80):
+        harmonic = _mp_fraction(sum(Fraction(1, i) for i in range(1, k)))
+        for j in itertools.count():
+            s = k - j
+            if s == 1:
+                c = harmonic if center == 1 else -mp.log(2)
+            else:
+                c = _zeta_at(s) * (1 if center == 1 else mp.mpf(2) ** (1 - s) - 1)
+            out.append(float(c / mp.factorial(j)))
+            # past j = k the nonzero terms decay geometrically; zeros alternate
+            if s < 0 and max(map(abs, out[-2:])) * _HALF_ANNULUS_RADIUS**j < 1e-20:
+                return tuple(out[:-2])
+
+
+def _annulus_state(n: int, z: complex) -> List[complex]:
+    """Log-expansion route, 1/2 < |z| <= 2, about z = 1 if Re z >= 0, else
+    about z = -1.  About 1, log(-v) and log(v) shift every Li_k by the same
+    multiple i*pi of v^(k-1)/(k-1)!, the monodromy around 1, which pi_n
+    annihilates; the branch with argument in [-pi/2, pi/2] keeps even weights
+    accurate next to the real axis and the cut (1, oo) blind to signed zeros."""
+    center = 1 if z.real >= 0.0 else -1
+    v = cmath.log(z if center == 1 else -z)
+    tables = [_expansion(k, center) for k in range(1, n + 1)]
+    powers = [1 + 0j]
+    for _ in range(max(map(len, tables)) - 1):
+        powers.append(powers[-1] * v)
+    lis = [sum(map(operator.mul, c, powers)) for c in tables]
+    if center == 1:
+        lv = cmath.log(v if v.real >= 0.0 else -v)
+        lis = [li - lv * powers[k] / math.factorial(k) for k, li in enumerate(lis)]
+    return _project(lis, v.real, _betas_float(n))
+
+
+def _series_state(n: int, z: complex, l0: float) -> List[complex]:
+    lis = [_li_series(m, z, 2.0 ** -53) for m in range(1, n + 1)]
+    return _project(lis, l0, _betas_float(n))
+
+
+@functools.lru_cache(maxsize=8192)
+def _sv_state_double(n: int, z: complex) -> tuple:
+    """Values [sv(1,z) .. sv(n,z)] at double precision."""
+    if z == 0:
+        return (0j,) * n
+    if z == 1:  # weight 1 diverges at z = 1
+        return (None, *(complex(_zeta_value(m, 53)) if m % 2 else 0j for m in range(2, n + 1)))
+    if abs(z) <= 0.5:
+        return tuple(_series_state(n, z, math.log(abs(z))))
+    if abs(z) <= 2.0:
+        out = _annulus_state(n, z)
+    else:  # log|1/z| from z itself: 1/z underflows to 0 near the overflow limit
+        inverse = _series_state(n, 1 / z, -cmath.log(z).real)
+        out = [v if m % 2 else -v for m, v in enumerate(inverse, 1)]
+    out[0] = complex(-cmath.log(1 - z).real, 0.0)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # high-precision evaluation
 
 
@@ -225,21 +261,12 @@ def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
         zz = mp.mpc(z)
         if zz == 0:
             return [mp.mpc(0)] * n
-        betas = [mp.mpf(beta(k).numerator) / beta(k).denominator for k in range(n + 1)]
+        betas = [_mp_fraction(beta(k)) for k in range(n)]
         if abs(zz) <= 0.5:
             lis = [_li_mp(m, zz, precision_bits) for m in range(1, n + 1)]
         else:
             lis = [mp.polylog(m, zz) for m in range(1, n + 1)]
-        l0 = mp.log(abs(zz))
-        out = []
-        for m in range(1, n + 1):
-            acc = mp.mpc(0)
-            power = mp.mpf(1)
-            for k in range(m):
-                acc += betas[k] * lis[m - k - 1] * power
-                power *= l0
-            out.append(mp.mpc(mp.re(acc), 0) if m % 2 else mp.mpc(0, mp.im(acc)))
-        return [+v for v in out]
+        return [+v for v in _project(lis, mp.log(abs(zz)), betas)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +282,24 @@ def sv_polylog(
 ):
     """Single-valued polylogarithm of weight n at z.
 
-    `path` selects the double route: "auto" plans a polyline when |z| > 1/2,
-    "direct" insists on the series region, a PathSpec is used as given.
+    `path` selects the double route: "auto" picks series, log-expansion or
+    inversion by |z|, "direct" insists on the series region, and a PathSpec
+    is transported along as given, to tolerance `rk_tol`.
     """
     if n < 1:
         raise ValueError("weight must be >= 1")
-    if complex(z) == 1 and n == 1:
+    if not mp.isfinite(z):
+        raise ValueError("sv_polylog: z must be finite, got %s" % (z,))
+    if z == 1 and n == 1:
         raise ValueError("sv_polylog: weight 1 diverges at z = 1")
     if precision_bits > 53:
-        if complex(z) == 1:
-            val = _zeta_value(n, precision_bits) if n % 2 else mp.mpf(0)
-            return mp.mpc(val, 0) if n % 2 else mp.mpc(0, 0)
+        if z == 1:
+            return mp.mpc(_zeta_value(n, precision_bits) if n % 2 else 0, 0)
         return _sv_state_mp(n, z, precision_bits)[n - 1]
     z = complex(z)
     if isinstance(path, PathSpec):
         if z in (0j, 1 + 0j) or n == 1:
-            return _sv_state_double(n, z, rk_tol)[n - 1]
+            return _sv_state_double(n, z)[n - 1]
         nodes = path.nodes(z)
         _check_clearance(nodes, path.clearance)
         tail = _integrate(n, nodes, path.steps_per_segment, rk_tol)
@@ -280,12 +309,15 @@ def sv_polylog(
             raise ValueError("sv_polylog: direct route requires |z| <= 1/2")
     elif path != "auto":
         raise ValueError("path must be 'auto', 'direct', or a PathSpec")
-    return _sv_state_double(n, z, rk_tol)[n - 1]
+    return _sv_state_double(n, z)[n - 1]
 
 
-def sv_state(n: int, z: complex, rk_tol: float = DEFAULT_RK_TOL) -> tuple:
+def sv_state(n: int, z: complex) -> tuple:
     """All weights 1..n at once (double route); weight-1 slot is None at z=1."""
-    return _sv_state_double(n, complex(z), rk_tol)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("sv_state: z must be finite, got %r" % (z,))
+    return _sv_state_double(n, z)
 
 
 def clear_cache() -> None:
@@ -296,7 +328,7 @@ def clear_cache() -> None:
 # symmetry suite
 
 
-def _sample_points(rng, count, lo=0.15, hi=6.0, avoid_unit_disc_edge=False):
+def _sample_points(rng, count, lo=0.15, hi=6.0):
     pts = []
     while len(pts) < count:
         r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -309,11 +341,7 @@ def _sample_points(rng, count, lo=0.15, hi=6.0, avoid_unit_disc_edge=False):
 
 
 def sv_polylog_check_symmetries(
-    n: int,
-    samples: int = 20,
-    tol: float = 1e-8,
-    seed: int = 0,
-    rk_tol: float = 2e-11,
+    n: int, samples: int = 20, tol: float = 1e-8, seed: int = 0
 ) -> dict:
     """Numerical checks: inversion, conjugation, parity, and for n = 2 the
     five-term relation.  Returns a report dict with per-case defects."""
@@ -324,22 +352,14 @@ def sv_polylog_check_symmetries(
     cases = []
 
     def record(name, defect):
-        cases.append(
-            {
-                "input": name,
-                "max_defect": float(defect),
-                "tol": float(tol),
-                "pass": bool(defect <= tol),
-            }
-        )
+        cases.append({"input": name, "max_defect": float(defect), "tol": float(tol),
+                      "pass": bool(defect <= tol)})
 
     worst_inv = worst_conj = worst_par = 0.0
     for z in _sample_points(rng, samples):
-        a = sv_polylog(n, z, rk_tol=rk_tol)
-        worst_inv = max(worst_inv, abs(sv_polylog(n, 1.0 / z, rk_tol=rk_tol) - sign * a))
-        worst_conj = max(
-            worst_conj, abs(sv_polylog(n, z.conjugate(), rk_tol=rk_tol) - sign * a)
-        )
+        a = sv_polylog(n, z)
+        worst_inv = max(worst_inv, abs(sv_polylog(n, 1.0 / z) - sign * a))
+        worst_conj = max(worst_conj, abs(sv_polylog(n, z.conjugate()) - sign * a))
         worst_par = max(worst_par, abs(a.real) if n % 2 == 0 else abs(a.imag))
     record("inversion z -> 1/z", worst_inv)
     record("conjugation z -> conj z", worst_conj)
@@ -355,7 +375,7 @@ def sv_polylog_check_symmetries(
             if args is None:
                 continue
             picked += 1
-            total = sum(sv_polylog(2, w, rk_tol=rk_tol) for w in args)
+            total = sum(sv_polylog(2, w) for w in args)
             worst5 = max(worst5, abs(total))
         record("five-term relation", worst5)
 

@@ -81,8 +81,10 @@ class RegulatorConfig:
         if self.samples < 1:
             raise ValueError("need at least one sample")
         radii = tuple(float(r) for r in self.loop_radii)
-        if any(b >= a for a, b in zip(radii, radii[1:])) or not radii:
+        if any(b >= a for a, b in zip(radii, radii[1:])):
             raise ValueError("loop radii must be strictly decreasing")
+        if len(radii) < 3:
+            raise ValueError("need at least 3 loop radii: the residue fit has 3 unknowns")
         if min(radii) <= 0:
             raise ValueError("loop radii must be positive")
         if self.loop_nodes < 64:
@@ -489,6 +491,26 @@ def _constant_r_value(e: ChainElement) -> complex:
     return total
 
 
+def _lstsq(columns: Sequence[Sequence[float]], rhs: Sequence[complex]) -> List[complex]:
+    """Least-squares coefficients of real columns against a complex right-hand
+    side, by modified Gram-Schmidt and back substitution."""
+    q, r, y, rest = [], [], [], list(rhs)
+    for col in columns:
+        v, row = [float(a) for a in col], []
+        for qi in q:
+            row.append(sum(a * b for a, b in zip(qi, v)))
+            v = [a - row[-1] * b for a, b in zip(v, qi)]
+        row.append(math.hypot(*v))
+        q.append([a / row[-1] for a in v])
+        r.append(row)
+        y.append(sum(a * b for a, b in zip(q[-1], rest)))
+        rest = [a - y[-1] * b for a, b in zip(rest, q[-1])]
+    coef = []  # back substitution: column j of R is r[j]
+    for j in reversed(range(len(columns))):
+        coef.insert(0, (y[j] - sum(r[k][j] * c for k, c in enumerate(coef, j + 1))) / r[j][j])
+    return coef
+
+
 def loop_residue_check(
     weight: int,
     e: ChainElement,
@@ -526,14 +548,8 @@ def loop_residue_check(
             tangent = orientation * 1j * spoke
             total += evaluate(image, center + spoke, [tangent], ctx)
         values.append(total * 2 * math.pi / m)
-
-    import numpy as np
-
-    design = np.array(
-        [[1.0, eps * math.log(eps), eps] for eps in cfg.loop_radii]
-    )
-    coef, *_ = np.linalg.lstsq(design, np.array(values), rcond=None)
-    loop_value = complex(coef[0])
+    design = [[1.0] * len(values), [eps * math.log(eps) for eps in cfg.loop_radii], cfg.loop_radii]
+    loop_value = _lstsq(design, values)[0]
 
     res = residue(e, Valuation.finite(Fraction(a)))
     expected = orientation * 2j * math.pi * _constant_r_value(res)

@@ -27,12 +27,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_usage_error_bad_radii(self, capsys):
-        code, _ = run_json(
-            capsys,
-            ["loop-check", "--weight", "2", "--element", "(t+2)^t",
-             "--radii", "1e-3,1e-2"],
-        )
-        assert code == 2
+        for radii in ("1e-3,1e-2", "1e-2,1e-3"):  # increasing; too few for the fit
+            code, _ = run_json(
+                capsys,
+                ["loop-check", "--weight", "2", "--element", "(t+2)^t",
+                 "--radii", radii],
+            )
+            assert code == 2
 
     def test_failing_suite_is_one(self, capsys):
         # the depth/valuation sampler at weight 4 hits both commutation

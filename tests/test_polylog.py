@@ -98,6 +98,74 @@ class TestOracleAgreement:
                 assert abs(P.sv_polylog(n, z) - mp_oracle(n, z)) < 1e-13
 
 
+def scaled_error(n, z):
+    """Relative error of the double route against the oracle.  The
+    denominator is floored at min(1, |z|, 1/|z|), the size of sv next to 0
+    and infinity, so that zeros of sv (even weights on the real axis, the
+    curves where a value changes sign) do not divide by almost nothing."""
+    ref = mp_oracle(n, z)
+    return abs(P.sv_polylog(n, z) - ref) / max(abs(ref), min(1.0, abs(z), 1.0 / abs(z)))
+
+
+def seeded_points(seed, count):
+    rng = random.Random(seed)
+    phase = lambda: cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))  # noqa: E731
+    regions = {
+        "disc": lambda: 10 ** rng.uniform(-6.0, math.log10(0.5)) * phase(),
+        "annulus": lambda: 2.0 ** rng.uniform(-1.0, 1.0) * phase(),
+        "far": lambda: 10 ** rng.uniform(math.log10(2.0), 12.0) * phase(),
+        "near-1": lambda: 1.0 + 10 ** rng.uniform(-8.0, -1.0) * phase(),
+    }
+    return [(name, draw()) for name, draw in regions.items() for _ in range(count)]
+
+
+NAMED_POINTS = [1 + 1e-6j, 1 - 1e-8 + 1e-8j, 1e6 + 1j, 1e12j] + [
+    complex(x, s) for x in (1.5, 1.999, 2.0, 3.0) for s in (0.0, -0.0)
+]
+
+
+class TestAccuracy:
+    """The default double route against the 130-bit oracle, weights 1-8."""
+
+    def test_seeded_regions(self):
+        bad = [
+            (region, n, z, err)
+            for region, z in seeded_points(2024, 12)
+            for n in range(1, 9)
+            if (err := scaled_error(n, z)) > 1e-14
+        ]
+        assert not bad, bad
+
+    @pytest.mark.parametrize("z", NAMED_POINTS, ids=repr)
+    def test_named_points(self, z):
+        errs = [scaled_error(n, z) for n in range(1, 9)]
+        assert max(errs) <= 1e-14, errs
+
+    @pytest.mark.parametrize("x", [1.5, 1.999, 2.0, 3.0])
+    def test_cut_sides_agree(self, x):
+        # sv is continuous across (1, oo); signed zeros must not pick sides
+        for n in range(1, 9):
+            above, below = P.sv_polylog(n, complex(x, 0.0)), P.sv_polylog(n, complex(x, -0.0))
+            assert abs(above - below) <= 1e-15, (n, above, below)
+
+    def test_extreme_finite_inputs(self):
+        # |z| overflows to inf and 1/z underflows to 0, or z is subnormal
+        for z in (complex(1e308, 1e308), complex(-1e308, 1e-300), 5e-324 + 0j):
+            state = P.sv_state(6, z)
+            assert all(cmath.isfinite(v) for v in state), (z, state)
+
+    @pytest.mark.parametrize(
+        "z", [float("nan"), complex(1, float("nan")), complex(float("inf"), 0), -1j * float("inf")]
+    )
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            P.sv_polylog(3, z)
+        with pytest.raises(ValueError, match="finite"):
+            P.sv_polylog(3, z, precision_bits=130)
+        with pytest.raises(ValueError, match="finite"):
+            P.sv_state(3, z)
+
+
 class TestPaths:
     def test_path_independence(self):
         rng = random.Random(3)
@@ -164,20 +232,6 @@ class TestSymmetries:
                 assert v.imag == 0.0
             else:
                 assert v.real == 0.0
-
-
-class TestKernelParity:
-    def test_pure_matches_selected_backend(self):
-        betas = [float(b) for b in map(P.beta, range(8))]
-        for z in (0.3 + 0.1j, -0.2 - 0.35j):
-            a = _kernel_py.sv_direct_state(6, betas, z, 2.0 ** -53)
-            b = P._kernel.sv_direct_state(6, betas, z, 2.0 ** -53)
-            assert max(abs(x - y) for x, y in zip(a, b)) < 1e-15
-        nodes = [0.5 + 0j, 1.2 + 0.9j, 2.0 - 0.4j]
-        base = _kernel_py.sv_direct_state(5, betas, 0.5 + 0j, 2.0 ** -53)[1:]
-        a = _kernel_py.path_state(5, betas, nodes, 400, base)
-        b = P._kernel.path_state(5, betas, nodes, 400, base)
-        assert max(abs(x - y) for x, y in zip(a, b)) < 1e-13
 
 
 class TestDifferentialSystem:

@@ -12,6 +12,7 @@ from polyreg.polylog import sv_polylog
 from polyreg.regulator import (
     RegulatorConfig,
     _constant_r_value,
+    _lstsq,
     chain_check,
     chain_suite,
     golden_formula_tests,
@@ -243,3 +244,27 @@ class TestConfig:
             RegulatorConfig(loop_nodes=32)
         with pytest.raises(ValueError):
             RegulatorConfig(samples=0)
+        # the residue fit c + b eps log eps + d eps has three unknowns
+        with pytest.raises(ValueError, match="at least 3"):
+            RegulatorConfig(loop_radii=(1e-2, 1e-3))
+
+
+class TestResidueFit:
+    @pytest.mark.parametrize("radii", [(1e-2, 3e-3, 1e-3), (2e-2, 1e-2, 5e-3, 2e-3, 1e-3)])
+    def test_recovers_exact_model(self, radii):
+        c, b, d = 0.3 - 1.7j, -2.5 + 0.25j, 11.0 + 4.0j
+        values = [c + b * e * math.log(e) + d * e for e in radii]
+        design = [[1.0] * len(radii), [e * math.log(e) for e in radii], radii]
+        fit = _lstsq(design, values)
+        assert max(abs(x - y) for x, y in zip(fit, (c, b, d))) < 1e-9
+        assert abs(fit[0] - c) < 1e-13
+
+    def test_least_squares_residual_is_orthogonal(self):
+        radii = (2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
+        values = [1.0 + 0.5j, 0.9 + 0.4j, 1.1 + 0.45j, 0.95 + 0.5j, 1.02 + 0.47j]
+        design = [[1.0] * len(radii), [e * math.log(e) for e in radii], radii]
+        fit = _lstsq(design, values)
+        residual = [v - sum(f * col[i] for f, col in zip(fit, design)) for i, v in enumerate(values)]
+        for col in design:
+            scale = math.hypot(*col) * max(map(abs, values))
+            assert abs(sum(a * r for a, r in zip(col, residual))) < 1e-12 * scale
