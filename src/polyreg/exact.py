@@ -16,6 +16,7 @@ The closed form above is the single source of truth; the recursion route
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 __all__ = [
@@ -76,8 +77,10 @@ def bernoulli_recurrence(k: int) -> Fraction:
     return bs[k]
 
 
+@lru_cache(maxsize=None)
 def beta_kp(k: int, p: int) -> Fraction:
-    """The closed-form coefficient combination (definition route)."""
+    """The closed-form coefficient combination (definition route), memoized
+    like beta; beta_kp_recursive never reads this memo."""
     if k < 0 or p < 1:
         raise ValueError("beta_kp: need k >= 0 and p >= 1")
     acc = _ZERO

@@ -21,6 +21,14 @@ as closed, and single-valued scalars via their total differentials:
 Numeric evaluation realizes generators as real-linear covectors,
 dlog|g|(v) = Re(Dg(x;v)/g(x)) and diarg g(v) = i Im(Dg(x;v)/g(x)), and
 expands generator wedges as determinants against the supplied vectors.
+Each form compiles, on first evaluation, into a plan kept on the form: its
+distinct functions, scalars and generators, and every term as (complex
+coefficient, scalar indices, generator indices).  A call then evaluates
+each function and its gradient once, with the genericity guards, each
+scalar once, fills one covector table per (generator, vector), and expands
+each term's determinant by first-row cofactors, sharing minors between
+terms.  The arithmetic is the term-by-term arithmetic, so the values are
+bit-identical to it; the plan holds nothing that depends on a point.
 """
 
 from __future__ import annotations
@@ -31,7 +39,15 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import beta
-from .funcfield import PoleError, RationalFunction, rf_dir_derivative, rf_eval
+from .funcfield import (
+    PoleError,
+    RationalFunction,
+    _compile,
+    _coords,
+    _poly_at,
+    _pole_guard,
+    _slopes,
+)
 from .polylog import sv_state
 
 Rational = Union[int, Fraction]
@@ -94,11 +110,12 @@ def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]
 class Form:
     """Degree-homogeneous combination of terms; immutable."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_plan")
 
     def __init__(self, degree: int, terms: Tuple[FormTerm, ...]):
         self.degree = degree
         self.terms = terms
+        self._plan = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -382,13 +399,15 @@ class EvalContext:
 _DEFAULT_CTX = EvalContext()
 
 
-def _variables(a: Form) -> list:
+def _variables(*forms_: Form) -> list:
+    """Sorted names of every variable the forms' functions use."""
     vs = set()
-    for t in a.terms:
-        for s in t.scalars:
-            vs.update((s[1] if s[0] == "log" else s[2]).variables())
-        for g in t.generators:
-            vs.update(g[1].variables())
+    for a in forms_:
+        for t in a.terms:
+            for s in t.scalars:
+                vs.update((s[1] if s[0] == "log" else s[2]).variables())
+            for g in t.generators:
+                vs.update(g[1].variables())
     return sorted(vs)
 
 
@@ -401,34 +420,6 @@ def _as_mapping(x, names) -> dict:
     if isinstance(x, (list, tuple)) and len(x) == len(names):
         return {n: complex(v) for n, v in zip(names, x)}
     raise ValueError("point/vector must be a mapping for multivariate forms")
-
-
-def _guarded_value(g: RationalFunction, x: dict, clearance: float) -> complex:
-    try:
-        val = rf_eval(g, x, clearance=clearance)
-    except PoleError as exc:
-        raise GenericityError(str(exc))
-    if abs(val) < clearance:
-        raise GenericityError("function value too close to zero")
-    return val
-
-
-def _scalar_value(s, x: dict, ctx: EvalContext) -> complex:
-    if s[0] == "log":
-        return math.log(abs(_guarded_value(s[1], x, ctx.clearance)))
-    _, p, f = s
-    zf = _guarded_value(f, x, ctx.clearance)
-    if abs(zf - 1.0) < ctx.clearance:
-        raise GenericityError("sv argument too close to 1")
-    return sv_state(p, zf)[p - 1]
-
-
-def _covector(gen, x: dict, v: dict, ctx: EvalContext) -> complex:
-    kind, g = gen
-    gval = _guarded_value(g, x, ctx.clearance)
-    d = rf_dir_derivative(g, x, v)
-    w = d / gval
-    return complex(w.real, 0.0) if kind == "dlog" else complex(0.0, w.imag)
 
 
 def _det(mat: List[List[complex]]) -> complex:
@@ -448,22 +439,133 @@ def _det(mat: List[List[complex]]) -> complex:
     return total
 
 
+class _Plan:
+    """A form's evaluation plan: its distinct functions, scalars and
+    generators, and each term as (complex coefficient, scalar indices,
+    generator indices).  Holds nothing that depends on a point."""
+
+    __slots__ = ("names", "functions", "scalars", "generators", "terms")
+
+    def __init__(self, a: Form):
+        self.names = _variables(a)
+        index: Dict[RationalFunction, int] = {}
+        sv_arguments, generator_functions = set(), set()
+
+        def fn(g: RationalFunction, role: Optional[set] = None) -> int:
+            i = index.setdefault(g, len(index))
+            if role is not None:
+                role.add(i)
+            return i
+
+        scalars: Dict[tuple, int] = {}
+        generators: Dict[tuple, int] = {}
+        terms = []
+        for t in a.terms:
+            sidx = []
+            for s in t.scalars:
+                if s[0] == "log":
+                    key = ("log", fn(s[1]))
+                else:
+                    key = ("sv", s[1], fn(s[2], sv_arguments))
+                sidx.append(scalars.setdefault(key, len(scalars)))
+            gidx = tuple(
+                generators.setdefault((kind, fn(g, generator_functions)), len(generators))
+                for kind, g in t.generators
+            )
+            terms.append((complex(Fraction(t.coefficient)), tuple(sidx), gidx))
+        self.functions = tuple(
+            (g, i in sv_arguments, i in generator_functions) for g, i in index.items()
+        )
+        self.scalars = tuple(scalars)
+        self.generators = tuple(generators)
+        self.terms = tuple(terms)
+
+
+def _plan(a: Form) -> _Plan:
+    if a._plan is None:
+        a._plan = _Plan(a)
+    return a._plan
+
+
+def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> complex:
+    """The determinant of cov restricted to rows x cols, by _det's first-row
+    cofactor expansion, with every minor of order >= 2 computed once per
+    memo."""
+    if len(rows) == 1:
+        return cov[rows[0]][cols[0]]
+    key = (rows, cols)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if len(rows) == 2:
+        a, b = cov[rows[0]], cov[rows[1]]
+        out = a[cols[0]] * b[cols[1]] - a[cols[1]] * b[cols[0]]
+    else:
+        out = 0j
+        head, rest = cov[rows[0]], rows[1:]
+        for j, c in enumerate(cols):
+            if head[c] == 0:
+                continue
+            out += (-1) ** j * head[c] * _minor(rest, cols[:j] + cols[j + 1 :], cov, memo)
+    memo[key] = out
+    return out
+
+
 def evaluate(a: Form, x, vectors: Sequence = (), ctx: Optional[EvalContext] = None) -> complex:
     """Evaluate against tangent vectors; len(vectors) must equal the degree."""
     ctx = ctx or _DEFAULT_CTX
     if len(vectors) != a.degree:
         raise ValueError("need exactly %d vectors" % a.degree)
-    names = _variables(a)
-    xm = _as_mapping(x, names)
-    vms = [_as_mapping(v, names) for v in vectors]
+    plan = _plan(a)
+    xm = _as_mapping(x, plan.names)
+    vms = [_as_mapping(v, plan.names) for v in vectors]
+    clearance = ctx.clearance
+    values = []
+    ratios = []  # per function, per vector: Dg(x; v) / g(x), generators only
+    for g, sv_argument, generator in plan.functions:
+        num, den, _ = _compile(g)
+        xs = _coords(g, xm)
+        d = _poly_at(den, xs)
+        try:
+            _pole_guard(d, clearance, xm)
+        except PoleError as exc:
+            raise GenericityError(str(exc))
+        n = _poly_at(num, xs)
+        val = n / d
+        if abs(val) < clearance:
+            raise GenericityError("function value too close to zero")
+        if sv_argument and abs(val - 1.0) < clearance:
+            raise GenericityError("sv argument too close to 1")
+        values.append(val)
+        if not generator:
+            ratios.append(None)
+            continue
+        _pole_guard(d, 1e-12, xm)  # rf_dir_derivative's own guard
+        slopes = list(zip(g.variables(), _slopes(g, xs, n, d)))
+        row = []
+        for vm in vms:
+            dg = 0j
+            for name, slope in slopes:
+                dg += slope * complex(vm.get(name, 0))
+            row.append(dg / val)
+        ratios.append(row)
+    scalars = [
+        math.log(abs(values[s[1]])) if s[0] == "log" else sv_state(s[1], values[s[2]])[s[1] - 1]
+        for s in plan.scalars
+    ]
+    cov = [
+        [complex(w.real, 0.0) if kind == "dlog" else complex(0.0, w.imag) for w in ratios[i]]
+        for kind, i in plan.generators
+    ]
+    cols = tuple(range(len(vms)))
+    memo: dict = {}
     total = 0j
-    for t in a.terms:
-        val = complex(Fraction(t.coefficient))
-        for s in t.scalars:
-            val *= _scalar_value(s, xm, ctx)
-        if t.generators:
-            mat = [[_covector(g, xm, v, ctx) for v in vms] for g in t.generators]
-            val *= _det(mat)
+    for coeff, sidx, gidx in plan.terms:
+        val = coeff
+        for i in sidx:
+            val *= scalars[i]
+        if gidx:
+            val *= _minor(gidx, cols, cov, memo)
         total += val
     return total
 

@@ -3,7 +3,9 @@
 Sparse polynomials over fractions.Fraction, rational functions in canonical
 form, complex-point evaluation with pole clearance, exact directional
 derivatives, and discrete-valuation data (order and unit part) at rational
-points of the line and at infinity.
+points of the line and at infinity.  Evaluation compiles each function once,
+on first use, into complex term lists for num, den and their partials, kept
+in the same term order as Polynomial.evaluate so values agree bit for bit.
 
 Canonical forms: a univariate quotient is gcd-reduced with monic denominator,
 so syntactic equality is mathematical equality. Multivariate quotients are
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _intgcd
+from typing import Sequence
 
 __all__ = [
     "Polynomial",
@@ -26,7 +29,6 @@ __all__ = [
     "var",
     "const",
     "parse_function",
-    "rf_arith",
     "one_minus",
     "rf_eval",
     "rf_dir_derivative",
@@ -323,7 +325,7 @@ class Polynomial:
 class RationalFunction:
     """Quotient of polynomials in canonical form (see module docstring)."""
 
-    __slots__ = ("num", "den", "_key")
+    __slots__ = ("num", "den", "_key", "_compiled")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -350,6 +352,7 @@ class RationalFunction:
         self.num = num
         self.den = den
         self._key = f"({num})/({den})"
+        self._compiled = None
 
     # --- structure -------------------------------------------------------
     def variables(self) -> tuple:
@@ -446,22 +449,6 @@ def one_minus(f: RationalFunction) -> RationalFunction:
     return const(1) - f
 
 
-def rf_arith(op: str, f: RationalFunction, g: RationalFunction = None):
-    if op == "one_minus":
-        return one_minus(f)
-    if g is None:
-        raise ValueError(f"binary op {op!r} needs two operands")
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")
-
-
 # --- evaluation ---------------------------------------------------------
 
 
@@ -477,32 +464,81 @@ def _as_point(f: RationalFunction, x) -> dict:
     raise ValueError("point shape does not match the function's variables")
 
 
+def _terms(p: Polynomial) -> tuple:
+    """(complex coefficient, ((variable slot, exponent), ...)) per term, in
+    the polynomial's own term order."""
+    return tuple(
+        (complex(coeff), tuple((k, e) for k, e in enumerate(expo) if e))
+        for expo, coeff in p.terms.items()
+    )
+
+
+def _compile(f: RationalFunction) -> tuple:
+    """Term lists of num, den and of their partials in each variable, built
+    on first use and kept on the function."""
+    if f._compiled is None:
+        f._compiled = (
+            _terms(f.num),
+            _terms(f.den),
+            tuple(
+                (_terms(f.num.partial(name)), _terms(f.den.partial(name)))
+                for name in f.variables()
+            ),
+        )
+    return f._compiled
+
+
+def _poly_at(terms: tuple, xs: Sequence[complex]) -> complex:
+    total = 0j
+    for coeff, powers in terms:
+        for k, e in powers:
+            coeff *= xs[k] ** e
+        total += coeff
+    return total
+
+
+def _coords(f: RationalFunction, point: dict) -> list:
+    return [complex(point[name]) for name in f.variables()]
+
+
+def _pole_guard(d: complex, clearance: float, point) -> complex:
+    if abs(d) <= clearance:
+        raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
+    return d
+
+
+def _slopes(f: RationalFunction, xs, n: complex, d: complex) -> list:
+    """The partials (df/dx_j)(x), one per variable of f."""
+    return [
+        (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)
+        for dn, dd in _compile(f)[2]
+    ]
+
+
 def rf_eval(f: RationalFunction, x, clearance: float = 1e-12) -> complex:
     """num(x)/den(x); raises PoleError when |den(x)| <= clearance."""
     point = _as_point(f, x)
-    d = f.den.evaluate(point)
-    if abs(d) <= clearance:
-        raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
-    return f.num.evaluate(point) / d
+    num, den, _ = _compile(f)
+    xs = _coords(f, point)
+    d = _pole_guard(_poly_at(den, xs), clearance, point)
+    return _poly_at(num, xs) / d
 
 
 def rf_dir_derivative(f: RationalFunction, x, v) -> complex:
-    """sum_j (df/dx_j)(x) * v_j, by exact symbolic partials then evaluation.
+    """sum_j (df/dx_j)(x) * v_j, from the compiled exact partials.
 
     v: complex displacement, shaped like the point (scalar for univariate,
     dict or aligned sequence otherwise).
     """
     point = _as_point(f, x)
     vee = _as_point(f, v)
-    d = f.den.evaluate(point)
-    if abs(d) <= 1e-12:
-        raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
-    n = f.num.evaluate(point)
+    num, den, _ = _compile(f)
+    xs = _coords(f, point)
+    d = _pole_guard(_poly_at(den, xs), 1e-12, point)
+    n = _poly_at(num, xs)
     total = 0j
-    for name in f.variables():
-        dn = f.num.partial(name).evaluate(point)
-        dd = f.den.partial(name).evaluate(point)
-        total += (dn * d - n * dd) / (d * d) * complex(vee.get(name, 0))
+    for name, slope in zip(f.variables(), _slopes(f, xs, n, d)):
+        total += slope * complex(vee.get(name, 0))
     return total
 
 

@@ -256,8 +256,20 @@ def _sv_state_double(n: int, z: complex) -> tuple:
 # high-precision evaluation
 
 
+def _guard_bits(n: int, z) -> int:
+    """Extra working bits for the defining sum at |z| > 1: its terms grow
+    like log^n|z| while sv itself falls like 1/|z|, so the sum cancels about
+    log2|z| + n log2(log|z|) bits.  Even weights next to the real axis fall
+    faster, like |Im z|/|z|^2, and keep fewer digits than precision_bits."""
+    with mp.workprec(53):
+        r = abs(mp.mpc(z))
+        if r <= 1:
+            return 0
+        return int(mp.ceil(mp.log(r, 2))) + n * int(mp.ceil(mp.log(mp.log(r) + 2, 2)))
+
+
 def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
-    with mp.workprec(precision_bits + 16):
+    with mp.workprec(precision_bits + 16 + _guard_bits(n, z)):
         zz = mp.mpc(z)
         if zz == 0:
             return [mp.mpc(0)] * n

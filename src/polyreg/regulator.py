@@ -43,6 +43,7 @@ from .forms import (
     zero,
     _as_mapping,
     _det,
+    _variables,
 )
 from .funcfield import (
     PoleError,
@@ -272,17 +273,6 @@ def _gather_functions(a: Form) -> List[RationalFunction]:
     return out
 
 
-def _form_variables(*forms_: Form) -> List[str]:
-    names = set()
-    for a in forms_:
-        for t in a.terms:
-            for s in t.scalars:
-                names.update((s[1] if s[0] == "log" else s[2]).variables())
-            for g in t.generators:
-                names.update(g[1].variables())
-    return sorted(names)
-
-
 def _generic_point(
     rng: random.Random, names: Sequence[str], functions: Sequence[RationalFunction]
 ) -> dict:
@@ -330,7 +320,7 @@ def chain_check(
     image = r_map(e)
     lhs = exterior_derivative(image)
     rhs = r_map(delta(e))
-    names = _form_variables(lhs, rhs)
+    names = _variables(lhs, rhs)
     functions = _gather_functions(lhs) + _gather_functions(rhs)
     ctx = cfg.eval_context()
     rng = random.Random(cfg.seed)
@@ -533,7 +523,7 @@ def loop_residue_check(
     image = r_map(e)
     if image.degree != 1:
         raise ValueError("loop integration needs a 1-form image")
-    names = _form_variables(image)
+    names = _variables(image)
     if len(names) != 1:
         raise ValueError("loop integration needs a univariate element")
     ctx = cfg.eval_context()

@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 from polyreg import forms as F
-from polyreg.funcfield import one_minus, parse_function as pf
+from polyreg import regulator as R
+from polyreg.cli import TOP_FAMILIES
+from polyreg.funcfield import PoleError, one_minus, parse_function as pf
+from polyreg.funcfield import rf_dir_derivative, rf_eval
+from polyreg.polycomplex import delta, pure_wedge
+from polyreg.polylog import sv_state
 
 T = pf("t")
 OM = one_minus(T)
@@ -270,3 +275,97 @@ class TestGrammar:
 
     def test_generator_power_is_wedge(self):
         assert F.parse_form("dlog(t)^2").is_zero()
+
+
+def naive_evaluate(a, x, vectors, clearance=1e-6):
+    """Term by term, each function, scalar, covector and determinant
+    computed afresh: the reference the evaluation plans must reproduce."""
+    names = F._variables(a)
+    xm = F._as_mapping(x, names)
+    vms = [F._as_mapping(v, names) for v in vectors]
+
+    def value(g):
+        try:
+            val = rf_eval(g, xm, clearance=clearance)
+        except PoleError as exc:
+            raise F.GenericityError(str(exc))
+        if abs(val) < clearance:
+            raise F.GenericityError("function value too close to zero")
+        return val
+
+    def scalar(s):
+        if s[0] == "log":
+            return math.log(abs(value(s[1])))
+        zf = value(s[2])
+        if abs(zf - 1.0) < clearance:
+            raise F.GenericityError("sv argument too close to 1")
+        return sv_state(s[1], zf)[s[1] - 1]
+
+    def covector(kind, g, v):
+        gval = value(g)
+        w = rf_dir_derivative(g, xm, v) / gval
+        return complex(w.real, 0.0) if kind == "dlog" else complex(0.0, w.imag)
+
+    total = 0j
+    for t in a.terms:
+        val = complex(Fraction(t.coefficient))
+        for s in t.scalars:
+            val *= scalar(s)
+        if t.generators:
+            val *= F._det([[covector(k, g, v) for v in vms] for k, g in t.generators])
+        total += val
+    return total
+
+
+def plan_cases():
+    for w in range(3, 7):
+        for label, e in R.standard_chain_elements(w):
+            image = R.r_map(e)
+            yield "w%d %s: r" % (w, label), image
+            yield "w%d %s: d r" % (w, label), F.exterior_derivative(image)
+            yield "w%d %s: r delta" % (w, label), R.r_map(delta(e))
+    for family in TOP_FAMILIES:
+        fs = [pf(text) for text in family.split(";")]
+        yield "top %s: d r" % family, F.exterior_derivative(R.r_map(pure_wedge(fs)))
+
+
+class TestPlanAgainstNaive:
+    """Plans must reproduce the term-by-term evaluation bit for bit."""
+
+    @pytest.mark.parametrize("label,a", list(plan_cases()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_bit_identical(self, label, a):
+        rng = random.Random(label)
+        names = F._variables(a)
+        functions = R._gather_functions(a)
+        for _ in range(3):
+            x = R._generic_point(rng, names, functions)
+            vs = R._frame(rng, names, a.degree)
+            assert F.evaluate(a, x, vs) == naive_evaluate(a, x, vs)
+
+    def test_no_state_between_points(self):
+        e = R.standard_chain_elements(5)[1][1]
+        a = F.exterior_derivative(R.r_map(e))
+        rng = random.Random(5)
+        names = F._variables(a)
+        functions = R._gather_functions(a)
+        samples = [
+            (R._generic_point(rng, names, functions), R._frame(rng, names, a.degree))
+            for _ in range(3)
+        ]
+        interleaved = [F.evaluate(a, x, vs) for _ in range(2) for x, vs in samples]
+        fresh = [F.evaluate(F.Form(a.degree, a.terms), x, vs) for x, vs in samples]
+        assert interleaved == fresh * 2
+
+    @pytest.mark.parametrize(
+        "last", ["L2(t+4)*dlog(t-2)", "L2(t+4)*dlog(1/(t-2))", "L2(t-1)*darg(t+5)"]
+    )
+    def test_guard_in_last_term_only(self, last):
+        # at t = 2 only the last term's t-2, 1/(t-2) or sv argument t-1 is
+        # degenerate
+        a = F.parse_form("log(t+3)*dlog(t+5) + log(t+6)*dlog(t+7) + " + last)
+        assert F.form(1, a.terms[-1:]) == F.parse_form(last)
+        for x in (2, 2 + 1e-9j):
+            with pytest.raises(F.GenericityError):
+                naive_evaluate(a, x, [1])
+            with pytest.raises(F.GenericityError):
+                F.evaluate(a, x, [1])

@@ -14,7 +14,6 @@ from polyreg.funcfield import (
     one_minus,
     ord_at,
     parse_function,
-    rf_arith,
     rf_dir_derivative,
     rf_eval,
     unit_part,
@@ -30,7 +29,7 @@ def test_one_minus():
 
 def test_field_axiom_inverse():
     f = parse_function("(t^2+1)/(t-1)")
-    assert rf_arith("mul", f, rf_arith("div", const(1), f)) == const(1)
+    assert f * (const(1) / f) == const(1)
 
 
 def test_cancellation_with_eval_certificate():
@@ -83,6 +82,33 @@ def test_dir_derivative_vs_central_difference():
             assert abs(fd - exact) <= 1e-6 * (1 + abs(exact))
 
 
+def test_compiled_matches_polynomial_evaluation():
+    # the compiled term lists keep Polynomial.evaluate's term order and
+    # complex(Fraction) coefficients, so values agree bit for bit
+    rng = random.Random(8)
+    fs = [
+        parse_function("(t^2+1)/(t-1)"),
+        parse_function("(3*t^3-2*t)/(7*t^2+3)"),
+        parse_function("(x*y-1/3)/(x+y)"),
+        parse_function("(x^2*z-y)/(5*x-y*z+2)"),
+        parse_function("(1/3-5*t+t^9/11-2/7*t^2+7*t^5)/(t^4/13+3*t^3-t-1/9)"),
+        parse_function("(x^3*y/7-x*y^2+2/3*y^4-x+1/5)/(x^2+y^3/3-x*y+4)"),
+        const(Fraction(2, 3)),
+    ]
+    for f in fs:
+        names = f.variables()
+        for _ in range(5):
+            x = {n: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for n in names}
+            v = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in names}
+            d, n = f.den.evaluate(x), f.num.evaluate(x)
+            slope = 0j
+            for name in names:
+                dn, dd = f.num.partial(name).evaluate(x), f.den.partial(name).evaluate(x)
+                slope += (dn * d - n * dd) / (d * d) * v[name]
+            assert rf_eval(f, x) == n / d
+            assert rf_dir_derivative(f, x, v) == slope
+
+
 def test_ord_examples():
     v0 = Valuation.finite(0)
     assert ord_at(parse_function("t^3/(1+t)"), v0) == 3
@@ -131,7 +157,7 @@ def test_zero_function_errors():
     with pytest.raises(ValueError):
         ord_at(const(0), Valuation.finite(0))
     with pytest.raises(ZeroDivisionError):
-        rf_arith("div", t, const(0))
+        t / const(0)
 
 
 def test_parser_precedence_and_errors():

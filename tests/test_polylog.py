@@ -119,7 +119,7 @@ def seeded_points(seed, count):
     return [(name, draw()) for name, draw in regions.items() for _ in range(count)]
 
 
-NAMED_POINTS = [1 + 1e-6j, 1 - 1e-8 + 1e-8j, 1e6 + 1j, 1e12j] + [
+NAMED_POINTS = [1 + 1e-6j, 1 - 1e-8 + 1e-8j, 1e6 + 1j, 1e12j, 1e30 + 1j, 1e200 + 3e199j] + [
     complex(x, s) for x in (1.5, 1.999, 2.0, 3.0) for s in (0.0, -0.0)
 ]
 
