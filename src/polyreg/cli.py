@@ -122,52 +122,25 @@ def _beta_report(max_k: int, max_p: int) -> dict:
     }
 
 
+def _exact_case(label: str, ok: bool) -> dict:
+    return {"input": label, "max_defect": 0.0 if ok else float("inf"), "tol": 0.0, "pass": ok}
+
+
 def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[dict]:
     rows = verify_row_identities(max_m)
-    rows["cases"] = [
-        {
-            "input": "coefficient rows, m <= %d" % max_m,
-            "max_defect": 0.0 if rows["pass"] else float("inf"),
-            "tol": 0.0,
-            "pass": rows["pass"],
-        }
-    ]
+    rows["cases"] = [_exact_case("coefficient rows, m <= %d" % max_m, rows["pass"])]
     proposition = verify_proposition(max_n, max_p)
     proposition["cases"] = [
-        {
-            "input": "main identity grid, n <= %d, p <= %d" % (max_n, max_p),
-            "max_defect": 0.0 if proposition["pass"] else float("inf"),
-            "tol": 0.0,
-            "pass": proposition["pass"],
-        }
+        _exact_case(
+            "main identity grid, n <= %d, p <= %d" % (max_n, max_p), proposition["pass"]
+        )
     ]
     try:
         BetaTable(max_k, max_k)
-        grid = {
-            "suite": "beta-recursion-grid",
-            "cases": [
-                {
-                    "input": "closed vs recursive, k,p <= %d" % max_k,
-                    "max_defect": 0.0,
-                    "tol": 0.0,
-                    "pass": True,
-                }
-            ],
-            "pass": True,
-        }
+        case = _exact_case("closed vs recursive, k,p <= %d" % max_k, True)
     except AssertionError as exc:
-        grid = {
-            "suite": "beta-recursion-grid",
-            "cases": [
-                {
-                    "input": str(exc),
-                    "max_defect": float("inf"),
-                    "tol": 0.0,
-                    "pass": False,
-                }
-            ],
-            "pass": False,
-        }
+        case = _exact_case(str(exc), False)
+    grid = {"suite": "beta-recursion-grid", "cases": [case], "pass": case["pass"]}
     return [rows, proposition, grid]
 
 
@@ -206,22 +179,11 @@ def _top_report(functions: str, cfg: RegulatorConfig) -> dict:
     return top_check(fs, cfg)
 
 
-def _loop_reports(args, cfg: RegulatorConfig) -> List[dict]:
-    if args.element:
-        e = parse_element(args.element, weight=args.weight)
-        return [
-            loop_residue_check(
-                args.weight, e, args.at, cfg, orientation=args.orientation,
-                tol=args.tol if args.tol is not None else 1e-3,
-            )
-        ]
-    out = []
-    for weight, text, at, orientation in LOOP_CASES:
-        e = parse_element(text, weight=weight)
-        out.append(
-            loop_residue_check(weight, e, at, cfg, orientation=orientation)
-        )
-    return out
+def _loop_case_reports(cfg: RegulatorConfig) -> List[dict]:
+    return [
+        loop_residue_check(weight, parse_element(text, weight=weight), at, cfg, orientation=sign)
+        for weight, text, at, sign in LOOP_CASES
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +323,18 @@ def _dispatch(args) -> RunManifest:
         extra = {"functions": args.functions}
     elif command == "loop-check":
         cfg = _make_config(args)
-        if args.element and args.weight is None:
-            raise ValueError("--element needs --weight")
-        results = _loop_reports(args, cfg)
+        if args.element:
+            if args.weight is None:
+                raise ValueError("--element needs --weight")
+            e = parse_element(args.element, weight=args.weight)
+            results = [
+                loop_residue_check(
+                    args.weight, e, args.at, cfg, orientation=args.orientation,
+                    tol=args.tol if args.tol is not None else 1e-3,
+                )
+            ]
+        else:
+            results = _loop_case_reports(cfg)
         extra = {"weight": args.weight, "element": args.element, "at": args.at}
     elif command == "golden":
         cfg = RegulatorConfig()
@@ -381,9 +352,7 @@ def _dispatch(args) -> RunManifest:
         results += [golden_formula_tests()]
         results += [chain_suite((3, 4, 5, 6), cfg)]
         results += [_top_report(f, cfg) for f in TOP_FAMILIES]
-        results += _loop_reports(
-            argparse.Namespace(element=None, weight=None, at="0", tol=None), cfg
-        )
+        results += _loop_case_reports(cfg)
         extra = None
     else:  # pragma: no cover - argparse enforces the choices
         raise ValueError("unknown command %r" % command)

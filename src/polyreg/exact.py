@@ -1,6 +1,6 @@
 """Exact rational arithmetic for the scaled Bernoulli coefficients.
 
-Everything here is computed with fractions.Fraction; no floating point.
+Everything here is exact; no floating point.
 
 Conventions
 -----------
@@ -9,8 +9,29 @@ This forces the Bernoulli convention B_1 = -1/2 (many references use +1/2).
 
 beta_kp(k, p) := (-1)^p (p-1)! * sum_{0 <= i <= (p-1)//2} beta_{k+p-2i}/(2i+1)!
 
-The closed form above is the single source of truth; the recursion route
-(beta_kp_recursive) must agree with it exactly and is tested as such.
+Representation
+--------------
+The table behind beta() holds integers A_m = P * m! * beta_m = P * 2^m B_m,
+where P is the product of the primes <= top + 1 and top the largest index
+computed so far.  By von Staudt-Clausen the denominator of B_m is a product
+of primes p with (p-1) | m, all <= m + 1, so P clears every denominator in
+the table.  The recurrence for a_m = m! beta_m = 2^m B_m,
+
+    -2(m+1) a_m = sum_{j=2}^{m+1} C(m+1, j) 2^j a_{m+1-j},
+
+gives each new A_m from integer products and one exact division; when m + 1
+is prime every stored A_j is multiplied by it once.  The closed form of
+beta_kp and the proposition grid work over the common denominator
+den = P * top!, with integer numerators num[j] = den * beta_j.  A Fraction
+is built only where a value leaves the module.
+
+Independence
+------------
+The closed form above is the single source of truth for beta_kp; the
+recursion route (beta_kp_recursive) shares only beta() with it, never reads
+the closed form, its memo or the numerators num, and must agree with it
+exactly (BetaTable checks that).  bernoulli_recurrence is a third route to
+the Bernoulli numbers in plain Fraction arithmetic, independent of beta().
 """
 
 from __future__ import annotations
@@ -31,32 +52,70 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_beta_cache: list[Fraction] = [Fraction(1)]
+
+
+class _Table:
+    """Grow-only integer table: scaled[m] = prime_product * m! * beta_m."""
+
+    def __init__(self):
+        self.prime_product = 1  # product of the primes <= len(scaled)
+        self.scaled = [1]
+        self.values = [Fraction(1)]  # beta_m as Fractions, built once each
+        self._common = None  # (den, num) over the current table, see common()
+
+    def grow(self, k: int) -> None:
+        scaled = self.scaled
+        while len(scaled) <= k:
+            m = len(scaled)
+            if _is_prime(m + 1):
+                self.prime_product *= m + 1
+                scaled[:] = [a * (m + 1) for a in scaled]
+            acc, weight = 0, 2 * (m + 1)  # weight = C(m+1, j) * 2^j, from j = 1
+            for j in range(2, m + 2):
+                weight = weight * 2 * (m + 2 - j) // j
+                acc += weight * scaled[m + 1 - j]
+            a, rem = divmod(-acc, 2 * (m + 1))
+            if rem:
+                raise ArithmeticError("beta: inexact division at index %d" % m)
+            scaled.append(a)
+            self.values.append(Fraction(a, self.prime_product * factorial(m)))
+            self._common = None
+
+    def common(self, top: int) -> tuple:
+        """(den, num) with num[j] = den * beta_j for every j in the table,
+        den = prime_product * t! and t >= top the table's last index."""
+        self.grow(top)
+        if self._common is None:
+            t = len(self.scaled) - 1
+            num, ratio = [0] * (t + 1), 1  # ratio = t! / j!
+            for j in range(t, -1, -1):
+                num[j] = self.scaled[j] * ratio
+                ratio *= j
+            self._common = (self.prime_product * factorial(t), num)
+        return self._common
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+_table = _Table()
 
 
 def beta(k: int) -> Fraction:
-    """beta_k, by the convolution recurrence from (e^{2t}-1) * sum beta_k t^k = 2t.
-
-    Matching coefficients of t^{m+1} gives, for m >= 1,
-        beta_m = -(1/2) * sum_{j=2}^{m+1} (2^j / j!) beta_{m+1-j}.
-    """
+    """beta_k, from the integer table (see the module docstring)."""
     if k < 0:
         raise ValueError("beta: k must be >= 0")
-    cache = _beta_cache
-    while len(cache) <= k:
-        m = len(cache)
-        acc = _ZERO
-        for j in range(2, m + 2):
-            acc += Fraction(2**j, factorial(j)) * cache[m + 1 - j]
-        cache.append(-acc / 2)
-    return cache[k]
+    _table.grow(k)
+    return _table.values[k]
 
 
 def bernoulli(k: int) -> Fraction:
     """B_k = beta_k * k! / 2^k  (so B_1 = -1/2)."""
     if k < 0:
         raise ValueError("bernoulli: k must be >= 0")
-    return beta(k) * factorial(k) / 2**k
+    _table.grow(k)
+    return Fraction(_table.scaled[k], _table.prime_product * 2**k)
 
 
 def bernoulli_recurrence(k: int) -> Fraction:
@@ -77,19 +136,27 @@ def bernoulli_recurrence(k: int) -> Fraction:
     return bs[k]
 
 
+def _closed_sum(num: list, k: int, p: int) -> int:
+    """p * den * beta_{k,p} = (-1)^p sum_i num[k+p-2i] * p!/(2i+1)!, an
+    integer, for num[j] = den * beta_j."""
+    acc, ratio = 0, factorial(p)  # ratio = p! / (2i+1)!
+    for i in range((p - 1) // 2 + 1):
+        acc += num[k + p - 2 * i] * ratio
+        ratio //= (2 * i + 2) * (2 * i + 3)
+    return -acc if p % 2 else acc
+
+
 @lru_cache(maxsize=None)
 def beta_kp(k: int, p: int) -> Fraction:
-    """The closed-form coefficient combination (definition route), memoized
-    like beta; beta_kp_recursive never reads this memo."""
+    """The closed-form coefficient combination (definition route), over the
+    table's common denominator; beta_kp_recursive never reads this memo."""
     if k < 0 or p < 1:
         raise ValueError("beta_kp: need k >= 0 and p >= 1")
-    acc = _ZERO
-    for i in range((p - 1) // 2 + 1):
-        acc += beta(k + p - 2 * i) / factorial(2 * i + 1)
-    sign = -1 if p % 2 else 1
-    return sign * factorial(p - 1) * acc
+    den, num = _table.common(k + p)
+    return Fraction(_closed_sum(num, k, p), p * den)
 
 
+@lru_cache(maxsize=None)
 def beta_kp_recursive(k: int, p: int) -> Fraction:
     """beta_kp computed only from beta_{k,1} = -beta_{k+1} and the recursions
 
@@ -99,7 +166,7 @@ def beta_kp_recursive(k: int, p: int) -> Fraction:
     solved for descending p:
         p even:       beta_{k,p} = -(p-1) * beta_{k+1,p-1}
         p odd, p>=3:  beta_{k,p} = -(p-1) * beta_{k+1,p-1} - beta_{k+1}/p
-    Never consults the closed form.
+    Memoized; never consults the closed form, its memo or its numerators.
     """
     if k < 0 or p < 1:
         raise ValueError("beta_kp_recursive: need k >= 0 and p >= 1")
@@ -176,11 +243,24 @@ def verify_row_identities(max_m: int) -> dict:
     }
 
 
-def _proposition_defect(n: int, p: int, middle_coeff: int) -> Fraction:
-    acc = beta_kp(n - 2, p + 1) - middle_coeff * beta_kp(n - 1, p)
-    for k in range(1, n - 2):
-        acc -= beta_kp(k, p) * beta(n - k - 1)
-    return acc
+def _proposition_cells(max_n: int, max_p: int):
+    """Yield (n, p, main, printed, scale) for 3 <= n <= max_n, 1 <= p <= max_p,
+    n outer: main and printed are the defects of the proposition with middle
+    coefficient n and n-1, both times the positive integer scale.
+
+    With den, num from the table, p * den * beta_{k,p} = _closed_sum(num, k, p)
+    and den * beta_j = num[j], so over scale = p (p+1) den^2 the shared part
+    beta_{n-2,p+1} - sum_{k=1}^{n-3} beta_{k,p} beta_{n-k-1} is an integer,
+    computed once per cell for both middle coefficients.
+    """
+    den, num = _table.common(max_n + max_p - 1)
+    closed = lru_cache(maxsize=None)(lambda k, p: _closed_sum(num, k, p))
+    for n in range(3, max_n + 1):
+        for p in range(1, max_p + 1):
+            conv = sum(closed(k, p) * num[n - k - 1] for k in range(1, n - 2))
+            shared = p * den * closed(n - 2, p + 1) - (p + 1) * conv
+            middle = (p + 1) * den * closed(n - 1, p)
+            yield n, p, shared - n * middle, shared - (n - 1) * middle, p * (p + 1) * den * den
 
 
 def _quadratic_defect(n: int, variant: str) -> Fraction:
@@ -220,15 +300,15 @@ def verify_proposition(max_n: int, max_p: int) -> dict:
     if max_n < 3 or max_p < 1:
         raise ValueError("verify_proposition: need max_n >= 3, max_p >= 1")
     failures = []
-    printed_defects = []
-    for n in range(3, max_n + 1):
-        for p in range(1, max_p + 1):
-            if _proposition_defect(n, p, n) != 0:
-                failures.append(("main", n, p))
-            d = _proposition_defect(n, p, n - 1)
-            if d != 0:
-                ok = d == beta_kp(n - 1, p)
-                printed_defects.append((n, p, str(d), ok))
+    printed_defects = []  # (n, p, defect), the defect built only for the shown ones
+    printed_count = 0
+    for n, p, main, printed, scale in _proposition_cells(max_n, max_p):
+        if main:
+            failures.append(("main", n, p))
+        if printed:
+            printed_count += 1
+            if len(printed_defects) < 4:
+                printed_defects.append((n, p, Fraction(printed, scale)))
     variant_fail = {}
     for variant in ("printed", "corrected", "k1_endpoints", "full_convolution"):
         bad = [n for n in range(4, max_n + 1) if _quadratic_defect(n, variant) != 0]
@@ -241,10 +321,10 @@ def verify_proposition(max_n: int, max_p: int) -> dict:
         "failures": failures[:5],
         "main_identity_middle_coefficient": "n (the printed n-1 variant fails)",
         "printed_variant_first_defects": [
-            {"n": n, "p": p, "defect": d, "equals_beta_{n-1,p}": ok}
-            for (n, p, d, ok) in printed_defects[:4]
+            {"n": n, "p": p, "defect": str(d), "equals_beta_{n-1,p}": d == beta_kp(n - 1, p)}
+            for (n, p, d) in printed_defects
         ],
-        "printed_variant_defect_count": len(printed_defects),
+        "printed_variant_defect_count": printed_count,
         "quadratic_variants_holding": holding,
         "quadratic_variant_failures": {
             v: bad[:4] for v, bad in variant_fail.items() if bad

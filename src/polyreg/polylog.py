@@ -260,12 +260,16 @@ def _guard_bits(n: int, z) -> int:
     """Extra working bits for the defining sum at |z| > 1: its terms grow
     like log^n|z| while sv itself falls like 1/|z|, so the sum cancels about
     log2|z| + n log2(log|z|) bits.  Even weights next to the real axis fall
-    faster, like |Im z|/|z|^2, and keep fewer digits than precision_bits."""
+    faster, like |Im z|/|z|^2, which costs log2(|z|/|Im z|) bits more."""
     with mp.workprec(53):
-        r = abs(mp.mpc(z))
+        zz = mp.mpc(z)
+        r = abs(zz)
         if r <= 1:
             return 0
-        return int(mp.ceil(mp.log(r, 2))) + n * int(mp.ceil(mp.log(mp.log(r) + 2, 2)))
+        bits = int(mp.ceil(mp.log(r, 2))) + n * int(mp.ceil(mp.log(mp.log(r) + 2, 2)))
+        if zz.imag != 0:
+            bits += int(mp.ceil(mp.log(r / abs(zz.imag), 2)))
+        return bits
 
 
 def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:

@@ -1,5 +1,6 @@
 """CLI: exit codes, report schema, byte-identical determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -115,6 +116,23 @@ class TestDeterminism:
         _, a = run_json(capsys, ["golden", "--json"])
         _, b = run_json(capsys, ["golden", "--json"])
         assert a == b
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["verify-identities"],
+             "86f793e98b3c5f2f452a306edcdc7404b82bb3656f61a93f9d2c4008cddf5d87"),
+            (["beta", "--max-k", "20", "--max-p", "20"],
+             "f3daee8e637115eafc952b9b0732d53064a4432a90e2ad64e9f6719f8d6aba5e"),
+        ],
+    )
+    def test_exact_results_pinned(self, capsys, argv, digest):
+        # sha256 of the results as the all-Fraction implementation printed
+        # them: every beta and beta_kp string, every verdict and defect
+        code, out = run_json(capsys, argv + ["--json"])
+        assert code == 0
+        results = json.dumps(json.loads(out)["results"], sort_keys=True, indent=2)
+        assert hashlib.sha256(results.encode()).hexdigest() == digest
 
 
 def test_parser_lists_all_subcommands():

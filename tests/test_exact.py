@@ -5,13 +5,16 @@ bernoulli() (an independent implementation) for the scaling cross-check, and
 the closed form as ground truth for the recursion route.
 """
 
+import hashlib
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyreg import exact
 from polyreg.exact import (
     BetaTable,
     bernoulli,
@@ -145,3 +148,60 @@ def test_quadratic_identity_n4_probe():
     # the flagged probe: printed bounds give beta_2^2 + 4*beta_4 = 1/45
     assert beta(2) ** 2 + 4 * beta(4) == Fraction(1, 45)
     assert beta(2) ** 2 + 5 * beta(4) == 0
+
+
+def test_beta_grown_stepwise_equals_one_jump(monkeypatch):
+    # the integer table rescales at each prime m + 1; growing it one index at
+    # a time (as the sv expansion tables do) must give the same values
+    monkeypatch.setattr(exact, "_table", exact._Table())
+    stepwise = [beta(k) for k in range(121)]
+    monkeypatch.setattr(exact, "_table", exact._Table())
+    assert beta(120) == stepwise[120]
+    assert [beta(k) for k in range(121)] == stepwise
+    for k in (60, 61, 66, 100, 102, 120):
+        assert stepwise[k] == bernoulli_recurrence(k) * 2**k / factorial(k), k
+        assert bernoulli(k) == bernoulli_recurrence(k), k
+
+
+def reference_defect(n, p, middle_coeff):
+    """The proposition's defect summed term by term in Fractions."""
+    acc = beta_kp(n - 2, p + 1) - middle_coeff * beta_kp(n - 1, p)
+    for k in range(1, n - 2):
+        acc -= beta_kp(k, p) * beta(n - k - 1)
+    return acc
+
+
+def test_proposition_cells_match_fraction_reference():
+    cells = list(exact._proposition_cells(15, 15))
+    assert [(n, p) for n, p, *_ in cells] == [
+        (n, p) for n in range(3, 16) for p in range(1, 16)
+    ]
+    printed = []
+    for n, p, main, printed_num, scale in cells:
+        assert Fraction(main, scale) == reference_defect(n, p, n), (n, p)
+        d = reference_defect(n, p, n - 1)
+        assert Fraction(printed_num, scale) == d, (n, p)
+        if d:
+            ok = d == beta_kp(n - 1, p)
+            printed.append({"n": n, "p": p, "defect": str(d), "equals_beta_{n-1,p}": ok})
+    report = verify_proposition(15, 15)
+    assert report["failures"] == []
+    assert report["printed_variant_defect_count"] == len(printed)
+    assert report["printed_variant_first_defects"] == printed[:4]
+
+
+def test_recursion_independent_of_closed_form(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the recursion route reached the closed form")
+
+    monkeypatch.setattr(exact, "beta_kp", forbidden)
+    monkeypatch.setattr(exact, "_closed_sum", forbidden)
+    monkeypatch.setattr(exact._Table, "common", forbidden)
+    beta_kp_recursive.cache_clear()
+    values = "\n".join(
+        "%d,%d:%s" % (k, p, beta_kp_recursive(k, p)) for k in range(41) for p in range(1, 41)
+    )
+    # sha256 of this listing from the all-Fraction implementation
+    assert hashlib.sha256(values.encode()).hexdigest() == (
+        "212333b7a8dbbf56386cbf7cc94fd4984d90d5fbaf1ed7ef1befe341266a9d7b"
+    )

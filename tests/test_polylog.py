@@ -141,6 +141,16 @@ class TestAccuracy:
         errs = [scaled_error(n, z) for n in range(1, 9)]
         assert max(errs) <= 1e-14, errs
 
+    @pytest.mark.parametrize(
+        "z", [1e100 + 1j, 1e30 + 1e-20j, 1e12 + 1e-3j, 1e200 + 3e199j], ids=repr
+    )
+    def test_oracle_next_to_real_axis(self, z):
+        # even weights fall like |Im z|/|z|^2 here, far below the floor of
+        # scaled_error, so the oracle is held to a bare relative error
+        for n in range(2, 7):
+            ref = mp_oracle(n, z)
+            assert abs(P.sv_polylog(n, z) - ref) <= 1e-14 * abs(ref), (n, ref)
+
     @pytest.mark.parametrize("x", [1.5, 1.999, 2.0, 3.0])
     def test_cut_sides_agree(self, x):
         # sv is continuous across (1, oo); signed zeros must not pick sides
