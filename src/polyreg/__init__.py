@@ -12,10 +12,10 @@ from .funcfield import (
 from .polylog import (
     ConvergenceError,
     PathError,
-    PathSpec,
     pi_projection,
     sv_polylog,
     sv_polylog_check_symmetries,
+    sv_transport,
 )
 from .polycomplex import (
     ChainElement,

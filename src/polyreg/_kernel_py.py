@@ -1,9 +1,9 @@
 """RK4 transport of the single-valued polylogarithms along a polyline.
 
-`path_state` is the independent oracle behind `polylog.PathSpec`: it
+`path_state` is the independent oracle behind `polylog.sv_transport`: it
 integrates the differential system below instead of summing the closed forms
-of the default routes (series, log-expansion, inversion), so agreement of the
-two along paths of a test's choosing certifies both.
+of `polylog.sv_polylog` (series, log-expansion, inversion), so agreement of
+the two along paths of a test's choosing certifies both.
 
 State convention: y[j] holds the weight-(j+2) single-valued value; weight 1
 is the closed form -log|1-z| and is never integrated.

@@ -34,7 +34,6 @@ bit-identical to it; the plan holds nothing that depends on a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -44,6 +43,7 @@ from .funcfield import (
     RationalFunction,
     _compile,
     _coords,
+    _finite,
     _poly_at,
     _pole_guard,
     _slopes,
@@ -390,13 +390,10 @@ def alternation_bruteforce(
 # numeric evaluation
 
 
-@dataclass
-class EvalContext:
-    clearance: float = 1e-6
-    fd_step: float = 1e-5
-
-
-_DEFAULT_CTX = EvalContext()
+# genericity guard of evaluate (pole, zero, sv argument at 1) and the
+# relative step of numeric_d
+_CLEARANCE = 1e-6
+_FD_STEP = 1e-5
 
 
 def _variables(*forms_: Form) -> list:
@@ -413,12 +410,12 @@ def _variables(*forms_: Form) -> list:
 
 def _as_mapping(x, names) -> dict:
     if isinstance(x, dict):
-        return {k: complex(v) for k, v in x.items()}
+        return {k: _finite(v) for k, v in x.items()}
     if len(names) <= 1:
         name = names[0] if names else "t"
-        return {name: complex(x)}
+        return {name: _finite(x)}
     if isinstance(x, (list, tuple)) and len(x) == len(names):
-        return {n: complex(v) for n, v in zip(names, x)}
+        return {n: _finite(v) for n, v in zip(names, x)}
     raise ValueError("point/vector must be a mapping for multivariate forms")
 
 
@@ -511,15 +508,13 @@ def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> complex:
     return out
 
 
-def evaluate(a: Form, x, vectors: Sequence = (), ctx: Optional[EvalContext] = None) -> complex:
+def evaluate(a: Form, x, vectors: Sequence = ()) -> complex:
     """Evaluate against tangent vectors; len(vectors) must equal the degree."""
-    ctx = ctx or _DEFAULT_CTX
     if len(vectors) != a.degree:
         raise ValueError("need exactly %d vectors" % a.degree)
     plan = _plan(a)
     xm = _as_mapping(x, plan.names)
     vms = [_as_mapping(v, plan.names) for v in vectors]
-    clearance = ctx.clearance
     values = []
     ratios = []  # per function, per vector: Dg(x; v) / g(x), generators only
     for g, sv_argument, generator in plan.functions:
@@ -527,14 +522,14 @@ def evaluate(a: Form, x, vectors: Sequence = (), ctx: Optional[EvalContext] = No
         xs = _coords(g, xm)
         d = _poly_at(den, xs)
         try:
-            _pole_guard(d, clearance, xm)
+            _pole_guard(d, _CLEARANCE, xm)
         except PoleError as exc:
             raise GenericityError(str(exc))
         n = _poly_at(num, xs)
         val = n / d
-        if abs(val) < clearance:
+        if abs(val) < _CLEARANCE:
             raise GenericityError("function value too close to zero")
-        if sv_argument and abs(val - 1.0) < clearance:
+        if sv_argument and abs(val - 1.0) < _CLEARANCE:
             raise GenericityError("sv argument too close to 1")
         values.append(val)
         if not generator:
@@ -570,24 +565,21 @@ def evaluate(a: Form, x, vectors: Sequence = (), ctx: Optional[EvalContext] = No
     return total
 
 
-def numeric_d(
-    a: Form, x, vectors: Sequence, step: Optional[float] = None, ctx: Optional[EvalContext] = None
-) -> complex:
+def numeric_d(a: Form, x, vectors: Sequence) -> complex:
     """Central-difference approximation of (da)(v_0, ..., v_deg)."""
-    ctx = ctx or _DEFAULT_CTX
     if len(vectors) != a.degree + 1:
         raise ValueError("need exactly %d vectors" % (a.degree + 1))
     names = _variables(a)
     xm = _as_mapping(x, names)
     vms = [_as_mapping(v, names) for v in vectors]
     scale = max([abs(c) for c in xm.values()] or [0.0])
-    h = (step if step is not None else ctx.fd_step) * (1.0 + scale)
+    h = _FD_STEP * (1.0 + scale)
     total = 0j
     for i, vi in enumerate(vms):
         rest = vms[:i] + vms[i + 1 :]
         plus = {k: xm[k] + h * vi.get(k, 0) for k in xm}
         minus = {k: xm[k] - h * vi.get(k, 0) for k in xm}
-        diff = (evaluate(a, plus, rest, ctx) - evaluate(a, minus, rest, ctx)) / (2 * h)
+        diff = (evaluate(a, plus, rest) - evaluate(a, minus, rest)) / (2 * h)
         total += (-1) ** i * diff
     return total
 
@@ -645,18 +637,21 @@ class _FormParser:
     """Grammar for golden files and the CLI:
 
     form   := term (('+'|'-') term)*
-    term   := factor (('*'|'.') factor)*
+    term   := factor (['*'|'^'] factor)*
     factor := coeff | call ['^' int]
     call   := NAME '(' args ')'  with NAME in {log, dlog, darg, alpha, L<p>}
     coeff  := int ['/' int] | '(' coeff ')'
 
     A product of factors multiplies scalars and wedges generators in the
-    written order; alpha(f, g) expands to its two-term 1-form.
+    written order, whether joined by '*', '^' or nothing; '^' followed by
+    digits is a power.  alpha(f, g) expands to its two-term 1-form.  '·'
+    counts as whitespace.  Each distinct argument text is parsed once.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.functions: Dict[str, RationalFunction] = {}
 
     def error(self, msg):
         raise ValueError("%s at offset %d in %r" % (msg, self.pos, self.text))
@@ -694,7 +689,7 @@ class _FormParser:
         out = self.factor()
         while True:
             ch = self.peek()
-            if ch == "*":
+            if ch and ch in "*^":
                 self.pos += 1
                 out = out.wedge(self.factor())
             elif ch and (ch.isalnum() or ch == "("):
@@ -765,19 +760,26 @@ class _FormParser:
             self.pos += 1
         self.error("unbalanced parentheses in call")
 
-    def build(self, name: str, args: list) -> Form:
+    def function(self, text: str) -> RationalFunction:
         from .funcfield import parse_function
 
-        if name == "log" and len(args) == 1:
-            return log_abs(parse_function(args[0]))
-        if name == "dlog" and len(args) == 1:
-            return dlog(parse_function(args[0]))
-        if name == "darg" and len(args) == 1:
-            return diarg(parse_function(args[0]))
-        if name == "alpha" and len(args) == 2:
-            return alpha(parse_function(args[0]), parse_function(args[1]))
-        if name.startswith("L") and name[1:].isdigit() and len(args) == 1:
-            return sv_scalar(int(name[1:]), parse_function(args[0]))
+        f = self.functions.get(text)
+        if f is None:
+            f = self.functions[text] = parse_function(text)
+        return f
+
+    def build(self, name: str, args: list) -> Form:
+        fs = [self.function(a) for a in args]
+        if name == "log" and len(fs) == 1:
+            return log_abs(fs[0])
+        if name == "dlog" and len(fs) == 1:
+            return dlog(fs[0])
+        if name == "darg" and len(fs) == 1:
+            return diarg(fs[0])
+        if name == "alpha" and len(fs) == 2:
+            return alpha(fs[0], fs[1])
+        if name.startswith("L") and name[1:].isdigit() and len(fs) == 1:
+            return sv_scalar(int(name[1:]), fs[0])
         self.error("unknown call %s/%d" % (name, len(args)))
 
     def coeff(self) -> Fraction:

@@ -17,6 +17,7 @@ over the empty variable tuple.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import gcd as _intgcd
 from typing import Sequence
@@ -452,16 +453,25 @@ def one_minus(f: RationalFunction) -> RationalFunction:
 # --- evaluation ---------------------------------------------------------
 
 
+def _finite(v) -> complex:
+    c = complex(v)
+    if not cmath.isfinite(c):
+        raise ValueError("coordinates must be finite, got %r" % (v,))
+    return c
+
+
 def _as_point(f: RationalFunction, x) -> dict:
-    if isinstance(x, dict):
-        return x
-    names = f.variables()
-    if len(names) <= 1:
-        name = names[0] if names else "_"
-        return {name: x}
-    if isinstance(x, (tuple, list)) and len(x) == len(names):
-        return dict(zip(names, x))
-    raise ValueError("point shape does not match the function's variables")
+    if not isinstance(x, dict):
+        names = f.variables()
+        if len(names) <= 1:
+            x = {names[0] if names else "_": x}
+        elif isinstance(x, (tuple, list)) and len(x) == len(names):
+            x = dict(zip(names, x))
+        else:
+            raise ValueError("point shape does not match the function's variables")
+    for v in x.values():
+        _finite(v)
+    return x
 
 
 def _terms(p: Polynomial) -> tuple:
@@ -566,13 +576,6 @@ class Valuation:
     @staticmethod
     def infinity() -> "Valuation":
         return Valuation("infinity")
-
-    @staticmethod
-    def parse(text: str) -> "Valuation":
-        text = text.strip()
-        if text in ("inf", "infinity", "oo"):
-            return Valuation.infinity()
-        return Valuation.finite(Fraction(text))
 
     def __str__(self):
         return "inf" if self.kind == "infinity" else str(self.point)

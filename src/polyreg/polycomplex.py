@@ -360,10 +360,10 @@ def residue_chain_check(
     weight: int,
     samples: int = 20,
     seed: int = 0,
-    valuations: Optional[Sequence[Valuation]] = None,
     depths: Optional[Sequence[int]] = None,
 ) -> dict:
-    """Compare residue(delta(e)) against delta(residue(e)) over random elements.
+    """Compare residue(delta(e)) against delta(residue(e)) over random
+    elements at the places 0, 1 and infinity.
 
     Passes when every non-vacuous comparison matches with one global sign,
     which is reported; mixed or non-proportional outcomes fail with
@@ -374,8 +374,7 @@ def residue_chain_check(
     if weight < 2:
         raise ValueError("weight must be >= 2")
     rng = _random.Random(seed)
-    if valuations is None:
-        valuations = [Valuation.finite(0), Valuation.finite(1), Valuation.infinity()]
+    valuations = [Valuation.finite(0), Valuation.finite(1), Valuation.infinity()]
     signs = set()
     cases = []
     counterexamples = []

@@ -17,8 +17,9 @@ Double precision (precision_bits <= 53) takes one of three routes by |z|:
   * |z| > 2: inversion, sv(n, z) = (-1)^(n-1) sv(n, 1/z) for n >= 2.
 Weight 1 is -log|1-z| on every route.  High precision (precision_bits > 53)
 evaluates the defining combination with mpmath; it is the certification
-oracle for the double routes.  RK4 transport along a polyline
-(`_kernel_py.path_state`, reached through a PathSpec) is a second oracle.
+oracle for the double routes.  `sv_transport` is a second oracle: RK4
+transport of the differential system (`_kernel_py.path_state`) from 1/2
+through chosen waypoints to z.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 import mpmath as mp
 
@@ -46,24 +46,15 @@ class PathError(ValueError):
     """Raised for paths that touch 0 or 1 or violate the clearance radius."""
 
 
-DEFAULT_RK_TOL = 1e-9
-_MAX_STEPS = 16384
+# RK4 transport: start point, initial steps per segment, clearance around
+# 0 and 1, and the Richardson error estimate it must reach
 _BASE_POINT = 0.5 + 0j
+_STEPS_PER_SEGMENT = 256
+_CLEARANCE = 0.12
+_RK_TOL = 1e-10
+_MAX_STEPS = 16384
 # bound on |log z| over 1/2 < |z| <= 2, Re z >= 0, and on |log(-z)| over its mirror
 _HALF_ANNULUS_RADIUS = 1.72
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Polyline from `base_point` through `waypoints` to the target."""
-
-    base_point: complex = _BASE_POINT
-    waypoints: tuple = ()
-    steps_per_segment: int = 256
-    clearance: float = 0.12
-
-    def nodes(self, target: complex) -> List[complex]:
-        return [complex(self.base_point), *map(complex, self.waypoints), complex(target)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,7 +124,7 @@ def _project(lis: Sequence, l0, betas: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# path transport (the oracle behind PathSpec)
+# path transport (the oracle behind sv_transport)
 
 
 def _seg_distance(p: complex, a: complex, b: complex) -> float:
@@ -146,33 +137,33 @@ def _seg_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * d))
 
 
-def _check_clearance(nodes: Sequence[complex], clearance: float) -> None:
+def _check_clearance(nodes: Sequence[complex]) -> None:
     for s in (0j, 1 + 0j):
         for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
             if b == s or (a == s and i == 0):
                 raise PathError("path endpoint hits a singular point")
             # final approach may come closer when the target itself is close
-            if abs(b - s) <= clearance and i == len(nodes) - 2:
+            if abs(b - s) <= _CLEARANCE and i == len(nodes) - 2:
                 continue
-            if _seg_distance(s, a, b) < 0.5 * clearance:
+            if _seg_distance(s, a, b) < 0.5 * _CLEARANCE:
                 raise PathError("path violates clearance around 0 or 1")
 
 
-def _integrate(n: int, nodes: Sequence[complex], steps: int, rk_tol: float) -> List[complex]:
+def _integrate(n: int, nodes: Sequence[complex]) -> List[complex]:
     betas = _betas_float(n + 1)
-    nodes = [complex(w) for w in nodes]
+    steps = _STEPS_PER_SEGMENT
     base = _sv_state_double(n, nodes[0])[1:]
     coarse = _kernel_py.path_state(n, betas, nodes, steps, base)
     while True:
         steps *= 2
         fine = _kernel_py.path_state(n, betas, nodes, steps, base)
         err = max(abs(f - c) for f, c in zip(fine, coarse)) / 15.0
-        if err <= rk_tol:
+        if err <= _RK_TOL:
             # one Richardson step: RK4 leading error cancels between the pair
             return [f + (f - c) / 15.0 for f, c in zip(fine, coarse)]
         if steps >= _MAX_STEPS:
             raise ConvergenceError(
-                "path transport did not reach tol=%g (estimate %g)" % (rk_tol, err)
+                "path transport did not reach tol=%g (estimate %g)" % (_RK_TOL, err)
             )
         coarse = fine
 
@@ -282,50 +273,54 @@ def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
             lis = [_li_mp(m, zz, precision_bits) for m in range(1, n + 1)]
         else:
             lis = [mp.polylog(m, zz) for m in range(1, n + 1)]
-        return [+v for v in _project(lis, mp.log(abs(zz)), betas)]
+        out = [+v for v in _project(lis, mp.log(abs(zz)), betas)]
+        if zz.imag == 0:  # sv(n, conj z) = -sv(n, z) for even n: zero on the real axis
+            out[1::2] = [mp.mpc(0)] * (n // 2)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
 
-def sv_polylog(
-    n: int,
-    z: complex,
-    precision_bits: int = 53,
-    path: Union[str, PathSpec] = "auto",
-    rk_tol: float = DEFAULT_RK_TOL,
-):
-    """Single-valued polylogarithm of weight n at z.
-
-    `path` selects the double route: "auto" picks series, log-expansion or
-    inversion by |z|, "direct" insists on the series region, and a PathSpec
-    is transported along as given, to tolerance `rk_tol`.
-    """
+def _check_argument(name: str, n: int, z) -> None:
     if n < 1:
         raise ValueError("weight must be >= 1")
     if not mp.isfinite(z):
-        raise ValueError("sv_polylog: z must be finite, got %s" % (z,))
+        raise ValueError("%s: z must be finite, got %s" % (name, z))
     if z == 1 and n == 1:
-        raise ValueError("sv_polylog: weight 1 diverges at z = 1")
+        raise ValueError("%s: weight 1 diverges at z = 1" % name)
+
+
+def sv_polylog(n: int, z: complex, precision_bits: int = 53):
+    """Single-valued polylogarithm of weight n at z.
+
+    Up to 53 bits the value is a double from the route that |z| picks
+    (series, log-expansion or inversion); above, an mpmath number from the
+    defining combination at that precision.
+    """
+    _check_argument("sv_polylog", n, z)
     if precision_bits > 53:
         if z == 1:
             return mp.mpc(_zeta_value(n, precision_bits) if n % 2 else 0, 0)
         return _sv_state_mp(n, z, precision_bits)[n - 1]
+    return _sv_state_double(n, complex(z))[n - 1]
+
+
+def sv_transport(n: int, z: complex, waypoints: Sequence[complex] = ()) -> complex:
+    """sv(n, z) by RK4 transport of the differential system along the
+    polyline from 1/2 through `waypoints` to z, doubling the steps until the
+    error estimate is below 1e-10: an oracle for `sv_polylog` that shares
+    none of its closed forms.  Weight 1 and z in {0, 1} take the closed
+    form.  Raises PathError for a polyline that passes too close to 0 or 1.
+    """
+    _check_argument("sv_transport", n, z)
     z = complex(z)
-    if isinstance(path, PathSpec):
-        if z in (0j, 1 + 0j) or n == 1:
-            return _sv_state_double(n, z)[n - 1]
-        nodes = path.nodes(z)
-        _check_clearance(nodes, path.clearance)
-        tail = _integrate(n, nodes, path.steps_per_segment, rk_tol)
-        return tail[n - 2]
-    if path == "direct":
-        if abs(z) > 0.5:
-            raise ValueError("sv_polylog: direct route requires |z| <= 1/2")
-    elif path != "auto":
-        raise ValueError("path must be 'auto', 'direct', or a PathSpec")
-    return _sv_state_double(n, z)[n - 1]
+    if z in (0j, 1 + 0j) or n == 1:
+        return _sv_state_double(n, z)[n - 1]
+    nodes = [_BASE_POINT, *map(complex, waypoints), z]
+    _check_clearance(nodes)
+    return _integrate(n, nodes)[n - 2]
 
 
 def sv_state(n: int, z: complex) -> tuple:

@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import beta_kp
 from .forms import (
-    EvalContext,
     Form,
     GenericityError,
     alpha,
@@ -72,7 +71,6 @@ class RegulatorConfig:
     tol: float = 1e-6
     samples: int = 20
     seed: int = 0
-    fd_step: float = 1e-5
     loop_radii: Tuple[float, ...] = (1e-2, 3e-3, 1e-3)
     loop_nodes: int = 256
 
@@ -91,9 +89,6 @@ class RegulatorConfig:
         if self.loop_nodes < 64:
             raise ValueError("need at least 64 loop nodes")
         object.__setattr__(self, "loop_radii", radii)
-
-    def eval_context(self) -> EvalContext:
-        return EvalContext(fd_step=self.fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +285,10 @@ def _generic_point(
     raise RuntimeError("non-generic sample exhaustion")
 
 
+# chain_check and top_check compare both sides on this many frames per point
+_FRAMES_PER_POINT = 3
+
+
 def _frame(rng: random.Random, names: Sequence[str], count: int) -> List[dict]:
     return [
         {n: cmath.rect(1.0, rng.uniform(0.0, 2 * math.pi)) for n in names}
@@ -301,12 +300,7 @@ def _frame(rng: random.Random, names: Sequence[str], count: int) -> List[dict]:
 # chain-map square
 
 
-def chain_check(
-    weight: int,
-    e: ChainElement,
-    cfg: Optional[RegulatorConfig] = None,
-    tuples: int = 3,
-) -> dict:
+def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = None) -> dict:
     """Compare d(r(e)) with r(delta(e)) at generic sample frames.
 
     Also records the twist defect: values of r(e) itself must lie in
@@ -322,7 +316,6 @@ def chain_check(
     rhs = r_map(delta(e))
     names = _variables(lhs, rhs)
     functions = _gather_functions(lhs) + _gather_functions(rhs)
-    ctx = cfg.eval_context()
     rng = random.Random(cfg.seed)
     count = e.degree
     parity = weight - 1
@@ -330,14 +323,14 @@ def chain_check(
     twist_worst = 0.0
     for _ in range(cfg.samples):
         x = _generic_point(rng, names, functions)
-        for vs in (_frame(rng, names, count) for _ in range(tuples)):
-            a = evaluate(lhs, x, vs, ctx)
-            b = evaluate(rhs, x, vs, ctx)
+        for vs in (_frame(rng, names, count) for _ in range(_FRAMES_PER_POINT)):
+            a = evaluate(lhs, x, vs)
+            b = evaluate(rhs, x, vs)
             worst = max(worst, abs(a - b))
         if count >= 1:
-            val = evaluate(image, x, _frame(rng, names, count - 1), ctx)
+            val = evaluate(image, x, _frame(rng, names, count - 1))
         else:
-            val = evaluate(image, x, [], ctx)
+            val = evaluate(image, x, [])
         twist_worst = max(
             twist_worst, abs(val.real) if parity % 2 else abs(val.imag)
         )
@@ -417,11 +410,7 @@ def chain_suite(
 # top row
 
 
-def top_check(
-    fs: Sequence[RationalFunction],
-    cfg: Optional[RegulatorConfig] = None,
-    tuples: int = 3,
-) -> dict:
+def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = None) -> dict:
     """d r(f_1^...^f_n) plus the projected holomorphic part must vanish."""
     cfg = cfg or RegulatorConfig()
     n = len(fs)
@@ -431,13 +420,12 @@ def top_check(
     lhs = exterior_derivative(image)
     names = sorted(set().union(*[set(f.variables()) for f in fs]))
     functions = list(fs) + _gather_functions(lhs)
-    ctx = cfg.eval_context()
     rng = random.Random(cfg.seed)
     worst = 0.0
     for _ in range(cfg.samples):
         x = _generic_point(rng, names, functions)
-        for vs in (_frame(rng, names, n) for _ in range(tuples)):
-            a = evaluate(lhs, x, vs, ctx)
+        for vs in (_frame(rng, names, n) for _ in range(_FRAMES_PER_POINT)):
+            a = evaluate(lhs, x, vs)
             b = holomorphic_part(fs, x, vs)
             worst = max(worst, abs(a + b))
     okay = worst < cfg.tol
@@ -526,7 +514,6 @@ def loop_residue_check(
     names = _variables(image)
     if len(names) != 1:
         raise ValueError("loop integration needs a univariate element")
-    ctx = cfg.eval_context()
     center = complex(Fraction(a))
     values = []
     for eps in cfg.loop_radii:
@@ -536,7 +523,7 @@ def loop_residue_check(
             th = orientation * 2 * math.pi * j / m
             spoke = cmath.rect(eps, th)
             tangent = orientation * 1j * spoke
-            total += evaluate(image, center + spoke, [tangent], ctx)
+            total += evaluate(image, center + spoke, [tangent])
         values.append(total * 2 * math.pi / m)
     design = [[1.0] * len(values), [eps * math.log(eps) for eps in cfg.loop_radii], cfg.loop_radii]
     loop_value = _lstsq(design, values)[0]

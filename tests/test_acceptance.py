@@ -15,7 +15,6 @@ import pytest
 
 from polyreg import (
     PathError,
-    PathSpec,
     RegulatorConfig,
     beta,
     bracket_tensor,
@@ -33,6 +32,7 @@ from polyreg import (
     sv_polylog,
     sv_polylog_check_symmetries,
     sv_scalar,
+    sv_transport,
     top_check,
     verify_proposition,
     verify_row_identities,
@@ -128,10 +128,10 @@ def test_item_04_polylog_values():
         w = 0.5 + 1.2j if z.imag >= 0 else 0.5 - 1.2j
         n = weights[pairs % 3]
         try:
-            routed = sv_polylog(n, z, path=PathSpec(waypoints=(w,)), rk_tol=1e-10)
+            routed = sv_transport(n, z, (w,))
         except PathError:
             continue
-        worst_path = max(worst_path, abs(routed - sv_polylog(n, z, rk_tol=1e-10)))
+        worst_path = max(worst_path, abs(routed - sv_polylog(n, z)))
         pairs += 1
     assert pairs == 50
     checks.append(("paired-paths", worst_path, 1e-8))

@@ -6,17 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreg import forms as F
 from polyreg import regulator as R
 from polyreg.cli import TOP_FAMILIES
 from polyreg.funcfield import PoleError, one_minus, parse_function as pf
 from polyreg.funcfield import rf_dir_derivative, rf_eval
-from polyreg.polycomplex import delta, pure_wedge
+from polyreg.polycomplex import delta, pure_wedge, random_element
 from polyreg.polylog import sv_state
 
 T = pf("t")
 OM = one_minus(T)
+NON_FINITE = [float("nan"), float("inf"), complex(1, float("nan"))]
 
 
 def rand_point(rng, lo=0.25, hi=3.0):
@@ -218,6 +221,21 @@ class TestEvaluate:
         with pytest.raises(F.GenericityError):
             F.evaluate(F.log_abs(pf("1/t")), 1e-12, [])
 
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_non_finite_rejected(self, bad):
+        xy = F.log_abs(pf("x")).wedge(F.dlog(pf("y")))
+        calls = [
+            lambda: F.evaluate(F.log_abs(T), bad),
+            lambda: F.evaluate(F.dlog(T), 2, [bad]),
+            lambda: F.evaluate(xy, {"x": 2, "y": bad}, [{"x": 1, "y": 1}]),
+            lambda: F.evaluate(xy, (2, 1j), [(1, bad)]),
+            lambda: F.numeric_d(F.log_abs(T), bad, [1]),
+            lambda: F.numeric_d(F.log_abs(T), 2, [bad]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_scalar_value_route(self):
         z = 0.3 + 0.2j
         got = F.evaluate(F.sv_scalar(3, T), z, [])
@@ -246,9 +264,11 @@ class TestNumericD:
 
 class TestGrammar:
     def test_round_trip(self):
-        f = pf("f")
+        f, g, h = pf("f"), pf("g"), pf("h")
         a = F.sv_scalar(2, f).wedge(F.diarg(f)) + F.sv_pq(1, 2, f) * Fraction(-1, 3)
-        assert F.parse_form(F.format_form(a)) == a
+        # format_form joins the generators of one term with '^'
+        for b in (a, a.wedge(F.dlog(g)), a.wedge(F.dlog(g)).wedge(F.diarg(h))):
+            assert F.parse_form(F.format_form(b)) == b, F.format_form(b)
 
     def test_zero(self):
         assert F.format_form(F.zero(1)) == "0"
@@ -275,6 +295,13 @@ class TestGrammar:
 
     def test_generator_power_is_wedge(self):
         assert F.parse_form("dlog(t)^2").is_zero()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, seed, w):
+        image = R.r_map(random_element(w, random.Random(seed)))
+        for a in (image, F.exterior_derivative(image)):
+            assert F.parse_form(F.format_form(a)) == a
 
 
 def naive_evaluate(a, x, vectors, clearance=1e-6):

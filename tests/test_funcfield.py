@@ -62,6 +62,22 @@ def test_dir_derivative_examples():
     assert rf_dir_derivative(parse_function("1/t"), 2, 1) == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))], ids=repr)
+def test_non_finite_rejected(bad):
+    square, xy = parse_function("t^2"), parse_function("x+y")
+    calls = [
+        lambda: rf_eval(t, bad),
+        lambda: rf_eval(xy, {"x": 1, "y": bad}),
+        lambda: rf_eval(xy, (bad, 1)),
+        lambda: rf_dir_derivative(square, bad, 1),
+        lambda: rf_dir_derivative(square, 2, bad),
+        lambda: rf_dir_derivative(xy, {"x": 1, "y": 2}, {"x": bad, "y": 0}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_dir_derivative_vs_central_difference():
     rng = random.Random(5)
     fs = [

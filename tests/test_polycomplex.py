@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreg import polycomplex as C
 from polyreg.funcfield import Valuation, const, parse_function as pf
@@ -55,6 +57,13 @@ class TestDelta:
             depth = rng.choice(range(3, w + 1))
             e = C.random_element(w, rng, depth=depth)
             assert C.delta(C.delta(e)).is_zero()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_delta_squared_property(self, seed, w):
+        rng = random.Random(seed)
+        e = C.random_element(w, rng, depth=rng.randint(3, w))
+        assert C.delta(C.delta(e)).is_zero()
 
 
 class TestTheta:
@@ -231,6 +240,12 @@ class TestParser:
     def test_roundtrip_through_str(self):
         e = C.parse_element("2*{(2+t)/(1+t)}_2 ⊗ t")
         assert C.parse_element(str(e)) == e
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_roundtrip_property(self, seed, w):
+        e = C.random_element(w, random.Random(seed))
+        assert C.parse_element(str(e), weight=w) == e
 
     def test_errors(self):
         for bad in ("", "{t}_2 t", "{t_2", "{t}_", "3* + t", "t ^^ g", "t -"):

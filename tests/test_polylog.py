@@ -12,6 +12,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreg import polylog as P
 from polyreg import _kernel_py
@@ -86,7 +88,7 @@ class TestOracleAgreement:
             if abs(z) < 0.1 or abs(z - 1) < 0.2:
                 continue
             for n in range(2, 7):
-                d = abs(P.sv_polylog(n, z, rk_tol=1e-10) - mp_oracle(n, z))
+                d = abs(P.sv_polylog(n, z) - mp_oracle(n, z))
                 worst = max(worst, d)
         assert worst < 5e-9, worst
 
@@ -98,13 +100,17 @@ class TestOracleAgreement:
                 assert abs(P.sv_polylog(n, z) - mp_oracle(n, z)) < 1e-13
 
 
+def floored_error(value, ref, z):
+    """|value - ref| relative to |ref| floored at min(1, |z|, 1/|z|), the
+    size of sv next to 0 and infinity, so that zeros of sv (even weights on
+    the real axis, the curves where a value changes sign) do not divide by
+    almost nothing."""
+    return abs(value - ref) / max(abs(ref), min(1.0, abs(z), 1.0 / abs(z)))
+
+
 def scaled_error(n, z):
-    """Relative error of the double route against the oracle.  The
-    denominator is floored at min(1, |z|, 1/|z|), the size of sv next to 0
-    and infinity, so that zeros of sv (even weights on the real axis, the
-    curves where a value changes sign) do not divide by almost nothing."""
-    ref = mp_oracle(n, z)
-    return abs(P.sv_polylog(n, z) - ref) / max(abs(ref), min(1.0, abs(z), 1.0 / abs(z)))
+    """Floored relative error of the double route against the oracle."""
+    return floored_error(P.sv_polylog(n, z), mp_oracle(n, z), z)
 
 
 def seeded_points(seed, count):
@@ -151,6 +157,17 @@ class TestAccuracy:
             ref = mp_oracle(n, z)
             assert abs(P.sv_polylog(n, z) - ref) <= 1e-14 * abs(ref), (n, ref)
 
+    @pytest.mark.parametrize("x", [1.5, 3.0, 1e12, 1e100])
+    def test_oracle_on_real_axis(self, x):
+        # sv(n, conj z) = -sv(n, z) for even n, so even weights vanish on
+        # the real axis exactly; the oracle's cancelling sum must not leave
+        # a residue there, and odd weights keep agreeing with the double route
+        for z in (complex(x, 0.0), complex(x, -0.0)):
+            for n in (2, 4, 6):
+                assert P.sv_polylog(n, z, precision_bits=130) == 0, (n, z)
+            for n in (1, 3, 5, 7):
+                assert scaled_error(n, z) <= 1e-14, (n, z)
+
     @pytest.mark.parametrize("x", [1.5, 1.999, 2.0, 3.0])
     def test_cut_sides_agree(self, x):
         # sv is continuous across (1, oo); signed zeros must not pick sides
@@ -176,6 +193,40 @@ class TestAccuracy:
             P.sv_state(3, z)
 
 
+def polar(center, lo, hi):
+    """center + 10^e e^(i phi), e in [lo, hi]."""
+    return st.builds(
+        lambda e, phi: center + 10**e * cmath.exp(1j * phi),
+        st.floats(lo, hi),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+
+
+SYMMETRY_POINTS = st.one_of(
+    polar(1, -8, -1),  # next to 1
+    polar(0, -12, 12),  # |z| up to 1e12 and, inverted, down to 1e-12
+    st.builds(complex, st.floats(1.0, 1e12, exclude_min=True), st.sampled_from([0.0, -0.0])),
+)
+
+
+class TestSymmetryProperties:
+    """sv(n, 1/z) = sv(n, conj z) = (-1)^(n-1) sv(n, z), weights 2-8."""
+
+    @given(SYMMETRY_POINTS)
+    @settings(max_examples=150, deadline=None)
+    def test_inversion(self, z):
+        for n in range(2, 9):
+            ref = (-1) ** (n - 1) * P.sv_polylog(n, z)
+            assert floored_error(P.sv_polylog(n, 1 / z), ref, z) <= 2e-14, n
+
+    @given(SYMMETRY_POINTS)
+    @settings(max_examples=150, deadline=None)
+    def test_conjugation(self, z):
+        for n in range(2, 9):
+            ref = (-1) ** (n - 1) * P.sv_polylog(n, z)
+            assert floored_error(P.sv_polylog(n, z.conjugate()), ref, z) <= 2e-14, n
+
+
 class TestPaths:
     def test_path_independence(self):
         rng = random.Random(3)
@@ -187,29 +238,23 @@ class TestPaths:
             detour = 0.5 * (0.5 + z) + 0.9j * (z - 0.5) / abs(z - 0.5)
             if min(abs(detour), abs(detour - 1)) < 0.15:
                 detour = 0.5 * (0.5 + z) - 0.9j * (z - 0.5) / abs(z - 0.5)
-            spec = P.PathSpec(waypoints=(detour,))
             for n in (2, 3, 4):
-                a = P.sv_polylog(n, z, rk_tol=1e-10)
-                b = P.sv_polylog(n, z, path=spec, rk_tol=1e-10)
+                a = P.sv_polylog(n, z)
+                b = P.sv_transport(n, z, (detour,))
                 worst = max(worst, abs(a - b))
         assert worst < 1e-8, worst
 
     def test_direct_vs_path_inside_disc(self):
-        z = 0.42 - 0.21j
-        spec = P.PathSpec(waypoints=(0.4 + 0.4j,))
-        a = P.sv_polylog(3, z, path="direct")
-        b = P.sv_polylog(3, z, path=spec, rk_tol=1e-10)
+        z = 0.42 - 0.21j  # |z| <= 1/2: the series route
+        a = P.sv_polylog(3, z)
+        b = P.sv_transport(3, z, (0.4 + 0.4j,))
         assert abs(a - b) < 1e-9
-
-    def test_direct_route_rejects_outside(self):
-        with pytest.raises(ValueError):
-            P.sv_polylog(2, 2.0, path="direct")
 
     def test_path_through_singularity_rejected(self):
         with pytest.raises(P.PathError):
-            P.sv_polylog(2, 3.0, path=P.PathSpec())  # straight through 1
+            P.sv_transport(2, 3.0)  # straight through 1
         with pytest.raises(P.PathError):
-            P.sv_polylog(2, 2 + 2j, path=P.PathSpec(waypoints=(1 + 0j,)))
+            P.sv_transport(2, 2 + 2j, (1 + 0j,))
 
     def test_planner_clears_collinear_targets(self):
         # straight segments from 1/2 to these targets pass 0 or 1
@@ -252,13 +297,13 @@ class TestDifferentialSystem:
         dirs = [1 + 0j, 0.6 - 0.8j]
         h = 1e-5
         for z0 in pts:
-            state = [P.sv_polylog(m, z0, rk_tol=1e-11) for m in range(2, 7)]
+            state = [P.sv_polylog(m, z0) for m in range(2, 7)]
             for v in dirs:
                 rhs = _kernel_py._rhs(6, betas, z0, v, state)
                 for m in range(2, 7):
                     num = (
-                        P.sv_polylog(m, z0 + h * v, rk_tol=1e-11)
-                        - P.sv_polylog(m, z0 - h * v, rk_tol=1e-11)
+                        P.sv_polylog(m, z0 + h * v)
+                        - P.sv_polylog(m, z0 - h * v)
                     ) / (2 * h)
                     assert abs(num - rhs[m - 2]) < 2e-6, (m, z0, v)
 

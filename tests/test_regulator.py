@@ -104,6 +104,13 @@ class TestHolomorphicPart:
         with pytest.raises(F.GenericityError):
             holomorphic_part([T], 0, [1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))], ids=repr)
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            holomorphic_part([T], bad, [1])
+        with pytest.raises(ValueError, match="finite"):
+            holomorphic_part([T], 2, [bad])
+
 
 CFG = RegulatorConfig(samples=5, seed=7)
 
