@@ -21,6 +21,7 @@ from .exact import (
     beta,
     beta_kp,
     beta_kp_recursive,
+    report_case,
     verify_proposition,
     verify_row_identities,
 )
@@ -122,24 +123,20 @@ def _beta_report(max_k: int, max_p: int) -> dict:
     }
 
 
-def _exact_case(label: str, ok: bool) -> dict:
-    return {"input": label, "max_defect": 0.0 if ok else float("inf"), "tol": 0.0, "pass": ok}
-
-
 def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[dict]:
     rows = verify_row_identities(max_m)
-    rows["cases"] = [_exact_case("coefficient rows, m <= %d" % max_m, rows["pass"])]
+    rows["cases"] = [report_case("coefficient rows, m <= %d" % max_m, rows["pass"])]
     proposition = verify_proposition(max_n, max_p)
     proposition["cases"] = [
-        _exact_case(
+        report_case(
             "main identity grid, n <= %d, p <= %d" % (max_n, max_p), proposition["pass"]
         )
     ]
     try:
         BetaTable(max_k, max_k)
-        case = _exact_case("closed vs recursive, k,p <= %d" % max_k, True)
+        case = report_case("closed vs recursive, k,p <= %d" % max_k, True)
     except AssertionError as exc:
-        case = _exact_case(str(exc), False)
+        case = report_case(str(exc), False)
     grid = {"suite": "beta-recursion-grid", "cases": [case], "pass": case["pass"]}
     return [rows, proposition, grid]
 

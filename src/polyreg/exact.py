@@ -1,6 +1,8 @@
 """Exact rational arithmetic for the scaled Bernoulli coefficients.
 
-Everything here is exact; no floating point.
+Everything here is exact; no floating point.  The module also holds
+`report_case`, the one builder of a suite report's case rows, since every
+module that runs a suite imports this one or can without a cycle.
 
 Conventions
 -----------
@@ -49,6 +51,7 @@ __all__ = [
     "BetaTable",
     "verify_row_identities",
     "verify_proposition",
+    "report_case",
 ]
 
 _ZERO = Fraction(0)
@@ -334,3 +337,12 @@ def verify_proposition(max_n: int, max_p: int) -> dict:
         and "full_convolution" in holding,
     }
     return report
+
+
+def report_case(label: str, ok: bool, max_defect=None, tol=0.0, **extra) -> dict:
+    """One case row of a suite report, every value kept as given.  An exact
+    check leaves out max_defect, which then reads 0.0 on a pass and inf on a
+    failure; extra keys (a twist defect, the two sides) are added as given."""
+    if max_defect is None:
+        max_defect = 0.0 if ok else float("inf")
+    return {"input": label, "max_defect": max_defect, "tol": tol, "pass": ok, **extra}

@@ -8,7 +8,9 @@ with two scalar kinds, log|g| (repetition encodes powers) and the
 single-valued polylog value of weight p >= 2 at f, and two generator kinds,
 dlog|g| and d i arg g.  Weight-1 single-valued scalars are rewritten to
 -log|1-f| at construction.  Generators are kept in a canonical order with the
-permutation sign tracked; a repeated generator kills the term.
+permutation sign tracked, and forms merged by term key, by the
+signed-combination core of `funcfield` (`sort_signed`, `Combination`); a
+repeated generator kills the term.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -39,6 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import beta
 from .funcfield import (
+    Combination,
     PoleError,
     RationalFunction,
     _compile,
@@ -47,6 +50,7 @@ from .funcfield import (
     _poly_at,
     _pole_guard,
     _slopes,
+    sort_signed,
 )
 from .polylog import sv_state
 
@@ -71,18 +75,22 @@ def _gen_key(g):
 
 
 class FormTerm:
-    __slots__ = ("coefficient", "scalars", "generators")
+    __slots__ = ("coefficient", "scalars", "generators", "grading")
 
     def __init__(self, coefficient: Fraction, scalars: tuple, generators: tuple):
         self.coefficient = coefficient
         self.scalars = scalars
         self.generators = generators
+        self.grading = (len(generators),)
 
     def key(self):
         return (
             tuple(_scalar_key(s) for s in self.scalars),
             tuple(_gen_key(g) for g in self.generators),
         )
+
+    def scaled(self, coefficient: Fraction) -> "FormTerm":
+        return FormTerm(coefficient, self.scalars, self.generators)
 
     def __repr__(self):
         return "FormTerm(%s)" % format_term(self)
@@ -92,77 +100,30 @@ def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]
     coefficient = Fraction(coefficient)
     if not coefficient:
         return None
-    scalars = tuple(sorted(scalars, key=_scalar_key))
-    gens = list(generators)
-    sign = 1
-    for i in range(1, len(gens)):
-        j = i
-        while j > 0 and _gen_key(gens[j]) < _gen_key(gens[j - 1]):
-            gens[j], gens[j - 1] = gens[j - 1], gens[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(gens, gens[1:]):
-        if _gen_key(a) == _gen_key(b):
-            return None
-    return FormTerm(sign * coefficient, scalars, tuple(gens))
+    signed = sort_signed(generators, _gen_key)
+    if signed is None:
+        return None
+    sign, gens = signed
+    return FormTerm(sign * coefficient, tuple(sorted(scalars, key=_scalar_key)), gens)
 
 
-class Form:
+class Form(Combination):
     """Degree-homogeneous combination of terms; immutable."""
 
-    __slots__ = ("degree", "terms", "_plan")
+    __slots__ = ("degree", "_plan")
+    ring = (int, Fraction)
 
     def __init__(self, degree: int, terms: Tuple[FormTerm, ...]):
         self.degree = degree
         self.terms = terms
         self._plan = None
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def grading(self) -> tuple:
+        return (self.degree,)
 
-    def __eq__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        if self.degree != other.degree:
-            return False
-        return [(t.key(), t.coefficient) for t in self.terms] == [
-            (t.key(), t.coefficient) for t in other.terms
-        ]
-
-    def __hash__(self):
-        return hash(tuple((t.key(), t.coefficient) for t in self.terms))
-
-    def __add__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        return form(self.degree, list(self.terms) + list(other.terms))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __mul__(self, c):
-        if not isinstance(c, (int, Fraction)):
-            return NotImplemented
-        c = Fraction(c)
-        if not c:
-            return Form(self.degree, ())
-        return Form(
-            self.degree,
-            tuple(FormTerm(c * t.coefficient, t.scalars, t.generators) for t in self.terms),
-        )
-
-    __rmul__ = __mul__
+    def _format_term(self, coefficient: Fraction, t: FormTerm) -> str:
+        return format_term(t.scaled(coefficient))
 
     def wedge(self, other: "Form") -> "Form":
         out = []
@@ -177,30 +138,9 @@ class Form:
                 )
         return form(self.degree + other.degree, out)
 
-    def __str__(self):
-        return format_form(self)
-
-    __repr__ = __str__
-
 
 def form(degree: int, terms: Iterable[Optional[FormTerm]]) -> Form:
-    merged: Dict[tuple, FormTerm] = {}
-    for t in terms:
-        if t is None:
-            continue
-        if len(t.generators) != degree:
-            raise ValueError("term degree mismatch")
-        k = t.key()
-        if k in merged:
-            merged[k] = FormTerm(
-                merged[k].coefficient + t.coefficient, t.scalars, t.generators
-            )
-        else:
-            merged[k] = t
-    alive = tuple(
-        sorted((t for t in merged.values() if t.coefficient), key=FormTerm.key)
-    )
-    return Form(degree, alive)
+    return Form.merge((degree,), terms)
 
 
 def zero(degree: int = 0) -> Form:
@@ -305,16 +245,6 @@ def exterior_derivative(a: Form) -> Form:
 # weighted alternation
 
 
-def _shuffle_sign(order: Sequence[int]) -> int:
-    sign = 1
-    n = len(order)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
-
-
 def weighted_alternation(
     gs: Sequence[RationalFunction], split: int, log_prefixed: bool
 ) -> Form:
@@ -337,7 +267,7 @@ def weighted_alternation(
             for dl in combinations(rest, split - 1):
                 di = [i for i in rest if i not in dl]
                 order = [lead, *dl, *di]
-                piece = log_abs(gs[lead], _shuffle_sign(order))
+                piece = log_abs(gs[lead], sort_signed(order, int)[0])
                 for i in dl:
                     piece = piece.wedge(dlog(gs[i]))
                 for i in di:
@@ -347,7 +277,7 @@ def weighted_alternation(
         for dl in combinations(idx, split):
             di = [i for i in idx if i not in dl]
             order = [*dl, *di]
-            piece = scalar(_shuffle_sign(order))
+            piece = scalar(sort_signed(order, int)[0])
             for i in dl:
                 piece = piece.wedge(dlog(gs[i]))
             for i in di:
@@ -369,7 +299,7 @@ def alternation_bruteforce(
         stab = Fraction(1, math.factorial(split) * math.factorial(m - split))
     out = zero(m - 1 if log_prefixed else m)
     for perm in permutations(range(m)):
-        sign = _shuffle_sign(perm)
+        sign = sort_signed(perm, int)[0]
         if log_prefixed:
             piece = log_abs(gs[perm[0]], sign * stab)
             for i in perm[1:split]:
@@ -621,16 +551,7 @@ def format_term(t: FormTerm) -> str:
 
 
 def format_form(a: Form) -> str:
-    if a.is_zero():
-        return "0"
-    parts = []
-    for t in a.terms:
-        text = format_term(
-            FormTerm(abs(t.coefficient), t.scalars, t.generators)
-        )
-        parts.append(("- " if t.coefficient < 0 else "+ ") + text)
-    joined = " ".join(parts)
-    return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+    return str(a)
 
 
 class _FormParser:

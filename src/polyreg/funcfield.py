@@ -13,6 +13,14 @@ only content-normalized (denominator primitive over Z with positive leading
 coefficient in lex order); mathematical equality is decided separately by
 cross-multiplication (`equals`). Unused variables are pruned, constants live
 over the empty variable tuple.
+
+Signed combinations: chain elements (`polycomplex`) and differential forms
+(`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
+one rule.  `sort_signed` puts the wedge factors in key order, flips the sign
+once per swap, and kills the term when two keys repeat.  `Combination` keeps
+terms merged by key (coefficients of equal keys add up, zero ones drop),
+sorted by key, and of one grading, and holds the ring operations, equality,
+hashing and printing that both kinds of combination share.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ __all__ = [
     "rf_dir_derivative",
     "ord_at",
     "unit_part",
+    "sort_signed",
+    "Combination",
 ]
 
 
@@ -754,3 +764,107 @@ class _FunctionParser:
 def parse_function(text: str) -> RationalFunction:
     """Parse e.g. '(t^2+1)/(t-1)' or '(x*y - 1)/(x + y)'."""
     return _FunctionParser(text).parse()
+
+
+# --- signed combinations ----------------------------------------------------
+
+
+def sort_signed(items, key):
+    """(sign, tuple of items in ascending key order), the sign being the parity
+    of the sorting permutation; None when two keys are equal."""
+    keyed = [(key(x), x) for x in items]
+    sign = 1
+    for i in range(1, len(keyed)):  # insertion sort, one sign flip per swap
+        j = i
+        while j and keyed[j][0] < keyed[j - 1][0]:
+            keyed[j - 1], keyed[j] = keyed[j], keyed[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(keyed, keyed[1:]):
+        if a[0] == b[0]:
+            return None
+    return sign, tuple(x for _, x in keyed)
+
+
+class Combination:
+    """Immutable combination of terms of one grading, with distinct keys in
+    ascending order and no zero coefficient; build it with `merge`.
+
+    A subclass is constructed as cls(*grading, terms), takes coefficients in
+    `ring`, exposes its grading tuple as `grading` and prints one term with
+    `_format_term(coefficient, term)`.  Its terms carry `coefficient`,
+    `grading`, `key()` and `scaled(c)`, a copy with coefficient c.
+    """
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def merge(cls, grading: tuple, terms):
+        """Raw terms (None entries skipped) of the given grading, merged:
+        equal keys add up, zero coefficients drop."""
+        merged = {}
+        for t in terms:
+            if t is None:
+                continue
+            if t.grading != grading:
+                raise ValueError("term of grading %r in a combination of grading %r"
+                                 % (t.grading, grading))
+            k = t.key()
+            old = merged.get(k)
+            merged[k] = t if old is None else t.scaled(old.coefficient + t.coefficient)
+        return cls(*grading, tuple(merged[k] for k in sorted(merged) if merged[k].coefficient))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not (self.terms or other.terms):
+            return True
+        if self.grading != other.grading:
+            return False
+        return [(t.key(), t.coefficient) for t in self.terms] == [
+            (t.key(), t.coefficient) for t in other.terms
+        ]
+
+    def __hash__(self):
+        return hash(tuple((t.key(), t.coefficient) for t in self.terms))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        if self.grading != other.grading:
+            raise ValueError("cannot add combinations of grading %r and %r"
+                             % (self.grading, other.grading))
+        return self.merge(self.grading, self.terms + other.terms)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, c):
+        if not isinstance(c, self.ring):
+            return NotImplemented
+        if not c:
+            return type(self)(*self.grading, ())
+        return type(self)(*self.grading, tuple(t.scaled(c * t.coefficient) for t in self.terms))
+
+    __rmul__ = __mul__
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        joined = " ".join(
+            ("- " if t.coefficient < 0 else "+ ") + self._format_term(abs(t.coefficient), t)
+            for t in self.terms
+        )
+        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+
+    __repr__ = __str__

@@ -13,22 +13,27 @@ uniformizer multiplicity of one slot at a time:
 
     theta(g_1^...^g_q) = sum_i (-1)^(i-1) ord_v(g_i) * (unit parts, slot i omitted)
 
-Wedges are kept in a canonical sorted order with permutation sign; a repeated
-entry or an entry equal to the constant 1 makes the term zero.  No further
-multiplicative relations are imposed on wedge slots.
+Wedges are kept in a canonical sorted order with permutation sign, and
+elements merged by term key, by the signed-combination core of `funcfield`
+(`sort_signed`, `Combination`); a repeated entry or an entry equal to the
+constant 1 makes the term zero.  No further multiplicative relations are
+imposed on wedge slots.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .exact import report_case
 from .funcfield import (
+    Combination,
     RationalFunction,
     Valuation,
     const,
     one_minus,
     ord_at,
     parse_function,
+    sort_signed,
     unit_part,
 )
 
@@ -36,52 +41,25 @@ from .funcfield import (
 class ChainTerm:
     """One normalized term; use the module constructors, not this directly."""
 
-    __slots__ = ("coefficient", "depth", "argument", "wedge")
+    __slots__ = ("coefficient", "depth", "argument", "wedge", "grading")
 
     def __init__(self, coefficient: int, depth: int, argument, wedge: tuple):
         self.coefficient = coefficient
         self.depth = depth
         self.argument = argument
         self.wedge = wedge
+        q = len(wedge)
+        self.grading = (depth + q, q + 1 if depth else q)  # (weight, degree)
 
     def key(self):
         arg_key = self.argument.key() if self.argument is not None else ""
         return (self.depth, arg_key, tuple(g.key() for g in self.wedge))
 
-    @property
-    def weight(self) -> int:
-        return self.depth + len(self.wedge)
-
-    @property
-    def degree(self) -> int:
-        q = len(self.wedge)
-        return q + 1 if self.depth else q
+    def scaled(self, coefficient: int) -> "ChainTerm":
+        return ChainTerm(coefficient, self.depth, self.argument, self.wedge)
 
     def __repr__(self):
         return "ChainTerm(%s)" % format_term(self.coefficient, self)
-
-
-def _canonical_wedge(entries: Sequence[RationalFunction]):
-    """Sort entries by key; return (sign, tuple) or None if the wedge dies."""
-    keyed = []
-    for g in entries:
-        if g.is_zero():
-            raise ValueError("zero is not allowed in a wedge slot")
-        if g.is_constant() and g.constant_value() == 1:
-            return None
-        keyed.append((g.key(), g))
-    sign = 1
-    # insertion sort, counting transpositions for the permutation parity
-    for i in range(1, len(keyed)):
-        j = i
-        while j > 0 and keyed[j][0] < keyed[j - 1][0]:
-            keyed[j], keyed[j - 1] = keyed[j - 1], keyed[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(keyed, keyed[1:]):
-        if a[0] == b[0]:
-            return None
-    return sign, tuple(g for _, g in keyed)
 
 
 def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainTerm]:
@@ -96,84 +74,35 @@ def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainT
             return None
     elif argument is not None:
         raise ValueError("pure wedges carry no bracket argument")
-    canon = _canonical_wedge(wedge)
-    if canon is None:
+    for g in wedge:
+        if g.is_zero():
+            raise ValueError("zero is not allowed in a wedge slot")
+        if g.is_constant() and g.constant_value() == 1:
+            return None
+    signed = sort_signed(wedge, RationalFunction.key)
+    if signed is None:
         return None
-    sign, entries = canon
+    sign, entries = signed
     return ChainTerm(sign * coefficient, depth, argument, entries)
 
 
-class ChainElement:
+class ChainElement(Combination):
     """Normalized integer combination of terms of one weight and degree."""
 
-    __slots__ = ("weight", "degree", "terms")
+    __slots__ = ("weight", "degree")
+    ring = int
 
     def __init__(self, weight: int, degree: int, terms: Tuple[ChainTerm, ...]):
         self.weight = weight
         self.degree = degree
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def grading(self) -> tuple:
+        return (self.weight, self.degree)
 
-    def __eq__(self, other):
-        if not isinstance(other, ChainElement):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        if (self.weight, self.degree) != (other.weight, other.degree):
-            return False
-        return [(t.key(), t.coefficient) for t in self.terms] == [
-            (t.key(), t.coefficient) for t in other.terms
-        ]
-
-    def __hash__(self):
-        return hash(tuple((t.key(), t.coefficient) for t in self.terms))
-
-    def __add__(self, other):
-        if not isinstance(other, ChainElement):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if (self.weight, self.degree) != (other.weight, other.degree):
-            raise ValueError("cannot add elements of different weight or degree")
-        return element(list(self.terms) + list(other.terms), self.weight, self.degree)
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k == 0:
-            return ChainElement(self.weight, self.degree, ())
-        return ChainElement(
-            self.weight,
-            self.degree,
-            tuple(
-                ChainTerm(k * t.coefficient, t.depth, t.argument, t.wedge)
-                for t in self.terms
-            ),
-        )
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for t in self.terms:
-            text = format_term(abs(t.coefficient), t)
-            parts.append(("- " if t.coefficient < 0 else "+ ") + text)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
-
-    __repr__ = __str__
+    def _format_term(self, coefficient: int, t: ChainTerm) -> str:
+        return format_term(coefficient, t)
 
 
 def format_term(coefficient: int, t: ChainTerm) -> str:
@@ -196,28 +125,16 @@ def _atom(g: RationalFunction) -> str:
 def element(
     terms: Iterable[ChainTerm], weight: Optional[int] = None, degree: Optional[int] = None
 ) -> ChainElement:
-    """Merge raw terms into a normalized element; zero coefficients drop."""
-    merged = {}
-    for t in terms:
-        if t is None:
-            continue
+    """Merge raw terms into a normalized element; zero coefficients drop.
+    A weight or degree left out is read from the first term."""
+    if weight is None or degree is None:
+        terms = [t for t in terms if t is not None]
+        first_weight, first_degree = terms[0].grading if terms else (None, 0)
+        weight = first_weight if weight is None else weight
+        degree = first_degree if degree is None else degree
         if weight is None:
-            weight = t.weight
-        if degree is None:
-            degree = t.degree
-        if (t.weight, t.degree) != (weight, degree):
-            raise ValueError("terms of mixed weight or degree")
-        k = t.key()
-        if k in merged:
-            merged[k] = ChainTerm(
-                merged[k].coefficient + t.coefficient, t.depth, t.argument, t.wedge
-            )
-        else:
-            merged[k] = t
-    alive = tuple(sorted((t for t in merged.values() if t.coefficient), key=ChainTerm.key))
-    if weight is None:
-        raise ValueError("cannot infer weight of an empty element")
-    return ChainElement(weight, 0 if degree is None else degree, alive)
+            raise ValueError("cannot infer weight of an empty element")
+    return ChainElement.merge((weight, degree), terms)
 
 
 def bracket(f: RationalFunction, p: int, coefficient: int = 1) -> ChainElement:
@@ -315,8 +232,7 @@ def residue_twisted(e: ChainElement, v: Valuation) -> ChainElement:
         single = element([t], e.weight, e.degree)
         part = residue(single, v)
         for w in part.terms:
-            c = -w.coefficient if q % 2 else w.coefficient
-            out.append(ChainTerm(c, w.depth, w.argument, w.wedge))
+            out.append(w.scaled(-w.coefficient) if q % 2 else w)
     return element(out, e.weight - 1, e.degree - 1)
 
 
@@ -397,14 +313,7 @@ def residue_chain_check(
             else:
                 ok = False
                 counterexamples.append({"element": str(e), "at": str(v)})
-            cases.append(
-                {
-                    "input": "%s at %s" % (e, v),
-                    "max_defect": 0.0 if ok else 1.0,
-                    "tol": 0.0,
-                    "pass": ok,
-                }
-            )
+            cases.append(report_case("%s at %s" % (e, v), ok, 0.0 if ok else 1.0))
     consistent = len(signs) <= 1 and not counterexamples
     return {
         "suite": "residue-chain",

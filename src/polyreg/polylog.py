@@ -35,7 +35,7 @@ from typing import List, Sequence
 import mpmath as mp
 
 from . import _kernel_py
-from .exact import bernoulli, beta
+from .exact import bernoulli, beta, report_case
 
 
 class ConvergenceError(ArithmeticError):
@@ -283,12 +283,18 @@ def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
 # public entry points
 
 
+_PY_NUMBERS = (complex, float, int)
+
+
 def _check_argument(name: str, n: int, z) -> None:
     if n < 1:
         raise ValueError("weight must be >= 1")
-    if not mp.isfinite(z):
+    # Python numbers take cmath.isfinite, about 15 times cheaper than
+    # mp.isfinite; mpmath values, which may lie beyond the double range, and
+    # anything else keep mp.isfinite
+    if not (cmath.isfinite(z) if isinstance(z, _PY_NUMBERS) else mp.isfinite(z)):
         raise ValueError("%s: z must be finite, got %s" % (name, z))
-    if z == 1 and n == 1:
+    if n == 1 and z == 1:
         raise ValueError("%s: weight 1 diverges at z = 1" % name)
 
 
@@ -324,11 +330,10 @@ def sv_transport(n: int, z: complex, waypoints: Sequence[complex] = ()) -> compl
 
 
 def sv_state(n: int, z: complex) -> tuple:
-    """All weights 1..n at once (double route); weight-1 slot is None at z=1."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError("sv_state: z must be finite, got %r" % (z,))
-    return _sv_state_double(n, z)
+    """All weights 1..n at once (double route); the weight-1 slot is None at
+    z = 1 for n >= 2.  Raises ValueError where sv_polylog does."""
+    _check_argument("sv_state", n, z)
+    return _sv_state_double(n, complex(z))
 
 
 def clear_cache() -> None:
@@ -363,8 +368,7 @@ def sv_polylog_check_symmetries(
     cases = []
 
     def record(name, defect):
-        cases.append({"input": name, "max_defect": float(defect), "tol": float(tol),
-                      "pass": bool(defect <= tol)})
+        cases.append(report_case(name, bool(defect <= tol), float(defect), float(tol)))
 
     worst_inv = worst_conj = worst_par = 0.0
     for z in _sample_points(rng, samples):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import beta_kp
+from .exact import beta_kp, report_case
 from .forms import (
     Form,
     GenericityError,
@@ -199,16 +199,8 @@ def golden_formula_tests() -> dict:
         want = parse_form(block["form"]) * int(block.get("sign", "1"))
         got = r_map(e)
         okay = got == want
-        case = {
-            "input": block["case"],
-            "max_defect": 0.0 if okay else float("inf"),
-            "tol": 0.0,
-            "pass": okay,
-        }
-        if not okay:
-            case["got"] = format_form(got)
-            case["want"] = format_form(want)
-        cases.append(case)
+        sides = {} if okay else {"got": format_form(got), "want": format_form(want)}
+        cases.append(report_case(block["case"], okay, **sides))
 
     # the depth-2 column: the general formula must specialize to the
     # displayed 1/((2p+1)(2p+3)) coefficients
@@ -228,16 +220,8 @@ def golden_formula_tests() -> dict:
             )
         rhs = sv_scalar(2, f).wedge(head) - alpha(one_minus(f), f).wedge(tail)
         okay = lhs == rhs
-        case = {
-            "input": "depth2-column-m%d" % m,
-            "max_defect": 0.0 if okay else float("inf"),
-            "tol": 0.0,
-            "pass": okay,
-        }
-        if not okay:
-            case["got"] = format_form(lhs)
-            case["want"] = format_form(rhs)
-        cases.append(case)
+        sides = {} if okay else {"got": format_form(lhs), "want": format_form(rhs)}
+        cases.append(report_case("depth2-column-m%d" % m, okay, **sides))
 
     return {
         "suite": "golden-formulas",
@@ -340,15 +324,7 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
         "weight": weight,
         "samples": cfg.samples,
         "seed": cfg.seed,
-        "cases": [
-            {
-                "input": str(e),
-                "max_defect": worst,
-                "twist_defect": twist_worst,
-                "tol": cfg.tol,
-                "pass": okay,
-            }
-        ],
+        "cases": [report_case(str(e), okay, worst, cfg.tol, twist_defect=twist_worst)],
         "pass": okay,
     }
 
@@ -433,14 +409,7 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
         "suite": "top-cycle",
         "samples": cfg.samples,
         "seed": cfg.seed,
-        "cases": [
-            {
-                "input": "^".join(str(f) for f in fs),
-                "max_defect": worst,
-                "tol": cfg.tol,
-                "pass": okay,
-            }
-        ],
+        "cases": [report_case("^".join(str(f) for f in fs), okay, worst, cfg.tol)],
         "pass": okay,
     }
 
@@ -536,14 +505,14 @@ def loop_residue_check(
         "suite": "loop-residue",
         "weight": weight,
         "cases": [
-            {
-                "input": "%s at %s%s" % (e, a, ", reversed" if orientation < 0 else ""),
-                "loop_value": [loop_value.real, loop_value.imag],
-                "expected": [expected.real, expected.imag],
-                "max_defect": defect,
-                "tol": tol,
-                "pass": okay,
-            }
+            report_case(
+                "%s at %s%s" % (e, a, ", reversed" if orientation < 0 else ""),
+                okay,
+                defect,
+                tol,
+                loop_value=[loop_value.real, loop_value.imag],
+                expected=[expected.real, expected.imag],
+            )
         ],
         "pass": okay,
     }

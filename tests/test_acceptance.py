@@ -11,13 +11,10 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from polyreg import (
     PathError,
     RegulatorConfig,
     beta,
-    bracket_tensor,
     chain_suite,
     delta,
     evaluate,
@@ -27,7 +24,6 @@ from polyreg import (
     numeric_d,
     parse_element,
     parse_function,
-    pure_wedge,
     residue_chain_check,
     sv_polylog,
     sv_polylog_check_symmetries,

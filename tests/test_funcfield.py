@@ -1,4 +1,5 @@
-"""Function-field tests: canonical forms, evaluation, derivatives, valuations."""
+"""Function-field tests: canonical forms, evaluation, derivatives, valuations,
+and the signed-combination core shared by chain elements and forms."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyreg import forms as F
 from polyreg.funcfield import (
     PoleError,
     Valuation,
@@ -16,9 +18,12 @@ from polyreg.funcfield import (
     parse_function,
     rf_dir_derivative,
     rf_eval,
+    sort_signed,
     unit_part,
     var,
 )
+from polyreg.polycomplex import bracket_tensor, pure_wedge, random_element
+from polyreg.regulator import r_map
 
 t = var("t")
 
@@ -198,3 +203,65 @@ def test_key_is_total_order_on_canonical_forms():
     keys = [f.key() for f in fs]
     assert len(set(keys)) == len(set(fs))
     assert sorted(keys) == sorted(keys, key=str)
+
+
+# --- signed combinations ------------------------------------------------------
+
+
+def test_sort_signed():
+    assert sort_signed((), int) == (1, ())
+    assert sort_signed((3, 1, 2), int) == (1, (1, 2, 3))
+    assert sort_signed((2, 1, 3), int) == (-1, (1, 2, 3))
+    assert sort_signed((2, 1, 2), int) is None
+
+
+def _chain_slots(t):
+    """A chain term's wedge slots, and a builder of its bracket (or pure
+    wedge) from slots in any order."""
+    return t.wedge, lambda slots: (
+        bracket_tensor(t.argument, t.depth, slots) if t.depth else pure_wedge(slots)
+    )
+
+
+def _form_slots(t):
+    """A form term's generators, and a builder of their wedge in any order."""
+    one = {"dlog": F.dlog, "diarg": F.diarg}
+    return t.generators, lambda slots: F.wedge(*(one[k](g) for k, g in slots))
+
+
+class TestCombinationLaws:
+    """The laws `Combination` gives chain elements and their regulator forms."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_laws(self, seed, w, data):
+        rng = random.Random(seed)
+        depth = rng.randint(2, w)
+        ea, eb = (random_element(w, rng, depth=depth) for _ in range(2))
+        ec = random_element(w + 1, rng)  # another grading: its zero equals a - a
+        for a, b, c, slots_of in (
+            (ea, eb, ec, _chain_slots),
+            (r_map(ea), r_map(eb), r_map(ec), _form_slots),
+        ):
+            assert (a - a).is_zero()
+            assert (a + b) - b == a
+            assert 2 * a == a + a
+            same = [a, (a + b) - b, 2 * a, a + a, a - a, b - b, 0 * a, 0 * c, b]
+            for x in same:
+                for y in same:
+                    if x == y:
+                        assert hash(x) == hash(y), str(x)
+            slotted = [t for t in a.terms if len(slots_of(t)[0]) >= 2]
+            if not slotted:
+                continue
+            slots, rebuild = slots_of(data.draw(st.sampled_from(slotted)))
+            i, j = data.draw(st.lists(
+                st.integers(0, len(slots) - 1), min_size=2, max_size=2, unique=True
+            ))
+            swapped = list(slots)
+            swapped[i], swapped[j] = slots[j], slots[i]
+            assert not rebuild(slots).is_zero()
+            assert rebuild(swapped) == -rebuild(slots)
+            repeated = list(slots)
+            repeated[j] = slots[i]
+            assert rebuild(repeated).is_zero()

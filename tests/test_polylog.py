@@ -127,7 +127,7 @@ def seeded_points(seed, count):
 
 NAMED_POINTS = [1 + 1e-6j, 1 - 1e-8 + 1e-8j, 1e6 + 1j, 1e12j, 1e30 + 1j, 1e200 + 3e199j] + [
     complex(x, s) for x in (1.5, 1.999, 2.0, 3.0) for s in (0.0, -0.0)
-]
+] + [-2 + 0j, 4 + 1e-9j]
 
 
 class TestAccuracy:
@@ -256,12 +256,6 @@ class TestPaths:
         with pytest.raises(P.PathError):
             P.sv_transport(2, 2 + 2j, (1 + 0j,))
 
-    def test_planner_clears_collinear_targets(self):
-        # straight segments from 1/2 to these targets pass 0 or 1
-        for z in (3.0 + 0j, -2.0 + 0j, 4.0 + 1e-9j):
-            v = P.sv_polylog(3, z)
-            assert abs(v - mp_oracle(3, z)) < 1e-8
-
 
 class TestSymmetries:
     def test_report_passes_n2(self):
@@ -314,6 +308,13 @@ def test_sv_state_bundle():
         assert st[m - 1] == P.sv_polylog(m, 0.3 + 0.2j)
     st1 = P.sv_state(3, 1)
     assert st1[0] is None and abs(st1[2] - ZETA3) < 1e-12
+
+
+@pytest.mark.parametrize("n, z", [(0, 0.3), (-1, 0.3), (1, 1), (1, 1 + 0j), (1, 1.0)])
+def test_sv_state_rejects_what_sv_polylog_rejects(n, z):
+    for fn in (P.sv_polylog, P.sv_state):
+        with pytest.raises(ValueError):
+            fn(n, z)
 
 
 def test_pi_projection():

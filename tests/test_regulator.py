@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polyreg import forms as F
-from polyreg.funcfield import Valuation, one_minus, parse_function as pf
+from polyreg.funcfield import one_minus, parse_function as pf
 from polyreg.polycomplex import bracket_tensor, parse_element, pure_wedge
 from polyreg.polylog import sv_polylog
 from polyreg.regulator import (
