@@ -10,7 +10,9 @@ dlog|g| and d i arg g.  Weight-1 single-valued scalars are rewritten to
 -log|1-f| at construction.  Generators are kept in a canonical order with the
 permutation sign tracked, and forms merged by term key, by the
 signed-combination core of `funcfield` (`sort_signed`, `Combination`); a
-repeated generator kills the term.
+repeated generator kills the term.  A term computes its key once and keeps
+it (`scaled` copies pass it on); sums collect their terms and merge once, and
+a weighted alternation is built as one term per slot assignment.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -75,22 +77,25 @@ def _gen_key(g):
 
 
 class FormTerm:
-    __slots__ = ("coefficient", "scalars", "generators", "grading")
+    __slots__ = ("coefficient", "scalars", "generators", "grading", "_key")
 
-    def __init__(self, coefficient: Fraction, scalars: tuple, generators: tuple):
+    def __init__(self, coefficient: Fraction, scalars: tuple, generators: tuple, key=None):
         self.coefficient = coefficient
         self.scalars = scalars
         self.generators = generators
         self.grading = (len(generators),)
+        self._key = key
 
     def key(self):
-        return (
-            tuple(_scalar_key(s) for s in self.scalars),
-            tuple(_gen_key(g) for g in self.generators),
-        )
+        if self._key is None:
+            self._key = (
+                tuple(_scalar_key(s) for s in self.scalars),
+                tuple(_gen_key(g) for g in self.generators),
+            )
+        return self._key
 
     def scaled(self, coefficient: Fraction) -> "FormTerm":
-        return FormTerm(coefficient, self.scalars, self.generators)
+        return FormTerm(coefficient, self.scalars, self.generators, self._key)
 
     def __repr__(self):
         return "FormTerm(%s)" % format_term(self)
@@ -216,12 +221,12 @@ def _d_scalar(s) -> Form:
         return log_abs(one_minus(f), -1).wedge(diarg(f)) + log_abs(f).wedge(
             diarg(one_minus(f))
         )
-    out = sv_scalar(n - 1, f).wedge(diarg(f))
+    terms = list(sv_scalar(n - 1, f).wedge(diarg(f)).terms)
     for k in range(2, n):
         b = beta(k)
         if b:
-            out = out + sv_pq(n - k, k, f) * (-b)
-    return out
+            terms += (sv_pq(n - k, k, f) * (-b)).terms
+    return form(1, terms)
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -259,31 +264,18 @@ def weighted_alternation(
     m = len(gs)
     if not 0 <= split <= m or (log_prefixed and split < 1):
         raise ValueError("invalid split for the alternation pattern")
-    out = zero(m - 1 if log_prefixed else m)
     idx = list(range(m))
-    if log_prefixed:
-        for lead in idx:
-            rest = [i for i in idx if i != lead]
-            for dl in combinations(rest, split - 1):
-                di = [i for i in rest if i not in dl]
-                order = [lead, *dl, *di]
-                piece = log_abs(gs[lead], sort_signed(order, int)[0])
-                for i in dl:
-                    piece = piece.wedge(dlog(gs[i]))
-                for i in di:
-                    piece = piece.wedge(diarg(gs[i]))
-                out = out + piece
-    else:
-        for dl in combinations(idx, split):
-            di = [i for i in idx if i not in dl]
-            order = [*dl, *di]
-            piece = scalar(sort_signed(order, int)[0])
-            for i in dl:
-                piece = piece.wedge(dlog(gs[i]))
-            for i in di:
-                piece = piece.wedge(diarg(gs[i]))
-            out = out + piece
-    return out
+    leads = idx if log_prefixed else [None]  # the slot of log|g_lead|, if any
+    terms = []
+    for lead in leads:
+        rest = [i for i in idx if i != lead]
+        for dl in combinations(rest, split - 1 if log_prefixed else split):
+            di = [i for i in rest if i not in dl]
+            order = [*dl, *di] if lead is None else [lead, *dl, *di]
+            scalars = () if lead is None else (("log", gs[lead]),)
+            generators = [("dlog", gs[i]) for i in dl] + [("diarg", gs[i]) for i in di]
+            terms.append(_make_term(sort_signed(order, int)[0], scalars, generators))
+    return form(m - 1 if log_prefixed else m, terms)
 
 
 def alternation_bruteforce(
@@ -592,19 +584,22 @@ class _FormParser:
             lead = -1
         elif self.peek() == "+":
             self.pos += 1
-        out = lead * self.term()
+        parts = [lead * self.term()]
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                out = out + self.term()
+                parts.append(self.term())
             elif ch == "-":
                 self.pos += 1
-                out = out + (-1) * self.term()
+                parts.append((-1) * self.term())
             elif ch == "":
-                return out
+                break
             else:
                 self.error("unexpected character %r" % ch)
+        # as when summing pairwise: a zero summand takes the other's degree
+        degree = next((p.degree for p in parts if p.terms), parts[-1].degree)
+        return form(degree, [t for p in parts for t in p.terms])
 
     def term(self) -> Form:
         out = self.factor()

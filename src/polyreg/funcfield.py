@@ -12,7 +12,12 @@ so syntactic equality is mathematical equality. Multivariate quotients are
 only content-normalized (denominator primitive over Z with positive leading
 coefficient in lex order); mathematical equality is decided separately by
 cross-multiplication (`equals`). Unused variables are pruned, constants live
-over the empty variable tuple.
+over the empty variable tuple.  The univariate reduction runs on dense
+ascending coefficient lists: Euclid for a gcd, the exact quotients only when
+the gcd is not constant, then division by the leading coefficient of the
+denominator.  Results that are clean or canonical by construction (sums and
+products of polynomials, `var`, `const`, negation) skip validation through
+the trusted constructors `Polynomial._raw` and `RationalFunction._raw`.
 
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
@@ -83,17 +88,24 @@ class Polynomial:
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     # --- constructors -------------------------------------------------
+    @classmethod
+    def _raw(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """Trusted constructor: terms already maps distinct exponent tuples of
+        the right width to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
+
     @staticmethod
     def constant(value, variables=()) -> "Polynomial":
         value = _as_fraction(value)
-        if value == 0:
-            return Polynomial(variables, {})
-        zero = (0,) * len(variables)
-        return Polynomial(variables, {zero: value})
+        variables = tuple(variables)
+        return Polynomial._raw(variables, {(0,) * len(variables): value} if value else {})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial((name,), {(1,): Fraction(1)})
+        return Polynomial._raw((name,), {(1,): Fraction(1)})
 
     # --- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -128,7 +140,7 @@ class Polynomial:
             for p, e in zip(pos, expo):
                 new[p] = e
             terms[tuple(new)] = coeff
-        return Polynomial(variables, terms)
+        return Polynomial._raw(variables, terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -167,13 +179,17 @@ class Polynomial:
         a, b = self._pair(other)
         terms = dict(a.terms)
         for expo, coeff in b.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return Polynomial(a.variables, terms)
+            c = terms.get(expo, 0) + coeff
+            if c:
+                terms[expo] = c
+            else:
+                del terms[expo]
+        return Polynomial._raw(a.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -188,8 +204,10 @@ class Polynomial:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 expo = tuple(x + y for x, y in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
-        return Polynomial(a.variables, terms)
+                terms[expo] = terms.get(expo, 0) + c1 * c2
+        # zeros drop only at the end, so every kept term stays where it first
+        # appeared (term order fixes the order of evaluation)
+        return Polynomial._raw(a.variables, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -225,7 +243,7 @@ class Polynomial:
         terms = {
             tuple(expo[i] for i in keep): coeff for expo, coeff in self.terms.items()
         }
-        return Polynomial(used, terms)
+        return Polynomial._raw(used, terms)
 
     # --- univariate helpers ---------------------------------------------
     def _univariate_coeffs(self):
@@ -240,49 +258,9 @@ class Polynomial:
             out[e] = c
         return out
 
-    @staticmethod
-    def _from_coeffs(name, coeffs) -> "Polynomial":
-        return Polynomial((name,), {(i,): c for i, c in enumerate(coeffs) if c != 0})
-
-    def divmod(self, other):
-        """Univariate exact-arithmetic division with remainder."""
-        a, b = self._pair(other)
-        if len(a.variables) != 1:
-            raise ValueError("divmod needs univariate polynomials")
-        if b.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        name = a.variables[0]
-        r = a._univariate_coeffs()
-        d = b._univariate_coeffs()
-        while d and d[-1] == 0:
-            d.pop()
-        q = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
-        while len(r) >= len(d) and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(d):
-                break
-            shift = len(r) - len(d)
-            factor = r[-1] / d[-1]
-            q[shift] = factor
-            for i, c in enumerate(d):
-                r[i + shift] -= factor * c
-        return Polynomial._from_coeffs(name, q), Polynomial._from_coeffs(name, r)
-
-    def gcd(self, other) -> "Polynomial":
-        """Monic univariate gcd by Euclid's algorithm."""
-        a, b = self._pair(other)
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        _, lc = a.leading()
-        return a * (1 / lc)
-
     def partial(self, name: str) -> "Polynomial":
         if name not in self.variables:
-            return Polynomial(self.variables, {})
+            return Polynomial._raw(self.variables, {})
         i = self.variables.index(name)
         terms = {}
         for expo, coeff in self.terms.items():
@@ -290,8 +268,8 @@ class Polynomial:
                 continue
             new = list(expo)
             new[i] -= 1
-            terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + coeff * expo[i]
-        return Polynomial(self.variables, terms)
+            terms[tuple(new)] = coeff * expo[i]
+        return Polynomial._raw(self.variables, terms)
 
     def evaluate(self, point: dict) -> complex:
         total = 0j
@@ -333,6 +311,23 @@ class Polynomial:
     __repr__ = __str__
 
 
+def _dense_divmod(a: list, b: list):
+    """(quotient, remainder) of dense ascending coefficient lists; b ends in
+    a nonzero entry, the remainder in none."""
+    r, nb = list(a), len(b)
+    q = [Fraction(0)] * max(len(r) - nb + 1, 0)
+    for s in reversed(range(len(q))):
+        c = r[s + nb - 1] / b[-1]
+        if c:
+            q[s] = c
+            for i, x in enumerate(b):
+                r[s + i] -= c * x
+    del r[nb - 1 :]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
 class RationalFunction:
     """Quotient of polynomials in canonical form (see module docstring)."""
 
@@ -349,17 +344,31 @@ class RationalFunction:
             num = Polynomial(used, {})
             den = Polynomial.constant(1, used)
         elif len(used) == 1:
-            g = num.gcd(den)
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-            _, lc = den.leading()
-            num, den = num * (1 / lc), den * (1 / lc)
+            n, d = num._univariate_coeffs(), den._univariate_coeffs()
+            a, b = n, d
+            while b:  # Euclid: a ends as a gcd of n and d
+                a, b = b, _dense_divmod(a, b)[1]
+            if len(a) > 1:
+                n, d = _dense_divmod(n, a)[0], _dense_divmod(d, a)[0]
+            inv = 1 / d[-1]
+            num = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(n) if c})
+            den = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(d) if c})
         else:  # constants and the multivariate case: content-normalize only
             _, lc = den.leading()
             scale = Fraction(1) / den.content()
             if lc < 0:
                 scale = -scale
             num, den = num * scale, den * scale
+        self._set(num, den)
+
+    @classmethod
+    def _raw(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Trusted constructor: num/den is already in canonical form."""
+        f = object.__new__(cls)
+        f._set(num, den)
+        return f
+
+    def _set(self, num: Polynomial, den: Polynomial):
         self.num = num
         self.den = den
         self._key = f"({num})/({den})"
@@ -409,7 +418,10 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        if self.num.variables and self.num.is_constant() and self.den.is_constant():
+            # a reduced constant still over its variable: the constructor drops it
+            return RationalFunction(-self.num, self.den)
+        return RationalFunction._raw(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -446,14 +458,11 @@ class RationalFunction:
 
 
 def var(name: str) -> RationalFunction:
-    return RationalFunction(Polynomial.variable(name), Polynomial.constant(1))
+    return RationalFunction._raw(Polynomial.variable(name), Polynomial.constant(1, (name,)))
 
 
 def const(value) -> RationalFunction:
-    value = _as_fraction(value)
-    return RationalFunction(
-        Polynomial.constant(value.numerator), Polynomial.constant(value.denominator)
-    )
+    return RationalFunction._raw(Polynomial.constant(value), Polynomial.constant(1))
 
 
 def one_minus(f: RationalFunction) -> RationalFunction:
@@ -604,19 +613,21 @@ class Valuation:
 
 
 def _poly_order_at(p: Polynomial, a: Fraction):
-    """(multiplicity of (t-a) in p, cofactor polynomial)."""
+    """(multiplicity m of (t-a) in p, value at a of p / (t-a)^m), by Horner
+    synthetic division on the dense coefficient list."""
     if p.is_zero():
         raise ValueError("zero polynomial has no finite order")
-    if not p.variables:
-        return 0, p
-    name = p.variables[0]
-    linear = Polynomial.variable(name) - Polynomial.constant(a, (name,))
+    coeffs = p._univariate_coeffs()
     order = 0
     while True:
-        q, r = p.divmod(linear)
-        if not r.is_zero():
-            return order, p
-        p = q
+        acc, quotient = Fraction(0), []
+        for c in reversed(coeffs):
+            acc = acc * a + c
+            quotient.append(acc)
+        value = quotient.pop()  # the remainder, p(a)
+        if value:
+            return order, value
+        coeffs = quotient[::-1]
         order += 1
 
 
@@ -644,23 +655,9 @@ def unit_part(f: RationalFunction, v: Valuation) -> Fraction:
         _, cn = f.num.leading()
         _, cd = f.den.leading()
         return cn / cd
-    en, num1 = _poly_order_at(f.num, v.point)
-    ed, den1 = _poly_order_at(f.den, v.point)
-    point = {f.variables()[0]: v.point} if f.variables() else {}
-    nval = _exact_eval(num1, point)
-    dval = _exact_eval(den1, point)
+    _, nval = _poly_order_at(f.num, v.point)
+    _, dval = _poly_order_at(f.den, v.point)
     return nval / dval
-
-
-def _exact_eval(p: Polynomial, point: dict) -> Fraction:
-    total = Fraction(0)
-    for expo, coeff in p.terms.items():
-        term = coeff
-        for name, e in zip(p.variables, expo):
-            if e:
-                term *= point[name] ** e
-        total += term
-    return total
 
 
 # --- parser ---------------------------------------------------------------

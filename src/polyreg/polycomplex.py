@@ -16,8 +16,8 @@ uniformizer multiplicity of one slot at a time:
 Wedges are kept in a canonical sorted order with permutation sign, and
 elements merged by term key, by the signed-combination core of `funcfield`
 (`sort_signed`, `Combination`); a repeated entry or an entry equal to the
-constant 1 makes the term zero.  No further multiplicative relations are
-imposed on wedge slots.
+constant 1 makes the term zero, and a zero entry is rejected wherever it
+stands.  No further multiplicative relations are imposed on wedge slots.
 """
 
 from __future__ import annotations
@@ -67,18 +67,16 @@ def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainT
         return None
     if depth == 1:
         raise ValueError("depth-1 brackets are not part of the complex")
-    if depth:
-        if argument is None:
-            raise ValueError("bracket terms need an argument")
-        if argument.is_constant() and argument.constant_value() in (0, 1):
-            return None
-    elif argument is not None:
+    if depth and argument is None:
+        raise ValueError("bracket terms need an argument")
+    if not depth and argument is not None:
         raise ValueError("pure wedges carry no bracket argument")
-    for g in wedge:
-        if g.is_zero():
-            raise ValueError("zero is not allowed in a wedge slot")
-        if g.is_constant() and g.constant_value() == 1:
-            return None
+    if any(g.is_zero() for g in wedge):  # wherever it stands, before any shortcut
+        raise ValueError("zero is not allowed in a wedge slot")
+    if depth and argument.is_constant() and argument.constant_value() in (0, 1):
+        return None
+    if any(g.is_constant() and g.constant_value() == 1 for g in wedge):
+        return None
     signed = sort_signed(wedge, RationalFunction.key)
     if signed is None:
         return None

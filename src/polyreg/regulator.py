@@ -33,13 +33,13 @@ from .forms import (
     alpha,
     evaluate,
     exterior_derivative,
+    form,
     format_form,
     log_abs,
     parse_form,
     sv_pq,
     sv_scalar,
     weighted_alternation,
-    zero,
     _as_mapping,
     _det,
     _variables,
@@ -98,17 +98,29 @@ class RegulatorConfig:
 def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) -> Form:
     """Image of {f}_n tensor g_1^...^g_m, m >= 1."""
     m = len(gs)
-    head = zero(m)
-    for p in range(0, m // 2 + 1):
-        head = head + weighted_alternation(gs, 2 * p, False) * Fraction(1, 2 * p + 1)
-    out = sv_scalar(n, f).wedge(head)
+    head = _alternation_sum(
+        gs, False, [(2 * p, Fraction(1, 2 * p + 1)) for p in range(m // 2 + 1)]
+    )
+    terms = list(sv_scalar(n, f).wedge(head).terms)
+    tails = {}  # split -> weighted_alternation(gs, split, True), built once
     for k in range(1, n):
         lead = sv_pq(n - k, k, f)
         for split in range(1, m + 1):
             c = beta_kp(k, split)
             if c:
-                out = out + lead.wedge(weighted_alternation(gs, split, True)) * c
-    return out
+                if split not in tails:
+                    tails[split] = weighted_alternation(gs, split, True)
+                terms += (lead.wedge(tails[split]) * c).terms
+    return form(m, terms)
+
+
+def _alternation_sum(gs: Sequence[RationalFunction], log_prefixed: bool, weights) -> Form:
+    """sum of c * weighted_alternation(gs, split, log_prefixed) over the
+    (split, c) pairs of weights."""
+    terms = []
+    for split, c in weights:
+        terms += (weighted_alternation(gs, split, log_prefixed) * c).terms
+    return form(len(gs) - 1 if log_prefixed else len(gs), terms)
 
 
 def _wedge_image(gs: Sequence[RationalFunction]) -> Form:
@@ -120,15 +132,14 @@ def _wedge_image(gs: Sequence[RationalFunction]) -> Form:
     m = len(gs)
     if m == 1:
         return log_abs(gs[0])
-    out = zero(m - 1)
-    for p in range(0, (m - 1) // 2 + 1):
-        out = out + weighted_alternation(gs, 2 * p + 1, True) * Fraction(-1, 2 * p + 1)
-    return out
+    return _alternation_sum(
+        gs, True, [(2 * p + 1, Fraction(-1, 2 * p + 1)) for p in range((m - 1) // 2 + 1)]
+    )
 
 
 def r_map(e: ChainElement) -> Form:
     """The regulator form of a chain element, extended Z-linearly."""
-    out = zero(max(e.degree - 1, 0))
+    terms = []
     for t in e.terms:
         if t.depth >= 2:
             if t.wedge:
@@ -139,8 +150,8 @@ def r_map(e: ChainElement) -> Form:
             img = _wedge_image(t.wedge)
         else:
             raise ValueError("malformed chain term")
-        out = out + img * t.coefficient
-    return out
+        terms += (img * t.coefficient).terms
+    return form(max(e.degree - 1, 0), terms)
 
 
 def holomorphic_part(fs: Sequence[RationalFunction], x, vectors) -> complex:
@@ -208,16 +219,14 @@ def golden_formula_tests() -> dict:
     gs = [parse_function("g%d" % i) for i in range(1, 5)]
     for m in range(1, 5):
         lhs = r_map(bracket_tensor(f, 2, gs[:m]))
-        head = zero(m)
-        for p in range(0, m // 2 + 1):
-            head = head + weighted_alternation(gs[:m], 2 * p, False) * Fraction(
-                1, 2 * p + 1
-            )
-        tail = zero(m - 1)
-        for p in range(0, (m - 1) // 2 + 1):
-            tail = tail + weighted_alternation(gs[:m], 2 * p + 1, True) * Fraction(
-                1, (2 * p + 1) * (2 * p + 3)
-            )
+        head = _alternation_sum(
+            gs[:m], False, [(2 * p, Fraction(1, 2 * p + 1)) for p in range(m // 2 + 1)]
+        )
+        tail = _alternation_sum(
+            gs[:m],
+            True,
+            [(2 * p + 1, Fraction(1, (2 * p + 1) * (2 * p + 3))) for p in range((m - 1) // 2 + 1)],
+        )
         rhs = sv_scalar(2, f).wedge(head) - alpha(one_minus(f), f).wedge(tail)
         okay = lhs == rhs
         sides = {} if okay else {"got": format_form(lhs), "want": format_form(rhs)}

@@ -1,0 +1,98 @@
+"""benchmarks/bench.py: the summary of repeated perfbench runs and the schema
+of the BENCH_*.json files, on fixed numbers (no benchmark is run here)."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench", ROOT / "benchmarks" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+SPREAD = ("min", "median", "q1", "q3", "iqr", "values")
+
+
+def _stdout(wall_s: float, failed: int = 0) -> str:
+    """The tail of a perfbench run's output, shaped as run.py prints it."""
+    result = {
+        "correct": True,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {name: {"value": wall_s if name == "wall_s" else 1.0, "unit": unit}
+                    for name, unit in METRICS.items()},
+    }
+    env = {"commit": None, "nproc": 2, "seed": 89, "source_sha256": "ab" * 32}
+    return "workload w\nenv %s\nwall_s %g s\n%s\n" % (
+        json.dumps(env, sort_keys=True), wall_s, json.dumps(result))
+
+
+def test_parse_run():
+    env, result = bench.parse_run(_stdout(0.25, failed=3))
+    assert env["source_sha256"] == "ab" * 32 and env["nproc"] == 2
+    assert result["failed"] == 3 and result["metrics"]["wall_s"]["value"] == 0.25
+
+
+def test_spread_on_fixed_numbers():
+    got = bench.spread([5.0, 1.0, 4.0, 2.0, 3.0])
+    assert (got["min"], got["q1"], got["median"], got["q3"], got["iqr"]) == (1, 2, 3, 4, 2)
+    got = bench.spread([0.30, 0.10, 0.20, 0.40, 0.50, 0.60])
+    assert got["median"] == pytest.approx(0.35) and got["iqr"] == pytest.approx(0.25)
+    assert got["q1"] == pytest.approx(0.225) and got["min"] == 0.10
+
+
+def test_summarise():
+    runs = [bench.parse_run(_stdout(w, failed=f))[1] for w, f in ((0.3, 0), (0.1, 1), (0.2, 0))]
+    got = bench.summarise(runs)
+    assert got["runs"] == 3 and got["correct"] is True
+    assert got["attempted"] == [100] * 3 and got["failed"] == [0, 1, 0]
+    assert set(got["metrics"]) == set(METRICS)
+    wall = got["metrics"]["wall_s"]
+    assert (wall["unit"], wall["min"], wall["median"]) == ("s", 0.1, 0.2)
+    assert wall["values"] == [0.3, 0.1, 0.2]
+
+
+def _check_schema(doc: dict):
+    assert set(doc) == {"label", "commit", "env", "seed", "seconds", "workloads"}
+    assert {"commit", "source_sha256", "nproc", "seed"} <= set(doc["env"])
+    assert set(doc["workloads"]) == {w["name"] for w in SPEC["workloads"]}
+    assert doc["seconds"] == SPEC["run_seconds"]
+    for entry in doc["workloads"].values():
+        assert entry["runs"] >= 5 and entry["correct"] in (True, False)
+        assert len(entry["attempted"]) == len(entry["failed"]) == entry["runs"]
+        assert set(entry["metrics"]) == set(METRICS)
+        for name, m in entry["metrics"].items():
+            assert m["unit"] == METRICS[name] and set(SPREAD) < set(m)
+            assert len(m["values"]) == entry["runs"]
+            assert m["min"] <= m["q1"] <= m["median"] <= m["q3"]
+            assert m["iqr"] == pytest.approx(m["q3"] - m["q1"])
+
+
+def test_main_writes_the_schema(tmp_path, monkeypatch):
+    walls = iter([0.1 * (i % 7 + 1) for i in range(100)])
+
+    def fake_run(argv, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, "abc123-dirty\n", "")
+        return subprocess.CompletedProcess(argv, 0, _stdout(next(walls)), "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["--label", "probe", "--repeats", "5"]) == 0
+    doc = json.loads((tmp_path / "BENCH_probe.json").read_text())
+    _check_schema(doc)
+    assert doc["label"] == "probe" and doc["seed"] == 89
+    with pytest.raises(SystemExit):
+        bench.main(["--label", "probe", "--repeats", "4"])
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_files(path):
+    doc = json.loads(path.read_text())
+    _check_schema(doc)
+    assert path.name == "BENCH_%s.json" % doc["label"]

@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyreg import forms as F
 from polyreg.funcfield import (
     PoleError,
+    Polynomial,
+    RationalFunction,
     Valuation,
     const,
     one_minus,
@@ -203,6 +205,124 @@ def test_key_is_total_order_on_canonical_forms():
     keys = [f.key() for f in fs]
     assert len(set(keys)) == len(set(fs))
     assert sorted(keys) == sorted(keys, key=str)
+
+
+# --- the Euclid route on Polynomial objects, kept as the reference -------------
+
+
+def _ref_divmod(a, b):
+    """Division with remainder of two polynomials in the variable t."""
+    r, d = a._univariate_coeffs(), b._univariate_coeffs()
+    q = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
+    while len(r) >= len(d) and any(c != 0 for c in r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(d):
+            break
+        shift = len(r) - len(d)
+        factor = r[-1] / d[-1]
+        q[shift] = factor
+        for i, c in enumerate(d):
+            r[i + shift] -= factor * c
+    return tuple(Polynomial(("t",), {(i,): c for i, c in enumerate(cs)}) for cs in (q, r))
+
+
+def _ref_canonical(num, den):
+    """(num, den) of num/den, both over ("t",), in canonical form: the monic
+    gcd by Euclid, both sides divided by it, then by the leading coefficient
+    of the denominator.  Zero and constant quotients are not this route's."""
+    f = RationalFunction(num, den)
+    if f.is_zero() or f.variables() != ("t",):
+        return f.num, f.den
+    a, b = num, den
+    while not b.is_zero():
+        a, b = b, _ref_divmod(a, b)[1]
+    g = a * (1 / a.leading()[1])
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    lc = den.leading()[1]
+    return num * (1 / lc), den * (1 / lc)
+
+
+def _ref_order(p, a):
+    """(multiplicity m of (t-a) in p, value at a of p / (t-a)^m)."""
+    order = 0
+    if p.variables:
+        linear = Polynomial.variable("t") - Polynomial.constant(a, ("t",))
+        while True:
+            q, r = _ref_divmod(p, linear)
+            if not r.is_zero():
+                break
+            p, order = q, order + 1
+    return order, sum((c * a ** sum(e) for e, c in p.terms.items()), Fraction(0))
+
+
+def _as_built(num, den):
+    """Variables, terms in order, and key of num/den."""
+    terms = (list(num.terms.items()), list(den.terms.items()))
+    return num.variables, den.variables, terms, "(%s)/(%s)" % (num, den)
+
+
+_linear = st.lists(st.sampled_from([0, 1, Fraction(1, 2), -2]), max_size=2)
+_dense = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=1, max_size=3
+)
+
+
+@st.composite
+def _polynomials(draw):
+    """A product of (t - r) over rational roots r and a dense factor."""
+    p = Polynomial(("t",), {(i,): c for i, c in enumerate(draw(_dense))})
+    for r in draw(_linear):
+        p = p * (Polynomial.variable("t") - r)
+    return p
+
+
+@given(_polynomials(), _polynomials(), _polynomials(), _polynomials(), _polynomials())
+@settings(max_examples=100, deadline=None)
+def test_canonical_forms_match_euclid_reference(a, b, common, c, d):
+    """Quotients with common factors and constant denominators come out as the
+    Euclid route on Polynomial objects builds them: same variables, terms in
+    the same order, same key; and so do the field operations, one_minus,
+    and the orders and unit parts at 0, 1, 1/2 and infinity."""
+    assume(not (b * common).is_zero() and not d.is_zero())
+    f = RationalFunction(a * common, b * common)
+    g = RationalFunction(c, d)
+    assert _as_built(f.num, f.den) == _as_built(*_ref_canonical(a * common, b * common))
+    assert _as_built(g.num, g.den) == _as_built(*_ref_canonical(c, d))
+    one = const(1)
+    cases = [
+        (-f, (-f.num, f.den)),
+        (f + g, (f.num * g.den + g.num * f.den, f.den * g.den)),
+        (f * g, (f.num * g.num, f.den * g.den)),
+        (one_minus(f), (one.num * f.den - f.num * one.den, one.den * f.den)),
+    ]
+    if not g.is_zero():
+        cases.append((f / g, (f.num * g.den, f.den * g.num)))
+    for got, (num, den) in cases:
+        assert _as_built(got.num, got.den) == _as_built(*_ref_canonical(num, den))
+    for h in (f, g):
+        if h.is_zero():
+            continue
+        for point in (Fraction(0), Fraction(1), Fraction(1, 2)):
+            (en, nv), (ed, dv) = _ref_order(h.num, point), _ref_order(h.den, point)
+            v = Valuation.finite(point)
+            assert (ord_at(h, v), unit_part(h, v)) == (en - ed, nv / dv)
+        v = Valuation.infinity()
+        want = (h.den.degree() - h.num.degree(), h.num.leading()[1] / h.den.leading()[1])
+        assert (ord_at(h, v), unit_part(h, v)) == want
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 7, Fraction(-3, 4), Fraction(5, 2)])
+def test_var_and_const_as_the_constructor_builds_them(value):
+    value = Fraction(value)
+    for name in ("t", "x2"):
+        got, want = var(name), RationalFunction(Polynomial.variable(name), Polynomial.constant(1))
+        assert _as_built(got.num, got.den) == _as_built(want.num, want.den)
+    got = const(value)
+    want = RationalFunction(
+        Polynomial.constant(value.numerator), Polynomial.constant(value.denominator)
+    )
+    assert _as_built(got.num, got.den) == _as_built(want.num, want.den)
 
 
 # --- signed combinations ------------------------------------------------------

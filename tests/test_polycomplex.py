@@ -205,6 +205,19 @@ class TestElementAlgebra:
     def test_entry_one_dies(self):
         assert C.pure_wedge([pf("t"), const(1)]).is_zero()
 
+    @pytest.mark.parametrize("slots", [(1, 0), (0, 1)])
+    def test_zero_slot_rejected_wherever_it_stands(self, slots):
+        # the check comes before the shortcuts that make a term zero, so the
+        # order of the slots and a constant bracket argument cannot hide it
+        wedge = [pf("t")] + [const(c) for c in slots]
+        for build in (
+            lambda: C.pure_wedge(wedge),
+            lambda: C.bracket_tensor(pf("t+2"), 2, wedge),
+            lambda: C.bracket_tensor(const(1), 2, wedge),
+        ):
+            with pytest.raises(ValueError, match="zero is not allowed"):
+                build()
+
     def test_mixed_weight_rejected(self):
         with pytest.raises(ValueError):
             C.bracket(pf("t+2"), 2) + C.bracket(pf("t+2"), 3)

@@ -1,13 +1,15 @@
 """Regulator map, golden formulas, chain/top/loop verification suites."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from polyreg import forms as F
 from polyreg.funcfield import one_minus, parse_function as pf
-from polyreg.polycomplex import bracket_tensor, parse_element, pure_wedge
+from polyreg.polycomplex import bracket_tensor, delta, parse_element, pure_wedge, random_element
 from polyreg.polylog import sv_polylog
 from polyreg.regulator import (
     RegulatorConfig,
@@ -69,6 +71,26 @@ class TestRMap:
     def test_malformed(self):
         with pytest.raises(ValueError):
             r_map(parse_element("{f}_2 (x) g", weight=4))
+
+
+def test_construction_pinned():
+    """What r_map, d and delta build on 100 elements, printed in order and
+    hashed.  The digest was taken with univariate functions still reduced by
+    Euclid on Polynomial objects and every sum grown one summand at a time."""
+    elements = [e for w in range(3, 8) for _, e in standard_chain_elements(w)]
+    elements += [random_element(w, random.Random(s)) for s in range(20) for w in (3, 4, 5, 6)]
+    digest = hashlib.sha256()
+    for e in elements:
+        image = r_map(e)
+        parts = [str(e), F.format_form(image), F.format_form(F.exterior_derivative(image))]
+        if e.degree < e.weight:
+            parts += [str(delta(e)), F.format_form(r_map(delta(e)))]
+        for part in parts:
+            digest.update(part.encode())
+    assert len(elements) == 100
+    assert digest.hexdigest() == (
+        "ab75de56f9a05f70a13dfe3dfc49bb338207c2a564e0410270e8d973e41de0e2"
+    )
 
 
 class TestGolden:
