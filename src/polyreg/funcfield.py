@@ -12,7 +12,8 @@ so syntactic equality is mathematical equality. Multivariate quotients are
 only content-normalized (denominator primitive over Z with positive leading
 coefficient in lex order); mathematical equality is decided separately by
 cross-multiplication (`equals`). Unused variables are pruned, constants live
-over the empty variable tuple.  The univariate reduction runs on dense
+over the empty variable tuple, and so do zero and every univariate
+quotient that reduces to a constant.  The univariate reduction runs on dense
 ascending coefficient lists: Euclid for a gcd, the exact quotients only when
 the gcd is not constant, then division by the leading coefficient of the
 denominator.  Results that are clean or canonical by construction (sums and
@@ -341,8 +342,7 @@ class RationalFunction:
         used = tuple(sorted(set(num.used_variables()) | set(den.used_variables())))
         num, den = num._prune(used), den._prune(used)
         if num.is_zero():
-            num = Polynomial(used, {})
-            den = Polynomial.constant(1, used)
+            num, den = Polynomial.constant(0), Polynomial.constant(1)
         elif len(used) == 1:
             n, d = num._univariate_coeffs(), den._univariate_coeffs()
             a, b = n, d
@@ -350,9 +350,12 @@ class RationalFunction:
                 a, b = b, _dense_divmod(a, b)[1]
             if len(a) > 1:
                 n, d = _dense_divmod(n, a)[0], _dense_divmod(d, a)[0]
-            inv = 1 / d[-1]
-            num = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(n) if c})
-            den = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(d) if c})
+            if len(n) == len(d) == 1:  # a constant quotient drops its variable
+                num, den = Polynomial.constant(n[0] / d[0]), Polynomial.constant(1)
+            else:
+                inv = 1 / d[-1]
+                num = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(n) if c})
+                den = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(d) if c})
         else:  # constants and the multivariate case: content-normalize only
             _, lc = den.leading()
             scale = Fraction(1) / den.content()
@@ -418,9 +421,6 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.num.variables and self.num.is_constant() and self.den.is_constant():
-            # a reduced constant still over its variable: the constructor drops it
-            return RationalFunction(-self.num, self.den)
         return RationalFunction._raw(-self.num, self.den)
 
     def __sub__(self, other):
@@ -466,7 +466,7 @@ def const(value) -> RationalFunction:
 
 
 def one_minus(f: RationalFunction) -> RationalFunction:
-    return const(1) - f
+    return RationalFunction(f.den - f.num, f.den)
 
 
 # --- evaluation ---------------------------------------------------------

@@ -15,11 +15,14 @@ Double precision (precision_bits <= 53) takes one of three routes by |z|:
   * 1/2 < |z| <= 2: the log-expansion of Li_k(e^w) in w = log z, or of
     Li_k(-e^u) in u = log(-z) when Re z < 0 (D. C. Wood 1992, R. Crandall 2006);
   * |z| > 2: inversion, sv(n, z) = (-1)^(n-1) sv(n, 1/z) for n >= 2.
-Weight 1 is -log|1-z| on every route.  High precision (precision_bits > 53)
-evaluates the defining combination with mpmath; it is the certification
-oracle for the double routes.  `sv_transport` is a second oracle: RK4
-transport of the differential system (`_kernel_py.path_state`) from 1/2
-through chosen waypoints to z.
+Weight 1 is -log|1-z| on every route.  The log-expansion tables are built
+once per (weight, center) from the exact layer's integers, one correctly
+rounded division per coefficient; mpmath supplies only their irrational
+heads, zeta(s) for s >= 2 and log 2 (see `_expansion`).  High precision
+(precision_bits > 53) evaluates the defining combination with mpmath; it is
+the certification oracle for the double routes.  `sv_transport` is a second
+oracle: RK4 transport of the differential system (`_kernel_py.path_state`)
+from 1/2 through chosen waypoints to z.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import List, Sequence
 import mpmath as mp
 
 from . import _kernel_py
-from .exact import bernoulli, beta, report_case
+from .exact import beta, report_case
 
 
 class ConvergenceError(ArithmeticError):
@@ -55,6 +58,7 @@ _RK_TOL = 1e-10
 _MAX_STEPS = 16384
 # bound on |log z| over 1/2 < |z| <= 2, Re z >= 0, and on |log(-z)| over its mirror
 _HALF_ANNULUS_RADIUS = 1.72
+_PY_NUMBERS = (complex, float, int)
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,12 +67,13 @@ def _betas_float(n: int) -> tuple:
 
 
 def pi_projection(n: int, w: complex) -> complex:
-    """Keep Re for odd weight, i Im for even weight."""
+    """Keep Re for odd weight, i Im for even weight: a complex for a Python
+    number, an mpc for an mpmath value."""
     if n < 1:
         raise ValueError("weight must be >= 1")
     if n % 2:
-        return complex(w.real, 0.0) if isinstance(w, complex) else mp.mpc(mp.re(w), 0)
-    return complex(0.0, w.imag) if isinstance(w, complex) else mp.mpc(0, mp.im(w))
+        return complex(w.real, 0.0) if isinstance(w, _PY_NUMBERS) else mp.mpc(mp.re(w), 0)
+    return complex(0.0, w.imag) if isinstance(w, _PY_NUMBERS) else mp.mpc(0, mp.im(w))
 
 
 def li(n: int, z: complex, precision_bits: int = 53):
@@ -172,30 +177,41 @@ def _integrate(n: int, nodes: Sequence[complex]) -> List[complex]:
 # double-precision evaluation
 
 
-def _zeta_at(s: int):
-    """zeta(s) at an integer s != 1; from Bernoulli numbers for s <= 0."""
-    if s >= 2:
-        return _zeta_value(s, 53)
-    return _mp_fraction(Fraction(-1, 2) if s == 0 else -bernoulli(1 - s) / (1 - s))
-
-
 @functools.lru_cache(maxsize=None)
 def _expansion(k: int, center: int) -> tuple:
     """Taylor coefficients c_j of Li_k(center * e^v) in v, cut where the
     tail drops below 1e-20 on |v| <= _HALF_ANNULUS_RADIUS.  Center 1:
     zeta(k-j)/j!, but H_{k-1}/(k-1)! at j = k-1, where Li_k also carries
     -v^(k-1)/(k-1)! log(-v).  Center -1: Li_{k-j}(-1)/j!, with
-    Li_s(-1) = (2^(1-s) - 1) zeta(s) and Li_1(-1) = -log 2."""
-    out = []
+    Li_s(-1) = (2^(1-s) - 1) zeta(s) and Li_1(-1) = -log 2.
+
+    Every rational entry is one correctly rounded int / int division: for
+    s = k - j <= 0, zeta(0) = -1/2 and zeta(s) = -beta_{1-s} (-s)!/2^(1-s)
+    (that is -B_{1-s}/(1-s)) from the cached Fractions of `exact.beta`;
+    H_{k-1} at s = 1 about 1.  Only the irrational heads, zeta(s) for
+    s >= 2 and -log 2 at s = 1 about -1, are mpmath values at 80 bits."""
+    out, fact = [], 1  # fact = j!
     with mp.workprec(80):
-        harmonic = _mp_fraction(sum(Fraction(1, i) for i in range(1, k)))
         for j in itertools.count():
-            s = k - j
+            s, fact = k - j, fact * (j or 1)
+            if s == 1 and center == -1:
+                out.append(float(-mp.log(2) / mp.factorial(j)))
+                continue
+            if s >= 2:
+                c = _zeta_value(s, 53) * (1 if center == 1 else mp.mpf(2) ** (1 - s) - 1)
+                out.append(float(c / mp.factorial(j)))
+                continue
             if s == 1:
-                c = harmonic if center == 1 else -mp.log(2)
+                h = sum(Fraction(1, i) for i in range(1, k))
+                num, den = h.numerator, h.denominator
+            elif s == 0:
+                num, den = -1, 2
             else:
-                c = _zeta_at(s) * (1 if center == 1 else mp.mpf(2) ** (1 - s) - 1)
-            out.append(float(c / mp.factorial(j)))
+                b = beta(1 - s)
+                num, den = -b.numerator * math.factorial(-s), b.denominator << (1 - s)
+            if center == -1:
+                num *= (1 << (1 - s)) - 1
+            out.append(num / (den * fact))
             # past j = k the nonzero terms decay geometrically; zeros alternate
             if s < 0 and max(map(abs, out[-2:])) * _HALF_ANNULUS_RADIUS**j < 1e-20:
                 return tuple(out[:-2])
@@ -281,9 +297,6 @@ def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
 
 # ---------------------------------------------------------------------------
 # public entry points
-
-
-_PY_NUMBERS = (complex, float, int)
 
 
 def _check_argument(name: str, n: int, z) -> None:

@@ -56,6 +56,28 @@ def test_univariate_canonical_monic_gcd():
     assert f == parse_function("(t+1)/2")
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("(t+1)/(t+1)", 1), ("(2*t+2)/(t+1)", 2), ("(t-1)/(2-2*t)", Fraction(-1, 2)), ("(0*t)/t", 0)],
+)
+def test_constant_quotient_drops_its_variable(text, value):
+    f = parse_function(text)
+    assert f.variables() == () and f.is_constant()
+    assert f.constant_value() == value
+    assert f == const(value)
+    assert (-f).variables() == ()
+    if value:  # the constant-1 slot kills the wedge, as const(1) does
+        assert pure_wedge([t, f]) == pure_wedge([t, const(value)])
+        assert pure_wedge([t, f]).is_zero() == (value == 1)
+
+
+def test_negation_keeps_the_constant_flag():
+    for text in ("t", "(t+1)/(t-1)", "3", "(x*y)/(x+1)", "(t+1)/(t+1)", "(0*t)/t"):
+        f = parse_function(text)
+        assert (-(-f)).is_constant() == f.is_constant(), text
+        assert -(-f) == f, text
+
+
 def test_eval_examples():
     assert abs(rf_eval(parse_function("t^2+1"), 1j)) < 1e-15
     with pytest.raises(PoleError):

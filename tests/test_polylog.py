@@ -7,8 +7,10 @@ make a failing run pass.
 """
 
 import cmath
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from polyreg import polylog as P
 from polyreg import _kernel_py
+from polyreg.exact import bernoulli
 
 LN2 = 0.6931471805599453
 LI2_HALF = 0.5822405264650125
@@ -323,3 +326,45 @@ def test_pi_projection():
     assert P.pi_projection(4, w) == -0.5j
     with pytest.raises(ValueError):
         P.pi_projection(0, w)
+    # every Python number gives a complex, an mpmath value an mpc
+    for n, x, want in [(1, 0.5, 0.5 + 0j), (2, 0.5, 0j), (3, 3, 3 + 0j), (2, 3, 0j)]:
+        got = P.pi_projection(n, x)
+        assert type(got) is complex and got == want, (n, x, got)
+    assert isinstance(P.pi_projection(1, mp.mpf(0.5)), mp.mpc)
+
+
+def _expansion_80bit(k, center):
+    """The log-expansion table as first built: every entry an 80-bit mpmath
+    value, zeta(s) for s <= 0 from Bernoulli numbers, one rounding to a
+    double at the end; the same truncation rule."""
+
+    def mp_fraction(q):
+        return mp.mpf(q.numerator) / q.denominator
+
+    out = []
+    with mp.workprec(80):
+        harmonic = mp_fraction(sum(Fraction(1, i) for i in range(1, k)))
+        for j in itertools.count():
+            s = k - j
+            if s == 1:
+                c = harmonic if center == 1 else -mp.log(2)
+            else:
+                if s >= 2:
+                    with mp.workprec(65):
+                        zeta = +mp.zeta(s)
+                else:
+                    zeta = mp_fraction(Fraction(-1, 2) if s == 0 else -bernoulli(1 - s) / (1 - s))
+                c = zeta * (1 if center == 1 else mp.mpf(2) ** (1 - s) - 1)
+            out.append(float(c / mp.factorial(j)))
+            if s < 0 and max(map(abs, out[-2:])) * 1.72**j < 1e-20:
+                return tuple(out[:-2])
+
+
+def test_expansion_tables_pinned():
+    """The integer-built tables equal the 80-bit ones bit for bit: same
+    length, same sign, same float.hex of every entry."""
+    P._expansion.cache_clear()
+    for k in range(1, 13):
+        for center in (1, -1):
+            got = [x.hex() for x in P._expansion(k, center)]
+            assert got == [x.hex() for x in _expansion_80bit(k, center)], (k, center)
