@@ -12,7 +12,8 @@ permutation sign tracked, and forms merged by term key, by the
 signed-combination core of `funcfield` (`sort_signed`, `Combination`); a
 repeated generator kills the term.  A term computes its key once and keeps
 it (`scaled` copies pass it on); sums collect their terms and merge once, and
-a weighted alternation is built as one term per slot assignment.
+a weighted alternation is built as one term per slot assignment.  The parser
+(`parse_form`) does the same from text: one build per term, one merge per form.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -52,6 +53,8 @@ from .funcfield import (
     _poly_at,
     _pole_guard,
     _slopes,
+    one_minus,
+    parse_function,
     sort_signed,
 )
 from .polylog import sv_state
@@ -102,14 +105,16 @@ class FormTerm:
 
 
 def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]:
-    coefficient = Fraction(coefficient)
     if not coefficient:
         return None
     signed = sort_signed(generators, _gen_key)
     if signed is None:
         return None
     sign, gens = signed
-    return FormTerm(sign * coefficient, tuple(sorted(scalars, key=_scalar_key)), gens)
+    if not isinstance(coefficient, Fraction):
+        coefficient = Fraction(coefficient)
+    scalars = tuple(sorted(scalars, key=_scalar_key))
+    return FormTerm(coefficient if sign > 0 else -coefficient, scalars, gens)
 
 
 class Form(Combination):
@@ -131,17 +136,11 @@ class Form(Combination):
         return format_term(t.scaled(coefficient))
 
     def wedge(self, other: "Form") -> "Form":
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(
-                    _make_term(
-                        a.coefficient * b.coefficient,
-                        a.scalars + b.scalars,
-                        a.generators + b.generators,
-                    )
-                )
-        return form(self.degree + other.degree, out)
+        return form(self.degree + other.degree, [
+            _make_term(a.coefficient * b.coefficient, a.scalars + b.scalars,
+                       a.generators + b.generators)
+            for a in self.terms for b in other.terms
+        ])
 
 
 def form(degree: int, terms: Iterable[Optional[FormTerm]]) -> Form:
@@ -165,8 +164,6 @@ def sv_scalar(p: int, f: RationalFunction, coefficient: Rational = 1) -> Form:
     if p < 1:
         raise ValueError("weight must be >= 1")
     if p == 1:
-        from .funcfield import one_minus
-
         return log_abs(one_minus(f), -Fraction(coefficient))
     return form(0, [_make_term(coefficient, (("sv", p, f),), ())])
 
@@ -196,8 +193,6 @@ def sv_pq(p: int, q: int, f: RationalFunction) -> Form:
     case reading alpha(1-f, f) log^{q-1}|f|."""
     if p < 1 or q < 1:
         raise ValueError("indices must be >= 1")
-    from .funcfield import one_minus
-
     if p == 1:
         out = alpha(one_minus(f), f)
     else:
@@ -215,8 +210,6 @@ def _d_scalar(s) -> Form:
     if s[0] == "log":
         return dlog(s[1])
     _, n, f = s
-    from .funcfield import one_minus
-
     if n == 2:
         return log_abs(one_minus(f), -1).wedge(diarg(f)) + log_abs(f).wedge(
             diarg(one_minus(f))
@@ -234,15 +227,11 @@ def exterior_derivative(a: Form) -> Form:
     for t in a.terms:
         for i, s in enumerate(t.scalars):
             rest = t.scalars[:i] + t.scalars[i + 1 :]
-            ds = _d_scalar(s)
-            for u in ds.terms:
-                out.append(
-                    _make_term(
-                        t.coefficient * u.coefficient,
-                        rest + u.scalars,
-                        u.generators + t.generators,
-                    )
-                )
+            out += [
+                _make_term(t.coefficient * u.coefficient, rest + u.scalars,
+                           u.generators + t.generators)
+                for u in _d_scalar(s).terms
+            ]
     return form(a.degree + 1, out)
 
 
@@ -510,10 +499,6 @@ def numeric_d(a: Form, x, vectors: Sequence) -> complex:
 # pretty-printing and the golden-file grammar
 
 
-def _fn_text(g: RationalFunction) -> str:
-    return str(g)
-
-
 def format_term(t: FormTerm) -> str:
     bits = []
     c = t.coefficient
@@ -528,13 +513,13 @@ def format_term(t: FormTerm) -> str:
             j += 1
         power = j - i
         if s[0] == "log":
-            text = "log(%s)" % _fn_text(s[1])
+            text = "log(%s)" % s[1]
         else:
-            text = "L%d(%s)" % (s[1], _fn_text(s[2]))
+            text = "L%d(%s)" % (s[1], s[2])
         bits.append(text + ("^%d" % power if power > 1 else ""))
         i = j
     gen_text = "^".join(
-        ("dlog(%s)" if k == "dlog" else "darg(%s)") % _fn_text(g)
+        ("dlog(%s)" if k == "dlog" else "darg(%s)") % g
         for k, g in t.generators
     )
     if gen_text:
@@ -544,6 +529,13 @@ def format_term(t: FormTerm) -> str:
 
 def format_form(a: Form) -> str:
     return str(a)
+
+
+def _product(a: list, b: list) -> list:
+    """Raw (coefficient, scalars, generators) triples of the product of two
+    sums of them: coefficients multiply (most are the int 1, and a Fraction
+    times an int is slow), scalars and generators concatenate."""
+    return [(c * e if e != 1 else c, s + t, g + h) for c, s, g in a for e, t, h in b]
 
 
 class _FormParser:
@@ -557,8 +549,11 @@ class _FormParser:
 
     A product of factors multiplies scalars and wedges generators in the
     written order, whether joined by '*', '^' or nothing; '^' followed by
-    digits is a power.  alpha(f, g) expands to its two-term 1-form.  '·'
-    counts as whitespace.  Each distinct argument text is parsed once.
+    digits is a power.  '·' counts as whitespace.  Each distinct argument
+    text is parsed once.  A factor is read as raw (coefficient, scalars,
+    generators) triples: alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k'
+    repeats the factor.  Each term's triples are built once by `_make_term`
+    and the form is merged once.
     """
 
     def __init__(self, text: str):
@@ -578,42 +573,34 @@ class _FormParser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> Form:
-        lead = 1
-        if self.peek() == "-":
-            self.pos += 1
-            lead = -1
-        elif self.peek() == "+":
-            self.pos += 1
-        parts = [lead * self.term()]
-        while True:
+        parts = []  # (degree, terms) per signed term; the first sign is optional
+        while not parts or self.peek():
             ch = self.peek()
-            if ch == "+":
+            if ch == "+" or ch == "-":
                 self.pos += 1
-                parts.append(self.term())
-            elif ch == "-":
-                self.pos += 1
-                parts.append((-1) * self.term())
-            elif ch == "":
-                break
-            else:
+            elif parts:
                 self.error("unexpected character %r" % ch)
-        # as when summing pairwise: a zero summand takes the other's degree
-        degree = next((p.degree for p in parts if p.terms), parts[-1].degree)
-        return form(degree, [t for p in parts for t in p.terms])
+            parts.append(self.term(-1 if ch == "-" else 1))
+        if len({degree for degree, _ in parts}) > 1:
+            # as when summing pairwise: a zero summand takes the other's degree
+            parts = [(degree, form(degree, terms).terms) for degree, terms in parts]
+        degree = next((d for d, terms in parts if terms), parts[-1][0])
+        return form(degree, [t for _, terms in parts for t in terms])
 
-    def term(self) -> Form:
-        out = self.factor()
+    def term(self, sign: int) -> tuple:
+        """(degree, terms) of one signed product of factors."""
+        degree, triples = self.factor()
         while True:
             ch = self.peek()
             if ch and ch in "*^":
                 self.pos += 1
-                out = out.wedge(self.factor())
-            elif ch and (ch.isalnum() or ch == "("):
-                out = out.wedge(self.factor())
-            else:
-                return out
+            elif not (ch and (ch.isalnum() or ch == "(")):
+                return degree, [_make_term(c if sign > 0 else -c, s, g) for c, s, g in triples]
+            more_degree, more = self.factor()
+            degree, triples = degree + more_degree, _product(triples, more)
 
-    def factor(self) -> Form:
+    def factor(self) -> tuple:
+        """(degree, raw triples) of one factor."""
         ch = self.peek()
         if ch == "(":
             save = self.pos
@@ -624,11 +611,11 @@ class _FormParser:
                 if self.peek() != ")":
                     self.error("expected ) after coefficient")
                 self.pos += 1
-                return scalar(c)
+                return 0, [(c, (), ())]
             self.pos = save
             self.error("unexpected (")
         if ch.isdigit():
-            return scalar(self.coeff())
+            return 0, [(self.coeff(), (), ())]
         if not ch.isalpha():
             self.error("expected a factor")
         start = self.pos
@@ -638,7 +625,7 @@ class _FormParser:
         if self.peek() != "(":
             self.error("expected ( after %r" % name)
         args = self.call_args()
-        out = self.build(name, args)
+        degree, triples = self.build(name, args)
         if self.peek() == "^":
             save = self.pos
             self.pos += 1
@@ -646,12 +633,13 @@ class _FormParser:
                 power = self.coeff()
                 if power.denominator != 1 or power < 1:
                     self.error("bad power")
-                base = out
+                base = triples
                 for _ in range(int(power) - 1):
-                    out = out.wedge(base)
+                    triples = _product(triples, base)
+                degree *= int(power)
             else:
                 self.pos = save
-        return out
+        return degree, triples
 
     def call_args(self) -> list:
         # splits balanced-paren argument text at top-level commas
@@ -677,28 +665,30 @@ class _FormParser:
         self.error("unbalanced parentheses in call")
 
     def function(self, text: str) -> RationalFunction:
-        from .funcfield import parse_function
-
         f = self.functions.get(text)
         if f is None:
             f = self.functions[text] = parse_function(text)
         return f
 
-    def build(self, name: str, args: list) -> Form:
+    def build(self, name: str, args: list) -> tuple:
+        """(degree, raw triples) of one call."""
         fs = [self.function(a) for a in args]
-        if name == "log" and len(fs) == 1:
-            return log_abs(fs[0])
-        if name == "dlog" and len(fs) == 1:
-            return dlog(fs[0])
-        if name == "darg" and len(fs) == 1:
-            return diarg(fs[0])
-        if name == "alpha" and len(fs) == 2:
-            return alpha(fs[0], fs[1])
-        if name.startswith("L") and name[1:].isdigit() and len(fs) == 1:
-            return sv_scalar(int(name[1:]), fs[0])
+        if name == "alpha" and len(fs) == 2:  # -log|f| dlog|g| + log|g| dlog|f|
+            f, g = fs
+            return 1, [(-1, (("log", f),), (("dlog", g),)), (1, (("log", g),), (("dlog", f),))]
+        if len(fs) == 1:
+            if name == "log":
+                return 0, [(1, (("log", fs[0]),), ())]
+            if name in ("dlog", "darg"):
+                return 1, [(1, (), (("dlog" if name == "dlog" else "diarg", fs[0]),))]
+            p = int(name[1:]) if name[:1] == "L" and name[1:].isdigit() else 0
+            if p == 1:  # sv(1, f) = -log|1-f|
+                return 0, [(-1, (("log", one_minus(fs[0])),), ())]
+            if p > 1:
+                return 0, [(1, (("sv", p, fs[0]),), ())]
         self.error("unknown call %s/%d" % (name, len(args)))
 
-    def coeff(self) -> Fraction:
+    def coeff(self) -> Rational:
         self.ws()
         start = self.pos
         if self.peek() == "-":
@@ -708,17 +698,19 @@ class _FormParser:
         if start == self.pos:
             self.error("expected a number")
         num = int(self.text[start : self.pos])
-        if self.peek() == "/":
-            self.pos += 1
-        else:
-            return Fraction(num)
+        if self.peek() != "/":
+            return num
+        self.pos += 1
         self.ws()
         dstart = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if dstart == self.pos:
             self.error("expected a denominator")
-        return Fraction(num, int(self.text[dstart : self.pos]))
+        den = int(self.text[dstart : self.pos])
+        if not den:
+            self.error("zero denominator")
+        return Fraction(num, den)
 
 
 def parse_form(text: str) -> Form:

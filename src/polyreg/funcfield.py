@@ -18,7 +18,9 @@ ascending coefficient lists: Euclid for a gcd, the exact quotients only when
 the gcd is not constant, then division by the leading coefficient of the
 denominator.  Results that are clean or canonical by construction (sums and
 products of polynomials, `var`, `const`, negation) skip validation through
-the trusted constructors `Polynomial._raw` and `RationalFunction._raw`.
+the trusted constructors `Polynomial._raw` and `RationalFunction._raw`.  A
+function's key "(num)/(den)" and its text are built together on first use,
+so intermediate results of arithmetic and parsing are never printed.
 
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
@@ -303,11 +305,8 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-        out = self._term_str(*items[0], lead=True)
-        for expo, coeff in items[1:]:
-            out += self._term_str(expo, coeff)
-        return out
+        items = sorted(self.terms.items(), reverse=True)  # exponents are distinct
+        return "".join(self._term_str(e, c, lead=not i) for i, (e, c) in enumerate(items))
 
     __repr__ = __str__
 
@@ -332,7 +331,7 @@ def _dense_divmod(a: list, b: list):
 class RationalFunction:
     """Quotient of polynomials in canonical form (see module docstring)."""
 
-    __slots__ = ("num", "den", "_key", "_compiled")
+    __slots__ = ("num", "den", "_key", "_text", "_compiled")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -374,8 +373,7 @@ class RationalFunction:
     def _set(self, num: Polynomial, den: Polynomial):
         self.num = num
         self.den = den
-        self._key = f"({num})/({den})"
-        self._compiled = None
+        self._key = self._text = self._compiled = None
 
     # --- structure -------------------------------------------------------
     def variables(self) -> tuple:
@@ -391,16 +389,21 @@ class RationalFunction:
         return self.num.constant_value() / self.den.constant_value()
 
     def key(self) -> str:
-        """Deterministic total-order key; equal keys iff equal canonical form."""
+        """Deterministic total-order key "(num)/(den)"; equal keys iff equal
+        canonical form.  Built with str(self) on first use and kept."""
+        if self._key is None:
+            num, den = str(self.num), str(self.den)
+            self._key = f"({num})/({den})"
+            self._text = num if den == "1" else self._key
         return self._key
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self._key == other._key
+        return self.key() == other.key()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.key())
 
     def equals(self, other: "RationalFunction") -> bool:
         """Mathematical equality by cross-multiplication (exact)."""
@@ -450,9 +453,9 @@ class RationalFunction:
         return RationalFunction(self.num**k, self.den**k)
 
     def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        return self._key
+        if self._key is None:
+            self.key()
+        return self._text
 
     __repr__ = __str__
 
@@ -690,7 +693,10 @@ class _FunctionParser:
         return False
 
     def parse(self) -> RationalFunction:
-        value = self.expr()
+        try:
+            value = self.expr()
+        except ZeroDivisionError:  # raised once the zero divisor is read
+            self.error("division by zero")
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")

@@ -243,21 +243,25 @@ def golden_formula_tests() -> dict:
 # generic sampling
 
 
-def _gather_functions(a: Form) -> List[RationalFunction]:
-    seen, out = set(), []
-    for t in a.terms:
-        fns = []
-        for s in t.scalars:
-            if s[0] == "log":
-                fns.append(s[1])
-            else:
-                fns.append(s[2])
-                fns.append(one_minus(s[2]))
-        fns.extend(g[1] for g in t.generators)
-        for h in fns:
-            if h.key() not in seen:
-                seen.add(h.key())
-                out.append(h)
+def _gather_functions(*forms_: Form) -> List[RationalFunction]:
+    """The distinct functions of the forms' terms, with 1 - f after each sv
+    argument f (built once per distinct f), in order of first appearance."""
+    seen, out, complements = set(), [], {}
+    for a in forms_:
+        for t in a.terms:
+            fns = []
+            for s in t.scalars:
+                if s[0] == "log":
+                    fns.append(s[1])
+                else:
+                    if s[2] not in complements:
+                        complements[s[2]] = one_minus(s[2])
+                    fns += (s[2], complements[s[2]])
+            fns.extend(g[1] for g in t.generators)
+            for h in fns:
+                if h not in seen:
+                    seen.add(h)
+                    out.append(h)
     return out
 
 
@@ -308,7 +312,7 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
     lhs = exterior_derivative(image)
     rhs = r_map(delta(e))
     names = _variables(lhs, rhs)
-    functions = _gather_functions(lhs) + _gather_functions(rhs)
+    functions = _gather_functions(lhs, rhs)
     rng = random.Random(cfg.seed)
     count = e.degree
     parity = weight - 1

@@ -27,6 +27,11 @@ class TestExitCodes:
         code, _ = run_json(capsys, ["chain-check", "--element", "{f}_2 (x) g"])
         assert code == 2
 
+    def test_usage_error_zero_denominator(self, capsys):
+        code = run(["chain-check", "--weight", "3", "--element", "{1/(t-t)}_3"])
+        assert code == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_usage_error_bad_radii(self, capsys):
         for radii in ("1e-3,1e-2", "1e-2,1e-3"):  # increasing; too few for the fit
             code, _ = run_json(

@@ -304,6 +304,235 @@ class TestGrammar:
             assert F.parse_form(F.format_form(a)) == a
 
 
+class _ReferenceFormParser:
+    """The form parser as it was before terms were built as raw triples: each
+    factor is a Form, folded into the term with Form.wedge.  Kept as the
+    reference the triple-building parser must reproduce."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.functions = {}
+
+    def error(self, msg):
+        raise ValueError("%s at offset %d in %r" % (msg, self.pos, self.text))
+
+    def ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t·":
+            self.pos += 1
+
+    def peek(self):
+        self.ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self):
+        lead = 1
+        if self.peek() == "-":
+            self.pos += 1
+            lead = -1
+        elif self.peek() == "+":
+            self.pos += 1
+        parts = [lead * self.term()]
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                parts.append(self.term())
+            elif ch == "-":
+                self.pos += 1
+                parts.append((-1) * self.term())
+            elif ch == "":
+                break
+            else:
+                self.error("unexpected character %r" % ch)
+        degree = next((p.degree for p in parts if p.terms), parts[-1].degree)
+        return F.form(degree, [t for p in parts for t in p.terms])
+
+    def term(self):
+        out = self.factor()
+        while True:
+            ch = self.peek()
+            if ch and ch in "*^":
+                self.pos += 1
+                out = out.wedge(self.factor())
+            elif ch and (ch.isalnum() or ch == "("):
+                out = out.wedge(self.factor())
+            else:
+                return out
+
+    def factor(self):
+        ch = self.peek()
+        if ch == "(":
+            save = self.pos
+            self.pos += 1
+            inner = self.peek()
+            if inner.isdigit() or inner == "-":
+                c = self.coeff()
+                if self.peek() != ")":
+                    self.error("expected ) after coefficient")
+                self.pos += 1
+                return F.scalar(c)
+            self.pos = save
+            self.error("unexpected (")
+        if ch.isdigit():
+            return F.scalar(self.coeff())
+        if not ch.isalpha():
+            self.error("expected a factor")
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalnum():
+            self.pos += 1
+        name = self.text[start : self.pos]
+        if self.peek() != "(":
+            self.error("expected ( after %r" % name)
+        args = self.call_args()
+        out = self.build(name, args)
+        if self.peek() == "^":
+            save = self.pos
+            self.pos += 1
+            if self.peek().isdigit():
+                power = self.coeff()
+                if power.denominator != 1 or power < 1:
+                    self.error("bad power")
+                base = out
+                for _ in range(int(power) - 1):
+                    out = out.wedge(base)
+            else:
+                self.pos = save
+        return out
+
+    def call_args(self):
+        assert self.peek() == "("
+        self.pos += 1
+        depth = 1
+        start = self.pos
+        args = []
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    args.append(self.text[start : self.pos])
+                    self.pos += 1
+                    return [a.strip() for a in args]
+            elif ch == "," and depth == 1:
+                args.append(self.text[start : self.pos])
+                start = self.pos + 1
+            self.pos += 1
+        self.error("unbalanced parentheses in call")
+
+    def function(self, text):
+        f = self.functions.get(text)
+        if f is None:
+            f = self.functions[text] = pf(text)
+        return f
+
+    def build(self, name, args):
+        fs = [self.function(a) for a in args]
+        if name == "log" and len(fs) == 1:
+            return F.log_abs(fs[0])
+        if name == "dlog" and len(fs) == 1:
+            return F.dlog(fs[0])
+        if name == "darg" and len(fs) == 1:
+            return F.diarg(fs[0])
+        if name == "alpha" and len(fs) == 2:
+            return F.alpha(fs[0], fs[1])
+        if name.startswith("L") and name[1:].isdigit() and len(fs) == 1:
+            return F.sv_scalar(int(name[1:]), fs[0])
+        self.error("unknown call %s/%d" % (name, len(args)))
+
+    def coeff(self):
+        self.ws()
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected a number")
+        num = int(self.text[start : self.pos])
+        if self.peek() == "/":
+            self.pos += 1
+        else:
+            return Fraction(num)
+        self.ws()
+        dstart = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if dstart == self.pos:
+            self.error("expected a denominator")
+        return Fraction(num, int(self.text[dstart : self.pos]))
+
+
+def assert_parsed_as_reference(text):
+    """parse_form and the reference agree on text: the same value, degree and
+    printed text, or both raise ValueError."""
+    try:
+        want = _ReferenceFormParser(text).parse()
+    except ValueError:
+        with pytest.raises(ValueError):
+            F.parse_form(text)
+        return
+    got = F.parse_form(text)
+    assert got == want, text
+    assert (got.degree, F.format_form(got)) == (want.degree, F.format_form(want)), text
+
+
+HAND_TEXTS = [
+    "alpha(1-t, t)", "alpha(t, t)", "alpha(t,t) + log(t)", "log(t) + alpha(t, t)",
+    "alpha(t, 1+t)^2", "alpha(x, y)*alpha(y, x)", "alpha(t, 1-t)*log(t)^2*darg(t+2)",
+    "L1(t)", "L1(1-t)*dlog(t)", "L2(t)^2*L1(t)", "L01(t)*darg(t)", "L3(t)*dlog(t)*darg(1-t)",
+    "log(t)^3*dlog(t)", "log(t)^2/1*darg(t)", "dlog(t)^2", "dlog(t)^2 + log(t)",
+    "0*dlog(t) + log(t)", "log(t) + 0*dlog(t)", "0*dlog(t) - 0*darg(t)", "0", "(0)*log(t)",
+    "dlog(t)*darg(1-t) - darg(1-t)*dlog(t)", "darg(1-t)^dlog(t) + dlog(t)^darg(1-t)",
+    "log(t) - log(t)", "-log(t) + log(t)*1", "+ log(t)", "- 2*L2(t)·darg(t)",
+    "2^3*log(t)", "2 3 log(t)", "log(t)dlog(t)", "(-1/2)*L2(t)*darg(t) + (1/2)*L2(t)*darg(t)",
+    "(1/3)*log(t)^2*dlog(t) - 2*darg(t)", "log(x*y)^2*dlog(x)^darg(y)",
+    "log((t+1)/(t-2))*dlog(t+1) - log(1+t)*dlog(t+1)", "log(t)*log(1-t) - log(1-t)*log(t)",
+]
+MALFORMED_TEXTS = [
+    "", "log(t", "frob(t)", "log(t)*", "1/", "L3(t)^", "L0(t)", "L(t)", "log(t, t)",
+    "alpha(t)", "log(t)^0", "log(t)^3/2", "(log(t))", "dlog(t) - dlog(t) + log(t)",
+    "log(t) + dlog(t)", "(- 3)*log(t)", "log(t) $", "log(t))", "(1/2", "log(t +)",
+]
+
+
+class TestParserAgainstReference:
+    @pytest.mark.parametrize("text", HAND_TEXTS + MALFORMED_TEXTS)
+    def test_hand_cases(self, text):
+        assert_parsed_as_reference(text)
+
+    def test_golden_forms(self):
+        texts = [block["form"] for block in R._load_golden()]
+        assert texts
+        for text in texts:
+            assert_parsed_as_reference(text)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_images(self, seed, w):
+        e = random_element(w, random.Random(seed))
+        image = R.r_map(e)
+        for a in (image, F.exterior_derivative(image), R.r_map(delta(e))):
+            assert_parsed_as_reference(F.format_form(a))
+
+    @given(st.lists(st.sampled_from([
+        "log(t)", "log(1-t)", "dlog(t)", "darg(1-t)", "darg(x*y)", "alpha(t, 1-t)",
+        "alpha(t, t)", "L1(t)", "L2(1/t)", "2", "(-1/3)", "0", "^2", "^", "*", " ",
+        " + ", " - ", "(", ")", ",",
+    ]), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_token_soup(self, tokens):
+        assert_parsed_as_reference("".join(tokens))
+
+    @pytest.mark.parametrize("text", ["1/0*log(t)", "(3/0)*dlog(t)", "log(t)^2/0",
+                                      "log(1/(t-t))", "dlog((t-1)^-1/(1-1))"])
+    def test_zero_denominator_is_a_usage_error(self, text):
+        with pytest.raises(ValueError, match="offset|position"):
+            F.parse_form(text)
+
+
 def naive_evaluate(a, x, vectors, clearance=1e-6):
     """Term by term, each function, scalar, covector and determinant
     computed afresh: the reference the evaluation plans must reproduce."""

@@ -215,6 +215,43 @@ def test_parser_precedence_and_errors():
         parse_function("(t")
 
 
+def test_zero_denominator_is_a_usage_error():
+    for text in ("1/(t-t)", "1/0", "(t-t)^-2", "x/(y-y)*2"):
+        with pytest.raises(ValueError, match="position"):
+            parse_function(text)
+
+
+def _fresh_texts(f):
+    """(key, str) of f as printed from its polynomials now."""
+    num, den = str(f.num), str(f.den)
+    key = "(%s)/(%s)" % (num, den)
+    return key, num if f.den.is_constant() and f.den.constant_value() == 1 else key
+
+
+_texts = st.sampled_from(["t", "1-t", "2*t+1", "(t^2-1)/(t-1)", "1/t", "3", "0", "-t^2",
+                          "x*y", "(x+y)/(x-2*y)", "y"])
+
+
+@given(_texts, _texts, st.data())
+@settings(max_examples=100, deadline=None)
+def test_key_and_text_as_freshly_printed(a, b, data):
+    """key() and str() of the results of arithmetic, one_minus and negation
+    equal the text printed from their polynomials, whichever is asked first."""
+    f, g = parse_function(a), parse_function(b)
+    if data.draw(st.booleans()):  # operands whose texts are already built
+        f.key(), str(g)
+    ops = [lambda: f + g, lambda: f - g, lambda: f * g, lambda: -f, lambda: -(-g),
+           lambda: one_minus(f), lambda: one_minus(one_minus(g)), lambda: f ** 2]
+    if not g.is_zero():
+        ops.append(lambda: f / g)
+    op = data.draw(st.sampled_from(ops))
+    first, second = op(), op()
+    assert (first.key(), str(first)) == _fresh_texts(first)
+    assert str(second) == _fresh_texts(second)[1]
+    assert second.key() == _fresh_texts(second)[0]
+    assert first == second and hash(first) == hash(second)
+
+
 def test_multivariate_equality_by_cross_multiplication():
     f = parse_function("(x^2-y^2)/(x-y)")
     g = parse_function("x+y")
