@@ -35,6 +35,7 @@ from .forms import (
     diarg,
     dlog,
     evaluate,
+    evaluate_many,
     exterior_derivative,
     format_form,
     log_abs,

@@ -23,17 +23,23 @@ as closed, and single-valued scalars via their total differentials:
                  - sum_{k=2}^{n-1} beta_k sv(n-k, f) log^{k-1}|f| dlog|f|
                    (the k = n-1 term reading sv(1, ..) via alpha(1-f, f))
 
+and builds the differential of each distinct scalar once per call.
+
 Numeric evaluation realizes generators as real-linear covectors,
 dlog|g|(v) = Re(Dg(x;v)/g(x)) and diarg g(v) = i Im(Dg(x;v)/g(x)), and
-expands generator wedges as determinants against the supplied vectors.
-Each form compiles, on first evaluation, into a plan kept on the form: its
+expands generator wedges as determinants against the supplied vectors.  It
+is batched: `evaluate_many` takes forms of one degree and (point, frames)
+samples, and `evaluate` is its one-form, one-frame case.  The forms compile
+into one plan (a single form keeps its plan on first evaluation): their
 distinct functions, scalars and generators, and every term as (complex
-coefficient, scalar indices, generator indices).  A call then evaluates
-each function and its gradient once, with the genericity guards, each
-scalar once, fills one covector table per (generator, vector), and expands
-each term's determinant by first-row cofactors, sharing minors between
-terms.  The arithmetic is the term-by-term arithmetic, so the values are
-bit-identical to it; the plan holds nothing that depends on a point.
+coefficient, scalar indices, generator indices).  At each point, every
+function is evaluated once with the genericity guards, with its gradient if
+it carries a generator, and every scalar once; all frames and forms share
+them.  At each frame, one covector table per (generator, vector) and one
+memo of minors serve all the forms, each term's determinant expanded by
+first-row cofactors.  The arithmetic is the term-by-term arithmetic in its
+order, so the values are bit-identical to it; the plan holds nothing that
+depends on a point.
 """
 
 from __future__ import annotations
@@ -45,14 +51,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .exact import beta
 from .funcfield import (
     Combination,
-    PoleError,
     RationalFunction,
     _compile,
-    _coords,
     _finite,
     _poly_at,
-    _pole_guard,
-    _slopes,
     one_minus,
     parse_function,
     sort_signed,
@@ -224,13 +226,17 @@ def _d_scalar(s) -> Form:
 
 def exterior_derivative(a: Form) -> Form:
     out: List[Optional[FormTerm]] = []
+    derivatives: Dict[tuple, tuple] = {}  # scalar -> the terms of its d, built once
     for t in a.terms:
         for i, s in enumerate(t.scalars):
+            ds = derivatives.get(s)
+            if ds is None:
+                ds = derivatives[s] = _d_scalar(s).terms
             rest = t.scalars[:i] + t.scalars[i + 1 :]
             out += [
                 _make_term(t.coefficient * u.coefficient, rest + u.scalars,
                            u.generators + t.generators)
-                for u in _d_scalar(s).terms
+                for u in ds
             ]
     return form(a.degree + 1, out)
 
@@ -348,59 +354,93 @@ def _det(mat: List[List[complex]]) -> complex:
 
 
 class _Plan:
-    """A form's evaluation plan: its distinct functions, scalars and
-    generators, and each term as (complex coefficient, scalar indices,
-    generator indices).  Holds nothing that depends on a point."""
+    """The evaluation plan of forms of one degree: the distinct functions,
+    scalars and generators of all of them, and per form its terms as
+    ((complex coefficient, scalar indices), ...) and their generator
+    indices.  A function is (num, den, is an sv argument, partials), its
+    compiled term lists with exponents on slots of `names`, the partials
+    being (slot, d num, d den) per variable of a generator function and None
+    otherwise; a scalar is (function index, weight p, or 0 for log); a
+    generator is (is dlog, function index).  Holds nothing that depends on
+    a point."""
 
-    __slots__ = ("names", "functions", "scalars", "generators", "terms")
+    __slots__ = ("names", "functions", "scalars", "generators", "forms")
 
-    def __init__(self, a: Form):
-        self.names = _variables(a)
-        index: Dict[RationalFunction, int] = {}
+    def __init__(self, forms_: Sequence[Form]):
+        index: Dict[str, int] = {}  # function key -> function index
+        functions: List[RationalFunction] = []
         sv_arguments, generator_functions = set(), set()
 
-        def fn(g: RationalFunction, role: Optional[set] = None) -> int:
-            i = index.setdefault(g, len(index))
-            if role is not None:
-                role.add(i)
+        def fn(g: RationalFunction) -> int:
+            k = g.key()
+            i = index.get(k)
+            if i is None:
+                i = index[k] = len(functions)
+                functions.append(g)
             return i
 
         scalars: Dict[tuple, int] = {}
         generators: Dict[tuple, int] = {}
-        terms = []
-        for t in a.terms:
-            sidx = []
-            for s in t.scalars:
-                if s[0] == "log":
-                    key = ("log", fn(s[1]))
-                else:
-                    key = ("sv", s[1], fn(s[2], sv_arguments))
-                sidx.append(scalars.setdefault(key, len(scalars)))
-            gidx = tuple(
-                generators.setdefault((kind, fn(g, generator_functions)), len(generators))
-                for kind, g in t.generators
-            )
-            terms.append((complex(Fraction(t.coefficient)), tuple(sidx), gidx))
-        self.functions = tuple(
-            (g, i in sv_arguments, i in generator_functions) for g, i in index.items()
-        )
+        self.forms = []
+        for a in forms_:
+            terms, gidxs = [], []
+            for t in a.terms:
+                sidx = []
+                for s in t.scalars:
+                    if s[0] == "log":
+                        key = (fn(s[1]), 0)
+                    else:
+                        key = (fn(s[2]), s[1])
+                        sv_arguments.add(key[0])
+                    sidx.append(scalars.setdefault(key, len(scalars)))
+                gidx = []
+                for kind, g in t.generators:
+                    i = fn(g)
+                    generator_functions.add(i)
+                    gidx.append(generators.setdefault((kind == "dlog", i), len(generators)))
+                terms.append((complex(t.coefficient), tuple(sidx)))
+                gidxs.append(tuple(gidx))
+            self.forms.append((tuple(terms), tuple(gidxs)))
+        self.names = sorted(set().union(*(g.variables() for g in functions)))
+        slot = {name: k for k, name in enumerate(self.names)}
+        self.functions = []
+        for i, g in enumerate(functions):
+            num, den, partials = _compile(g)
+            slots = [slot[name] for name in g.variables()]
+            if slots != list(range(len(slots))):
+                num, den = _on_slots(num, slots), _on_slots(den, slots)
+                partials = [(_on_slots(dn, slots), _on_slots(dd, slots)) for dn, dd in partials]
+            self.functions.append((
+                num,
+                den,
+                i in sv_arguments,
+                tuple((slots[k], dn, dd) for k, (dn, dd) in enumerate(partials))
+                if i in generator_functions else None,
+            ))
         self.scalars = tuple(scalars)
         self.generators = tuple(generators)
-        self.terms = tuple(terms)
 
 
-def _plan(a: Form) -> _Plan:
+def _on_slots(terms: tuple, slots: list) -> tuple:
+    """Compiled polynomial terms with each variable slot k moved to slots[k]."""
+    return tuple((c, tuple((slots[k], e) for k, e in powers)) for c, powers in terms)
+
+
+def _plan(forms_: Tuple[Form, ...]) -> _Plan:
+    """The plan of the forms; a single form keeps its plan."""
+    if len(forms_) > 1:
+        return _Plan(forms_)
+    a = forms_[0]
     if a._plan is None:
-        a._plan = _Plan(a)
+        a._plan = _Plan(forms_)
     return a._plan
 
 
 def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> complex:
-    """The determinant of cov restricted to rows x cols, by _det's first-row
-    cofactor expansion, with every minor of order >= 2 computed once per
-    memo."""
-    if len(rows) == 1:
-        return cov[rows[0]][cols[0]]
+    """The determinant of cov restricted to rows x cols (at least two of
+    each), by _det's first-row cofactor expansion.  Each minor asked for
+    here, and each of order >= 3 below it, is computed once per memo; the
+    2 x 2 minors of a 3 x 3 expansion are written out."""
     key = (rows, cols)
     out = memo.get(key)
     if out is not None:
@@ -411,69 +451,131 @@ def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> complex:
     else:
         out = 0j
         head, rest = cov[rows[0]], rows[1:]
+        if len(rest) == 2:
+            a, b = cov[rest[0]], cov[rest[1]]
         for j, c in enumerate(cols):
             if head[c] == 0:
                 continue
-            out += (-1) ** j * head[c] * _minor(rest, cols[:j] + cols[j + 1 :], cov, memo)
+            sub = cols[:j] + cols[j + 1 :]
+            if len(rest) == 2:
+                out += (-1) ** j * head[c] * (a[sub[0]] * b[sub[1]] - a[sub[1]] * b[sub[0]])
+            else:
+                out += (-1) ** j * head[c] * _minor(rest, sub, cov, memo)
     memo[key] = out
     return out
 
 
-def evaluate(a: Form, x, vectors: Sequence = ()) -> complex:
-    """Evaluate against tangent vectors; len(vectors) must equal the degree."""
-    if len(vectors) != a.degree:
-        raise ValueError("need exactly %d vectors" % a.degree)
-    plan = _plan(a)
-    xm = _as_mapping(x, plan.names)
-    vms = [_as_mapping(v, plan.names) for v in vectors]
-    values = []
-    ratios = []  # per function, per vector: Dg(x; v) / g(x), generators only
-    for g, sv_argument, generator in plan.functions:
-        num, den, _ = _compile(g)
-        xs = _coords(g, xm)
+def _at_point(plan: _Plan, xs: list, xm: dict) -> tuple:
+    """At the point with coordinates xs (xm by name): the scalars' values,
+    and (function index, value, ((slot, partial), ...)) per generator
+    function.  Each function is evaluated once, with the genericity guards,
+    in the plan's order."""
+    values, gradients = [], []
+    for num, den, sv_argument, partials in plan.functions:
         d = _poly_at(den, xs)
-        try:
-            _pole_guard(d, _CLEARANCE, xm)
-        except PoleError as exc:
-            raise GenericityError(str(exc))
+        if abs(d) <= _CLEARANCE:
+            raise GenericityError(f"denominator magnitude {abs(d):.3e} at {xm}")
         n = _poly_at(num, xs)
         val = n / d
         if abs(val) < _CLEARANCE:
             raise GenericityError("function value too close to zero")
         if sv_argument and abs(val - 1.0) < _CLEARANCE:
             raise GenericityError("sv argument too close to 1")
+        if partials is not None:
+            slopes = []
+            for k, dn, dd in partials:
+                slopes.append((k, (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)))
+            gradients.append((len(values), val, slopes))
         values.append(val)
-        if not generator:
-            ratios.append(None)
-            continue
-        _pole_guard(d, 1e-12, xm)  # rf_dir_derivative's own guard
-        slopes = list(zip(g.variables(), _slopes(g, xs, n, d)))
+    scalars = []
+    for i, p in plan.scalars:
+        scalars.append(sv_state(p, values[i])[p - 1] if p else math.log(abs(values[i])))
+    return scalars, gradients
+
+
+def _covectors(plan: _Plan, gradients: list, vs: list) -> list:
+    """One frame's covector table: per generator, its value on each vector
+    (vs: coordinate lists), from Dg(x; v) / g(x) computed once per
+    generator function."""
+    ratios = {}
+    for i, val, slopes in gradients:
         row = []
-        for vm in vms:
+        for v in vs:
             dg = 0j
-            for name, slope in slopes:
-                dg += slope * complex(vm.get(name, 0))
+            for k, slope in slopes:
+                dg += slope * v[k]
             row.append(dg / val)
-        ratios.append(row)
-    scalars = [
-        math.log(abs(values[s[1]])) if s[0] == "log" else sv_state(s[1], values[s[2]])[s[1] - 1]
-        for s in plan.scalars
-    ]
-    cov = [
-        [complex(w.real, 0.0) if kind == "dlog" else complex(0.0, w.imag) for w in ratios[i]]
-        for kind, i in plan.generators
-    ]
-    cols = tuple(range(len(vms)))
-    memo: dict = {}
-    total = 0j
-    for coeff, sidx, gidx in plan.terms:
-        val = coeff
-        for i in sidx:
-            val *= scalars[i]
-        if gidx:
-            val *= _minor(gidx, cols, cov, memo)
-        total += val
-    return total
+        ratios[i] = row
+    cov = []
+    for dlog, i in plan.generators:
+        cov.append([complex(w.real, 0.0) if dlog else complex(0.0, w.imag) for w in ratios[i]])
+    return cov
+
+
+def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[complex]]]:
+    """Evaluate forms of one degree at (point, frames) samples, a frame being
+    a sequence of as many tangent vectors as the degree.  out[s][f][k] is
+    forms_[k] at the point of sample s against its frame f, equal bit for
+    bit to evaluate(forms_[k], point, frame).  Each function, gradient and
+    scalar is computed once per point, and each covector table and minor
+    once per frame, for all the forms together.  Samples are read one at a
+    time, each checked as `evaluate` checks its input."""
+    forms_ = tuple(forms_)
+    if not forms_:
+        raise ValueError("need at least one form")
+    degree = forms_[0].degree
+    if any(a.degree != degree for a in forms_):
+        raise ValueError("forms of mixed degree %s" % sorted({a.degree for a in forms_}))
+    plan = _plan(forms_)
+    names = plan.names
+    zeros = [0j] * len(names)
+    cols = tuple(range(degree))
+    out = []
+    for x, frames in samples:
+        frames = list(frames)
+        for vectors in frames:
+            if len(vectors) != degree:
+                raise ValueError("need exactly %d vectors" % degree)
+        xm = _as_mapping(x, names)
+        xs = list(map(xm.__getitem__, names))
+        frames = [
+            [list(map(_as_mapping(v, names).get, names, zeros)) for v in vectors]
+            for vectors in frames
+        ]
+        scalars, gradients = _at_point(plan, xs, xm)
+        weights = []  # per form: each term's coefficient times its scalars
+        for terms, _ in plan.forms:
+            row = []
+            for val, sidx in terms:
+                for i in sidx:
+                    val *= scalars[i]
+                row.append(val)
+            weights.append(row)
+        per_frame = []
+        for vs in frames:
+            cov = _covectors(plan, gradients, vs)
+            memo: dict = {}
+            totals = []
+            for row, (_, gidxs) in zip(weights, plan.forms):
+                total = 0j
+                if degree == 1:
+                    for val, (g,) in zip(row, gidxs):
+                        total += val * cov[g][0]
+                elif degree:
+                    for val, gidx in zip(row, gidxs):
+                        total += val * _minor(gidx, cols, cov, memo)
+                else:
+                    for val in row:
+                        total += val
+                totals.append(total)
+            per_frame.append(totals)
+        out.append(per_frame)
+    return out
+
+
+def evaluate(a: Form, x, vectors: Sequence = ()) -> complex:
+    """Evaluate against tangent vectors; len(vectors) must equal the degree."""
+    return evaluate_many((a,), [(x, (vectors,))])[0][0][0]
 
 
 def numeric_d(a: Form, x, vectors: Sequence) -> complex:

@@ -20,7 +20,9 @@ denominator.  Results that are clean or canonical by construction (sums and
 products of polynomials, `var`, `const`, negation) skip validation through
 the trusted constructors `Polynomial._raw` and `RationalFunction._raw`.  A
 function's key "(num)/(den)" and its text are built together on first use,
-so intermediate results of arithmetic and parsing are never printed.
+so intermediate results of arithmetic and parsing are never printed, and
+`one_minus(f)` is built on first use and kept on f (a result of arithmetic
+starts without it).
 
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
@@ -331,7 +333,7 @@ def _dense_divmod(a: list, b: list):
 class RationalFunction:
     """Quotient of polynomials in canonical form (see module docstring)."""
 
-    __slots__ = ("num", "den", "_key", "_text", "_compiled")
+    __slots__ = ("num", "den", "_key", "_text", "_compiled", "_complement")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -373,7 +375,7 @@ class RationalFunction:
     def _set(self, num: Polynomial, den: Polynomial):
         self.num = num
         self.den = den
-        self._key = self._text = self._compiled = None
+        self._key = self._text = self._compiled = self._complement = None
 
     # --- structure -------------------------------------------------------
     def variables(self) -> tuple:
@@ -469,7 +471,10 @@ def const(value) -> RationalFunction:
 
 
 def one_minus(f: RationalFunction) -> RationalFunction:
-    return RationalFunction(f.den - f.num, f.den)
+    """1 - f, built as (den - num)/den on first use and kept on f."""
+    if f._complement is None:
+        f._complement = RationalFunction(f.den - f.num, f.den)
+    return f._complement
 
 
 # --- evaluation ---------------------------------------------------------

@@ -31,7 +31,7 @@ from .forms import (
     Form,
     GenericityError,
     alpha,
-    evaluate,
+    evaluate_many,
     exterior_derivative,
     form,
     format_form,
@@ -245,8 +245,8 @@ def golden_formula_tests() -> dict:
 
 def _gather_functions(*forms_: Form) -> List[RationalFunction]:
     """The distinct functions of the forms' terms, with 1 - f after each sv
-    argument f (built once per distinct f), in order of first appearance."""
-    seen, out, complements = set(), [], {}
+    argument f, in order of first appearance."""
+    seen, out = set(), []
     for a in forms_:
         for t in a.terms:
             fns = []
@@ -254,9 +254,7 @@ def _gather_functions(*forms_: Form) -> List[RationalFunction]:
                 if s[0] == "log":
                     fns.append(s[1])
                 else:
-                    if s[2] not in complements:
-                        complements[s[2]] = one_minus(s[2])
-                    fns += (s[2], complements[s[2]])
+                    fns += (s[2], one_minus(s[2]))
             fns.extend(g[1] for g in t.generators)
             for h in fns:
                 if h not in seen:
@@ -318,16 +316,15 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
     parity = weight - 1
     worst = 0.0
     twist_worst = 0.0
+    samples, twists = [], []  # (point, frames): of both sides, and of r(e)
     for _ in range(cfg.samples):
         x = _generic_point(rng, names, functions)
-        for vs in (_frame(rng, names, count) for _ in range(_FRAMES_PER_POINT)):
-            a = evaluate(lhs, x, vs)
-            b = evaluate(rhs, x, vs)
+        samples.append((x, [_frame(rng, names, count) for _ in range(_FRAMES_PER_POINT)]))
+        twists.append((x, [_frame(rng, names, count - 1)]))
+    for per_frame in evaluate_many((lhs, rhs), samples):
+        for a, b in per_frame:
             worst = max(worst, abs(a - b))
-        if count >= 1:
-            val = evaluate(image, x, _frame(rng, names, count - 1))
-        else:
-            val = evaluate(image, x, [])
+    for ((val,),) in evaluate_many((image,), twists):
         twist_worst = max(
             twist_worst, abs(val.real) if parity % 2 else abs(val.imag)
         )
@@ -411,10 +408,12 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
     functions = list(fs) + _gather_functions(lhs)
     rng = random.Random(cfg.seed)
     worst = 0.0
+    samples = []
     for _ in range(cfg.samples):
         x = _generic_point(rng, names, functions)
-        for vs in (_frame(rng, names, n) for _ in range(_FRAMES_PER_POINT)):
-            a = evaluate(lhs, x, vs)
+        samples.append((x, [_frame(rng, names, n) for _ in range(_FRAMES_PER_POINT)]))
+    for (x, frames), per_frame in zip(samples, evaluate_many((lhs,), samples)):
+        for vs, (a,) in zip(frames, per_frame):
             b = holomorphic_part(fs, x, vs)
             worst = max(worst, abs(a + b))
     okay = worst < cfg.tol
@@ -498,14 +497,14 @@ def loop_residue_check(
         raise ValueError("loop integration needs a univariate element")
     center = complex(Fraction(a))
     values = []
+    m = cfg.loop_nodes
     for eps in cfg.loop_radii:
+        spokes = (cmath.rect(eps, orientation * 2 * math.pi * j / m) for j in range(m))
         total = 0j
-        m = cfg.loop_nodes
-        for j in range(m):
-            th = orientation * 2 * math.pi * j / m
-            spoke = cmath.rect(eps, th)
-            tangent = orientation * 1j * spoke
-            total += evaluate(image, center + spoke, [tangent])
+        for per_frame in evaluate_many(
+            (image,), ((center + spoke, [[orientation * 1j * spoke]]) for spoke in spokes)
+        ):
+            total += per_frame[0][0]
         values.append(total * 2 * math.pi / m)
     design = [[1.0] * len(values), [eps * math.log(eps) for eps in cfg.loop_radii], cfg.loop_radii]
     loop_value = _lstsq(design, values)[0]

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from polyreg import forms as F
 from polyreg import regulator as R
-from polyreg.cli import TOP_FAMILIES
+from polyreg.cli import LOOP_CASES, TOP_FAMILIES
 from polyreg.funcfield import PoleError, one_minus, parse_function as pf
+from polyreg.funcfield import _compile, _coords, _pole_guard, _poly_at, _slopes
 from polyreg.funcfield import rf_dir_derivative, rf_eval
-from polyreg.polycomplex import delta, pure_wedge, random_element
+from polyreg.polycomplex import delta, parse_element, pure_wedge, random_element
 from polyreg.polylog import sv_state
 
 T = pf("t")
@@ -625,3 +626,307 @@ class TestPlanAgainstNaive:
                 naive_evaluate(a, x, [1])
             with pytest.raises(F.GenericityError):
                 F.evaluate(a, x, [1])
+
+
+class _ReferencePlan:
+    """The one-form evaluation plan as it was before evaluation was batched,
+    kept for `reference_evaluate`."""
+
+    def __init__(self, a):
+        self.names = F._variables(a)
+        index = {}
+        sv_arguments, generator_functions = set(), set()
+
+        def fn(g, role=None):
+            i = index.setdefault(g, len(index))
+            if role is not None:
+                role.add(i)
+            return i
+
+        scalars = {}
+        generators = {}
+        terms = []
+        for t in a.terms:
+            sidx = []
+            for s in t.scalars:
+                if s[0] == "log":
+                    key = ("log", fn(s[1]))
+                else:
+                    key = ("sv", s[1], fn(s[2], sv_arguments))
+                sidx.append(scalars.setdefault(key, len(scalars)))
+            gidx = tuple(
+                generators.setdefault((kind, fn(g, generator_functions)), len(generators))
+                for kind, g in t.generators
+            )
+            terms.append((complex(Fraction(t.coefficient)), tuple(sidx), gidx))
+        self.functions = tuple(
+            (g, i in sv_arguments, i in generator_functions) for g, i in index.items()
+        )
+        self.scalars = tuple(scalars)
+        self.generators = tuple(generators)
+        self.terms = tuple(terms)
+
+
+def reference_evaluate(a, x, vectors=()):
+    """`forms.evaluate` as it was before evaluation was batched: one form,
+    one frame, every table rebuilt per call.  Kept verbatim as the reference
+    the batched core must reproduce bit for bit, exceptions included."""
+    if len(vectors) != a.degree:
+        raise ValueError("need exactly %d vectors" % a.degree)
+    plan = _ReferencePlan(a)
+    xm = F._as_mapping(x, plan.names)
+    vms = [F._as_mapping(v, plan.names) for v in vectors]
+    values = []
+    ratios = []  # per function, per vector: Dg(x; v) / g(x), generators only
+    for g, sv_argument, generator in plan.functions:
+        num, den, _ = _compile(g)
+        xs = _coords(g, xm)
+        d = _poly_at(den, xs)
+        try:
+            _pole_guard(d, F._CLEARANCE, xm)
+        except PoleError as exc:
+            raise F.GenericityError(str(exc))
+        n = _poly_at(num, xs)
+        val = n / d
+        if abs(val) < F._CLEARANCE:
+            raise F.GenericityError("function value too close to zero")
+        if sv_argument and abs(val - 1.0) < F._CLEARANCE:
+            raise F.GenericityError("sv argument too close to 1")
+        values.append(val)
+        if not generator:
+            ratios.append(None)
+            continue
+        _pole_guard(d, 1e-12, xm)  # rf_dir_derivative's own guard
+        slopes = list(zip(g.variables(), _slopes(g, xs, n, d)))
+        row = []
+        for vm in vms:
+            dg = 0j
+            for name, slope in slopes:
+                dg += slope * complex(vm.get(name, 0))
+            row.append(dg / val)
+        ratios.append(row)
+    scalars = [
+        math.log(abs(values[s[1]])) if s[0] == "log" else sv_state(s[1], values[s[2]])[s[1] - 1]
+        for s in plan.scalars
+    ]
+    cov = [
+        [complex(w.real, 0.0) if kind == "dlog" else complex(0.0, w.imag) for w in ratios[i]]
+        for kind, i in plan.generators
+    ]
+    cols = tuple(range(len(vms)))
+    memo = {}
+    total = 0j
+    for coeff, sidx, gidx in plan.terms:
+        val = coeff
+        for i in sidx:
+            val *= scalars[i]
+        if gidx:
+            val *= _reference_minor(gidx, cols, cov, memo)
+        total += val
+    return total
+
+
+def _reference_minor(rows, cols, cov, memo):
+    """`forms._minor` as it was before evaluation was batched."""
+    if len(rows) == 1:
+        return cov[rows[0]][cols[0]]
+    key = (rows, cols)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if len(rows) == 2:
+        a, b = cov[rows[0]], cov[rows[1]]
+        out = a[cols[0]] * b[cols[1]] - a[cols[1]] * b[cols[0]]
+    else:
+        out = 0j
+        head, rest = cov[rows[0]], rows[1:]
+        for j, c in enumerate(cols):
+            if head[c] == 0:
+                continue
+            out += (-1) ** j * head[c] * _reference_minor(rest, cols[:j] + cols[j + 1 :], cov, memo)
+    memo[key] = out
+    return out
+
+
+def reference_exterior_derivative(a):
+    """`exterior_derivative` as it was before the differential of each
+    distinct scalar was built once per call: one `_d_scalar` per scalar
+    occurrence.  Kept as the reference for construction."""
+    out = []
+    for t in a.terms:
+        for i, s in enumerate(t.scalars):
+            rest = t.scalars[:i] + t.scalars[i + 1 :]
+            out += [
+                F._make_term(t.coefficient * u.coefficient, rest + u.scalars,
+                             u.generators + t.generators)
+                for u in F._d_scalar(s).terms
+            ]
+    return F.form(a.degree + 1, out)
+
+
+class TestDerivativeAgainstReference:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_images(self, seed, w):
+        e = random_element(w, random.Random(seed))
+        image = R.r_map(e)
+        for a in (image, F.exterior_derivative(image), R.r_map(delta(e))):
+            got, want = F.exterior_derivative(a), reference_exterior_derivative(a)
+            assert got == want
+            assert (got.degree, F.format_form(got)) == (want.degree, F.format_form(want))
+
+
+def hexed(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def outcome(call):
+    """The exact bits of call()'s value, or the type and text of what it raised."""
+    try:
+        return "value", hexed(call())
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def assert_batch_as_reference(forms_, samples):
+    """evaluate_many agrees bit for bit with reference_evaluate on every
+    form, point and frame."""
+    got = F.evaluate_many(forms_, samples)
+    want = [
+        [[hexed(reference_evaluate(a, x, vs)) for a in forms_] for vs in frames]
+        for x, frames in samples
+    ]
+    assert [[[hexed(v) for v in per_form] for per_form in per_frame] for per_frame in got] == want
+
+
+def chain_shapes():
+    for w in range(3, 7):
+        for label, e in R.standard_chain_elements(w):
+            image = R.r_map(e)
+            yield "w%d %s" % (w, label), image, F.exterior_derivative(image), R.r_map(delta(e))
+
+
+def box_point(rng, names):
+    return {n: complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for n in names}
+
+
+class TestBatchedAgainstReference:
+    """The batched core reproduces the one-form, one-frame evaluation it
+    replaced, kept above as `reference_evaluate`, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "label,image,lhs,rhs", list(chain_shapes()), ids=lambda v: v if isinstance(v, str) else ""
+    )
+    def test_chain_shapes(self, label, image, lhs, rhs):
+        rng = random.Random(label)
+        names = F._variables(lhs, rhs)
+        functions = R._gather_functions(lhs, rhs)
+        points = [R._generic_point(rng, names, functions) for _ in range(3)]
+        assert_batch_as_reference(
+            (lhs, rhs), [(x, [R._frame(rng, names, lhs.degree) for _ in range(3)]) for x in points]
+        )
+        assert_batch_as_reference((image,), [(x, [R._frame(rng, names, image.degree)]) for x in points])
+
+    @pytest.mark.parametrize("family", TOP_FAMILIES)
+    def test_top_families(self, family):
+        fs = [pf(text) for text in family.split(";")]
+        lhs = F.exterior_derivative(R.r_map(pure_wedge(fs)))
+        rng = random.Random(family)
+        names = F._variables(lhs)
+        functions = list(fs) + R._gather_functions(lhs)
+        assert_batch_as_reference((lhs,), [
+            (R._generic_point(rng, names, functions),
+             [R._frame(rng, names, len(fs)) for _ in range(3)])
+            for _ in range(3)
+        ])
+
+    @pytest.mark.parametrize("case", LOOP_CASES, ids=str)
+    def test_loop_nodes(self, case):
+        weight, text, at, sign = case
+        image = R.r_map(parse_element(text, weight=weight))
+        cfg = R.RegulatorConfig()
+        center, m = complex(Fraction(at)), cfg.loop_nodes
+        for eps in cfg.loop_radii:
+            spokes = [cmath.rect(eps, sign * 2 * math.pi * j / m) for j in range(m)]
+            assert_batch_as_reference(
+                (image,), [(center + s, [[sign * 1j * s]]) for s in spokes]
+            )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_images(self, seed, w):
+        # box points, generic or not: values and raised errors must agree
+        e = random_element(w, random.Random(seed))
+        image = R.r_map(e)
+        rng = random.Random(seed)
+        for a in (image, F.exterior_derivative(image), R.r_map(delta(e))):
+            names = F._variables(a)
+            samples = [(box_point(rng, names), [R._frame(rng, names, a.degree) for _ in range(2)])
+                       for _ in range(3)]
+            want = []
+            for x, frames in samples:
+                want.append([outcome(lambda: reference_evaluate(a, x, vs)) for vs in frames])
+                for vs, expected in zip(frames, want[-1]):
+                    assert outcome(lambda: F.evaluate_many((a,), [(x, [vs])])[0][0][0]) == expected
+                    assert outcome(lambda: F.evaluate(a, x, vs)) == expected
+            if all(o[0] == "value" for row in want for o in row):
+                assert_batch_as_reference((a,), samples)
+
+    @pytest.mark.parametrize("text", [
+        "log(t+3)*dlog(t+5) + log(t+6)*dlog(t-2)", "log(t+3)*dlog(1/(t-2))",
+        "L2(t-1)*darg(t+5)", "log(t-2)", "L3(3-t)*log(t+1)", "log(x-2)*darg(y+x)",
+        "log(x+y)*dlog(1/(x-2))^darg(y)",
+    ])
+    @pytest.mark.parametrize("offset", [0, 1e-9, 1e-9j, 1e-7 - 1e-7j, 1e-3])
+    def test_degenerate_points_raise_as_reference(self, text, offset):
+        # next to a pole, a zero or an sv argument at 1 (t = 2 or x = 2),
+        # and just clear of them
+        a = F.parse_form(text)
+        names = F._variables(a)
+        x = {n: 2 + offset if n in ("t", "x") else 0.5 + 1j for n in names}
+        vs = [{n: 1.0 + 0.5j * k for n in names} for k in range(a.degree)]
+        expected = outcome(lambda: reference_evaluate(a, x, vs))
+        assert outcome(lambda: F.evaluate(a, x, vs)) == expected
+        assert outcome(lambda: F.evaluate_many((a,), [(x, [vs])])[0][0][0]) == expected
+        if offset in (0, 1e-9):
+            assert issubclass(expected[0], F.GenericityError)
+
+
+class TestBatchedInput:
+    def test_frame_of_wrong_length(self):
+        for frames in ([[]], [[1, 1j]], [[1], [1, 1j]]):
+            with pytest.raises(ValueError, match="need exactly 1 vectors"):
+                F.evaluate_many((F.dlog(T),), [(2, frames)])
+        with pytest.raises(ValueError, match="need exactly 1 vectors"):
+            F.evaluate_many((F.dlog(T),), [(2, [[1]]), (3, [[]])])
+
+    def test_mixed_degree(self):
+        with pytest.raises(ValueError, match="mixed degree"):
+            F.evaluate_many((F.dlog(T), F.log_abs(T)), [(2, [[1]])])
+        with pytest.raises(ValueError, match="at least one form"):
+            F.evaluate_many((), [(2, [[1]])])
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_non_finite_point_or_vector(self, bad):
+        xy = F.log_abs(pf("x")).wedge(F.dlog(pf("y")))
+        cases = [
+            ((F.dlog(T),), [(bad, [[1]])]),
+            ((F.dlog(T),), [(2, [[1], [bad]])]),
+            ((F.dlog(T),), [(2, [[1]]), (bad, [[1]])]),
+            ((xy, F.dlog(pf("x"))), [({"x": 2, "y": 1j}, [[{"x": 1, "y": bad}]])]),
+            ((xy,), [((2, bad), [[(1, 1)]])]),
+        ]
+        for forms_, samples in cases:
+            with pytest.raises(ValueError, match="finite"):
+                F.evaluate_many(forms_, samples)
+
+    def test_samples_and_frames_read_once(self):
+        # one-shot iterators give what lists give
+        samples = [(2, [[1], [1j]]), (1j, [[1]])]
+        once = ((x, iter(frames)) for x, frames in samples)
+        assert F.evaluate_many((F.dlog(T),), once) == F.evaluate_many((F.dlog(T),), samples)
+
+    def test_shape_of_the_result(self):
+        got = F.evaluate_many((F.dlog(T), F.diarg(T)), [(2, [[1], [1j]]), (1j, [[1]])])
+        assert got == [[[0.5, 0j], [0j, 0.5j]], [[0j, -1j]]]
+        assert F.evaluate_many((F.scalar(3),), [(2, [[]])]) == [[[3 + 0j]]]

@@ -252,6 +252,26 @@ def test_key_and_text_as_freshly_printed(a, b, data):
     assert first == second and hash(first) == hash(second)
 
 
+@given(_texts, _texts, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_one_minus_kept_on_the_function(a, b, asked_first):
+    """one_minus(f) is built once and kept on f, prints as 1 - f built
+    afresh, gives f back when taken twice, and no result of arithmetic on f
+    or g carries their 1 - f over."""
+    f, g = parse_function(a), parse_function(b)
+    if asked_first:
+        one_minus(g)
+    c = one_minus(f)
+    assert one_minus(f) is c
+    fresh = RationalFunction(f.den - f.num, f.den)
+    assert (c.key(), str(c)) == (fresh.key(), str(fresh))
+    assert one_minus(c) == f
+    results = [-f, f + g, f * g, g - f] + ([f / g] if not g.is_zero() else [])
+    for h in results:
+        want = RationalFunction(h.den - h.num, h.den)
+        assert (one_minus(h).key(), str(one_minus(h))) == (want.key(), str(want))
+
+
 def test_multivariate_equality_by_cross_multiplication():
     f = parse_function("(x^2-y^2)/(x-y)")
     g = parse_function("x+y")
