@@ -23,24 +23,32 @@ the table.  The recurrence for a_m = m! beta_m = 2^m B_m,
 
 gives each new A_m from integer products and one exact division; when m + 1
 is prime every stored A_j is multiplied by it once.  The closed form of
-beta_kp and the proposition grid work over the common denominator
-den = P * top!, with integer numerators num[j] = den * beta_j.  A Fraction
-is built only where a value leaves the module.
+beta_kp works over the common denominator den = P * top!, with integer
+numerators num[j] = den * beta_j, so p * den * beta_{k,p} is an integer
+(_closed_sum).  The grid checks (coefficient rows, proposition cells,
+quadratic companion, BetaTable) stay in integers: an identity a/b = c/d is
+tested as a * d == c * b.  A Fraction is built only where a value leaves
+the module: BetaTable's stored values, the printed defects of a report, an
+error message.
 
 Independence
 ------------
 The closed form above is the single source of truth for beta_kp; the
-recursion route (beta_kp_recursive) shares only beta() with it, never reads
-the closed form, its memo or the numerators num, and must agree with it
-exactly (BetaTable checks that).  bernoulli_recurrence is a third route to
-the Bernoulli numbers in plain Fraction arithmetic, independent of beta().
+recursion route shares only beta() with it, never reads the closed form,
+its memo or the numerators num, and must agree with it exactly.  It comes
+in two forms: beta_kp_recursive in Fractions, and _recursion_grid, its
+integers p! * D * beta_{k,p} over D = lcm of the denominators of beta(),
+which BetaTable compares with the closed sums by cross-multiplication.
+bernoulli_recurrence is a third route to the Bernoulli numbers in plain
+Fraction arithmetic, independent of beta().
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 __all__ = [
     "beta",
@@ -139,13 +147,21 @@ def bernoulli_recurrence(k: int) -> Fraction:
     return bs[k]
 
 
+@lru_cache(maxsize=None)
+def _closed_weights(p: int) -> tuple:
+    """p!/(2i+1)! for i = (p-1)//2 down to 0: the weights of num[k+p-2i] in
+    _closed_sum, lowest index first."""
+    weights, ratio = [], factorial(p)  # ratio = p!/(2i+1)!
+    for i in range((p - 1) // 2 + 1):
+        weights.append(ratio)
+        ratio //= (2 * i + 2) * (2 * i + 3)
+    return tuple(reversed(weights))
+
+
 def _closed_sum(num: list, k: int, p: int) -> int:
     """p * den * beta_{k,p} = (-1)^p sum_i num[k+p-2i] * p!/(2i+1)!, an
     integer, for num[j] = den * beta_j."""
-    acc, ratio = 0, factorial(p)  # ratio = p! / (2i+1)!
-    for i in range((p - 1) // 2 + 1):
-        acc += num[k + p - 2 * i] * ratio
-        ratio //= (2 * i + 2) * (2 * i + 3)
+    acc = sum(map(mul, num[k + 2 - p % 2 : k + p + 1 : 2], _closed_weights(p)))
     return -acc if p % 2 else acc
 
 
@@ -181,11 +197,40 @@ def beta_kp_recursive(k: int, p: int) -> Fraction:
     return -(p - 1) * prev - beta(k + 1) / p
 
 
+def _recursion_grid(max_k: int, max_p: int) -> tuple:
+    """(D, R) with R[p][k] = p! * D * beta_{k,p} for k <= max_k, 1 <= p <= max_p,
+    by the recursions of beta_kp_recursive on integers:
+
+        R(k, 1) = -D beta_{k+1}
+        R(k, p) = -p (p-1) R(k+1, p-1) - [p odd] (p-1)! D beta_{k+1}
+
+    D is the lcm of the denominators of beta_j, j <= max_k + max_p.  Reads
+    only beta(); never the closed form, its memo or the numerators num.
+    """
+    values = [beta(j) for j in range(max_k + max_p + 1)]
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values[1:]]  # D beta_{k+1}
+    column = [-a for a in scaled]  # R(k, 1) for k <= max_k + max_p - 1
+    grid = [None, column]
+    factor = 1  # (p-1)!
+    for p in range(2, max_p + 1):
+        factor *= p - 1
+        column = [-p * (p - 1) * r for r in column[1:]]
+        if p % 2:
+            column = [r - factor * a for r, a in zip(column, scaled)]
+        grid.append(column)
+    return scale, grid
+
+
 class BetaTable:
     """Memoized beta / beta_kp tables, frozen after construction.
 
-    Both construction routes are stored and compared; a mismatch anywhere
-    is a construction-time error, so shared read-only use is safe.
+    Both construction routes are compared on every entry by integer
+    cross-multiplication: the closed route's p * den * beta_{k,p} from
+    _closed_sum against the recursion route's p! * D * beta_{k,p} from
+    _recursion_grid, which reads only beta().  A mismatch anywhere is a
+    construction-time error, so shared read-only use is safe.  The stored
+    values are the closed route's Fractions.
     """
 
     def __init__(self, max_k: int = 64, max_p: int = 64):
@@ -195,16 +240,21 @@ class BetaTable:
         self.max_p = max_p
         self.beta = {k: beta(k) for k in range(max_k + 1)}
         self.beta_kp = {}
+        den, num = _table.common(max_k + max_p)
+        scale, recursive = _recursion_grid(max_k, max_p)
+        # closed / (p den) = rec / (p! D)  <=>  closed (p-1)! D = rec den
+        rec_den = [None, scale]  # (p-1)! D
+        for p in range(2, max_p + 1):
+            rec_den.append(rec_den[-1] * (p - 1))
         for k in range(max_k + 1):
             for p in range(1, max_p + 1):
-                closed = beta_kp(k, p)
-                rec = beta_kp_recursive(k, p)
-                if closed != rec:
+                closed, rec = _closed_sum(num, k, p), recursive[p][k]
+                if closed * rec_den[p] != rec * den:
                     raise AssertionError(
                         f"beta_kp routes disagree at (k,p)=({k},{p}): "
-                        f"{closed} vs {rec}"
+                        f"{Fraction(closed, p * den)} vs {Fraction(rec, p * rec_den[p])}"
                     )
-                self.beta_kp[(k, p)] = closed
+                self.beta_kp[(k, p)] = Fraction(closed, p * den)
 
 
 def verify_row_identities(max_m: int) -> dict:
@@ -219,21 +269,22 @@ def verify_row_identities(max_m: int) -> dict:
     """
     if max_m < 1:
         raise ValueError("verify_row_identities: max_m must be >= 1")
+    # beta_{k,p} = a/b  <=>  _closed_sum(num, k, p) * b = a * p * den
+    den, num = _table.common(2 * max_m + 1)
     failures = []
     signs = set()
     for m in range(1, max_m + 1):
-        target = Fraction(1, 2 * m + 1)
-        if beta_kp(0, 2 * m) != target:
+        if _closed_sum(num, 0, 2 * m) * (2 * m + 1) != 2 * m * den:
             failures.append((m, "beta_{0,2m} = 1/(2m+1)"))
             break
-        if beta_kp(0, 2 * m + 1) != target:
+        if _closed_sum(num, 0, 2 * m + 1) != den:
             failures.append((m, "beta_{0,2m+1} = 1/(2m+1)"))
             break
-        if beta_kp(1, 2 * m) != 0:
+        if _closed_sum(num, 1, 2 * m):
             failures.append((m, "beta_{1,2m} = 0"))
             break
-        odd = beta_kp(1, 2 * m - 1)
-        if abs(odd) != Fraction(1, (2 * m - 1) * (2 * m + 1)):
+        odd = _closed_sum(num, 1, 2 * m - 1)
+        if abs(odd) * (2 * m + 1) != den:
             failures.append((m, "|beta_{1,2m-1}| = 1/((2m-1)(2m+1))"))
             break
         signs.add(1 if odd > 0 else -1)
@@ -254,32 +305,42 @@ def _proposition_cells(max_n: int, max_p: int):
     With den, num from the table, p * den * beta_{k,p} = _closed_sum(num, k, p)
     and den * beta_j = num[j], so over scale = p (p+1) den^2 the shared part
     beta_{n-2,p+1} - sum_{k=1}^{n-3} beta_{k,p} beta_{n-k-1} is an integer,
-    computed once per cell for both middle coefficients.
+    computed once per cell for both middle coefficients.  Each closed sum is
+    formed once, in one row per p.
     """
     den, num = _table.common(max_n + max_p - 1)
-    closed = lru_cache(maxsize=None)(lambda k, p: _closed_sum(num, k, p))
+    # closed[p][k] = _closed_sum(num, k, p): k < max_n, and k < max_n - 1 in
+    # row max_p + 1, which only feeds beta_{n-2,p+1}
+    closed = [None] + [
+        [_closed_sum(num, k, p) for k in range(max_n - (p > max_p))]
+        for p in range(1, max_p + 2)
+    ]
     for n in range(3, max_n + 1):
+        tail = num[n - 2 : 1 : -1]  # num[n-k-1] for k = 1 .. n-3
         for p in range(1, max_p + 1):
-            conv = sum(closed(k, p) * num[n - k - 1] for k in range(1, n - 2))
-            shared = p * den * closed(n - 2, p + 1) - (p + 1) * conv
-            middle = (p + 1) * den * closed(n - 1, p)
+            row = closed[p]
+            conv = sum(map(mul, row[1 : n - 2], tail))
+            shared = p * den * closed[p + 1][n - 2] - (p + 1) * conv
+            middle = (p + 1) * den * row[n - 1]
             yield n, p, shared - n * middle, shared - (n - 1) * middle, p * (p + 1) * den * den
 
 
-def _quadratic_defect(n: int, variant: str) -> Fraction:
-    if variant == "printed":  # sum_{k=2}^{n-2} + n*beta_n
-        acc = sum((beta(k) * beta(n - k) for k in range(2, n - 1)), _ZERO)
-        return acc + n * beta(n)
-    if variant == "corrected":  # sum_{k=2}^{n-2} + (n+1)*beta_n
-        acc = sum((beta(k) * beta(n - k) for k in range(2, n - 1)), _ZERO)
-        return acc + (n + 1) * beta(n)
-    if variant == "k1_endpoints":  # sum_{k=1}^{n-1} + (n+1)*beta_n
-        acc = sum((beta(k) * beta(n - k) for k in range(1, n)), _ZERO)
-        return acc + (n + 1) * beta(n)
-    if variant == "full_convolution":  # sum_{k=0}^{n} + (n-1)*beta_n + 2*beta_{n-1}
-        acc = sum((beta(k) * beta(n - k) for k in range(n + 1)), _ZERO)
-        return acc + (n - 1) * beta(n) + 2 * beta(n - 1)
-    raise ValueError(f"unknown variant {variant!r}")
+# variant: (first k, c - n, coefficient of beta_{n-1}) in
+# sum_{k=first}^{n-first} beta_k beta_{n-k} + c*beta_n + c'*beta_{n-1}
+_QUADRATIC_VARIANTS = {
+    "printed": (2, 0, 0),  # sum_{k=2}^{n-2} + n*beta_n
+    "corrected": (2, 1, 0),  # sum_{k=2}^{n-2} + (n+1)*beta_n
+    "k1_endpoints": (1, 1, 0),  # sum_{k=1}^{n-1} + (n+1)*beta_n
+    "full_convolution": (0, -1, 2),  # sum_{k=0}^{n} + (n-1)*beta_n + 2*beta_{n-1}
+}
+
+
+def _quadratic_defect(n: int, variant: str, den: int, num: list) -> int:
+    """den^2 times the variant's defect at n, for num[j] = den * beta_j."""
+    first, offset, previous = _QUADRATIC_VARIANTS[variant]
+    part = num[first : n - first + 1]
+    acc = sum(map(mul, part, reversed(part)))
+    return acc + den * ((n + offset) * num[n] + previous * num[n - 1])
 
 
 def verify_proposition(max_n: int, max_p: int) -> dict:
@@ -312,10 +373,11 @@ def verify_proposition(max_n: int, max_p: int) -> dict:
             printed_count += 1
             if len(printed_defects) < 4:
                 printed_defects.append((n, p, Fraction(printed, scale)))
-    variant_fail = {}
-    for variant in ("printed", "corrected", "k1_endpoints", "full_convolution"):
-        bad = [n for n in range(4, max_n + 1) if _quadratic_defect(n, variant) != 0]
-        variant_fail[variant] = bad
+    den, num = _table.common(max_n)
+    variant_fail = {
+        variant: [n for n in range(4, max_n + 1) if _quadratic_defect(n, variant, den, num)]
+        for variant in _QUADRATIC_VARIANTS
+    }
     holding = sorted(v for v, bad in variant_fail.items() if not bad)
     report = {
         "suite": "proposition",

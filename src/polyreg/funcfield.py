@@ -569,14 +569,20 @@ def rf_dir_derivative(f: RationalFunction, x, v) -> complex:
     """
     point = _as_point(f, x)
     vee = _as_point(f, v)
+    total = 0j
+    for name, slope in zip(f.variables(), _value_and_slopes(f, point)[1]):
+        total += slope * complex(vee.get(name, 0))
+    return total
+
+
+def _value_and_slopes(f: RationalFunction, point: dict) -> tuple:
+    """(f(x), its partials) at a checked point, with rf_eval's pole guard:
+    rf_eval's value and the slopes rf_dir_derivative sums."""
     num, den, _ = _compile(f)
     xs = _coords(f, point)
     d = _pole_guard(_poly_at(den, xs), 1e-12, point)
     n = _poly_at(num, xs)
-    total = 0j
-    for name, slope in zip(f.variables(), _slopes(f, xs, n, d)):
-        total += slope * complex(vee.get(name, 0))
-    return total
+    return n / d, _slopes(f, xs, n, d)
 
 
 # --- discrete valuations -------------------------------------------------

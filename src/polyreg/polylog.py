@@ -59,6 +59,9 @@ _MAX_STEPS = 16384
 # bound on |log z| over 1/2 < |z| <= 2, Re z >= 0, and on |log(-z)| over its mirror
 _HALF_ANNULUS_RADIUS = 1.72
 _PY_NUMBERS = (complex, float, int)
+# the Li_n series reads float(k) ** n from a per-weight table for k <= 64
+# (|z| <= 1/2 reaches 2^-53 within 49 terms) and computes it past the table
+_SERIES_POWERS = 64
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,11 +90,26 @@ def li(n: int, z: complex, precision_bits: int = 53):
     return _li_mp(n, mp.mpc(z), precision_bits)
 
 
+@functools.lru_cache(maxsize=None)
+def _series_powers(n: int) -> tuple:
+    """float(k) ** n for k = 0, 1, .. up to _SERIES_POWERS, stopping before
+    the first that overflows: the Li_n series denominators."""
+    powers = []
+    for k in range(_SERIES_POWERS + 1):
+        try:
+            powers.append(float(k) ** n)
+        except OverflowError:
+            break
+    return tuple(powers)
+
+
 def _li_series(n: int, z: complex, eps: float) -> complex:
+    powers = _series_powers(n)
+    size = len(powers)
     total, zk = 0j, 1 + 0j
     for k in itertools.count(1):
         zk *= z
-        term = zk / float(k) ** n
+        term = zk / (powers[k] if k < size else float(k) ** n)
         total += term
         if abs(term) <= eps * (abs(total) + 1e-300):
             return total

@@ -48,9 +48,9 @@ from .funcfield import (
     PoleError,
     RationalFunction,
     Valuation,
+    _value_and_slopes,
     one_minus,
     parse_function,
-    rf_dir_derivative,
     rf_eval,
 )
 from .polycomplex import (
@@ -156,22 +156,41 @@ def r_map(e: ChainElement) -> Form:
 
 def holomorphic_part(fs: Sequence[RationalFunction], x, vectors) -> complex:
     """pi_n of the holomorphic form dlog f_1 ^ ... ^ dlog f_n on a frame."""
+    return _holomorphic_parts(fs, x, [vectors])[0]
+
+
+def _holomorphic_parts(fs: Sequence[RationalFunction], x, frames) -> List[complex]:
+    """holomorphic_part at one point on each of several frames: each f_i and
+    its partials are evaluated once, and each frame's entry
+    sum_j (df_i/dx_j) v_j / f_i is summed as rf_dir_derivative sums it."""
     n = len(fs)
-    if len(vectors) != n:
+    if any(len(vectors) != n for vectors in frames):
         raise ValueError("need exactly %d vectors" % n)
     names = sorted(set().union(*[set(f.variables()) for f in fs]) if fs else ())
     point = _as_mapping(x, names)
-    frames = [_as_mapping(v, names) for v in vectors]
-    rows = []
+    frames = [[_as_mapping(v, names) for v in vectors] for vectors in frames]
+    parts = []  # (f(x), ((variable, df/dx_variable), ...)) per function
     for f in fs:
         try:
-            val = rf_eval(f, point)
+            val, slopes = _value_and_slopes(f, point)
         except PoleError as exc:
             raise GenericityError(str(exc))
         if abs(val) < 1e-9:
             raise GenericityError("function vanishes at the sample point")
-        rows.append([rf_dir_derivative(f, point, v) / val for v in frames])
-    return pi_projection(n, _det(rows))
+        parts.append((val, tuple(zip(f.variables(), slopes))))
+    out = []
+    for vectors in frames:
+        rows = []
+        for val, slopes in parts:
+            row = []
+            for v in vectors:
+                total = 0j
+                for name, slope in slopes:
+                    total += slope * v.get(name, 0j)
+                row.append(total / val)
+            rows.append(row)
+        out.append(pi_projection(n, _det(rows)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +432,7 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
         x = _generic_point(rng, names, functions)
         samples.append((x, [_frame(rng, names, n) for _ in range(_FRAMES_PER_POINT)]))
     for (x, frames), per_frame in zip(samples, evaluate_many((lhs,), samples)):
-        for vs, (a,) in zip(frames, per_frame):
-            b = holomorphic_part(fs, x, vs)
+        for (a,), b in zip(per_frame, _holomorphic_parts(fs, x, frames)):
             worst = max(worst, abs(a + b))
     okay = worst < cfg.tol
     return {

@@ -190,18 +190,181 @@ def test_proposition_cells_match_fraction_reference():
     assert report["printed_variant_first_defects"] == printed[:4]
 
 
-def test_recursion_independent_of_closed_form(monkeypatch):
+# sha256 of the "k,p:beta_{k,p}" listing over k <= 40, 1 <= p <= 40, from the
+# all-Fraction implementation
+RECURSION_LISTING_SHA256 = "212333b7a8dbbf56386cbf7cc94fd4984d90d5fbaf1ed7ef1befe341266a9d7b"
+
+
+def recursion_listing(value):
+    return "\n".join("%d,%d:%s" % (k, p, value(k, p)) for k in range(41) for p in range(1, 41))
+
+
+@pytest.fixture
+def closed_form_forbidden(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the recursion route reached the closed form")
 
     monkeypatch.setattr(exact, "beta_kp", forbidden)
     monkeypatch.setattr(exact, "_closed_sum", forbidden)
+    monkeypatch.setattr(exact, "_closed_weights", forbidden)
     monkeypatch.setattr(exact._Table, "common", forbidden)
+
+
+def test_recursion_independent_of_closed_form(closed_form_forbidden):
     beta_kp_recursive.cache_clear()
-    values = "\n".join(
-        "%d,%d:%s" % (k, p, beta_kp_recursive(k, p)) for k in range(41) for p in range(1, 41)
+    values = recursion_listing(beta_kp_recursive)
+    assert hashlib.sha256(values.encode()).hexdigest() == RECURSION_LISTING_SHA256
+
+
+def test_integer_recursion_independent_of_closed_form(closed_form_forbidden):
+    # BetaTable's recursion route: R[p][k] = p! * D * beta_{k,p} from beta() alone
+    scale, grid = exact._recursion_grid(40, 40)
+    values = recursion_listing(lambda k, p: Fraction(grid[p][k], factorial(p) * scale))
+    assert hashlib.sha256(values.encode()).hexdigest() == RECURSION_LISTING_SHA256
+
+
+def test_beta_table_stores_closed_values():
+    table = BetaTable(40, 40)
+    assert list(table.beta_kp) == [(k, p) for k in range(41) for p in range(1, 41)]
+    assert all(v == beta_kp(*key) for key, v in table.beta_kp.items())
+    assert table.beta == {k: beta(k) for k in range(41)}
+
+
+# Fraction references of the grid checks, summed term by term from beta_kp and
+# beta, for the integer versions in exact to match report for report.
+
+
+def reference_row_report(max_m):
+    failures = []
+    signs = set()
+    for m in range(1, max_m + 1):
+        target = Fraction(1, 2 * m + 1)
+        if beta_kp(0, 2 * m) != target:
+            failures.append((m, "beta_{0,2m} = 1/(2m+1)"))
+            break
+        if beta_kp(0, 2 * m + 1) != target:
+            failures.append((m, "beta_{0,2m+1} = 1/(2m+1)"))
+            break
+        if beta_kp(1, 2 * m) != 0:
+            failures.append((m, "beta_{1,2m} = 0"))
+            break
+        odd = beta_kp(1, 2 * m - 1)
+        if abs(odd) != Fraction(1, (2 * m - 1) * (2 * m + 1)):
+            failures.append((m, "|beta_{1,2m-1}| = 1/((2m-1)(2m+1))"))
+            break
+        signs.add(1 if odd > 0 else -1)
+    return {
+        "suite": "coefficient-rows",
+        "max_m": max_m,
+        "sign_beta_1_odd": sorted(signs),
+        "failures": failures,
+        "pass": not failures and signs == {-1},
+    }
+
+
+def reference_quadratic_defect(n, variant):
+    def conv(lo, hi):
+        return sum((beta(k) * beta(n - k) for k in range(lo, hi)), Fraction(0))
+
+    if variant == "printed":
+        return conv(2, n - 1) + n * beta(n)
+    if variant == "corrected":
+        return conv(2, n - 1) + (n + 1) * beta(n)
+    if variant == "k1_endpoints":
+        return conv(1, n) + (n + 1) * beta(n)
+    if variant == "full_convolution":
+        return conv(0, n + 1) + (n - 1) * beta(n) + 2 * beta(n - 1)
+    raise ValueError(variant)
+
+
+def reference_proposition_report(max_n, max_p):
+    failures, printed = [], []
+    for n in range(3, max_n + 1):
+        for p in range(1, max_p + 1):
+            if reference_defect(n, p, n):
+                failures.append(("main", n, p))
+            d = reference_defect(n, p, n - 1)
+            if d:
+                ok = d == beta_kp(n - 1, p)
+                printed.append({"n": n, "p": p, "defect": str(d), "equals_beta_{n-1,p}": ok})
+    variant_fail = {
+        v: [n for n in range(4, max_n + 1) if reference_quadratic_defect(n, v)]
+        for v in ("printed", "corrected", "k1_endpoints", "full_convolution")
+    }
+    holding = sorted(v for v, bad in variant_fail.items() if not bad)
+    return {
+        "suite": "proposition",
+        "max_n": max_n,
+        "max_p": max_p,
+        "failures": failures[:5],
+        "main_identity_middle_coefficient": "n (the printed n-1 variant fails)",
+        "printed_variant_first_defects": printed[:4],
+        "printed_variant_defect_count": len(printed),
+        "quadratic_variants_holding": holding,
+        "quadratic_variant_failures": {v: bad[:4] for v, bad in variant_fail.items() if bad},
+        "pass": not failures and "corrected" in holding and "full_convolution" in holding,
+    }
+
+
+def test_row_report_matches_fraction_reference():
+    for max_m in (1, 2, 7, 50):
+        assert verify_row_identities(max_m) == reference_row_report(max_m), max_m
+
+
+def test_proposition_report_matches_fraction_reference():
+    for max_n, max_p in ((3, 1), (4, 2), (30, 30)):
+        assert verify_proposition(max_n, max_p) == reference_proposition_report(max_n, max_p)
+
+
+def test_quadratic_defects_match_fraction_reference():
+    den, num = exact._table.common(40)
+    for variant in exact._QUADRATIC_VARIANTS:
+        for n in range(4, 41):
+            got = Fraction(exact._quadratic_defect(n, variant, den, num), den * den)
+            assert got == reference_quadratic_defect(n, variant), (variant, n)
+
+
+# {index: change} of the table's scaled integers; the last pair leaves
+# beta_{0,3} as it is and breaks beta_{1,2} = 0, the first row check to fail
+PERTURBATIONS = [{7: 1}, {10: 1}, {40: 1}, {3: 1, 1: -1}]
+
+
+@pytest.fixture(params=PERTURBATIONS, ids=str)
+def perturbed_table(request, monkeypatch):
+    """A table whose closed-route numerators are off: beta() keeps its
+    Fractions, built while the table grew, while the scaled integers the
+    closed route reads are moved."""
+    table = exact._Table()
+    table.grow(120)
+    for index, change in request.param.items():
+        table.scaled[index] += change
+    monkeypatch.setattr(exact, "_table", table)
+    beta_kp.cache_clear()
+    beta_kp_recursive.cache_clear()
+    yield request.param
+    beta_kp.cache_clear()
+    beta_kp_recursive.cache_clear()
+
+
+def test_integer_checks_fail_on_perturbed_table(perturbed_table):
+    first = next(
+        (k, p)
+        for k in range(41)
+        for p in range(1, 41)
+        if beta_kp(k, p) != beta_kp_recursive(k, p)
     )
-    # sha256 of this listing from the all-Fraction implementation
-    assert hashlib.sha256(values.encode()).hexdigest() == (
-        "212333b7a8dbbf56386cbf7cc94fd4984d90d5fbaf1ed7ef1befe341266a9d7b"
+    k, p = first
+    message = (
+        f"beta_kp routes disagree at (k,p)=({k},{p}): "
+        f"{beta_kp(k, p)} vs {beta_kp_recursive(k, p)}"
     )
+    with pytest.raises(AssertionError) as info:
+        BetaTable(40, 40)
+    assert str(info.value) == message
+
+    rows = verify_row_identities(50)
+    assert not rows["pass"] and rows["failures"]
+    assert rows == reference_row_report(50)
+
+    proposition = verify_proposition(30, 30)
+    assert not proposition["pass"] and proposition["failures"]

@@ -368,3 +368,44 @@ def test_expansion_tables_pinned():
         for center in (1, -1):
             got = [x.hex() for x in P._expansion(k, center)]
             assert got == [x.hex() for x in _expansion_80bit(k, center)], (k, center)
+
+
+def _li_series_reference(n, z, eps):
+    """The Li_n series with float(k) ** n computed on every term."""
+    total, zk = 0j, 1 + 0j
+    for k in itertools.count(1):
+        zk *= z
+        term = zk / float(k) ** n
+        total += term
+        if abs(term) <= eps * (abs(total) + 1e-300):
+            return total
+
+
+def _hex(w):
+    return (w.real.hex(), w.imag.hex())
+
+
+def test_li_series_power_table_bit_identical():
+    """The tabulated denominators give the reference series bit for bit."""
+    rng = random.Random(20)
+    points = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0.5 + 0j, -0.5 + 0j]
+    points += [cmath.rect(0.5, rng.uniform(-math.pi, math.pi)) for _ in range(40)]
+    points += [cmath.rect(0.5 * rng.random(), rng.uniform(-math.pi, math.pi)) for _ in range(40)]
+    points += [complex(x, s) for x in (0.25, -0.5, 0.5) for s in (0.0, -0.0)]
+    for n in range(1, 10):
+        for z in points:
+            for eps in (2.0**-53, 2.0**-20, 2.0**-60):
+                got = P._li_series(n, z, eps)
+                assert _hex(got) == _hex(_li_series_reference(n, z, eps)), (n, z, eps)
+
+
+def test_li_series_past_the_table():
+    """Past the table, and where k ** n overflows, the series behaves as the
+    reference does: the same value or the same error."""
+    for n, z in ((1, 0.9 + 0j), (3, -0.95 + 0.1j), (200, 0.3 + 0j), (400, 0.5 + 0j)):
+        assert _hex(P._li_series(n, z, 2.0**-53)) == _hex(_li_series_reference(n, z, 2.0**-53))
+    assert len(P._series_powers(200)) == 35  # 35.0 ** 200 overflows
+    with pytest.raises(OverflowError):  # 2.0 ** 2000 overflows
+        _li_series_reference(2000, 0.5 + 0j, 2.0**-53)
+    with pytest.raises(OverflowError):
+        P._li_series(2000, 0.5 + 0j, 2.0**-53)

@@ -8,12 +8,16 @@ from fractions import Fraction
 import pytest
 
 from polyreg import forms as F
-from polyreg.funcfield import one_minus, parse_function as pf
+from polyreg.cli import TOP_FAMILIES
+from polyreg.funcfield import PoleError, one_minus, rf_dir_derivative, rf_eval
+from polyreg.funcfield import parse_function as pf
 from polyreg.polycomplex import bracket_tensor, delta, parse_element, pure_wedge, random_element
-from polyreg.polylog import sv_polylog
+from polyreg.polylog import pi_projection, sv_polylog
 from polyreg.regulator import (
     RegulatorConfig,
     _constant_r_value,
+    _frame,
+    _holomorphic_parts,
     _lstsq,
     chain_check,
     chain_suite,
@@ -132,6 +136,81 @@ class TestHolomorphicPart:
             holomorphic_part([T], bad, [1])
         with pytest.raises(ValueError, match="finite"):
             holomorphic_part([T], 2, [bad])
+
+
+def reference_holomorphic_part(fs, x, vectors):
+    """holomorphic_part as it was: rf_eval and rf_dir_derivative on every frame."""
+    n = len(fs)
+    if len(vectors) != n:
+        raise ValueError("need exactly %d vectors" % n)
+    names = sorted(set().union(*[set(f.variables()) for f in fs]) if fs else ())
+    point = F._as_mapping(x, names)
+    frames = [F._as_mapping(v, names) for v in vectors]
+    rows = []
+    for f in fs:
+        try:
+            val = rf_eval(f, point)
+        except PoleError as exc:
+            raise F.GenericityError(str(exc))
+        if abs(val) < 1e-9:
+            raise F.GenericityError("function vanishes at the sample point")
+        rows.append([rf_dir_derivative(f, point, v) / val for v in frames])
+    return pi_projection(n, F._det(rows))
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except ValueError as exc:  # the type and text must agree
+        return type(exc), str(exc)
+    values = value if isinstance(value, list) else [value]
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+class TestHolomorphicPartsAgainstReference:
+    """One evaluation per point over all of its frames gives the per-frame
+    reference bit for bit, and raises what it raises."""
+
+    @pytest.mark.parametrize("family", TOP_FAMILIES)
+    def test_top_families(self, family):
+        fs = [pf(s) for s in family.split(";")]
+        names = sorted(set().union(*[set(f.variables()) for f in fs]))
+        rng = random.Random(family)
+        for _ in range(6):
+            x = {v: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for v in names}
+            frames = _frame(rng, names, len(fs) * 3)
+            frames = [frames[i : i + len(fs)] for i in range(0, len(frames), len(fs))]
+            want = [_outcome(reference_holomorphic_part, fs, x, vs) for vs in frames]
+            if all(isinstance(w, list) for w in want):
+                want = [w[0] for w in want]
+            else:
+                want = want[0]
+            assert _outcome(_holomorphic_parts, fs, x, frames) == want
+            assert _outcome(holomorphic_part, fs, x, frames[0]) == _outcome(
+                reference_holomorphic_part, fs, x, frames[0]
+            )
+
+    @pytest.mark.parametrize(
+        "fs, x",
+        [
+            ([T], 0),  # a zero
+            ([T, one_minus(T)], 1),  # a zero of the second function
+            ([pf("1/(t-1)"), T], 1),  # a pole
+            ([pf("1/(t-1)"), T], 1 + 1e-13),  # inside the pole clearance
+            ([pf("x"), pf("x+y")], {"x": 1, "y": -1}),
+            ([pf("x"), pf("1/(x+y)")], {"x": 1, "y": -1}),
+            ([pf("5"), pf("7")], 2),  # constants only
+            ([T, pf("(t+1)/(t+1)")], 3),
+        ],
+    )
+    def test_degenerate_points(self, fs, x):
+        vectors = [1j] * len(fs) if not isinstance(x, dict) else [{"x": 1, "y": 1j}] * len(fs)
+        assert _outcome(holomorphic_part, fs, x, vectors) == _outcome(
+            reference_holomorphic_part, fs, x, vectors
+        )
+        assert _outcome(_holomorphic_parts, fs, x, [vectors, vectors]) == _outcome(
+            lambda *a: [reference_holomorphic_part(*a)] * 2, fs, x, vectors
+        )
 
 
 CFG = RegulatorConfig(samples=5, seed=7)
