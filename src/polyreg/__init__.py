@@ -11,11 +11,9 @@ from .funcfield import (
 )
 from .polylog import (
     ConvergenceError,
-    PathError,
     pi_projection,
     sv_polylog,
     sv_polylog_check_symmetries,
-    sv_transport,
 )
 from .polycomplex import (
     ChainElement,
@@ -39,7 +37,6 @@ from .forms import (
     exterior_derivative,
     format_form,
     log_abs,
-    numeric_d,
     parse_form,
     sv_pq,
     sv_scalar,

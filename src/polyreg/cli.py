@@ -1,10 +1,10 @@
 """Command-line entry point wiring the verification suites.
 
-Every subcommand produces a run manifest: the command name, the
-effective configuration, content digests of the golden files, and a
-list of suite reports.  With --json the manifest is printed as sorted
-JSON, so a fixed (command, seed, precision) reproduces byte-identical
-output.  Exit code 0 means every suite passed, 1 means a suite failed,
+Every subcommand produces a run manifest, a dict: the command name, the
+effective configuration, content digests of the golden files, the list of
+suite reports and whether all of them passed.  With --json the manifest is
+printed as sorted JSON, so a fixed (command, seed, precision) reproduces
+byte-identical output.  Exit code 0 means every suite passed, 1 means a suite failed,
 2 is a usage error.
 """
 
@@ -12,15 +12,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import List, Optional
 
 from . import __version__
 from .exact import (
     BetaTable,
+    _beta_kp_cells,
     beta,
-    beta_kp,
-    beta_kp_recursive,
     report_case,
     verify_proposition,
     verify_row_identities,
@@ -57,27 +56,6 @@ LOOP_CASES = (
 )
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    versions: dict
-    results: List[dict]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.get("pass", False) for r in self.results)
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "versions": self.versions,
-            "results": self.results,
-            "pass": self.ok,
-        }
-
-
 def _versions() -> dict:
     digests = {}
     for path in sorted(_GOLDEN_DIR.glob("*.txt")):
@@ -98,24 +76,16 @@ def _config_dict(cfg: RegulatorConfig, extra: Optional[dict] = None) -> dict:
 
 
 def _beta_report(max_k: int, max_p: int) -> dict:
-    cases = []
-    for k in range(max_k + 1):
-        value = beta(k)
-        cases.append(
-            {"input": "beta(%d)" % k, "value": str(value), "tol": 0.0, "pass": True}
-        )
-    for k in range(max_k + 1):
-        for p in range(1, max_p + 1):
-            closed = beta_kp(k, p)
-            okay = closed == beta_kp_recursive(k, p)
-            cases.append(
-                {
-                    "input": "beta(%d,%d)" % (k, p),
-                    "value": str(closed),
-                    "tol": 0.0,
-                    "pass": okay,
-                }
-            )
+    """The beta-table suite: each beta_k, and each closed beta_{k,p} with the
+    verdict of the recursion route on it (exact._beta_kp_cells)."""
+    cases = [
+        {"input": "beta(%d)" % k, "value": str(beta(k)), "tol": 0.0, "pass": True}
+        for k in range(max_k + 1)
+    ]
+    cases += [
+        {"input": "beta(%d,%d)" % (k, p), "value": str(value), "tol": 0.0, "pass": other is None}
+        for k, p, value, other in _beta_kp_cells(max_k, max_p)
+    ]
     return {
         "suite": "beta-table",
         "cases": cases,
@@ -266,7 +236,7 @@ def _make_config(args) -> RegulatorConfig:
     return RegulatorConfig(**kw)
 
 
-def _dispatch(args) -> RunManifest:
+def _dispatch(args) -> dict:
     command = args.command
     if command == "beta":
         cfg = RegulatorConfig()
@@ -355,17 +325,18 @@ def _dispatch(args) -> RunManifest:
         raise ValueError("unknown command %r" % command)
 
     results.sort(key=lambda r: r.get("suite", ""))
-    return RunManifest(
-        command=command,
-        config=_config_dict(cfg, extra),
-        versions=_versions(),
-        results=results,
-    )
+    return {
+        "command": command,
+        "config": _config_dict(cfg, extra),
+        "versions": _versions(),
+        "results": results,
+        "pass": all(r.get("pass", False) for r in results),
+    }
 
 
-def _render_text(manifest: RunManifest) -> str:
+def _render_text(manifest: dict) -> str:
     lines = []
-    for report in manifest.results:
+    for report in manifest["results"]:
         lines.append("== %s ==" % report.get("suite", "?"))
         for case in report.get("cases", []):
             mark = "PASS" if case.get("pass") else "FAIL"
@@ -380,7 +351,7 @@ def _render_text(manifest: RunManifest) -> str:
         if "failures" in report and report["failures"]:
             lines.append("  failures: %s" % (report["failures"],))
         lines.append("  suite pass: %s" % report.get("pass"))
-    lines.append("overall: %s" % ("PASS" if manifest.ok else "FAIL"))
+    lines.append("overall: %s" % ("PASS" if manifest["pass"] else "FAIL"))
     return "\n".join(lines)
 
 
@@ -396,10 +367,10 @@ def run(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(manifest.as_dict(), sort_keys=True, indent=2))
+        print(json.dumps(manifest, sort_keys=True, indent=2))
     else:
         print(_render_text(manifest))
-    return 0 if manifest.ok else 1
+    return 0 if manifest["pass"] else 1
 
 
 def main() -> None:

@@ -28,19 +28,20 @@ numerators num[j] = den * beta_j, so p * den * beta_{k,p} is an integer
 (_closed_sum).  The grid checks (coefficient rows, proposition cells,
 quadratic companion, BetaTable) stay in integers: an identity a/b = c/d is
 tested as a * d == c * b.  A Fraction is built only where a value leaves
-the module: BetaTable's stored values, the printed defects of a report, an
-error message.
+the module: the closed values that BetaTable stores and the beta-table
+suite prints, the printed defects of a report, an error message.
 
 Independence
 ------------
 The closed form above is the single source of truth for beta_kp; the
-recursion route shares only beta() with it, never reads the closed form,
-its memo or the numerators num, and must agree with it exactly.  It comes
-in two forms: beta_kp_recursive in Fractions, and _recursion_grid, its
-integers p! * D * beta_{k,p} over D = lcm of the denominators of beta(),
-which BetaTable compares with the closed sums by cross-multiplication.
-bernoulli_recurrence is a third route to the Bernoulli numbers in plain
-Fraction arithmetic, independent of beta().
+recursion route, _recursion_grid, shares only beta() with it, never reads
+the closed form, its memo or the numerators num, and must agree with it
+exactly.  Its integers p! * D * beta_{k,p}, over D = lcm of the
+denominators of beta(), meet the closed sums in one place, _beta_kp_cells,
+by cross-multiplication; BetaTable and the beta-table suite both take their
+verdicts from it.  The Fraction forms of both recursions (beta_{k,p} and
+the classical Bernoulli recurrence) are the tests' independent references
+(tests/oracles.py), not a second route in the package.
 """
 
 from __future__ import annotations
@@ -53,16 +54,12 @@ from operator import mul
 __all__ = [
     "beta",
     "bernoulli",
-    "bernoulli_recurrence",
     "beta_kp",
-    "beta_kp_recursive",
     "BetaTable",
     "verify_row_identities",
     "verify_proposition",
     "report_case",
 ]
-
-_ZERO = Fraction(0)
 
 
 class _Table:
@@ -129,24 +126,6 @@ def bernoulli(k: int) -> Fraction:
     return Fraction(_table.scaled[k], _table.prime_product * 2**k)
 
 
-def bernoulli_recurrence(k: int) -> Fraction:
-    """B_k by the classical recurrence sum_{j=0}^{m} C(m+1,j) B_j = 0 (m >= 1).
-
-    Independent of beta(); used to cross-check the convolution route.
-    """
-    if k < 0:
-        raise ValueError("bernoulli_recurrence: k must be >= 0")
-    bs = [Fraction(1)]
-    from math import comb
-
-    for m in range(1, k + 1):
-        acc = _ZERO
-        for j in range(m):
-            acc += comb(m + 1, j) * bs[j]
-        bs.append(-acc / (m + 1))
-    return bs[k]
-
-
 @lru_cache(maxsize=None)
 def _closed_weights(p: int) -> tuple:
     """p!/(2i+1)! for i = (p-1)//2 down to 0: the weights of num[k+p-2i] in
@@ -168,38 +147,21 @@ def _closed_sum(num: list, k: int, p: int) -> int:
 @lru_cache(maxsize=None)
 def beta_kp(k: int, p: int) -> Fraction:
     """The closed-form coefficient combination (definition route), over the
-    table's common denominator; beta_kp_recursive never reads this memo."""
+    table's common denominator; the recursion route never reads this memo."""
     if k < 0 or p < 1:
         raise ValueError("beta_kp: need k >= 0 and p >= 1")
     den, num = _table.common(k + p)
     return Fraction(_closed_sum(num, k, p), p * den)
 
 
-@lru_cache(maxsize=None)
-def beta_kp_recursive(k: int, p: int) -> Fraction:
-    """beta_kp computed only from beta_{k,1} = -beta_{k+1} and the recursions
-
-        2p * beta_{k+1,2p}     = -beta_{k,2p+1} - beta_{k+1}/(2p+1)
-        (2p-1) * beta_{k+1,2p-1} = -beta_{k,2p}
-
-    solved for descending p:
-        p even:       beta_{k,p} = -(p-1) * beta_{k+1,p-1}
-        p odd, p>=3:  beta_{k,p} = -(p-1) * beta_{k+1,p-1} - beta_{k+1}/p
-    Memoized; never consults the closed form, its memo or its numerators.
-    """
-    if k < 0 or p < 1:
-        raise ValueError("beta_kp_recursive: need k >= 0 and p >= 1")
-    if p == 1:
-        return -beta(k + 1)
-    prev = beta_kp_recursive(k + 1, p - 1)
-    if p % 2 == 0:
-        return -(p - 1) * prev
-    return -(p - 1) * prev - beta(k + 1) / p
-
-
 def _recursion_grid(max_k: int, max_p: int) -> tuple:
     """(D, R) with R[p][k] = p! * D * beta_{k,p} for k <= max_k, 1 <= p <= max_p,
-    by the recursions of beta_kp_recursive on integers:
+    from beta_{k,1} = -beta_{k+1} and the recursions
+
+        2p * beta_{k+1,2p}       = -beta_{k,2p+1} - beta_{k+1}/(2p+1)
+        (2p-1) * beta_{k+1,2p-1} = -beta_{k,2p}
+
+    solved for descending p and scaled to integers:
 
         R(k, 1) = -D beta_{k+1}
         R(k, p) = -p (p-1) R(k+1, p-1) - [p odd] (p-1)! D beta_{k+1}
@@ -222,15 +184,34 @@ def _recursion_grid(max_k: int, max_p: int) -> tuple:
     return scale, grid
 
 
+def _beta_kp_cells(max_k: int, max_p: int):
+    """Yield (k, p, value, other) for 0 <= k <= max_k, 1 <= p <= max_p, k
+    outer: value is the closed route's beta_{k,p}, and other is None where
+    the recursion route agrees with it, else the recursion's value.
+    The routes meet by integer cross-multiplication: p * den * beta_{k,p}
+    from _closed_sum against p! * D * beta_{k,p} from _recursion_grid.
+    An empty grid (max_k < 0 or max_p < 1) yields nothing."""
+    if max_k < 0 or max_p < 1:
+        return
+    den, num = _table.common(max_k + max_p)
+    scale, recursive = _recursion_grid(max_k, max_p)
+    # closed / (p den) = rec / (p! D)  <=>  closed (p-1)! D = rec den
+    rec_den = [None, scale]  # (p-1)! D
+    for p in range(2, max_p + 1):
+        rec_den.append(rec_den[-1] * (p - 1))
+    for k in range(max_k + 1):
+        for p in range(1, max_p + 1):
+            closed, rec = _closed_sum(num, k, p), recursive[p][k]
+            other = None if closed * rec_den[p] == rec * den else Fraction(rec, p * rec_den[p])
+            yield k, p, Fraction(closed, p * den), other
+
+
 class BetaTable:
     """Memoized beta / beta_kp tables, frozen after construction.
 
-    Both construction routes are compared on every entry by integer
-    cross-multiplication: the closed route's p * den * beta_{k,p} from
-    _closed_sum against the recursion route's p! * D * beta_{k,p} from
-    _recursion_grid, which reads only beta().  A mismatch anywhere is a
-    construction-time error, so shared read-only use is safe.  The stored
-    values are the closed route's Fractions.
+    Both construction routes are compared on every entry (_beta_kp_cells).
+    A mismatch anywhere is a construction-time error, so shared read-only
+    use is safe.  The stored values are the closed route's Fractions.
     """
 
     def __init__(self, max_k: int = 64, max_p: int = 64):
@@ -240,21 +221,12 @@ class BetaTable:
         self.max_p = max_p
         self.beta = {k: beta(k) for k in range(max_k + 1)}
         self.beta_kp = {}
-        den, num = _table.common(max_k + max_p)
-        scale, recursive = _recursion_grid(max_k, max_p)
-        # closed / (p den) = rec / (p! D)  <=>  closed (p-1)! D = rec den
-        rec_den = [None, scale]  # (p-1)! D
-        for p in range(2, max_p + 1):
-            rec_den.append(rec_den[-1] * (p - 1))
-        for k in range(max_k + 1):
-            for p in range(1, max_p + 1):
-                closed, rec = _closed_sum(num, k, p), recursive[p][k]
-                if closed * rec_den[p] != rec * den:
-                    raise AssertionError(
-                        f"beta_kp routes disagree at (k,p)=({k},{p}): "
-                        f"{Fraction(closed, p * den)} vs {Fraction(rec, p * rec_den[p])}"
-                    )
-                self.beta_kp[(k, p)] = Fraction(closed, p * den)
+        for k, p, value, other in _beta_kp_cells(max_k, max_p):
+            if other is not None:
+                raise AssertionError(
+                    f"beta_kp routes disagree at (k,p)=({k},{p}): {value} vs {other}"
+                )
+            self.beta_kp[(k, p)] = value
 
 
 def verify_row_identities(max_m: int) -> dict:

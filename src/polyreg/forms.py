@@ -273,44 +273,12 @@ def weighted_alternation(
     return form(m - 1 if log_prefixed else m, terms)
 
 
-def alternation_bruteforce(
-    gs: Sequence[RationalFunction], split: int, log_prefixed: bool
-) -> Form:
-    """Alt_m over all permutations divided by the block stabilizer order."""
-    from itertools import permutations
-
-    m = len(gs)
-    if log_prefixed:
-        stab = Fraction(1, math.factorial(split - 1) * math.factorial(m - split))
-    else:
-        stab = Fraction(1, math.factorial(split) * math.factorial(m - split))
-    out = zero(m - 1 if log_prefixed else m)
-    for perm in permutations(range(m)):
-        sign = sort_signed(perm, int)[0]
-        if log_prefixed:
-            piece = log_abs(gs[perm[0]], sign * stab)
-            for i in perm[1:split]:
-                piece = piece.wedge(dlog(gs[i]))
-            for i in perm[split:]:
-                piece = piece.wedge(diarg(gs[i]))
-        else:
-            piece = scalar(sign * stab)
-            for i in perm[:split]:
-                piece = piece.wedge(dlog(gs[i]))
-            for i in perm[split:]:
-                piece = piece.wedge(diarg(gs[i]))
-        out = out + piece
-    return out
-
-
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
 
-# genericity guard of evaluate (pole, zero, sv argument at 1) and the
-# relative step of numeric_d
+# genericity guard of evaluate (pole, zero, sv argument at 1)
 _CLEARANCE = 1e-6
-_FD_STEP = 1e-5
 
 
 def _variables(*forms_: Form) -> list:
@@ -576,25 +544,6 @@ def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[c
 def evaluate(a: Form, x, vectors: Sequence = ()) -> complex:
     """Evaluate against tangent vectors; len(vectors) must equal the degree."""
     return evaluate_many((a,), [(x, (vectors,))])[0][0][0]
-
-
-def numeric_d(a: Form, x, vectors: Sequence) -> complex:
-    """Central-difference approximation of (da)(v_0, ..., v_deg)."""
-    if len(vectors) != a.degree + 1:
-        raise ValueError("need exactly %d vectors" % (a.degree + 1))
-    names = _variables(a)
-    xm = _as_mapping(x, names)
-    vms = [_as_mapping(v, names) for v in vectors]
-    scale = max([abs(c) for c in xm.values()] or [0.0])
-    h = _FD_STEP * (1.0 + scale)
-    total = 0j
-    for i, vi in enumerate(vms):
-        rest = vms[:i] + vms[i + 1 :]
-        plus = {k: xm[k] + h * vi.get(k, 0) for k in xm}
-        minus = {k: xm[k] - h * vi.get(k, 0) for k in xm}
-        diff = (evaluate(a, plus, rest) - evaluate(a, minus, rest)) / (2 * h)
-        total += (-1) ** i * diff
-    return total
 
 
 # ---------------------------------------------------------------------------

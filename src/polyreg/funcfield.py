@@ -1,11 +1,13 @@
 """Exact rational-function fields Q(x_1,...,x_d).
 
 Sparse polynomials over fractions.Fraction, rational functions in canonical
-form, complex-point evaluation with pole clearance, exact directional
+form, complex-point evaluation with pole clearance, exact partial
 derivatives, and discrete-valuation data (order and unit part) at rational
 points of the line and at infinity.  Evaluation compiles each function once,
 on first use, into complex term lists for num, den and their partials, kept
-in the same term order as Polynomial.evaluate so values agree bit for bit.
+in the order of each polynomial's terms with complex(Fraction) coefficients,
+so values agree bit for bit with summing the terms one by one (the tests'
+reference, `polynomial_evaluate` in tests/oracles.py).
 
 Canonical forms: a univariate quotient is gcd-reduced with monic denominator,
 so syntactic equality is mathematical equality. Multivariate quotients are
@@ -50,7 +52,6 @@ __all__ = [
     "parse_function",
     "one_minus",
     "rf_eval",
-    "rf_dir_derivative",
     "ord_at",
     "unit_part",
     "sort_signed",
@@ -275,16 +276,6 @@ class Polynomial:
             new[i] -= 1
             terms[tuple(new)] = coeff * expo[i]
         return Polynomial._raw(self.variables, terms)
-
-    def evaluate(self, point: dict) -> complex:
-        total = 0j
-        for expo, coeff in self.terms.items():
-            term = complex(coeff)
-            for name, e in zip(self.variables, expo):
-                if e:
-                    term *= complex(point[name]) ** e
-            total += term
-        return total
 
     # --- printing ---------------------------------------------------------
     def _term_str(self, expo, coeff, lead=False):
@@ -561,23 +552,9 @@ def rf_eval(f: RationalFunction, x, clearance: float = 1e-12) -> complex:
     return _poly_at(num, xs) / d
 
 
-def rf_dir_derivative(f: RationalFunction, x, v) -> complex:
-    """sum_j (df/dx_j)(x) * v_j, from the compiled exact partials.
-
-    v: complex displacement, shaped like the point (scalar for univariate,
-    dict or aligned sequence otherwise).
-    """
-    point = _as_point(f, x)
-    vee = _as_point(f, v)
-    total = 0j
-    for name, slope in zip(f.variables(), _value_and_slopes(f, point)[1]):
-        total += slope * complex(vee.get(name, 0))
-    return total
-
-
 def _value_and_slopes(f: RationalFunction, point: dict) -> tuple:
     """(f(x), its partials) at a checked point, with rf_eval's pole guard:
-    rf_eval's value and the slopes rf_dir_derivative sums."""
+    rf_eval's value and the partials a directional derivative sums."""
     num, den, _ = _compile(f)
     xs = _coords(f, point)
     d = _pole_guard(_poly_at(den, xs), 1e-12, point)

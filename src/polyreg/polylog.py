@@ -20,9 +20,10 @@ once per (weight, center) from the exact layer's integers, one correctly
 rounded division per coefficient; mpmath supplies only their irrational
 heads, zeta(s) for s >= 2 and log 2 (see `_expansion`).  High precision
 (precision_bits > 53) evaluates the defining combination with mpmath; it is
-the certification oracle for the double routes.  `sv_transport` is a second
-oracle: RK4 transport of the differential system (`_kernel_py.path_state`)
-from 1/2 through chosen waypoints to z.
+the certification oracle for the double routes.  Its independent second
+route, RK4 transport of the differential system, lives with the tests
+(`tests/oracles.py`); `ConvergenceError` stays here because that transport
+and perfbench raise it.
 """
 
 from __future__ import annotations
@@ -37,30 +38,20 @@ from typing import List, Sequence
 
 import mpmath as mp
 
-from . import _kernel_py
 from .exact import beta, report_case
 
 
 class ConvergenceError(ArithmeticError):
-    """Raised when step doubling fails to reach the requested tolerance."""
+    """Raised when step doubling fails to reach the requested tolerance
+    (by the transport oracle of the tests and by perfbench)."""
 
 
-class PathError(ValueError):
-    """Raised for paths that touch 0 or 1 or violate the clearance radius."""
-
-
-# RK4 transport: start point, initial steps per segment, clearance around
-# 0 and 1, and the Richardson error estimate it must reach
-_BASE_POINT = 0.5 + 0j
-_STEPS_PER_SEGMENT = 256
-_CLEARANCE = 0.12
-_RK_TOL = 1e-10
-_MAX_STEPS = 16384
 # bound on |log z| over 1/2 < |z| <= 2, Re z >= 0, and on |log(-z)| over its mirror
 _HALF_ANNULUS_RADIUS = 1.72
 _PY_NUMBERS = (complex, float, int)
 # the Li_n series reads float(k) ** n from a per-weight table for k <= 64
-# (|z| <= 1/2 reaches 2^-53 within 49 terms) and computes it past the table
+# (|z| <= 1/2 reaches 2^-53 within 49 terms) and computes it past the table,
+# until k ** n leaves the double range
 _SERIES_POWERS = 64
 
 
@@ -109,7 +100,10 @@ def _li_series(n: int, z: complex, eps: float) -> complex:
     total, zk = 0j, 1 + 0j
     for k in itertools.count(1):
         zk *= z
-        term = zk / (powers[k] if k < size else float(k) ** n)
+        try:
+            term = zk / (powers[k] if k < size else float(k) ** n)
+        except OverflowError:  # k ** n past the double range: later terms < eps
+            return total
         total += term
         if abs(term) <= eps * (abs(total) + 1e-300):
             return total
@@ -144,51 +138,6 @@ def _project(lis: Sequence, l0, betas: Sequence) -> list:
         pi_projection(m, sum(betas[k] * lis[m - k - 1] * l0**k for k in range(m)))
         for m in range(1, len(lis) + 1)
     ]
-
-
-# ---------------------------------------------------------------------------
-# path transport (the oracle behind sv_transport)
-
-
-def _seg_distance(p: complex, a: complex, b: complex) -> float:
-    d = b - a
-    dd = (d.real * d.real + d.imag * d.imag)
-    if dd == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d))
-
-
-def _check_clearance(nodes: Sequence[complex]) -> None:
-    for s in (0j, 1 + 0j):
-        for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
-            if b == s or (a == s and i == 0):
-                raise PathError("path endpoint hits a singular point")
-            # final approach may come closer when the target itself is close
-            if abs(b - s) <= _CLEARANCE and i == len(nodes) - 2:
-                continue
-            if _seg_distance(s, a, b) < 0.5 * _CLEARANCE:
-                raise PathError("path violates clearance around 0 or 1")
-
-
-def _integrate(n: int, nodes: Sequence[complex]) -> List[complex]:
-    betas = _betas_float(n + 1)
-    steps = _STEPS_PER_SEGMENT
-    base = _sv_state_double(n, nodes[0])[1:]
-    coarse = _kernel_py.path_state(n, betas, nodes, steps, base)
-    while True:
-        steps *= 2
-        fine = _kernel_py.path_state(n, betas, nodes, steps, base)
-        err = max(abs(f - c) for f, c in zip(fine, coarse)) / 15.0
-        if err <= _RK_TOL:
-            # one Richardson step: RK4 leading error cancels between the pair
-            return [f + (f - c) / 15.0 for f, c in zip(fine, coarse)]
-        if steps >= _MAX_STEPS:
-            raise ConvergenceError(
-                "path transport did not reach tol=%g (estimate %g)" % (_RK_TOL, err)
-            )
-        coarse = fine
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +291,6 @@ def sv_polylog(n: int, z: complex, precision_bits: int = 53):
             return mp.mpc(_zeta_value(n, precision_bits) if n % 2 else 0, 0)
         return _sv_state_mp(n, z, precision_bits)[n - 1]
     return _sv_state_double(n, complex(z))[n - 1]
-
-
-def sv_transport(n: int, z: complex, waypoints: Sequence[complex] = ()) -> complex:
-    """sv(n, z) by RK4 transport of the differential system along the
-    polyline from 1/2 through `waypoints` to z, doubling the steps until the
-    error estimate is below 1e-10: an oracle for `sv_polylog` that shares
-    none of its closed forms.  Weight 1 and z in {0, 1} take the closed
-    form.  Raises PathError for a polyline that passes too close to 0 or 1.
-    """
-    _check_argument("sv_transport", n, z)
-    z = complex(z)
-    if z in (0j, 1 + 0j) or n == 1:
-        return _sv_state_double(n, z)[n - 1]
-    nodes = [_BASE_POINT, *map(complex, waypoints), z]
-    _check_clearance(nodes)
-    return _integrate(n, nodes)[n - 2]
 
 
 def sv_state(n: int, z: complex) -> tuple:

@@ -162,7 +162,8 @@ def holomorphic_part(fs: Sequence[RationalFunction], x, vectors) -> complex:
 def _holomorphic_parts(fs: Sequence[RationalFunction], x, frames) -> List[complex]:
     """holomorphic_part at one point on each of several frames: each f_i and
     its partials are evaluated once, and each frame's entry
-    sum_j (df_i/dx_j) v_j / f_i is summed as rf_dir_derivative sums it."""
+    sum_j (df_i/dx_j) v_j / f_i is summed over the variables in order, as
+    the tests' reference rf_dir_derivative (tests/oracles.py) sums it."""
     n = len(fs)
     if any(len(vectors) != n for vectors in frames):
         raise ValueError("need exactly %d vectors" % n)

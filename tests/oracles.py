@@ -1,0 +1,319 @@
+"""Independent second routes that the tests compare the package against.
+
+Each reference here computes what a route of `polyreg` computes, by other
+means, and nothing under `src/polyreg` imports this module or defines one of
+its names (`tests/test_imports.py` checks both), so a check against it never
+compares the package with itself:
+
+  * `sv_transport`: RK4 transport of the single-valued polylogarithms along a
+    polyline, against the closed forms of `polylog.sv_polylog`;
+  * `numeric_d`: a central-difference exterior derivative, against
+    `forms.exterior_derivative`;
+  * `alternation_bruteforce`: the alternation summed over every permutation,
+    against `forms.weighted_alternation`;
+  * `bernoulli_recurrence`: the classical Bernoulli recurrence in Fractions,
+    against `exact.beta` and `exact.bernoulli`;
+  * `beta_kp_recursive`: the beta_{k,p} recursions in Fractions, against the
+    closed form `exact.beta_kp` and the integer recursion
+    `exact._recursion_grid`;
+  * `rf_dir_derivative` and `polynomial_evaluate`: directional derivatives
+    and term-by-term polynomial values, against the compiled evaluation of
+    `funcfield`.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from math import log
+from typing import List, Sequence
+
+from polyreg.exact import beta
+from polyreg.forms import (
+    Form,
+    _as_mapping,
+    _variables,
+    diarg,
+    dlog,
+    evaluate,
+    log_abs,
+    scalar,
+    zero,
+)
+from polyreg.funcfield import (
+    Polynomial,
+    RationalFunction,
+    _as_point,
+    _value_and_slopes,
+    sort_signed,
+)
+from polyreg.polylog import ConvergenceError, _betas_float, _check_argument, _sv_state_double
+
+# ---------------------------------------------------------------------------
+# RK4 transport of the single-valued polylogarithms along a polyline
+#
+# `path_state` integrates the differential system below instead of summing the
+# closed forms of `polylog.sv_polylog` (series, log-expansion, inversion), so
+# agreement of the two along paths of a test's choosing certifies both.
+#
+# State convention: y[j] holds the weight-(j+2) single-valued value; weight 1
+# is the closed form -log|1-z| and is never integrated.
+#
+# The transported system is the total differential of the single-valued
+# functions: for m >= 3
+#
+#   dLm = L_{m-1} d(i arg z)
+#         + ( -sum_{k=2}^{m-2} beta_k L_{m-k} log^{k-1}|z|
+#             + beta_{m-1} log|1-z| log^{m-2}|z| ) dlog|z|
+#         - beta_{m-1} log^{m-1}|z| dlog|1-z|
+#
+# and dL2 = -log|1-z| d(i arg z) + log|z| d(i arg(1-z)).  The right-hand side
+# preserves the parity subspace (weight-m values in i^{m-1} R) exactly.
+
+
+class PathError(ValueError):
+    """Raised for paths that touch 0 or 1 or violate the clearance radius."""
+
+
+# start point, initial steps per segment, clearance around 0 and 1, and the
+# Richardson error estimate the transport must reach
+_BASE_POINT = 0.5 + 0j
+_STEPS_PER_SEGMENT = 256
+_PATH_CLEARANCE = 0.12
+_RK_TOL = 1e-10
+_MAX_STEPS = 16384
+
+
+def _rhs(n: int, betas, z: complex, zdot: complex, y):
+    w = zdot / z
+    wp = -zdot / (1.0 - z)
+    l0 = log(abs(z))
+    l1 = log(abs(1.0 - z))
+    iw = complex(0.0, w.imag)
+    iwp = complex(0.0, wp.imag)
+    u = w.real
+    up = wp.real
+    dy = [-l1 * iw + l0 * iwp]
+    for m in range(3, n + 1):
+        acc = y[m - 3] * iw
+        s = 0j
+        power = l0
+        for k in range(2, m - 1):
+            s += betas[k] * y[m - k - 2] * power
+            power *= l0
+        acc += (-s + betas[m - 1] * l1 * l0 ** (m - 2)) * u
+        acc += (-betas[m - 1] * l0 ** (m - 1)) * up
+        dy.append(acc)
+    return dy
+
+
+def path_state(n: int, betas, nodes, steps: int, y):
+    y = list(y)
+    size = n - 1  # entries for weights 2..n
+    for a, b in zip(nodes, nodes[1:]):
+        zdot = b - a
+        h = 1.0 / steps
+        for i in range(steps):
+            s = i * h
+            k1 = _rhs(n, betas, a + s * zdot, zdot, y)
+            zm = a + (s + 0.5 * h) * zdot
+            k2 = _rhs(n, betas, zm, zdot, [y[j] + 0.5 * h * k1[j] for j in range(size)])
+            k3 = _rhs(n, betas, zm, zdot, [y[j] + 0.5 * h * k2[j] for j in range(size)])
+            ze = a + (s + h) * zdot
+            k4 = _rhs(n, betas, ze, zdot, [y[j] + h * k3[j] for j in range(size)])
+            y = [
+                y[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+                for j in range(size)
+            ]
+    return y
+
+
+def _seg_distance(p: complex, a: complex, b: complex) -> float:
+    d = b - a
+    dd = (d.real * d.real + d.imag * d.imag)
+    if dd == 0.0:
+        return abs(p - a)
+    t = ((p - a).real * d.real + (p - a).imag * d.imag) / dd
+    t = min(1.0, max(0.0, t))
+    return abs(p - (a + t * d))
+
+
+def _check_clearance(nodes: Sequence[complex]) -> None:
+    for s in (0j, 1 + 0j):
+        for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
+            if b == s or (a == s and i == 0):
+                raise PathError("path endpoint hits a singular point")
+            # final approach may come closer when the target itself is close
+            if abs(b - s) <= _PATH_CLEARANCE and i == len(nodes) - 2:
+                continue
+            if _seg_distance(s, a, b) < 0.5 * _PATH_CLEARANCE:
+                raise PathError("path violates clearance around 0 or 1")
+
+
+def _integrate(n: int, nodes: Sequence[complex]) -> List[complex]:
+    betas = _betas_float(n + 1)
+    steps = _STEPS_PER_SEGMENT
+    base = _sv_state_double(n, nodes[0])[1:]
+    coarse = path_state(n, betas, nodes, steps, base)
+    while True:
+        steps *= 2
+        fine = path_state(n, betas, nodes, steps, base)
+        err = max(abs(f - c) for f, c in zip(fine, coarse)) / 15.0
+        if err <= _RK_TOL:
+            # one Richardson step: RK4 leading error cancels between the pair
+            return [f + (f - c) / 15.0 for f, c in zip(fine, coarse)]
+        if steps >= _MAX_STEPS:
+            raise ConvergenceError(
+                "path transport did not reach tol=%g (estimate %g)" % (_RK_TOL, err)
+            )
+        coarse = fine
+
+
+def sv_transport(n: int, z: complex, waypoints: Sequence[complex] = ()) -> complex:
+    """sv(n, z) by RK4 transport of the differential system along the
+    polyline from 1/2 through `waypoints` to z, doubling the steps until the
+    error estimate is below 1e-10: an oracle for `sv_polylog` that shares
+    none of its closed forms.  Weight 1 and z in {0, 1} take the closed
+    form.  Raises PathError for a polyline that passes too close to 0 or 1.
+    """
+    _check_argument("sv_transport", n, z)
+    z = complex(z)
+    if z in (0j, 1 + 0j) or n == 1:
+        return _sv_state_double(n, z)[n - 1]
+    nodes = [_BASE_POINT, *map(complex, waypoints), z]
+    _check_clearance(nodes)
+    return _integrate(n, nodes)[n - 2]
+
+
+# ---------------------------------------------------------------------------
+# forms: finite differences and the brute-force alternation
+
+# relative step of numeric_d
+_FD_STEP = 1e-5
+
+
+def numeric_d(a: Form, x, vectors: Sequence) -> complex:
+    """Central-difference approximation of (da)(v_0, ..., v_deg)."""
+    if len(vectors) != a.degree + 1:
+        raise ValueError("need exactly %d vectors" % (a.degree + 1))
+    names = _variables(a)
+    xm = _as_mapping(x, names)
+    vms = [_as_mapping(v, names) for v in vectors]
+    scale = max([abs(c) for c in xm.values()] or [0.0])
+    h = _FD_STEP * (1.0 + scale)
+    total = 0j
+    for i, vi in enumerate(vms):
+        rest = vms[:i] + vms[i + 1 :]
+        plus = {k: xm[k] + h * vi.get(k, 0) for k in xm}
+        minus = {k: xm[k] - h * vi.get(k, 0) for k in xm}
+        diff = (evaluate(a, plus, rest) - evaluate(a, minus, rest)) / (2 * h)
+        total += (-1) ** i * diff
+    return total
+
+
+def alternation_bruteforce(
+    gs: Sequence[RationalFunction], split: int, log_prefixed: bool
+) -> Form:
+    """Alt_m over all permutations divided by the block stabilizer order."""
+    from itertools import permutations
+
+    m = len(gs)
+    if log_prefixed:
+        stab = Fraction(1, math.factorial(split - 1) * math.factorial(m - split))
+    else:
+        stab = Fraction(1, math.factorial(split) * math.factorial(m - split))
+    out = zero(m - 1 if log_prefixed else m)
+    for perm in permutations(range(m)):
+        sign = sort_signed(perm, int)[0]
+        if log_prefixed:
+            piece = log_abs(gs[perm[0]], sign * stab)
+            for i in perm[1:split]:
+                piece = piece.wedge(dlog(gs[i]))
+            for i in perm[split:]:
+                piece = piece.wedge(diarg(gs[i]))
+        else:
+            piece = scalar(sign * stab)
+            for i in perm[:split]:
+                piece = piece.wedge(dlog(gs[i]))
+            for i in perm[split:]:
+                piece = piece.wedge(diarg(gs[i]))
+        out = out + piece
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact: the Bernoulli recurrence and the beta_{k,p} recursions in Fractions
+
+_ZERO = Fraction(0)
+
+
+def bernoulli_recurrence(k: int) -> Fraction:
+    """B_k by the classical recurrence sum_{j=0}^{m} C(m+1,j) B_j = 0 (m >= 1).
+
+    Independent of beta(); used to cross-check the convolution route.
+    """
+    if k < 0:
+        raise ValueError("bernoulli_recurrence: k must be >= 0")
+    bs = [Fraction(1)]
+    from math import comb
+
+    for m in range(1, k + 1):
+        acc = _ZERO
+        for j in range(m):
+            acc += comb(m + 1, j) * bs[j]
+        bs.append(-acc / (m + 1))
+    return bs[k]
+
+
+@lru_cache(maxsize=None)
+def beta_kp_recursive(k: int, p: int) -> Fraction:
+    """beta_kp computed only from beta_{k,1} = -beta_{k+1} and the recursions
+
+        2p * beta_{k+1,2p}     = -beta_{k,2p+1} - beta_{k+1}/(2p+1)
+        (2p-1) * beta_{k+1,2p-1} = -beta_{k,2p}
+
+    solved for descending p:
+        p even:       beta_{k,p} = -(p-1) * beta_{k+1,p-1}
+        p odd, p>=3:  beta_{k,p} = -(p-1) * beta_{k+1,p-1} - beta_{k+1}/p
+    Memoized; never consults the closed form, its memo or its numerators.
+    """
+    if k < 0 or p < 1:
+        raise ValueError("beta_kp_recursive: need k >= 0 and p >= 1")
+    if p == 1:
+        return -beta(k + 1)
+    prev = beta_kp_recursive(k + 1, p - 1)
+    if p % 2 == 0:
+        return -(p - 1) * prev
+    return -(p - 1) * prev - beta(k + 1) / p
+
+
+# ---------------------------------------------------------------------------
+# funcfield: directional derivatives and term-by-term polynomial values
+
+
+def rf_dir_derivative(f: RationalFunction, x, v) -> complex:
+    """sum_j (df/dx_j)(x) * v_j, from the compiled exact partials.
+
+    v: complex displacement, shaped like the point (scalar for univariate,
+    dict or aligned sequence otherwise).
+    """
+    point = _as_point(f, x)
+    vee = _as_point(f, v)
+    total = 0j
+    for name, slope in zip(f.variables(), _value_and_slopes(f, point)[1]):
+        total += slope * complex(vee.get(name, 0))
+    return total
+
+
+def polynomial_evaluate(self: Polynomial, point: dict) -> complex:
+    """The polynomial at a point {variable: value}, summed term by term in
+    the order of its terms."""
+    total = 0j
+    for expo, coeff in self.terms.items():
+        term = complex(coeff)
+        for name, e in zip(self.variables, expo):
+            if e:
+                term *= complex(point[name]) ** e
+        total += term
+    return total

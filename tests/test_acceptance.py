@@ -11,8 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import PathError, numeric_d, sv_transport
 from polyreg import (
-    PathError,
     RegulatorConfig,
     beta,
     chain_suite,
@@ -21,14 +21,12 @@ from polyreg import (
     exterior_derivative,
     golden_formula_tests,
     loop_residue_check,
-    numeric_d,
     parse_element,
     parse_function,
     residue_chain_check,
     sv_polylog,
     sv_polylog_check_symmetries,
     sv_scalar,
-    sv_transport,
     top_check,
     verify_proposition,
     verify_row_identities,

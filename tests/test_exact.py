@@ -1,8 +1,9 @@
 """Exact-arithmetic tests for the Bernoulli-coefficient machinery.
 
 Oracle policy: frozen literal values for the pinned table entries, sympy's
-bernoulli() (an independent implementation) for the scaling cross-check, and
-the closed form as ground truth for the recursion route.
+bernoulli() (an independent implementation) for the scaling cross-check, the
+closed form as ground truth for the recursion route, and the Fraction
+recursions of tests/oracles.py as second routes for both.
 """
 
 import hashlib
@@ -14,14 +15,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyreg import exact
+from oracles import bernoulli_recurrence, beta_kp_recursive
+from polyreg import cli, exact
 from polyreg.exact import (
     BetaTable,
     bernoulli,
-    bernoulli_recurrence,
     beta,
     beta_kp,
-    beta_kp_recursive,
     verify_proposition,
     verify_row_identities,
 )
@@ -368,3 +368,42 @@ def test_integer_checks_fail_on_perturbed_table(perturbed_table):
 
     proposition = verify_proposition(30, 30)
     assert not proposition["pass"] and proposition["failures"]
+
+
+def reference_beta_report(max_k, max_p):
+    """The beta-table suite built cell by cell from beta_kp and the Fraction
+    recursion, as cli._beta_report built it before the integer grid."""
+    cases = []
+    for k in range(max_k + 1):
+        cases.append({"input": "beta(%d)" % k, "value": str(beta(k)), "tol": 0.0, "pass": True})
+    for k in range(max_k + 1):
+        for p in range(1, max_p + 1):
+            closed = beta_kp(k, p)
+            okay = closed == beta_kp_recursive(k, p)
+            cases.append(
+                {"input": "beta(%d,%d)" % (k, p), "value": str(closed), "tol": 0.0, "pass": okay}
+            )
+    return {"suite": "beta-table", "cases": cases, "pass": all(c["pass"] for c in cases)}
+
+
+@pytest.mark.parametrize("max_k, max_p", [(12, 9), (8, 6), (0, 1), (5, 0), (-1, 3)])
+def test_beta_report_matches_fraction_reference(max_k, max_p):
+    assert cli._beta_report(max_k, max_p) == reference_beta_report(max_k, max_p)
+
+
+@pytest.mark.parametrize("max_k, max_p", [(8, 6), (40, 6)])
+def test_beta_report_fails_on_perturbed_cells(perturbed_table, max_k, max_p):
+    """The suite fails exactly on the cells where the closed value differs
+    from the Fraction recursion, and on at least one whenever a perturbed
+    index is within reach: index 40 lies beyond the 8 x 6 grid, which then
+    passes, and the 40 x 6 grid reaches it."""
+    report = cli._beta_report(max_k, max_p)
+    failed = [c["input"] for c in report["cases"] if not c["pass"]]
+    assert failed == [
+        "beta(%d,%d)" % (k, p)
+        for k in range(max_k + 1)
+        for p in range(1, max_p + 1)
+        if beta_kp(k, p) != beta_kp_recursive(k, p)
+    ]
+    assert bool(failed) == (min(perturbed_table) <= max_k + max_p)
+    assert report["pass"] == (not failed)

@@ -1,18 +1,25 @@
-"""Every imported name is used: a stdlib-ast scan of the package and tests.
+"""Import hygiene, by stdlib-ast scans of the package and tests.
 
-A name counts as used when the module reads it (a bare name, or the head of
-an attribute chain such as `mp.isfinite`) or lists it in `__all__`.
-Package `__init__.py` files, whose imports are re-exports, and `__future__`
-imports are exempt.
+Every imported name is used.  A name counts as used when the module reads it
+(a bare name, or the head of an attribute chain such as `mp.isfinite`) or
+lists it in `__all__`.  Package `__init__.py` files, whose imports are
+re-exports, and `__future__` imports are exempt.
+
+The package and the tests' references stay apart: no module of the package
+imports `oracles`, and no name that tests/oracles.py defines exists in a
+package module, so a check against an oracle never compares the package
+with itself.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("src/polyreg/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/polyreg/*.py"))
+FILES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -45,3 +52,54 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom math import pi, tau as t\nt\n"
     assert unused_imports(source) == [(2, "os"), (3, "pi")]
+
+
+def imported_modules(source: str) -> set:
+    """Every dotted name an import statement of the source mentions."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(filter(None, [node.module]))
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def module_level_names(source: str) -> set:
+    """The names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_package_does_not_import_oracles():
+    offenders = [
+        path.name
+        for path in PACKAGE
+        if any("oracles" in name.split(".") for name in imported_modules(path.read_text()))
+    ]
+    assert offenders == []
+
+
+def test_no_oracle_name_in_the_package():
+    names = module_level_names((ROOT / "tests" / "oracles.py").read_text())
+    modules = [
+        importlib.import_module("polyreg" if p.stem == "__init__" else "polyreg." + p.stem)
+        for p in PACKAGE
+    ]
+    clashes = sorted((m.__name__, n) for m in modules for n in names if hasattr(m, n))
+    assert "sv_transport" in names and clashes == []
+
+
+def test_guard_scans_find_a_violation():
+    source = "from . import oracles\nfrom oracles.sub import f\nX: int = 1\nY = Z = 2\n"
+    assert {"oracles", "oracles.sub"} <= imported_modules(source)
+    source += "import os\ndef g(): pass\nclass C: pass\n"
+    assert module_level_names(source) == {"X", "Y", "Z", "g", "C"}

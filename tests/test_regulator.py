@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rf_dir_derivative
 from polyreg import forms as F
 from polyreg.cli import TOP_FAMILIES
-from polyreg.funcfield import PoleError, one_minus, rf_dir_derivative, rf_eval
+from polyreg.funcfield import PoleError, one_minus, rf_eval
 from polyreg.funcfield import parse_function as pf
 from polyreg.polycomplex import bracket_tensor, delta, parse_element, pure_wedge, random_element
 from polyreg.polylog import pi_projection, sv_polylog
