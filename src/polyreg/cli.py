@@ -6,6 +6,12 @@ suite reports and whether all of them passed.  With --json the manifest is
 printed as sorted JSON, so a fixed (command, seed, precision) reproduces
 byte-identical output.  Exit code 0 means every suite passed, 1 means a suite failed,
 2 is a usage error.
+
+`all` is the list of subcommand lines ALL_LINES: the same parser reads each
+line, and `_reports` runs it as that subcommand runs, but under the
+RegulatorConfig of `all`.  So its --seed and --samples reach every sampled
+suite, and its --tol chain-check and top-check; polylog-symmetries and
+loop-check keep their bounds, 1e-8 and 1e-3, which only their own --tol sets.
 """
 
 import argparse
@@ -13,7 +19,9 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
-from typing import List, Optional
+from typing import List
+
+import mpmath as mp
 
 from . import __version__
 from .exact import (
@@ -21,6 +29,7 @@ from .exact import (
     _beta_kp_cells,
     beta,
     report_case,
+    suite_report,
     verify_proposition,
     verify_row_identities,
 )
@@ -55,6 +64,31 @@ LOOP_CASES = (
     (3, "{(2+t)/(1+t)}_2 (x) t", "0", 1),
 )
 
+ALL_LINES = (
+    "beta",
+    "verify-identities",
+    "polylog-symmetries --weight 2",
+    "polylog-symmetries --weight 3",
+    "residue",
+    "golden",
+    "chain-check",
+    "top-check",
+    "loop-check",
+)
+
+# the arguments a command's manifest echoes under "config", beside the
+# fields of its RegulatorConfig
+_ECHOED = {
+    "beta": ("max_k", "max_p"),
+    "verify-identities": ("max_m", "max_n", "max_p", "max_k"),
+    "sv-polylog": ("precision",),
+    "polylog-symmetries": ("weight",),
+    "residue": ("weight",),
+    "chain-check": ("weight", "element"),
+    "top-check": ("functions",),
+    "loop-check": ("weight", "element", "at"),
+}
+
 
 def _versions() -> dict:
     digests = {}
@@ -63,11 +97,10 @@ def _versions() -> dict:
     return {"package": __version__, "golden": digests}
 
 
-def _config_dict(cfg: RegulatorConfig, extra: Optional[dict] = None) -> dict:
+def _config_dict(cfg: RegulatorConfig, args) -> dict:
     out = asdict(cfg)
     out["loop_radii"] = list(out["loop_radii"])
-    if extra:
-        out.update(extra)
+    out.update((name, getattr(args, name)) for name in _ECHOED.get(args.command, ()))
     return out
 
 
@@ -86,11 +119,7 @@ def _beta_report(max_k: int, max_p: int) -> dict:
         {"input": "beta(%d,%d)" % (k, p), "value": str(value), "tol": 0.0, "pass": other is None}
         for k, p, value, other in _beta_kp_cells(max_k, max_p)
     ]
-    return {
-        "suite": "beta-table",
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
+    return suite_report("beta-table", cases)
 
 
 def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[dict]:
@@ -107,8 +136,7 @@ def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[d
         case = report_case("closed vs recursive, k,p <= %d" % max_k, True)
     except AssertionError as exc:
         case = report_case(str(exc), False)
-    grid = {"suite": "beta-recursion-grid", "cases": [case], "pass": case["pass"]}
-    return [rows, proposition, grid]
+    return [rows, proposition, suite_report("beta-recursion-grid", [case])]
 
 
 def _sv_report(weight: int, at: str, precision: int) -> dict:
@@ -117,28 +145,15 @@ def _sv_report(weight: int, at: str, precision: int) -> dict:
         value = sv_polylog(weight, z, precision_bits=precision)
         rendered = [value.real, value.imag]
     else:
-        import mpmath as mp
-
-        value = sv_polylog(weight, _mp_number(at), precision_bits=precision)
+        value = sv_polylog(weight, mp.mpmathify(at.replace("i", "j")), precision_bits=precision)
         rendered = mp.nstr(value, max(17, round(precision * 0.302)))
-    return {
-        "suite": "sv-polylog",
-        "cases": [
-            {
-                "input": "L_%d(%s)" % (weight, at),
-                "value": rendered,
-                "precision_bits": precision,
-                "pass": True,
-            }
-        ],
+    case = {
+        "input": "L_%d(%s)" % (weight, at),
+        "value": rendered,
+        "precision_bits": precision,
         "pass": True,
     }
-
-
-def _mp_number(text: str):
-    import mpmath as mp
-
-    return mp.mpmathify(text.replace("i", "j"))
+    return suite_report("sv-polylog", [case])
 
 
 def _top_report(functions: str, cfg: RegulatorConfig) -> dict:
@@ -146,11 +161,52 @@ def _top_report(functions: str, cfg: RegulatorConfig) -> dict:
     return top_check(fs, cfg)
 
 
-def _loop_case_reports(cfg: RegulatorConfig) -> List[dict]:
-    return [
-        loop_residue_check(weight, parse_element(text, weight=weight), at, cfg, orientation=sign)
-        for weight, text, at, sign in LOOP_CASES
-    ]
+def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
+    """The suite reports of one parsed subcommand line, run under cfg; parse
+    is the parser's parse_args, which reads the lines of `all`.
+
+    Every suite is called through its name in this module at call time, so
+    a wrapper installed on that name sees each call, from `all` as well."""
+    command = args.command
+    if getattr(args, "element", None) and args.weight is None:
+        raise ValueError("--element needs --weight")
+    if command == "beta":
+        return [_beta_report(args.max_k, args.max_p)]
+    if command == "verify-identities":
+        return _identities_report(args.max_m, args.max_n, args.max_p, args.max_k)
+    if command == "sv-polylog":
+        return [_sv_report(args.weight, args.at, args.precision)]
+    if command == "polylog-symmetries":
+        tol = 1e-8 if args.tol is None else args.tol
+        return [
+            sv_polylog_check_symmetries(args.weight, samples=cfg.samples, tol=tol, seed=cfg.seed)
+        ]
+    if command == "residue":
+        return [residue_chain_check(args.weight, samples=cfg.samples, seed=cfg.seed)]
+    if command == "chain-check":
+        if args.element:
+            e = parse_element(args.element, weight=args.weight)
+            return [chain_check(args.weight, e, cfg)]
+        return [chain_suite((args.weight,) if args.weight else (3, 4, 5, 6), cfg)]
+    if command == "top-check":
+        families = [args.functions] if args.functions else TOP_FAMILIES
+        return [_top_report(f, cfg) for f in families]
+    if command == "loop-check":
+        if args.element:
+            cases = [(args.weight, args.element, args.at, args.orientation)]
+        else:
+            cases = LOOP_CASES
+        tol = 1e-3 if args.tol is None or not args.element else args.tol
+        return [
+            loop_residue_check(
+                w, parse_element(text, weight=w), at, cfg, orientation=sign, tol=tol
+            )
+            for w, text, at, sign in cases
+        ]
+    if command == "golden":
+        return [golden_formula_tests()]
+    # all, since the parser admits no other command
+    return [report for line in ALL_LINES for report in _reports(parse(line.split()), cfg, parse)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=20):
+    def common(p, tol_help, samples=20):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
+        p.add_argument("--samples", type=int, default=samples, help="default %(default)s")
 
     p = sub.add_parser("beta", help="exact coefficient table")
     p.add_argument("--max-k", type=int, default=8)
@@ -186,20 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polylog-symmetries", help="inversion/conjugation/parity suite")
     p.add_argument("--weight", type=int, default=2)
-    common(p, samples=25)
+    common(p, "bound on each symmetry defect (default 1e-8, kept under all)", samples=25)
 
     p = sub.add_parser("residue", help="residue/differential commutation suite")
     p.add_argument("--weight", type=int, default=3)
-    common(p)
+    common(p, "ignored: the commutation is checked exactly")
 
     p = sub.add_parser("chain-check", help="d(r(e)) == r(delta(e)) at generic frames")
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--element", default=None)
-    common(p)
+    common(p, "bound on each sampled defect (default 1e-6)")
 
     p = sub.add_parser("top-check", help="top-row cycle condition")
     p.add_argument("--functions", default=None, help="semicolon-separated list")
-    common(p, samples=10)
+    common(p, "bound on each sampled defect (default 1e-6)", samples=10)
 
     p = sub.add_parser("loop-check", help="loop integral against 2*pi*i residues")
     p.add_argument("--weight", type=int, default=None)
@@ -208,12 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default=None, help="comma-separated decreasing radii")
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--orientation", type=int, default=1, choices=(1, -1))
-    common(p)
+    common(p, "bound on the defect of --element (default 1e-3); the default cases keep 1e-3")
 
     p = sub.add_parser("golden", help="symbolic comparison against stored formulas")
 
-    p = sub.add_parser("all", help="run every suite")
-    common(p)
+    p = sub.add_parser(
+        "all",
+        help="run every suite",
+        description="run the subcommand lines %s under this command's --seed and --samples"
+        % ", ".join(map(repr, ALL_LINES)),
+    )
+    common(p, "bound on each sampled defect of chain-check and top-check (default 1e-6)")
 
     for p in set(sub.choices.values()):
         p.add_argument("--json", action="store_true", help="emit the manifest as JSON")
@@ -222,115 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args) -> RegulatorConfig:
-    kw = {}
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        kw["tol"] = args.tol
-    if getattr(args, "samples", None) is not None:
-        kw["samples"] = args.samples
-    if getattr(args, "radii", None):
+    given = vars(args)
+    fields = {"seed": "seed", "tol": "tol", "samples": "samples", "nodes": "loop_nodes"}
+    kw = {field: given[name] for name, field in fields.items() if given.get(name) is not None}
+    if given.get("radii"):
         kw["loop_radii"] = tuple(float(r) for r in args.radii.split(","))
-    if getattr(args, "nodes", None) is not None:
-        kw["loop_nodes"] = args.nodes
     return RegulatorConfig(**kw)
 
 
-def _dispatch(args) -> dict:
-    command = args.command
-    if command == "beta":
-        cfg = RegulatorConfig()
-        results = [_beta_report(args.max_k, args.max_p)]
-        extra = {"max_k": args.max_k, "max_p": args.max_p}
-    elif command == "verify-identities":
-        cfg = RegulatorConfig()
-        results = _identities_report(args.max_m, args.max_n, args.max_p, args.max_k)
-        extra = {
-            "max_m": args.max_m,
-            "max_n": args.max_n,
-            "max_p": args.max_p,
-            "max_k": args.max_k,
-        }
-    elif command == "sv-polylog":
-        cfg = RegulatorConfig()
-        results = [_sv_report(args.weight, args.at, args.precision)]
-        extra = {"precision": args.precision}
-    elif command == "polylog-symmetries":
-        cfg = _make_config(args)
-        results = [
-            sv_polylog_check_symmetries(
-                args.weight,
-                samples=cfg.samples,
-                tol=cfg.tol if args.tol is not None else 1e-8,
-                seed=cfg.seed,
-            )
-        ]
-        extra = {"weight": args.weight}
-    elif command == "residue":
-        cfg = _make_config(args)
-        results = [
-            residue_chain_check(args.weight, samples=cfg.samples, seed=cfg.seed)
-        ]
-        extra = {"weight": args.weight}
-    elif command == "chain-check":
-        cfg = _make_config(args)
-        if args.element:
-            if args.weight is None:
-                raise ValueError("--element needs --weight")
-            e = parse_element(args.element, weight=args.weight)
-            results = [chain_check(args.weight, e, cfg)]
-        else:
-            weights = (args.weight,) if args.weight else (3, 4, 5, 6)
-            results = [chain_suite(weights, cfg)]
-        extra = {"weight": args.weight, "element": args.element}
-    elif command == "top-check":
-        cfg = _make_config(args)
-        families = [args.functions] if args.functions else list(TOP_FAMILIES)
-        results = [_top_report(f, cfg) for f in families]
-        extra = {"functions": args.functions}
-    elif command == "loop-check":
-        cfg = _make_config(args)
-        if args.element:
-            if args.weight is None:
-                raise ValueError("--element needs --weight")
-            e = parse_element(args.element, weight=args.weight)
-            results = [
-                loop_residue_check(
-                    args.weight, e, args.at, cfg, orientation=args.orientation,
-                    tol=args.tol if args.tol is not None else 1e-3,
-                )
-            ]
-        else:
-            results = _loop_case_reports(cfg)
-        extra = {"weight": args.weight, "element": args.element, "at": args.at}
-    elif command == "golden":
-        cfg = RegulatorConfig()
-        results = [golden_formula_tests()]
-        extra = None
-    elif command == "all":
-        cfg = _make_config(args)
-        results = [_beta_report(8, 6)]
-        results += _identities_report(50, 30, 30, 40)
-        results += [
-            sv_polylog_check_symmetries(n, samples=cfg.samples, tol=1e-8, seed=cfg.seed)
-            for n in (2, 3)
-        ]
-        results += [residue_chain_check(3, samples=cfg.samples, seed=cfg.seed)]
-        results += [golden_formula_tests()]
-        results += [chain_suite((3, 4, 5, 6), cfg)]
-        results += [_top_report(f, cfg) for f in TOP_FAMILIES]
-        results += _loop_case_reports(cfg)
-        extra = None
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError("unknown command %r" % command)
-
-    results.sort(key=lambda r: r.get("suite", ""))
+def _manifest(args, parse) -> dict:
+    cfg = _make_config(args)
+    results = sorted(_reports(args, cfg, parse), key=lambda r: r["suite"])
     return {
-        "command": command,
-        "config": _config_dict(cfg, extra),
+        "command": args.command,
+        "config": _config_dict(cfg, args),
         "versions": _versions(),
         "results": results,
-        "pass": all(r.get("pass", False) for r in results),
+        "pass": all(r["pass"] for r in results),
     }
 
 
@@ -362,7 +331,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        manifest = _dispatch(args)
+        manifest = _manifest(args, parser.parse_args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Exact rational arithmetic for the scaled Bernoulli coefficients.
 
 Everything here is exact; no floating point.  The module also holds
-`report_case`, the one builder of a suite report's case rows, since every
-module that runs a suite imports this one or can without a cycle.
+`report_case` and `suite_report`, the one builders of a suite report's case
+rows and of the report itself, since every module that runs a suite imports
+this one or can without a cycle.
 
 Conventions
 -----------
@@ -59,6 +60,7 @@ __all__ = [
     "verify_row_identities",
     "verify_proposition",
     "report_case",
+    "suite_report",
 ]
 
 
@@ -380,3 +382,11 @@ def report_case(label: str, ok: bool, max_defect=None, tol=0.0, **extra) -> dict
     if max_defect is None:
         max_defect = 0.0 if ok else float("inf")
     return {"input": label, "max_defect": max_defect, "tol": tol, "pass": ok, **extra}
+
+
+def suite_report(suite: str, cases: list, ok: bool = True, **extra) -> dict:
+    """A suite report: its name, its case rows and extra keys as given.  It
+    passes when ok holds and every case passes; ok carries a condition on
+    the suite as a whole, such as one global sign."""
+    passes = bool(ok) and all(c["pass"] for c in cases)
+    return {"suite": suite, **extra, "cases": cases, "pass": passes}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .exact import report_case
+from .exact import report_case, suite_report
 from .funcfield import (
     Combination,
     RationalFunction,
@@ -312,18 +312,17 @@ def residue_chain_check(
                 ok = False
                 counterexamples.append({"element": str(e), "at": str(v)})
             cases.append(report_case("%s at %s" % (e, v), ok, 0.0 if ok else 1.0))
-    consistent = len(signs) <= 1 and not counterexamples
-    return {
-        "suite": "residue-chain",
-        "weight": weight,
-        "samples": samples,
-        "seed": seed,
-        "sign": next(iter(signs)) if len(signs) == 1 else None,
-        "undetermined": undetermined,
-        "counterexamples": counterexamples,
-        "cases": cases,
-        "pass": bool(consistent and all(c["pass"] for c in cases)),
-    }
+    return suite_report(
+        "residue-chain",
+        cases,
+        ok=len(signs) <= 1,
+        weight=weight,
+        samples=samples,
+        seed=seed,
+        sign=next(iter(signs)) if len(signs) == 1 else None,
+        undetermined=undetermined,
+        counterexamples=counterexamples,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ Double precision (precision_bits <= 53) takes one of three routes by |z|:
   * 1/2 < |z| <= 2: the log-expansion of Li_k(e^w) in w = log z, or of
     Li_k(-e^u) in u = log(-z) when Re z < 0 (D. C. Wood 1992, R. Crandall 2006);
   * |z| > 2: inversion, sv(n, z) = (-1)^(n-1) sv(n, 1/z) for n >= 2.
-Weight 1 is -log|1-z| on every route.  The log-expansion tables are built
-once per (weight, center) from the exact layer's integers, one correctly
-rounded division per coefficient; mpmath supplies only their irrational
-heads, zeta(s) for s >= 2 and log 2 (see `_expansion`).  High precision
+Weight 1 is -log|1-z| on every route.  Where log^k|z| overflows a double
+(from weight 110 at |z| = 1e-300 or 1e300), the high-precision route below
+gives the value at 53 bits.  The log-expansion tables are built once per
+(weight, center) from the exact layer's integers, one correctly rounded
+division per coefficient; mpmath supplies only their irrational heads,
+zeta(s) for s >= 2 and log 2 (see `_expansion`).  High precision
 (precision_bits > 53) evaluates the defining combination with mpmath; it is
 the certification oracle for the double routes.  Its independent second
 route, RK4 transport of the differential system, lives with the tests
@@ -38,7 +40,7 @@ from typing import List, Sequence
 
 import mpmath as mp
 
-from .exact import beta, report_case
+from .exact import beta, report_case, suite_report
 
 
 class ConvergenceError(ArithmeticError):
@@ -215,13 +217,16 @@ def _sv_state_double(n: int, z: complex) -> tuple:
         return (0j,) * n
     if z == 1:  # weight 1 diverges at z = 1
         return (None, *(complex(_zeta_value(m, 53)) if m % 2 else 0j for m in range(2, n + 1)))
-    if abs(z) <= 0.5:
-        return tuple(_series_state(n, z, math.log(abs(z))))
-    if abs(z) <= 2.0:
-        out = _annulus_state(n, z)
-    else:  # log|1/z| from z itself: 1/z underflows to 0 near the overflow limit
-        inverse = _series_state(n, 1 / z, -cmath.log(z).real)
-        out = [v if m % 2 else -v for m, v in enumerate(inverse, 1)]
+    try:
+        if abs(z) <= 0.5:
+            return tuple(_series_state(n, z, math.log(abs(z))))
+        if abs(z) <= 2.0:
+            out = _annulus_state(n, z)
+        else:  # log|1/z| from z itself: 1/z underflows to 0 near the overflow limit
+            inverse = _series_state(n, 1 / z, -cmath.log(z).real)
+            out = [v if m % 2 else -v for m, v in enumerate(inverse, 1)]
+    except OverflowError:  # log^k|z| past the double range: the defining sum at 53 bits
+        out = [complex(v) for v in _sv_state_mp(n, z, 53)]
     out[0] = complex(-cmath.log(1 - z).real, 0.0)
     return tuple(out)
 
@@ -358,14 +363,7 @@ def sv_polylog_check_symmetries(
             worst5 = max(worst5, abs(total))
         record("five-term relation", worst5)
 
-    return {
-        "suite": "polylog-symmetries",
-        "weight": n,
-        "samples": samples,
-        "seed": seed,
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
+    return suite_report("polylog-symmetries", cases, weight=n, samples=samples, seed=seed)
 
 
 def _five_term_args(x: complex, y: complex):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import beta_kp, report_case
+from .exact import beta_kp, report_case, suite_report
 from .forms import (
     Form,
     GenericityError,
@@ -252,11 +252,7 @@ def golden_formula_tests() -> dict:
         sides = {} if okay else {"got": format_form(lhs), "want": format_form(rhs)}
         cases.append(report_case("depth2-column-m%d" % m, okay, **sides))
 
-    return {
-        "suite": "golden-formulas",
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
+    return suite_report("golden-formulas", cases)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +345,8 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
             twist_worst, abs(val.real) if parity % 2 else abs(val.imag)
         )
     okay = worst < cfg.tol and twist_worst < cfg.tol
-    return {
-        "suite": "chain-map",
-        "weight": weight,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "cases": [report_case(str(e), okay, worst, cfg.tol, twist_defect=twist_worst)],
-        "pass": okay,
-    }
+    case = report_case(str(e), okay, worst, cfg.tol, twist_defect=twist_worst)
+    return suite_report("chain-map", [case], weight=weight, samples=cfg.samples, seed=cfg.seed)
 
 
 def standard_chain_elements(weight: int) -> List[Tuple[str, ChainElement]]:
@@ -403,13 +393,7 @@ def chain_suite(
             case = dict(report["cases"][0])
             case["input"] = "weight %d: %s" % (w, label)
             cases.append(case)
-    return {
-        "suite": "chain-map",
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
+    return suite_report("chain-map", cases, samples=cfg.samples, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +419,8 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
     for (x, frames), per_frame in zip(samples, evaluate_many((lhs,), samples)):
         for (a,), b in zip(per_frame, _holomorphic_parts(fs, x, frames)):
             worst = max(worst, abs(a + b))
-    okay = worst < cfg.tol
-    return {
-        "suite": "top-cycle",
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "cases": [report_case("^".join(str(f) for f in fs), okay, worst, cfg.tol)],
-        "pass": okay,
-    }
+    case = report_case("^".join(str(f) for f in fs), worst < cfg.tol, worst, cfg.tol)
+    return suite_report("top-cycle", [case], samples=cfg.samples, seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +509,12 @@ def loop_residue_check(
     res = residue(e, Valuation.finite(Fraction(a)))
     expected = orientation * 2j * math.pi * _constant_r_value(res)
     defect = abs(loop_value - expected) / max(1.0, abs(expected))
-    okay = defect < tol
-    return {
-        "suite": "loop-residue",
-        "weight": weight,
-        "cases": [
-            report_case(
-                "%s at %s%s" % (e, a, ", reversed" if orientation < 0 else ""),
-                okay,
-                defect,
-                tol,
-                loop_value=[loop_value.real, loop_value.imag],
-                expected=[expected.real, expected.imag],
-            )
-        ],
-        "pass": okay,
-    }
+    case = report_case(
+        "%s at %s%s" % (e, a, ", reversed" if orientation < 0 else ""),
+        defect < tol,
+        defect,
+        tol,
+        loop_value=[loop_value.real, loop_value.imag],
+        expected=[expected.real, expected.imag],
+    )
+    return suite_report("loop-residue", [case], weight=weight)

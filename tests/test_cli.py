@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -138,6 +139,30 @@ class TestDeterminism:
         assert code == 0
         results = json.dumps(json.loads(out)["results"], sort_keys=True, indent=2)
         assert hashlib.sha256(results.encode()).hexdigest() == digest
+
+
+def test_all_runs_the_pinned_cases(capsys):
+    """What `all` runs: one suite|input|pass line per case in manifest order,
+    hashed, and the number of reports of each suite.  No float enters the
+    listing, so the pin does not depend on the platform's libm."""
+    code, out = run_json(capsys, ["all", "--seed", "89", "--samples", "1", "--json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    lines = ["%s|%s|%s" % (r["suite"], c["input"], c["pass"]) for r in results for c in r["cases"]]
+    assert len(lines) == 118
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "31acb78a6f789ea3"
+    assert Counter(r["suite"] for r in results) == {
+        "beta-table": 1,
+        "coefficient-rows": 1,
+        "proposition": 1,
+        "beta-recursion-grid": 1,
+        "polylog-symmetries": 2,
+        "residue-chain": 1,
+        "golden-formulas": 1,
+        "chain-map": 1,
+        "top-cycle": 9,
+        "loop-residue": 3,
+    }
 
 
 def test_parser_lists_all_subcommands():

@@ -5,6 +5,10 @@ Every imported name is used.  A name counts as used when the module reads it
 lists it in `__all__`.  Package `__init__.py` files, whose imports are
 re-exports, and `__future__` imports are exempt.
 
+A suite report is built in one place: no module of the package but `exact`,
+which holds the builder `suite_report`, writes a dict literal with a
+"suite" key.
+
 The package and the tests' references stay apart: no module of the package
 imports `oracles`, and no name that tests/oracles.py defines exists in a
 package module, so a check against an oracle never compares the package
@@ -103,3 +107,26 @@ def test_guard_scans_find_a_violation():
     assert {"oracles", "oracles.sub"} <= imported_modules(source)
     source += "import os\ndef g(): pass\nclass C: pass\n"
     assert module_level_names(source) == {"X", "Y", "Z", "g", "C"}
+
+
+def suite_literals(source: str) -> list:
+    """The line of each dict literal in the source that has a "suite" key."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "suite" for k in node.keys)
+    )
+
+
+def test_suite_reports_come_from_one_builder():
+    found = {path.name: suite_literals(path.read_text()) for path in PACKAGE}
+    # exact: suite_report and the two grid reports that cli gives their cases
+    assert len(found.pop("exact.py")) == 3
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_suite_scan_finds_a_literal():
+    source = 'a = {"suite": "x", "cases": []}\nb = {**a, "pass": True}\nc = dict(suite="y")\n'
+    source += 'd = [{"input": 1}, {\n"suite": "z"}]\n'
+    assert suite_literals(source) == [1, 4]

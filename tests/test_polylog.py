@@ -424,3 +424,22 @@ def test_huge_weights_past_the_double_range():
     assert P.sv_polylog(1100, 0.4) == 0  # even weight on the real axis
     got = P.sv_polylog(1030, -0.45 + 0.1j)
     assert abs(got - SV_1030) <= 1e-14 * abs(SV_1030), got
+
+
+# where log^k|z| overflows a double: each value below equals the 130-bit route's
+OVERFLOW_POINTS = [
+    (120, 1e-300, 0j),  # even weight on the real axis
+    (120, 1e-300 + 1e-300j, 4.501710367731513e-24j),
+    (121, 1e-300 + 1e-300j, -2.174281628632698e-19),
+]
+
+
+@pytest.mark.parametrize("n, z, want", OVERFLOW_POINTS)
+def test_log_powers_past_the_double_range(n, z, want):
+    """The double routes overflow in log^k|z|, so sv_polylog and sv_state
+    take the high-precision route at 53 bits; weight 1 stays -log|1-z|."""
+    reference = complex(P.sv_polylog(n, z, precision_bits=130))
+    assert P.sv_polylog(n, z) == reference == want
+    state = P.sv_state(n, z)
+    assert len(state) == n and state[-1] == reference
+    assert state[0] == complex(-cmath.log(1 - z).real, 0.0)
