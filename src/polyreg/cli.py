@@ -76,6 +76,11 @@ ALL_LINES = (
     "loop-check",
 )
 
+ELEMENT_HELP = (
+    "chain element text, e.g. '2*{(1-t)/(1+t)}_2 (x) t'; '^', '+' and '-' end a wedge slot,"
+    " so write sums, differences and powers in a slot inside parentheses: '{t}_3 (x) (t-1)'"
+)
+
 # the arguments a command's manifest echoes under "config", beside the
 # fields of its RegulatorConfig
 _ECHOED = {
@@ -250,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain-check", help="d(r(e)) == r(delta(e)) at generic frames")
     p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--element", default=None)
+    p.add_argument("--element", default=None, help=ELEMENT_HELP)
     common(p, "bound on each sampled defect (default 1e-6)")
 
     p = sub.add_parser("top-check", help="top-row cycle condition")
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loop-check", help="loop integral against 2*pi*i residues")
     p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--element", default=None)
+    p.add_argument("--element", default=None, help=ELEMENT_HELP)
     p.add_argument("--at", default="0")
     p.add_argument("--radii", default=None, help="comma-separated decreasing radii")
     p.add_argument("--nodes", type=int, default=256)

@@ -45,6 +45,7 @@ depends on a point.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -52,9 +53,10 @@ from .exact import beta
 from .funcfield import (
     Combination,
     RationalFunction,
+    _as_mapping,
     _compile,
-    _finite,
     _poly_at,
+    _Reader,
     one_minus,
     parse_function,
     sort_signed,
@@ -291,17 +293,6 @@ def _variables(*forms_: Form) -> list:
             for g in t.generators:
                 vs.update(g[1].variables())
     return sorted(vs)
-
-
-def _as_mapping(x, names) -> dict:
-    if isinstance(x, dict):
-        return {k: _finite(v) for k, v in x.items()}
-    if len(names) <= 1:
-        name = names[0] if names else "t"
-        return {name: _finite(x)}
-    if isinstance(x, (list, tuple)) and len(x) == len(names):
-        return {n: _finite(v) for n, v in zip(names, x)}
-    raise ValueError("point/vector must be a mapping for multivariate forms")
 
 
 def _det(mat: List[List[complex]]) -> complex:
@@ -589,7 +580,7 @@ def _product(a: list, b: list) -> list:
     return [(c * e if e != 1 else c, s + t, g + h) for c, s, g in a for e, t, h in b]
 
 
-class _FormParser:
+class _FormParser(_Reader):
     """Grammar for golden files and the CLI:
 
     form   := term (('+'|'-') term)*
@@ -600,28 +591,18 @@ class _FormParser:
 
     A product of factors multiplies scalars and wedges generators in the
     written order, whether joined by '*', '^' or nothing; '^' followed by
-    digits is a power.  '·' counts as whitespace.  Each distinct argument
+    digits is a power.  '·' counts as a blank.  Each distinct argument
     text is parsed once.  A factor is read as raw (coefficient, scalars,
     generators) triples: alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k'
     repeats the factor.  Each term's triples are built once by `_make_term`
     and the form is merged once.
     """
 
+    BLANKS = re.compile("[ \t·]")
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.functions: Dict[str, RationalFunction] = {}
-
-    def error(self, msg):
-        raise ValueError("%s at offset %d in %r" % (msg, self.pos, self.text))
-
-    def ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t·":
-            self.pos += 1
-
-    def peek(self):
-        self.ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> Form:
         parts = []  # (degree, terms) per signed term; the first sign is optional
@@ -652,70 +633,44 @@ class _FormParser:
 
     def factor(self) -> tuple:
         """(degree, raw triples) of one factor."""
+        if self.take("("):
+            c = self.coeff()
+            if not self.take(")"):
+                self.error("expected ) after coefficient")
+            return 0, [(c, (), ())]
         ch = self.peek()
-        if ch == "(":
-            save = self.pos
-            self.pos += 1
-            inner = self.peek()
-            if inner.isdigit() or inner == "-":
-                c = self.coeff()
-                if self.peek() != ")":
-                    self.error("expected ) after coefficient")
-                self.pos += 1
-                return 0, [(c, (), ())]
-            self.pos = save
-            self.error("unexpected (")
         if ch.isdigit():
             return 0, [(self.coeff(), (), ())]
         if not ch.isalpha():
             self.error("expected a factor")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        name = self.text[start : self.pos]
-        if self.peek() != "(":
+        name = self.name()
+        ch = self.peek()
+        if ch != "(":
             self.error("expected ( after %r" % name)
-        args = self.call_args()
-        degree, triples = self.build(name, args)
-        if self.peek() == "^":
-            save = self.pos
+        args = []
+        while ch != ")":  # past the '(' or ',' before each argument
             self.pos += 1
-            if self.peek().isdigit():
-                power = self.coeff()
-                if power.denominator != 1 or power < 1:
-                    self.error("bad power")
-                base = triples
-                for _ in range(int(power) - 1):
-                    triples = _product(triples, base)
-                degree *= int(power)
-            else:
-                self.pos = save
+            args.append(self.span(",)"))
+            ch = self.peek()
+            if not ch:
+                self.error("unbalanced parentheses in call")
+        self.pos += 1
+        degree, triples = self.build(name, args)
+        save = self.pos
+        if self.take("^") and self.peek().isdigit():
+            power = self.coeff()
+            if power.denominator != 1 or power < 1:
+                self.error("bad power")
+            base = triples
+            for _ in range(int(power) - 1):
+                triples = _product(triples, base)
+            degree *= int(power)
+        else:  # a '^' before a factor wedges it on
+            self.pos = save
         return degree, triples
 
-    def call_args(self) -> list:
-        # splits balanced-paren argument text at top-level commas
-        assert self.peek() == "("
-        self.pos += 1
-        depth = 1
-        start = self.pos
-        args = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    args.append(self.text[start : self.pos])
-                    self.pos += 1
-                    return [a.strip() for a in args]
-            elif ch == "," and depth == 1:
-                args.append(self.text[start : self.pos])
-                start = self.pos + 1
-            self.pos += 1
-        self.error("unbalanced parentheses in call")
-
     def function(self, text: str) -> RationalFunction:
+        text = text.strip()
         f = self.functions.get(text)
         if f is None:
             f = self.functions[text] = parse_function(text)
@@ -740,25 +695,12 @@ class _FormParser:
         self.error("unknown call %s/%d" % (name, len(args)))
 
     def coeff(self) -> Rational:
-        self.ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a number")
-        num = int(self.text[start : self.pos])
-        if self.peek() != "/":
+        sign = -1 if self.take("-") else 1
+        num = sign * self.integer()  # no blank between a sign and its digits
+        if not self.take("/"):
             return num
-        self.pos += 1
-        self.ws()
-        dstart = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if dstart == self.pos:
-            self.error("expected a denominator")
-        den = int(self.text[dstart : self.pos])
+        self.peek()
+        den = self.integer()
         if not den:
             self.error("zero denominator")
         return Fraction(num, den)

@@ -26,6 +26,9 @@ so intermediate results of arithmetic and parsing are never printed, and
 `one_minus(f)` is built on first use and kept on f (a result of arithmetic
 starts without it).
 
+Text: the grammars of functions (`parse_function`), forms and chain elements
+read through one cursor, `_Reader`, and keep only their rules.
+
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
 one rule.  `sort_signed` puts the wedge factors in key order, flips the sign
@@ -38,6 +41,7 @@ hashing and printing that both kinds of combination share.
 from __future__ import annotations
 
 import cmath
+import re
 from fractions import Fraction
 from math import gcd as _intgcd
 from typing import Sequence
@@ -478,18 +482,15 @@ def _finite(v) -> complex:
     return c
 
 
-def _as_point(f: RationalFunction, x) -> dict:
-    if not isinstance(x, dict):
-        names = f.variables()
-        if len(names) <= 1:
-            x = {names[0] if names else "_": x}
-        elif isinstance(x, (tuple, list)) and len(x) == len(names):
-            x = dict(zip(names, x))
-        else:
-            raise ValueError("point shape does not match the function's variables")
-    for v in x.values():
-        _finite(v)
-    return x
+def _as_mapping(x, names) -> dict:
+    """{name: complex} from a mapping, a sequence aligned with names, or one value."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if len(names) <= 1:
+        return {names[0] if names else "t": _finite(x)}
+    if isinstance(x, (list, tuple)) and len(x) == len(names):
+        return {n: _finite(v) for n, v in zip(names, x)}
+    raise ValueError("a point or vector in several variables must be a mapping or aligned sequence")
 
 
 def _terms(p: Polynomial) -> tuple:
@@ -545,7 +546,7 @@ def _slopes(f: RationalFunction, xs, n: complex, d: complex) -> list:
 
 def rf_eval(f: RationalFunction, x, clearance: float = 1e-12) -> complex:
     """num(x)/den(x); raises PoleError when |den(x)| <= clearance."""
-    point = _as_point(f, x)
+    point = _as_mapping(x, f.variables())
     num, den, _ = _compile(f)
     xs = _coords(f, point)
     d = _pole_guard(_poly_at(den, xs), clearance, point)
@@ -651,44 +652,79 @@ def unit_part(f: RationalFunction, v: Valuation) -> Fraction:
     return nval / dval
 
 
-# --- parser ---------------------------------------------------------------
-# grammar:  expr   := term (('+'|'-') term)*
-#           term   := factor (('*'|'/') factor)*
-#           factor := ('-')* base ('^' integer)?
-#           base   := integer | name | '(' expr ')'
+# --- text ---------------------------------------------------------------
+
+_DIGITS = re.compile(r"\d+").match
+_WORD = re.compile(r"\w*").match
 
 
-class _FunctionParser:
+class _Reader:
+    """A cursor over text.  Each grammar subclasses it with its rules and
+    sets BLANKS, the pattern of one character that may stand between its
+    tokens: peek and take move past blanks, integer, name and span read at
+    the cursor.  A text's blank characters are found on construction, so
+    peek on any other character is one set lookup."""
+
+    BLANKS: re.Pattern
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._blanks = set(self.BLANKS.findall(text))
 
     def error(self, message: str):
         raise ValueError(f"parse error at position {self.pos}: {message} in {self.text!r}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+    def peek(self) -> str:
+        """The next character after blanks, '' at the end; moves past the blanks."""
+        ch = self.text[self.pos : self.pos + 1]
+        while ch in self._blanks:
             self.pos += 1
+            ch = self.text[self.pos : self.pos + 1]
+        return ch
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, token: str) -> bool:
+        """Move past token if the text goes on with it after blanks."""
+        if self.peek() == token or len(token) > 1 and self.text.startswith(token, self.pos):
+            self.pos += len(token)
             return True
         return False
 
-    def parse(self) -> RationalFunction:
-        try:
-            value = self.expr()
-        except ZeroDivisionError:  # raised once the zero divisor is read
-            self.error("division by zero")
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return value
+    def integer(self) -> int:
+        """The decimal digits at the cursor."""
+        m = _DIGITS(self.text, self.pos) or self.error("expected an integer")
+        self.pos = m.end()
+        return int(m.group())
+
+    def name(self) -> str:
+        """The letters, digits and underscores at the cursor."""
+        m = _WORD(self.text, self.pos)
+        self.pos = m.end()
+        return m.group()
+
+    def span(self, stops: str) -> str:
+        """The text from the cursor to the first of the stops outside (), {}
+        and [], or to the end, where the cursor is left.  Unbalanced text
+        runs to the end, where the caller's next step fails."""
+        text, depth = self.text, 0
+        start = pos = self.pos
+        while pos < len(text) and (depth or text[pos] not in stops):
+            if text[pos] in "({[":
+                depth += 1
+            elif text[pos] in ")}]":
+                depth -= 1
+            pos += 1
+        self.pos = pos
+        return text[start:pos]
+
+
+class _FunctionParser(_Reader):
+    """expr   := term (('+'|'-') term)*
+    term   := factor (('*'|'/') factor)*
+    factor := ('-')* base ('^' ['-'] integer)?
+    base   := integer | name | '(' expr ')'"""
+
+    BLANKS = re.compile(r"\s")
 
     def expr(self) -> RationalFunction:
         value = self.term()
@@ -703,12 +739,9 @@ class _FunctionParser:
     def term(self) -> RationalFunction:
         value = self.factor()
         while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
+            if self.take("*"):
                 value = value * self.factor()
-            elif c == "/":
-                self.pos += 1
+            elif self.take("/"):
                 value = value / self.factor()
             else:
                 return value
@@ -719,18 +752,9 @@ class _FunctionParser:
         value = self.base()
         if self.take("^"):
             sign = -1 if self.take("-") else 1
-            k = self.integer()
-            value = value ** (sign * k)
+            self.peek()
+            value = value ** (sign * self.integer())
         return value
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected integer")
-        return int(self.text[start : self.pos])
 
     def base(self) -> RationalFunction:
         c = self.peek()
@@ -743,18 +767,20 @@ class _FunctionParser:
         if c.isdigit():
             return const(self.integer())
         if c.isalpha() or c == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            return var(self.text[start : self.pos])
+            return var(self.name())
         self.error("expected a number, name, or '('")
 
 
 def parse_function(text: str) -> RationalFunction:
     """Parse e.g. '(t^2+1)/(t-1)' or '(x*y - 1)/(x + y)'."""
-    return _FunctionParser(text).parse()
+    reader = _FunctionParser(text)
+    try:
+        value = reader.expr()
+    except ZeroDivisionError:  # raised once the zero divisor is read
+        reader.error("division by zero")
+    if reader.peek():
+        reader.error("trailing input")
+    return value
 
 
 # --- signed combinations ----------------------------------------------------

@@ -22,6 +22,7 @@ stands.  No further multiplicative relations are imposed on wedge slots.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .exact import report_case, suite_report
@@ -29,6 +30,7 @@ from .funcfield import (
     Combination,
     RationalFunction,
     Valuation,
+    _Reader,
     const,
     one_minus,
     ord_at,
@@ -329,116 +331,86 @@ def residue_chain_check(
 # element text syntax
 
 
+class _ElementParser(_Reader):
+    """element := sign* term (sign term)* ['+']
+    term    := [k '*'] ('{' f '}' '_' p ['(x)' slots] | slots)
+    slots   := [slot ('^' slot)*]
+
+    A slot ends at a '^', '+' or '-' outside brackets.  A term has a
+    coefficient k when its text before the first '*' outside brackets is
+    digits, blanks and brackets; k must then be an integer."""
+
+    BLANKS = re.compile(r"\s")
+
+    def element(self, weight: Optional[int]) -> ChainElement:
+        sign, terms, grading = 1, [], None
+        while self.peek() in _SIGNS:
+            sign *= _SIGNS[self.peek()]
+            self.pos += 1
+        while self.peek():
+            if not sign:  # after a term comes one sign; a '+' at the end adds nothing
+                sign = _SIGNS.get(self.peek()) or self.error("expected '+' or '-'")
+                self.pos += 1
+                if self.peek() in _SIGNS:
+                    self.error("dangling sign")
+                continue
+            start, t = self.pos, self.term()
+            if grading is None:
+                grading = (t.grading[0] if weight is None else weight, t.grading[1])
+            if t.grading != grading:
+                self.error("the term %r has weight %d and degree %d, not %d and %d"
+                           % (self.text[start : self.pos].strip(), *t.grading, *grading))
+            terms.append(_make_term(sign * t.coefficient, t.depth, t.argument, t.wedge))
+            sign = 0
+        if not terms:
+            self.error("empty element")
+        if sign < 0:
+            self.error("dangling sign")
+        return element(terms, weight)
+
+    def term(self) -> ChainTerm:
+        """One term as written, before it is normalized."""
+        coefficient, start, ch = 1, self.pos, self.peek()
+        if ch.isdigit() or ch == "(":  # other heads fail either way
+            head = self.span("*^+-")
+            if self.peek() == "*" and _COEFFICIENT_HEAD(head):
+                if not head.strip().isdigit():
+                    self.error("coefficient must be an integer: %r" % head.strip())
+                coefficient = int(head)
+                self.pos += 1
+            else:
+                self.pos = start
+        if not self.take("{"):
+            return ChainTerm(coefficient, 0, None, self.slots())
+        argument = parse_function(self.span("}"))
+        if not (self.take("}") and self.take("_")):
+            self.error("a bracket needs '}' and a depth '_p'")
+        depth = self.integer()
+        return ChainTerm(coefficient, depth, argument, self.slots() if self.take("(x)") else ())
+
+    def slots(self) -> tuple:
+        """The wedge slots; none when only blanks are left of the term."""
+        texts = [self.span("^+-").strip()]
+        while self.take("^"):
+            texts.append(self.span("^+-").strip())
+        if texts == [""]:
+            return ()
+        if "" in texts:
+            self.error("empty wedge slot")
+        return tuple(map(parse_function, texts))
+
+
+_COEFFICIENT_HEAD = re.compile(r"[\d\s(){}\[\]*]*").fullmatch
+_SIGNS = {"+": 1, "-": -1}
+
+
 def parse_element(text: str, weight: Optional[int] = None) -> ChainElement:
     """Parse `3*{(1-t)/t}_2 (x) t ^ (1+t)`; unicode tensor/wedge also accepted.
 
-    `^` at the top level separates wedge slots; write powers inside
-    parentheses, e.g. `(t^2) ^ g`.
+    `^`, `+` and `-` outside brackets end a wedge slot, so write sums,
+    differences and powers in a slot inside parentheses: `{t}_3 (x) (t-1)`,
+    `(t^2) ^ g`.  Each term as written must have the weight (the given one,
+    else the first term's) and the degree of the first term: the `1` that
+    `{t}_3 (x) t-1` splits off is an error, though it would reduce to zero.
     """
-    text = text.replace("⊗", " (x) ").replace("∧", " ^ ")
-    chunks = _split_terms(text)
-    if not chunks:
-        raise ValueError("empty element")
-    terms = []
-    for sign, chunk in chunks:
-        terms.append(_parse_term(sign, chunk))
-    return element(terms, weight)
-
-
-def _split_terms(text: str):
-    chunks = []
-    depth = 0
-    sign = 1
-    current = []
-    for ch in text:
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        if depth == 0 and ch in "+-":
-            if "".join(current).strip():
-                chunks.append((sign, "".join(current)))
-                sign = 1
-            elif chunks:
-                raise ValueError("dangling sign in element text")
-            if ch == "-":
-                sign = -sign
-            current = []
-        else:
-            current.append(ch)
-    if "".join(current).strip():
-        chunks.append((sign, "".join(current)))
-    elif sign == -1:
-        raise ValueError("dangling sign in element text")
-    return chunks
-
-
-def _parse_term(sign: int, chunk: str) -> Optional[ChainTerm]:
-    s = chunk.strip()
-    coeff = sign
-    star = _top_level_star(s)
-    if star is not None:
-        head = s[:star].strip()
-        if not head.isdigit():
-            raise ValueError("coefficient must be an integer: %r" % head)
-        coeff *= int(head)
-        s = s[star + 1 :].strip()
-    depth = 0
-    argument = None
-    if s.startswith("{"):
-        close = s.find("}")
-        if close < 0:
-            raise ValueError("unclosed bracket in %r" % chunk)
-        argument = parse_function(s[1:close])
-        rest = s[close + 1 :].strip()
-        if not rest.startswith("_"):
-            raise ValueError("bracket needs a depth subscript: %r" % chunk)
-        rest = rest[1:]
-        i = 0
-        while i < len(rest) and rest[i].isdigit():
-            i += 1
-        if i == 0:
-            raise ValueError("bracket needs a numeric depth: %r" % chunk)
-        depth = int(rest[:i])
-        s = rest[i:].strip()
-        if s.startswith("(x)"):
-            s = s[3:].strip()
-        elif s:
-            raise ValueError("expected tensor separator in %r" % chunk)
-    wedge = tuple(parse_function(p) for p in _split_wedge(s)) if s else ()
-    return _make_term(coeff, depth, argument, wedge)
-
-
-def _top_level_star(s: str) -> Optional[int]:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            return i
-        elif ch in "{(" or not (ch.isdigit() or ch.isspace() or ch == "*"):
-            return None
-    return None
-
-
-def _split_wedge(s: str):
-    parts = []
-    depth = 0
-    current = []
-    for ch in s:
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        if ch == "^" and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    parts = [p.strip() for p in parts]
-    if any(not p for p in parts):
-        raise ValueError("empty wedge slot in %r" % s)
-    return parts
+    return _ElementParser(text.replace("⊗", " (x) ").replace("∧", " ^ ")).element(weight)

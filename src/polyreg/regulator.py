@@ -40,7 +40,6 @@ from .forms import (
     sv_pq,
     sv_scalar,
     weighted_alternation,
-    _as_mapping,
     _det,
     _variables,
 )
@@ -48,6 +47,7 @@ from .funcfield import (
     PoleError,
     RationalFunction,
     Valuation,
+    _as_mapping,
     _value_and_slopes,
     one_minus,
     parse_function,
@@ -492,7 +492,11 @@ def loop_residue_check(
     names = _variables(image)
     if len(names) != 1:
         raise ValueError("loop integration needs a univariate element")
-    center = complex(Fraction(a))
+    try:  # a zero denominator, or a value past the double range
+        point = Fraction(a)
+        center = complex(point)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError("the point %r is not a finite rational in double range" % (a,)) from None
     values = []
     m = cfg.loop_nodes
     for eps in cfg.loop_radii:
@@ -506,7 +510,7 @@ def loop_residue_check(
     design = [[1.0] * len(values), [eps * math.log(eps) for eps in cfg.loop_radii], cfg.loop_radii]
     loop_value = _lstsq(design, values)[0]
 
-    res = residue(e, Valuation.finite(Fraction(a)))
+    res = residue(e, Valuation.finite(point))
     expected = orientation * 2j * math.pi * _constant_r_value(res)
     defect = abs(loop_value - expected) / max(1.0, abs(expected))
     case = report_case(

@@ -18,12 +18,17 @@ compares the package with itself:
     `exact._recursion_grid`;
   * `rf_dir_derivative` and `polynomial_evaluate`: directional derivatives
     and term-by-term polynomial values, against the compiled evaluation of
-    `funcfield`.
+    `funcfield`;
+  * `reference_parse_function` and `reference_parse_element`: the function
+    and element grammars as hand-written character loops, each with its own
+    lexer, against `funcfield.parse_function` and
+    `polycomplex.parse_element`, which read through one shared cursor.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import log
@@ -32,7 +37,6 @@ from typing import List, Sequence
 from polyreg.exact import beta
 from polyreg.forms import (
     Form,
-    _as_mapping,
     _variables,
     diarg,
     dlog,
@@ -44,10 +48,13 @@ from polyreg.forms import (
 from polyreg.funcfield import (
     Polynomial,
     RationalFunction,
-    _as_point,
+    _as_mapping,
     _value_and_slopes,
+    const,
     sort_signed,
+    var,
 )
+from polyreg.polycomplex import _make_term, element
 from polyreg.polylog import ConvergenceError, _betas_float, _check_argument, _sv_state_double
 
 # ---------------------------------------------------------------------------
@@ -298,8 +305,8 @@ def rf_dir_derivative(f: RationalFunction, x, v) -> complex:
     v: complex displacement, shaped like the point (scalar for univariate,
     dict or aligned sequence otherwise).
     """
-    point = _as_point(f, x)
-    vee = _as_point(f, v)
+    point = _as_mapping(x, f.variables())
+    vee = _as_mapping(v, f.variables())
     total = 0j
     for name, slope in zip(f.variables(), _value_and_slopes(f, point)[1]):
         total += slope * complex(vee.get(name, 0))
@@ -317,3 +324,229 @@ def polynomial_evaluate(self: Polynomial, point: dict) -> complex:
                 term *= complex(point[name]) ** e
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# text: the function and element grammars with their own character loops
+
+# a power of two or more digits, which a parser and its reference would both
+# expand in full: generated texts that contain one are skipped
+BIG_POWER = re.compile(r"\^[\s-]*\d\d")
+
+
+class _ReferenceFunctionParser:
+    """expr := term (('+'|'-') term)*, term := factor (('*'|'/') factor)*,
+    factor := ('-')* base ('^' ['-'] integer)?, base := integer | name |
+    '(' expr ')', with whitespace between tokens."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str):
+        raise ValueError(f"parse error at position {self.pos}: {message} in {self.text!r}")
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def parse(self) -> RationalFunction:
+        try:
+            value = self.expr()
+        except ZeroDivisionError:
+            self.error("division by zero")
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("trailing input")
+        return value
+
+    def expr(self) -> RationalFunction:
+        value = self.term()
+        while True:
+            if self.take("+"):
+                value = value + self.term()
+            elif self.take("-"):
+                value = value - self.term()
+            else:
+                return value
+
+    def term(self) -> RationalFunction:
+        value = self.factor()
+        while True:
+            c = self.peek()
+            if c == "*":
+                self.pos += 1
+                value = value * self.factor()
+            elif c == "/":
+                self.pos += 1
+                value = value / self.factor()
+            else:
+                return value
+
+    def factor(self) -> RationalFunction:
+        if self.take("-"):
+            return -self.factor()
+        value = self.base()
+        if self.take("^"):
+            sign = -1 if self.take("-") else 1
+            k = self.integer()
+            value = value ** (sign * k)
+        return value
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected integer")
+        return int(self.text[start : self.pos])
+
+    def base(self) -> RationalFunction:
+        c = self.peek()
+        if c == "(":
+            self.pos += 1
+            value = self.expr()
+            if not self.take(")"):
+                self.error("expected ')'")
+            return value
+        if c.isdigit():
+            return const(self.integer())
+        if c.isalpha() or c == "_":
+            start = self.pos
+            while self.pos < len(self.text) and (
+                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+            ):
+                self.pos += 1
+            return var(self.text[start : self.pos])
+        self.error("expected a number, name, or '('")
+
+
+def reference_parse_function(text: str) -> RationalFunction:
+    return _ReferenceFunctionParser(text).parse()
+
+
+def reference_element_terms(text: str) -> list:
+    """The terms of element text as written, (coefficient, depth, argument,
+    wedge) each, before any is normalized: the text is cut at every '+' and
+    '-' outside brackets, then each piece is read on its own."""
+    text = text.replace("⊗", " (x) ").replace("∧", " ^ ")
+    chunks = _split_terms(text)
+    if not chunks:
+        raise ValueError("empty element")
+    return [_parse_term(sign, chunk) for sign, chunk in chunks]
+
+
+def reference_parse_element(text: str, weight=None):
+    """Element text read by cutting it into terms first: a term that reduces
+    to zero drops out before the terms' weights and degrees are compared."""
+    return element([_make_term(*t) for t in reference_element_terms(text)], weight)
+
+
+def _split_terms(text: str):
+    chunks = []
+    depth = 0
+    sign = 1
+    current = []
+    for ch in text:
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        if depth == 0 and ch in "+-":
+            if "".join(current).strip():
+                chunks.append((sign, "".join(current)))
+                sign = 1
+            elif chunks:
+                raise ValueError("dangling sign in element text")
+            if ch == "-":
+                sign = -sign
+            current = []
+        else:
+            current.append(ch)
+    if "".join(current).strip():
+        chunks.append((sign, "".join(current)))
+    elif sign == -1:
+        raise ValueError("dangling sign in element text")
+    return chunks
+
+
+def _parse_term(sign: int, chunk: str) -> tuple:
+    s = chunk.strip()
+    coeff = sign
+    star = _top_level_star(s)
+    if star is not None:
+        head = s[:star].strip()
+        if not head.isdigit():
+            raise ValueError("coefficient must be an integer: %r" % head)
+        coeff *= int(head)
+        s = s[star + 1 :].strip()
+    depth = 0
+    argument = None
+    if s.startswith("{"):
+        close = s.find("}")
+        if close < 0:
+            raise ValueError("unclosed bracket in %r" % chunk)
+        argument = reference_parse_function(s[1:close])
+        rest = s[close + 1 :].strip()
+        if not rest.startswith("_"):
+            raise ValueError("bracket needs a depth subscript: %r" % chunk)
+        rest = rest[1:]
+        i = 0
+        while i < len(rest) and rest[i].isdigit():
+            i += 1
+        if i == 0:
+            raise ValueError("bracket needs a numeric depth: %r" % chunk)
+        depth = int(rest[:i])
+        s = rest[i:].strip()
+        if s.startswith("(x)"):
+            s = s[3:].strip()
+        elif s:
+            raise ValueError("expected tensor separator in %r" % chunk)
+    wedge = tuple(reference_parse_function(p) for p in _split_wedge(s)) if s else ()
+    return coeff, depth, argument, wedge
+
+
+def _top_level_star(s: str):
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        elif ch == "*" and depth == 0:
+            return i
+        elif ch in "{(" or not (ch.isdigit() or ch.isspace() or ch == "*"):
+            return None
+    return None
+
+
+def _split_wedge(s: str):
+    parts = []
+    depth = 0
+    current = []
+    for ch in s:
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        if ch == "^" and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current))
+    parts = [p.strip() for p in parts]
+    if any(not p for p in parts):
+        raise ValueError("empty wedge slot in %r" % s)
+    return parts

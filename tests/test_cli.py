@@ -42,6 +42,18 @@ class TestExitCodes:
             )
             assert code == 2
 
+    @pytest.mark.parametrize("at", ["x", "1/0", "1e400"])
+    def test_usage_error_bad_point(self, capsys, at):
+        code = run(["loop-check", "--weight", "2", "--element", "(t+2)^t", "--at", at])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_usage_error_mis_split_term(self, capsys):
+        # the '-' ends the slot, so '1' is a weight-1 term of its own
+        code = run(["loop-check", "--weight", "4", "--element", "{t}_3 (x) t-1", "--at", "1"])
+        assert code == 2
+        assert "the term '1' has weight 1 and degree 1" in capsys.readouterr().err
+
     def test_failing_suite_is_one(self, capsys):
         # the depth/valuation sampler at weight 4 hits both commutation
         # signs, so the single-sign residue suite reports a failure

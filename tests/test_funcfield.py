@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import polynomial_evaluate, rf_dir_derivative
+from oracles import BIG_POWER, polynomial_evaluate, reference_parse_function, rf_dir_derivative
 from polyreg import forms as F
 from polyreg.funcfield import (
     PoleError,
@@ -220,6 +220,41 @@ def test_zero_denominator_is_a_usage_error():
     for text in ("1/(t-t)", "1/0", "(t-t)^-2", "x/(y-y)*2"):
         with pytest.raises(ValueError, match="position"):
             parse_function(text)
+
+
+def assert_function_as_reference(text):
+    """parse_function and the reference agree on text: the same key and
+    the same term order in numerator and denominator, or both raise
+    ValueError."""
+    try:
+        want = reference_parse_function(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_function(text)
+        return
+    got = parse_function(text)
+    assert got.key() == want.key(), text
+    for a, b in ((got.num, want.num), (got.den, want.den)):
+        assert list(a.terms) == list(b.terms), text
+
+
+@pytest.mark.parametrize("text", [
+    "1+2*t^2", "-t^2", "(x*y - 1)/(x + y)", "t +", "(t", "t ^ - 2", "t^--2", "t^ 2", "--t",
+    "1 2", "t t", "2t", "_y1*y_1", "\tt\n", "t\xa0+ 1", "t²", "١+t", "()", "t)",
+    "((t+1)*(t-1))", "1/(t-t)", "(t-t)^-2", "0^0", "t/0", "", " ", "x^10-1", "(t+1)^-1*(t+1)",
+])
+def test_parser_hand_cases_against_reference(text):
+    assert_function_as_reference(text)
+
+
+@given(st.lists(st.sampled_from([
+    "t", "x", "y_1", "_z", "1", "2", "0", "10", "+", "-", "*", "/", "^", "(", ")", " ", "\t",
+]), max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_parser_token_soup_against_reference(tokens):
+    text = "".join(tokens)
+    assume(not BIG_POWER.search(text))
+    assert_function_as_reference(text)
 
 
 def _fresh_texts(f):

@@ -9,6 +9,10 @@ A suite report is built in one place: no module of the package but `exact`,
 which holds the builder `suite_report`, writes a dict literal with a
 "suite" key.
 
+Text is lexed in one place: no class of the package outside `funcfield`,
+which holds the cursor `_Reader`, defines `peek`, and the character loops
+that the cursor replaced are gone by name.
+
 The package and the tests' references stay apart: no module of the package
 imports `oracles`, and no name that tests/oracles.py defines exists in a
 package module, so a check against an oracle never compares the package
@@ -130,3 +134,37 @@ def test_suite_scan_finds_a_literal():
     source = 'a = {"suite": "x", "cases": []}\nb = {**a, "pass": True}\nc = dict(suite="y")\n'
     source += 'd = [{"input": 1}, {\n"suite": "z"}]\n'
     assert suite_literals(source) == [1, 4]
+
+
+# the character loops that split element text and call arguments by hand
+LOOP_NAMES = {"_split_terms", "_top_level_star", "_split_wedge", "call_args"}
+
+
+def lexer_findings(source: str, filename: str) -> list:
+    """(line, name) of each class outside funcfield.py that defines peek,
+    and of each def, name or attribute in LOOP_NAMES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and filename != "funcfield.py":
+            found += [
+                (f.lineno, node.name + ".peek")
+                for f in node.body
+                if isinstance(f, ast.FunctionDef) and f.name == "peek"
+            ]
+        name = next(filter(None, (getattr(node, a, None) for a in ("name", "id", "attr"))), None)
+        if name in LOOP_NAMES:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_one_lexer():
+    found = {path.name: lexer_findings(path.read_text(), path.name) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_lexer_scan_finds_a_second_lexer():
+    source = "class P(R):\n    def peek(self):\n        pass\n\n\n"
+    source += "def _split_wedge(s):\n    return s\n"
+    assert lexer_findings(source, "forms.py") == [(2, "P.peek"), (6, "_split_wedge")]
+    assert lexer_findings(source, "funcfield.py") == [(6, "_split_wedge")]
+    assert lexer_findings("args = self.call_args()\n", "forms.py") == [(1, "call_args")]

@@ -3,9 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import BIG_POWER, reference_element_terms, reference_parse_element
 from polyreg import polycomplex as C
 from polyreg.funcfield import Valuation, const, parse_function as pf
 
@@ -266,6 +267,95 @@ class TestParser:
                 C.parse_element(bad)
         with pytest.raises(ValueError):
             C.parse_element("{t}_1")
+
+    @pytest.mark.parametrize("text, weight", [
+        ("{t}_3 (x) t-1", None), ("{t}_2 (x) t+1", None), ("{t}_2 (x) 1+t", None),
+        ("t ^ t-1", 2), ("{t}_3 ⊗ t-1", 4),
+    ])
+    def test_mis_split_term_is_an_error(self, text, weight):
+        # '+' and '-' end a slot, so the stray term would reduce to zero or
+        # change the element's weight
+        with pytest.raises(ValueError, match="the term"):
+            C.parse_element(text, weight)
+
+    def test_sums_in_slots_go_in_parentheses(self):
+        e = C.parse_element("{t}_3 (x) (t-1)", 4)
+        assert e == C.bracket_tensor(pf("t"), 3, [pf("t-1")])
+
+
+def gradings(terms) -> list:
+    """(weight, degree) of each (coefficient, depth, argument, wedge) term."""
+    return [(p + len(w), len(w) + 1 if p else len(w)) for _, p, _, w in terms]
+
+
+def assert_element_as_reference(text, weight):
+    """parse_element agrees with the reference on text: both raise
+    ValueError; or the reference accepts text although one of its terms as
+    written has another weight or degree, and parse_element raises; or both
+    give the same element, grading, printed text and functions, term order
+    included."""
+    try:
+        want = reference_parse_element(text, weight)
+    except ValueError:
+        with pytest.raises(ValueError):
+            C.parse_element(text, weight)
+        return
+    written = gradings(reference_element_terms(text))
+    grading = (written[0][0] if weight is None else weight, written[0][1])
+    if any(g != grading for g in written):
+        with pytest.raises(ValueError, match="the term"):
+            C.parse_element(text, weight)
+        return
+    got = C.parse_element(text, weight)
+    assert (got, got.grading, str(got)) == (want, want.grading, str(want)), text
+    for a, b in zip(got.terms, want.terms):
+        fs = [(a.argument, b.argument)] if a.depth else []
+        for f, g in fs + list(zip(a.wedge, b.wedge)):
+            assert (list(f.num.terms), list(f.den.terms)) == (list(g.num.terms), list(g.den.terms))
+
+
+ELEMENT_TEXTS = [
+    "3*{(1-t)/t}_2 ⊗ t ∧ (1+t)", "{t}_3 - 2*{t+1}_3", "(t^2) ^ (1+t)", "t ^ (1+t) ^ (t-2)",
+    "{t}_3 (x) t-1", "{t}_2 (x) t+1", "{t}_2 (x) 1+t", "t ^ t-1", "{t}_2 (x) t ^ t-1",
+    "t +", "t + ", "- -t", "+-t", "2*", "3* + t", "{t}_2 (x)", "{t}_2(x)t", "{ t } _2",
+    "0*{t}_1", "{1}_2 + {t}_3", "{0}_2", "2 - 3*t", "2 * t", "2 3*t", "(2)*t", "(2*3)*t",
+    "[2]*t", "{2}*t", "*t", "2*3*t", "2^t", "t*2", "{t}_02", "{t}_ 2", "{t}_2 ^ u",
+    "{(t})_2", "t) - u", "(t - u", "t - - u", "t -", "-", "+", "", "t ^^ g", "{t_2",
+    "{t}_", "{t}_2 t", "{t}_2 (x) (x) t", "{t}_2 (x+1) ^ t", "{t}_2 (x)^t", "{t}_-2",
+    "x ^ y - y ^ x", "{x}_2 (x) y + {y}_2 (x) x", "t ^ 0", "{1/(t-t)}_2", "t\xa0^ u",
+]
+
+
+class TestParserAgainstReference:
+    @pytest.mark.parametrize("text", ELEMENT_TEXTS)
+    def test_hand_cases(self, text):
+        for weight in (None, 1, 2, 3, 4):
+            assert_element_as_reference(text, weight)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_printed_elements(self, seed, w):
+        e = C.random_element(w, random.Random(seed))
+        for a in (e, C.delta(e)):
+            assert_element_as_reference(str(a), a.weight)
+
+    @given(st.lists(st.sampled_from([
+        "{", "}", "_2", "_3", "_1", "(x)", "⊗", "∧", "^", "+", "-", "*", "2", "1", "0",
+        "t", "x", "t-1", "(1-t)", " ", "(", ")", "[", "]", "{t}_2", "{1}_3", "t^2", "/",
+    ]), max_size=8), st.sampled_from([None, 1, 2, 3, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_token_soup(self, tokens, weight):
+        text = "".join(tokens)
+        assume(not BIG_POWER.search(text))
+        assert_element_as_reference(text, weight)
+
+    @given(st.lists(st.tuples(st.sampled_from(["+", "-", " - ", ""]), st.sampled_from([
+        "{t}_2", "{t}_3 (x) t", "2*{1-t}_2 ⊗ t ∧ x", "t ^ x", "t", "1", "x ^ t-1", "3*t",
+        "{t}_2 (x) 1", "t ^ 1", "0*{t}_3", "{1}_3",
+    ])), min_size=1, max_size=4), st.sampled_from([None, 1, 2, 3, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_term_soup(self, terms, weight):
+        assert_element_as_reference("".join(sign + term for sign, term in terms), weight)
 
 
 def test_random_element_shapes():
