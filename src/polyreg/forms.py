@@ -30,14 +30,16 @@ dlog|g|(v) = Re(Dg(x;v)/g(x)) and diarg g(v) = i Im(Dg(x;v)/g(x)), and
 expands generator wedges as determinants against the supplied vectors.  It
 is batched: `evaluate_many` takes forms of one degree and (point, frames)
 samples, and `evaluate` is its one-form, one-frame case.  The forms compile
-into one plan (a single form keeps its plan on first evaluation): their
-distinct functions, scalars and generators, and every term as (complex
-coefficient, scalar indices, generator indices).  At each point, every
-function is evaluated once with the genericity guards, with its gradient if
-it carries a generator, and every scalar once; all frames and forms share
-them.  At each frame, one covector table per (generator, vector) and one
-memo of minors serve all the forms, each term's determinant expanded by
-first-row cofactors.  The arithmetic is the term-by-term arithmetic in its
+into one plan, the one walk over their terms, kept on the first form for
+the same forms: their variables, the functions a sample point must keep
+generic (the samplers of `regulator` read them), their distinct functions,
+scalars and generators, and every term as (complex coefficient, scalar
+indices, generator indices).  At each point, every function is evaluated
+once by `funcfield`'s evaluator with the genericity guards, with its
+gradient if it carries a generator, and every scalar once; all frames and
+forms share them.  At each frame, one covector table per (generator,
+vector) and one memo of minors serve all the forms, each term's determinant
+expanded by first-row cofactors.  The arithmetic is the term-by-term arithmetic in its
 order, so the values are bit-identical to it; the plan holds nothing that
 depends on a point.
 """
@@ -52,10 +54,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .exact import beta
 from .funcfield import (
     Combination,
+    PoleError,
     RationalFunction,
-    _as_mapping,
     _compile,
-    _poly_at,
+    _coordinates,
+    _evaluate,
     _Reader,
     one_minus,
     parse_function,
@@ -283,18 +286,6 @@ def weighted_alternation(
 _CLEARANCE = 1e-6
 
 
-def _variables(*forms_: Form) -> list:
-    """Sorted names of every variable the forms' functions use."""
-    vs = set()
-    for a in forms_:
-        for t in a.terms:
-            for s in t.scalars:
-                vs.update((s[1] if s[0] == "log" else s[2]).variables())
-            for g in t.generators:
-                vs.update(g[1].variables())
-    return sorted(vs)
-
-
 def _det(mat: List[List[complex]]) -> complex:
     n = len(mat)
     if n == 0:
@@ -313,28 +304,28 @@ def _det(mat: List[List[complex]]) -> complex:
 
 
 class _Plan:
-    """The evaluation plan of forms of one degree: the distinct functions,
-    scalars and generators of all of them, and per form its terms as
-    ((complex coefficient, scalar indices), ...) and their generator
-    indices.  A function is (num, den, is an sv argument, partials), its
-    compiled term lists with exponents on slots of `names`, the partials
-    being (slot, d num, d den) per variable of a generator function and None
-    otherwise; a scalar is (function index, weight p, or 0 for log); a
-    generator is (is dlog, function index).  Holds nothing that depends on
-    a point."""
+    """The evaluation plan of forms of one degree, the one walk over their
+    terms: the sorted variable `names` of their functions, the functions a
+    sample point keeps in a moderate annulus (`guarded`: every function, and
+    1 - f for each sv argument f), the distinct functions, scalars and
+    generators, and per form its terms as ((complex coefficient, scalar
+    indices), ...) and their generator indices.  A function is (its term
+    lists compiled on the slots of names, is an sv argument, carries a
+    generator); a scalar is (function index, weight p, or 0 for log); a
+    generator is (is dlog, function index).  `others`: the forms after the
+    first that it was built for.  Holds nothing that depends on a point."""
 
-    __slots__ = ("names", "functions", "scalars", "generators", "forms")
+    __slots__ = ("others", "names", "functions", "guarded", "scalars", "generators", "forms")
 
-    def __init__(self, forms_: Sequence[Form]):
+    def __init__(self, forms_: Tuple[Form, ...]):
+        self.others = forms_[1:]
         index: Dict[str, int] = {}  # function key -> function index
         functions: List[RationalFunction] = []
         sv_arguments, generator_functions = set(), set()
 
         def fn(g: RationalFunction) -> int:
-            k = g.key()
-            i = index.get(k)
-            if i is None:
-                i = index[k] = len(functions)
+            i = index.setdefault(g.key(), len(functions))
+            if i == len(functions):
                 functions.append(g)
             return i
 
@@ -361,38 +352,22 @@ class _Plan:
                 gidxs.append(tuple(gidx))
             self.forms.append((tuple(terms), tuple(gidxs)))
         self.names = sorted(set().union(*(g.variables() for g in functions)))
-        slot = {name: k for k, name in enumerate(self.names)}
-        self.functions = []
-        for i, g in enumerate(functions):
-            num, den, partials = _compile(g)
-            slots = [slot[name] for name in g.variables()]
-            if slots != list(range(len(slots))):
-                num, den = _on_slots(num, slots), _on_slots(den, slots)
-                partials = [(_on_slots(dn, slots), _on_slots(dd, slots)) for dn, dd in partials]
-            self.functions.append((
-                num,
-                den,
-                i in sv_arguments,
-                tuple((slots[k], dn, dd) for k, (dn, dd) in enumerate(partials))
-                if i in generator_functions else None,
-            ))
+        self.functions = tuple(
+            (_compile(g, self.names), i in sv_arguments, i in generator_functions)
+            for i, g in enumerate(functions)
+        )
+        self.guarded = functions + [one_minus(functions[i]) for i in sorted(sv_arguments)]
         self.scalars = tuple(scalars)
         self.generators = tuple(generators)
 
 
-def _on_slots(terms: tuple, slots: list) -> tuple:
-    """Compiled polynomial terms with each variable slot k moved to slots[k]."""
-    return tuple((c, tuple((slots[k], e) for k, e in powers)) for c, powers in terms)
-
-
 def _plan(forms_: Tuple[Form, ...]) -> _Plan:
-    """The plan of the forms; a single form keeps its plan."""
-    if len(forms_) > 1:
-        return _Plan(forms_)
-    a = forms_[0]
-    if a._plan is None:
-        a._plan = _Plan(forms_)
-    return a._plan
+    """The plan of the forms, kept on the first of them until it leads
+    other forms."""
+    plan = forms_[0]._plan
+    if plan is None or list(map(id, plan.others)) != list(map(id, forms_[1:])):
+        plan = forms_[0]._plan = _Plan(forms_)
+    return plan
 
 
 def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> complex:
@@ -430,20 +405,16 @@ def _at_point(plan: _Plan, xs: list, xm: dict) -> tuple:
     function.  Each function is evaluated once, with the genericity guards,
     in the plan's order."""
     values, gradients = [], []
-    for num, den, sv_argument, partials in plan.functions:
-        d = _poly_at(den, xs)
-        if abs(d) <= _CLEARANCE:
-            raise GenericityError(f"denominator magnitude {abs(d):.3e} at {xm}")
-        n = _poly_at(num, xs)
-        val = n / d
+    for compiled, sv_argument, generator in plan.functions:
+        try:
+            val, slopes = _evaluate(compiled, xs, _CLEARANCE, xm, generator)
+        except PoleError as exc:
+            raise GenericityError(str(exc)) from None
         if abs(val) < _CLEARANCE:
             raise GenericityError("function value too close to zero")
         if sv_argument and abs(val - 1.0) < _CLEARANCE:
             raise GenericityError("sv argument too close to 1")
-        if partials is not None:
-            slopes = []
-            for k, dn, dd in partials:
-                slopes.append((k, (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)))
+        if generator:
             gradients.append((len(values), val, slopes))
         values.append(val)
     scalars = []
@@ -487,20 +458,14 @@ def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[c
         raise ValueError("forms of mixed degree %s" % sorted({a.degree for a in forms_}))
     plan = _plan(forms_)
     names = plan.names
-    zeros = [0j] * len(names)
     cols = tuple(range(degree))
     out = []
     for x, frames in samples:
         frames = list(frames)
-        for vectors in frames:
-            if len(vectors) != degree:
-                raise ValueError("need exactly %d vectors" % degree)
-        xm = _as_mapping(x, names)
-        xs = list(map(xm.__getitem__, names))
-        frames = [
-            [list(map(_as_mapping(v, names).get, names, zeros)) for v in vectors]
-            for vectors in frames
-        ]
+        if any(len(vectors) != degree for vectors in frames):
+            raise ValueError("need exactly %d vectors" % degree)
+        xm, xs = _coordinates(x, names)
+        frames = [[_coordinates(v, names, 0j)[1] for v in vectors] for vectors in frames]
         scalars, gradients = _at_point(plan, xs, xm)
         weights = []  # per form: each term's coefficient times its scalars
         for terms, _ in plan.forms:
@@ -661,10 +626,11 @@ class _FormParser(_Reader):
             power = self.coeff()
             if power.denominator != 1 or power < 1:
                 self.error("bad power")
-            base = triples
-            for _ in range(int(power) - 1):
-                triples = _product(triples, base)
-            degree *= int(power)
+            base, step = triples, degree
+            for _ in range(int(power) - 1):  # merged per step: a vanishing power stays small
+                degree += step
+                terms = form(degree, [_make_term(*t) for t in _product(triples, base)]).terms
+                triples = [(t.coefficient, t.scalars, t.generators) for t in terms]
         else:  # a '^' before a factor wedges it on
             self.pos = save
         return degree, triples

@@ -3,11 +3,13 @@
 Sparse polynomials over fractions.Fraction, rational functions in canonical
 form, complex-point evaluation with pole clearance, exact partial
 derivatives, and discrete-valuation data (order and unit part) at rational
-points of the line and at infinity.  Evaluation compiles each function once,
-on first use, into complex term lists for num, den and their partials, kept
-in the order of each polynomial's terms with complex(Fraction) coefficients,
-so values agree bit for bit with summing the terms one by one (the tests'
-reference, `polynomial_evaluate` in tests/oracles.py).
+points of the line and at infinity.  This module alone evaluates functions:
+each compiles once per layout of its variables on a caller's slots, into
+complex term lists for num, den and their partials in the order of each
+polynomial's terms, so values agree bit for bit with summing the terms one
+by one (`polynomial_evaluate` in tests/oracles.py), and `_evaluate` turns the
+lists into a value and partials behind one pole guard for `rf_eval`, form
+evaluation and the samplers and holomorphic parts of `regulator`.
 
 Canonical forms: a univariate quotient is gcd-reduced with monic denominator,
 so syntactic equality is mathematical equality. Multivariate quotients are
@@ -493,28 +495,39 @@ def _as_mapping(x, names) -> dict:
     raise ValueError("a point or vector in several variables must be a mapping or aligned sequence")
 
 
-def _terms(p: Polynomial) -> tuple:
-    """(complex coefficient, ((variable slot, exponent), ...)) per term, in
-    the polynomial's own term order."""
+def _coordinates(x, names, default=None) -> tuple:
+    """(x as a mapping, its coordinates in the order of names).  A vector's
+    missing coordinates are default; a point (default None) must give each
+    of them, else ValueError naming the first one missing."""
+    point = _as_mapping(x, names)
+    xs = [point.get(name, default) for name in names]
+    if default is None and None in xs:
+        raise ValueError(f"the point has no coordinate {names[xs.index(None)]!r}")
+    return point, xs
+
+
+def _terms(p: Polynomial, slots: tuple) -> tuple:
+    """(complex coefficient, ((slot, exponent), ...)) per term, in the
+    polynomial's own term order, variable k of p on slot slots[k]."""
     return tuple(
-        (complex(coeff), tuple((k, e) for k, e in enumerate(expo) if e))
+        (complex(coeff), tuple((slots[k], e) for k, e in enumerate(expo) if e))
         for expo, coeff in p.terms.items()
     )
 
 
-def _compile(f: RationalFunction) -> tuple:
-    """Term lists of num, den and of their partials in each variable, built
-    on first use and kept on the function."""
-    if f._compiled is None:
-        f._compiled = (
-            _terms(f.num),
-            _terms(f.den),
-            tuple(
-                (_terms(f.num.partial(name)), _terms(f.den.partial(name)))
-                for name in f.variables()
-            ),
-        )
-    return f._compiled
+def _compile(f: RationalFunction, names: Sequence[str]) -> tuple:
+    """Term lists of num, den and (slot, d num, d den) per variable of f,
+    each variable on its slot in names; built once per slot layout and
+    kept on the function."""
+    slots = tuple(map(names.index, f.variables()))
+    cache = f._compiled = f._compiled or {}
+    out = cache.get(slots)
+    if out is None:
+        num, den = f.num, f.den
+        partials = tuple((k, _terms(num.partial(v), slots), _terms(den.partial(v), slots))
+                         for k, v in zip(slots, f.variables()))
+        out = cache[slots] = (_terms(num, slots), _terms(den, slots), partials)
+    return out
 
 
 def _poly_at(terms: tuple, xs: Sequence[complex]) -> complex:
@@ -526,41 +539,28 @@ def _poly_at(terms: tuple, xs: Sequence[complex]) -> complex:
     return total
 
 
-def _coords(f: RationalFunction, point: dict) -> list:
-    return [complex(point[name]) for name in f.variables()]
-
-
-def _pole_guard(d: complex, clearance: float, point) -> complex:
+def _evaluate(compiled: tuple, xs: Sequence[complex], clearance: float, point,
+              slopes: bool = False) -> tuple:
+    """(f(x), [(slot, df/dx_slot), ...] if slopes else None) from f's
+    compiled term lists at coordinates xs; raises PoleError, naming point,
+    when |den(x)| <= clearance.  The one evaluator of functions at points."""
+    num, den, partials = compiled
+    d = _poly_at(den, xs)
     if abs(d) <= clearance:
         raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
-    return d
-
-
-def _slopes(f: RationalFunction, xs, n: complex, d: complex) -> list:
-    """The partials (df/dx_j)(x), one per variable of f."""
-    return [
-        (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)
-        for dn, dd in _compile(f)[2]
+    n = _poly_at(num, xs)
+    if not slopes:
+        return n / d, None
+    return n / d, [
+        (k, (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)) for k, dn, dd in partials
     ]
 
 
 def rf_eval(f: RationalFunction, x, clearance: float = 1e-12) -> complex:
     """num(x)/den(x); raises PoleError when |den(x)| <= clearance."""
-    point = _as_mapping(x, f.variables())
-    num, den, _ = _compile(f)
-    xs = _coords(f, point)
-    d = _pole_guard(_poly_at(den, xs), clearance, point)
-    return _poly_at(num, xs) / d
-
-
-def _value_and_slopes(f: RationalFunction, point: dict) -> tuple:
-    """(f(x), its partials) at a checked point, with rf_eval's pole guard:
-    rf_eval's value and the partials a directional derivative sums."""
-    num, den, _ = _compile(f)
-    xs = _coords(f, point)
-    d = _pole_guard(_poly_at(den, xs), 1e-12, point)
-    n = _poly_at(num, xs)
-    return n / d, _slopes(f, xs, n, d)
+    names = f.variables()
+    point, xs = _coordinates(x, names)
+    return _evaluate(_compile(f, names), xs, clearance, point)[0]
 
 
 # --- discrete valuations -------------------------------------------------

@@ -16,8 +16,10 @@ Double precision (precision_bits <= 53) takes one of three routes by |z|:
     Li_k(-e^u) in u = log(-z) when Re z < 0 (D. C. Wood 1992, R. Crandall 2006);
   * |z| > 2: inversion, sv(n, z) = (-1)^(n-1) sv(n, 1/z) for n >= 2.
 Weight 1 is -log|1-z| on every route.  Where log^k|z| overflows a double
-(from weight 110 at |z| = 1e-300 or 1e300), the high-precision route below
-gives the value at 53 bits.  The log-expansion tables are built once per
+(from weight 110 at |z| = 1e-300 or 1e300), or beta_k Li_j(z) of the series
+falls below the normal range (`_normal_radius`: from weight 17 at |z| =
+1e-300 or 1e300), the high-precision route below gives the value at 53
+bits.  The log-expansion tables are built once per
 (weight, center) from the exact layer's integers, one correctly rounded
 division per coefficient; mpmath supplies only their irrational heads,
 zeta(s) for s >= 2 and log 2 (see `_expansion`).  High precision
@@ -60,6 +62,15 @@ _SERIES_POWERS = 64
 @functools.lru_cache(maxsize=None)
 def _betas_float(n: int) -> tuple:
     return tuple(float(beta(k)) for k in range(n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _normal_radius(n: int) -> float:
+    """2^-1022 / min |beta_k| over the beta_k, k < n, that are normal
+    doubles: below this |z| some product beta_k Li_j(z) of the weight-n
+    series route leaves the normal range.  (Past weight 620 the smallest
+    beta_k are subnormal or zero as doubles, whatever z is.)"""
+    return 2.0**-1022 / min(abs(b) for b in _betas_float(n)[:n] if abs(b) >= 2.0**-1022)
 
 
 def pi_projection(n: int, w: complex) -> complex:
@@ -206,6 +217,8 @@ def _annulus_state(n: int, z: complex) -> List[complex]:
 
 
 def _series_state(n: int, z: complex, l0: float) -> List[complex]:
+    if abs(z) < _normal_radius(n):
+        raise FloatingPointError("beta_k Li_j(z) underflows")
     lis = [_li_series(m, z, 2.0 ** -53) for m in range(1, n + 1)]
     return _project(lis, l0, _betas_float(n))
 
@@ -225,7 +238,7 @@ def _sv_state_double(n: int, z: complex) -> tuple:
         else:  # log|1/z| from z itself: 1/z underflows to 0 near the overflow limit
             inverse = _series_state(n, 1 / z, -cmath.log(z).real)
             out = [v if m % 2 else -v for m, v in enumerate(inverse, 1)]
-    except OverflowError:  # log^k|z| past the double range: the defining sum at 53 bits
+    except (OverflowError, FloatingPointError):  # a product out of range: the sum at 53 bits
         out = [complex(v) for v in _sv_state_mp(n, z, 53)]
     out[0] = complex(-cmath.log(1 - z).real, 0.0)
     return tuple(out)

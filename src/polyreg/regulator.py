@@ -14,6 +14,8 @@ Three numeric suites probe the defining identities at generic points:
                        point extrapolates to 2*pi*i times r of the
                        residue element
 
+Samples keep the functions of the compared forms' evaluation plan generic,
+through `funcfield`'s one evaluator, and that plan evaluates the forms.
 golden_formula_tests compares the map symbolically against transcribed
 closed forms kept under golden/.
 """
@@ -41,17 +43,17 @@ from .forms import (
     sv_scalar,
     weighted_alternation,
     _det,
-    _variables,
+    _plan,
 )
 from .funcfield import (
     PoleError,
     RationalFunction,
     Valuation,
-    _as_mapping,
-    _value_and_slopes,
+    _compile,
+    _coordinates,
+    _evaluate,
     one_minus,
     parse_function,
-    rf_eval,
 )
 from .polycomplex import (
     ChainElement,
@@ -168,17 +170,17 @@ def _holomorphic_parts(fs: Sequence[RationalFunction], x, frames) -> List[comple
     if any(len(vectors) != n for vectors in frames):
         raise ValueError("need exactly %d vectors" % n)
     names = sorted(set().union(*[set(f.variables()) for f in fs]) if fs else ())
-    point = _as_mapping(x, names)
-    frames = [[_as_mapping(v, names) for v in vectors] for vectors in frames]
-    parts = []  # (f(x), ((variable, df/dx_variable), ...)) per function
+    point, xs = _coordinates(x, names)
+    frames = [[_coordinates(v, names, 0j)[1] for v in vectors] for vectors in frames]
+    parts = []  # (f(x), ((slot, df/dx_slot), ...)) per function
     for f in fs:
         try:
-            val, slopes = _value_and_slopes(f, point)
+            val, slopes = _evaluate(_compile(f, names), xs, 1e-12, point, True)
         except PoleError as exc:
             raise GenericityError(str(exc))
         if abs(val) < 1e-9:
             raise GenericityError("function vanishes at the sample point")
-        parts.append((val, tuple(zip(f.variables(), slopes))))
+        parts.append((val, slopes))
     out = []
     for vectors in frames:
         rows = []
@@ -186,8 +188,8 @@ def _holomorphic_parts(fs: Sequence[RationalFunction], x, frames) -> List[comple
             row = []
             for v in vectors:
                 total = 0j
-                for name, slope in slopes:
-                    total += slope * v.get(name, 0j)
+                for k, slope in slopes:
+                    total += slope * v[k]
                 row.append(total / val)
             rows.append(row)
         out.append(pi_projection(n, _det(rows)))
@@ -259,37 +261,17 @@ def golden_formula_tests() -> dict:
 # generic sampling
 
 
-def _gather_functions(*forms_: Form) -> List[RationalFunction]:
-    """The distinct functions of the forms' terms, with 1 - f after each sv
-    argument f, in order of first appearance."""
-    seen, out = set(), []
-    for a in forms_:
-        for t in a.terms:
-            fns = []
-            for s in t.scalars:
-                if s[0] == "log":
-                    fns.append(s[1])
-                else:
-                    fns += (s[2], one_minus(s[2]))
-            fns.extend(g[1] for g in t.generators)
-            for h in fns:
-                if h not in seen:
-                    seen.add(h)
-                    out.append(h)
-    return out
-
-
 def _generic_point(
     rng: random.Random, names: Sequence[str], functions: Sequence[RationalFunction]
 ) -> dict:
     # rejection sampling on a box; every listed function must stay in a
     # moderate annulus so logs and polylog scalars are well conditioned
+    compiled = [_compile(h, names) for h in functions]
     for _ in range(400):
-        x = {
-            n: complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for n in names
-        }
+        xs = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in names]
+        x = dict(zip(names, xs))
         try:
-            if all(1e-3 <= abs(rf_eval(h, x)) <= 1e3 for h in functions):
+            if all(1e-3 <= abs(_evaluate(c, xs, 1e-12, x)[0]) <= 1e3 for c in compiled):
                 return x
         except PoleError:
             continue
@@ -325,8 +307,8 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
     image = r_map(e)
     lhs = exterior_derivative(image)
     rhs = r_map(delta(e))
-    names = _variables(lhs, rhs)
-    functions = _gather_functions(lhs, rhs)
+    plan = _plan((lhs, rhs))
+    names = plan.names
     rng = random.Random(cfg.seed)
     count = e.degree
     parity = weight - 1
@@ -334,7 +316,7 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
     twist_worst = 0.0
     samples, twists = [], []  # (point, frames): of both sides, and of r(e)
     for _ in range(cfg.samples):
-        x = _generic_point(rng, names, functions)
+        x = _generic_point(rng, names, plan.guarded)
         samples.append((x, [_frame(rng, names, count) for _ in range(_FRAMES_PER_POINT)]))
         twists.append((x, [_frame(rng, names, count - 1)]))
     for per_frame in evaluate_many((lhs, rhs), samples):
@@ -409,7 +391,7 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
     image = r_map(pure_wedge(fs))
     lhs = exterior_derivative(image)
     names = sorted(set().union(*[set(f.variables()) for f in fs]))
-    functions = list(fs) + _gather_functions(lhs)
+    functions = list(fs) + _plan((lhs,)).guarded
     rng = random.Random(cfg.seed)
     worst = 0.0
     samples = []
@@ -489,8 +471,7 @@ def loop_residue_check(
     image = r_map(e)
     if image.degree != 1:
         raise ValueError("loop integration needs a 1-form image")
-    names = _variables(image)
-    if len(names) != 1:
+    if len(_plan((image,)).names) != 1:
         raise ValueError("loop integration needs a univariate element")
     try:  # a zero denominator, or a value past the double range
         point = Fraction(a)

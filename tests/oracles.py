@@ -16,9 +16,12 @@ compares the package with itself:
   * `beta_kp_recursive`: the beta_{k,p} recursions in Fractions, against the
     closed form `exact.beta_kp` and the integer recursion
     `exact._recursion_grid`;
-  * `rf_dir_derivative` and `polynomial_evaluate`: directional derivatives
-    and term-by-term polynomial values, against the compiled evaluation of
-    `funcfield`;
+  * `rf_dir_derivative`, `value_and_partials` and `polynomial_evaluate`:
+    directional derivatives, values and partials one function and one call
+    at a time, and term-by-term polynomial values, against the one
+    evaluator of `funcfield` and its compiled term lists;
+  * `form_variables`: the variables of forms read off their terms, for the
+    references of form evaluation;
   * `reference_parse_function` and `reference_parse_element`: the function
     and element grammars as hand-written character loops, each with its own
     lexer, against `funcfield.parse_function` and
@@ -37,7 +40,6 @@ from typing import List, Sequence
 from polyreg.exact import beta
 from polyreg.forms import (
     Form,
-    _variables,
     diarg,
     dlog,
     evaluate,
@@ -46,10 +48,12 @@ from polyreg.forms import (
     zero,
 )
 from polyreg.funcfield import (
+    PoleError,
     Polynomial,
     RationalFunction,
     _as_mapping,
-    _value_and_slopes,
+    _compile,
+    _poly_at,
     const,
     sort_signed,
     var,
@@ -200,11 +204,24 @@ def sv_transport(n: int, z: complex, waypoints: Sequence[complex] = ()) -> compl
 _FD_STEP = 1e-5
 
 
+def form_variables(*forms_: Form) -> list:
+    """Sorted names of every variable the forms' functions use, read off
+    their terms."""
+    vs = set()
+    for a in forms_:
+        for t in a.terms:
+            for s in t.scalars:
+                vs.update((s[1] if s[0] == "log" else s[2]).variables())
+            for g in t.generators:
+                vs.update(g[1].variables())
+    return sorted(vs)
+
+
 def numeric_d(a: Form, x, vectors: Sequence) -> complex:
     """Central-difference approximation of (da)(v_0, ..., v_deg)."""
     if len(vectors) != a.degree + 1:
         raise ValueError("need exactly %d vectors" % (a.degree + 1))
-    names = _variables(a)
+    names = form_variables(a)
     xm = _as_mapping(x, names)
     vms = [_as_mapping(v, names) for v in vectors]
     scale = max([abs(c) for c in xm.values()] or [0.0])
@@ -308,9 +325,24 @@ def rf_dir_derivative(f: RationalFunction, x, v) -> complex:
     point = _as_mapping(x, f.variables())
     vee = _as_mapping(v, f.variables())
     total = 0j
-    for name, slope in zip(f.variables(), _value_and_slopes(f, point)[1]):
+    for name, slope in zip(f.variables(), value_and_partials(f, point)[1]):
         total += slope * complex(vee.get(name, 0))
     return total
+
+
+def value_and_partials(f: RationalFunction, point: dict) -> tuple:
+    """(f(x), [df/dx_j for each variable of f]) at a mapping point, from the
+    compiled term lists one call at a time; PoleError when |den(x)| <= 1e-12."""
+    names = f.variables()
+    num, den, partials = _compile(f, names)
+    xs = [complex(point[name]) for name in names]
+    d = _poly_at(den, xs)
+    if abs(d) <= 1e-12:
+        raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
+    n = _poly_at(num, xs)
+    return n / d, [
+        (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d) for _, dn, dd in partials
+    ]
 
 
 def polynomial_evaluate(self: Polynomial, point: dict) -> complex:

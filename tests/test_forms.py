@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alternation_bruteforce, numeric_d, rf_dir_derivative
+from oracles import alternation_bruteforce, form_variables, numeric_d, rf_dir_derivative
 from polyreg import forms as F
 from polyreg import regulator as R
 from polyreg.cli import LOOP_CASES, TOP_FAMILIES
 from polyreg.funcfield import PoleError, one_minus, parse_function as pf
-from polyreg.funcfield import _compile, _coords, _pole_guard, _poly_at, _slopes
+from polyreg.funcfield import _as_mapping, _compile, _poly_at
 from polyreg.funcfield import rf_eval
-from polyreg.polycomplex import delta, parse_element, pure_wedge, random_element
+from polyreg.polycomplex import bracket_tensor, delta, parse_element, pure_wedge, random_element
 from polyreg.polylog import sv_state
 
 T = pf("t")
@@ -492,6 +492,7 @@ HAND_TEXTS = [
     "2^3*log(t)", "2 3 log(t)", "log(t)dlog(t)", "(-1/2)*L2(t)*darg(t) + (1/2)*L2(t)*darg(t)",
     "(1/3)*log(t)^2*dlog(t) - 2*darg(t)", "log(x*y)^2*dlog(x)^darg(y)",
     "log((t+1)/(t-2))*dlog(t+1) - log(1+t)*dlog(t+1)", "log(t)*log(1-t) - log(1-t)*log(t)",
+    "alpha(x, 1-y)^2^alpha(y, x)", "alpha(t, 1-t)^3*log(t)", "2*alpha(x, y)^2*L2(x)^3",
 ]
 MALFORMED_TEXTS = [
     "", "log(t", "frob(t)", "log(t)*", "1/", "L3(t)^", "L0(t)", "L(t)", "log(t, t)",
@@ -519,6 +520,20 @@ class TestParserAgainstReference:
         for a in (image, F.exterior_derivative(image), R.r_map(delta(e))):
             assert_parsed_as_reference(F.format_form(a))
 
+    def test_vanishing_power_stays_small(self, monkeypatch):
+        # merged after each step, alpha(t, 1-t)^k keeps at most the 2 x 2
+        # raw triples of its square; expanded in full it would build 2^k
+        product = F._product
+
+        def bounded(a, b):
+            out = product(a, b)
+            assert len(out) <= 4, "a power built %d raw triples" % len(out)
+            return out
+
+        monkeypatch.setattr(F, "_product", bounded)
+        a = F.parse_form("alpha(t, 1-t)^22")
+        assert a.is_zero() and a.degree == 22
+
     @given(st.lists(st.sampled_from([
         "log(t)", "log(1-t)", "dlog(t)", "darg(1-t)", "darg(x*y)", "alpha(t, 1-t)",
         "alpha(t, t)", "L1(t)", "L2(1/t)", "2", "(-1/3)", "0", "^2", "^", "*", " ",
@@ -538,9 +553,9 @@ class TestParserAgainstReference:
 def naive_evaluate(a, x, vectors, clearance=1e-6):
     """Term by term, each function, scalar, covector and determinant
     computed afresh: the reference the evaluation plans must reproduce."""
-    names = F._variables(a)
-    xm = F._as_mapping(x, names)
-    vms = [F._as_mapping(v, names) for v in vectors]
+    names = form_variables(a)
+    xm = _as_mapping(x, names)
+    vms = [_as_mapping(v, names) for v in vectors]
 
     def value(g):
         try:
@@ -593,10 +608,10 @@ class TestPlanAgainstNaive:
     @pytest.mark.parametrize("label,a", list(plan_cases()), ids=lambda v: v if isinstance(v, str) else "")
     def test_bit_identical(self, label, a):
         rng = random.Random(label)
-        names = F._variables(a)
-        functions = R._gather_functions(a)
+        plan = F._plan((a,))
+        names = plan.names
         for _ in range(3):
-            x = R._generic_point(rng, names, functions)
+            x = R._generic_point(rng, names, plan.guarded)
             vs = R._frame(rng, names, a.degree)
             assert F.evaluate(a, x, vs) == naive_evaluate(a, x, vs)
 
@@ -604,10 +619,10 @@ class TestPlanAgainstNaive:
         e = R.standard_chain_elements(5)[1][1]
         a = F.exterior_derivative(R.r_map(e))
         rng = random.Random(5)
-        names = F._variables(a)
-        functions = R._gather_functions(a)
+        plan = F._plan((a,))
+        names = plan.names
         samples = [
-            (R._generic_point(rng, names, functions), R._frame(rng, names, a.degree))
+            (R._generic_point(rng, names, plan.guarded), R._frame(rng, names, a.degree))
             for _ in range(3)
         ]
         interleaved = [F.evaluate(a, x, vs) for _ in range(2) for x, vs in samples]
@@ -629,12 +644,29 @@ class TestPlanAgainstNaive:
                 F.evaluate(a, x, [1])
 
 
+def test_plan_kept_for_the_same_forms(monkeypatch):
+    a, b = F.parse_form("log(t)*dlog(1-t)"), F.parse_form("L2(x)*darg(x+t)")
+    plan = F._plan((a, b))
+    assert F._plan((a, b)) is plan and plan.names == ["t", "x"]
+    assert sorted(g.key() for g in plan.guarded) == sorted(
+        pf(text).key() for text in ("t", "1-t", "x", "x+t", "1-x")
+    )
+    assert F._plan((a, F.parse_form("L2(x)*darg(x+t)"))) is not plan
+    # a chain check builds one plan for both sides, sampling included, and
+    # one for the image
+    built, plan_class = [], F._Plan
+    monkeypatch.setattr(F, "_Plan", lambda forms_: built.append(forms_) or plan_class(forms_))
+    e = bracket_tensor(pf("(1-t)/(1+t)"), 2, [T])
+    R.chain_check(3, e, R.RegulatorConfig(samples=2))
+    assert [len(forms_) for forms_ in built] == [2, 1]
+
+
 class _ReferencePlan:
     """The one-form evaluation plan as it was before evaluation was batched,
     kept for `reference_evaluate`."""
 
     def __init__(self, a):
-        self.names = F._variables(a)
+        self.names = form_variables(a)
         index = {}
         sv_arguments, generator_functions = set(), set()
 
@@ -675,16 +707,16 @@ def reference_evaluate(a, x, vectors=()):
     if len(vectors) != a.degree:
         raise ValueError("need exactly %d vectors" % a.degree)
     plan = _ReferencePlan(a)
-    xm = F._as_mapping(x, plan.names)
-    vms = [F._as_mapping(v, plan.names) for v in vectors]
+    xm = _as_mapping(x, plan.names)
+    vms = [_as_mapping(v, plan.names) for v in vectors]
     values = []
     ratios = []  # per function, per vector: Dg(x; v) / g(x), generators only
     for g, sv_argument, generator in plan.functions:
-        num, den, _ = _compile(g)
-        xs = _coords(g, xm)
+        num, den, _ = _compile(g, g.variables())
+        xs = _reference_coords(g, xm)
         d = _poly_at(den, xs)
         try:
-            _pole_guard(d, F._CLEARANCE, xm)
+            _reference_pole_guard(d, F._CLEARANCE, xm)
         except PoleError as exc:
             raise F.GenericityError(str(exc))
         n = _poly_at(num, xs)
@@ -697,8 +729,8 @@ def reference_evaluate(a, x, vectors=()):
         if not generator:
             ratios.append(None)
             continue
-        _pole_guard(d, 1e-12, xm)  # rf_dir_derivative's own guard
-        slopes = list(zip(g.variables(), _slopes(g, xs, n, d)))
+        _reference_pole_guard(d, 1e-12, xm)  # rf_dir_derivative's own guard
+        slopes = list(zip(g.variables(), _reference_slopes(g, xs, n, d)))
         row = []
         for vm in vms:
             dg = 0j
@@ -725,6 +757,24 @@ def reference_evaluate(a, x, vectors=()):
             val *= _reference_minor(gidx, cols, cov, memo)
         total += val
     return total
+
+
+def _reference_coords(g, point):
+    return [complex(point[name]) for name in g.variables()]
+
+
+def _reference_pole_guard(d, clearance, point):
+    if abs(d) <= clearance:
+        raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
+    return d
+
+
+def _reference_slopes(g, xs, n, d):
+    """The partials (dg/dx_j)(x), one per variable of g."""
+    return [
+        (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)
+        for _, dn, dd in _compile(g, g.variables())[2]
+    ]
 
 
 def _reference_minor(rows, cols, cov, memo):
@@ -820,9 +870,9 @@ class TestBatchedAgainstReference:
     )
     def test_chain_shapes(self, label, image, lhs, rhs):
         rng = random.Random(label)
-        names = F._variables(lhs, rhs)
-        functions = R._gather_functions(lhs, rhs)
-        points = [R._generic_point(rng, names, functions) for _ in range(3)]
+        plan = F._plan((lhs, rhs))
+        names = plan.names
+        points = [R._generic_point(rng, names, plan.guarded) for _ in range(3)]
         assert_batch_as_reference(
             (lhs, rhs), [(x, [R._frame(rng, names, lhs.degree) for _ in range(3)]) for x in points]
         )
@@ -833,8 +883,9 @@ class TestBatchedAgainstReference:
         fs = [pf(text) for text in family.split(";")]
         lhs = F.exterior_derivative(R.r_map(pure_wedge(fs)))
         rng = random.Random(family)
-        names = F._variables(lhs)
-        functions = list(fs) + R._gather_functions(lhs)
+        plan = F._plan((lhs,))
+        names = plan.names
+        functions = list(fs) + plan.guarded
         assert_batch_as_reference((lhs,), [
             (R._generic_point(rng, names, functions),
              [R._frame(rng, names, len(fs)) for _ in range(3)])
@@ -861,7 +912,7 @@ class TestBatchedAgainstReference:
         image = R.r_map(e)
         rng = random.Random(seed)
         for a in (image, F.exterior_derivative(image), R.r_map(delta(e))):
-            names = F._variables(a)
+            names = form_variables(a)
             samples = [(box_point(rng, names), [R._frame(rng, names, a.degree) for _ in range(2)])
                        for _ in range(3)]
             want = []
@@ -883,7 +934,7 @@ class TestBatchedAgainstReference:
         # next to a pole, a zero or an sv argument at 1 (t = 2 or x = 2),
         # and just clear of them
         a = F.parse_form(text)
-        names = F._variables(a)
+        names = form_variables(a)
         x = {n: 2 + offset if n in ("t", "x") else 0.5 + 1j for n in names}
         vs = [{n: 1.0 + 0.5j * k for n in names} for k in range(a.degree)]
         expected = outcome(lambda: reference_evaluate(a, x, vs))

@@ -25,7 +25,7 @@ from polyreg.funcfield import (
     var,
 )
 from polyreg.polycomplex import bracket_tensor, pure_wedge, random_element
-from polyreg.regulator import r_map
+from polyreg.regulator import holomorphic_part, r_map
 
 t = var("t")
 
@@ -104,6 +104,20 @@ def test_non_finite_rejected(bad):
     ]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_missing_coordinate_is_a_value_error():
+    xy = parse_function("x+y")
+    a = F.log_abs(xy)
+    calls = [
+        lambda: rf_eval(xy, {"x": 1}),
+        lambda: F.evaluate(a, {"x": 1}),
+        lambda: F.evaluate_many((a,), [({"x": 1}, [()])]),
+        lambda: holomorphic_part([parse_function("x"), xy], {"x": 1}, [{"x": 1}, {"y": 1}]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="no coordinate 'y'"):
             call()
 
 

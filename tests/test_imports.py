@@ -13,6 +13,11 @@ Text is lexed in one place: no class of the package outside `funcfield`,
 which holds the cursor `_Reader`, defines `peek`, and the character loops
 that the cursor replaced are gone by name.
 
+Functions are evaluated in one place, and form terms read in one: no
+module of the package but `funcfield` calls `_poly_at` or `_terms`, the
+evaluator's polynomial parts, and none but `forms` reads the `.scalars` or
+`.generators` of a term.
+
 The package and the tests' references stay apart: no module of the package
 imports `oracles`, and no name that tests/oracles.py defines exists in a
 package module, so a check against an oracle never compares the package
@@ -168,3 +173,38 @@ def test_lexer_scan_finds_a_second_lexer():
     assert lexer_findings(source, "forms.py") == [(2, "P.peek"), (6, "_split_wedge")]
     assert lexer_findings(source, "funcfield.py") == [(6, "_split_wedge")]
     assert lexer_findings("args = self.call_args()\n", "forms.py") == [(1, "call_args")]
+
+
+# name -> the one package module that may use it: called, or read as an attribute
+OWNED_CALLS = {"_poly_at": "funcfield.py", "_terms": "funcfield.py"}
+OWNED_ATTRIBUTES = {"scalars": "forms.py", "generators": "forms.py"}
+
+
+def boundary_findings(source: str, filename: str) -> list:
+    """(line, name) of each call of a name in OWNED_CALLS and each read of
+    an attribute in OWNED_ATTRIBUTES outside the module that owns it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if OWNED_CALLS.get(name, filename) != filename:
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute):
+            if OWNED_ATTRIBUTES.get(node.attr, filename) != filename:
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_one_evaluator_and_one_reader_of_terms():
+    found = {path.name: boundary_findings(path.read_text(), path.name) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_boundary_scan_finds_a_crossing():
+    source = "for t in a.terms:\n    fs = [s[1] for s in t.scalars] + list(t.generators)\n"
+    source += "v = _poly_at(num, xs) / funcfield._terms(p, ())\n"
+    assert boundary_findings(source, "regulator.py") == [
+        (2, "generators"), (2, "scalars"), (3, "_poly_at"), (3, "_terms")
+    ]
+    assert boundary_findings(source, "forms.py") == [(3, "_poly_at"), (3, "_terms")]
+    assert boundary_findings(source, "funcfield.py") == [(2, "generators"), (2, "scalars")]

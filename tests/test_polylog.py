@@ -443,3 +443,19 @@ def test_log_powers_past_the_double_range(n, z, want):
     state = P.sv_state(n, z)
     assert len(state) == n and state[-1] == reference
     assert state[0] == complex(-cmath.log(1 - z).real, 0.0)
+
+
+# at the first two, beta_k Li_j of the series at z or (inversion) at 1/z leaves
+# the normal range of a double from weight 17 on; the last two stay clear of it
+UNDERFLOW_POINTS = [1e299 + 1e298j, 1e-299 + 1e-300j, 1e250 + 1e250j, 1e-200 + 1e-200j]
+
+
+@pytest.mark.parametrize("z", UNDERFLOW_POINTS, ids=repr)
+def test_no_silent_underflow(z):
+    """At weights 10 to 60 the double value holds the 130-bit route's to
+    1e-14 relative, and that route agrees with 400 bits."""
+    for n in (10, 20, 30, 40, 60):
+        reference = P.sv_polylog(n, z, precision_bits=130)
+        assert abs(reference - P.sv_polylog(n, z, precision_bits=400)) <= 1e-30 * abs(reference)
+        reference = complex(reference)
+        assert abs(P.sv_polylog(n, z) - reference) <= 1e-14 * abs(reference), n

@@ -10,7 +10,7 @@ import pytest
 from oracles import rf_dir_derivative
 from polyreg import forms as F
 from polyreg.cli import TOP_FAMILIES
-from polyreg.funcfield import PoleError, one_minus, rf_eval
+from polyreg.funcfield import PoleError, _as_mapping, one_minus, rf_eval
 from polyreg.funcfield import parse_function as pf
 from polyreg.polycomplex import bracket_tensor, delta, parse_element, pure_wedge, random_element
 from polyreg.polylog import pi_projection, sv_polylog
@@ -145,8 +145,8 @@ def reference_holomorphic_part(fs, x, vectors):
     if len(vectors) != n:
         raise ValueError("need exactly %d vectors" % n)
     names = sorted(set().union(*[set(f.variables()) for f in fs]) if fs else ())
-    point = F._as_mapping(x, names)
-    frames = [F._as_mapping(v, names) for v in vectors]
+    point = _as_mapping(x, names)
+    frames = [_as_mapping(v, names) for v in vectors]
     rows = []
     for f in fs:
         try:
