@@ -128,20 +128,13 @@ def _beta_report(max_k: int, max_p: int) -> dict:
 
 
 def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[dict]:
-    rows = verify_row_identities(max_m)
-    rows["cases"] = [report_case("coefficient rows, m <= %d" % max_m, rows["pass"])]
-    proposition = verify_proposition(max_n, max_p)
-    proposition["cases"] = [
-        report_case(
-            "main identity grid, n <= %d, p <= %d" % (max_n, max_p), proposition["pass"]
-        )
-    ]
+    reports = [verify_row_identities(max_m), verify_proposition(max_n, max_p)]
     try:
         BetaTable(max_k, max_k)
         case = report_case("closed vs recursive, k,p <= %d" % max_k, True)
     except AssertionError as exc:
         case = report_case(str(exc), False)
-    return [rows, proposition, suite_report("beta-recursion-grid", [case])]
+    return reports + [suite_report("beta-recursion-grid", [case])]
 
 
 def _sv_report(weight: int, at: str, precision: int) -> dict:

@@ -14,23 +14,28 @@ beta_kp(k, p) := (-1)^p (p-1)! * sum_{0 <= i <= (p-1)//2} beta_{k+p-2i}/(2i+1)!
 
 Representation
 --------------
-The table behind beta() holds integers A_m = P * m! * beta_m = P * 2^m B_m,
-where P is the product of the primes <= top + 1 and top the largest index
-computed so far.  By von Staudt-Clausen the denominator of B_m is a product
-of primes p with (p-1) | m, all <= m + 1, so P clears every denominator in
-the table.  The recurrence for a_m = m! beta_m = 2^m B_m,
+The table behind beta() holds beta_0 .. beta_t as Fractions, t odd, grown
+from the tangent numbers T_n, tan x = sum_{n>=1} T_n x^(2n-1)/(2n-1)!:
 
-    -2(m+1) a_m = sum_{j=2}^{m+1} C(m+1, j) 2^j a_{m+1-j},
+    beta_{2n} = (-1)^(n-1) T_n / ((4^n - 1) (2n - 1)!),
 
-gives each new A_m from integer products and one exact division; when m + 1
-is prime every stored A_j is multiplied by it once.  The closed form of
-beta_kp works over the common denominator den = P * top!, with integer
-numerators num[j] = den * beta_j, so p * den * beta_{k,p} is an integer
-(_closed_sum).  The grid checks (coefficient rows, proposition cells,
-quadratic companion, BetaTable) stay in integers: an identity a/b = c/d is
-tested as a * d == c * b.  A Fraction is built only where a value leaves
-the module: the closed values that BetaTable stores and the beta-table
-suite prints, the printed defects of a report, an error message.
+beta_0 = 1, beta_1 = -1 and every other odd beta is 0.  T_n comes from
+Brent and Harvey's in-place loop (Fast computation of Bernoulli, Tangent
+and Secant numbers, 2011), T_n = T_n^(n) with
+
+    T_n^(1) = (n-1)!,   T_n^(i) = (n-i) T_{n-1}^(i) + (n-i+2) T_n^(i-1),
+
+run one column n at a time: the table keeps the stages of its last T_n,
+so it grows one index at a time at the loop's own cost, n multiply-adds
+of big integers by small ones per T_n.  The closed form of beta_kp works over
+the common denominator den, the lcm of the table's denominators, with
+integer numerators num[j] = den * beta_j built once per growth, so
+p * den * beta_{k,p} is an integer (_closed_sum).  The grid checks
+(coefficient rows, proposition cells, quadratic companion, BetaTable) stay
+in integers: an identity a/b = c/d is tested as a * d == c * b.  Beyond the
+table's entries, a Fraction is built only where a value leaves the module:
+the closed values that BetaTable stores and the beta-table suite prints,
+the printed defects of a report, an error message.
 
 Independence
 ------------
@@ -65,55 +70,42 @@ __all__ = [
 
 
 class _Table:
-    """Grow-only integer table: scaled[m] = prime_product * m! * beta_m."""
+    """Grow-only table of beta_0 .. beta_t as Fractions, t odd, from the
+    tangent numbers (see the module docstring)."""
 
     def __init__(self):
-        self.prime_product = 1  # product of the primes <= len(scaled)
-        self.scaled = [1]
-        self.values = [Fraction(1)]  # beta_m as Fractions, built once each
+        self.values = [Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(0)]
+        self._column = [1]  # T_n at stages 1 .. n of the loop, n = (t - 1) / 2
         self._common = None  # (den, num) over the current table, see common()
 
     def grow(self, k: int) -> None:
-        scaled = self.scaled
-        while len(scaled) <= k:
-            m = len(scaled)
-            if _is_prime(m + 1):
-                self.prime_product *= m + 1
-                scaled[:] = [a * (m + 1) for a in scaled]
-            acc, weight = 0, 2 * (m + 1)  # weight = C(m+1, j) * 2^j, from j = 1
-            for j in range(2, m + 2):
-                weight = weight * 2 * (m + 2 - j) // j
-                acc += weight * scaled[m + 1 - j]
-            a, rem = divmod(-acc, 2 * (m + 1))
-            if rem:
-                raise ArithmeticError("beta: inexact division at index %d" % m)
-            scaled.append(a)
-            self.values.append(Fraction(a, self.prime_product * factorial(m)))
+        column = self._column
+        while len(self.values) <= k:
+            n = len(column) + 1
+            # T_n^(1) = (n-1)!, T_n^(i) = (n-i) T_{n-1}^(i) + (n-i+2) T_n^(i-1)
+            new = [(n - 1) * column[0]]
+            for i, prev in enumerate(column[1:] + [0], 2):
+                new.append((n - i) * prev + (n - i + 2) * new[-1])
+            tangent = new[-1] if n % 2 else -new[-1]
+            self.values += [Fraction(tangent, (4**n - 1) * factorial(2 * n - 1)), Fraction(0)]
+            self._column = column = new
             self._common = None
 
     def common(self, top: int) -> tuple:
         """(den, num) with num[j] = den * beta_j for every j in the table,
-        den = prime_product * t! and t >= top the table's last index."""
+        den the lcm of the denominators; kept until the table grows."""
         self.grow(top)
         if self._common is None:
-            t = len(self.scaled) - 1
-            num, ratio = [0] * (t + 1), 1  # ratio = t! / j!
-            for j in range(t, -1, -1):
-                num[j] = self.scaled[j] * ratio
-                ratio *= j
-            self._common = (self.prime_product * factorial(t), num)
+            den = lcm(*(v.denominator for v in self.values))
+            self._common = (den, [v.numerator * (den // v.denominator) for v in self.values])
         return self._common
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 _table = _Table()
 
 
 def beta(k: int) -> Fraction:
-    """beta_k, from the integer table (see the module docstring)."""
+    """beta_k, from the table (see the module docstring)."""
     if k < 0:
         raise ValueError("beta: k must be >= 0")
     _table.grow(k)
@@ -124,8 +116,7 @@ def bernoulli(k: int) -> Fraction:
     """B_k = beta_k * k! / 2^k  (so B_1 = -1/2)."""
     if k < 0:
         raise ValueError("bernoulli: k must be >= 0")
-    _table.grow(k)
-    return Fraction(_table.scaled[k], _table.prime_product * 2**k)
+    return beta(k) * factorial(k) / 2**k
 
 
 @lru_cache(maxsize=None)
@@ -173,15 +164,15 @@ def _recursion_grid(max_k: int, max_p: int) -> tuple:
     """
     values = [beta(j) for j in range(max_k + max_p + 1)]
     scale = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (scale // v.denominator) for v in values[1:]]  # D beta_{k+1}
-    column = [-a for a in scaled]  # R(k, 1) for k <= max_k + max_p - 1
+    d_beta = [v.numerator * (scale // v.denominator) for v in values[1:]]  # D beta_{k+1}
+    column = [-a for a in d_beta]  # R(k, 1) for k <= max_k + max_p - 1
     grid = [None, column]
     factor = 1  # (p-1)!
     for p in range(2, max_p + 1):
         factor *= p - 1
         column = [-p * (p - 1) * r for r in column[1:]]
         if p % 2:
-            column = [r - factor * a for r, a in zip(column, scaled)]
+            column = [r - factor * a for r, a in zip(column, d_beta)]
         grid.append(column)
     return scale, grid
 
@@ -262,13 +253,14 @@ def verify_row_identities(max_m: int) -> dict:
             failures.append((m, "|beta_{1,2m-1}| = 1/((2m-1)(2m+1))"))
             break
         signs.add(1 if odd > 0 else -1)
-    return {
-        "suite": "coefficient-rows",
-        "max_m": max_m,
-        "sign_beta_1_odd": sorted(signs),
-        "failures": failures,
-        "pass": not failures and signs == {-1},
-    }
+    ok = not failures and signs == {-1}
+    return suite_report(
+        "coefficient-rows",
+        [report_case("coefficient rows, m <= %d" % max_m, ok)],
+        max_m=max_m,
+        sign_beta_1_odd=sorted(signs),
+        failures=failures,
+    )
 
 
 def _proposition_cells(max_n: int, max_p: int):
@@ -353,26 +345,22 @@ def verify_proposition(max_n: int, max_p: int) -> dict:
         for variant in _QUADRATIC_VARIANTS
     }
     holding = sorted(v for v, bad in variant_fail.items() if not bad)
-    report = {
-        "suite": "proposition",
-        "max_n": max_n,
-        "max_p": max_p,
-        "failures": failures[:5],
-        "main_identity_middle_coefficient": "n (the printed n-1 variant fails)",
-        "printed_variant_first_defects": [
+    ok = not failures and "corrected" in holding and "full_convolution" in holding
+    return suite_report(
+        "proposition",
+        [report_case("main identity grid, n <= %d, p <= %d" % (max_n, max_p), ok)],
+        max_n=max_n,
+        max_p=max_p,
+        failures=failures[:5],
+        main_identity_middle_coefficient="n (the printed n-1 variant fails)",
+        printed_variant_first_defects=[
             {"n": n, "p": p, "defect": str(d), "equals_beta_{n-1,p}": d == beta_kp(n - 1, p)}
             for (n, p, d) in printed_defects
         ],
-        "printed_variant_defect_count": printed_count,
-        "quadratic_variants_holding": holding,
-        "quadratic_variant_failures": {
-            v: bad[:4] for v, bad in variant_fail.items() if bad
-        },
-        "pass": not failures
-        and "corrected" in holding
-        and "full_convolution" in holding,
-    }
-    return report
+        printed_variant_defect_count=printed_count,
+        quadratic_variants_holding=holding,
+        quadratic_variant_failures={v: bad[:4] for v, bad in variant_fail.items() if bad},
+    )
 
 
 def report_case(label: str, ok: bool, max_defect=None, tol=0.0, **extra) -> dict:

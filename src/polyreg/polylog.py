@@ -15,11 +15,13 @@ Double precision (precision_bits <= 53) takes one of three routes by |z|:
   * 1/2 < |z| <= 2: the log-expansion of Li_k(e^w) in w = log z, or of
     Li_k(-e^u) in u = log(-z) when Re z < 0 (D. C. Wood 1992, R. Crandall 2006);
   * |z| > 2: inversion, sv(n, z) = (-1)^(n-1) sv(n, 1/z) for n >= 2.
-Weight 1 is -log|1-z| on every route.  Where log^k|z| overflows a double
-(from weight 110 at |z| = 1e-300 or 1e300), or beta_k Li_j(z) of the series
-falls below the normal range (`_normal_radius`: from weight 17 at |z| =
-1e-300 or 1e300), the high-precision route below gives the value at 53
-bits.  The log-expansion tables are built once per
+Where log^k|z| overflows a double (from weight 110 at |z| = 1e-300 or
+1e300), or beta_k Li_j(z) of the series falls below the normal range
+(`_normal_radius`: from weight 17 at |z| = 1e-300 or 1e300), the
+high-precision route below gives the value at 53 bits.  The log-expansion
+and inversion routes set weight 1 to -log|1-z| in double; the series and
+that fallback keep their own weight-1 value, which stays Re z to first
+order where 1 - z rounds to 1.  The log-expansion tables are built once per
 (weight, center) from the exact layer's integers, one correctly rounded
 division per coefficient; mpmath supplies only their irrational heads,
 zeta(s) for s >= 2 and log 2 (see `_expansion`).  High precision
@@ -239,7 +241,7 @@ def _sv_state_double(n: int, z: complex) -> tuple:
             inverse = _series_state(n, 1 / z, -cmath.log(z).real)
             out = [v if m % 2 else -v for m, v in enumerate(inverse, 1)]
     except (OverflowError, FloatingPointError):  # a product out of range: the sum at 53 bits
-        out = [complex(v) for v in _sv_state_mp(n, z, 53)]
+        return tuple(complex(v) for v in _sv_state_mp(n, z, 53))
     out[0] = complex(-cmath.log(1 - z).real, 0.0)
     return tuple(out)
 

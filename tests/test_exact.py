@@ -151,8 +151,9 @@ def test_quadratic_identity_n4_probe():
 
 
 def test_beta_grown_stepwise_equals_one_jump(monkeypatch):
-    # the integer table rescales at each prime m + 1; growing it one index at
-    # a time (as the sv expansion tables do) must give the same values
+    # the table runs Brent and Harvey's loop one column at a time, keeping
+    # the stages of its last tangent number; growing it one index at a time
+    # (as the sv expansion tables do) must give the same values
     monkeypatch.setattr(exact, "_table", exact._Table())
     stepwise = [beta(k) for k in range(121)]
     monkeypatch.setattr(exact, "_table", exact._Table())
@@ -188,6 +189,19 @@ def test_proposition_cells_match_fraction_reference():
     assert report["failures"] == []
     assert report["printed_variant_defect_count"] == len(printed)
     assert report["printed_variant_first_defects"] == printed[:4]
+
+
+# sha256 of the lines "k:numerator/denominator" of beta_0 .. beta_1030, from
+# the integer table that grew by the convolution recurrence of a_m = 2^m B_m
+# over a product of primes
+BETA_1030_SHA256 = "5d89b3c18de83211b9c6d551d66d06d67384a5930ff10bb0ab773ca74139efb8"
+
+
+def test_beta_pinned_to_1030(monkeypatch):
+    monkeypatch.setattr(exact, "_table", exact._Table())
+    values = [beta(k) for k in range(1031)]
+    lines = "\n".join("%d:%d/%d" % (k, v.numerator, v.denominator) for k, v in enumerate(values))
+    assert hashlib.sha256(lines.encode()).hexdigest() == BETA_1030_SHA256
 
 
 # sha256 of the "k,p:beta_{k,p}" listing over k <= 40, 1 <= p <= 40, from the
@@ -253,13 +267,21 @@ def reference_row_report(max_m):
             failures.append((m, "|beta_{1,2m-1}| = 1/((2m-1)(2m+1))"))
             break
         signs.add(1 if odd > 0 else -1)
+    ok = not failures and signs == {-1}
     return {
         "suite": "coefficient-rows",
         "max_m": max_m,
         "sign_beta_1_odd": sorted(signs),
         "failures": failures,
-        "pass": not failures and signs == {-1},
+        "cases": [reference_case("coefficient rows, m <= %d" % max_m, ok)],
+        "pass": ok,
     }
+
+
+def reference_case(label, ok):
+    """The one case row of a grid report: exact, so its defect reads 0.0 on
+    a pass and inf on a failure."""
+    return {"input": label, "max_defect": 0.0 if ok else float("inf"), "tol": 0.0, "pass": ok}
 
 
 def reference_quadratic_defect(n, variant):
@@ -292,6 +314,7 @@ def reference_proposition_report(max_n, max_p):
         for v in ("printed", "corrected", "k1_endpoints", "full_convolution")
     }
     holding = sorted(v for v, bad in variant_fail.items() if not bad)
+    ok = not failures and "corrected" in holding and "full_convolution" in holding
     return {
         "suite": "proposition",
         "max_n": max_n,
@@ -302,7 +325,8 @@ def reference_proposition_report(max_n, max_p):
         "printed_variant_defect_count": len(printed),
         "quadratic_variants_holding": holding,
         "quadratic_variant_failures": {v: bad[:4] for v, bad in variant_fail.items() if bad},
-        "pass": not failures and "corrected" in holding and "full_convolution" in holding,
+        "cases": [reference_case("main identity grid, n <= %d, p <= %d" % (max_n, max_p), ok)],
+        "pass": ok,
     }
 
 
@@ -324,20 +348,30 @@ def test_quadratic_defects_match_fraction_reference():
             assert got == reference_quadratic_defect(n, variant), (variant, n)
 
 
-# {index: change} of the table's scaled integers; the last pair leaves
-# beta_{0,3} as it is and breaks beta_{1,2} = 0, the first row check to fail
-PERTURBATIONS = [{7: 1}, {10: 1}, {40: 1}, {3: 1, 1: -1}]
+# {index: change} of the numerators num[j] = den * beta_j of the table; the
+# last pair leaves beta_{0,3} = -(num[1] + 6 num[3]) / (3 den) as it is and
+# breaks beta_{1,2} = 0, the first row check to fail
+PERTURBATIONS = [{7: 1}, {10: 1}, {40: 1}, {3: 1, 1: -6}]
+
+# what each perturbation breaks: the row failures, the first two proposition
+# failures and the first (k, p) where BetaTable's routes disagree
+PERTURBED_CHECKS = {
+    "{7: 1}": ([(3, "beta_{0,2m+1} = 1/(2m+1)")], [("main", 3, 5), ("main", 3, 7)], (0, 7)),
+    "{10: 1}": ([(5, "beta_{0,2m} = 1/(2m+1)")], [("main", 3, 8), ("main", 3, 10)], (0, 10)),
+    "{40: 1}": ([(20, "beta_{0,2m} = 1/(2m+1)")], [("main", 11, 30), ("main", 12, 29)], (0, 40)),
+    "{3: 1, 1: -6}": ([(1, "beta_{1,2m} = 0")], [("main", 3, 1), ("main", 3, 3)], (0, 1)),
+}
 
 
 @pytest.fixture(params=PERTURBATIONS, ids=str)
 def perturbed_table(request, monkeypatch):
-    """A table whose closed-route numerators are off: beta() keeps its
-    Fractions, built while the table grew, while the scaled integers the
-    closed route reads are moved."""
+    """A table whose closed-route numerators are off: beta() keeps the
+    table's Fractions, while the numerators that common(120) keeps for the
+    closed route are moved."""
     table = exact._Table()
-    table.grow(120)
+    den, num = table.common(120)
     for index, change in request.param.items():
-        table.scaled[index] += change
+        num[index] += change
     monkeypatch.setattr(exact, "_table", table)
     beta_kp.cache_clear()
     beta_kp_recursive.cache_clear()
@@ -368,6 +402,10 @@ def test_integer_checks_fail_on_perturbed_table(perturbed_table):
 
     proposition = verify_proposition(30, 30)
     assert not proposition["pass"] and proposition["failures"]
+
+    assert (rows["failures"], proposition["failures"][:2], first) == PERTURBED_CHECKS[
+        str(perturbed_table)
+    ]
 
 
 def reference_beta_report(max_k, max_p):

@@ -130,8 +130,8 @@ def suite_literals(source: str) -> list:
 
 def test_suite_reports_come_from_one_builder():
     found = {path.name: suite_literals(path.read_text()) for path in PACKAGE}
-    # exact: suite_report and the two grid reports that cli gives their cases
-    assert len(found.pop("exact.py")) == 3
+    # exact: suite_report itself
+    assert len(found.pop("exact.py")) == 1
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

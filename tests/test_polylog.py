@@ -437,12 +437,12 @@ OVERFLOW_POINTS = [
 @pytest.mark.parametrize("n, z, want", OVERFLOW_POINTS)
 def test_log_powers_past_the_double_range(n, z, want):
     """The double routes overflow in log^k|z|, so sv_polylog and sv_state
-    take the high-precision route at 53 bits; weight 1 stays -log|1-z|."""
+    take the high-precision route at 53 bits, weight 1 included."""
     reference = complex(P.sv_polylog(n, z, precision_bits=130))
     assert P.sv_polylog(n, z) == reference == want
     state = P.sv_state(n, z)
     assert len(state) == n and state[-1] == reference
-    assert state[0] == complex(-cmath.log(1 - z).real, 0.0)
+    assert state[0] == complex(P.sv_polylog(1, z, precision_bits=130))
 
 
 # at the first two, beta_k Li_j of the series at z or (inversion) at 1/z leaves
@@ -453,9 +453,27 @@ UNDERFLOW_POINTS = [1e299 + 1e298j, 1e-299 + 1e-300j, 1e250 + 1e250j, 1e-200 + 1
 @pytest.mark.parametrize("z", UNDERFLOW_POINTS, ids=repr)
 def test_no_silent_underflow(z):
     """At weights 10 to 60 the double value holds the 130-bit route's to
-    1e-14 relative, and that route agrees with 400 bits."""
+    1e-14 relative, and that route agrees with 400 bits; the weight-1 slot
+    of the state is sv_polylog(1, z) on every route."""
     for n in (10, 20, 30, 40, 60):
         reference = P.sv_polylog(n, z, precision_bits=130)
         assert abs(reference - P.sv_polylog(n, z, precision_bits=400)) <= 1e-30 * abs(reference)
         reference = complex(reference)
         assert abs(P.sv_polylog(n, z) - reference) <= 1e-14 * abs(reference), n
+        assert P.sv_state(n, z)[0] == P.sv_polylog(1, z), n
+
+
+def test_seeded_points_far_from_the_unit_circle():
+    """Six points with |z| = 10^(+-U(30, 300)) and a uniform phase: at
+    weights 9 to 60 the double value holds the 130-bit route's to
+    TestAccuracy's bound, and at weight 60 that route agrees with 400 bits."""
+    rng = random.Random(2025)
+    for _ in range(6):
+        z = 10 ** (rng.choice((-1, 1)) * rng.uniform(30.0, 300.0))
+        z *= cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        for n in (9, 20, 40, 60):
+            reference = P.sv_polylog(n, z, precision_bits=130)
+            if n == 60:
+                fine = P.sv_polylog(n, z, precision_bits=400)
+                assert abs(reference - fine) <= 1e-30 * abs(reference), z
+            assert floored_error(P.sv_polylog(n, z), complex(reference), z) <= 1e-14, (n, z)
