@@ -21,8 +21,6 @@ import sys
 from dataclasses import asdict
 from typing import List
 
-import mpmath as mp
-
 from . import __version__
 from .exact import (
     BetaTable,
@@ -143,6 +141,8 @@ def _sv_report(weight: int, at: str, precision: int) -> dict:
         value = sv_polylog(weight, z, precision_bits=precision)
         rendered = [value.real, value.imag]
     else:
+        import mpmath as mp
+
         value = sv_polylog(weight, mp.mpmathify(at.replace("i", "j")), precision_bits=precision)
         rendered = mp.nstr(value, max(17, round(precision * 0.302)))
     case = {

@@ -22,11 +22,12 @@ high-precision route below gives the value at 53 bits.  The log-expansion
 and inversion routes set weight 1 to -log|1-z| in double; the series and
 that fallback keep their own weight-1 value, which stays Re z to first
 order where 1 - z rounds to 1.  The log-expansion tables are built once per
-(weight, center) from the exact layer's integers, one correctly rounded
-division per coefficient; mpmath supplies only their irrational heads,
-zeta(s) for s >= 2 and log 2 (see `_expansion`).  High precision
-(precision_bits > 53) evaluates the defining combination with mpmath; it is
-the certification oracle for the double routes.  Its independent second
+(weight, center) from integers alone: the rational entries from the exact
+layer, one correctly rounded division each, and the irrational heads,
+zeta(s) for s >= 2 and log 2, from integer series (see `_expansion`), so
+the double routes never load mpmath.  High precision (precision_bits > 53)
+evaluates the defining combination with mpmath, imported where it is used;
+it is the certification oracle for the double routes.  Its independent second
 route, RK4 transport of the differential system, lives with the tests
 (`tests/oracles.py`); `ConvergenceError` stays here because that transport
 and perfbench raise it.
@@ -41,8 +42,6 @@ import math
 import operator
 from fractions import Fraction
 from typing import List, Sequence
-
-import mpmath as mp
 
 from .exact import beta, report_case, suite_report
 
@@ -59,6 +58,11 @@ _PY_NUMBERS = (complex, float, int)
 # (|z| <= 1/2 reaches 2^-53 within 49 terms) and computes it past the table,
 # until k ** n leaves the double range
 _SERIES_POWERS = 64
+# the heads' integer series: Borwein's zeta series to _BORWEIN_TERMS terms
+# leaves an error below 2^-200; each series is summed in _HEAD_BITS-bit
+# fixed point
+_BORWEIN_TERMS = 80
+_HEAD_BITS = 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,9 +84,11 @@ def pi_projection(n: int, w: complex) -> complex:
     number, an mpc for an mpmath value."""
     if n < 1:
         raise ValueError("weight must be >= 1")
-    if n % 2:
-        return complex(w.real, 0.0) if isinstance(w, _PY_NUMBERS) else mp.mpc(mp.re(w), 0)
-    return complex(0.0, w.imag) if isinstance(w, _PY_NUMBERS) else mp.mpc(0, mp.im(w))
+    if isinstance(w, _PY_NUMBERS):
+        return complex(w.real, 0.0) if n % 2 else complex(0.0, w.imag)
+    import mpmath as mp
+
+    return mp.mpc(mp.re(w), 0) if n % 2 else mp.mpc(0, mp.im(w))
 
 
 def li(n: int, z: complex, precision_bits: int = 53):
@@ -93,6 +99,8 @@ def li(n: int, z: complex, precision_bits: int = 53):
         raise ValueError("li: series route requires |z| <= 1/2")
     if precision_bits <= 53:
         return _li_series(n, complex(z), 2.0 ** (-precision_bits))
+    import mpmath as mp
+
     return _li_mp(n, mp.mpc(z), precision_bits)
 
 
@@ -125,6 +133,8 @@ def _li_series(n: int, z: complex, eps: float) -> complex:
 
 
 def _li_mp(n: int, z, precision_bits: int):
+    import mpmath as mp
+
     with mp.workprec(precision_bits + 12):
         total = mp.mpc(0)
         zk = mp.mpc(1)
@@ -139,11 +149,15 @@ def _li_mp(n: int, z, precision_bits: int):
 
 
 def _zeta_value(n: int, precision_bits: int):
-    with mp.workprec(max(precision_bits, 53) + 12):
+    import mpmath as mp
+
+    with mp.workprec(precision_bits + 12):
         return +mp.zeta(n)
 
 
 def _mp_fraction(q: Fraction):
+    import mpmath as mp
+
     return mp.mpf(q.numerator) / q.denominator
 
 
@@ -159,6 +173,63 @@ def _project(lis: Sequence, l0, betas: Sequence) -> list:
 # double-precision evaluation
 
 
+def _round_bits(num: int, den: int, p: int) -> tuple:
+    """(m, e) with m * 2^e the rational num/den (den > 0) rounded to p
+    significant bits, half to even: |m| has exactly p bits, or m = e = 0.
+    The quotient is taken with one bit to spare, so its top p bits and one
+    remainder decide the rounding; a carry to 2^p moves the exponent."""
+    if num == 0:
+        return 0, 0
+    a = abs(num)
+    shift = p + 1 - a.bit_length() + den.bit_length()
+    q, r = divmod(a << shift, den) if shift >= 0 else divmod(a, den << -shift)
+    extra = q.bit_length() - p  # 1 or 2
+    half, low = 1 << (extra - 1), q & ((1 << extra) - 1)
+    q >>= extra
+    if low > half or (low == half and (r or q & 1)):
+        q += 1
+        if q >> p:
+            q >>= 1
+            extra += 1
+    return (-q if num < 0 else q), extra - shift
+
+
+@functools.lru_cache(maxsize=None)
+def _borwein_weights() -> tuple:
+    """(d_n - d_k) 2^_HEAD_BITS for k < n = _BORWEIN_TERMS, and d_n, of
+    Borwein's series: d_k = sum_{i <= k} u_i with u_0 = 1 and
+    u_{i+1} = 4 u_i (n+i)(n-i) / ((2i+1)(2i+2)), an exact division."""
+    n, u, d = _BORWEIN_TERMS, 1, [1]
+    for i in range(n):
+        u = 4 * u * (n + i) * (n - i) // ((2 * i + 1) * (2 * i + 2))
+        d.append(d[-1] + u)
+    return tuple((d[n] - dk) << _HEAD_BITS for dk in d[:n]), d[n]
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_head(s: int) -> tuple:
+    """zeta(s), s >= 2, rounded to 65 bits as (m, e) (`_round_bits`), which
+    is the value +mp.zeta(s) gives at 65 bits.  Borwein's alternating
+    series (An efficient algorithm for the Riemann zeta function, 2000):
+    zeta(s) (1 - 2^(1-s)) d_n = sum_{k<n} (-1)^k (d_n - d_k) / (k+1)^s,
+    each term truncated in fixed point."""
+    weights, dn = _borwein_weights()
+    total = sum((-w if k & 1 else w) // (k + 1) ** s for k, w in enumerate(weights))
+    den = (dn * ((1 << (s - 1)) - 1)) << _HEAD_BITS
+    return _round_bits(total << (s - 1), den, 65)
+
+
+@functools.lru_cache(maxsize=None)
+def _log2_head() -> tuple:
+    """log 2 = 2 atanh(1/3) = 2 sum_m 3^-(2m+1) / (2m+1), rounded to 80
+    bits as (m, e)."""
+    one, total, m, power = 1 << _HEAD_BITS, 0, 0, 3
+    while one // power:
+        total += one // ((2 * m + 1) * power)
+        m, power = m + 1, power * 9
+    return _round_bits(2 * total, one, 80)
+
+
 @functools.lru_cache(maxsize=None)
 def _expansion(k: int, center: int) -> tuple:
     """Taylor coefficients c_j of Li_k(center * e^v) in v, cut where the
@@ -170,33 +241,42 @@ def _expansion(k: int, center: int) -> tuple:
     Every rational entry is one correctly rounded int / int division: for
     s = k - j <= 0, zeta(0) = -1/2 and zeta(s) = -beta_{1-s} (-s)!/2^(1-s)
     (that is -B_{1-s}/(1-s)) from the cached Fractions of `exact.beta`;
-    H_{k-1} at s = 1 about 1.  Only the irrational heads, zeta(s) for
-    s >= 2 and -log 2 at s = 1 about -1, are mpmath values at 80 bits."""
+    H_{k-1} at s = 1 about 1.  The irrational heads, zeta(s) for s >= 2
+    (`_zeta_head`, 65 bits) and -log 2 at s = 1 about -1 (`_log2_head`,
+    80 bits), keep the arithmetic of the 80-bit tables they replaced, bit
+    for bit: times 2^(1-s) - 1 about -1, over j!, each rounded to 80 bits
+    (j! too), then rounded to a double."""
     out, fact = [], 1  # fact = j!
-    with mp.workprec(80):
-        for j in itertools.count():
-            s, fact = k - j, fact * (j or 1)
-            if s == 1 and center == -1:
-                out.append(float(-mp.log(2) / mp.factorial(j)))
-                continue
-            if s >= 2:
-                c = _zeta_value(s, 53) * (1 if center == 1 else mp.mpf(2) ** (1 - s) - 1)
-                out.append(float(c / mp.factorial(j)))
-                continue
+    for j in itertools.count():
+        s, fact = k - j, fact * (j or 1)
+        if s >= 2 or (s == 1 and center == -1):
             if s == 1:
-                h = sum(Fraction(1, i) for i in range(1, k))
-                num, den = h.numerator, h.denominator
-            elif s == 0:
-                num, den = -1, 2
+                m, e = _log2_head()
+                m = -m
             else:
-                b = beta(1 - s)
-                num, den = -b.numerator * math.factorial(-s), b.denominator << (1 - s)
-            if center == -1:
-                num *= (1 << (1 - s)) - 1
-            out.append(num / (den * fact))
-            # past j = k the nonzero terms decay geometrically; zeros alternate
-            if s < 0 and max(map(abs, out[-2:])) * _HALF_ANNULUS_RADIUS**j < 1e-20:
-                return tuple(out[:-2])
+                m, e = _zeta_head(s)
+                if center == -1:
+                    mt, et = _round_bits(1 - (1 << (s - 1)), 1 << (s - 1), 80)
+                    m, ec = _round_bits(m * mt, 1, 80)
+                    e += et + ec
+            mf, ef = _round_bits(fact, 1, 80)
+            mq, eq = _round_bits(m, mf, 80)
+            out.append(math.ldexp(mq, eq + e - ef))
+            continue
+        if s == 1:
+            h = sum(Fraction(1, i) for i in range(1, k))
+            num, den = h.numerator, h.denominator
+        elif s == 0:
+            num, den = -1, 2
+        else:
+            b = beta(1 - s)
+            num, den = -b.numerator * math.factorial(-s), b.denominator << (1 - s)
+        if center == -1:
+            num *= (1 << (1 - s)) - 1
+        out.append(num / (den * fact))
+        # past j = k the nonzero terms decay geometrically; zeros alternate
+        if s < 0 and max(map(abs, out[-2:])) * _HALF_ANNULUS_RADIUS**j < 1e-20:
+            return tuple(out[:-2])
 
 
 def _annulus_state(n: int, z: complex) -> List[complex]:
@@ -231,7 +311,7 @@ def _sv_state_double(n: int, z: complex) -> tuple:
     if z == 0:
         return (0j,) * n
     if z == 1:  # weight 1 diverges at z = 1
-        return (None, *(complex(_zeta_value(m, 53)) if m % 2 else 0j for m in range(2, n + 1)))
+        return (None, *(complex(math.ldexp(*_zeta_head(m))) if m % 2 else 0j for m in range(2, n + 1)))
     try:
         if abs(z) <= 0.5:
             return tuple(_series_state(n, z, math.log(abs(z))))
@@ -255,6 +335,8 @@ def _guard_bits(n: int, z) -> int:
     like log^n|z| while sv itself falls like 1/|z|, so the sum cancels about
     log2|z| + n log2(log|z|) bits.  Even weights next to the real axis fall
     faster, like |Im z|/|z|^2, which costs log2(|z|/|Im z|) bits more."""
+    import mpmath as mp
+
     with mp.workprec(53):
         zz = mp.mpc(z)
         r = abs(zz)
@@ -267,6 +349,8 @@ def _guard_bits(n: int, z) -> int:
 
 
 def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
+    import mpmath as mp
+
     with mp.workprec(precision_bits + 16 + _guard_bits(n, z)):
         zz = mp.mpc(z)
         if zz == 0:
@@ -291,8 +375,14 @@ def _check_argument(name: str, n: int, z) -> None:
         raise ValueError("weight must be >= 1")
     # Python numbers take cmath.isfinite, about 15 times cheaper than
     # mp.isfinite; mpmath values, which may lie beyond the double range, and
-    # anything else keep mp.isfinite
-    if not (cmath.isfinite(z) if isinstance(z, _PY_NUMBERS) else mp.isfinite(z)):
+    # anything else (a Fraction) keep mp.isfinite, and only they load mpmath
+    if isinstance(z, _PY_NUMBERS):
+        finite = cmath.isfinite(z)
+    else:
+        import mpmath as mp
+
+        finite = mp.isfinite(z)
+    if not finite:
         raise ValueError("%s: z must be finite, got %s" % (name, z))
     if n == 1 and z == 1:
         raise ValueError("%s: weight 1 diverges at z = 1" % name)
@@ -307,6 +397,8 @@ def sv_polylog(n: int, z: complex, precision_bits: int = 53):
     """
     _check_argument("sv_polylog", n, z)
     if precision_bits > 53:
+        import mpmath as mp
+
         if z == 1:
             return mp.mpc(_zeta_value(n, precision_bits) if n % 2 else 0, 0)
         return _sv_state_mp(n, z, precision_bits)[n - 1]

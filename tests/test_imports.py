@@ -22,10 +22,19 @@ The package and the tests' references stay apart: no module of the package
 imports `oracles`, and no name that tests/oracles.py defines exists in a
 package module, so a check against an oracle never compares the package
 with itself.
+
+mpmath is imported where it is used: no module of the package imports it at
+import time, and a fresh interpreter that imports `polyreg`, evaluates the
+double routes and runs `all` never loads it, while the 130-bit route still
+runs from a fresh interpreter.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,3 +217,79 @@ def test_boundary_scan_finds_a_crossing():
     ]
     assert boundary_findings(source, "forms.py") == [(3, "_poly_at"), (3, "_terms")]
     assert boundary_findings(source, "funcfield.py") == [(2, "generators"), (2, "scalars")]
+
+
+def eager_imports(source: str, module: str) -> list:
+    """Lines of the import statements of `module` (or a submodule) that run
+    when the source is imported: any outside a function body."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_eager_mpmath_import():
+    found = {path.name: eager_imports(path.read_text(), "mpmath") for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_eager_import_scan_finds_one():
+    source = "import mpmath as mp\ntry:\n    from mpmath.libmp import from_rational\n"
+    source += "except ImportError:\n    pass\nclass C:\n    import mpmath\n"
+    source += "def f():\n    import mpmath as mp\n    return mp\nimport mpmathx\n"
+    assert eager_imports(source, "mpmath") == [1, 3, 7]
+
+
+def fresh_python(*args: str) -> str:
+    """Standard output of a fresh interpreter run with these arguments on
+    the package's source; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_default_path_never_loads_mpmath():
+    """Import, the disc series, the z = 1 slots, the log-expansion, inversion
+    and every suite of `all`, in a fresh interpreter."""
+    code = """
+import contextlib, io, sys
+import polyreg
+from polyreg import cli, polylog
+loaded = ["mpmath" in sys.modules]
+polyreg.sv_polylog(2, 0.3 + 0.2j)
+polylog.sv_state(7, 1)
+polyreg.sv_polylog(5, 0.9 + 0.8j)
+polyreg.sv_polylog(4, 30 - 7j)
+loaded.append("mpmath" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["all", "--samples", "1"])
+print(code, loaded + ["mpmath" in sys.modules])
+"""
+    assert fresh_python("-c", code) == "0 [False, False, False]\n"
+
+
+def test_high_precision_route_from_a_fresh_interpreter():
+    """The 130-bit route imports mpmath itself; its case prints what it did
+    while mpmath was imported with the package."""
+    argv = ["sv-polylog", "--weight", "3", "--at", "0.3+0.2i", "--precision", "130", "--json"]
+    out = fresh_python("-m", "polyreg.cli", *argv)
+    assert json.loads(out)["results"][0]["cases"] == [
+        {
+            "input": "L_3(0.3+0.2i)",
+            "pass": True,
+            "precision_bits": 130,
+            "value": "(0.732480410697545448339961744583072635195 + 0.0j)",
+        }
+    ]

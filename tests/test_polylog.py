@@ -364,10 +364,77 @@ def test_expansion_tables_pinned():
     """The integer-built tables equal the 80-bit ones bit for bit: same
     length, same sign, same float.hex of every entry."""
     P._expansion.cache_clear()
-    for k in range(1, 13):
+    for k in range(1, 31):
         for center in (1, -1):
             got = [x.hex() for x in P._expansion(k, center)]
             assert got == [x.hex() for x in _expansion_80bit(k, center)], (k, center)
+
+
+def _mpf_value(x):
+    """The exact value of an mpf, or of an mpmath raw (sign, man, exp, bc)."""
+    sign, man, exp, _ = getattr(x, "_mpf_", x)
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _dyadic(pair):
+    m, e = pair
+    return Fraction(m) * Fraction(2) ** e
+
+
+def test_integer_zeta_heads_match_mpmath():
+    """zeta(s) from Borwein's integer series, at 65 bits, is +mp.zeta(s) at
+    65 bits, and log 2 is mp.log(2) at 80 bits."""
+    for s in range(2, 61):
+        with mp.workprec(65):
+            want = _mpf_value(+mp.zeta(s))
+        assert _dyadic(P._zeta_head(s)) == want, s
+    with mp.workprec(80):
+        assert _dyadic(P._log2_head()) == _mpf_value(mp.log(2))
+
+
+def test_sv_state_at_one_is_the_65_bit_zeta():
+    st = P.sv_state(31, 1)
+    for m in range(3, 32, 2):
+        with mp.workprec(65):
+            want = complex(+mp.zeta(m))
+        assert _hex(st[m - 1]) == _hex(want), m
+    assert st[1::2] == (0j,) * 15
+
+
+def _check_rounding(num, den, p):
+    want = _mpf_value(mp.libmp.from_rational(num, den, p, "n"))
+    m, e = P._round_bits(num, den, p)
+    assert _dyadic((m, e)) == want, (num, den, p)
+    assert m == e == 0 if num == 0 else abs(m).bit_length() == p, (num, den, p)
+
+
+def test_round_bits_matches_mpmath():
+    rng = random.Random(18)
+    for p in (53, 65, 80):
+        for _ in range(2000):
+            num = rng.randrange(-(10**40), 10**40) >> rng.randrange(0, 130)
+            den = rng.randrange(1, 10 ** rng.randrange(1, 45))
+            _check_rounding(num, den, p)
+        _check_rounding(0, 7, p)
+
+
+def test_round_bits_ties_and_carry():
+    for p in (53, 65, 80):
+        for sign in (1, -1):
+            # mantissa + 1/2, exactly halfway: an even mantissa stays, an odd one rounds up
+            for mantissa in (2**p - 3, 2**p - 2, 2 ** (p - 1), 2 ** (p - 1) + 1):
+                rounded = mantissa + (mantissa & 1)
+                for den in (2, 6, 2**71):
+                    assert P._round_bits(sign * (2 * mantissa + 1) * den // 2, den, p) == (
+                        sign * rounded, 0
+                    )
+                    _check_rounding(sign * (2 * mantissa + 1) * den // 2, 4 * den, p)
+            # the carry: 2^p - 1/2 (a tie), 2^p - 1/4, and 2^(p-89) - 2^-90 (a tie)
+            # round up to 2^p, whose mantissa is 2^(p-1) with the exponent one higher
+            for num, den, e in ((2 ** (p + 1) - 1, 2, 1), (2 ** (p + 2) - 1, 4, 1),
+                                (2 ** (p + 1) - 1, 2**90, -88)):
+                assert P._round_bits(sign * num, den, p) == (sign * 2 ** (p - 1), e)
+                _check_rounding(sign * num, den, p)
 
 
 def _li_series_reference(n, z, eps):
