@@ -148,13 +148,6 @@ def _li_mp(n: int, z, precision_bits: int):
     raise ArithmeticError("mp series did not converge")
 
 
-def _zeta_value(n: int, precision_bits: int):
-    import mpmath as mp
-
-    with mp.workprec(precision_bits + 12):
-        return +mp.zeta(n)
-
-
 def _mp_fraction(q: Fraction):
     import mpmath as mp
 
@@ -399,8 +392,9 @@ def sv_polylog(n: int, z: complex, precision_bits: int = 53):
     if precision_bits > 53:
         import mpmath as mp
 
-        if z == 1:
-            return mp.mpc(_zeta_value(n, precision_bits) if n % 2 else 0, 0)
+        if z == 1:  # built at the working precision, which the caller's would round
+            with mp.workprec(precision_bits + 12):
+                return mp.mpc(mp.zeta(n) if n % 2 else 0, 0)
         return _sv_state_mp(n, z, precision_bits)[n - 1]
     return _sv_state_double(n, complex(z))[n - 1]
 

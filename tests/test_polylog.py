@@ -66,6 +66,15 @@ class TestFrozenSpecials:
         assert P.sv_polylog(2, 1) == 0
         assert P.sv_polylog(4, 1) == 0
 
+    @pytest.mark.parametrize("bits", [60, 130, 300])
+    def test_high_precision_at_one(self, bits):
+        """sv(n, 1) at more than 53 bits keeps that many bits of zeta(n)."""
+        for n in (3, 4, 7):
+            v = P.sv_polylog(n, 1, precision_bits=bits)
+            with mp.workprec(bits + 40):
+                want = mp.zeta(n) if n % 2 else 0
+                assert abs(v - want) <= mp.mpf(2) ** -bits, (n, bits)
+
     def test_zero_limit(self):
         for n in range(1, 6):
             assert P.sv_polylog(n, 0) == 0
