@@ -22,15 +22,15 @@ high-precision route below gives the value at 53 bits.  The log-expansion
 and inversion routes set weight 1 to -log|1-z| in double; the series and
 that fallback keep their own weight-1 value, which stays Re z to first
 order where 1 - z rounds to 1.  The log-expansion tables are built once per
-(weight, center) from integers alone: the rational entries from the exact
-layer, one correctly rounded division each, and the irrational heads,
-zeta(s) for s >= 2 and log 2, from integer series (see `_expansion`), so
-the double routes never load mpmath.  High precision (precision_bits > 53)
-evaluates the defining combination with mpmath, imported where it is used;
-it is the certification oracle for the double routes.  Its independent second
-route, RK4 transport of the differential system, lives with the tests
-(`tests/oracles.py`); `ConvergenceError` stays here because that transport
-and perfbench raise it.
+(weight, center) from integers alone, every entry one correctly rounded
+int / int division: the rational entries from the exact layer, the
+irrational heads, zeta(s) for s >= 2 and log 2, from integer series (see
+`_expansion`), so the double routes never load mpmath.  High precision
+(precision_bits > 53) evaluates the defining combination with mpmath,
+imported where it is used; it is the certification oracle for the double
+routes.  Its independent second route, RK4 transport of the differential
+system, lives with the tests (`tests/oracles.py`); `ConvergenceError` stays
+here because that transport and perfbench raise it.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def li(n: int, z: complex, precision_bits: int = 53):
     """Polylogarithm by its power series; defined for |z| <= 1/2 only."""
     if n < 1:
         raise ValueError("weight must be >= 1")
+    if precision_bits < 1:
+        raise ValueError("li: precision_bits must be >= 1, got %s" % precision_bits)
     if not abs(complex(z)) <= 0.5:
         raise ValueError("li: series route requires |z| <= 1/2")
     if precision_bits <= 53:
@@ -166,27 +168,6 @@ def _project(lis: Sequence, l0, betas: Sequence) -> list:
 # double-precision evaluation
 
 
-def _round_bits(num: int, den: int, p: int) -> tuple:
-    """(m, e) with m * 2^e the rational num/den (den > 0) rounded to p
-    significant bits, half to even: |m| has exactly p bits, or m = e = 0.
-    The quotient is taken with one bit to spare, so its top p bits and one
-    remainder decide the rounding; a carry to 2^p moves the exponent."""
-    if num == 0:
-        return 0, 0
-    a = abs(num)
-    shift = p + 1 - a.bit_length() + den.bit_length()
-    q, r = divmod(a << shift, den) if shift >= 0 else divmod(a, den << -shift)
-    extra = q.bit_length() - p  # 1 or 2
-    half, low = 1 << (extra - 1), q & ((1 << extra) - 1)
-    q >>= extra
-    if low > half or (low == half and (r or q & 1)):
-        q += 1
-        if q >> p:
-            q >>= 1
-            extra += 1
-    return (-q if num < 0 else q), extra - shift
-
-
 @functools.lru_cache(maxsize=None)
 def _borwein_weights() -> tuple:
     """(d_n - d_k) 2^_HEAD_BITS for k < n = _BORWEIN_TERMS, and d_n, of
@@ -201,26 +182,24 @@ def _borwein_weights() -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _zeta_head(s: int) -> tuple:
-    """zeta(s), s >= 2, rounded to 65 bits as (m, e) (`_round_bits`), which
-    is the value +mp.zeta(s) gives at 65 bits.  Borwein's alternating
-    series (An efficient algorithm for the Riemann zeta function, 2000):
+    """zeta(s), s >= 2, as the fixed-point quotient (num, den), within
+    2^-200 of zeta(s).  Borwein's alternating series (An efficient algorithm
+    for the Riemann zeta function, 2000):
     zeta(s) (1 - 2^(1-s)) d_n = sum_{k<n} (-1)^k (d_n - d_k) / (k+1)^s,
     each term truncated in fixed point."""
     weights, dn = _borwein_weights()
     total = sum((-w if k & 1 else w) // (k + 1) ** s for k, w in enumerate(weights))
-    den = (dn * ((1 << (s - 1)) - 1)) << _HEAD_BITS
-    return _round_bits(total << (s - 1), den, 65)
+    return total << (s - 1), (dn * ((1 << (s - 1)) - 1)) << _HEAD_BITS
 
 
 @functools.lru_cache(maxsize=None)
 def _log2_head() -> tuple:
-    """log 2 = 2 atanh(1/3) = 2 sum_m 3^-(2m+1) / (2m+1), rounded to 80
-    bits as (m, e)."""
+    """log 2 = 2 atanh(1/3) = 2 sum_m 3^-(2m+1) / (2m+1), as (num, den)."""
     one, total, m, power = 1 << _HEAD_BITS, 0, 0, 3
     while one // power:
         total += one // ((2 * m + 1) * power)
         m, power = m + 1, power * 9
-    return _round_bits(2 * total, one, 80)
+    return 2 * total, one
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,32 +210,23 @@ def _expansion(k: int, center: int) -> tuple:
     -v^(k-1)/(k-1)! log(-v).  Center -1: Li_{k-j}(-1)/j!, with
     Li_s(-1) = (2^(1-s) - 1) zeta(s) and Li_1(-1) = -log 2.
 
-    Every rational entry is one correctly rounded int / int division: for
-    s = k - j <= 0, zeta(0) = -1/2 and zeta(s) = -beta_{1-s} (-s)!/2^(1-s)
-    (that is -B_{1-s}/(1-s)) from the cached Fractions of `exact.beta`;
-    H_{k-1} at s = 1 about 1.  The irrational heads, zeta(s) for s >= 2
-    (`_zeta_head`, 65 bits) and -log 2 at s = 1 about -1 (`_log2_head`,
-    80 bits), keep the arithmetic of the 80-bit tables they replaced, bit
-    for bit: times 2^(1-s) - 1 about -1, over j!, each rounded to 80 bits
-    (j! too), then rounded to a double."""
+    Every entry is one correctly rounded int / int division, of num times
+    the center factor by den j!, where num/den is exact for the rational
+    entries: zeta(0) = -1/2, zeta(s) = -beta_{1-s} (-s)!/2^(1-s) for s < 0
+    (that is -B_{1-s}/(1-s)) from the cached Fractions of `exact.beta`, and
+    H_{k-1} at s = 1 about 1; and the integer heads for zeta(s), s >= 2
+    (`_zeta_head`), and log 2 (`_log2_head`), within 2^-200."""
     out, fact = [], 1  # fact = j!
     for j in itertools.count():
         s, fact = k - j, fact * (j or 1)
-        if s >= 2 or (s == 1 and center == -1):
-            if s == 1:
-                m, e = _log2_head()
-                m = -m
-            else:
-                m, e = _zeta_head(s)
-                if center == -1:
-                    mt, et = _round_bits(1 - (1 << (s - 1)), 1 << (s - 1), 80)
-                    m, ec = _round_bits(m * mt, 1, 80)
-                    e += et + ec
-            mf, ef = _round_bits(fact, 1, 80)
-            mq, eq = _round_bits(m, mf, 80)
-            out.append(math.ldexp(mq, eq + e - ef))
-            continue
-        if s == 1:
+        if s >= 2:
+            num, den = _zeta_head(s)
+            if center == -1:  # times 2^(1-s) - 1
+                num, den = num * (1 - (1 << (s - 1))), den << (s - 1)
+        elif s == 1 and center == -1:
+            num, den = _log2_head()
+            num = -num
+        elif s == 1:
             h = sum(Fraction(1, i) for i in range(1, k))
             num, den = h.numerator, h.denominator
         elif s == 0:
@@ -264,7 +234,7 @@ def _expansion(k: int, center: int) -> tuple:
         else:
             b = beta(1 - s)
             num, den = -b.numerator * math.factorial(-s), b.denominator << (1 - s)
-        if center == -1:
+        if center == -1 and s < 1:
             num *= (1 << (1 - s)) - 1
         out.append(num / (den * fact))
         # past j = k the nonzero terms decay geometrically; zeros alternate
@@ -303,8 +273,9 @@ def _sv_state_double(n: int, z: complex) -> tuple:
     """Values [sv(1,z) .. sv(n,z)] at double precision."""
     if z == 0:
         return (0j,) * n
-    if z == 1:  # weight 1 diverges at z = 1
-        return (None, *(complex(math.ldexp(*_zeta_head(m))) if m % 2 else 0j for m in range(2, n + 1)))
+    if z == 1:  # weight 1 diverges at z = 1; sv(m, 1) = zeta(m) for odd m
+        heads = (operator.truediv(*_zeta_head(m)) if m % 2 else 0 for m in range(2, n + 1))
+        return (None, *map(complex, heads))
     try:
         if abs(z) <= 0.5:
             return tuple(_series_state(n, z, math.log(abs(z))))
@@ -363,9 +334,11 @@ def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
 # public entry points
 
 
-def _check_argument(name: str, n: int, z) -> None:
+def _check_argument(name: str, n: int, z, precision_bits: int = 53) -> None:
     if n < 1:
         raise ValueError("weight must be >= 1")
+    if precision_bits < 1:
+        raise ValueError("%s: precision_bits must be >= 1, got %s" % (name, precision_bits))
     # Python numbers take cmath.isfinite, about 15 times cheaper than
     # mp.isfinite; mpmath values, which may lie beyond the double range, and
     # anything else (a Fraction) keep mp.isfinite, and only they load mpmath
@@ -375,6 +348,9 @@ def _check_argument(name: str, n: int, z) -> None:
         import mpmath as mp
 
         finite = mp.isfinite(z)
+        if finite and precision_bits <= 53 and not cmath.isfinite(complex(z)):
+            raise ValueError("%s: z = %s is outside the double range; it needs "
+                             "precision_bits > 53" % (name, z))
     if not finite:
         raise ValueError("%s: z must be finite, got %s" % (name, z))
     if n == 1 and z == 1:
@@ -388,7 +364,7 @@ def sv_polylog(n: int, z: complex, precision_bits: int = 53):
     (series, log-expansion or inversion); above, an mpmath number from the
     defining combination at that precision.
     """
-    _check_argument("sv_polylog", n, z)
+    _check_argument("sv_polylog", n, z, precision_bits)
     if precision_bits > 53:
         import mpmath as mp
 
@@ -401,7 +377,7 @@ def sv_polylog(n: int, z: complex, precision_bits: int = 53):
 
 def sv_state(n: int, z: complex) -> tuple:
     """All weights 1..n at once (double route); the weight-1 slot is None at
-    z = 1 for n >= 2.  Raises ValueError where sv_polylog does."""
+    z = 1 for n >= 2.  Raises ValueError where sv_polylog does at 53 bits."""
     _check_argument("sv_state", n, z)
     return _sv_state_double(n, complex(z))
 

@@ -48,6 +48,11 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_usage_error_precision_below_one(self, capsys):
+        code = run(["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "0"])
+        assert code == 2
+        assert "precision_bits must be >= 1" in capsys.readouterr().err
+
     def test_usage_error_mis_split_term(self, capsys):
         # the '-' ends the slot, so '1' is a weight-1 term of its own
         code = run(["loop-check", "--weight", "4", "--element", "{t}_3 (x) t-1", "--at", "1"])

@@ -380,25 +380,65 @@ def test_expansion_tables_pinned():
 
 
 def _mpf_value(x):
-    """The exact value of an mpf, or of an mpmath raw (sign, man, exp, bc)."""
-    sign, man, exp, _ = getattr(x, "_mpf_", x)
+    """The exact value of an mpf."""
+    sign, man, exp, _ = x._mpf_
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
-def _dyadic(pair):
-    m, e = pair
-    return Fraction(m) * Fraction(2) ** e
+def _exact_heads():
+    """zeta(2) .. zeta(60) and log 2 from mpmath at 400 bits, as Fractions."""
+    with mp.workprec(400):
+        return {s: _mpf_value(mp.zeta(s)) for s in range(2, 61)}, _mpf_value(mp.log(2))
 
 
-def test_integer_zeta_heads_match_mpmath():
-    """zeta(s) from Borwein's integer series, at 65 bits, is +mp.zeta(s) at
-    65 bits, and log 2 is mp.log(2) at 80 bits."""
-    for s in range(2, 61):
-        with mp.workprec(65):
-            want = _mpf_value(+mp.zeta(s))
-        assert _dyadic(P._zeta_head(s)) == want, s
-    with mp.workprec(80):
-        assert _dyadic(P._log2_head()) == _mpf_value(mp.log(2))
+def test_integer_heads_within_2_to_minus_200():
+    """The integer heads num/den of zeta(s), s = 2..60, and of log 2 lie
+    within 2^-200 of the value, relative."""
+    zetas, log2 = _exact_heads()
+    cases = [(P._zeta_head(s), zetas[s]) for s in range(2, 61)] + [(P._log2_head(), log2)]
+    for (num, den), want in cases:
+        assert abs(Fraction(num, den) - want) < want / 2**200, float(want)
+
+
+def _expansion_reference(k, center, zetas, log2):
+    """The log-expansion table with every entry an exact rational, or a
+    400-bit zeta value or log 2 times one, rounded to a double once; the
+    same truncation rule."""
+    out = []
+    for j in itertools.count():
+        s = k - j
+        if s == 1:
+            c = sum(Fraction(1, i) for i in range(1, k)) if center == 1 else -log2
+        else:
+            if s >= 2:
+                zeta = zetas[s]
+            else:
+                zeta = Fraction(-1, 2) if s == 0 else -bernoulli(1 - s) / (1 - s)
+            c = zeta * (1 if center == 1 else Fraction(2) ** (1 - s) - 1)
+        out.append(float(c / math.factorial(j)))
+        if s < 0 and max(map(abs, out[-2:])) * 1.72**j < 1e-20:
+            return tuple(out[:-2])
+
+
+def test_expansion_tables_correctly_rounded():
+    """Every entry of the tables for weights 1..60 is the correctly rounded
+    double, those about 1 of weights 53..55 with zeta(53) = 1 + 2^-52 too."""
+    zetas, log2 = _exact_heads()
+    P._expansion.cache_clear()
+    for k in range(1, 61):
+        for center in (1, -1):
+            got = [x.hex() for x in P._expansion(k, center)]
+            want = [x.hex() for x in _expansion_reference(k, center, zetas, log2)]
+            assert got == want, (k, center)
+
+
+def test_sv_state_at_one_is_the_rounded_zeta():
+    zetas, _ = _exact_heads()
+    st = P.sv_state(60, 1)
+    for m in range(3, 61, 2):
+        assert _hex(st[m - 1]) == _hex(complex(float(zetas[m]))), m
+    assert st[1::2] == (0j,) * 30
+    assert P.sv_polylog(53, 1).real.hex() == "0x1.0000000000001p+0"
 
 
 def test_sv_state_at_one_is_the_65_bit_zeta():
@@ -410,40 +450,29 @@ def test_sv_state_at_one_is_the_65_bit_zeta():
     assert st[1::2] == (0j,) * 15
 
 
-def _check_rounding(num, den, p):
-    want = _mpf_value(mp.libmp.from_rational(num, den, p, "n"))
-    m, e = P._round_bits(num, den, p)
-    assert _dyadic((m, e)) == want, (num, den, p)
-    assert m == e == 0 if num == 0 else abs(m).bit_length() == p, (num, den, p)
+@pytest.mark.parametrize("bits", [0, -10])
+def test_precision_below_one_rejected(bits):
+    with pytest.raises(ValueError, match="precision_bits must be >= 1"):
+        P.li(2, 0.3, precision_bits=bits)
+    with pytest.raises(ValueError, match="precision_bits must be >= 1"):
+        P.sv_polylog(3, 0.3, precision_bits=bits)
 
 
-def test_round_bits_matches_mpmath():
-    rng = random.Random(18)
-    for p in (53, 65, 80):
-        for _ in range(2000):
-            num = rng.randrange(-(10**40), 10**40) >> rng.randrange(0, 130)
-            den = rng.randrange(1, 10 ** rng.randrange(1, 45))
-            _check_rounding(num, den, p)
-        _check_rounding(0, 7, p)
-
-
-def test_round_bits_ties_and_carry():
-    for p in (53, 65, 80):
-        for sign in (1, -1):
-            # mantissa + 1/2, exactly halfway: an even mantissa stays, an odd one rounds up
-            for mantissa in (2**p - 3, 2**p - 2, 2 ** (p - 1), 2 ** (p - 1) + 1):
-                rounded = mantissa + (mantissa & 1)
-                for den in (2, 6, 2**71):
-                    assert P._round_bits(sign * (2 * mantissa + 1) * den // 2, den, p) == (
-                        sign * rounded, 0
-                    )
-                    _check_rounding(sign * (2 * mantissa + 1) * den // 2, 4 * den, p)
-            # the carry: 2^p - 1/2 (a tie), 2^p - 1/4, and 2^(p-89) - 2^-90 (a tie)
-            # round up to 2^p, whose mantissa is 2^(p-1) with the exponent one higher
-            for num, den, e in ((2 ** (p + 1) - 1, 2, 1), (2 ** (p + 2) - 1, 4, 1),
-                                (2 ** (p + 1) - 1, 2**90, -88)):
-                assert P._round_bits(sign * num, den, p) == (sign * 2 ** (p - 1), e)
-                _check_rounding(sign * num, den, p)
+def test_mpmath_point_outside_the_double_range():
+    """An mpmath z beyond the double range is refused on the double route
+    and evaluated above 53 bits: sv(3, z) ~ w (1 - log w + log^2 w / 3),
+    w = 1/z."""
+    for z in (mp.mpf("1e400"), mp.mpc("1e400", 1), mp.mpc(1, "-1e400")):
+        with pytest.raises(ValueError, match="outside the double range"):
+            P.sv_polylog(3, z)
+        with pytest.raises(ValueError, match="outside the double range"):
+            P.sv_state(3, z)
+    z = mp.mpf("1e400")
+    v = P.sv_polylog(3, z, precision_bits=80)
+    with mp.workprec(80):
+        w = 1 / z
+        lw = mp.log(w)
+        assert abs(v - w * (1 - lw + lw**2 / 3)) <= mp.mpf(2) ** -70 * abs(v)
 
 
 def _li_series_reference(n, z, eps):
