@@ -6,14 +6,16 @@ A Form is an exact rational combination of terms
 
 with two scalar kinds, log|g| (repetition encodes powers) and the
 single-valued polylog value of weight p >= 2 at f, and two generator kinds,
-dlog|g| and d i arg g.  Weight-1 single-valued scalars are rewritten to
--log|1-f| at construction.  Generators are kept in a canonical order with the
-permutation sign tracked, and forms merged by term key, by the
-signed-combination core of `funcfield` (`sort_signed`, `Combination`); a
-repeated generator kills the term.  A term computes its key once and keeps
-it (`scaled` copies pass it on); sums collect their terms and merge once, and
-a weighted alternation is built as one term per slot assignment.  The parser
-(`parse_form`) does the same from text: one build per term, one merge per form.
+dlog|g| and d i arg g.  Coefficients are exact rationals, ints or Fractions
+as given or as their arithmetic yields (an int is never made a Fraction).
+Weight-1 single-valued scalars are rewritten to -log|1-f| at construction.
+Generators are kept in a canonical order with the permutation sign tracked,
+and forms merged by term key, by the signed-combination core of `funcfield`
+(`sort_signed`, `Combination`); a repeated generator kills the term.  A
+term computes its key once and keeps it (`scaled` copies pass it on); sums
+collect their terms and merge once, and a weighted alternation is built as
+one term per slot assignment.  The parser (`parse_form`) does the same from
+text: one build per term, one merge per form.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -89,7 +91,7 @@ def _gen_key(g):
 class FormTerm:
     __slots__ = ("coefficient", "scalars", "generators", "grading", "_key")
 
-    def __init__(self, coefficient: Fraction, scalars: tuple, generators: tuple, key=None):
+    def __init__(self, coefficient: Rational, scalars: tuple, generators: tuple, key=None):
         self.coefficient = coefficient
         self.scalars = scalars
         self.generators = generators
@@ -104,7 +106,7 @@ class FormTerm:
             )
         return self._key
 
-    def scaled(self, coefficient: Fraction) -> "FormTerm":
+    def scaled(self, coefficient: Rational) -> "FormTerm":
         return FormTerm(coefficient, self.scalars, self.generators, self._key)
 
     def __repr__(self):
@@ -118,8 +120,8 @@ def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]
     if signed is None:
         return None
     sign, gens = signed
-    if not isinstance(coefficient, Fraction):
-        coefficient = Fraction(coefficient)
+    if type(coefficient) is not int and not isinstance(coefficient, Fraction):
+        coefficient = Fraction(coefficient)  # a float converts exactly; a complex raises TypeError
     scalars = tuple(sorted(scalars, key=_scalar_key))
     return FormTerm(coefficient if sign > 0 else -coefficient, scalars, gens)
 
@@ -139,7 +141,7 @@ class Form(Combination):
     def grading(self) -> tuple:
         return (self.degree,)
 
-    def _format_term(self, coefficient: Fraction, t: FormTerm) -> str:
+    def _format_term(self, coefficient: Rational, t: FormTerm) -> str:
         return format_term(t.scaled(coefficient))
 
     def wedge(self, other: "Form") -> "Form":
@@ -171,7 +173,7 @@ def sv_scalar(p: int, f: RationalFunction, coefficient: Rational = 1) -> Form:
     if p < 1:
         raise ValueError("weight must be >= 1")
     if p == 1:
-        return log_abs(one_minus(f), -Fraction(coefficient))
+        return log_abs(one_minus(f), -coefficient)
     return form(0, [_make_term(coefficient, (("sv", p, f),), ())])
 
 

@@ -1,15 +1,22 @@
 """Exact rational-function fields Q(x_1,...,x_d).
 
-Sparse polynomials over fractions.Fraction, rational functions in canonical
-form, complex-point evaluation with pole clearance, exact partial
-derivatives, and discrete-valuation data (order and unit part) at rational
-points of the line and at infinity.  This module alone evaluates functions:
+Sparse polynomials over Q, rational functions in canonical form,
+complex-point evaluation with pole clearance, exact partial derivatives, and
+discrete-valuation data (order and unit part) at rational points of the line
+and at infinity.  This module alone evaluates functions:
 each compiles once per layout of its variables on a caller's slots, into
 complex term lists for num, den and their partials in the order of each
 polynomial's terms, so values agree bit for bit with summing the terms one
 by one (`polynomial_evaluate` in tests/oracles.py), and `_evaluate` turns the
 lists into a value and partials behind one pole guard for `rf_eval`, form
 evaluation and the samplers and holomorphic parts of `regulator`.
+
+Exact rationals: every exact value here (a coefficient, a constant value, a
+content, a unit part, the point of a place) is an int when integral and a
+Fraction only when its denominator is not 1.  `_quo` does every exact
+division, and Fraction results that come out integral fold back to int
+(`_fold`), so integral arithmetic runs at int speed.  Printing, keys,
+equality, hashes and complex values are those of the equal Fraction.
 
 Canonical forms: a univariate quotient is gcd-reduced with monic denominator,
 so syntactic equality is mathematical equality. Multivariate quotients are
@@ -69,18 +76,34 @@ class PoleError(ArithmeticError):
     """Evaluation hit (or came within clearance of) a pole."""
 
 
-def _as_fraction(x) -> Fraction:
+def _exact(x) -> int | Fraction:
+    """x as an exact rational: an int when integral, else a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return _fold(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
+def _fold(c):
+    """An exact rational with a Fraction of denominator 1 turned into its int."""
+    return c.numerator if type(c) is not int and c.denominator == 1 else c
 
-    terms maps exponent tuples (one slot per variable) to nonzero coefficients.
+
+def _quo(a, b) -> int | Fraction:
+    """a / b for exact rationals: the int quotient when the division is
+    exact, else a Fraction (int / int is a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _fold(a / b)
+
+
+class Polynomial:
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    terms maps exponent tuples (one slot per variable) to nonzero
+    coefficients, each an int when integral and a Fraction otherwise.
     """
 
     __slots__ = ("variables", "terms")
@@ -90,20 +113,20 @@ class Polynomial:
         clean = {}
         width = len(self.variables)
         for expo, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = _exact(coeff)
             if coeff == 0:
                 continue
             expo = tuple(expo)
             if len(expo) != width:
                 raise ValueError("exponent width mismatch")
-            clean[expo] = clean.get(expo, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            clean[expo] = clean.get(expo, 0) + coeff
+        self.terms = {e: _fold(c) for e, c in clean.items() if c != 0}
 
     # --- constructors -------------------------------------------------
     @classmethod
     def _raw(cls, variables: tuple, terms: dict) -> "Polynomial":
         """Trusted constructor: terms already maps distinct exponent tuples of
-        the right width to nonzero Fractions."""
+        the right width to nonzero exact rationals, ints where integral."""
         p = object.__new__(cls)
         p.variables = variables
         p.terms = terms
@@ -111,13 +134,13 @@ class Polynomial:
 
     @staticmethod
     def constant(value, variables=()) -> "Polynomial":
-        value = _as_fraction(value)
+        value = _exact(value)
         variables = tuple(variables)
         return Polynomial._raw(variables, {(0,) * len(variables): value} if value else {})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial._raw((name,), {(1,): Fraction(1)})
+        return Polynomial._raw((name,), {(1,): 1})
 
     # --- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -126,10 +149,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in expo) for expo in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
+        return next(iter(self.terms.values()), 0)
 
     def used_variables(self) -> tuple:
         used = set()
@@ -167,16 +190,16 @@ class Polynomial:
         expo = max(self.terms)
         return expo, self.terms[expo]
 
-    def content(self) -> Fraction:
+    def content(self) -> int | Fraction:
         """Positive rational c with self/c integer-coefficient, coprime."""
         if not self.terms:
-            return Fraction(1)
+            return 1
         num = 0
         den = 1
         for c in self.terms.values():
             num = _intgcd(num, abs(c.numerator))
             den = den * c.denominator // _intgcd(den, c.denominator)
-        return Fraction(num, den)
+        return _quo(num, den)
 
     # --- arithmetic -----------------------------------------------------
     def _pair(self, other):
@@ -193,7 +216,7 @@ class Polynomial:
         for expo, coeff in b.terms.items():
             c = terms.get(expo, 0) + coeff
             if c:
-                terms[expo] = c
+                terms[expo] = _fold(c)
             else:
                 del terms[expo]
         return Polynomial._raw(a.variables, terms)
@@ -219,7 +242,7 @@ class Polynomial:
                 terms[expo] = terms.get(expo, 0) + c1 * c2
         # zeros drop only at the end, so every kept term stays where it first
         # appeared (term order fixes the order of evaluation)
-        return Polynomial._raw(a.variables, {e: c for e, c in terms.items() if c})
+        return Polynomial._raw(a.variables, {e: _fold(c) for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -265,7 +288,7 @@ class Polynomial:
         if not self.variables:
             return [self.constant_value()] if self.terms else []
         deg = max((e[0] for e in self.terms), default=-1)
-        out = [Fraction(0)] * (deg + 1)
+        out = [0] * (deg + 1)
         for (e,), c in self.terms.items():
             out[e] = c
         return out
@@ -280,7 +303,7 @@ class Polynomial:
                 continue
             new = list(expo)
             new[i] -= 1
-            terms[tuple(new)] = coeff * expo[i]
+            terms[tuple(new)] = _fold(coeff * expo[i])
         return Polynomial._raw(self.variables, terms)
 
     # --- printing ---------------------------------------------------------
@@ -314,13 +337,13 @@ def _dense_divmod(a: list, b: list):
     """(quotient, remainder) of dense ascending coefficient lists; b ends in
     a nonzero entry, the remainder in none."""
     r, nb = list(a), len(b)
-    q = [Fraction(0)] * max(len(r) - nb + 1, 0)
+    q = [0] * max(len(r) - nb + 1, 0)
     for s in reversed(range(len(q))):
-        c = r[s + nb - 1] / b[-1]
+        c = _quo(r[s + nb - 1], b[-1])
         if c:
             q[s] = c
             for i, x in enumerate(b):
-                r[s + i] -= c * x
+                r[s + i] = _fold(r[s + i] - c * x)
     del r[nb - 1 :]
     while r and not r[-1]:
         r.pop()
@@ -349,17 +372,18 @@ class RationalFunction:
             if len(a) > 1:
                 n, d = _dense_divmod(n, a)[0], _dense_divmod(d, a)[0]
             if len(n) == len(d) == 1:  # a constant quotient drops its variable
-                num, den = Polynomial.constant(n[0] / d[0]), Polynomial.constant(1)
+                num, den = Polynomial.constant(_quo(n[0], d[0])), Polynomial.constant(1)
             else:
-                inv = 1 / d[-1]
-                num = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(n) if c})
-                den = Polynomial._raw(used, {(i,): c * inv for i, c in enumerate(d) if c})
+                lead = d[-1]
+                num = Polynomial._raw(used, {(i,): _quo(c, lead) for i, c in enumerate(n) if c})
+                den = Polynomial._raw(used, {(i,): _quo(c, lead) for i, c in enumerate(d) if c})
         else:  # constants and the multivariate case: content-normalize only
-            _, lc = den.leading()
-            scale = Fraction(1) / den.content()
-            if lc < 0:
+            scale = den.content()
+            if den.leading()[1] < 0:
                 scale = -scale
-            num, den = num * scale, den * scale
+            if scale != 1:
+                num = Polynomial._raw(used, {e: _quo(c, scale) for e, c in num.terms.items()})
+                den = Polynomial._raw(used, {e: _quo(c, scale) for e, c in den.terms.items()})
         self._set(num, den)
 
     @classmethod
@@ -384,8 +408,8 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return not self.num.variables
 
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+    def constant_value(self) -> int | Fraction:
+        return _quo(self.num.constant_value(), self.den.constant_value())
 
     def key(self) -> str:
         """Deterministic total-order key "(num)/(den)"; equal keys iff equal
@@ -572,17 +596,17 @@ class Valuation:
 
     __slots__ = ("kind", "point")
 
-    def __init__(self, kind: str, point: Fraction | None = None):
+    def __init__(self, kind: str, point: int | Fraction | None = None):
         if kind not in ("finite", "infinity"):
             raise ValueError("kind must be 'finite' or 'infinity'")
         if kind == "finite" and point is None:
             raise ValueError("finite valuation needs a point")
         self.kind = kind
-        self.point = _as_fraction(point) if kind == "finite" else None
+        self.point = _exact(point) if kind == "finite" else None
 
     @staticmethod
     def finite(a) -> "Valuation":
-        return Valuation("finite", _as_fraction(a))
+        return Valuation("finite", _exact(a))
 
     @staticmethod
     def infinity() -> "Valuation":
@@ -604,7 +628,7 @@ class Valuation:
         return hash((self.kind, self.point))
 
 
-def _poly_order_at(p: Polynomial, a: Fraction):
+def _poly_order_at(p: Polynomial, a: int | Fraction):
     """(multiplicity m of (t-a) in p, value at a of p / (t-a)^m), by Horner
     synthetic division on the dense coefficient list."""
     if p.is_zero():
@@ -612,9 +636,9 @@ def _poly_order_at(p: Polynomial, a: Fraction):
     coeffs = p._univariate_coeffs()
     order = 0
     while True:
-        acc, quotient = Fraction(0), []
+        acc, quotient = 0, []
         for c in reversed(coeffs):
-            acc = acc * a + c
+            acc = _fold(acc * a + c)
             quotient.append(acc)
         value = quotient.pop()  # the remainder, p(a)
         if value:
@@ -636,7 +660,7 @@ def ord_at(f: RationalFunction, v: Valuation) -> int:
     return en - ed
 
 
-def unit_part(f: RationalFunction, v: Valuation) -> Fraction:
+def unit_part(f: RationalFunction, v: Valuation) -> int | Fraction:
     """Value at the place of f / pi^{ord_v(f)}; always a nonzero rational here
     (places are rational points or infinity, coefficients rational)."""
     if f.is_zero():
@@ -646,10 +670,10 @@ def unit_part(f: RationalFunction, v: Valuation) -> Fraction:
     if v.kind == "infinity":
         _, cn = f.num.leading()
         _, cd = f.den.leading()
-        return cn / cd
+        return _quo(cn, cd)
     _, nval = _poly_order_at(f.num, v.point)
     _, dval = _poly_order_at(f.den, v.point)
-    return nval / dval
+    return _quo(nval, dval)
 
 
 # --- text ---------------------------------------------------------------

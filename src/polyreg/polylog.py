@@ -18,7 +18,8 @@ Double precision (precision_bits <= 53) takes one of three routes by |z|:
 Where log^k|z| overflows a double (from weight 110 at |z| = 1e-300 or
 1e300), or beta_k Li_j(z) of the series falls below the normal range
 (`_normal_radius`: from weight 17 at |z| = 1e-300 or 1e300), the
-high-precision route below gives the value at 53 bits.  The log-expansion
+high-precision route below gives the value at 53 bits; a value past the
+double range raises OverflowError there, never +-inf.  The log-expansion
 and inversion routes set weight 1 to -log|1-z| in double; the series and
 that fallback keep their own weight-1 value, which stays Re z to first
 order where 1 - z rounds to 1.  The log-expansion tables are built once per
@@ -27,10 +28,11 @@ int / int division: the rational entries from the exact layer, the
 irrational heads, zeta(s) for s >= 2 and log 2, from integer series (see
 `_expansion`), so the double routes never load mpmath.  High precision
 (precision_bits > 53) evaluates the defining combination with mpmath,
-imported where it is used; it is the certification oracle for the double
-routes.  Its independent second route, RK4 transport of the differential
-system, lives with the tests (`tests/oracles.py`); `ConvergenceError` stays
-here because that transport and perfbench raise it.
+imported where it is used, an int or a Fraction z at the working
+precision; it is the certification oracle for the double routes.  Its
+independent second route, RK4 transport of the differential system, lives
+with the tests (`tests/oracles.py`); `ConvergenceError` stays here because
+that transport and perfbench raise it.
 """
 
 from __future__ import annotations
@@ -150,10 +152,19 @@ def _li_mp(n: int, z, precision_bits: int):
     raise ArithmeticError("mp series did not converge")
 
 
-def _mp_fraction(q: Fraction):
+def _mp_fraction(q):
+    """An int or a Fraction as an mpf at the working precision."""
     import mpmath as mp
 
     return mp.mpf(q.numerator) / q.denominator
+
+
+def _mp_point(z):
+    """z as an mpc at the working precision; an int or a Fraction, which
+    mpmath does not take, through `_mp_fraction`."""
+    import mpmath as mp
+
+    return mp.mpc(_mp_fraction(z) if isinstance(z, (int, Fraction)) else z)
 
 
 def _project(lis: Sequence, l0, betas: Sequence) -> list:
@@ -285,7 +296,12 @@ def _sv_state_double(n: int, z: complex) -> tuple:
             inverse = _series_state(n, 1 / z, -cmath.log(z).real)
             out = [v if m % 2 else -v for m, v in enumerate(inverse, 1)]
     except (OverflowError, FloatingPointError):  # a product out of range: the sum at 53 bits
-        return tuple(complex(v) for v in _sv_state_mp(n, z, 53))
+        out = [complex(v) for v in _sv_state_mp(n, z, 53)]
+        for m, v in enumerate(out, 1):
+            if not cmath.isfinite(v):  # complex() of a value past the double range
+                raise OverflowError("sv(%d, %s) is outside the double range; it needs "
+                                    "precision_bits > 53" % (m, z))
+        return tuple(out)
     out[0] = complex(-cmath.log(1 - z).real, 0.0)
     return tuple(out)
 
@@ -302,7 +318,7 @@ def _guard_bits(n: int, z) -> int:
     import mpmath as mp
 
     with mp.workprec(53):
-        zz = mp.mpc(z)
+        zz = _mp_point(z)
         r = abs(zz)
         if r <= 1:
             return 0
@@ -316,7 +332,7 @@ def _sv_state_mp(n: int, z: complex, precision_bits: int) -> list:
     import mpmath as mp
 
     with mp.workprec(precision_bits + 16 + _guard_bits(n, z)):
-        zz = mp.mpc(z)
+        zz = _mp_point(z)
         if zz == 0:
             return [mp.mpc(0)] * n
         betas = [_mp_fraction(beta(k)) for k in range(n)]
@@ -339,20 +355,30 @@ def _check_argument(name: str, n: int, z, precision_bits: int = 53) -> None:
         raise ValueError("weight must be >= 1")
     if precision_bits < 1:
         raise ValueError("%s: precision_bits must be >= 1, got %s" % (name, precision_bits))
-    # Python numbers take cmath.isfinite, about 15 times cheaper than
-    # mp.isfinite; mpmath values, which may lie beyond the double range, and
-    # anything else (a Fraction) keep mp.isfinite, and only they load mpmath
-    if isinstance(z, _PY_NUMBERS):
+    # floats and complexes take cmath.isfinite, about 15 times cheaper than
+    # mp.isfinite; an int or a Fraction is finite, and past the double range
+    # where complex() overflows; mpmath values, which may lie beyond it, keep
+    # mp.isfinite, and only they load mpmath
+    beyond = False
+    if isinstance(z, (complex, float)):
         finite = cmath.isfinite(z)
+    elif isinstance(z, (int, Fraction)):
+        finite = True
+        if precision_bits <= 53:
+            try:
+                complex(z)
+            except OverflowError:
+                beyond = True
     else:
         import mpmath as mp
 
         finite = mp.isfinite(z)
-        if finite and precision_bits <= 53 and not cmath.isfinite(complex(z)):
-            raise ValueError("%s: z = %s is outside the double range; it needs "
-                             "precision_bits > 53" % (name, z))
+        beyond = finite and precision_bits <= 53 and not cmath.isfinite(complex(z))
     if not finite:
         raise ValueError("%s: z must be finite, got %s" % (name, z))
+    if beyond:
+        raise ValueError("%s: z = %s is outside the double range; it needs "
+                         "precision_bits > 53" % (name, z))
     if n == 1 and z == 1:
         raise ValueError("%s: weight 1 diverges at z = 1" % name)
 

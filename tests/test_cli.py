@@ -157,6 +157,25 @@ class TestDeterminism:
         results = json.dumps(json.loads(out)["results"], sort_keys=True, indent=2)
         assert hashlib.sha256(results.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, exit_code, digest",
+        [
+            (["golden"], 0,
+             "d26fb8992760d74b483bea0bf3a40ef5c0471a9d92db27a33b073a658ba2187a"),
+            (["residue", "--weight", "3"], 0,
+             "f50d645971056a46e7f928ec3545be88697229c0c4ba39d766586ab0ad192f60"),
+            (["residue", "--weight", "4"], 1,  # the deliberate red test
+             "d50b3d5b0b0ab69dab735fb3bb5b6802a36a746f1a0e5843691fd6d637c56c4a"),
+        ],
+    )
+    def test_symbolic_results_pinned(self, capsys, argv, exit_code, digest):
+        # sha256 of the results as all-Fraction polynomials and forms printed
+        # them: every form, residue and verdict
+        code, out = run_json(capsys, argv + ["--json"])
+        assert code == exit_code
+        results = json.dumps(json.loads(out)["results"], sort_keys=True, indent=2)
+        assert hashlib.sha256(results.encode()).hexdigest() == digest
+
 
 def test_all_runs_the_pinned_cases(capsys):
     """What `all` runs: one suite|input|pass line per case in manifest order,

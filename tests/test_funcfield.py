@@ -1,6 +1,7 @@
 """Function-field tests: canonical forms, evaluation, derivatives, valuations,
 and the signed-combination core shared by chain elements and forms."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ from polyreg.funcfield import (
     unit_part,
     var,
 )
-from polyreg.polycomplex import bracket_tensor, pure_wedge, random_element
-from polyreg.regulator import holomorphic_part, r_map
+from polyreg.polycomplex import bracket_tensor, delta, pure_wedge, random_element
+from polyreg.regulator import holomorphic_part, r_map, standard_chain_elements
 
 t = var("t")
 
@@ -349,7 +350,7 @@ def _ref_divmod(a, b):
         if len(r) < len(d):
             break
         shift = len(r) - len(d)
-        factor = r[-1] / d[-1]
+        factor = Fraction(r[-1]) / d[-1]
         q[shift] = factor
         for i, c in enumerate(d):
             r[i + shift] -= factor * c
@@ -366,10 +367,10 @@ def _ref_canonical(num, den):
     a, b = num, den
     while not b.is_zero():
         a, b = b, _ref_divmod(a, b)[1]
-    g = a * (1 / a.leading()[1])
+    g = a * (Fraction(1) / a.leading()[1])
     num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
     lc = den.leading()[1]
-    return num * (1 / lc), den * (1 / lc)
+    return num * (Fraction(1) / lc), den * (Fraction(1) / lc)
 
 
 def _ref_order(p, a):
@@ -435,9 +436,9 @@ def test_canonical_forms_match_euclid_reference(a, b, common, c, d):
         for point in (Fraction(0), Fraction(1), Fraction(1, 2)):
             (en, nv), (ed, dv) = _ref_order(h.num, point), _ref_order(h.den, point)
             v = Valuation.finite(point)
-            assert (ord_at(h, v), unit_part(h, v)) == (en - ed, nv / dv)
+            assert (ord_at(h, v), unit_part(h, v)) == (en - ed, Fraction(nv) / dv)
         v = Valuation.infinity()
-        want = (h.den.degree() - h.num.degree(), h.num.leading()[1] / h.den.leading()[1])
+        want = (h.den.degree() - h.num.degree(), Fraction(h.num.leading()[1]) / h.den.leading()[1])
         assert (ord_at(h, v), unit_part(h, v)) == want
 
 
@@ -452,6 +453,64 @@ def test_var_and_const_as_the_constructor_builds_them(value):
         Polynomial.constant(value.numerator), Polynomial.constant(value.denominator)
     )
     assert _as_built(got.num, got.den) == _as_built(want.num, want.den)
+
+
+# --- exact rationals: ints where integral -------------------------------------
+
+
+STANDARD_ELEMENTS = [e for w in range(3, 7) for _, e in standard_chain_elements(w)]
+
+
+def _assert_exact(c):
+    """c is an int when integral and a Fraction with denominator > 1 otherwise."""
+    assert type(c) is int or type(c) is Fraction and c.denominator > 1, repr(c)
+
+
+def _assert_exact_function(f):
+    """The coefficients, contents and constant values of f's num, den and
+    their partials, f's constant value and its unit parts at PLACES."""
+    polys = [f.num, f.den]
+    polys += [p.partial(name) for p in (f.num, f.den) for name in f.variables()]
+    for p in polys:
+        for c in p.terms.values():
+            _assert_exact(c)
+        _assert_exact(p.content())
+        if p.is_constant():
+            _assert_exact(p.constant_value())
+    if f.is_constant():
+        _assert_exact(f.constant_value())
+    elif len(f.variables()) == 1:
+        for v in PLACES:
+            _assert_exact(unit_part(f, v))
+
+
+@given(_polynomials(), _polynomials(), st.sampled_from(range(len(STANDARD_ELEMENTS))))
+@settings(max_examples=60, deadline=None)
+def test_exact_values_are_ints_where_integral(a, b, i):
+    """Every exact value of funcfield is an int when integral and a Fraction
+    otherwise, never a float, and every form coefficient is an int or a
+    Fraction: over the polynomial pools, the functions a standard chain
+    element is parsed from, the functions its regulator form, d of that
+    form and r of its delta are built of, and their sums and products."""
+    assume(not b.is_zero())
+    e = STANDARD_ELEMENTS[i]
+    f = RationalFunction(a, b)
+    parsed = [g for t in e.terms for g in (t.argument, *t.wedge)]
+    functions = {f, -f, one_minus(f), *parsed}
+    functions.update(op(f, g) for g in parsed for op in (operator.add, operator.mul))
+    image = r_map(e)
+    for form in (image, F.exterior_derivative(image), r_map(delta(e))):
+        for t in form.terms:
+            assert type(t.coefficient) in (int, Fraction), repr(t.coefficient)
+            functions.update(s[-1] for s in t.scalars)
+            functions.update(g for _, g in t.generators)
+    for p in (a, b, a * b, a - b):
+        for c in p.terms.values():
+            _assert_exact(c)
+    for h in functions:
+        _assert_exact_function(h)
+    for v in PLACES[:-1]:
+        _assert_exact(v.point)
 
 
 # --- signed combinations ------------------------------------------------------

@@ -10,6 +10,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -473,6 +474,52 @@ def test_mpmath_point_outside_the_double_range():
         w = 1 / z
         lw = mp.log(w)
         assert abs(v - w * (1 - lw + lw**2 / 3)) <= mp.mpf(2) ** -70 * abs(v)
+
+
+@pytest.mark.parametrize("z", [10**400, -(10**400), Fraction(10**400, 3), Fraction(-(10**401), 7)],
+                         ids=["int", "negative int", "Fraction", "negative Fraction"])
+def test_exact_point_outside_the_double_range(z):
+    """An int or a Fraction beyond the double range is refused on the double
+    route as an mpmath value is, and evaluated above 53 bits:
+    sv(3, z) ~ w (1 - log|w| + log^2|w| / 3) with w = 1/z, as at 1/z."""
+    with pytest.raises(ValueError, match="outside the double range"):
+        P.sv_polylog(3, z)
+    with pytest.raises(ValueError, match="outside the double range"):
+        P.sv_state(3, z)
+    v = P.sv_polylog(3, z, precision_bits=80)
+    inverse = P.sv_polylog(3, 1 / Fraction(z), precision_bits=80)
+    with mp.workprec(80):
+        w = mp.mpf(z.denominator) / z.numerator
+        lw = mp.log(abs(w))
+        assert abs(v - w * (1 - lw + lw**2 / 3)) <= mp.mpf(2) ** -70 * abs(v)
+        assert abs(v - inverse) <= mp.mpf(2) ** -70 * abs(v)
+
+
+def test_exact_points_in_range():
+    """An int or a Fraction in the double range takes the double route at its
+    correctly rounded value, and above 53 bits keeps the digits a double
+    would lose."""
+    for n, z in ((3, Fraction(1, 3)), (4, 7), (2, Fraction(-5, 2)), (5, Fraction(3, 10**300))):
+        assert P.sv_polylog(n, z) == P.sv_polylog(n, complex(float(z)))
+        assert P.sv_state(n, z) == P.sv_state(n, complex(float(z)))
+    with mp.workprec(200):
+        third = mp.mpf(1) / 3
+    v = P.sv_polylog(3, Fraction(1, 3), precision_bits=130)
+    assert abs(v - P.sv_polylog(3, third, precision_bits=130)) <= mp.mpf(2) ** -125 * abs(v)
+    assert abs(v - P.sv_polylog(3, 1 / 3, precision_bits=130)) > mp.mpf(2) ** -60 * abs(v)
+    assert P.sv_polylog(3, Fraction(1), precision_bits=130) == P.sv_polylog(3, 1, precision_bits=130)
+
+
+def test_value_past_the_double_range_raises():
+    """Where the value itself leaves the double range, the 53-bit fallback
+    raises OverflowError naming the first weight past it, not +-inf.  At
+    2e-290 - 1e-291j that is weight 259 (9.4e310 at 60 bits)."""
+    z = 2e-290 - 1e-291j
+    with pytest.raises(OverflowError, match=r"sv\(259, .*precision_bits > 53"):
+        P.sv_polylog(300, z)
+    assert abs(P.sv_polylog(259, z, precision_bits=60)) > sys.float_info.max
+    with pytest.raises(OverflowError, match=r"sv\(261, .*precision_bits > 53"):
+        P.sv_state(400, 1e-300 + 1e-300j)
 
 
 def _li_series_reference(n, z, eps):
