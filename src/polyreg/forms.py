@@ -6,8 +6,9 @@ A Form is an exact rational combination of terms
 
 with two scalar kinds, log|g| (repetition encodes powers) and the
 single-valued polylog value of weight p >= 2 at f, and two generator kinds,
-dlog|g| and d i arg g.  Coefficients are exact rationals, ints or Fractions
-as given or as their arithmetic yields (an int is never made a Fraction).
+dlog|g| and d i arg g.  Coefficients are exact rationals: an int when
+integral and a Fraction otherwise, as in `funcfield` (a new term, a sum of
+terms and a scaled term fold an integral Fraction to its int).
 Weight-1 single-valued scalars are rewritten to -log|1-f| at construction.
 Generators are kept in a canonical order with the permutation sign tracked,
 and forms merged by term key, by the signed-combination core of `funcfield`
@@ -61,12 +62,13 @@ from .funcfield import (
     _compile,
     _coordinates,
     _evaluate,
+    _fold,
     _Reader,
     one_minus,
     parse_function,
     sort_signed,
 )
-from .polylog import sv_state
+from .polylog import sv_polylog
 
 Rational = Union[int, Fraction]
 
@@ -120,8 +122,10 @@ def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]
     if signed is None:
         return None
     sign, gens = signed
-    if type(coefficient) is not int and not isinstance(coefficient, Fraction):
-        coefficient = Fraction(coefficient)  # a float converts exactly; a complex raises TypeError
+    if type(coefficient) is not int:
+        if not isinstance(coefficient, Fraction):  # a float converts exactly; a complex raises
+            coefficient = Fraction(coefficient)
+        coefficient = _fold(coefficient)
     scalars = tuple(sorted(scalars, key=_scalar_key))
     return FormTerm(coefficient if sign > 0 else -coefficient, scalars, gens)
 
@@ -421,7 +425,7 @@ def _at_point(plan: _Plan, xs: list, xm: dict) -> tuple:
         values.append(val)
     scalars = []
     for i, p in plan.scalars:
-        scalars.append(sv_state(p, values[i])[p - 1] if p else math.log(abs(values[i])))
+        scalars.append(sv_polylog(p, values[i]) if p else math.log(abs(values[i])))
     return scalars, gradients
 
 

@@ -11,12 +11,13 @@ by one (`polynomial_evaluate` in tests/oracles.py), and `_evaluate` turns the
 lists into a value and partials behind one pole guard for `rf_eval`, form
 evaluation and the samplers and holomorphic parts of `regulator`.
 
-Exact rationals: every exact value here (a coefficient, a constant value, a
-content, a unit part, the point of a place) is an int when integral and a
-Fraction only when its denominator is not 1.  `_quo` does every exact
-division, and Fraction results that come out integral fold back to int
-(`_fold`), so integral arithmetic runs at int speed.  Printing, keys,
-equality, hashes and complex values are those of the equal Fraction.
+Exact rationals: every exact value here (a polynomial coefficient, a
+constant value, a content, a unit part, the point of a place, a coefficient
+of a `Combination`) is an int when integral and a Fraction only when its
+denominator is not 1.  `_quo` does every exact division, and Fraction
+results that come out integral fold back to int (`_fold`), so integral
+arithmetic runs at int speed.  Printing, keys, equality, hashes and complex
+values are those of the equal Fraction.
 
 Canonical forms: a univariate quotient is gcd-reduced with monic denominator,
 so syntactic equality is mathematical equality. Multivariate quotients are
@@ -852,7 +853,7 @@ class Combination:
                                  % (t.grading, grading))
             k = t.key()
             old = merged.get(k)
-            merged[k] = t if old is None else t.scaled(old.coefficient + t.coefficient)
+            merged[k] = t if old is None else t.scaled(_fold(old.coefficient + t.coefficient))
         return cls(*grading, tuple(merged[k] for k in sorted(merged) if merged[k].coefficient))
 
     def is_zero(self) -> bool:
@@ -895,7 +896,9 @@ class Combination:
             return NotImplemented
         if not c:
             return type(self)(*self.grading, ())
-        return type(self)(*self.grading, tuple(t.scaled(c * t.coefficient) for t in self.terms))
+        c = _fold(c)  # a Fraction(1) weight scales at int speed
+        terms = tuple(t.scaled(_fold(c * t.coefficient)) for t in self.terms)
+        return type(self)(*self.grading, terms)
 
     __rmul__ = __mul__
 

@@ -296,12 +296,9 @@ def _sv_state_double(n: int, z: complex) -> tuple:
             inverse = _series_state(n, 1 / z, -cmath.log(z).real)
             out = [v if m % 2 else -v for m, v in enumerate(inverse, 1)]
     except (OverflowError, FloatingPointError):  # a product out of range: the sum at 53 bits
-        out = [complex(v) for v in _sv_state_mp(n, z, 53)]
-        for m, v in enumerate(out, 1):
-            if not cmath.isfinite(v):  # complex() of a value past the double range
-                raise OverflowError("sv(%d, %s) is outside the double range; it needs "
-                                    "precision_bits > 53" % (m, z))
-        return tuple(out)
+        # complex() of a value past the double range is +-inf: the entry
+        # points raise where the caller receives such a weight
+        return tuple(complex(v) for v in _sv_state_mp(n, z, 53))
     out[0] = complex(-cmath.log(1 - z).real, 0.0)
     return tuple(out)
 
@@ -383,6 +380,11 @@ def _check_argument(name: str, n: int, z, precision_bits: int = 53) -> None:
         raise ValueError("%s: weight 1 diverges at z = 1" % name)
 
 
+def _past_double_range(m: int, z) -> OverflowError:
+    return OverflowError("sv(%d, %s) is outside the double range; it needs "
+                         "precision_bits > 53" % (m, z))
+
+
 def sv_polylog(n: int, z: complex, precision_bits: int = 53):
     """Single-valued polylogarithm of weight n at z.
 
@@ -398,14 +400,23 @@ def sv_polylog(n: int, z: complex, precision_bits: int = 53):
             with mp.workprec(precision_bits + 12):
                 return mp.mpc(mp.zeta(n) if n % 2 else 0, 0)
         return _sv_state_mp(n, z, precision_bits)[n - 1]
-    return _sv_state_double(n, complex(z))[n - 1]
+    v = _sv_state_double(n, complex(z))[n - 1]
+    if cmath.isfinite(v):
+        return v
+    raise _past_double_range(n, z)
 
 
 def sv_state(n: int, z: complex) -> tuple:
     """All weights 1..n at once (double route); the weight-1 slot is None at
-    z = 1 for n >= 2.  Raises ValueError where sv_polylog does at 53 bits."""
+    z = 1 for n >= 2.  Raises ValueError where sv_polylog does at 53 bits,
+    and OverflowError, naming the first such weight, where one of the n
+    values is past the double range."""
     _check_argument("sv_state", n, z)
-    return _sv_state_double(n, complex(z))
+    state = _sv_state_double(n, complex(z))
+    for m, v in enumerate(state, 1):
+        if v is not None and not cmath.isfinite(v):
+            raise _past_double_range(m, z)
+    return state
 
 
 def clear_cache() -> None:

@@ -488,10 +488,11 @@ def _assert_exact_function(f):
 @settings(max_examples=60, deadline=None)
 def test_exact_values_are_ints_where_integral(a, b, i):
     """Every exact value of funcfield is an int when integral and a Fraction
-    otherwise, never a float, and every form coefficient is an int or a
-    Fraction: over the polynomial pools, the functions a standard chain
-    element is parsed from, the functions its regulator form, d of that
-    form and r of its delta are built of, and their sums and products."""
+    otherwise, never a float, and so is every form coefficient: over the
+    polynomial pools, the functions a standard chain element is parsed
+    from, the functions its regulator form, d of that form, r of its delta
+    and the form parsed back from the regulator form's text are built of,
+    and their sums and products."""
     assume(not b.is_zero())
     e = STANDARD_ELEMENTS[i]
     f = RationalFunction(a, b)
@@ -499,9 +500,9 @@ def test_exact_values_are_ints_where_integral(a, b, i):
     functions = {f, -f, one_minus(f), *parsed}
     functions.update(op(f, g) for g in parsed for op in (operator.add, operator.mul))
     image = r_map(e)
-    for form in (image, F.exterior_derivative(image), r_map(delta(e))):
+    for form in (image, F.exterior_derivative(image), r_map(delta(e)), F.parse_form(str(image))):
         for t in form.terms:
-            assert type(t.coefficient) in (int, Fraction), repr(t.coefficient)
+            _assert_exact(t.coefficient)
             functions.update(s[-1] for s in t.scalars)
             functions.update(g for _, g in t.generators)
     for p in (a, b, a * b, a - b):

@@ -511,15 +511,29 @@ def test_exact_points_in_range():
 
 
 def test_value_past_the_double_range_raises():
-    """Where the value itself leaves the double range, the 53-bit fallback
-    raises OverflowError naming the first weight past it, not +-inf.  At
-    2e-290 - 1e-291j that is weight 259 (9.4e310 at 60 bits)."""
+    """Where a value the caller receives leaves the double range, the 53-bit
+    fallback raises OverflowError naming it, not +-inf: sv_polylog for its
+    own weight, sv_state for the first of its n weights.  At
+    2e-290 - 1e-291j the first weight past it is 259 (9.4e310 at 60 bits)."""
     z = 2e-290 - 1e-291j
-    with pytest.raises(OverflowError, match=r"sv\(259, .*precision_bits > 53"):
+    with pytest.raises(OverflowError, match=r"sv\(300, .*precision_bits > 53"):
         P.sv_polylog(300, z)
+    with pytest.raises(OverflowError, match=r"sv\(259, .*precision_bits > 53"):
+        P.sv_state(300, z)
     assert abs(P.sv_polylog(259, z, precision_bits=60)) > sys.float_info.max
     with pytest.raises(OverflowError, match=r"sv\(261, .*precision_bits > 53"):
         P.sv_state(400, 1e-300 + 1e-300j)
+
+
+def test_value_in_range_beside_lower_weights_past_it():
+    """A weight in the double range is returned though lower weights at the
+    same point are past it (weight 261 at 1e-300): the even weight is 0 on
+    the real axis, and just off it equals the 130-bit value."""
+    assert P.sv_polylog(262, 1e-300) == 0j
+    z = 1e-300 + 1e-320j
+    assert P.sv_polylog(262, z) == complex(P.sv_polylog(262, z, precision_bits=130))
+    with pytest.raises(OverflowError, match=r"sv\(261, "):
+        P.sv_state(262, z)
 
 
 def _li_series_reference(n, z, eps):
