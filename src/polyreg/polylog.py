@@ -18,8 +18,9 @@ Double precision (precision_bits <= 53) takes one of three routes by |z|:
 Where log^k|z| overflows a double (from weight 110 at |z| = 1e-300 or
 1e300), or beta_k Li_j(z) of the series falls below the normal range
 (`_normal_radius`: from weight 17 at |z| = 1e-300 or 1e300), the
-high-precision route below gives the value at 53 bits; a value past the
-double range raises OverflowError there, never +-inf.  The log-expansion
+high-precision route below gives the value at 53 bits; a value that
+leaves the double range there raises OverflowError where `sv_polylog` or
+`sv_state` would return it, never +-inf.  The log-expansion
 and inversion routes set weight 1 to -log|1-z| in double; the series and
 that fallback keep their own weight-1 value, which stays Re z to first
 order where 1 - z rounds to 1.  The log-expansion tables are built once per
@@ -389,7 +390,8 @@ def sv_polylog(n: int, z: complex, precision_bits: int = 53):
     """Single-valued polylogarithm of weight n at z.
 
     Up to 53 bits the value is a double from the route that |z| picks
-    (series, log-expansion or inversion); above, an mpmath number from the
+    (series, log-expansion or inversion), and OverflowError where that
+    value is past the double range; above, an mpmath number from the
     defining combination at that precision.
     """
     _check_argument("sv_polylog", n, z, precision_bits)
