@@ -3,6 +3,7 @@
 Usage (from the root of a checkout):
 
     python3 benchmarks/bench.py --label LABEL [--repeats 5] [--seed 89]
+        [--parent DIR --parent-label LABEL]
 
 runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
 `--repeats` times for each workload W of BENCHMARK.json, T its
@@ -11,6 +12,12 @@ BENCH_<label>.json in the current directory: for each workload the runs'
 attempted and failed counts, whether every run was correct, and the min,
 median, quartiles and IQR of each end-to-end metric; with perfbench's env
 line (of the first run) and the checkout's commit (`git describe --dirty`).
+
+With `--parent DIR`, the checkout at DIR (say, a clean clone of the parent
+commit) is measured in the same invocation, run by run: each repeat runs
+both checkouts back to back, DIR first on even repeats and this checkout
+first on odd ones, so drift in the machine's load falls on both sides
+alike.  DIR's runs go to BENCH_<parent-label>.json, in the same schema.
 """
 
 import argparse
@@ -52,35 +59,58 @@ def summarise(results) -> dict:
     }
 
 
+def run_once(root: Path, workload: str, seed: int, seconds) -> tuple:
+    """(env, result) of one perfbench run of the checkout at root."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return parse_run(proc.stdout)
+
+
+def commit_of(root: Path):
+    """`git describe` of the checkout at root; None for an exported tree,
+    where git would answer for an enclosing repository."""
+    if not (root / ".git").exists():
+        return None
+    return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                          cwd=root, capture_output=True, text=True).stdout.strip()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=89)
+    ap.add_argument("--parent", type=Path, help="a second checkout, run alternately with this one")
+    ap.add_argument("--parent-label", help="the label of the --parent checkout's BENCH file")
     args = ap.parse_args(argv)
     if args.repeats < 5:
         ap.error("--repeats must be at least 5")
+    if (args.parent is None) != (args.parent_label is None):
+        ap.error("--parent and --parent-label go together")
+    if args.parent_label == args.label:
+        ap.error("--parent-label must differ from --label")
+    sides = [(ROOT, args.label)]
+    if args.parent is not None:
+        sides.insert(0, (args.parent.resolve(), args.parent_label))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    env, workloads = None, {}
-    for name in [w["name"] for w in spec["workloads"]]:
-        results = []
-        for _ in range(args.repeats):
-            proc = subprocess.run(
-                [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
-                 "--seed", str(args.seed), "--seconds", str(spec["run_seconds"]), "--trace", "0"],
-                cwd=ROOT, capture_output=True, text=True, check=True, timeout=600,
-            )
-            run_env, result = parse_run(proc.stdout)
-            env = env or run_env
-            results.append(result)
-        workloads[name] = summarise(results)
-    commit = None  # an exported tree; git would answer for an enclosing repo
-    if (ROOT / ".git").exists():
-        commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                                cwd=ROOT, capture_output=True, text=True).stdout.strip()
-    out = {"label": args.label, "commit": commit, "env": env, "seed": args.seed,
-           "seconds": spec["run_seconds"], "workloads": workloads}
-    Path("BENCH_%s.json" % args.label).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    names = [w["name"] for w in spec["workloads"]]
+    envs = [None] * len(sides)
+    results = [{name: [] for name in names} for _ in sides]
+    for name in names:
+        for i in range(args.repeats):
+            order = range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))
+            for k in order:
+                env, result = run_once(sides[k][0], name, args.seed, spec["run_seconds"])
+                envs[k] = envs[k] or env
+                results[k][name].append(result)
+    for (root, label), env, runs in zip(sides, envs, results):
+        out = {"label": label, "commit": commit_of(root), "env": env, "seed": args.seed,
+               "seconds": spec["run_seconds"],
+               "workloads": {name: summarise(r) for name, r in runs.items()}}
+        Path("BENCH_%s.json" % label).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -13,10 +13,14 @@ Weight-1 single-valued scalars are rewritten to -log|1-f| at construction.
 Generators are kept in a canonical order with the permutation sign tracked,
 and forms merged by term key, by the signed-combination core of `funcfield`
 (`sort_signed`, `Combination`); a repeated generator kills the term.  A
-term computes its key once and keeps it (`scaled` copies pass it on); sums
-collect their terms and merge once, and a weighted alternation is built as
-one term per slot assignment.  The parser (`parse_form`) does the same from
-text: one build per term, one merge per form.
+term's key is built once, from its factors' keys: each scalar and generator
+is keyed once where it is made, a product of terms (a wedge, a term of d, a
+parsed term) is built from the (key, factor) pairs its factors already
+hold (`FormTerm.pairs`, `_keyed_term`), and `scaled` copies pass the key
+on.  Sums collect their terms and merge once, a single-term form is built
+without a merge, and a weighted alternation is built as one term per slot
+assignment, each g keyed once.  The parser (`parse_form`) does the same
+from text: one build per term, one merge per form.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -52,6 +56,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import beta
@@ -80,20 +85,29 @@ class GenericityError(ValueError):
 # scalar factors: ("log", g) or ("sv", p, f); generators: ("dlog"|"diarg", g)
 
 
-def _scalar_key(s):
+def _scalar_pair(s) -> tuple:
+    """(key, s) of a scalar factor."""
     if s[0] == "log":
-        return (0, "", s[1].key())
-    return (1, s[1], s[2].key())
+        return (0, "", s[1].key()), s
+    return (1, s[1], s[2].key()), s
 
 
-def _gen_key(g):
-    return (g[0], g[1].key())
+def _gen_pair(g) -> tuple:
+    """(key, g) of a generator."""
+    return (g[0], g[1].key()), g
+
+
+_by_key = itemgetter(0)  # of a (key, factor) pair
 
 
 class FormTerm:
+    """coefficient * product of scalars * wedge of generators, the scalars in
+    key order and the generators in strict key order; its key is (scalar
+    keys, generator keys), built with it."""
+
     __slots__ = ("coefficient", "scalars", "generators", "grading", "_key")
 
-    def __init__(self, coefficient: Rational, scalars: tuple, generators: tuple, key=None):
+    def __init__(self, coefficient: Rational, scalars: tuple, generators: tuple, key: tuple):
         self.coefficient = coefficient
         self.scalars = scalars
         self.generators = generators
@@ -101,12 +115,12 @@ class FormTerm:
         self._key = key
 
     def key(self):
-        if self._key is None:
-            self._key = (
-                tuple(_scalar_key(s) for s in self.scalars),
-                tuple(_gen_key(g) for g in self.generators),
-            )
         return self._key
+
+    def pairs(self) -> tuple:
+        """(scalar pairs, generator pairs): each factor as (its key, it)."""
+        skeys, gkeys = self._key
+        return tuple(zip(skeys, self.scalars)), tuple(zip(gkeys, self.generators))
 
     def scaled(self, coefficient: Rational) -> "FormTerm":
         return FormTerm(coefficient, self.scalars, self.generators, self._key)
@@ -115,19 +129,29 @@ class FormTerm:
         return "FormTerm(%s)" % format_term(self)
 
 
-def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]:
+def _keyed_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]:
+    """The term of coefficient and the factors given as (key, factor) pairs,
+    keyed from those keys; None when it vanishes."""
     if not coefficient:
         return None
-    signed = sort_signed(generators, _gen_key)
+    signed = sort_signed(generators)
     if signed is None:
         return None
-    sign, gens = signed
+    sign, gkeys, gens = signed
     if type(coefficient) is not int:
         if not isinstance(coefficient, Fraction):  # a float converts exactly; a complex raises
             coefficient = Fraction(coefficient)
         coefficient = _fold(coefficient)
-    scalars = tuple(sorted(scalars, key=_scalar_key))
-    return FormTerm(coefficient if sign > 0 else -coefficient, scalars, gens)
+    if len(scalars) > 1:
+        scalars = sorted(scalars, key=_by_key)
+    skeys, scalars = zip(*scalars) if scalars else ((), ())
+    return FormTerm(coefficient if sign > 0 else -coefficient, scalars, gens, (skeys, gkeys))
+
+
+def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]:
+    """The term of coefficient and the factors, each keyed once here."""
+    return _keyed_term(coefficient, list(map(_scalar_pair, scalars)),
+                       list(map(_gen_pair, generators)))
 
 
 class Form(Combination):
@@ -149,15 +173,19 @@ class Form(Combination):
         return format_term(t.scaled(coefficient))
 
     def wedge(self, other: "Form") -> "Form":
-        return form(self.degree + other.degree, [
-            _make_term(a.coefficient * b.coefficient, a.scalars + b.scalars,
-                       a.generators + b.generators)
-            for a in self.terms for b in other.terms
-        ])
+        product = _product([(a.coefficient, *a.pairs()) for a in self.terms],
+                           [(b.coefficient, *b.pairs()) for b in other.terms])
+        return form(self.degree + other.degree, [_keyed_term(*t) for t in product])
 
 
 def form(degree: int, terms: Iterable[Optional[FormTerm]]) -> Form:
     return Form.merge((degree,), terms)
+
+
+def _single(degree: int, coefficient: Rational, scalars=(), generators=()) -> Form:
+    """The form of one term, built without a merge."""
+    t = _make_term(coefficient, scalars, generators)
+    return Form(degree, () if t is None else (t,))
 
 
 def zero(degree: int = 0) -> Form:
@@ -165,11 +193,11 @@ def zero(degree: int = 0) -> Form:
 
 
 def scalar(c: Rational) -> Form:
-    return form(0, [_make_term(c, (), ())])
+    return _single(0, c)
 
 
 def log_abs(g: RationalFunction, coefficient: Rational = 1) -> Form:
-    return form(0, [_make_term(coefficient, (("log", g),), ())])
+    return _single(0, coefficient, (("log", g),))
 
 
 def sv_scalar(p: int, f: RationalFunction, coefficient: Rational = 1) -> Form:
@@ -178,15 +206,15 @@ def sv_scalar(p: int, f: RationalFunction, coefficient: Rational = 1) -> Form:
         raise ValueError("weight must be >= 1")
     if p == 1:
         return log_abs(one_minus(f), -coefficient)
-    return form(0, [_make_term(coefficient, (("sv", p, f),), ())])
+    return _single(0, coefficient, (("sv", p, f),))
 
 
 def dlog(g: RationalFunction, coefficient: Rational = 1) -> Form:
-    return form(1, [_make_term(coefficient, (), (("dlog", g),))])
+    return _single(1, coefficient, (), (("dlog", g),))
 
 
 def diarg(g: RationalFunction, coefficient: Rational = 1) -> Form:
-    return form(1, [_make_term(coefficient, (), (("diarg", g),))])
+    return _single(1, coefficient, (), (("diarg", g),))
 
 
 def wedge(*forms_: Form) -> Form:
@@ -237,18 +265,16 @@ def _d_scalar(s) -> Form:
 
 def exterior_derivative(a: Form) -> Form:
     out: List[Optional[FormTerm]] = []
-    derivatives: Dict[tuple, tuple] = {}  # scalar -> the terms of its d, built once
+    derivatives: Dict[tuple, list] = {}  # scalar key -> the terms of its d, built once
     for t in a.terms:
-        for i, s in enumerate(t.scalars):
-            ds = derivatives.get(s)
+        scalars, generators = t.pairs()
+        for i, (k, s) in enumerate(scalars):
+            ds = derivatives.get(k)
             if ds is None:
-                ds = derivatives[s] = _d_scalar(s).terms
-            rest = t.scalars[:i] + t.scalars[i + 1 :]
-            out += [
-                _make_term(t.coefficient * u.coefficient, rest + u.scalars,
-                           u.generators + t.generators)
-                for u in ds
-            ]
+                ds = derivatives[k] = [(u.coefficient, *u.pairs()) for u in _d_scalar(s).terms]
+            rest = scalars[:i] + scalars[i + 1 :]
+            out += [_keyed_term(t.coefficient * c, rest + us, ug + generators)
+                    for c, us, ug in ds]
     return form(a.degree + 1, out)
 
 
@@ -272,15 +298,19 @@ def weighted_alternation(
         raise ValueError("invalid split for the alternation pattern")
     idx = list(range(m))
     leads = idx if log_prefixed else [None]  # the slot of log|g_lead|, if any
+    logs = [_scalar_pair(("log", g)) for g in gs]
+    dlogs = [_gen_pair(("dlog", g)) for g in gs]
+    diargs = [_gen_pair(("diarg", g)) for g in gs]
     terms = []
     for lead in leads:
         rest = [i for i in idx if i != lead]
         for dl in combinations(rest, split - 1 if log_prefixed else split):
             di = [i for i in rest if i not in dl]
             order = [*dl, *di] if lead is None else [lead, *dl, *di]
-            scalars = () if lead is None else (("log", gs[lead]),)
-            generators = [("dlog", gs[i]) for i in dl] + [("diarg", gs[i]) for i in di]
-            terms.append(_make_term(sort_signed(order, int)[0], scalars, generators))
+            scalars = () if lead is None else (logs[lead],)
+            generators = [dlogs[i] for i in dl] + [diargs[i] for i in di]
+            sign = sort_signed(zip(order, order))[0]
+            terms.append(_keyed_term(sign, scalars, generators))
     return form(m - 1 if log_prefixed else m, terms)
 
 
@@ -545,9 +575,10 @@ def format_form(a: Form) -> str:
 
 
 def _product(a: list, b: list) -> list:
-    """Raw (coefficient, scalars, generators) triples of the product of two
-    sums of them: coefficients multiply (most are the int 1, and a Fraction
-    times an int is slow), scalars and generators concatenate."""
+    """Raw (coefficient, scalar pairs, generator pairs) triples of the
+    product of two sums of them: coefficients multiply (most are the int 1,
+    and a Fraction times an int is slow), scalars and generators
+    concatenate."""
     return [(c * e if e != 1 else c, s + t, g + h) for c, s, g in a for e, t, h in b]
 
 
@@ -562,18 +593,15 @@ class _FormParser(_Reader):
 
     A product of factors multiplies scalars and wedges generators in the
     written order, whether joined by '*', '^' or nothing; '^' followed by
-    digits is a power.  '·' counts as a blank.  Each distinct argument
-    text is parsed once.  A factor is read as raw (coefficient, scalars,
-    generators) triples: alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k'
-    repeats the factor.  Each term's triples are built once by `_make_term`
-    and the form is merged once.
+    digits is a power.  '·' counts as a blank.  Arguments are read by the
+    interning `parse_function`.  A factor is read as raw (coefficient,
+    scalar pairs, generator pairs) triples, each factor keyed once:
+    alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k' repeats the factor.
+    Each term's triples are built once by `_keyed_term` and the form is
+    merged once.
     """
 
     BLANKS = re.compile("[ \t·]")
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        self.functions: Dict[str, RationalFunction] = {}
 
     def parse(self) -> Form:
         parts = []  # (degree, terms) per signed term; the first sign is optional
@@ -598,7 +626,7 @@ class _FormParser(_Reader):
             if ch and ch in "*^":
                 self.pos += 1
             elif not (ch and (ch.isalnum() or ch == "(")):
-                return degree, [_make_term(c if sign > 0 else -c, s, g) for c, s, g in triples]
+                return degree, [_keyed_term(c if sign > 0 else -c, s, g) for c, s, g in triples]
             more_degree, more = self.factor()
             degree, triples = degree + more_degree, _product(triples, more)
 
@@ -635,35 +663,29 @@ class _FormParser(_Reader):
             base, step = triples, degree
             for _ in range(int(power) - 1):  # merged per step: a vanishing power stays small
                 degree += step
-                terms = form(degree, [_make_term(*t) for t in _product(triples, base)]).terms
-                triples = [(t.coefficient, t.scalars, t.generators) for t in terms]
+                terms = form(degree, [_keyed_term(*t) for t in _product(triples, base)]).terms
+                triples = [(t.coefficient, *t.pairs()) for t in terms]
         else:  # a '^' before a factor wedges it on
             self.pos = save
         return degree, triples
 
-    def function(self, text: str) -> RationalFunction:
-        text = text.strip()
-        f = self.functions.get(text)
-        if f is None:
-            f = self.functions[text] = parse_function(text)
-        return f
-
     def build(self, name: str, args: list) -> tuple:
         """(degree, raw triples) of one call."""
-        fs = [self.function(a) for a in args]
+        fs = [parse_function(a.strip()) for a in args]
         if name == "alpha" and len(fs) == 2:  # -log|f| dlog|g| + log|g| dlog|f|
             f, g = fs
-            return 1, [(-1, (("log", f),), (("dlog", g),)), (1, (("log", g),), (("dlog", f),))]
+            return 1, [(-1, (_scalar_pair(("log", f)),), (_gen_pair(("dlog", g)),)),
+                       (1, (_scalar_pair(("log", g)),), (_gen_pair(("dlog", f)),))]
         if len(fs) == 1:
             if name == "log":
-                return 0, [(1, (("log", fs[0]),), ())]
+                return 0, [(1, (_scalar_pair(("log", fs[0])),), ())]
             if name in ("dlog", "darg"):
-                return 1, [(1, (), (("dlog" if name == "dlog" else "diarg", fs[0]),))]
+                return 1, [(1, (), (_gen_pair(("dlog" if name == "dlog" else "diarg", fs[0])),))]
             p = int(name[1:]) if name[:1] == "L" and name[1:].isdigit() else 0
             if p == 1:  # sv(1, f) = -log|1-f|
-                return 0, [(-1, (("log", one_minus(fs[0])),), ())]
+                return 0, [(-1, (_scalar_pair(("log", one_minus(fs[0]))),), ())]
             if p > 1:
-                return 0, [(1, (("sv", p, fs[0]),), ())]
+                return 0, [(1, (_scalar_pair(("sv", p, fs[0])),), ())]
         self.error("unknown call %s/%d" % (name, len(args)))
 
     def coeff(self) -> Rational:

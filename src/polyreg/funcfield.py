@@ -37,20 +37,27 @@ so intermediate results of arithmetic and parsing are never printed, and
 starts without it).
 
 Text: the grammars of functions (`parse_function`), forms and chain elements
-read through one cursor, `_Reader`, and keep only their rules.
+read through one cursor, `_Reader`, and keep only their rules.  Parsed
+functions are interned by text: `parse_function` keeps the last
+`_INTERNED` distinct texts it parsed and gives the same function for the
+same text, which is safe because a function is immutable and what it
+builds on first use (key, text, compiled term lists, 1 - f) is derived
+from it alone.  A text that fails to parse is read again on each call.
 
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
-one rule.  `sort_signed` puts the wedge factors in key order, flips the sign
-once per swap, and kills the term when two keys repeat.  `Combination` keeps
-terms merged by key (coefficients of equal keys add up, zero ones drop),
-sorted by key, and of one grading, and holds the ring operations, equality,
-hashing and printing that both kinds of combination share.
+one rule.  `sort_signed` takes the wedge factors as (key, item) pairs, each
+keyed once by its caller, puts them in key order by insertion, flips the
+sign once per swap, and kills the term when two keys repeat.  `Combination`
+keeps terms merged by key (coefficients of equal keys add up, zero ones
+drop), sorted by key, and of one grading, and holds the ring operations,
+equality, hashing and printing that both kinds of combination share.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import re
 from fractions import Fraction
 from math import gcd as _intgcd
@@ -796,8 +803,13 @@ class _FunctionParser(_Reader):
         self.error("expected a number, name, or '('")
 
 
+_INTERNED = 512  # distinct texts parse_function keeps
+
+
+@functools.lru_cache(maxsize=_INTERNED)
 def parse_function(text: str) -> RationalFunction:
-    """Parse e.g. '(t^2+1)/(t-1)' or '(x*y - 1)/(x + y)'."""
+    """Parse e.g. '(t^2+1)/(t-1)' or '(x*y - 1)/(x + y)'; the same text
+    gives the same (immutable) function."""
     reader = _FunctionParser(text)
     try:
         value = reader.expr()
@@ -811,10 +823,11 @@ def parse_function(text: str) -> RationalFunction:
 # --- signed combinations ----------------------------------------------------
 
 
-def sort_signed(items, key):
-    """(sign, tuple of items in ascending key order), the sign being the parity
-    of the sorting permutation; None when two keys are equal."""
-    keyed = [(key(x), x) for x in items]
+def sort_signed(pairs):
+    """(sign, keys, items) of (key, item) pairs put in ascending key order,
+    the sign being the parity of the sorting permutation; None when two keys
+    are equal."""
+    keyed = list(pairs)
     sign = 1
     for i in range(1, len(keyed)):  # insertion sort, one sign flip per swap
         j = i
@@ -822,10 +835,12 @@ def sort_signed(items, key):
             keyed[j - 1], keyed[j] = keyed[j], keyed[j - 1]
             sign = -sign
             j -= 1
-    for a, b in zip(keyed, keyed[1:]):
-        if a[0] == b[0]:
+        if j and keyed[j][0] == keyed[j - 1][0]:  # the sorted prefix repeats a key
             return None
-    return sign, tuple(x for _, x in keyed)
+    if not keyed:
+        return sign, (), ()
+    keys, items = zip(*keyed)
+    return sign, keys, items
 
 
 class Combination:

@@ -41,27 +41,34 @@ from .funcfield import (
 
 
 class ChainTerm:
-    """One normalized term; use the module constructors, not this directly."""
+    """One normalized term; use the module constructors, not this directly.
+    Its key is computed once, by `_make_term` or on first use, and kept."""
 
-    __slots__ = ("coefficient", "depth", "argument", "wedge", "grading")
+    __slots__ = ("coefficient", "depth", "argument", "wedge", "grading", "_key")
 
-    def __init__(self, coefficient: int, depth: int, argument, wedge: tuple):
+    def __init__(self, coefficient: int, depth: int, argument, wedge: tuple, key=None):
         self.coefficient = coefficient
         self.depth = depth
         self.argument = argument
         self.wedge = wedge
         q = len(wedge)
         self.grading = (depth + q, q + 1 if depth else q)  # (weight, degree)
+        self._key = key
 
     def key(self):
-        arg_key = self.argument.key() if self.argument is not None else ""
-        return (self.depth, arg_key, tuple(g.key() for g in self.wedge))
+        if self._key is None:
+            self._key = _term_key(self.depth, self.argument, tuple(g.key() for g in self.wedge))
+        return self._key
 
     def scaled(self, coefficient: int) -> "ChainTerm":
-        return ChainTerm(coefficient, self.depth, self.argument, self.wedge)
+        return ChainTerm(coefficient, self.depth, self.argument, self.wedge, self._key)
 
     def __repr__(self):
         return "ChainTerm(%s)" % format_term(self.coefficient, self)
+
+
+def _term_key(depth: int, argument, wedge_keys: tuple) -> tuple:
+    return (depth, argument.key() if argument is not None else "", wedge_keys)
 
 
 def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainTerm]:
@@ -79,11 +86,12 @@ def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainT
         return None
     if any(g.is_constant() and g.constant_value() == 1 for g in wedge):
         return None
-    signed = sort_signed(wedge, RationalFunction.key)
+    signed = sort_signed([(g.key(), g) for g in wedge])
     if signed is None:
         return None
-    sign, entries = signed
-    return ChainTerm(sign * coefficient, depth, argument, entries)
+    sign, keys, entries = signed
+    key = _term_key(depth, argument, keys)
+    return ChainTerm(sign * coefficient, depth, argument, entries, key)
 
 
 class ChainElement(Combination):

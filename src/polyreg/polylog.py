@@ -104,9 +104,7 @@ def li(n: int, z: complex, precision_bits: int = 53):
         raise ValueError("li: series route requires |z| <= 1/2")
     if precision_bits <= 53:
         return _li_series(n, complex(z), 2.0 ** (-precision_bits))
-    import mpmath as mp
-
-    return _li_mp(n, mp.mpc(z), precision_bits)
+    return _li_mp(n, z, precision_bits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,9 +136,13 @@ def _li_series(n: int, z: complex, eps: float) -> complex:
 
 
 def _li_mp(n: int, z, precision_bits: int):
+    """Li_n(z) by its series at precision_bits + 12 working bits; z an mpc
+    as it is, any other number built at that precision by `_mp_point`."""
     import mpmath as mp
 
     with mp.workprec(precision_bits + 12):
+        if not isinstance(z, mp.mpc):
+            z = _mp_point(z)
         total = mp.mpc(0)
         zk = mp.mpc(1)
         eps = mp.mpf(2) ** (-precision_bits - 6)

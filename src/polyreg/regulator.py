@@ -112,7 +112,7 @@ def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) 
             if c:
                 if split not in tails:
                     tails[split] = weighted_alternation(gs, split, True)
-                terms += (lead.wedge(tails[split]) * c).terms
+                terms += (lead * c).wedge(tails[split]).terms
     return form(m, terms)
 
 

@@ -25,16 +25,24 @@ compares the package with itself:
   * `reference_parse_function` and `reference_parse_element`: the function
     and element grammars as hand-written character loops, each with its own
     lexer, against `funcfield.parse_function` and
-    `polycomplex.parse_element`, which read through one shared cursor.
+    `polycomplex.parse_element`, which read through one shared cursor;
+  * `fresh_form_key` and `fresh_chain_key`: the key of a form term or a
+    chain term computed afresh from its factors, against the key each term
+    is built with;
+  * `symbolic_elements`: the chain elements of the benchmark's `symbolic`
+    workload, built from the specs of `perfbench/gen.py`.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import itertools
 import math
 import re
 from fractions import Fraction
 from functools import lru_cache
 from math import log
+from pathlib import Path
 from typing import List, Sequence
 
 from polyreg.exact import beta
@@ -55,10 +63,11 @@ from polyreg.funcfield import (
     _compile,
     _poly_at,
     const,
+    parse_function,
     sort_signed,
     var,
 )
-from polyreg.polycomplex import _make_term, element
+from polyreg.polycomplex import _make_term, bracket_tensor, element
 from polyreg.polylog import ConvergenceError, _betas_float, _check_argument, _sv_state_double
 
 # ---------------------------------------------------------------------------
@@ -249,7 +258,7 @@ def alternation_bruteforce(
         stab = Fraction(1, math.factorial(split) * math.factorial(m - split))
     out = zero(m - 1 if log_prefixed else m)
     for perm in permutations(range(m)):
-        sign = sort_signed(perm, int)[0]
+        sign = sort_signed(zip(perm, perm))[0]
         if log_prefixed:
             piece = log_abs(gs[perm[0]], sign * stab)
             for i in perm[1:split]:
@@ -582,3 +591,36 @@ def _split_wedge(s: str):
     if any(not p for p in parts):
         raise ValueError("empty wedge slot in %r" % s)
     return parts
+
+
+# ---------------------------------------------------------------------------
+# term keys computed afresh, and the benchmark's symbolic elements
+
+
+def fresh_form_key(t) -> tuple:
+    """(scalar keys, generator keys) of a form term, from its factors."""
+    scalars = tuple((0, "", s[1].key()) if s[0] == "log" else (1, s[1], s[2].key())
+                    for s in t.scalars)
+    return scalars, tuple((kind, g.key()) for kind, g in t.generators)
+
+
+def fresh_chain_key(t) -> tuple:
+    """(depth, argument key, wedge keys) of a chain term, from its parts."""
+    argument = "" if t.argument is None else t.argument.key()
+    return t.depth, argument, tuple(g.key() for g in t.wedge)
+
+
+def symbolic_elements(seed: int, count: int) -> list:
+    """The chain elements coefficient * {bracket}_depth (x) wedge of the
+    first count specs of the benchmark's `symbolic` workload at seed, built
+    as the workload builds them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    loader = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    out = []
+    specs = itertools.islice(gen.chain_specs(seed), count)
+    for _weight, coefficient, depth, bracket, wedge in specs:
+        wedge = [parse_function(g) for g in wedge]
+        out.append(bracket_tensor(parse_function(bracket), depth, wedge, coefficient))
+    return out

@@ -91,6 +91,42 @@ def test_main_writes_the_schema(tmp_path, monkeypatch):
         bench.main(["--label", "probe", "--repeats", "4"])
 
 
+def test_parent_runs_alternate_with_this_checkout(tmp_path, monkeypatch):
+    """--parent runs the two checkouts back to back in each repeat, the
+    parent first on even repeats, and writes each side's runs to its own
+    file with its own commit."""
+    parent = tmp_path / "parent"
+    (parent / ".git").mkdir(parents=True)
+    calls = []
+
+    def fake_run(argv, cwd=None, **kwargs):
+        if argv[0] == "git":
+            commit = "p" * 40 if Path(cwd) == parent else "c" * 40
+            return subprocess.CompletedProcess(argv, 0, commit + "\n", "")
+        assert Path(argv[1]) == Path(cwd) / "perfbench" / "run.py"
+        calls.append((argv[argv.index("--workload") + 1], Path(cwd)))
+        wall_s = 0.2 if Path(cwd) == parent else 0.1
+        return subprocess.CompletedProcess(argv, 0, _stdout(wall_s), "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--label", "change", "--parent", str(parent), "--parent-label", "base"]
+    assert bench.main(argv + ["--repeats", "6"]) == 0
+    names = [w["name"] for w in SPEC["workloads"]]
+    pair = {0: [parent, bench.ROOT], 1: [bench.ROOT, parent]}
+    assert calls == [(name, root) for name in names for i in range(6) for root in pair[i % 2]]
+    for label, wall, commit in (("base", 0.2, "p" * 40), ("change", 0.1, "c" * 40)):
+        doc = json.loads((tmp_path / ("BENCH_%s.json" % label)).read_text())
+        _check_schema(doc)
+        assert (doc["label"], doc["commit"]) == (label, commit)
+        for entry in doc["workloads"].values():
+            assert entry["runs"] == 6 and entry["metrics"]["wall_s"]["values"] == [wall] * 6
+    for bad in (["--parent", str(parent)], ["--parent-label", "base"],
+                ["--parent", str(parent), "--parent-label", "change"]):
+        with pytest.raises(SystemExit):
+            bench.main(["--label", "change"] + bad)
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_files(path):
     doc = json.loads(path.read_text())

@@ -1,6 +1,7 @@
 """Forms: wedge algebra, derivatives, alternation, evaluation, grammar."""
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alternation_bruteforce, form_variables, numeric_d, rf_dir_derivative
+from oracles import alternation_bruteforce, form_variables, fresh_form_key, numeric_d
+from oracles import rf_dir_derivative, symbolic_elements
 from polyreg import forms as F
 from polyreg import regulator as R
 from polyreg.cli import LOOP_CASES, TOP_FAMILIES
@@ -825,6 +827,42 @@ class TestDerivativeAgainstReference:
             got, want = F.exterior_derivative(a), reference_exterior_derivative(a)
             assert got == want
             assert (got.degree, F.format_form(got)) == (want.degree, F.format_form(want))
+
+
+# sha256 of the texts of r(e), d r(e) and r(delta e), one per line, for the
+# first 20 elements of the symbolic workload at seed 89
+SYMBOLIC_TEXTS_SHA256 = "4d23c2153253bd060d38fbef6be98898fbe80e9503f662e3ad393f3a9fa5b602"
+
+
+@pytest.fixture(scope="module")
+def symbolic():
+    return symbolic_elements(89, 20)
+
+
+class TestSymbolicElements:
+    def test_term_keys_as_freshly_keyed(self, symbolic):
+        """Every term carries the key its factors give it keyed afresh, after
+        each way of building terms: wedges, alternations and scalings (in
+        r), d, a scaling, a wedge, weighted alternations and the parser."""
+        for e in symbolic:
+            image = R.r_map(e)
+            built = [image, F.exterior_derivative(image), R.r_map(delta(e)),
+                     image * Fraction(-2, 3), F.sv_scalar(3, T).wedge(image).wedge(F.diarg(OM))]
+            gs = e.terms[0].wedge
+            built += [F.weighted_alternation(gs, split, prefixed)
+                      for prefixed in (False, True) for split in range(prefixed, len(gs) + 1)]
+            built += [F.parse_form(F.format_form(a)) for a in built[:3]]
+            for a in built:
+                for t in a.terms:
+                    assert t._key == fresh_form_key(t), F.format_term(t)
+
+    def test_texts_pinned(self, symbolic):
+        texts = []
+        for e in symbolic:
+            image = R.r_map(e)
+            texts += [F.format_form(image), F.format_form(F.exterior_derivative(image)),
+                      F.format_form(R.r_map(delta(e)))]
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == SYMBOLIC_TEXTS_SHA256
 
 
 def hexed(z):

@@ -229,6 +229,10 @@ def test_parser_precedence_and_errors():
         parse_function("t +")
     with pytest.raises(ValueError):
         parse_function("(t")
+    with pytest.raises(ValueError):  # a parse error is raised again, not kept
+        parse_function("(t")
+    assert parse_function("t+1") is parse_function("t+1")  # interned by text
+    assert parse_function(" t+1") == parse_function("t+1")
 
 
 def test_zero_denominator_is_a_usage_error():
@@ -518,10 +522,10 @@ def test_exact_values_are_ints_where_integral(a, b, i):
 
 
 def test_sort_signed():
-    assert sort_signed((), int) == (1, ())
-    assert sort_signed((3, 1, 2), int) == (1, (1, 2, 3))
-    assert sort_signed((2, 1, 3), int) == (-1, (1, 2, 3))
-    assert sort_signed((2, 1, 2), int) is None
+    assert sort_signed(()) == (1, (), ())
+    assert sort_signed(zip((3, 1, 2), "cab")) == (1, (1, 2, 3), ("a", "b", "c"))
+    assert sort_signed(zip((2, 1, 3), "bac")) == (-1, (1, 2, 3), ("a", "b", "c"))
+    assert sort_signed(zip((2, 1, 2), "bab")) is None
 
 
 def _chain_slots(t):

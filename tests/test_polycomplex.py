@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import BIG_POWER, reference_element_terms, reference_parse_element
+from oracles import BIG_POWER, fresh_chain_key, reference_element_terms, reference_parse_element
+from oracles import symbolic_elements
 from polyreg import polycomplex as C
 from polyreg.funcfield import Valuation, const, parse_function as pf
 
@@ -226,6 +227,21 @@ class TestElementAlgebra:
     def test_depth_one_rejected(self):
         with pytest.raises(ValueError):
             C.bracket(pf("t"), 1)
+
+    def test_kept_keys_as_freshly_computed(self):
+        """Every term keeps the key its parts give it computed afresh, on
+        the symbolic workload's first 20 elements at seed 89 and what the
+        differential, residues, sums, scalings and the parser make of them."""
+        for e in symbolic_elements(89, 20):
+            built = [e, C.delta(e), -e, e + e,
+                     C.parse_element(str(e), weight=e.weight)]
+            if e.terms[0].depth >= 3:
+                built.append(C.delta(C.delta(e)))
+            for v in VALS:
+                built += [C.residue(e, v), C.residue_twisted(e, v), C.residue(C.delta(e), v)]
+            for x in built:
+                for t in x.terms:
+                    assert t._key == fresh_chain_key(t), C.format_term(t.coefficient, t)
 
 
 class TestParser:

@@ -54,6 +54,16 @@ class TestSeries:
             w = mp.polylog(3, mp.mpf(1) / 3)
             assert abs(v - w) < mp.mpf(2) ** -140
 
+    def test_high_precision_route_takes_a_fraction(self):
+        # z is built at the working precision, not first rounded to 53 bits
+        with mp.workprec(80):
+            want = P.li(3, mp.mpf(1) / 3, precision_bits=80)
+        got = P.li(3, Fraction(1, 3), precision_bits=80)
+        rounded = P.li(3, 1 / 3, precision_bits=80)
+        with mp.workprec(200):
+            assert abs(got - want) < abs(want) * mp.mpf(2) ** -78
+            assert abs(rounded - want) > abs(want) * mp.mpf(2) ** -60
+
 
 class TestFrozenSpecials:
     def test_weight2_at_i(self):
