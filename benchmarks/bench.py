@@ -3,7 +3,7 @@
 Usage (from the root of a checkout):
 
     python3 benchmarks/bench.py --label LABEL [--repeats 5] [--seed 89]
-        [--parent DIR --parent-label LABEL]
+        [--parent DIR [--parent-label LABEL]]
 
 runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
 `--repeats` times for each workload W of BENCHMARK.json, T its
@@ -17,7 +17,9 @@ With `--parent DIR`, the checkout at DIR (say, a clean clone of the parent
 commit) is measured in the same invocation, run by run: each repeat runs
 both checkouts back to back, DIR first on even repeats and this checkout
 first on odd ones, so drift in the machine's load falls on both sides
-alike.  DIR's runs go to BENCH_<parent-label>.json, in the same schema.
+alike.  DIR's runs go to BENCH_<parent-label>.json, in the same schema;
+the label defaults to DIR's short commit, and must be given when DIR is an
+exported tree with no commit.
 """
 
 import argparse
@@ -84,17 +86,20 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seed", type=int, default=89)
     ap.add_argument("--parent", type=Path, help="a second checkout, run alternately with this one")
-    ap.add_argument("--parent-label", help="the label of the --parent checkout's BENCH file")
+    ap.add_argument("--parent-label", help="the label of the --parent checkout's BENCH file"
+                    " (default: its short commit)")
     args = ap.parse_args(argv)
     if args.repeats < 5:
         ap.error("--repeats must be at least 5")
-    if (args.parent is None) != (args.parent_label is None):
-        ap.error("--parent and --parent-label go together")
-    if args.parent_label == args.label:
-        ap.error("--parent-label must differ from --label")
     sides = [(ROOT, args.label)]
     if args.parent is not None:
-        sides.insert(0, (args.parent.resolve(), args.parent_label))
+        parent = args.parent.resolve()
+        label = args.parent_label or (commit_of(parent) or "")[:7]
+        if not label:
+            ap.error("--parent-label is needed for a --parent tree with no commit")
+        if label == args.label:
+            ap.error("the --parent label must differ from --label")
+        sides.insert(0, (parent, label))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     envs = [None] * len(sides)

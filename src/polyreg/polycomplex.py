@@ -42,7 +42,9 @@ from .funcfield import (
 
 class ChainTerm:
     """One normalized term; use the module constructors, not this directly.
-    Its key is computed once, by `_make_term` or on first use, and kept."""
+    Its key is computed once, by `_make_term`, and kept; the element
+    parser's terms as written are unkeyed (None) until `_make_term` rebuilds
+    them."""
 
     __slots__ = ("coefficient", "depth", "argument", "wedge", "grading", "_key")
 
@@ -56,8 +58,6 @@ class ChainTerm:
         self._key = key
 
     def key(self):
-        if self._key is None:
-            self._key = _term_key(self.depth, self.argument, tuple(g.key() for g in self.wedge))
         return self._key
 
     def scaled(self, coefficient: int) -> "ChainTerm":

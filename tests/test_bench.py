@@ -94,7 +94,8 @@ def test_main_writes_the_schema(tmp_path, monkeypatch):
 def test_parent_runs_alternate_with_this_checkout(tmp_path, monkeypatch):
     """--parent runs the two checkouts back to back in each repeat, the
     parent first on even repeats, and writes each side's runs to its own
-    file with its own commit."""
+    file with its own commit; the parent's label defaults to its short
+    commit and must be given for a tree with no commit."""
     parent = tmp_path / "parent"
     (parent / ".git").mkdir(parents=True)
     calls = []
@@ -110,19 +111,21 @@ def test_parent_runs_alternate_with_this_checkout(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     monkeypatch.chdir(tmp_path)
-    argv = ["--label", "change", "--parent", str(parent), "--parent-label", "base"]
-    assert bench.main(argv + ["--repeats", "6"]) == 0
+    assert bench.main(["--label", "change", "--parent", str(parent), "--repeats", "6"]) == 0
     names = [w["name"] for w in SPEC["workloads"]]
     pair = {0: [parent, bench.ROOT], 1: [bench.ROOT, parent]}
     assert calls == [(name, root) for name in names for i in range(6) for root in pair[i % 2]]
-    for label, wall, commit in (("base", 0.2, "p" * 40), ("change", 0.1, "c" * 40)):
+    for label, wall, commit in (("ppppppp", 0.2, "p" * 40), ("change", 0.1, "c" * 40)):
         doc = json.loads((tmp_path / ("BENCH_%s.json" % label)).read_text())
         _check_schema(doc)
         assert (doc["label"], doc["commit"]) == (label, commit)
         for entry in doc["workloads"].values():
             assert entry["runs"] == 6 and entry["metrics"]["wall_s"]["values"] == [wall] * 6
-    for bad in (["--parent", str(parent)], ["--parent-label", "base"],
-                ["--parent", str(parent), "--parent-label", "change"]):
+    assert bench.main(["--label", "change", "--parent", str(parent), "--parent-label", "base"]) == 0
+    assert json.loads((tmp_path / "BENCH_base.json").read_text())["commit"] == "p" * 40
+    exported = tmp_path / "exported"
+    exported.mkdir()
+    for bad in (["--parent", str(exported)], ["--parent", str(parent), "--parent-label", "change"]):
         with pytest.raises(SystemExit):
             bench.main(["--label", "change"] + bad)
 
