@@ -3,7 +3,9 @@
 Sparse polynomials over Q, rational functions in canonical form,
 complex-point evaluation with pole clearance, exact partial derivatives, and
 discrete-valuation data (order and unit part) at rational points of the line
-and at infinity.  This module alone evaluates functions:
+and at infinity.  A place's order and unit part are found together, by one
+Horner pass over num and one over den (`_order_and_unit`); `ord_at` and
+`unit_part` are its two parts.  This module alone evaluates functions:
 each compiles once per layout of its variables on a caller's slots, into
 complex term lists for num, den and their partials in the order of each
 polynomial's terms, so values agree bit for bit with summing the terms one
@@ -655,33 +657,31 @@ def _poly_order_at(p: Polynomial, a: int | Fraction):
         order += 1
 
 
+def _order_and_unit(f: RationalFunction, v: Valuation) -> tuple:
+    """(ord_v(f), unit part of f at v), found together: one Horner pass over
+    num and one over den at a finite place, the degrees and leading
+    coefficients at infinity."""
+    if f.is_zero():
+        raise ValueError("the zero function has no order or unit part")
+    if len(f.variables()) > 1:
+        raise ValueError("a place's order and unit part need a univariate function")
+    if v.kind == "infinity":
+        order = f.den.degree() - f.num.degree()
+        return order, _quo(f.num.leading()[1], f.den.leading()[1])
+    en, nval = _poly_order_at(f.num, v.point)
+    ed, dval = _poly_order_at(f.den, v.point)
+    return en - ed, _quo(nval, dval)
+
+
 def ord_at(f: RationalFunction, v: Valuation) -> int:
     """Order of vanishing at the place; deg(den) - deg(num) at infinity."""
-    if f.is_zero():
-        raise ValueError("ord_at of the zero function")
-    if len(f.variables()) > 1:
-        raise ValueError("ord_at needs a univariate function")
-    if v.kind == "infinity":
-        return f.den.degree() - f.num.degree()
-    en, _ = _poly_order_at(f.num, v.point)
-    ed, _ = _poly_order_at(f.den, v.point)
-    return en - ed
+    return _order_and_unit(f, v)[0]
 
 
 def unit_part(f: RationalFunction, v: Valuation) -> int | Fraction:
     """Value at the place of f / pi^{ord_v(f)}; always a nonzero rational here
     (places are rational points or infinity, coefficients rational)."""
-    if f.is_zero():
-        raise ValueError("unit_part of the zero function")
-    if len(f.variables()) > 1:
-        raise ValueError("unit_part needs a univariate function")
-    if v.kind == "infinity":
-        _, cn = f.num.leading()
-        _, cd = f.den.leading()
-        return _quo(cn, cd)
-    _, nval = _poly_order_at(f.num, v.point)
-    _, dval = _poly_order_at(f.den, v.point)
-    return _quo(nval, dval)
+    return _order_and_unit(f, v)[1]
 
 
 # --- text ---------------------------------------------------------------

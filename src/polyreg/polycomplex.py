@@ -3,7 +3,9 @@
 A weight-n element is an integer combination of terms {f}_p tensor a wedge of
 q = n - p functions (each wedge slot carries weight 1).  Depth p = 0 encodes a
 pure wedge, which is always the top degree of its weight.  Degrees: q + 1 for
-bracket terms, q for pure wedges.
+bracket terms, q for pure wedges.  Since depth 1 is excluded, a grading holds
+either brackets or pure wedges, never both, so every term of an element
+shares its wedge size q: degree - 1 for brackets, degree for pure wedges.
 
 The differential sends {f}_p (x) w to {f}_{p-1} (x) f^w for p >= 3 and to
 (1-f)^f^w for p = 2; brackets with argument 0 or 1 are zero.  Residues at a
@@ -12,6 +14,9 @@ unit, zero otherwise) tensor theta on the wedge, where theta pulls out the
 uniformizer multiplicity of one slot at a time:
 
     theta(g_1^...^g_q) = sum_i (-1)^(i-1) ord_v(g_i) * (unit parts, slot i omitted)
+
+The twisted residue, which commutes with the differential, is
+(-1)^q * residue, q the element's shared wedge size.
 
 Wedges are kept in a canonical sorted order with permutation sign, and
 elements merged by term key, by the signed-combination core of `funcfield`
@@ -22,6 +27,7 @@ stands.  No further multiplicative relations are imposed on wedge slots.
 
 from __future__ import annotations
 
+import random
 import re
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -30,31 +36,32 @@ from .funcfield import (
     Combination,
     RationalFunction,
     Valuation,
+    _order_and_unit,
     _Reader,
     const,
     one_minus,
-    ord_at,
     parse_function,
     sort_signed,
-    unit_part,
 )
+
+
+def _grading(depth: int, q: int) -> tuple:
+    """(weight, degree) of {f}_depth tensor q wedge slots; depth 0: a pure wedge."""
+    return depth + q, q + 1 if depth else q
 
 
 class ChainTerm:
     """One normalized term; use the module constructors, not this directly.
-    Its key is computed once, by `_make_term`, and kept; the element
-    parser's terms as written are unkeyed (None) until `_make_term` rebuilds
-    them."""
+    Its key is computed once, by `_make_term`, and kept."""
 
     __slots__ = ("coefficient", "depth", "argument", "wedge", "grading", "_key")
 
-    def __init__(self, coefficient: int, depth: int, argument, wedge: tuple, key=None):
+    def __init__(self, coefficient: int, depth: int, argument, wedge: tuple, key: tuple):
         self.coefficient = coefficient
         self.depth = depth
         self.argument = argument
         self.wedge = wedge
-        q = len(wedge)
-        self.grading = (depth + q, q + 1 if depth else q)  # (weight, degree)
+        self.grading = _grading(depth, len(wedge))
         self._key = key
 
     def key(self):
@@ -65,10 +72,6 @@ class ChainTerm:
 
     def __repr__(self):
         return "ChainTerm(%s)" % format_term(self.coefficient, self)
-
-
-def _term_key(depth: int, argument, wedge_keys: tuple) -> tuple:
-    return (depth, argument.key() if argument is not None else "", wedge_keys)
 
 
 def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainTerm]:
@@ -90,7 +93,7 @@ def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainT
     if signed is None:
         return None
     sign, keys, entries = signed
-    key = _term_key(depth, argument, keys)
+    key = (depth, argument.key() if argument is not None else "", keys)
     return ChainTerm(sign * coefficient, depth, argument, entries, key)
 
 
@@ -147,101 +150,69 @@ def element(
 
 def bracket(f: RationalFunction, p: int, coefficient: int = 1) -> ChainElement:
     """The element coefficient * {f}_p."""
-    return element([_make_term(coefficient, p, f, ())], p, 1 if p else 0)
+    return bracket_tensor(f, p, (), coefficient)
 
 
 def bracket_tensor(
     f: RationalFunction, p: int, wedge: Sequence[RationalFunction], coefficient: int = 1
 ) -> ChainElement:
-    return element(
-        [_make_term(coefficient, p, f, tuple(wedge))], p + len(wedge), len(wedge) + 1
-    )
+    wedge = tuple(wedge)
+    return element([_make_term(coefficient, p, f, wedge)], *_grading(p, len(wedge)))
 
 
 def pure_wedge(entries: Sequence[RationalFunction], coefficient: int = 1) -> ChainElement:
-    return element([_make_term(coefficient, 0, None, tuple(entries))], len(entries), len(entries))
+    return bracket_tensor(None, 0, entries, coefficient)
 
 
 def delta(e: ChainElement) -> ChainElement:
     """The differential; raises on top-degree (pure-wedge) elements."""
+    if e.degree >= e.weight:
+        raise ValueError("delta is undefined on top-degree pure wedges")
     out: List[Optional[ChainTerm]] = []
     for t in e.terms:
-        if t.depth == 0:
-            raise ValueError("delta is undefined on top-degree pure wedges")
         if t.depth == 2:
-            out.append(
-                _make_term(
-                    t.coefficient,
-                    0,
-                    None,
-                    (one_minus(t.argument), t.argument) + t.wedge,
-                )
-            )
+            head = (one_minus(t.argument), t.argument)
+            out.append(_make_term(t.coefficient, 0, None, head + t.wedge))
         else:
-            out.append(
-                _make_term(
-                    t.coefficient, t.depth - 1, t.argument, (t.argument,) + t.wedge
-                )
-            )
-    if e.is_zero():
-        if e.degree >= e.weight:
-            raise ValueError("delta is undefined on top-degree pure wedges")
-        return ChainElement(e.weight, e.degree + 1, ())
+            out.append(_make_term(t.coefficient, t.depth - 1, t.argument, (t.argument,) + t.wedge))
     return element(out, e.weight, e.degree + 1)
 
 
 def theta(wedge: Sequence[RationalFunction], v: Valuation) -> ChainElement:
     """Residue of a pure wedge; output entries are constants."""
-    wedge = tuple(wedge)
-    orders = [ord_at(g, v) for g in wedge]
-    units = [const(unit_part(g, v)) for g in wedge]
+    parts = [_order_and_unit(g, v) for g in wedge]
+    units = [const(unit) for _, unit in parts]
     terms = []
-    for i, e_i in enumerate(orders):
+    for i, (e_i, _) in enumerate(parts):
         if e_i == 0:
             continue
         rest = tuple(units[:i] + units[i + 1 :])
         sign = -1 if i % 2 else 1
         terms.append(_make_term(sign * e_i, 0, None, rest))
-    q = len(wedge)
+    q = len(parts)
     return element(terms, q - 1, q - 1)
 
 
 def residue(e: ChainElement, v: Valuation) -> ChainElement:
     """s_v tensor theta; weight drops by one, degree drops by one."""
-    out: List[ChainTerm] = []
-    new_weight = e.weight - 1
-    new_degree = e.degree - 1
+    out: List[Optional[ChainTerm]] = []
     for t in e.terms:
+        reduced = None  # a pure wedge has no bracket to reduce
         if t.depth:
-            if ord_at(t.argument, v) != 0:
+            order, unit = _order_and_unit(t.argument, v)
+            if order:
                 continue
-            reduced = const(unit_part(t.argument, v))
-            part = theta(t.wedge, v)
-            for w in part.terms:
-                out.append(
-                    _make_term(
-                        t.coefficient * w.coefficient, t.depth, reduced, w.wedge
-                    )
-                )
-        else:
-            part = theta(t.wedge, v)
-            for w in part.terms:
-                out.append(
-                    _make_term(t.coefficient * w.coefficient, 0, None, w.wedge)
-                )
-    return element(out, new_weight, new_degree)
+            reduced = const(unit)
+        for w in theta(t.wedge, v).terms:
+            out.append(_make_term(t.coefficient * w.coefficient, t.depth, reduced, w.wedge))
+    return element(out, e.weight - 1, e.degree - 1)
 
 
 def residue_twisted(e: ChainElement, v: Valuation) -> ChainElement:
-    """(-1)^q s_v tensor theta, q the wedge size; commutes with delta."""
-    out: List[ChainTerm] = []
-    for t in e.terms:
-        q = len(t.wedge)
-        single = element([t], e.weight, e.degree)
-        part = residue(single, v)
-        for w in part.terms:
-            out.append(w.scaled(-w.coefficient) if q % 2 else w)
-    return element(out, e.weight - 1, e.degree - 1)
+    """(-1)^q s_v tensor theta, q the wedge size of every term of e; commutes
+    with delta."""
+    q = e.degree if e.degree >= e.weight else e.degree - 1
+    return (-1) ** q * residue(e, v)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +251,7 @@ def random_element(weight: int, rng, depth: Optional[int] = None) -> ChainElemen
     return bracket_tensor(f, depth, funcs, coeff)
 
 
-def residue_chain_check(
-    weight: int,
-    samples: int = 20,
-    seed: int = 0,
-    depths: Optional[Sequence[int]] = None,
-) -> dict:
+def residue_chain_check(weight: int, samples: int = 20, seed: int = 0) -> dict:
     """Compare residue(delta(e)) against delta(residue(e)) over random
     elements at the places 0, 1 and infinity.
 
@@ -293,22 +259,19 @@ def residue_chain_check(
     which is reported; mixed or non-proportional outcomes fail with
     counterexamples.
     """
-    import random as _random
-
     if weight < 2:
         raise ValueError("weight must be >= 2")
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     valuations = [Valuation.finite(0), Valuation.finite(1), Valuation.infinity()]
     signs = set()
     cases = []
     counterexamples = []
     undetermined = 0
     for i in range(samples):
-        e = random_element(weight, rng, depth=rng.choice(list(depths)) if depths else None)
+        e = random_element(weight, rng)
         for v in valuations:
             lhs = residue(delta(e), v)
-            r = residue(e, v)
-            rhs = delta(r) if not r.is_zero() else r
+            rhs = delta(residue(e, v))
             if lhs.is_zero() and rhs.is_zero():
                 undetermined += 1
                 ok = True
@@ -362,22 +325,24 @@ class _ElementParser(_Reader):
                 if self.peek() in _SIGNS:
                     self.error("dangling sign")
                 continue
-            start, t = self.pos, self.term()
+            start, (coefficient, depth, argument, wedge) = self.pos, self.term()
+            written = _grading(depth, len(wedge))
             if grading is None:
-                grading = (t.grading[0] if weight is None else weight, t.grading[1])
-            if t.grading != grading:
+                grading = (written[0] if weight is None else weight, written[1])
+            if written != grading:
                 self.error("the term %r has weight %d and degree %d, not %d and %d"
-                           % (self.text[start : self.pos].strip(), *t.grading, *grading))
-            terms.append(_make_term(sign * t.coefficient, t.depth, t.argument, t.wedge))
+                           % (self.text[start : self.pos].strip(), *written, *grading))
+            terms.append(_make_term(sign * coefficient, depth, argument, wedge))
             sign = 0
         if not terms:
             self.error("empty element")
         if sign < 0:
             self.error("dangling sign")
-        return element(terms, weight)
+        return element(terms, *grading)
 
-    def term(self) -> ChainTerm:
-        """One term as written, before it is normalized."""
+    def term(self) -> tuple:
+        """One term as written, before it is normalized: (coefficient,
+        depth, argument, wedge)."""
         coefficient, start, ch = 1, self.pos, self.peek()
         if ch.isdigit() or ch == "(":  # other heads fail either way
             head = self.span("*^+-")
@@ -389,12 +354,12 @@ class _ElementParser(_Reader):
             else:
                 self.pos = start
         if not self.take("{"):
-            return ChainTerm(coefficient, 0, None, self.slots())
+            return coefficient, 0, None, self.slots()
         argument = parse_function(self.span("}"))
         if not (self.take("}") and self.take("_")):
             self.error("a bracket needs '}' and a depth '_p'")
         depth = self.integer()
-        return ChainTerm(coefficient, depth, argument, self.slots() if self.take("(x)") else ())
+        return coefficient, depth, argument, self.slots() if self.take("(x)") else ()
 
     def slots(self) -> tuple:
         """The wedge slots; none when only blanks are left of the term."""

@@ -95,9 +95,15 @@ def test_parent_runs_alternate_with_this_checkout(tmp_path, monkeypatch):
     """--parent runs the two checkouts back to back in each repeat, the
     parent first on even repeats, and writes each side's runs to its own
     file with its own commit; the parent's label defaults to its short
-    commit and must be given for a tree with no commit."""
+    commit and must be given for a tree with no commit.  This checkout is
+    stood in for by a fake one with a commit, so the test also holds in an
+    exported tree."""
     parent = tmp_path / "parent"
     (parent / ".git").mkdir(parents=True)
+    checkout = tmp_path / "checkout"
+    (checkout / ".git").mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench, "ROOT", checkout)
     calls = []
 
     def fake_run(argv, cwd=None, **kwargs):

@@ -118,6 +118,8 @@ class TestReports:
         assert code == 0
         case = json.loads(out)["results"][0]["cases"][0]
         assert case["max_defect"] < 1e-6
+        # every term reduces to zero: the element keeps the degree it is written in
+        assert run(["chain-check", "--weight", "4", "--element", "{1}_3 (x) t"]) == 0
 
     def test_loop_check_defaults(self, capsys):
         code, out = run_json(capsys, ["loop-check", "--json"])
