@@ -19,7 +19,11 @@ both checkouts back to back, DIR first on even repeats and this checkout
 first on odd ones, so drift in the machine's load falls on both sides
 alike.  DIR's runs go to BENCH_<parent-label>.json, in the same schema;
 the label defaults to DIR's short commit, and must be given when DIR is an
-exported tree with no commit.
+exported tree with no commit.  This checkout's file then also holds a
+`paired` block: for each workload and end-to-end metric, the median of the
+change/parent ratios of the repeats (each repeat's two runs are a pair) and
+in how many repeats this checkout did better, lower or higher as the
+metric's `better` in BENCHMARK.json says.
 """
 
 import argparse
@@ -59,6 +63,29 @@ def summarise(results) -> dict:
             for name, m in metrics.items()
         },
     }
+
+
+def paired(change: dict, parent: dict, end_to_end: list) -> dict:
+    """The `paired` block from each side's results per workload, repeat i
+    of one side paired with repeat i of the other: per end-to-end metric
+    (BENCHMARK.json's entries), its `better` direction, the median
+    change/parent ratio (None if a parent value is 0), and in how many of
+    the repeats the change was better."""
+    out = {}
+    for name, runs in change.items():
+        out[name] = {}
+        for metric in end_to_end:
+            pairs = [(c["metrics"][metric["name"]]["value"], p["metrics"][metric["name"]]["value"])
+                     for c, p in zip(runs, parent[name])]
+            lower = metric["better"] == "lower"
+            out[name][metric["name"]] = {
+                "better": metric["better"],
+                "median_ratio": statistics.median(c / p for c, p in pairs)
+                if all(p for _, p in pairs) else None,
+                "change_better": sum(c < p if lower else c > p for c, p in pairs),
+                "repeats": len(pairs),
+            }
+    return out
 
 
 def run_once(root: Path, workload: str, seed: int, seconds) -> tuple:
@@ -111,10 +138,12 @@ def main(argv=None) -> int:
                 env, result = run_once(sides[k][0], name, args.seed, spec["run_seconds"])
                 envs[k] = envs[k] or env
                 results[k][name].append(result)
-    for (root, label), env, runs in zip(sides, envs, results):
+    for k, ((root, label), env, runs) in enumerate(zip(sides, envs, results)):
         out = {"label": label, "commit": commit_of(root), "env": env, "seed": args.seed,
                "seconds": spec["run_seconds"],
                "workloads": {name: summarise(r) for name, r in runs.items()}}
+        if k:  # this checkout, run beside the parent (sides[0])
+            out["paired"] = paired(runs, results[0], spec["end_to_end"])
         Path("BENCH_%s.json" % label).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0
 

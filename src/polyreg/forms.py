@@ -36,19 +36,18 @@ Numeric evaluation realizes generators as real-linear covectors,
 dlog|g|(v) = Re(Dg(x;v)/g(x)) and diarg g(v) = i Im(Dg(x;v)/g(x)), and
 expands generator wedges as determinants against the supplied vectors.  It
 is batched: `evaluate_many` takes forms of one degree and (point, frames)
-samples, and `evaluate` is its one-form, one-frame case.  The forms compile
-into one plan, the one walk over their terms, kept on the first form for
-the same forms: their variables, the functions a sample point must keep
-generic (the samplers of `regulator` read them), their distinct functions,
-scalars and generators, and every term as (complex coefficient, scalar
-indices, generator indices).  At each point, every function is evaluated
-once by `funcfield`'s evaluator with the genericity guards, with its
-gradient if it carries a generator, and every scalar once; all frames and
-forms share them.  At each frame, one covector table per (generator,
-vector) and one memo of minors serve all the forms, each term's determinant
-expanded by first-row cofactors.  The arithmetic is the term-by-term arithmetic in its
-order, so the values are bit-identical to it; the plan holds nothing that
-depends on a point.
+samples, and `evaluate` is its one-sample, one-frame case.  The forms
+compile into one plan, kept on the first form for the same forms: their
+variables, the functions a sample point must keep generic (the samplers of
+`regulator` read them), their distinct functions, scalars and generators,
+and every term as (complex coefficient, scalar indices, generator indices).
+A batch of samples walks the plan once, column by column: each function
+value, partial and guard is a column over the points from `funcfield`'s
+evaluator, each scalar a column, and each covector, cofactor minor, term
+weight and form total a column over the (sample, frame) pairs.  Each entry
+is the one-point arithmetic in its order, so the values are bit-identical
+to it; the errors are too, as a failing batch is walked again a sample at
+a time.  The plan holds nothing that depends on a point.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .funcfield import (
     RationalFunction,
     _compile,
     _coordinates,
-    _evaluate,
+    _evaluate_columns,
     _fold,
     _Reader,
     one_minus,
@@ -291,6 +290,13 @@ def weighted_alternation(
     log_prefixed True:  log|g_1| then dlog slots g_2..g_split then diarg.
     Equals the full alternation weighted by the stabilizer order.
     """
+    return form(len(gs) - 1 if log_prefixed else len(gs), _alternation(gs, split, log_prefixed))
+
+
+def _alternation(gs: Sequence[RationalFunction], split: int, log_prefixed: bool,
+                 c: Rational = 1) -> list:
+    """The terms of c * weighted_alternation(gs, split, log_prefixed), each
+    built with c or -c, unmerged."""
     from itertools import combinations
 
     m = len(gs)
@@ -310,8 +316,8 @@ def weighted_alternation(
             scalars = () if lead is None else (logs[lead],)
             generators = [dlogs[i] for i in dl] + [diargs[i] for i in di]
             sign = sort_signed(zip(order, order))[0]
-            terms.append(_keyed_term(sign, scalars, generators))
-    return form(m - 1 if log_prefixed else m, terms)
+            terms.append(_keyed_term(c if sign > 0 else -c, scalars, generators))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -406,86 +412,101 @@ def _plan(forms_: Tuple[Form, ...]) -> _Plan:
     return plan
 
 
-def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> complex:
-    """The determinant of cov restricted to rows x cols (at least two of
-    each), by _det's first-row cofactor expansion.  Each minor asked for
-    here, and each of order >= 3 below it, is computed once per memo; the
-    2 x 2 minors of a 3 x 3 expansion are written out."""
+def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> list:
+    """The determinants of cov restricted to rows x cols, a column over the
+    (sample, frame) pairs, each entry by _det's first-row cofactor
+    expansion; computed once per memo."""
+    if len(rows) == 1:
+        return cov[rows[0]][cols[0]]
     key = (rows, cols)
     out = memo.get(key)
     if out is not None:
         return out
     if len(rows) == 2:
         a, b = cov[rows[0]], cov[rows[1]]
-        out = a[cols[0]] * b[cols[1]] - a[cols[1]] * b[cols[0]]
+        out = [p * q - r * s for p, q, r, s in zip(a[cols[0]], b[cols[1]], a[cols[1]], b[cols[0]])]
     else:
-        out = 0j
         head, rest = cov[rows[0]], rows[1:]
-        if len(rest) == 2:
-            a, b = cov[rest[0]], cov[rest[1]]
+        out = [0j] * len(head[0])
         for j, c in enumerate(cols):
-            if head[c] == 0:
-                continue
-            sub = cols[:j] + cols[j + 1 :]
-            if len(rest) == 2:
-                out += (-1) ** j * head[c] * (a[sub[0]] * b[sub[1]] - a[sub[1]] * b[sub[0]])
-            else:
-                out += (-1) ** j * head[c] * _minor(rest, sub, cov, memo)
+            sign, sub = (-1) ** j, _minor(rest, cols[:j] + cols[j + 1 :], cov, memo)
+            out = [o if h == 0 else o + sign * h * m for o, h, m in zip(out, head[c], sub)]
     memo[key] = out
     return out
 
 
-def _at_point(plan: _Plan, xs: list, xm: dict) -> tuple:
-    """At the point with coordinates xs (xm by name): the scalars' values,
-    and (function index, value, ((slot, partial), ...)) per generator
-    function.  Each function is evaluated once, with the genericity guards,
-    in the plan's order."""
-    values, gradients = [], []
-    for compiled, sv_argument, generator in plan.functions:
+def _walk(plan: _Plan, degree: int, batch: list) -> list:
+    """evaluate_many's result for samples read as (point mapping,
+    coordinates, frames of coordinate lists), by one walk over the plan
+    (module docstring); raises the error of some failing sample."""
+    slots = range(len(plan.names))
+    points = [xm for xm, _, _ in batch]
+    xcols = [[xs[k] for _, xs, _ in batch] for k in slots]
+    owner = [s for s, (_, _, frames) in enumerate(batch) for _ in frames]
+    vectors = [vs for _, _, frames in batch for vs in frames]
+    size = len(vectors)
+    vcols = [[[vs[j][k] for vs in vectors] for k in slots] for j in range(degree)]
+
+    def spread(col: list) -> list:  # a column over the samples, over the pairs
+        return [col[s] for s in owner]
+
+    values, ratios = [], {}
+    for i, (compiled, sv_argument, generator) in enumerate(plan.functions):
         try:
-            val, slopes = _evaluate(compiled, xs, _CLEARANCE, xm, generator)
+            val, partials = _evaluate_columns(compiled, xcols, _CLEARANCE, points, generator)
         except PoleError as exc:
             raise GenericityError(str(exc)) from None
-        if abs(val) < _CLEARANCE:
-            raise GenericityError("function value too close to zero")
-        if sv_argument and abs(val - 1.0) < _CLEARANCE:
-            raise GenericityError("sv argument too close to 1")
-        if generator:
-            gradients.append((len(values), val, slopes))
+        for v in val:
+            if abs(v) < _CLEARANCE:
+                raise GenericityError("function value too close to zero")
+            if sv_argument and abs(v - 1.0) < _CLEARANCE:
+                raise GenericityError("sv argument too close to 1")
         values.append(val)
-    scalars = []
-    for i, p in plan.scalars:
-        scalars.append(sv_polylog(p, values[i]) if p else math.log(abs(values[i])))
-    return scalars, gradients
-
-
-def _covectors(plan: _Plan, gradients: list, vs: list) -> list:
-    """One frame's covector table: per generator, its value on each vector
-    (vs: coordinate lists), from Dg(x; v) / g(x) computed once per
-    generator function."""
-    ratios = {}
-    for i, val, slopes in gradients:
-        row = []
-        for v in vs:
-            dg = 0j
-            for k, slope in slopes:
-                dg += slope * v[k]
-            row.append(dg / val)
-        ratios[i] = row
-    cov = []
-    for dlog, i in plan.generators:
-        cov.append([complex(w.real, 0.0) if dlog else complex(0.0, w.imag) for w in ratios[i]])
-    return cov
+        if generator:  # Dg(x; v) / g(x) per vector of the frame
+            val, partials = spread(val), [(k, spread(col)) for k, col in partials]
+            row = ratios[i] = []
+            for vcol in vcols:
+                dg = [0j] * size
+                for k, slope in partials:
+                    dg = [a + b * x for a, b, x in zip(dg, slope, vcol[k])]
+                row.append([a / b for a, b in zip(dg, val)])
+    scalars = [spread([sv_polylog(p, v) for v in values[i]] if p else
+                      [math.log(abs(v)) for v in values[i]]) for i, p in plan.scalars]
+    cov = [[[complex(w.real, 0.0) for w in col] if dlog else [complex(0.0, w.imag) for w in col]
+            for col in ratios[i]] for dlog, i in plan.generators]
+    memo: dict = {}
+    weights: dict = {}  # (coefficient, scalar indices) -> their product's column
+    cols = tuple(range(degree))
+    totals = []
+    for terms, gidxs in plan.forms:
+        total = [0j] * size
+        for term, gidx in zip(terms, gidxs):
+            weight = weights.get(term)
+            if weight is None:
+                coeff, sidx = term
+                weight = [coeff] * size
+                for i in sidx:
+                    weight = [a * b for a, b in zip(weight, scalars[i])]
+                weights[term] = weight
+            if degree:
+                minor = _minor(gidx, cols, cov, memo)
+                total = [t + a * b for t, a, b in zip(total, weight, minor)]
+            else:
+                total = [t + a for t, a in zip(total, weight)]
+        totals.append(total)
+    pairs = iter([list(v) for v in zip(*totals)])
+    return [[next(pairs) for _ in frames] for _, _, frames in batch]
 
 
 def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[complex]]]:
     """Evaluate forms of one degree at (point, frames) samples, a frame being
     a sequence of as many tangent vectors as the degree.  out[s][f][k] is
     forms_[k] at the point of sample s against its frame f, equal bit for
-    bit to evaluate(forms_[k], point, frame).  Each function, gradient and
-    scalar is computed once per point, and each covector table and minor
-    once per frame, for all the forms together.  Samples are read one at a
-    time, each checked as `evaluate` checks its input."""
+    bit to evaluate(forms_[k], point, frame).  The samples are read, each
+    checked as `evaluate` checks its input, then walked together.  The
+    errors are those of one sample after another: the first failing sample
+    raises its own, and one that cannot be read raises after the samples
+    before it are evaluated."""
     forms_ = tuple(forms_)
     if not forms_:
         raise ValueError("need at least one form")
@@ -494,42 +515,25 @@ def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[c
         raise ValueError("forms of mixed degree %s" % sorted({a.degree for a in forms_}))
     plan = _plan(forms_)
     names = plan.names
-    cols = tuple(range(degree))
-    out = []
-    for x, frames in samples:
-        frames = list(frames)
-        if any(len(vectors) != degree for vectors in frames):
-            raise ValueError("need exactly %d vectors" % degree)
-        xm, xs = _coordinates(x, names)
-        frames = [[_coordinates(v, names, 0j)[1] for v in vectors] for vectors in frames]
-        scalars, gradients = _at_point(plan, xs, xm)
-        weights = []  # per form: each term's coefficient times its scalars
-        for terms, _ in plan.forms:
-            row = []
-            for val, sidx in terms:
-                for i in sidx:
-                    val *= scalars[i]
-                row.append(val)
-            weights.append(row)
-        per_frame = []
-        for vs in frames:
-            cov = _covectors(plan, gradients, vs)
-            memo: dict = {}
-            totals = []
-            for row, (_, gidxs) in zip(weights, plan.forms):
-                total = 0j
-                if degree == 1:
-                    for val, (g,) in zip(row, gidxs):
-                        total += val * cov[g][0]
-                elif degree:
-                    for val, gidx in zip(row, gidxs):
-                        total += val * _minor(gidx, cols, cov, memo)
-                else:
-                    for val in row:
-                        total += val
-                totals.append(total)
-            per_frame.append(totals)
-        out.append(per_frame)
+    batch, failure = [], None
+    try:
+        for x, frames in samples:
+            frames = list(frames)
+            if any(len(vectors) != degree for vectors in frames):
+                raise ValueError("need exactly %d vectors" % degree)
+            xm, xs = _coordinates(x, names)
+            batch.append((xm, xs, [[_coordinates(v, names, 0j)[1] for v in vectors]
+                                   for vectors in frames]))
+    except Exception as exc:  # raised once the samples read before it are evaluated
+        failure = exc
+    try:
+        out = _walk(plan, degree, batch)
+    except Exception:
+        if len(batch) < 2:
+            raise
+        out = [_walk(plan, degree, [sample])[0] for sample in batch]
+    if failure is not None:
+        raise failure
     return out
 
 

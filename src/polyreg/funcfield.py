@@ -9,9 +9,10 @@ Horner pass over num and one over den (`_order_and_unit`); `ord_at` and
 each compiles once per layout of its variables on a caller's slots, into
 complex term lists for num, den and their partials in the order of each
 polynomial's terms, so values agree bit for bit with summing the terms one
-by one (`polynomial_evaluate` in tests/oracles.py), and `_evaluate` turns the
-lists into a value and partials behind one pole guard for `rf_eval`, form
-evaluation and the samplers and holomorphic parts of `regulator`.
+by one (`polynomial_evaluate` in tests/oracles.py).  Behind one pole guard,
+`_evaluate` gives a value and partials at one point (`rf_eval`, the samplers
+and holomorphic parts of `regulator`), and `_evaluate_columns` their columns
+over a batch of points, equal entry by entry (form evaluation).
 
 Exact rationals: every exact value here (a polynomial coefficient, a
 constant value, a content, a unit part, the point of a place, a coefficient
@@ -573,11 +574,27 @@ def _poly_at(terms: tuple, xs: Sequence[complex]) -> complex:
     return total
 
 
+def _poly_column(terms: tuple, cols: Sequence[Sequence[complex]], size: int) -> list:
+    """_poly_at at `size` points, cols[k] the column of slot k over them:
+    one list comprehension per term, each entry _poly_at's bit for bit."""
+    total = [0j] * size
+    for coeff, powers in terms:
+        if not powers:
+            total = [t + coeff for t in total]
+            continue
+        col = [coeff] * size
+        for k, e in powers[:-1]:
+            col = [c * x ** e for c, x in zip(col, cols[k])]
+        k, e = powers[-1]
+        total = [t + c * x ** e for t, c, x in zip(total, col, cols[k])]
+    return total
+
+
 def _evaluate(compiled: tuple, xs: Sequence[complex], clearance: float, point,
               slopes: bool = False) -> tuple:
     """(f(x), [(slot, df/dx_slot), ...] if slopes else None) from f's
     compiled term lists at coordinates xs; raises PoleError, naming point,
-    when |den(x)| <= clearance.  The one evaluator of functions at points."""
+    when |den(x)| <= clearance."""
     num, den, partials = compiled
     d = _poly_at(den, xs)
     if abs(d) <= clearance:
@@ -587,6 +604,28 @@ def _evaluate(compiled: tuple, xs: Sequence[complex], clearance: float, point,
         return n / d, None
     return n / d, [
         (k, (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)) for k, dn, dd in partials
+    ]
+
+
+def _evaluate_columns(compiled: tuple, cols: Sequence[Sequence[complex]], clearance: float,
+                      points: Sequence, slopes: bool = False) -> tuple:
+    """_evaluate at a batch of points, cols[k] the column of slot k over
+    them: (values, [(slot, partials), ...] if slopes else None), each entry
+    _evaluate's bit for bit; PoleError names the first point at a pole."""
+    num, den, partials = compiled
+    size = len(points)
+    d = _poly_column(den, cols, size)
+    for b, point in zip(d, points):
+        if abs(b) <= clearance:
+            raise PoleError(f"denominator magnitude {abs(b):.3e} at {point}")
+    n = _poly_column(num, cols, size)
+    values = [a / b for a, b in zip(n, d)]
+    if not slopes:
+        return values, None
+    return values, [
+        (k, [(p * b - a * q) / (b * b) for p, q, a, b in
+             zip(_poly_column(dn, cols, size), _poly_column(dd, cols, size), n, d)])
+        for k, dn, dd in partials
     ]
 
 
@@ -911,7 +950,11 @@ class Combination:
             return NotImplemented
         if not c:
             return type(self)(*self.grading, ())
-        c = _fold(c)  # a Fraction(1) weight scales at int speed
+        if c == 1:
+            return self
+        if c == -1:  # a negation, not a product
+            return type(self)(*self.grading, tuple(t.scaled(-t.coefficient) for t in self.terms))
+        c = _fold(c)
         terms = tuple(t.scaled(_fold(c * t.coefficient)) for t in self.terms)
         return type(self)(*self.grading, terms)
 

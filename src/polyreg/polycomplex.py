@@ -133,18 +133,9 @@ def _atom(g: RationalFunction) -> str:
     return s if s.isalnum() or (s.startswith("(") and s.endswith(")")) else "(%s)" % s
 
 
-def element(
-    terms: Iterable[ChainTerm], weight: Optional[int] = None, degree: Optional[int] = None
-) -> ChainElement:
-    """Merge raw terms into a normalized element; zero coefficients drop.
-    A weight or degree left out is read from the first term."""
-    if weight is None or degree is None:
-        terms = [t for t in terms if t is not None]
-        first_weight, first_degree = terms[0].grading if terms else (None, 0)
-        weight = first_weight if weight is None else weight
-        degree = first_degree if degree is None else degree
-        if weight is None:
-            raise ValueError("cannot infer weight of an empty element")
+def element(terms: Iterable[Optional[ChainTerm]], weight: int, degree: int) -> ChainElement:
+    """Merge raw terms into a normalized element of the given grading; zero
+    coefficients drop."""
     return ChainElement.merge((weight, degree), terms)
 
 

@@ -42,6 +42,7 @@ from .forms import (
     sv_pq,
     sv_scalar,
     weighted_alternation,
+    _alternation,
     _det,
     _plan,
 )
@@ -121,7 +122,7 @@ def _alternation_sum(gs: Sequence[RationalFunction], log_prefixed: bool, weights
     (split, c) pairs of weights."""
     terms = []
     for split, c in weights:
-        terms += (weighted_alternation(gs, split, log_prefixed) * c).terms
+        terms += _alternation(gs, split, log_prefixed, c)
     return form(len(gs) - 1 if log_prefixed else len(gs), terms)
 
 

@@ -490,8 +490,15 @@ def reference_element_terms(text: str) -> list:
 
 def reference_parse_element(text: str, weight=None):
     """Element text read by cutting it into terms first: a term that reduces
-    to zero drops out before the terms' weights and degrees are compared."""
-    return element([_make_term(*t) for t in reference_element_terms(text)], weight)
+    to zero drops out before the terms' weights and degrees are compared,
+    and the grading is the first surviving term's (the weight, if given,
+    replacing its weight)."""
+    made = [_make_term(*t) for t in reference_element_terms(text)]
+    terms = [t for t in made if t is not None]
+    if not terms:
+        raise ValueError("cannot infer the grading of an empty element")
+    first_weight, degree = terms[0].grading
+    return element(terms, first_weight if weight is None else weight, degree)
 
 
 def _split_terms(text: str):

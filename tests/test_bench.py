@@ -18,13 +18,14 @@ METRICS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
 SPREAD = ("min", "median", "q1", "q3", "iqr", "values")
 
 
-def _stdout(wall_s: float, failed: int = 0) -> str:
+def _stdout(wall_s: float, failed: int = 0, ops_per_s: float = 1.0) -> str:
     """The tail of a perfbench run's output, shaped as run.py prints it."""
+    values = {"wall_s": wall_s, "ops_per_s": ops_per_s}
     result = {
         "correct": True,
         "attempted": 100,
         "failed": failed,
-        "metrics": {name: {"value": wall_s if name == "wall_s" else 1.0, "unit": unit}
+        "metrics": {name: {"value": values.get(name, 1.0), "unit": unit}
                     for name, unit in METRICS.items()},
     }
     env = {"commit": None, "nproc": 2, "seed": 89, "source_sha256": "ab" * 32}
@@ -58,7 +59,7 @@ def test_summarise():
 
 
 def _check_schema(doc: dict):
-    assert set(doc) == {"label", "commit", "env", "seed", "seconds", "workloads"}
+    assert set(doc) - {"paired"} == {"label", "commit", "env", "seed", "seconds", "workloads"}
     assert {"commit", "source_sha256", "nproc", "seed"} <= set(doc["env"])
     assert set(doc["workloads"]) == {w["name"] for w in SPEC["workloads"]}
     assert doc["seconds"] == SPEC["run_seconds"]
@@ -71,6 +72,12 @@ def _check_schema(doc: dict):
             assert len(m["values"]) == entry["runs"]
             assert m["min"] <= m["q1"] <= m["median"] <= m["q3"]
             assert m["iqr"] == pytest.approx(m["q3"] - m["q1"])
+    for name, entry in doc.get("paired", {}).items():
+        assert name in doc["workloads"] and set(entry) == set(METRICS)
+        for metric, m in entry.items():
+            assert set(m) == {"better", "median_ratio", "change_better", "repeats"}
+            assert m["repeats"] == doc["workloads"][name]["runs"]
+            assert 0 <= m["change_better"] <= m["repeats"]
 
 
 def test_main_writes_the_schema(tmp_path, monkeypatch):
@@ -125,6 +132,7 @@ def test_parent_runs_alternate_with_this_checkout(tmp_path, monkeypatch):
         doc = json.loads((tmp_path / ("BENCH_%s.json" % label)).read_text())
         _check_schema(doc)
         assert (doc["label"], doc["commit"]) == (label, commit)
+        assert ("paired" in doc) == (label == "change")
         for entry in doc["workloads"].values():
             assert entry["runs"] == 6 and entry["metrics"]["wall_s"]["values"] == [wall] * 6
     assert bench.main(["--label", "change", "--parent", str(parent), "--parent-label", "base"]) == 0
@@ -134,6 +142,45 @@ def test_parent_runs_alternate_with_this_checkout(tmp_path, monkeypatch):
     for bad in (["--parent", str(exported)], ["--parent", str(parent), "--parent-label", "change"]):
         with pytest.raises(SystemExit):
             bench.main(["--label", "change"] + bad)
+
+
+def test_paired_block(tmp_path, monkeypatch):
+    """The change's file pairs repeat i of each side: the median of the
+    change/parent ratios, and in how many repeats the change was better,
+    lower for wall_s and higher for ops_per_s as BENCHMARK.json says."""
+    parent = tmp_path / "parent"
+    (parent / ".git").mkdir(parents=True)
+    walls = {"parent": [0.2, 0.2, 0.4, 0.1, 0.2], "change": [0.1, 0.3, 0.2, 0.05, 0.4]}
+    ops = {"parent": [10.0] * 5, "change": [20.0, 5.0, 10.0, 30.0, 40.0]}
+    runs = {"parent": 0, "change": 0}
+
+    def fake_run(argv, cwd=None, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, "f" * 40 + "\n", "")
+        side = "parent" if Path(cwd) == parent else "change"
+        i = runs[side] % 5  # the repeat, each workload's runs in turn
+        runs[side] += 1
+        return subprocess.CompletedProcess(
+            argv, 0, _stdout(walls[side][i], ops_per_s=ops[side][i]), "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["--label", "change", "--parent", str(parent), "--parent-label", "base"]) == 0
+    doc = json.loads((tmp_path / "BENCH_change.json").read_text())
+    _check_schema(doc)
+    assert "paired" not in json.loads((tmp_path / "BENCH_base.json").read_text())
+    assert set(doc["paired"]) == {w["name"] for w in SPEC["workloads"]}
+    for entry in doc["paired"].values():
+        # wall_s ratios 0.5, 1.5, 0.5, 0.5, 2; ops_per_s ratios 2, 0.5, 1, 3, 4
+        assert entry["wall_s"] == {"better": "lower", "median_ratio": 0.5,
+                                   "change_better": 3, "repeats": 5}
+        assert entry["ops_per_s"] == {"better": "higher", "median_ratio": 2.0,
+                                      "change_better": 3, "repeats": 5}
+        assert entry["setup_s"]["median_ratio"] == 1.0 and entry["setup_s"]["change_better"] == 0
+    parent_runs = [bench.parse_run(_stdout(w))[1] for w in (0.2, 0.0)]
+    change_runs = [bench.parse_run(_stdout(w))[1] for w in (0.1, 0.1)]
+    got = bench.paired({"w": change_runs}, {"w": parent_runs}, SPEC["end_to_end"])
+    assert got["w"]["wall_s"]["median_ratio"] is None  # a parent value of 0 has no ratio
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -1,7 +1,9 @@
 """Forms: wedge algebra, derivatives, alternation, evaluation, grammar."""
 
 import cmath
+import contextlib
 import hashlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -185,6 +187,26 @@ class TestAlternation:
             assert F.weighted_alternation(gs, split, True) == alternation_bruteforce(
                 gs, split, True
             )
+
+    def test_built_with_its_weight(self):
+        # terms built with c or -c merge to the alternation scaled by c,
+        # where a repeated function kills or adds up terms too
+        gs = [pf(text) for text in ("t", "1-t", "t+2", "t")]
+        for prefixed in (False, True):
+            degree = len(gs) - 1 if prefixed else len(gs)
+            for split in range(prefixed, len(gs) + 1):
+                for c in (1, -1, 3, Fraction(1, 3), Fraction(-2, 5)):
+                    got = F.form(degree, F._alternation(gs, split, prefixed, c))
+                    want = F.weighted_alternation(gs, split, prefixed) * c
+                    assert [(t.key(), type(t.coefficient), t.coefficient) for t in got.terms] == [
+                        (t.key(), type(t.coefficient), t.coefficient) for t in want.terms]
+
+    def test_scaling_by_one_and_minus_one(self):
+        a = F.parse_form("(1/3)*log(t)*dlog(1-t) - 2*dlog(t) + (4/3)*darg(t+2)")
+        assert a * 1 is a and a * Fraction(1) is a
+        for neg in (a * -1, a * Fraction(-1), -a):
+            assert [(type(t.coefficient), t.coefficient) for t in neg.terms] == [
+                (type(t.coefficient), -t.coefficient) for t in a.terms]
 
     def test_bad_pattern(self):
         with pytest.raises(ValueError):
@@ -1020,3 +1042,102 @@ class TestBatchedInput:
         got = F.evaluate_many((F.dlog(T), F.diarg(T)), [(2, [[1], [1j]]), (1j, [[1]])])
         assert got == [[[0.5, 0j], [0j, 0.5j]], [[0j, -1j]]]
         assert F.evaluate_many((F.scalar(3),), [(2, [[]])]) == [[[3 + 0j]]]
+
+
+def reference_many(forms_, samples):
+    """evaluate_many as the loop it replaced: one sample read and evaluated
+    after another, each (frame, form) by reference_evaluate."""
+    return [[[reference_evaluate(a, x, vs) for a in forms_] for vs in frames]
+            for x, frames in samples]
+
+
+def batch_outcome(call):
+    """The exact bits of every value call() gives, or the type and text of
+    what it raised."""
+    try:
+        return "value", [[[hexed(v) for v in per_form] for per_form in per_frame]
+                         for per_frame in call()]
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+GENERIC = [(0.5 + 1j, [[1.0]]), (-1.5 - 0.25j, [[1j]]), (2.5 + 2j, [[0.5 - 1j]])]
+ODD_SAMPLES = {  # one frame each, for "log(t^2+1)*dlog(1/(t-2)) + L2(t+4)*darg(t+5)"
+    "pole": (2 + 1e-9j, [[1.0]]),
+    "zero": (-5 + 1e-9, [[1.0]]),
+    "sv at 1": (-3 + 1e-9j, [[1.0]]),
+    "non-finite": (complex(1, float("nan")), [[1.0]]),
+    "overflow": (1e200, [[1.0]]),
+    "short frame": (0.5, [[]]),
+}
+UNREADABLE = {  # sample -> what reading it raises
+    "non-finite": (ODD_SAMPLES["non-finite"], "coordinates must be finite, got (1+nanj)"),
+    "missing": (({"x": 1}, [[1.0]]), "the point has no coordinate 't'"),
+    "short frame": (ODD_SAMPLES["short frame"], "need exactly 1 vectors"),
+}
+
+
+class TestBatchesAgainstReference:
+    """Batches of several samples raise or return what evaluating them one
+    after another gives: the first failing sample raises its own error, and
+    a sample that cannot be read raises only after the ones before it are
+    evaluated."""
+
+    A = F.parse_form("log(t^2+1)*dlog(1/(t-2)) + L2(t+4)*darg(t+5)")
+
+    @pytest.mark.parametrize("first", sorted(ODD_SAMPLES))
+    @pytest.mark.parametrize("second", sorted(ODD_SAMPLES))
+    def test_two_odd_samples(self, first, second):
+        samples = [GENERIC[0], ODD_SAMPLES[first], GENERIC[1], ODD_SAMPLES[second], GENERIC[2]]
+        expected = batch_outcome(lambda: reference_many((self.A,), samples))
+        assert expected[0] != "value"
+        assert batch_outcome(lambda: F.evaluate_many((self.A,), samples)) == expected
+
+    @pytest.mark.parametrize("unreadable", sorted(UNREADABLE))
+    @pytest.mark.parametrize("degenerate_first", [True, False])
+    def test_degenerate_and_unreadable(self, unreadable, degenerate_first):
+        # the second sample degenerate and the third unreadable, and the reverse
+        sample, text = UNREADABLE[unreadable]
+        odd = [ODD_SAMPLES["zero"], sample]
+        samples = [GENERIC[0]] + (odd if degenerate_first else odd[::-1])
+        got = batch_outcome(lambda: F.evaluate_many((self.A,), samples))
+        if degenerate_first:
+            assert got == (F.GenericityError, "function value too close to zero")
+        else:
+            assert got == (ValueError, text)
+
+    def test_later_sample_failing_at_an_earlier_function(self):
+        # the batch meets the pole of the third sample (the first function)
+        # before the zero of the second (a later one); the second raises
+        samples = [GENERIC[0], ODD_SAMPLES["zero"], ODD_SAMPLES["pole"]]
+        got = batch_outcome(lambda: F.evaluate_many((self.A,), samples))
+        assert got == (F.GenericityError, "function value too close to zero")
+        assert got == batch_outcome(lambda: reference_many((self.A,), samples))
+
+    @pytest.mark.parametrize("label,image,lhs,rhs", list(chain_shapes())[::3],
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_mixed_frame_counts(self, label, image, lhs, rhs):
+        rng = random.Random(label)
+        names = F._plan((lhs, rhs)).names
+        samples = [(R._generic_point(rng, names, F._plan((lhs, rhs)).guarded),
+                    [R._frame(rng, names, lhs.degree) for _ in range(count)])
+                   for count in (2, 0, 3, 1, 1)]
+        got = batch_outcome(lambda: F.evaluate_many((lhs, rhs), samples))
+        assert got[0] == "value" and [len(per_frame) for per_frame in got[1]] == [2, 0, 3, 1, 1]
+        assert got == batch_outcome(lambda: reference_many((lhs, rhs), samples))
+
+
+def test_all_pass_as_reference(monkeypatch):
+    """`all --seed 89 --samples 1 --json` gives the same bytes when every
+    form evaluation of the checks goes through reference_evaluate, one
+    sample, frame and form at a time."""
+    from polyreg import cli
+
+    def run(capsys_out):
+        with contextlib.redirect_stdout(capsys_out):
+            assert cli.run(["all", "--seed", "89", "--samples", "1", "--json"]) == 0
+        return capsys_out.getvalue()
+
+    batched = run(io.StringIO())
+    monkeypatch.setattr(R, "evaluate_many", reference_many)
+    assert run(io.StringIO()) == batched

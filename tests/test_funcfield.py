@@ -16,6 +16,9 @@ from polyreg.funcfield import (
     Polynomial,
     RationalFunction,
     Valuation,
+    _compile,
+    _evaluate,
+    _evaluate_columns,
     _order_and_unit,
     const,
     one_minus,
@@ -158,6 +161,7 @@ def test_compiled_matches_polynomial_evaluation():
     ]
     for f in fs:
         names = f.variables()
+        points = []
         for _ in range(5):
             x = {n: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for n in names}
             v = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in names}
@@ -169,6 +173,30 @@ def test_compiled_matches_polynomial_evaluation():
                 slope += (dn * d - n * dd) / (d * d) * v[name]
             assert rf_eval(f, x) == n / d
             assert rf_dir_derivative(f, x, v) == slope
+            points.append(x)
+        # the columns over the five points hold each point's value and partials
+        compiled = _compile(f, names)
+        cols = [[x[n] for x in points] for n in names]
+        values, partials = _evaluate_columns(compiled, cols, 1e-12, points, True)
+        for i, x in enumerate(points):
+            value, slopes = _evaluate(compiled, [x[n] for n in names], 1e-12, x, True)
+            assert bits([values[i]] + [col[i] for _, col in partials]) == bits(
+                [value] + [s for _, s in slopes])
+            assert [k for k, _ in partials] == [k for k, _ in slopes]
+
+
+def bits(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+def test_column_pole_guard_names_the_first_point():
+    f = parse_function("(t^2+1)/((t-1)*(t+2))")
+    points = [{"t": 3}, {"t": 1 + 1e-14j}, {"t": -2}]
+    with pytest.raises(PoleError) as exc:
+        _evaluate_columns(_compile(f, ["t"]), [[3, 1 + 1e-14j, -2]], 1e-12, points)
+    with pytest.raises(PoleError) as one:
+        _evaluate(_compile(f, ["t"]), [1 + 1e-14j], 1e-12, points[1])
+    assert str(exc.value) == str(one.value) and "1e-14j" in str(exc.value)
 
 
 def test_ord_examples():

@@ -14,9 +14,9 @@ which holds the cursor `_Reader`, defines `peek`, and the character loops
 that the cursor replaced are gone by name.
 
 Functions are evaluated in one place, and form terms read in one: no
-module of the package but `funcfield` calls `_poly_at` or `_terms`, the
-evaluator's polynomial parts, and none but `forms` reads the `.scalars` or
-`.generators` of a term.
+module of the package but `funcfield` calls `_poly_at`, `_poly_column` or
+`_terms`, the evaluator's polynomial parts, and none but `forms` reads the
+`.scalars` or `.generators` of a term.
 
 The package and the tests' references stay apart: no module of the package
 imports `oracles`, and no name that tests/oracles.py defines exists in a
@@ -185,7 +185,7 @@ def test_lexer_scan_finds_a_second_lexer():
 
 
 # name -> the one package module that may use it: called, or read as an attribute
-OWNED_CALLS = {"_poly_at": "funcfield.py", "_terms": "funcfield.py"}
+OWNED_CALLS = {name: "funcfield.py" for name in ("_poly_at", "_poly_column", "_terms")}
 OWNED_ATTRIBUTES = {"scalars": "forms.py", "generators": "forms.py"}
 
 

@@ -346,8 +346,7 @@ def assert_element_as_reference(text, weight):
     give the same element, grading, printed text and functions, term order
     included.  Where every term reduces to zero, parse_element gives the
     zero element of the grading as written; the reference, which reads the
-    grading from the first term that survives, raised there or read degree
-    0."""
+    grading from the first term that survives, raises there."""
     try:
         terms = reference_element_terms(text)
         made = [C._make_term(*t) for t in terms]
