@@ -46,8 +46,10 @@ value, partial and guard is a column over the points from `funcfield`'s
 evaluator, each scalar a column, and each covector, cofactor minor, term
 weight and form total a column over the (sample, frame) pairs.  Each entry
 is the one-point arithmetic in its order, so the values are bit-identical
-to it; the errors are too, as a failing batch is walked again a sample at
-a time.  The plan holds nothing that depends on a point.
+to it.  So are the errors: the first failing sample raises its own (a
+failing batch is walked again a sample at a time), and a sample that cannot
+be read raises once the samples before it are evaluated.  The plan holds
+nothing that depends on a point.
 """
 
 from __future__ import annotations
@@ -503,10 +505,8 @@ def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[c
     a sequence of as many tangent vectors as the degree.  out[s][f][k] is
     forms_[k] at the point of sample s against its frame f, equal bit for
     bit to evaluate(forms_[k], point, frame).  The samples are read, each
-    checked as `evaluate` checks its input, then walked together.  The
-    errors are those of one sample after another: the first failing sample
-    raises its own, and one that cannot be read raises after the samples
-    before it are evaluated."""
+    checked as `evaluate` checks it, and walked together; errors are those
+    of one sample after another (the module docstring)."""
     forms_ = tuple(forms_)
     if not forms_:
         raise ValueError("need at least one form")
@@ -528,9 +528,7 @@ def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[c
         failure = exc
     try:
         out = _walk(plan, degree, batch)
-    except Exception:
-        if len(batch) < 2:
-            raise
+    except Exception:  # the first failing sample, walked alone, raises its own
         out = [_walk(plan, degree, [sample])[0] for sample in batch]
     if failure is not None:
         raise failure

@@ -534,6 +534,9 @@ def _coordinates(x, names, default=None) -> tuple:
     """(x as a mapping, its coordinates in the order of names).  A vector's
     missing coordinates are default; a point (default None) must give each
     of them, else ValueError naming the first one missing."""
+    if len(names) == 1 and not isinstance(x, dict):  # one value, the one coordinate
+        c = _finite(x)
+        return {names[0]: c}, [c]
     point = _as_mapping(x, names)
     xs = [point.get(name, default) for name in names]
     if default is None and None in xs:

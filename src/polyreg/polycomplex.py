@@ -134,8 +134,7 @@ def _atom(g: RationalFunction) -> str:
 
 
 def element(terms: Iterable[Optional[ChainTerm]], weight: int, degree: int) -> ChainElement:
-    """Merge raw terms into a normalized element of the given grading; zero
-    coefficients drop."""
+    """The normalized element of the grading: raw terms merged, zeros dropped."""
     return ChainElement.merge((weight, degree), terms)
 
 
