@@ -1117,10 +1117,9 @@ class TestBatchesAgainstReference:
     @pytest.mark.parametrize("label,image,lhs,rhs", list(chain_shapes())[::3],
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_mixed_frame_counts(self, label, image, lhs, rhs):
-        rng = random.Random(label)
-        names = F._plan((lhs, rhs)).names
-        samples = [(R._generic_point(rng, names, F._plan((lhs, rhs)).guarded),
-                    [R._frame(rng, names, lhs.degree) for _ in range(count)])
+        rng, plan = random.Random(label), F._plan((lhs, rhs))
+        samples = [(R._generic_point(rng, plan.names, plan.guarded),
+                    [R._frame(rng, plan.names, lhs.degree) for _ in range(count)])
                    for count in (2, 0, 3, 1, 1)]
         got = batch_outcome(lambda: F.evaluate_many((lhs, rhs), samples))
         assert got[0] == "value" and [len(per_frame) for per_frame in got[1]] == [2, 0, 3, 1, 1]
@@ -1133,11 +1132,12 @@ def test_all_pass_as_reference(monkeypatch):
     sample, frame and form at a time."""
     from polyreg import cli
 
-    def run(capsys_out):
-        with contextlib.redirect_stdout(capsys_out):
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             assert cli.run(["all", "--seed", "89", "--samples", "1", "--json"]) == 0
-        return capsys_out.getvalue()
+        return out.getvalue()
 
-    batched = run(io.StringIO())
+    batched = run()
     monkeypatch.setattr(R, "evaluate_many", reference_many)
-    assert run(io.StringIO()) == batched
+    assert run() == batched
