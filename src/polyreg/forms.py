@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -299,8 +300,6 @@ def _alternation(gs: Sequence[RationalFunction], split: int, log_prefixed: bool,
                  c: Rational = 1) -> list:
     """The terms of c * weighted_alternation(gs, split, log_prefixed), each
     built with c or -c, unmerged."""
-    from itertools import combinations
-
     m = len(gs)
     if not 0 <= split <= m or (log_prefixed and split < 1):
         raise ValueError("invalid split for the alternation pattern")

@@ -9,10 +9,10 @@ Horner pass over num and one over den (`_order_and_unit`); `ord_at` and
 each compiles once per layout of its variables on a caller's slots, into
 complex term lists for num, den and their partials in the order of each
 polynomial's terms, so values agree bit for bit with summing the terms one
-by one (`polynomial_evaluate` in tests/oracles.py).  Behind one pole guard,
-`_evaluate` gives a value and partials at one point (`rf_eval`, the samplers
-and holomorphic parts of `regulator`), and `_evaluate_columns` their columns
-over a batch of points, equal entry by entry (form evaluation).
+by one (`polynomial_evaluate` in tests/oracles.py).  One evaluator,
+`_evaluate_columns`, gives values and partials behind one pole guard as
+columns over a batch of points (form evaluation); `_evaluate` is its batch
+of one (`rf_eval`, the samplers and holomorphic parts of `regulator`).
 
 Exact rationals: every exact value here (a polynomial coefficient, a
 constant value, a content, a unit part, the point of a place, a coefficient
@@ -275,14 +275,7 @@ class Polynomial:
         a, b = self._pair(other)
         return a.terms == b.terms
 
-    def __hash__(self):
-        used = self.used_variables()
-        slim = self._prune(used)
-        return hash((used, tuple(sorted(slim.terms.items()))))
-
-    def _prune(self, used=None) -> "Polynomial":
-        if used is None:
-            used = self.used_variables()
+    def _prune(self, used: tuple) -> "Polynomial":
         if used == self.variables:
             return self
         keep = [i for i, name in enumerate(self.variables) if name in used]
@@ -568,18 +561,10 @@ def _compile(f: RationalFunction, names: Sequence[str]) -> tuple:
     return out
 
 
-def _poly_at(terms: tuple, xs: Sequence[complex]) -> complex:
-    total = 0j
-    for coeff, powers in terms:
-        for k, e in powers:
-            coeff *= xs[k] ** e
-        total += coeff
-    return total
-
-
 def _poly_column(terms: tuple, cols: Sequence[Sequence[complex]], size: int) -> list:
-    """_poly_at at `size` points, cols[k] the column of slot k over them:
-    one list comprehension per term, each entry _poly_at's bit for bit."""
+    """A compiled term list at `size` points, cols[k] the column of slot k
+    over them: one list comprehension per term, each entry the term-by-term
+    sum in term order, each term's factors multiplied in slot order."""
     total = [0j] * size
     for coeff, powers in terms:
         if not powers:
@@ -593,28 +578,11 @@ def _poly_column(terms: tuple, cols: Sequence[Sequence[complex]], size: int) -> 
     return total
 
 
-def _evaluate(compiled: tuple, xs: Sequence[complex], clearance: float, point,
-              slopes: bool = False) -> tuple:
-    """(f(x), [(slot, df/dx_slot), ...] if slopes else None) from f's
-    compiled term lists at coordinates xs; raises PoleError, naming point,
-    when |den(x)| <= clearance."""
-    num, den, partials = compiled
-    d = _poly_at(den, xs)
-    if abs(d) <= clearance:
-        raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
-    n = _poly_at(num, xs)
-    if not slopes:
-        return n / d, None
-    return n / d, [
-        (k, (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)) for k, dn, dd in partials
-    ]
-
-
 def _evaluate_columns(compiled: tuple, cols: Sequence[Sequence[complex]], clearance: float,
                       points: Sequence, slopes: bool = False) -> tuple:
-    """_evaluate at a batch of points, cols[k] the column of slot k over
-    them: (values, [(slot, partials), ...] if slopes else None), each entry
-    _evaluate's bit for bit; PoleError names the first point at a pole."""
+    """(values, [(slot, partials), ...] if slopes else None) from f's
+    compiled term lists at a batch of points, cols[k] the column of slot k
+    over them; PoleError names the first point where |den| <= clearance."""
     num, den, partials = compiled
     size = len(points)
     d = _poly_column(den, cols, size)
@@ -630,6 +598,14 @@ def _evaluate_columns(compiled: tuple, cols: Sequence[Sequence[complex]], cleara
              zip(_poly_column(dn, cols, size), _poly_column(dd, cols, size), n, d)])
         for k, dn, dd in partials
     ]
+
+
+def _evaluate(compiled: tuple, xs: Sequence[complex], clearance: float, point,
+              slopes: bool = False) -> tuple:
+    """(f(x), [(slot, df/dx_slot), ...] if slopes else None) at coordinates
+    xs, named point in a PoleError: _evaluate_columns on a batch of one."""
+    values, partials = _evaluate_columns(compiled, [[x] for x in xs], clearance, [point], slopes)
+    return values[0], partials and [(k, col[0]) for k, col in partials]
 
 
 def rf_eval(f: RationalFunction, x, clearance: float = 1e-12) -> complex:

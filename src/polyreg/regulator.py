@@ -342,23 +342,20 @@ def standard_chain_elements(weight: int) -> List[Tuple[str, ChainElement]]:
     for p in range(2, weight):
         q = weight - p
         # degree of the compared forms is q + 1; a frame of k vectors is
-        # degenerate once k exceeds twice the variable count
-        for names, pool in (("t", uni), ("x,y", two), ("x,y,z", three)):
-            nvars = len(names.split(","))
-            if q + 1 > 2 * nvars:
-                continue
-            if nvars == 3 and q + 1 <= 4:
-                continue
-            if nvars == 2 and q + 1 <= 2:
-                continue
-            fvar = "t" if nvars == 1 else "x"
-            other = "t" if nvars == 1 else "y"
-            f = parse_function("(1-%s)/(1+%s)" % (fvar, other))
-            gs = [parse_function(g) for g in pool[:q]]
-            out.append(
-                ("{%s}_%d, %d slots, vars %s" % (f, p, q, names),
-                 bracket_tensor(f, p, gs))
-            )
+        # degenerate once k exceeds twice the variable count: take the fewest
+        # variables that carry it, ceil((q + 1) / 2), and none past three
+        nvars = (q + 2) // 2
+        if nvars > 3:
+            continue
+        names, pool = (("t", uni), ("x,y", two), ("x,y,z", three))[nvars - 1]
+        fvar = "t" if nvars == 1 else "x"
+        other = "t" if nvars == 1 else "y"
+        f = parse_function("(1-%s)/(1+%s)" % (fvar, other))
+        gs = [parse_function(g) for g in pool[:q]]
+        out.append(
+            ("{%s}_%d, %d slots, vars %s" % (f, p, q, names),
+             bracket_tensor(f, p, gs))
+        )
     # depth == weight, no slots: first square of the ladder
     f = parse_function("(1-t)/(1+t)")
     out.append(("{%s}_%d, 0 slots, vars t" % (f, weight), bracket_tensor(f, weight, [])))

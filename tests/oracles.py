@@ -16,10 +16,11 @@ compares the package with itself:
   * `beta_kp_recursive`: the beta_{k,p} recursions in Fractions, against the
     closed form `exact.beta_kp` and the integer recursion
     `exact._recursion_grid`;
-  * `rf_dir_derivative`, `value_and_partials` and `polynomial_evaluate`:
-    directional derivatives, values and partials one function and one call
-    at a time, and term-by-term polynomial values, against the one
-    evaluator of `funcfield` and its compiled term lists;
+  * `rf_dir_derivative`, `value_and_partials`, `terms_at` and
+    `polynomial_evaluate`: directional derivatives, values and partials one
+    function and one point at a time, and term-by-term sums of compiled
+    term lists and of polynomials, against the one (column) evaluator of
+    `funcfield` and its compiled term lists;
   * `form_variables`: the variables of forms read off their terms, for the
     references of form evaluation;
   * `reference_parse_function` and `reference_parse_element`: the function
@@ -61,7 +62,6 @@ from polyreg.funcfield import (
     RationalFunction,
     _as_mapping,
     _compile,
-    _poly_at,
     const,
     parse_function,
     sort_signed,
@@ -345,13 +345,24 @@ def value_and_partials(f: RationalFunction, point: dict) -> tuple:
     names = f.variables()
     num, den, partials = _compile(f, names)
     xs = [complex(point[name]) for name in names]
-    d = _poly_at(den, xs)
+    d = terms_at(den, xs)
     if abs(d) <= 1e-12:
         raise PoleError(f"denominator magnitude {abs(d):.3e} at {point}")
-    n = _poly_at(num, xs)
+    n = terms_at(num, xs)
     return n / d, [
-        (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d) for _, dn, dd in partials
+        (terms_at(dn, xs) * d - n * terms_at(dd, xs)) / (d * d) for _, dn, dd in partials
     ]
+
+
+def terms_at(terms: tuple, xs: Sequence[complex]) -> complex:
+    """A compiled term list at one point with coordinates xs, one term after
+    another: each term's factors multiplied in order, the terms summed."""
+    total = 0j
+    for coeff, powers in terms:
+        for k, e in powers:
+            coeff *= xs[k] ** e
+        total += coeff
+    return total
 
 
 def polynomial_evaluate(self: Polynomial, point: dict) -> complex:

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import alternation_bruteforce, form_variables, fresh_form_key, numeric_d
-from oracles import rf_dir_derivative, symbolic_elements
+from oracles import rf_dir_derivative, symbolic_elements, terms_at
 from polyreg import forms as F
 from polyreg import regulator as R
 from polyreg.cli import LOOP_CASES, TOP_FAMILIES
 from polyreg.funcfield import PoleError, one_minus, parse_function as pf
-from polyreg.funcfield import _as_mapping, _compile, _poly_at
+from polyreg.funcfield import _as_mapping, _compile
 from polyreg.funcfield import rf_eval
 from polyreg.polycomplex import bracket_tensor, delta, parse_element, pure_wedge, random_element
 from polyreg.polylog import sv_state
@@ -738,12 +738,12 @@ def reference_evaluate(a, x, vectors=()):
     for g, sv_argument, generator in plan.functions:
         num, den, _ = _compile(g, g.variables())
         xs = _reference_coords(g, xm)
-        d = _poly_at(den, xs)
+        d = terms_at(den, xs)
         try:
             _reference_pole_guard(d, F._CLEARANCE, xm)
         except PoleError as exc:
             raise F.GenericityError(str(exc))
-        n = _poly_at(num, xs)
+        n = terms_at(num, xs)
         val = n / d
         if abs(val) < F._CLEARANCE:
             raise F.GenericityError("function value too close to zero")
@@ -796,7 +796,7 @@ def _reference_pole_guard(d, clearance, point):
 def _reference_slopes(g, xs, n, d):
     """The partials (dg/dx_j)(x), one per variable of g."""
     return [
-        (_poly_at(dn, xs) * d - n * _poly_at(dd, xs)) / (d * d)
+        (terms_at(dn, xs) * d - n * terms_at(dd, xs)) / (d * d)
         for _, dn, dd in _compile(g, g.variables())[2]
     ]
 

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import BIG_POWER, polynomial_evaluate, reference_parse_function, rf_dir_derivative
+from oracles import value_and_partials
 from polyreg import forms as F
 from polyreg.funcfield import (
     PoleError,
@@ -174,14 +175,17 @@ def test_compiled_matches_polynomial_evaluation():
             assert rf_eval(f, x) == n / d
             assert rf_dir_derivative(f, x, v) == slope
             points.append(x)
-        # the columns over the five points hold each point's value and partials
+        # the columns over the five points hold each point's value and
+        # partials, as the term-by-term reference and a batch of one give them
         compiled = _compile(f, names)
         cols = [[x[n] for x in points] for n in names]
         values, partials = _evaluate_columns(compiled, cols, 1e-12, points, True)
         for i, x in enumerate(points):
             value, slopes = _evaluate(compiled, [x[n] for n in names], 1e-12, x, True)
-            assert bits([values[i]] + [col[i] for _, col in partials]) == bits(
-                [value] + [s for _, s in slopes])
+            got = bits([values[i]] + [col[i] for _, col in partials])
+            assert got == bits([value] + [s for _, s in slopes])
+            want, want_slopes = value_and_partials(f, x)
+            assert got == bits([want] + want_slopes)
             assert [k for k, _ in partials] == [k for k, _ in slopes]
 
 

@@ -14,14 +14,15 @@ which holds the cursor `_Reader`, defines `peek`, and the character loops
 that the cursor replaced are gone by name.
 
 Functions are evaluated in one place, and form terms read in one: no
-module of the package but `funcfield` calls `_poly_at`, `_poly_column` or
-`_terms`, the evaluator's polynomial parts, and none but `forms` reads the
+module of the package but `funcfield` calls `_poly_column` or `_terms`,
+the evaluator's polynomial parts, and none but `forms` reads the
 `.scalars` or `.generators` of a term.
 
 The package and the tests' references stay apart: no module of the package
-imports `oracles`, and no name that tests/oracles.py defines exists in a
-package module, so a check against an oracle never compares the package
-with itself.
+imports `oracles`, no name that tests/oracles.py defines exists in a
+package module, and tests/oracles.py imports none of the package's
+evaluator (`_poly_column`, `_evaluate`, `_evaluate_columns`), so a check
+against an oracle never compares the package with itself.
 
 mpmath is imported where it is used: no module of the package imports it at
 import time, and a fresh interpreter that imports `polyreg`, evaluates the
@@ -120,9 +121,19 @@ def test_no_oracle_name_in_the_package():
     assert "sv_transport" in names and clashes == []
 
 
+# the package's evaluator, which tests/oracles.py must not import
+EVALUATOR = {"_poly_column", "_evaluate", "_evaluate_columns"}
+
+
+def test_oracles_do_not_import_the_evaluator():
+    assert imported_modules((ROOT / "tests" / "oracles.py").read_text()) & EVALUATOR == set()
+
+
 def test_guard_scans_find_a_violation():
     source = "from . import oracles\nfrom oracles.sub import f\nX: int = 1\nY = Z = 2\n"
     assert {"oracles", "oracles.sub"} <= imported_modules(source)
+    evaluator = "from polyreg.funcfield import _compile, _evaluate as one\n"
+    assert imported_modules(evaluator) & EVALUATOR == {"_evaluate"}
     source += "import os\ndef g(): pass\nclass C: pass\n"
     assert module_level_names(source) == {"X", "Y", "Z", "g", "C"}
 
@@ -185,7 +196,7 @@ def test_lexer_scan_finds_a_second_lexer():
 
 
 # name -> the one package module that may use it: called, or read as an attribute
-OWNED_CALLS = {name: "funcfield.py" for name in ("_poly_at", "_poly_column", "_terms")}
+OWNED_CALLS = {name: "funcfield.py" for name in ("_poly_column", "_terms")}
 OWNED_ATTRIBUTES = {"scalars": "forms.py", "generators": "forms.py"}
 
 
@@ -211,11 +222,11 @@ def test_one_evaluator_and_one_reader_of_terms():
 
 def test_boundary_scan_finds_a_crossing():
     source = "for t in a.terms:\n    fs = [s[1] for s in t.scalars] + list(t.generators)\n"
-    source += "v = _poly_at(num, xs) / funcfield._terms(p, ())\n"
+    source += "v = _poly_column(num, cols, 1) / funcfield._terms(p, ())\n"
     assert boundary_findings(source, "regulator.py") == [
-        (2, "generators"), (2, "scalars"), (3, "_poly_at"), (3, "_terms")
+        (2, "generators"), (2, "scalars"), (3, "_poly_column"), (3, "_terms")
     ]
-    assert boundary_findings(source, "forms.py") == [(3, "_poly_at"), (3, "_terms")]
+    assert boundary_findings(source, "forms.py") == [(3, "_poly_column"), (3, "_terms")]
     assert boundary_findings(source, "funcfield.py") == [(2, "generators"), (2, "scalars")]
 
 

@@ -131,6 +131,11 @@ class TestHolomorphicPart:
         with pytest.raises(F.GenericityError):
             holomorphic_part([T], 0, [1])
 
+    def test_no_function_has_no_weight(self):
+        # the empty determinant is 1, and pi_0 does not exist
+        with pytest.raises(ValueError, match="weight must be >= 1"):
+            holomorphic_part([], 2, [])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))], ids=repr)
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
