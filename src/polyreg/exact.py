@@ -35,7 +35,7 @@ p * den * beta_{k,p} is an integer (_closed_sum).  The grid checks
 in integers: an identity a/b = c/d is tested as a * d == c * b.  Beyond the
 table's entries, a Fraction is built only where a value leaves the module:
 the closed values that BetaTable stores and the beta-table suite prints,
-the printed defects of a report, an error message.
+the printed defects of a report, a disagreement's text.
 
 Independence
 ------------
@@ -44,10 +44,15 @@ recursion route, _recursion_grid, shares only beta() with it, never reads
 the closed form, its memo or the numerators num, and must agree with it
 exactly.  Its integers p! * D * beta_{k,p}, over D = lcm of the
 denominators of beta(), meet the closed sums in one place, _beta_kp_cells,
-by cross-multiplication; BetaTable and the beta-table suite both take their
-verdicts from it.  The Fraction forms of both recursions (beta_{k,p} and
-the classical Bernoulli recurrence) are the tests' independent references
-(tests/oracles.py), not a second route in the package.
+by cross-multiplication, and its cells carry both values as (numerator,
+denominator) pairs.  BetaTable, the beta-table suite and the
+beta-recursion-grid verdict (_beta_grid_disagreement, which builds no
+table) all take their verdicts from it, and one function, _disagreement,
+writes the text of a cell where the routes differ, for BetaTable's
+AssertionError and the suite's case label alike.  The Fraction forms of
+both recursions (beta_{k,p} and the classical Bernoulli recurrence) are the
+tests' independent references (tests/oracles.py), not a second route in the
+package.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
+from typing import Optional
 
 __all__ = [
     "beta",
@@ -179,11 +185,12 @@ def _recursion_grid(max_k: int, max_p: int) -> tuple:
 
 def _beta_kp_cells(max_k: int, max_p: int):
     """Yield (k, p, value, other) for 0 <= k <= max_k, 1 <= p <= max_p, k
-    outer: value is the closed route's beta_{k,p}, and other is None where
-    the recursion route agrees with it, else the recursion's value.
-    The routes meet by integer cross-multiplication: p * den * beta_{k,p}
-    from _closed_sum against p! * D * beta_{k,p} from _recursion_grid.
-    An empty grid (max_k < 0 or max_p < 1) yields nothing."""
+    outer: value is the closed route's beta_{k,p} as an integer pair
+    (numerator, denominator), and other is None where the recursion route
+    agrees with it, else the recursion's value as such a pair.  The routes
+    meet by integer cross-multiplication: p * den * beta_{k,p} from
+    _closed_sum against p! * D * beta_{k,p} from _recursion_grid.  An empty
+    grid (max_k < 0 or max_p < 1) yields nothing."""
     if max_k < 0 or max_p < 1:
         return
     den, num = _table.common(max_k + max_p)
@@ -195,8 +202,27 @@ def _beta_kp_cells(max_k: int, max_p: int):
     for k in range(max_k + 1):
         for p in range(1, max_p + 1):
             closed, rec = _closed_sum(num, k, p), recursive[p][k]
-            other = None if closed * rec_den[p] == rec * den else Fraction(rec, p * rec_den[p])
-            yield k, p, Fraction(closed, p * den), other
+            other = None if closed * rec_den[p] == rec * den else (rec, p * rec_den[p])
+            yield k, p, (closed, p * den), other
+
+
+def _disagreement(k: int, p: int, value: tuple, other: tuple) -> str:
+    """The text of a cell of _beta_kp_cells where the routes disagree."""
+    return f"beta_kp routes disagree at (k,p)=({k},{p}): {Fraction(*value)} vs {Fraction(*other)}"
+
+
+def _check_grid(max_k: int, max_p: int) -> None:
+    """BetaTable's argument check."""
+    if max_k < 0 or max_p < 1:
+        raise ValueError("BetaTable: need max_k >= 0, max_p >= 1")
+
+
+def _beta_grid_disagreement(max_k: int, max_p: int) -> Optional[str]:
+    """BetaTable(max_k, max_p)'s verdict without its table: None where the
+    routes agree on every cell, else the text of its AssertionError."""
+    _check_grid(max_k, max_p)
+    return next((_disagreement(*cell) for cell in _beta_kp_cells(max_k, max_p)
+                 if cell[3] is not None), None)
 
 
 class BetaTable:
@@ -208,18 +234,15 @@ class BetaTable:
     """
 
     def __init__(self, max_k: int = 64, max_p: int = 64):
-        if max_k < 0 or max_p < 1:
-            raise ValueError("BetaTable: need max_k >= 0, max_p >= 1")
+        _check_grid(max_k, max_p)
         self.max_k = max_k
         self.max_p = max_p
         self.beta = {k: beta(k) for k in range(max_k + 1)}
         self.beta_kp = {}
         for k, p, value, other in _beta_kp_cells(max_k, max_p):
             if other is not None:
-                raise AssertionError(
-                    f"beta_kp routes disagree at (k,p)=({k},{p}): {value} vs {other}"
-                )
-            self.beta_kp[(k, p)] = value
+                raise AssertionError(_disagreement(k, p, value, other))
+            self.beta_kp[(k, p)] = Fraction(*value)
 
 
 def verify_row_identities(max_m: int) -> dict:

@@ -44,16 +44,22 @@ and every term as (complex coefficient, scalar indices, generator indices).
 A batch of samples walks the plan once, column by column: each function
 value, partial and guard is a column over the points from `funcfield`'s
 evaluator, each scalar a column, and each covector, cofactor minor, term
-weight and form total a column over the (sample, frame) pairs.  Each entry
-is the one-point arithmetic in its order, so the values are bit-identical
-to it.  So are the errors: the first failing sample raises its own (a
-failing batch is walked again a sample at a time), and a sample that cannot
-be read raises once the samples before it are evaluated.  The plan holds
-nothing that depends on a point.
+weight and form total a column over the (sample, frame) pairs.  The minors
+of a term's generator rows are built per row suffix, for every column set
+of its size at once, from one table per degree of each set's first-row
+expansion (`_expansions`), and kept per batch by suffix.  A guard's loop
+over its column runs only where a C-level pass over the column flags an
+entry (at the clearance or NaN).  Each entry is the one-point arithmetic in
+its order (`_det`'s expansion order, its zero skip and its 2x2 formula), so
+the values are bit-identical to it.  So are the errors: the first failing
+sample raises its own (a failing batch is walked again a sample at a time),
+and a sample that cannot be read raises once the samples before it are
+evaluated.  The plan holds nothing that depends on a point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -327,6 +333,7 @@ def _alternation(gs: Sequence[RationalFunction], split: int, log_prefixed: bool,
 
 # genericity guard of evaluate (pole, zero, sv argument at 1)
 _CLEARANCE = 1e-6
+_ONE = 1 + 0j  # _ONE.__rsub__(v) is v - 1.0, bit for bit
 
 
 def _det(mat: List[List[complex]]) -> complex:
@@ -413,26 +420,44 @@ def _plan(forms_: Tuple[Form, ...]) -> _Plan:
     return plan
 
 
-def _minor(rows: tuple, cols: tuple, cov: list, memo: dict) -> list:
-    """The determinants of cov restricted to rows x cols, a column over the
-    (sample, frame) pairs, each entry by _det's first-row cofactor
-    expansion; computed once per memo."""
-    if len(rows) == 1:
-        return cov[rows[0]][cols[0]]
-    key = (rows, cols)
-    out = memo.get(key)
+@functools.lru_cache(maxsize=None)
+def _expansions(degree: int) -> tuple:
+    """Per size m, the column sets of size m in range(degree), each with its
+    first-row cofactor expansion ((sign, column, the set without it), ...)
+    in _det's order."""
+    return tuple(
+        [(cols, tuple(((-1) ** j, c, cols[:j] + cols[j + 1 :]) for j, c in enumerate(cols)))
+         for cols in combinations(range(degree), m)]
+        for m in range(degree + 1)
+    )
+
+
+def _minor(rows: tuple, cov: list, memo: dict, expansions: tuple) -> dict:
+    """The determinants of cov restricted to rows x every column set of
+    their size, each a column over the (sample, frame) pairs, by _det's
+    first-row cofactor expansion with its zero skip; computed once per memo
+    and row suffix."""
+    out = memo.get(rows)
     if out is not None:
         return out
-    if len(rows) == 2:
-        a, b = cov[rows[0]], cov[rows[1]]
-        out = [p * q - r * s for p, q, r, s in zip(a[cols[0]], b[cols[1]], a[cols[1]], b[cols[0]])]
+    head = cov[rows[0]]
+    if len(rows) == 1:
+        out = {(c,): col for c, col in enumerate(head)}
+    elif len(rows) == 2:
+        b = cov[rows[1]]
+        out = {}
+        for (i, j), _ in expansions[2]:
+            out[i, j] = [p * q - r * s for p, q, r, s in zip(head[i], b[j], head[j], b[i])]
     else:
-        head, rest = cov[rows[0]], rows[1:]
-        out = [0j] * len(head[0])
-        for j, c in enumerate(cols):
-            sign, sub = (-1) ** j, _minor(rest, cols[:j] + cols[j + 1 :], cov, memo)
-            out = [o if h == 0 else o + sign * h * m for o, h, m in zip(out, head[c], sub)]
-    memo[key] = out
+        subs = _minor(rows[1:], cov, memo, expansions)
+        out = {}
+        for cols, terms in expansions[len(rows)]:
+            col = [0j] * len(head[0])
+            for sign, c, rest in terms:
+                col = [o if h == 0 else o + sign * h * m
+                       for o, h, m in zip(col, head[c], subs[rest])]
+            out[cols] = col
+    memo[rows] = out
     return out
 
 
@@ -457,11 +482,15 @@ def _walk(plan: _Plan, degree: int, batch: list) -> list:
             val, partials = _evaluate_columns(compiled, xcols, _CLEARANCE, points, generator)
         except PoleError as exc:
             raise GenericityError(str(exc)) from None
-        for v in val:
-            if abs(v) < _CLEARANCE:
-                raise GenericityError("function value too close to zero")
-            if sv_argument and abs(v - 1.0) < _CLEARANCE:
-                raise GenericityError("sv argument too close to 1")
+        # the per-entry guards run where a C-level pass flags an entry below
+        # the clearance or a NaN (which a min would pass over)
+        if not all(map(_CLEARANCE.__le__, map(abs, val))) or (sv_argument and not all(
+                map(_CLEARANCE.__le__, map(abs, map(_ONE.__rsub__, val))))):
+            for v in val:
+                if abs(v) < _CLEARANCE:
+                    raise GenericityError("function value too close to zero")
+                if sv_argument and abs(v - 1.0) < _CLEARANCE:
+                    raise GenericityError("sv argument too close to 1")
         values.append(val)
         if generator:  # Dg(x; v) / g(x) per vector of the frame
             val, partials = spread(val), [(k, spread(col)) for k, col in partials]
@@ -476,6 +505,7 @@ def _walk(plan: _Plan, degree: int, batch: list) -> list:
     cov = [[[complex(w.real, 0.0) for w in col] if dlog else [complex(0.0, w.imag) for w in col]
             for col in ratios[i]] for dlog, i in plan.generators]
     memo: dict = {}
+    expansions = _expansions(degree)
     weights: dict = {}  # (coefficient, scalar indices) -> their product's column
     cols = tuple(range(degree))
     totals = []
@@ -490,7 +520,7 @@ def _walk(plan: _Plan, degree: int, batch: list) -> list:
                     weight = [a * b for a, b in zip(weight, scalars[i])]
                 weights[term] = weight
             if degree:
-                minor = _minor(gidx, cols, cov, memo)
+                minor = _minor(gidx, cov, memo, expansions)[cols]
                 total = [t + a * b for t, a, b in zip(total, weight, minor)]
             else:
                 total = [t + a for t, a in zip(total, weight)]
@@ -518,7 +548,7 @@ def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[c
     try:
         for x, frames in samples:
             frames = list(frames)
-            if any(len(vectors) != degree for vectors in frames):
+            if not all(map(degree.__eq__, map(len, frames))):
                 raise ValueError("need exactly %d vectors" % degree)
             xm, xs = _coordinates(x, names)
             batch.append((xm, xs, [[_coordinates(v, names, 0j)[1] for v in vectors]

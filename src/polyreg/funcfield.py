@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import operator
 import re
 from fractions import Fraction
 from math import gcd as _intgcd
@@ -586,9 +587,11 @@ def _evaluate_columns(compiled: tuple, cols: Sequence[Sequence[complex]], cleara
     num, den, partials = compiled
     size = len(points)
     d = _poly_column(den, cols, size)
-    for b, point in zip(d, points):
-        if abs(b) <= clearance:
-            raise PoleError(f"denominator magnitude {abs(b):.3e} at {point}")
+    # the loop runs where a C-level pass flags an entry within the clearance or a NaN
+    if not all(map(functools.partial(operator.lt, clearance), map(abs, d))):
+        for b, point in zip(d, points):
+            if abs(b) <= clearance:
+                raise PoleError(f"denominator magnitude {abs(b):.3e} at {point}")
     n = _poly_column(num, cols, size)
     values = [a / b for a, b in zip(n, d)]
     if not slopes:

@@ -366,6 +366,10 @@ def chain_suite(
     weights: Sequence[int] = (3, 4, 5, 6), cfg: Optional[RegulatorConfig] = None
 ) -> dict:
     cfg = cfg or RegulatorConfig()
+    for w in weights:
+        if w < 2:  # no bracket of depth >= 2 fits
+            raise ValueError("no standard chain shapes at weight %d (a bracket has depth >= 2); "
+                             "the chain-map suite runs weights 3-6 by default" % w)
     cases = []
     for w in weights:
         for label, e in standard_chain_elements(w):

@@ -53,6 +53,15 @@ class TestExitCodes:
         assert code == 2
         assert "precision_bits must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["0", "1", "-1"])
+    def test_usage_error_chain_weight_without_shapes(self, capsys, weight):
+        # weight 0 used to read as no weight and run weights 3-6
+        code = run(["chain-check", "--weight", weight, "--samples", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no standard chain shapes at weight %s " % weight)
+        assert "weights 3-6" in err
+
     def test_usage_error_mis_split_term(self, capsys):
         # the '-' ends the slot, so '1' is a weight-1 term of its own
         code = run(["loop-check", "--weight", "4", "--element", "{t}_3 (x) t-1", "--at", "1"])

@@ -7,6 +7,7 @@ recursions of tests/oracles.py as second routes for both.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -380,7 +381,7 @@ def perturbed_table(request, monkeypatch):
     beta_kp_recursive.cache_clear()
 
 
-def test_integer_checks_fail_on_perturbed_table(perturbed_table):
+def test_integer_checks_fail_on_perturbed_table(perturbed_table, capsys):
     first = next(
         (k, p)
         for k in range(41)
@@ -395,6 +396,11 @@ def test_integer_checks_fail_on_perturbed_table(perturbed_table):
     with pytest.raises(AssertionError) as info:
         BetaTable(40, 40)
     assert str(info.value) == message
+    # the CLI's grid verdict, read without a BetaTable, names the same cell
+    assert cli.run(["verify-identities", "--json"]) == 1
+    (grid,) = [r for r in json.loads(capsys.readouterr().out)["results"]
+               if r["suite"] == "beta-recursion-grid"]
+    assert [(c["input"], c["pass"]) for c in grid["cases"]] == [(message, False)]
 
     rows = verify_row_identities(50)
     assert not rows["pass"] and rows["failures"]

@@ -1038,6 +1038,19 @@ class TestBatchedInput:
         once = ((x, iter(frames)) for x, frames in samples)
         assert F.evaluate_many((F.dlog(T),), once) == F.evaluate_many((F.dlog(T),), samples)
 
+    @pytest.mark.parametrize("text, small", [
+        ("log(x*y/(x*y+1))", {"x": 1e-4, "y": 1e-4, "z": 1}),  # a value below the clearance
+        ("log(1/(x*y-x*z))", {"x": 1, "y": 1, "z": 1 + 1e-8}),  # a denominator next to 0
+    ])
+    def test_nan_entry_before_a_guarded_one(self, text, small):
+        # the first sample's column entry is NaN (inf / inf or inf - inf);
+        # the guards still see the entry after it, as the reference does
+        a = F.parse_form(text)
+        samples = [({"x": 1e200, "y": 1e200, "z": 1e200}, [[]]), (small, [[]])]
+        expected = batch_outcome(lambda: reference_many((a,), samples))
+        assert issubclass(expected[0], F.GenericityError)
+        assert batch_outcome(lambda: F.evaluate_many((a,), samples)) == expected
+
     def test_shape_of_the_result(self):
         got = F.evaluate_many((F.dlog(T), F.diarg(T)), [(2, [[1], [1j]]), (1j, [[1]])])
         assert got == [[[0.5, 0j], [0j, 0.5j]], [[0j, -1j]]]

@@ -33,6 +33,12 @@ def mp_oracle(n, z):
     return complex(P.sv_polylog(n, z, precision_bits=130))
 
 
+def mp_oracle_state(n, z):
+    """mp_oracle at weights 1..n from one defining sum at 130 bits, its
+    guard bits those of weight n."""
+    return [complex(v) for v in P._sv_state_mp(n, z, 130)]
+
+
 class TestSeries:
     def test_frozen_values(self):
         assert abs(P.li(1, 0.5) - LN2) < 1e-15
@@ -157,12 +163,13 @@ class TestAccuracy:
     """The default double route against the 130-bit oracle, weights 1-8."""
 
     def test_seeded_regions(self):
-        bad = [
-            (region, n, z, err)
-            for region, z in seeded_points(2024, 12)
-            for n in range(1, 9)
-            if (err := scaled_error(n, z)) > 1e-14
-        ]
+        # one 130-bit defining sum per point serves weights 1-8: on these 48
+        # points its doubles equal mp_oracle(n, z) for each n, bit for bit
+        bad = []
+        for region, z in seeded_points(2024, 12):
+            refs = mp_oracle_state(8, z)
+            bad += [(region, n, z, err) for n in range(1, 9)
+                    if (err := floored_error(P.sv_polylog(n, z), refs[n - 1], z)) > 1e-14]
         assert not bad, bad
 
     @pytest.mark.parametrize("z", NAMED_POINTS, ids=repr)
@@ -562,15 +569,23 @@ def _hex(w):
 
 
 def test_li_series_power_table_bit_identical():
-    """The tabulated denominators give the reference series bit for bit."""
+    """The tabulated denominators, and the prefix summed without the stop
+    test, give the reference series bit for bit: on the disc |z| <= 1/2,
+    where the double routes call it, with |z| in [0.45, 0.5] where the
+    prefix is longest, out to |z| = 0.97, at subnormal |z|, and with stop
+    bounds from 2^-60 to 2^-1."""
     rng = random.Random(20)
     points = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0.5 + 0j, -0.5 + 0j]
     points += [cmath.rect(0.5, rng.uniform(-math.pi, math.pi)) for _ in range(40)]
     points += [cmath.rect(0.5 * rng.random(), rng.uniform(-math.pi, math.pi)) for _ in range(40)]
     points += [complex(x, s) for x in (0.25, -0.5, 0.5) for s in (0.0, -0.0)]
+    points += [cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+               for lo, hi, count in ((0.45, 0.5, 30), (0.5, 0.97, 12)) for _ in range(count)]
+    points += [complex(x, s) for x in (0.97, -0.96875, 0.984375) for s in (0.0, 1e-310)]
+    points += [5e-324 + 0j, complex(-1e-310, 2e-320), cmath.rect(2.0**-1030, 1.0)]
     for n in range(1, 10):
         for z in points:
-            for eps in (2.0**-53, 2.0**-20, 2.0**-60):
+            for eps in (2.0**-53, 2.0**-20, 2.0**-60, 2.0**-1):
                 got = P._li_series(n, z, eps)
                 assert _hex(got) == _hex(_li_series_reference(n, z, eps)), (n, z, eps)
 

@@ -262,6 +262,8 @@ class TestChainCheck:
         assert len(shapes) == 4
         rep = chain_suite(weights=(3,), cfg=RegulatorConfig(samples=3, seed=1))
         assert rep["pass"]
+        with pytest.raises(ValueError, match="weight 1 .*weights 3-6"):
+            chain_suite(weights=(3, 1), cfg=RegulatorConfig(samples=3, seed=1))
 
 
 class TestTopCheck:
