@@ -220,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_help, samples=20):
+    def common(p, tol_help=None, samples=20):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None, help=tol_help)
+        if tol_help:
+            p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--samples", type=int, default=samples, help="default %(default)s")
 
     p = sub.add_parser("beta", help="exact coefficient table")
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residue", help="residue/differential commutation suite")
     p.add_argument("--weight", type=int, default=3)
-    common(p, "ignored: the commutation is checked exactly")
+    common(p)
 
     p = sub.add_parser("chain-check", help="d(r(e)) == r(delta(e)) at generic frames")
     p.add_argument("--weight", type=int, default=None)
@@ -264,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default=None, help="comma-separated decreasing radii")
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--orientation", type=int, default=1, choices=(1, -1))
-    common(p, "bound on the defect of --element (default 1e-3); the default cases keep 1e-3")
+    p.add_argument("--tol", type=float, default=None,
+                   help="bound on the defect of --element (default 1e-3)")
 
     p = sub.add_parser("golden", help="symbolic comparison against stored formulas")
 

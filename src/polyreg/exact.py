@@ -45,14 +45,14 @@ the closed form, its memo or the numerators num, and must agree with it
 exactly.  Its integers p! * D * beta_{k,p}, over D = lcm of the
 denominators of beta(), meet the closed sums in one place, _beta_kp_cells,
 by cross-multiplication, and its cells carry both values as (numerator,
-denominator) pairs.  BetaTable, the beta-table suite and the
-beta-recursion-grid verdict (_beta_grid_disagreement, which builds no
-table) all take their verdicts from it, and one function, _disagreement,
-writes the text of a cell where the routes differ, for BetaTable's
-AssertionError and the suite's case label alike.  The Fraction forms of
-both recursions (beta_{k,p} and the classical Bernoulli recurrence) are the
-tests' independent references (tests/oracles.py), not a second route in the
-package.
+denominator) pairs.  The beta-table suite reads its cells, and one
+function, _beta_grid_disagreement, judges the grid and writes the text of
+the first cell where the routes differ: BetaTable's AssertionError and the
+beta-recursion-grid suite's case label, read without a table.  BetaTable's
+values are the closed route's, from the memo of beta_kp.  The Fraction
+forms of both recursions (beta_{k,p} and the classical Bernoulli
+recurrence) are the tests' independent references (tests/oracles.py), not
+a second route in the package.
 """
 
 from __future__ import annotations
@@ -206,43 +206,37 @@ def _beta_kp_cells(max_k: int, max_p: int):
             yield k, p, (closed, p * den), other
 
 
-def _disagreement(k: int, p: int, value: tuple, other: tuple) -> str:
-    """The text of a cell of _beta_kp_cells where the routes disagree."""
-    return f"beta_kp routes disagree at (k,p)=({k},{p}): {Fraction(*value)} vs {Fraction(*other)}"
-
-
-def _check_grid(max_k: int, max_p: int) -> None:
-    """BetaTable's argument check."""
+def _beta_grid_disagreement(max_k: int, max_p: int) -> Optional[str]:
+    """The recursion route's verdict on the grid of _beta_kp_cells: None
+    where it agrees with the closed route on every cell, else the text of
+    the first cell where they differ (BetaTable's AssertionError)."""
     if max_k < 0 or max_p < 1:
         raise ValueError("BetaTable: need max_k >= 0, max_p >= 1")
-
-
-def _beta_grid_disagreement(max_k: int, max_p: int) -> Optional[str]:
-    """BetaTable(max_k, max_p)'s verdict without its table: None where the
-    routes agree on every cell, else the text of its AssertionError."""
-    _check_grid(max_k, max_p)
-    return next((_disagreement(*cell) for cell in _beta_kp_cells(max_k, max_p)
-                 if cell[3] is not None), None)
+    for k, p, value, other in _beta_kp_cells(max_k, max_p):
+        if other is not None:
+            return (f"beta_kp routes disagree at (k,p)=({k},{p}): "
+                    f"{Fraction(*value)} vs {Fraction(*other)}")
+    return None
 
 
 class BetaTable:
     """Memoized beta / beta_kp tables, frozen after construction.
 
-    Both construction routes are compared on every entry (_beta_kp_cells).
-    A mismatch anywhere is a construction-time error, so shared read-only
-    use is safe.  The stored values are the closed route's Fractions.
+    Both construction routes are compared on every entry
+    (_beta_grid_disagreement).  A mismatch anywhere is a construction-time
+    error, so shared read-only use is safe.  The stored values are the
+    closed route's, from beta_kp.
     """
 
     def __init__(self, max_k: int = 64, max_p: int = 64):
-        _check_grid(max_k, max_p)
+        disagreement = _beta_grid_disagreement(max_k, max_p)
+        if disagreement is not None:
+            raise AssertionError(disagreement)
         self.max_k = max_k
         self.max_p = max_p
         self.beta = {k: beta(k) for k in range(max_k + 1)}
-        self.beta_kp = {}
-        for k, p, value, other in _beta_kp_cells(max_k, max_p):
-            if other is not None:
-                raise AssertionError(_disagreement(k, p, value, other))
-            self.beta_kp[(k, p)] = Fraction(*value)
+        self.beta_kp = {(k, p): beta_kp(k, p)
+                        for k in range(max_k + 1) for p in range(1, max_p + 1)}
 
 
 def verify_row_identities(max_m: int) -> dict:

@@ -12,15 +12,16 @@ terms and a scaled term fold an integral Fraction to its int).
 Weight-1 single-valued scalars are rewritten to -log|1-f| at construction.
 Generators are kept in a canonical order with the permutation sign tracked,
 and forms merged by term key, by the signed-combination core of `funcfield`
-(`sort_signed`, `Combination`); a repeated generator kills the term.  A
+(`sort_signed`, `Combination`); a repeated generator kills the term.  One
+function builds terms (`_keyed_term`) and one every weighted-alternation sum
+(`_alternation_sum`; `weighted_alternation` is its one-weight case).  A
 term's key is built once, from its factors' keys: each scalar and generator
-is keyed once where it is made, a product of terms (a wedge, a term of d, a
-parsed term) is built from the (key, factor) pairs its factors already
-hold (`FormTerm.pairs`, `_keyed_term`), and `scaled` copies pass the key
-on.  Sums collect their terms and merge once, a single-term form is built
-without a merge, and a weighted alternation is built as one term per slot
-assignment, each g keyed once.  The parser (`parse_form`) does the same
-from text: one build per term, one merge per form.
+is keyed once where it is made (each g of an alternation once), a product
+of terms (a wedge, a term of d, a parsed term) is built from the (key,
+factor) pairs its factors hold (`FormTerm.pairs`), and `scaled` copies pass
+the key on.  Sums collect their terms and merge once, and a single-term form
+is built without a merge.  The parser (`parse_form`) does the same from
+text: one build per term, one merge per form.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -156,12 +157,6 @@ def _keyed_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm
     return FormTerm(coefficient if sign > 0 else -coefficient, scalars, gens, (skeys, gkeys))
 
 
-def _make_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]:
-    """The term of coefficient and the factors, each keyed once here."""
-    return _keyed_term(coefficient, list(map(_scalar_pair, scalars)),
-                       list(map(_gen_pair, generators)))
-
-
 class Form(Combination):
     """Degree-homogeneous combination of terms; immutable."""
 
@@ -191,8 +186,9 @@ def form(degree: int, terms: Iterable[Optional[FormTerm]]) -> Form:
 
 
 def _single(degree: int, coefficient: Rational, scalars=(), generators=()) -> Form:
-    """The form of one term, built without a merge."""
-    t = _make_term(coefficient, scalars, generators)
+    """The form of one term, its factors keyed here, built without a merge."""
+    t = _keyed_term(coefficient, list(map(_scalar_pair, scalars)),
+                    list(map(_gen_pair, generators)))
     return Form(degree, () if t is None else (t,))
 
 
@@ -299,32 +295,32 @@ def weighted_alternation(
     log_prefixed True:  log|g_1| then dlog slots g_2..g_split then diarg.
     Equals the full alternation weighted by the stabilizer order.
     """
-    return form(len(gs) - 1 if log_prefixed else len(gs), _alternation(gs, split, log_prefixed))
+    return _alternation_sum(gs, log_prefixed, [(split, 1)])
 
 
-def _alternation(gs: Sequence[RationalFunction], split: int, log_prefixed: bool,
-                 c: Rational = 1) -> list:
-    """The terms of c * weighted_alternation(gs, split, log_prefixed), each
-    built with c or -c, unmerged."""
+def _alternation_sum(gs: Sequence[RationalFunction], log_prefixed: bool, weights) -> Form:
+    """The sum of c * weighted_alternation(gs, split, log_prefixed) over the
+    (split, c) pairs of weights: each term built with c or -c, one merge."""
     m = len(gs)
-    if not 0 <= split <= m or (log_prefixed and split < 1):
-        raise ValueError("invalid split for the alternation pattern")
     idx = list(range(m))
     leads = idx if log_prefixed else [None]  # the slot of log|g_lead|, if any
     logs = [_scalar_pair(("log", g)) for g in gs]
     dlogs = [_gen_pair(("dlog", g)) for g in gs]
     diargs = [_gen_pair(("diarg", g)) for g in gs]
     terms = []
-    for lead in leads:
-        rest = [i for i in idx if i != lead]
-        for dl in combinations(rest, split - 1 if log_prefixed else split):
-            di = [i for i in rest if i not in dl]
-            order = [*dl, *di] if lead is None else [lead, *dl, *di]
-            scalars = () if lead is None else (logs[lead],)
-            generators = [dlogs[i] for i in dl] + [diargs[i] for i in di]
-            sign = sort_signed(zip(order, order))[0]
-            terms.append(_keyed_term(c if sign > 0 else -c, scalars, generators))
-    return terms
+    for split, c in weights:
+        if not 0 <= split <= m or (log_prefixed and split < 1):
+            raise ValueError("invalid split for the alternation pattern")
+        for lead in leads:
+            rest = [i for i in idx if i != lead]
+            for dl in combinations(rest, split - 1 if log_prefixed else split):
+                di = [i for i in rest if i not in dl]
+                order = [*dl, *di] if lead is None else [lead, *dl, *di]
+                scalars = () if lead is None else (logs[lead],)
+                generators = [dlogs[i] for i in dl] + [diargs[i] for i in di]
+                sign = sort_signed(zip(order, order))[0]
+                terms.append(_keyed_term(c if sign > 0 else -c, scalars, generators))
+    return form(m - 1 if log_prefixed else m, terms)
 
 
 # ---------------------------------------------------------------------------

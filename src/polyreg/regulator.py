@@ -42,7 +42,7 @@ from .forms import (
     sv_pq,
     sv_scalar,
     weighted_alternation,
-    _alternation,
+    _alternation_sum,
     _det,
     _plan,
 )
@@ -115,15 +115,6 @@ def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) 
                     tails[split] = weighted_alternation(gs, split, True)
                 terms += (lead * c).wedge(tails[split]).terms
     return form(m, terms)
-
-
-def _alternation_sum(gs: Sequence[RationalFunction], log_prefixed: bool, weights) -> Form:
-    """sum of c * weighted_alternation(gs, split, log_prefixed) over the
-    (split, c) pairs of weights."""
-    terms = []
-    for split, c in weights:
-        terms += _alternation(gs, split, log_prefixed, c)
-    return form(len(gs) - 1 if log_prefixed else len(gs), terms)
 
 
 def _wedge_image(gs: Sequence[RationalFunction]) -> Form:

@@ -196,8 +196,9 @@ class TestAlternation:
             degree = len(gs) - 1 if prefixed else len(gs)
             for split in range(prefixed, len(gs) + 1):
                 for c in (1, -1, 3, Fraction(1, 3), Fraction(-2, 5)):
-                    got = F.form(degree, F._alternation(gs, split, prefixed, c))
+                    got = F._alternation_sum(gs, prefixed, [(split, c)])
                     want = F.weighted_alternation(gs, split, prefixed) * c
+                    assert got.degree == want.degree == degree
                     assert [(t.key(), type(t.coefficient), t.coefficient) for t in got.terms] == [
                         (t.key(), type(t.coefficient), t.coefficient) for t in want.terms]
 
@@ -831,11 +832,9 @@ def reference_exterior_derivative(a):
     for t in a.terms:
         for i, s in enumerate(t.scalars):
             rest = t.scalars[:i] + t.scalars[i + 1 :]
-            out += [
-                F._make_term(t.coefficient * u.coefficient, rest + u.scalars,
-                             u.generators + t.generators)
-                for u in F._d_scalar(s).terms
-            ]
+            for u in F._d_scalar(s).terms:
+                out += F._single(a.degree + 1, t.coefficient * u.coefficient,
+                                 rest + u.scalars, u.generators + t.generators).terms
     return F.form(a.degree + 1, out)
 
 
