@@ -171,8 +171,14 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     if getattr(args, "element", None) and args.weight is None:
         raise ValueError("--element needs --weight")
     if command == "beta":
+        if args.max_k < 0:
+            raise ValueError("beta: --max-k must be >= 0")
+        if args.max_p < 1:
+            raise ValueError("beta: --max-p must be >= 1")
         return [_beta_report(args.max_k, args.max_p)]
     if command == "verify-identities":
+        if args.max_k < 1:  # the beta-recursion grid is k <= max_k, 1 <= p <= max_k
+            raise ValueError("verify-identities: --max-k must be >= 1")
         return _identities_report(args.max_m, args.max_n, args.max_p, args.max_k)
     if command == "sv-polylog":
         return [_sv_report(args.weight, args.at, args.precision)]
@@ -194,9 +200,12 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     if command == "loop-check":
         if args.element:
             cases = [(args.weight, args.element, args.at, args.orientation)]
+        elif args.weight is not None or args.tol is not None:
+            raise ValueError("loop-check: --weight and --tol apply to --element only;"
+                             " the default cases keep their weights and 1e-3")
         else:
             cases = LOOP_CASES
-        tol = 1e-3 if args.tol is None or not args.element else args.tol
+        tol = 1e-3 if args.tol is None else args.tol
         return [
             loop_residue_check(
                 w, parse_element(text, weight=w), at, cfg, orientation=sign, tol=tol

@@ -251,6 +251,10 @@ def residue_chain_check(weight: int, samples: int = 20, seed: int = 0) -> dict:
     """
     if weight < 2:
         raise ValueError("weight must be >= 2")
+    if weight > len(_WEDGE_POOL) + 1:
+        raise ValueError("weight must be <= %d: from weight %d on, a wedge of weight - 2 "
+                         "slots can outnumber the %d wedge-pool functions besides the bracket's"
+                         % (len(_WEDGE_POOL) + 1, len(_WEDGE_POOL) + 2, len(_WEDGE_POOL) - 1))
     rng = random.Random(seed)
     valuations = [Valuation.finite(0), Valuation.finite(1), Valuation.infinity()]
     signs = set()

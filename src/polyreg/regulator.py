@@ -358,8 +358,10 @@ def chain_suite(
 ) -> dict:
     cfg = cfg or RegulatorConfig()
     for w in weights:
-        if w < 2:  # no bracket of depth >= 2 fits
-            raise ValueError("no standard chain shapes at weight %d (a bracket has depth >= 2); "
+        # below 2 no bracket of depth >= 2 fits; above 6 a 5-slot shape needs
+        # a fourth variable (see standard_chain_elements)
+        if not 2 <= w <= 6:
+            raise ValueError("no standard chain shapes at weight %d (they cover weights 2-6); "
                              "the chain-map suite runs weights 3-6 by default" % w)
     cases = []
     for w in weights:

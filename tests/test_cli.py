@@ -53,14 +53,45 @@ class TestExitCodes:
         assert code == 2
         assert "precision_bits must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weight", ["0", "1", "-1"])
+    @pytest.mark.parametrize("weight", ["0", "1", "-1", "7", "12"])
     def test_usage_error_chain_weight_without_shapes(self, capsys, weight):
-        # weight 0 used to read as no weight and run weights 3-6
+        # weight 0 used to read as no weight and run weights 3-6, and from 7
+        # on a 5-slot shape was cut to the 4 functions of three variables
         code = run(["chain-check", "--weight", weight, "--samples", "1"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: no standard chain shapes at weight %s " % weight)
         assert "weights 3-6" in err
+
+    @pytest.mark.parametrize("option, value", [("--max-k", "-1"), ("--max-p", "0")])
+    def test_usage_error_empty_beta_table(self, capsys, option, value):
+        # an empty table used to pass
+        assert run(["beta", option, value]) == 2
+        assert capsys.readouterr().err.startswith("error: beta: %s must be >= " % option)
+
+    def test_usage_error_identities_grid_names_max_k(self, capsys):
+        assert run(["verify-identities", "--max-k", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: verify-identities: --max-k must be >= 1")
+
+    @pytest.mark.parametrize("weight", ["10", "11", "12"])
+    def test_usage_error_residue_weight_past_the_pool(self, capsys, weight):
+        # the sampler used to run out of wedge functions, at weight 10 for
+        # most seeds
+        assert run(["residue", "--weight", weight, "--samples", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: weight must be <= 9: ")
+
+    @pytest.mark.parametrize("option", [["--weight", "2"], ["--tol", "0.5"]], ids=" ".join)
+    def test_usage_error_loop_option_without_element(self, capsys, option):
+        # both used to be ignored, and --tol echoed in the manifest
+        assert run(["loop-check", *option, "--json"]) == 2
+        assert "apply to --element only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["residue", "--tol", "1e-3"],
+                                      ["loop-check", "--seed", "1"],
+                                      ["loop-check", "--samples", "3"]], ids=" ".join)
+    def test_usage_error_option_no_suite_reads(self, capsys, argv):
+        assert run(argv) == 2
+        assert "unrecognized arguments: %s" % " ".join(argv[1:]) in capsys.readouterr().err
 
     def test_usage_error_mis_split_term(self, capsys):
         # the '-' ends the slot, so '1' is a weight-1 term of its own
@@ -129,6 +160,9 @@ class TestReports:
         assert case["max_defect"] < 1e-6
         # every term reduces to zero: the element keeps the degree it is written in
         assert run(["chain-check", "--weight", "4", "--element", "{1}_3 (x) t"]) == 0
+        # an element of its own is checked past the standard shapes' weights
+        element = "{(1-t)/(1+t)}_5 (x) t ^ (t+2)"
+        assert run(["chain-check", "--weight", "7", "--element", element, "--samples", "1"]) == 0
 
     def test_loop_check_defaults(self, capsys):
         code, out = run_json(capsys, ["loop-check", "--json"])
