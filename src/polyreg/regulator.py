@@ -4,7 +4,10 @@ The dictionary: a depth-p bracket carrying m wedge slots goes to a
 degree-m form assembled from single-valued polylogarithm scalars and
 the two weighted-alternation patterns; a pure wedge goes to the
 alternating log/dlog/diarg combination with odd harmonic coefficients.
-Everything extends Z-linearly over the terms of an element.
+Everything extends Z-linearly over the terms of an element.  A bracket
+image is built once per (depth, slots), by the direct builder on free atoms
+(`_bracket_shape`), and r_map puts each term's functions into it (`forms`
+docstring, "Free shapes").
 
 Three numeric suites probe the defining identities at generic points:
 
@@ -21,6 +24,7 @@ closed forms kept under golden/.
 """
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -44,7 +48,10 @@ from .forms import (
     weighted_alternation,
     _alternation_sum,
     _det,
+    _free_atoms,
+    _free_shape,
     _plan,
+    _substitute,
 )
 from .funcfield import (
     PoleError,
@@ -117,6 +124,14 @@ def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) 
     return form(m, terms)
 
 
+@functools.lru_cache(maxsize=None)
+def _bracket_shape(n: int, m: int) -> tuple:
+    """The free shape of _bracket_image(n, f, (g_1, ..., g_m)), on the atoms
+    (f, 1 - f, g_1, ..., g_m)."""
+    atoms = _free_atoms(m)
+    return _free_shape(_bracket_image(n, atoms[0], atoms[2:]), atoms)
+
+
 def _wedge_image(gs: Sequence[RationalFunction]) -> Form:
     """Image of a pure wedge g_1^...^g_m.
 
@@ -135,11 +150,13 @@ def r_map(e: ChainElement) -> Form:
     """The regulator form of a chain element, extended Z-linearly."""
     terms = []
     for t in e.terms:
+        if t.depth >= 2 and t.wedge:  # its shape's image with t's functions put in
+            f = t.argument
+            terms += _substitute(_bracket_shape(t.depth, len(t.wedge)),
+                                 (f, one_minus(f), *t.wedge), t.coefficient)
+            continue
         if t.depth >= 2:
-            if t.wedge:
-                img = _bracket_image(t.depth, t.argument, t.wedge)
-            else:
-                img = sv_scalar(t.depth, t.argument)
+            img = sv_scalar(t.depth, t.argument)
         elif t.depth == 0 and t.wedge:
             img = _wedge_image(t.wedge)
         else:

@@ -31,7 +31,11 @@ compares the package with itself:
     chain term computed afresh from its factors, against the key each term
     is built with;
   * `symbolic_elements`: the chain elements of the benchmark's `symbolic`
-    workload, built from the specs of `perfbench/gen.py`.
+    workload, built from the specs of `perfbench/gen.py`, and
+    `collision_elements`: elements whose functions coincide once put into
+    the slots (f, 1 - f, g_1, ...) of a free shape;
+  * `form_record`: what a comparison of two built forms reads, down to the
+    type of each coefficient.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from polyreg.funcfield import (
     _as_mapping,
     _compile,
     const,
+    one_minus,
     parse_function,
     sort_signed,
     var,
@@ -612,7 +617,7 @@ def _split_wedge(s: str):
 
 
 # ---------------------------------------------------------------------------
-# term keys computed afresh, and the benchmark's symbolic elements
+# term keys computed afresh, forms as compared, and test elements
 
 
 def fresh_form_key(t) -> tuple:
@@ -620,6 +625,11 @@ def fresh_form_key(t) -> tuple:
     scalars = tuple((0, "", s[1].key()) if s[0] == "log" else (1, s[1], s[2].key())
                     for s in t.scalars)
     return scalars, tuple((kind, g.key()) for kind, g in t.generators)
+
+
+def form_record(a: Form) -> tuple:
+    """(degree, each term's (key, coefficient, coefficient type), text)."""
+    return a.degree, [(t.key(), t.coefficient, type(t.coefficient)) for t in a.terms], str(a)
 
 
 def fresh_chain_key(t) -> tuple:
@@ -642,3 +652,18 @@ def symbolic_elements(seed: int, count: int) -> list:
         wedge = [parse_function(g) for g in wedge]
         out.append(bracket_tensor(parse_function(bracket), depth, wedge, coefficient))
     return out
+
+
+def collision_elements() -> list:
+    """Elements of weights 3 to 6 whose slots coincide: g = f, g = 1 - f,
+    the constant f = 1/2 (so f = 1 - f), a repeated wedge entry, and two
+    brackets whose images cancel in part ({f}_2 and {1 - f}_2 on one g)."""
+    f, g, t, half = (parse_function(s) for s in ("(1-t)/(1+t)", "t+2", "t", "1/2"))
+    out = []
+    for n in (2, 3, 4):
+        out += [bracket_tensor(f, n, [f]), bracket_tensor(f, n, [one_minus(f), g]),
+                bracket_tensor(f, n, [f, one_minus(f)]), bracket_tensor(half, n, [g]),
+                bracket_tensor(half, n, [g, t]), bracket_tensor(half, n, [half]),
+                bracket_tensor(f, n, [g, g]), bracket_tensor(half, n, [])]
+    return out + [bracket_tensor(f, 2, [g], 3) + bracket_tensor(one_minus(f), 2, [g], 3),
+                  bracket_tensor(f, 2, [g, t], -2) + bracket_tensor(one_minus(f), 2, [g, t], -2)]

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alternation_bruteforce, form_variables, fresh_form_key, numeric_d
+from oracles import alternation_bruteforce, collision_elements, form_record, form_variables
+from oracles import fresh_form_key, numeric_d
 from oracles import rf_dir_derivative, symbolic_elements, terms_at
 from polyreg import forms as F
 from polyreg import regulator as R
@@ -848,6 +849,51 @@ class TestDerivativeAgainstReference:
             got, want = F.exterior_derivative(a), reference_exterior_derivative(a)
             assert got == want
             assert (got.degree, F.format_form(got)) == (want.degree, F.format_form(want))
+
+
+SV_ARGUMENTS = [T, OM, pf("1/2"), pf("(1-t)/(1+t)")]  # 1/2 = 1 - 1/2
+
+
+class TestDerivativeFreeShape:
+    """d sv(p, f) is the free shape of `_d_scalar` on (f, 1 - f) with f and
+    1 - f put in; every d equals the reference's, which builds each scalar's
+    d directly, term by term, coefficient types and text included."""
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    @pytest.mark.parametrize("f", SV_ARGUMENTS, ids=str)
+    def test_sv_scalar(self, p, f):
+        a = F.sv_scalar(p, f).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
+        want = F._d_scalar(("sv", p, f)).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
+        want += F.sv_scalar(p, f).wedge(F.dlog(one_minus(f))).wedge(F.dlog(f))
+        assert form_record(F.exterior_derivative(a)) == form_record(want)
+        assert form_record(F.exterior_derivative(a)) == form_record(reference_exterior_derivative(a))
+
+    @pytest.mark.parametrize("e", [random_element(w, random.Random(s))
+                                   for w in range(3, 9) for s in range(3)] + collision_elements(),
+                             ids=str)
+    def test_images(self, e):
+        image = R.r_map(e)
+        got = F.exterior_derivative(image)
+        assert form_record(got) == form_record(reference_exterior_derivative(image))
+
+    def test_reference_builds_directly(self, monkeypatch):
+        a = R.r_map(bracket_tensor(T, 4, [pf("t+2")]))
+        want = reference_exterior_derivative(a)
+
+        def refuse(*args):
+            raise AssertionError("substituted into a free shape")
+
+        monkeypatch.setattr(F, "_substitute", refuse)
+        assert form_record(reference_exterior_derivative(a)) == form_record(want)
+        with pytest.raises(AssertionError, match="free shape"):
+            F.exterior_derivative(a)
+
+    def test_a_changed_shape_fails_the_comparison(self, monkeypatch):
+        a = F.sv_scalar(4, T)
+        factors, ((c, sidx, gidx), *rest) = F._d_sv_shape(4)
+        changed = (factors, ((c * 2, sidx, gidx), *rest))
+        monkeypatch.setattr(F, "_d_sv_shape", lambda p: changed)
+        assert form_record(F.exterior_derivative(a)) != form_record(reference_exterior_derivative(a))
 
 
 # sha256 of the texts of r(e), d r(e) and r(delta e), one per line, for the

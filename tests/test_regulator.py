@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rf_dir_derivative
+from oracles import collision_elements, form_record, rf_dir_derivative
 from polyreg import forms as F
+from polyreg import regulator as R
 from polyreg.cli import TOP_FAMILIES
 from polyreg.funcfield import PoleError, _as_mapping, one_minus, rf_eval
 from polyreg.funcfield import parse_function as pf
@@ -96,6 +97,49 @@ def test_construction_pinned():
     assert digest.hexdigest() == (
         "ab75de56f9a05f70a13dfe3dfc49bb338207c2a564e0410270e8d973e41de0e2"
     )
+
+
+def direct_r_map(e):
+    """r_map with each bracket image built by `_bracket_image` on e's own
+    functions, where r_map substitutes them into the free shape."""
+    terms = []
+    for t in e.terms:
+        if t.depth >= 2:
+            img = (R._bracket_image(t.depth, t.argument, t.wedge) if t.wedge
+                   else F.sv_scalar(t.depth, t.argument))
+        else:
+            img = R._wedge_image(t.wedge)
+        terms += (img * t.coefficient).terms
+    return F.form(max(e.degree - 1, 0), terms)
+
+
+RANDOM_ELEMENTS = [random_element(w, random.Random(s)) for w in range(3, 9) for s in range(6)]
+
+
+class TestFreeShapes:
+    """r_map substitutes each term's functions into the image built once per
+    (depth, slots) on free atoms; the forms are those of the direct builder,
+    term by term, coefficient types and text included."""
+
+    @pytest.mark.parametrize("e", RANDOM_ELEMENTS + collision_elements(), ids=str)
+    def test_images_as_built_directly(self, e):
+        assert form_record(r_map(e)) == form_record(direct_r_map(e))
+        if e.degree < e.weight and not e.is_zero():
+            assert form_record(r_map(delta(e))) == form_record(direct_r_map(delta(e)))
+
+    def test_a_changed_shape_fails_the_comparison(self, monkeypatch):
+        e = bracket_tensor(FVAR, 3, [G, T])
+        factors, ((c, sidx, gidx), *rest) = R._bracket_shape(3, 2)
+        changed = (factors, ((c + 1, sidx, gidx), *rest))
+        monkeypatch.setattr(R, "_bracket_shape", lambda n, m: changed)
+        assert form_record(r_map(e)) != form_record(direct_r_map(e))
+
+    def test_one_shape_per_depth_and_slots(self):
+        R._bracket_shape.cache_clear()
+        for f, gs in ((FVAR, [G]), (T, [pf("t+2")]), (pf("1/2"), [FVAR])):
+            r_map(bracket_tensor(f, 3, gs, 2))
+        info = R._bracket_shape.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestGolden:
