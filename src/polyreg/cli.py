@@ -57,6 +57,8 @@ TOP_FAMILIES = (
     "x;y;x+2*y;x+1",
 )
 
+_LOOP_AT = "0"  # the point of loop-check --element without --at, and of each LOOP_CASES case
+
 LOOP_CASES = (
     (2, "(t+2)^t", "0", 1),
     (2, "(t+2)^t", "0", -1),
@@ -105,6 +107,8 @@ def _config_dict(cfg: RegulatorConfig, args) -> dict:
     out = asdict(cfg)
     out["loop_radii"] = list(out["loop_radii"])
     out.update((name, getattr(args, name)) for name in _ECHOED.get(args.command, ()))
+    if args.command == "loop-check" and args.at is None:
+        out["at"] = _LOOP_AT  # the point the run used
     return out
 
 
@@ -183,6 +187,9 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     if command == "sv-polylog":
         return [_sv_report(args.weight, args.at, args.precision)]
     if command == "polylog-symmetries":
+        if args.weight < 2:
+            raise ValueError("polylog-symmetries: --weight %d; the suite runs weights >= 2"
+                             % args.weight)
         tol = 1e-8 if args.tol is None else args.tol
         return [
             sv_polylog_check_symmetries(args.weight, samples=cfg.samples, tol=tol, seed=cfg.seed)
@@ -199,10 +206,12 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
         return [_top_report(f, cfg) for f in families]
     if command == "loop-check":
         if args.element:
-            cases = [(args.weight, args.element, args.at, args.orientation)]
-        elif args.weight is not None or args.tol is not None:
-            raise ValueError("loop-check: --weight and --tol apply to --element only;"
-                             " the default cases keep their weights and 1e-3")
+            at = _LOOP_AT if args.at is None else args.at
+            cases = [(args.weight, args.element, at, args.orientation or 1)]
+        elif any(v is not None for v in (args.weight, args.tol, args.at, args.orientation)):
+            raise ValueError("loop-check: --weight, --tol, --at and --orientation apply to"
+                             " --element only; the default cases keep their own weights,"
+                             " points and orientations, and 1e-3")
         else:
             cases = LOOP_CASES
         tol = 1e-3 if args.tol is None else args.tol
@@ -270,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loop-check", help="loop integral against 2*pi*i residues")
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--element", default=None, help=ELEMENT_HELP)
-    p.add_argument("--at", default="0")
+    p.add_argument("--at", default=None, help="point of --element (default %s)" % _LOOP_AT)
     p.add_argument("--radii", default=None, help="comma-separated decreasing radii")
     p.add_argument("--nodes", type=int, default=256)
-    p.add_argument("--orientation", type=int, default=1, choices=(1, -1))
+    p.add_argument("--orientation", type=int, default=None, choices=(1, -1),
+                   help="of --element's loops (default 1)")
     p.add_argument("--tol", type=float, default=None,
                    help="bound on the defect of --element (default 1e-3)")
 

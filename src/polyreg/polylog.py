@@ -484,6 +484,9 @@ def sv_polylog_check_symmetries(
     five-term relation.  Returns a report dict with per-case defects."""
     import random
 
+    if n < 2:  # L_1(1/z) = L_1(z) + log|z|: the weight-n inversion starts at 2
+        raise ValueError("the symmetry checks run weights >= 2, got %d" % n)
+
     rng = random.Random(seed)
     sign = -1.0 if n % 2 == 0 else 1.0
     cases = []

@@ -80,11 +80,20 @@ class TestExitCodes:
         assert run(["residue", "--weight", weight, "--samples", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: weight must be <= 9: ")
 
-    @pytest.mark.parametrize("option", [["--weight", "2"], ["--tol", "0.5"]], ids=" ".join)
+    @pytest.mark.parametrize("option", [["--weight", "2"], ["--tol", "0.5"], ["--at", "1"],
+                                        ["--orientation", "-1"]], ids=" ".join)
     def test_usage_error_loop_option_without_element(self, capsys, option):
-        # both used to be ignored, and --tol echoed in the manifest
+        # each used to be ignored, and --tol and --at echoed in the manifest
         assert run(["loop-check", *option, "--json"]) == 2
         assert "apply to --element only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["1", "0", "-1"])
+    def test_usage_error_symmetry_weight_below_two(self, capsys, weight):
+        # weight 1 used to fail its inversion case: L_1(1/z) = L_1(z) + log|z|
+        assert run(["polylog-symmetries", "--weight", weight, "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: polylog-symmetries: --weight %s; " % weight)
+        assert "weights >= 2" in err
 
     @pytest.mark.parametrize("argv", [["residue", "--tol", "1e-3"],
                                       ["loop-check", "--seed", "1"],

@@ -299,6 +299,12 @@ class TestSymmetries:
         rep = P.sv_polylog_check_symmetries(n, samples=6, tol=1e-8, seed=5)
         assert rep["pass"], rep
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_refuses_weights_below_two(self, n):
+        # the weight-1 inversion is L_1(1/z) = L_1(z) + log|z|, not the one checked
+        with pytest.raises(ValueError, match="weights >= 2"):
+            P.sv_polylog_check_symmetries(n, samples=1)
+
     def test_determinism(self):
         a = P.sv_polylog_check_symmetries(2, samples=4, tol=1e-8, seed=9)
         b = P.sv_polylog_check_symmetries(2, samples=4, tol=1e-8, seed=9)
@@ -657,14 +663,16 @@ def test_no_silent_underflow(z):
 def test_seeded_points_far_from_the_unit_circle():
     """Six points with |z| = 10^(+-U(30, 300)) and a uniform phase: at
     weights 9 to 60 the double value holds the 130-bit route's to
-    TestAccuracy's bound, and at weight 60 that route agrees with 400 bits."""
+    TestAccuracy's bound, and at weight 60 that route agrees with 400 bits.
+    The 130-bit values come from one defining sum per point at weight 60,
+    which gives sv_polylog(n, z, precision_bits=130) at these weights and
+    points bit for bit."""
     rng = random.Random(2025)
     for _ in range(6):
         z = 10 ** (rng.choice((-1, 1)) * rng.uniform(30.0, 300.0))
         z *= cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        state = P._sv_state_mp(60, z, 130)
+        fine = P.sv_polylog(60, z, precision_bits=400)
+        assert abs(state[59] - fine) <= 1e-30 * abs(state[59]), z
         for n in (9, 20, 40, 60):
-            reference = P.sv_polylog(n, z, precision_bits=130)
-            if n == 60:
-                fine = P.sv_polylog(n, z, precision_bits=400)
-                assert abs(reference - fine) <= 1e-30 * abs(reference), z
-            assert floored_error(P.sv_polylog(n, z), complex(reference), z) <= 1e-14, (n, z)
+            assert floored_error(P.sv_polylog(n, z), complex(state[n - 1]), z) <= 1e-14, (n, z)
