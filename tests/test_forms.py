@@ -860,21 +860,20 @@ class TestDerivativeFreeShape:
     d directly, term by term, coefficient types and text included."""
 
     @pytest.mark.parametrize("p", range(2, 9))
-    @pytest.mark.parametrize("f", SV_ARGUMENTS, ids=str)
-    def test_sv_scalar(self, p, f):
-        a = F.sv_scalar(p, f).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
-        want = F._d_scalar(("sv", p, f)).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
-        want += F.sv_scalar(p, f).wedge(F.dlog(one_minus(f))).wedge(F.dlog(f))
-        assert form_record(F.exterior_derivative(a)) == form_record(want)
-        assert form_record(F.exterior_derivative(a)) == form_record(reference_exterior_derivative(a))
+    def test_sv_scalar(self, p):
+        for f in SV_ARGUMENTS:
+            a = F.sv_scalar(p, f).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
+            want = F._d_scalar(("sv", p, f)).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
+            want += F.sv_scalar(p, f).wedge(F.dlog(one_minus(f))).wedge(F.dlog(f))
+            got = form_record(F.exterior_derivative(a))
+            assert got == form_record(want) == form_record(reference_exterior_derivative(a)), f
 
-    @pytest.mark.parametrize("e", [random_element(w, random.Random(s))
-                                   for w in range(3, 9) for s in range(3)] + collision_elements(),
-                             ids=str)
-    def test_images(self, e):
-        image = R.r_map(e)
-        got = F.exterior_derivative(image)
-        assert form_record(got) == form_record(reference_exterior_derivative(image))
+    def test_images(self):
+        elements = [random_element(w, random.Random(s)) for w in range(3, 9) for s in range(3)]
+        for e in elements + collision_elements():
+            image = R.r_map(e)
+            got = F.exterior_derivative(image)
+            assert form_record(got) == form_record(reference_exterior_derivative(image)), str(e)
 
     def test_reference_builds_directly(self, monkeypatch):
         a = R.r_map(bracket_tensor(T, 4, [pf("t+2")]))

@@ -113,19 +113,17 @@ def direct_r_map(e):
     return F.form(max(e.degree - 1, 0), terms)
 
 
-RANDOM_ELEMENTS = [random_element(w, random.Random(s)) for w in range(3, 9) for s in range(6)]
-
-
 class TestFreeShapes:
     """r_map substitutes each term's functions into the image built once per
     (depth, slots) on free atoms; the forms are those of the direct builder,
     term by term, coefficient types and text included."""
 
-    @pytest.mark.parametrize("e", RANDOM_ELEMENTS + collision_elements(), ids=str)
-    def test_images_as_built_directly(self, e):
-        assert form_record(r_map(e)) == form_record(direct_r_map(e))
-        if e.degree < e.weight and not e.is_zero():
-            assert form_record(r_map(delta(e))) == form_record(direct_r_map(delta(e)))
+    def test_images_as_built_directly(self):
+        elements = [random_element(w, random.Random(s)) for w in range(3, 9) for s in range(6)]
+        for e in elements + collision_elements():
+            assert form_record(r_map(e)) == form_record(direct_r_map(e)), str(e)
+            if e.degree < e.weight and not e.is_zero():
+                assert form_record(r_map(delta(e))) == form_record(direct_r_map(delta(e))), str(e)
 
     def test_a_changed_shape_fails_the_comparison(self, monkeypatch):
         e = bracket_tensor(FVAR, 3, [G, T])
