@@ -57,7 +57,7 @@ TOP_FAMILIES = (
     "x;y;x+2*y;x+1",
 )
 
-_LOOP_AT = "0"  # the point of loop-check --element without --at, and of each LOOP_CASES case
+_LOOP_AT = "0"  # the point of loop-check --element when --at is not given
 
 LOOP_CASES = (
     (2, "(t+2)^t", "0", 1),
