@@ -144,7 +144,11 @@ def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[d
 def _sv_report(weight: int, at: str, precision: int) -> dict:
     if precision <= 53:
         z = complex(at.replace("i", "j").replace(" ", ""))
-        value = sv_polylog(weight, z, precision_bits=precision)
+        try:
+            value = sv_polylog(weight, z, precision_bits=precision)
+        except OverflowError:
+            raise ValueError("sv-polylog: L_%d(%s) is outside the double range; "
+                             "it needs --precision > 53" % (weight, at)) from None
         rendered = [value.real, value.imag]
     else:
         import mpmath as mp

@@ -23,14 +23,14 @@ the key on.  Sums collect their terms and merge once, and a single-term form
 is built without a merge.  The parser (`parse_form`) does the same from
 text: one build per term, one merge per form.
 
-Free shapes: a bracket image of `regulator` and d of an sv scalar are one
-formula each in the atoms f, 1 - f and g_1, ..., g_m, and substitution
-commutes with every step that builds them.  So each is built once per shape
-on placeholders (`_free_atoms`) and kept as slot terms (`_free_shape`; slots
-0 = f, 1 = 1 - f, 2 + i = g_i); a call puts its functions in (`_substitute`:
-one `_keyed_term` per term, which re-sorts the generators and kills repeats)
-and merges once.  The form equals the direct build, coefficient types
-included.
+Free shapes: a bracket image of `regulator` (bare brackets included) and d
+of an sv scalar are one formula each in the atoms f, 1 - f and g_1, ...,
+g_m, and substitution is a pullback: it commutes with every step that builds
+them.  So each direct builder build(n, f, gs) runs once per (build, n, m) on
+placeholders, kept as slot terms (`_shape`; slots 0 = f, 1 = 1 - f,
+2 + i = g_i), and a call puts its functions in (`_pullback`: one
+`_keyed_term` per term, which re-sorts the generators and kills repeats) and
+merges once.  The form equals the direct build, coefficient types included.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -41,7 +41,7 @@ as closed, and single-valued scalars via their total differentials:
                    (the k = n-1 term reading sv(1, ..) via alpha(1-f, f))
 
 and builds the differential of each distinct scalar once per call, an sv
-scalar's from the free shape of its weight (`_d_sv_shape`).
+scalar's as the pullback of its weight's free shape (`_d_sv`).
 
 Numeric evaluation realizes generators as real-linear covectors,
 dlog|g|(v) = Re(Dg(x;v)/g(x)) and diarg g(v) = i Im(Dg(x;v)/g(x)), and
@@ -261,10 +261,8 @@ def sv_pq(p: int, q: int, f: RationalFunction) -> Form:
 # exterior derivative
 
 
-def _d_scalar(s) -> Form:
-    if s[0] == "log":
-        return dlog(s[1])
-    _, n, f = s
+def _d_sv(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) -> Form:
+    """d sv(n, f), built directly; gs, empty, makes it a builder for `_shape`."""
     if n == 2:
         return log_abs(one_minus(f), -1).wedge(diarg(f)) + log_abs(f).wedge(
             diarg(one_minus(f))
@@ -277,13 +275,6 @@ def _d_scalar(s) -> Form:
     return form(1, terms)
 
 
-@functools.lru_cache(maxsize=None)
-def _d_sv_shape(p: int) -> tuple:
-    """The free shape of _d_scalar(sv(p, f)), on the atoms (f, 1 - f)."""
-    atoms = _free_atoms(0)
-    return _free_shape(_d_scalar(("sv", p, atoms[0])), atoms)
-
-
 def exterior_derivative(a: Form) -> Form:
     out: List[Optional[FormTerm]] = []
     derivatives: Dict[tuple, list] = {}  # scalar key -> the terms of its d, built once
@@ -292,8 +283,7 @@ def exterior_derivative(a: Form) -> Form:
         for i, (k, s) in enumerate(scalars):
             ds = derivatives.get(k)
             if ds is None:
-                d = (_substitute(_d_sv_shape(s[1]), (s[2], one_minus(s[2])), 1)
-                     if s[0] == "sv" else _d_scalar(s).terms)
+                d = _pullback(_d_sv, s[1], s[2], (), 1) if s[0] == "sv" else dlog(s[1]).terms
                 ds = derivatives[k] = [(u.coefficient, *u.pairs()) for u in d if u is not None]
             rest = scalars[:i] + scalars[i + 1 :]
             out += [_keyed_term(t.coefficient * c, rest + us, ug + generators)
@@ -346,16 +336,13 @@ def _alternation_sum(gs: Sequence[RationalFunction], log_prefixed: bool, weights
 # free shapes
 
 
-def _free_atoms(m: int) -> tuple:
-    """Placeholder functions for the slots (f, 1 - f, g_1, ..., g_m)."""
+@functools.lru_cache(maxsize=None)
+def _shape(build, n: int, m: int) -> tuple:
+    """build(n, f, (g_1, ..., g_m)) on placeholder atoms, as slot terms: (its
+    distinct factors, each function in them replaced by its slot; per term
+    (coefficient, scalar indices, generator indices) into them)."""
     f = parse_function("f")
-    return (f, one_minus(f), *[parse_function("g%d" % i) for i in range(1, m + 1)])
-
-
-def _free_shape(a: Form, atoms: Sequence[RationalFunction]) -> tuple:
-    """The form a, built on atoms of distinct keys, as slot terms: (its
-    distinct factors, each function in them replaced by its slot in atoms;
-    per term (coefficient, scalar indices, generator indices) into them)."""
+    atoms = (f, one_minus(f), *[parse_function("g%d" % i) for i in range(1, m + 1)])
     slot = {g.key(): i for i, g in enumerate(atoms)}
     factors: Dict[tuple, int] = {}
 
@@ -363,14 +350,17 @@ def _free_shape(a: Form, atoms: Sequence[RationalFunction]) -> tuple:
         return factors.setdefault((*x[:-1], slot[x[-1].key()]), len(factors))
 
     terms = tuple((t.coefficient, tuple(map(index, t.scalars)), tuple(map(index, t.generators)))
-                  for t in a.terms)
+                  for t in build(n, f, atoms[2:]).terms)
     return tuple(factors), terms
 
 
-def _substitute(shape: tuple, atoms: Sequence[RationalFunction], c: Rational) -> list:
-    """The terms of c times the shape's form with the atoms put in its slots,
-    unmerged: one _keyed_term each (None where a generator repeats)."""
-    factors, terms = shape
+def _pullback(build, n: int, f: RationalFunction, gs: Sequence[RationalFunction],
+              c: Rational) -> list:
+    """The terms of c * build(n, f, gs) by its shape, with f, 1 - f and gs put
+    in its slots, unmerged: one _keyed_term each (None where a generator
+    repeats)."""
+    factors, terms = _shape(build, n, len(gs))
+    atoms = (f, one_minus(f), *gs)
     pairs = [(_gen_pair if x[0] in ("dlog", "diarg") else _scalar_pair)((*x[:-1], atoms[x[-1]]))
              for x in factors]
     return [_keyed_term(a if c == 1 else a * c, [pairs[i] for i in sidx],

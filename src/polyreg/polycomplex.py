@@ -75,6 +75,8 @@ class ChainTerm:
 
 
 def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainTerm]:
+    if type(coefficient) is not int:  # the complex is over Z
+        raise TypeError("chain coefficients are ints, not %s" % type(coefficient).__name__)
     if coefficient == 0:
         return None
     if depth == 1:

@@ -4,9 +4,9 @@ The dictionary: a depth-p bracket carrying m wedge slots goes to a
 degree-m form assembled from single-valued polylogarithm scalars and
 the two weighted-alternation patterns; a pure wedge goes to the
 alternating log/dlog/diarg combination with odd harmonic coefficients.
-Everything extends Z-linearly over the terms of an element.  A bracket
-image is built once per (depth, slots), by the direct builder on free atoms
-(`_bracket_shape`), and r_map puts each term's functions into it (`forms`
+Everything extends Z-linearly over the terms of an element.  Every bracket
+term, bare or with slots, is the pullback of the image the direct builder
+`_bracket_image` gives once per (depth, slots) on free atoms (`forms`
 docstring, "Free shapes").
 
 Three numeric suites probe the defining identities at generic points:
@@ -24,7 +24,6 @@ closed forms kept under golden/.
 """
 
 import cmath
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -48,10 +47,8 @@ from .forms import (
     weighted_alternation,
     _alternation_sum,
     _det,
-    _free_atoms,
-    _free_shape,
     _plan,
-    _substitute,
+    _pullback,
 )
 from .funcfield import (
     PoleError,
@@ -106,7 +103,7 @@ class RegulatorConfig:
 
 
 def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) -> Form:
-    """Image of {f}_n tensor g_1^...^g_m, m >= 1."""
+    """Image of {f}_n tensor g_1^...^g_m, m >= 0."""
     m = len(gs)
     head = _alternation_sum(
         gs, False, [(2 * p, Fraction(1, 2 * p + 1)) for p in range(m // 2 + 1)]
@@ -122,14 +119,6 @@ def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) 
                     tails[split] = weighted_alternation(gs, split, True)
                 terms += (lead * c).wedge(tails[split]).terms
     return form(m, terms)
-
-
-@functools.lru_cache(maxsize=None)
-def _bracket_shape(n: int, m: int) -> tuple:
-    """The free shape of _bracket_image(n, f, (g_1, ..., g_m)), on the atoms
-    (f, 1 - f, g_1, ..., g_m)."""
-    atoms = _free_atoms(m)
-    return _free_shape(_bracket_image(n, atoms[0], atoms[2:]), atoms)
 
 
 def _wedge_image(gs: Sequence[RationalFunction]) -> Form:
@@ -150,18 +139,12 @@ def r_map(e: ChainElement) -> Form:
     """The regulator form of a chain element, extended Z-linearly."""
     terms = []
     for t in e.terms:
-        if t.depth >= 2 and t.wedge:  # its shape's image with t's functions put in
-            f = t.argument
-            terms += _substitute(_bracket_shape(t.depth, len(t.wedge)),
-                                 (f, one_minus(f), *t.wedge), t.coefficient)
-            continue
-        if t.depth >= 2:
-            img = sv_scalar(t.depth, t.argument)
+        if t.depth >= 2:  # its shape's image with t's functions put in
+            terms += _pullback(_bracket_image, t.depth, t.argument, t.wedge, t.coefficient)
         elif t.depth == 0 and t.wedge:
-            img = _wedge_image(t.wedge)
+            terms += (_wedge_image(t.wedge) * t.coefficient).terms
         else:
             raise ValueError("malformed chain term")
-        terms += (img * t.coefficient).terms
     return form(max(e.degree - 1, 0), terms)
 
 

@@ -102,6 +102,13 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "unrecognized arguments: %s" % " ".join(argv[1:]) in capsys.readouterr().err
 
+    def test_usage_error_value_past_the_double_range(self, capsys):
+        # used to end in an uncaught OverflowError, exit 1
+        assert run(["sv-polylog", "--weight", "300", "--at", "2e-290-1e-291j"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sv-polylog: L_300(2e-290-1e-291j) is outside the double")
+        assert "--precision > 53" in err
+
     def test_usage_error_mis_split_term(self, capsys):
         # the '-' ends the slot, so '1' is a weight-1 term of its own
         code = run(["loop-check", "--weight", "4", "--element", "{t}_3 (x) t-1", "--at", "1"])
@@ -116,6 +123,68 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+
+def sweep_argvs() -> list:
+    """Every subcommand that takes --weight at weights 0-12, chain-check and
+    loop-check with and without --element, the boundary values of README's
+    options table on both sides, and a value past the double range."""
+    argvs = []
+    for w in range(13):
+        chain = "{(1-t)/(1+t)}_%d" % w
+        loop = "(t+2)^t" if w == 2 else "{(2+t)/(1+t)}_%d (x) t" % (w - 1)
+        argvs += [[command, "--weight", str(w), *rest] for command, *rest in (
+            ("sv-polylog", "--at", "0.3+0.2j"), ("polylog-symmetries", "--samples", "1"),
+            ("residue", "--samples", "1"), ("chain-check", "--samples", "1"),
+            ("chain-check", "--element", chain, "--samples", "1"), ("loop-check",),
+            ("loop-check", "--element", loop, "--nodes", "64"))]
+    loop = ["loop-check", "--weight", "2", "--element", "(t+2)^t"]
+    argvs += [
+        ["beta", "--max-k", "0"], ["beta", "--max-k", "-1"],
+        ["beta", "--max-p", "1"], ["beta", "--max-p", "0"],
+        ["verify-identities", "--max-m", "1", "--max-n", "1", "--max-p", "1", "--max-k", "1"],
+        ["verify-identities", "--max-m", "1", "--max-n", "1", "--max-p", "1", "--max-k", "0"],
+        ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "1"],
+        ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "0"],
+        ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "54"],
+        ["sv-polylog", "--weight", "300", "--at", "2e-290-1e-291j"],
+        ["polylog-symmetries", "--samples", "0"],
+        ["polylog-symmetries", "--samples", "1", "--tol", "0"],
+        ["residue", "--samples", "0"],
+        ["chain-check", "--weight", "3", "--samples", "1", "--tol", "0"],
+        ["top-check", "--functions", "t;1-t", "--samples", "1"],
+        ["top-check", "--functions", "t", "--samples", "1"], ["top-check", "--samples", "0"],
+        [*loop, "--orientation", "-1"], [*loop, "--orientation", "0"], [*loop, "--at", "1"],
+        [*loop, "--nodes", "64"], [*loop, "--nodes", "63"],
+        [*loop, "--radii", "1e-2,3e-3,1e-3"], [*loop, "--radii", "1e-2,1e-3"],
+        ["loop-check"], ["golden"], ["all", "--samples", "0"],
+    ]
+    return argvs
+
+
+def test_every_weight_and_bound_ends_in_a_verdict_or_a_usage_error(capsys):
+    """Each run ends in exit 0 or 1 with a manifest of the command and
+    weight asked for, or in exit 2 with an error on stderr and no report;
+    no exception escapes."""
+    bad = []
+    for argv in sweep_argvs():
+        try:
+            code = run(argv + ["--json"])
+        except Exception as exc:
+            bad.append((argv, repr(exc)))
+            continue
+        out, err = capsys.readouterr()
+        if code in (0, 1):
+            manifest = json.loads(out)
+            weight = argv[argv.index("--weight") + 1] if "--weight" in argv else None
+            asked = manifest["command"] == argv[0] and (
+                weight is None or manifest["config"].get("weight") == int(weight)
+                or manifest["results"][0]["cases"][0]["input"].startswith("L_%s(" % weight))
+            if not asked or err:
+                bad.append((argv, code, err))
+        elif code != 2 or out or "error: " not in err:
+            bad.append((argv, code, err))
+    assert bad == []
 
 
 class TestReports:

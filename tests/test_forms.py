@@ -827,13 +827,15 @@ def _reference_minor(rows, cols, cov, memo):
 
 def reference_exterior_derivative(a):
     """`exterior_derivative` as it was before the differential of each
-    distinct scalar was built once per call: one `_d_scalar` per scalar
-    occurrence.  Kept as the reference for construction."""
+    distinct scalar was built once per call: one d per scalar occurrence,
+    an sv scalar's by the direct builder `_d_sv`.  Kept as the reference for
+    construction."""
     out = []
     for t in a.terms:
         for i, s in enumerate(t.scalars):
             rest = t.scalars[:i] + t.scalars[i + 1 :]
-            for u in F._d_scalar(s).terms:
+            ds = F._d_sv(s[1], s[2], ()) if s[0] == "sv" else F.dlog(s[1])
+            for u in ds.terms:
                 out += F._single(a.degree + 1, t.coefficient * u.coefficient,
                                  rest + u.scalars, u.generators + t.generators).terms
     return F.form(a.degree + 1, out)
@@ -855,15 +857,15 @@ SV_ARGUMENTS = [T, OM, pf("1/2"), pf("(1-t)/(1+t)")]  # 1/2 = 1 - 1/2
 
 
 class TestDerivativeFreeShape:
-    """d sv(p, f) is the free shape of `_d_scalar` on (f, 1 - f) with f and
-    1 - f put in; every d equals the reference's, which builds each scalar's
-    d directly, term by term, coefficient types and text included."""
+    """d sv(p, f) is the pullback of the free shape of `_d_sv` on (f, 1 - f);
+    every d equals the reference's, which builds each scalar's d directly,
+    term by term, coefficient types and text included."""
 
     @pytest.mark.parametrize("p", range(2, 9))
     def test_sv_scalar(self, p):
         for f in SV_ARGUMENTS:
             a = F.sv_scalar(p, f).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
-            want = F._d_scalar(("sv", p, f)).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
+            want = F._d_sv(p, f, ()).wedge(F.log_abs(one_minus(f))).wedge(F.dlog(f))
             want += F.sv_scalar(p, f).wedge(F.dlog(one_minus(f))).wedge(F.dlog(f))
             got = form_record(F.exterior_derivative(a))
             assert got == form_record(want) == form_record(reference_exterior_derivative(a)), f
@@ -880,18 +882,18 @@ class TestDerivativeFreeShape:
         want = reference_exterior_derivative(a)
 
         def refuse(*args):
-            raise AssertionError("substituted into a free shape")
+            raise AssertionError("pulled back from a free shape")
 
-        monkeypatch.setattr(F, "_substitute", refuse)
+        monkeypatch.setattr(F, "_pullback", refuse)
         assert form_record(reference_exterior_derivative(a)) == form_record(want)
         with pytest.raises(AssertionError, match="free shape"):
             F.exterior_derivative(a)
 
     def test_a_changed_shape_fails_the_comparison(self, monkeypatch):
         a = F.sv_scalar(4, T)
-        factors, ((c, sidx, gidx), *rest) = F._d_sv_shape(4)
+        factors, ((c, sidx, gidx), *rest) = F._shape(F._d_sv, 4, 0)
         changed = (factors, ((c * 2, sidx, gidx), *rest))
-        monkeypatch.setattr(F, "_d_sv_shape", lambda p: changed)
+        monkeypatch.setattr(F, "_shape", lambda build, n, m: changed)
         assert form_record(F.exterior_derivative(a)) != form_record(reference_exterior_derivative(a))
 
 

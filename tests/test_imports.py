@@ -24,6 +24,11 @@ package module, and tests/oracles.py imports none of the package's
 evaluator (`_poly_column`, `_evaluate`, `_evaluate_columns`), so a check
 against an oracle never compares the package with itself.
 
+Free shapes live in one place: no module of the package but `forms`
+imports one of its free-shape helpers other than `_pullback` or defines a
+function named `*_shape`, so the slot layout (f, 1 - f, g_1, ...) is written
+once.
+
 mpmath is imported where it is used: no module of the package imports it at
 import time, and a fresh interpreter that imports `polyreg`, evaluates the
 double routes and runs `all` never loads it, while the 130-bit route still
@@ -228,6 +233,38 @@ def test_boundary_scan_finds_a_crossing():
     ]
     assert boundary_findings(source, "forms.py") == [(3, "_poly_column"), (3, "_terms")]
     assert boundary_findings(source, "funcfield.py") == [(2, "generators"), (2, "scalars")]
+
+
+# the free-shape helpers of forms, with the names of earlier ones; outside
+# forms a module reaches a free shape through `_pullback` alone
+FREE_SHAPE_NAMES = {"_shape", "_d_sv", "_free_atoms", "_free_shape", "_substitute", "_d_sv_shape"}
+
+
+def free_shape_findings(source: str, filename: str) -> list:
+    """(line, name) of each import of a FREE_SHAPE_NAMES name from forms and
+    of each function named `*_shape`, unless the source is forms.py."""
+    if filename == "forms.py":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "forms":
+            found += [(node.lineno, a.name) for a in node.names if a.name in FREE_SHAPE_NAMES]
+        elif isinstance(node, ast.FunctionDef) and node.name.endswith("_shape"):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_one_free_shape_route():
+    found = {path.name: free_shape_findings(path.read_text(), path.name) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_free_shape_scan_finds_a_violation():
+    source = "from .forms import _pullback, _shape, form\nfrom polyreg.forms import _d_sv\n"
+    source += "from .funcfield import _substitute\n\n\ndef _bracket_shape(n, m):\n    pass\n"
+    want = [(1, "_shape"), (2, "_d_sv"), (6, "_bracket_shape")]
+    assert free_shape_findings(source, "regulator.py") == want
+    assert free_shape_findings(source, "forms.py") == []
 
 
 def eager_imports(source: str, module: str) -> list:

@@ -109,6 +109,9 @@ class TestFrozenSpecials:
 
 
 class TestOracleAgreement:
+    # one 130-bit defining sum per point serves the weights of each test: on
+    # their points its doubles equal mp_oracle(n, z) for each n, bit for bit
+
     def test_double_route_matches_mp_route(self):
         rng = random.Random(7)
         worst = 0.0
@@ -116,8 +119,9 @@ class TestOracleAgreement:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             if abs(z) < 0.1 or abs(z - 1) < 0.2:
                 continue
+            refs = mp_oracle_state(6, z)
             for n in range(2, 7):
-                d = abs(P.sv_polylog(n, z) - mp_oracle(n, z))
+                d = abs(P.sv_polylog(n, z) - refs[n - 1])
                 worst = max(worst, d)
         assert worst < 5e-9, worst
 
@@ -125,8 +129,9 @@ class TestOracleAgreement:
         rng = random.Random(11)
         for _ in range(10):
             z = cmath.rect(rng.uniform(0.05, 0.49), rng.uniform(0, 2 * math.pi))
+            refs = mp_oracle_state(5, z)
             for n in range(1, 6):
-                assert abs(P.sv_polylog(n, z) - mp_oracle(n, z)) < 1e-13
+                assert abs(P.sv_polylog(n, z) - refs[n - 1]) < 1e-13
 
 
 def floored_error(value, ref, z):

@@ -100,8 +100,9 @@ def test_construction_pinned():
 
 
 def direct_r_map(e):
-    """r_map with each bracket image built by `_bracket_image` on e's own
-    functions, where r_map substitutes them into the free shape."""
+    """r_map with each bracket image built directly on e's own functions, by
+    `_bracket_image` or, for a bare bracket, as its sv scalar, where r_map
+    pulls back the free shape."""
     terms = []
     for t in e.terms:
         if t.depth >= 2:
@@ -114,12 +115,14 @@ def direct_r_map(e):
 
 
 class TestFreeShapes:
-    """r_map substitutes each term's functions into the image built once per
-    (depth, slots) on free atoms; the forms are those of the direct builder,
-    term by term, coefficient types and text included."""
+    """r_map pulls back each bracket term, bare or with slots, from the image
+    built once per (depth, slots) on free atoms; the forms are those of the
+    direct builder, term by term, coefficient types and text included."""
 
     def test_images_as_built_directly(self):
         elements = [random_element(w, random.Random(s)) for w in range(3, 9) for s in range(6)]
+        elements += [bracket_tensor(f, n, [], c) for f in (FVAR, T, pf("(1-t)/(1+t)"), pf("1/2"))
+                     for n in (2, 3, 4) for c in (1, -2, 3)]
         for e in elements + collision_elements():
             assert form_record(r_map(e)) == form_record(direct_r_map(e)), str(e)
             if e.degree < e.weight and not e.is_zero():
@@ -127,16 +130,16 @@ class TestFreeShapes:
 
     def test_a_changed_shape_fails_the_comparison(self, monkeypatch):
         e = bracket_tensor(FVAR, 3, [G, T])
-        factors, ((c, sidx, gidx), *rest) = R._bracket_shape(3, 2)
+        factors, ((c, sidx, gidx), *rest) = F._shape(R._bracket_image, 3, 2)
         changed = (factors, ((c + 1, sidx, gidx), *rest))
-        monkeypatch.setattr(R, "_bracket_shape", lambda n, m: changed)
+        monkeypatch.setattr(F, "_shape", lambda build, n, m: changed)
         assert form_record(r_map(e)) != form_record(direct_r_map(e))
 
     def test_one_shape_per_depth_and_slots(self):
-        R._bracket_shape.cache_clear()
+        F._shape.cache_clear()
         for f, gs in ((FVAR, [G]), (T, [pf("t+2")]), (pf("1/2"), [FVAR])):
             r_map(bracket_tensor(f, 3, gs, 2))
-        info = R._bracket_shape.cache_info()
+        info = F._shape.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
 
