@@ -185,8 +185,12 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
             raise ValueError("beta: --max-p must be >= 1")
         return [_beta_report(args.max_k, args.max_p)]
     if command == "verify-identities":
-        if args.max_k < 1:  # the beta-recursion grid is k <= max_k, 1 <= p <= max_k
-            raise ValueError("verify-identities: --max-k must be >= 1")
+        # rows m >= 1, the proposition's n >= 3 and p >= 1, and the
+        # beta-recursion grid k <= max_k, 1 <= p <= max_k
+        for option, value, least in (("--max-m", args.max_m, 1), ("--max-n", args.max_n, 3),
+                                     ("--max-p", args.max_p, 1), ("--max-k", args.max_k, 1)):
+            if value < least:
+                raise ValueError("verify-identities: %s must be >= %d" % (option, least))
         return _identities_report(args.max_m, args.max_n, args.max_p, args.max_k)
     if command == "sv-polylog":
         return [_sv_report(args.weight, args.at, args.precision)]

@@ -23,14 +23,15 @@ the key on.  Sums collect their terms and merge once, and a single-term form
 is built without a merge.  The parser (`parse_form`) does the same from
 text: one build per term, one merge per form.
 
-Free shapes: a bracket image of `regulator` (bare brackets included) and d
-of an sv scalar are one formula each in the atoms f, 1 - f and g_1, ...,
-g_m, and substitution is a pullback: it commutes with every step that builds
-them.  So each direct builder build(n, f, gs) runs once per (build, n, m) on
-placeholders, kept as slot terms (`_shape`; slots 0 = f, 1 = 1 - f,
-2 + i = g_i), and a call puts its functions in (`_pullback`: one
-`_keyed_term` per term, which re-sorts the generators and kills repeats) and
-merges once.  The form equals the direct build, coefficient types included.
+Free shapes: the image under `regulator` of each chain term (a bracket,
+bare or with slots, or a pure wedge) and d of an sv scalar are one formula
+each in the atoms f, 1 - f and g_1, ..., g_m, and substitution is a
+pullback: it commutes with every step that builds them.  So each direct
+builder build(n, f, gs) runs once per (build, n, m) on placeholders, kept as
+slot terms (`_shape`; slots 0 = f, 1 = 1 - f, 2 + i = g_i), and a call puts
+its functions in (`_pullback`: one `_keyed_term` per term; a pure wedge
+fills the g slots only) and merges once.  The form equals the direct build,
+coefficient types included.
 
 The exterior derivative treats log|g| as having d = dlog|g|, both generators
 as closed, and single-valued scalars via their total differentials:
@@ -48,10 +49,10 @@ dlog|g|(v) = Re(Dg(x;v)/g(x)) and diarg g(v) = i Im(Dg(x;v)/g(x)), and
 expands generator wedges as determinants against the supplied vectors.  It
 is batched: `evaluate_many` takes forms of one degree and (point, frames)
 samples, and `evaluate` is its one-sample, one-frame case.  The forms
-compile into one plan, kept on the first form for the same forms: their
-variables, the functions a sample point must keep generic (the samplers of
-`regulator` read them), their distinct functions, scalars and generators,
-and every term as (complex coefficient, scalar indices, generator indices).
+compile into one plan (`_Plan`; a check samples by it and evaluates through
+it): their degree, variables, the functions a sample point must keep
+generic, their distinct functions, scalars and generators, and every term
+as (complex coefficient, scalar indices, generator indices).
 A batch of samples walks the plan once, column by column: each function
 value, partial and guard is a column over the points from `funcfield`'s
 evaluator, each scalar a column, and each covector, cofactor minor, term
@@ -170,13 +171,12 @@ def _keyed_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm
 class Form(Combination):
     """Degree-homogeneous combination of terms; immutable."""
 
-    __slots__ = ("degree", "_plan")
+    __slots__ = ("degree",)
     ring = (int, Fraction)
 
     def __init__(self, degree: int, terms: Tuple[FormTerm, ...]):
         self.degree = degree
         self.terms = terms
-        self._plan = None
 
     @property
     def grading(self) -> tuple:
@@ -354,13 +354,13 @@ def _shape(build, n: int, m: int) -> tuple:
     return tuple(factors), terms
 
 
-def _pullback(build, n: int, f: RationalFunction, gs: Sequence[RationalFunction],
+def _pullback(build, n: int, f: Optional[RationalFunction], gs: Sequence[RationalFunction],
               c: Rational) -> list:
-    """The terms of c * build(n, f, gs) by its shape, with f, 1 - f and gs put
-    in its slots, unmerged: one _keyed_term each (None where a generator
-    repeats)."""
+    """The terms of c * build(n, f, gs) by its shape, with f, 1 - f (for an f
+    that is not None) and gs put in its slots, unmerged: one _keyed_term
+    each (None where a generator repeats)."""
     factors, terms = _shape(build, n, len(gs))
-    atoms = (f, one_minus(f), *gs)
+    atoms = ((None, None) if f is None else (f, one_minus(f))) + tuple(gs)
     pairs = [(_gen_pair if x[0] in ("dlog", "diarg") else _scalar_pair)((*x[:-1], atoms[x[-1]]))
              for x in factors]
     return [_keyed_term(a if c == 1 else a * c, [pairs[i] for i in sidx],
@@ -395,20 +395,25 @@ def _det(mat: List[List[complex]]) -> complex:
 
 class _Plan:
     """The evaluation plan of forms of one degree, the one walk over their
-    terms: the sorted variable `names` of their functions, the functions a
-    sample point keeps in a moderate annulus (`guarded`: every function, and
-    1 - f for each sv argument f), the distinct functions, scalars and
-    generators, and per form its terms as ((complex coefficient, scalar
-    indices), ...) and their generator indices.  A function is (its term
-    lists compiled on the slots of names, is an sv argument, carries a
-    generator); a scalar is (function index, weight p, or 0 for log); a
-    generator is (is dlog, function index).  `others`: the forms after the
-    first that it was built for.  Holds nothing that depends on a point."""
+    terms: their `degree`, the sorted variable `names` of their functions,
+    the functions a sample point keeps in a moderate annulus (`guarded`:
+    every function, and 1 - f for each sv argument f), the distinct
+    functions, scalars and generators, and per form its terms as ((complex
+    coefficient, scalar indices), ...) and their generator indices.  A
+    function is (its term lists compiled on the slots of names, is an sv
+    argument, carries a generator); a scalar is (function index, weight p,
+    or 0 for log); a generator is (is dlog, function index).  Holds nothing
+    that depends on a point; `evaluate` walks it over samples."""
 
-    __slots__ = ("others", "names", "functions", "guarded", "scalars", "generators", "forms")
+    __slots__ = ("degree", "names", "functions", "guarded", "scalars", "generators", "forms")
 
-    def __init__(self, forms_: Tuple[Form, ...]):
-        self.others = forms_[1:]
+    def __init__(self, forms_: Iterable[Form]):
+        forms_ = tuple(forms_)
+        if not forms_:
+            raise ValueError("need at least one form")
+        degree = self.degree = forms_[0].degree
+        if any(a.degree != degree for a in forms_):
+            raise ValueError("forms of mixed degree %s" % sorted({a.degree for a in forms_}))
         index: Dict[str, int] = {}  # function key -> function index
         functions: List[RationalFunction] = []
         sv_arguments, generator_functions = set(), set()
@@ -450,14 +455,27 @@ class _Plan:
         self.scalars = tuple(scalars)
         self.generators = tuple(generators)
 
-
-def _plan(forms_: Tuple[Form, ...]) -> _Plan:
-    """The plan of the forms, kept on the first of them until it leads
-    other forms."""
-    plan = forms_[0]._plan
-    if plan is None or list(map(id, plan.others)) != list(map(id, forms_[1:])):
-        plan = forms_[0]._plan = _Plan(forms_)
-    return plan
+    def evaluate(self, samples: Iterable) -> List[List[List[complex]]]:
+        """evaluate_many of the plan's forms at the samples."""
+        degree, names = self.degree, self.names
+        batch, failure = [], None
+        try:
+            for x, frames in samples:
+                frames = list(frames)
+                if not all(map(degree.__eq__, map(len, frames))):
+                    raise ValueError("need exactly %d vectors" % degree)
+                xm, xs = _coordinates(x, names)
+                batch.append((xm, xs, [[_coordinates(v, names, 0j)[1] for v in vectors]
+                                       for vectors in frames]))
+        except Exception as exc:  # raised once the samples read before it are evaluated
+            failure = exc
+        try:
+            out = _walk(self, batch)
+        except Exception:  # the first failing sample, walked alone, raises its own
+            out = [_walk(self, [sample])[0] for sample in batch]
+        if failure is not None:
+            raise failure
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -501,10 +519,11 @@ def _minor(rows: tuple, cov: list, memo: dict, expansions: tuple) -> dict:
     return out
 
 
-def _walk(plan: _Plan, degree: int, batch: list) -> list:
+def _walk(plan: _Plan, batch: list) -> list:
     """evaluate_many's result for samples read as (point mapping,
     coordinates, frames of coordinate lists), by one walk over the plan
     (module docstring); raises the error of some failing sample."""
+    degree = plan.degree
     slots = range(len(plan.names))
     points = [xm for xm, _, _ in batch]
     xcols = [[xs[k] for _, xs, _ in batch] for k in slots]
@@ -576,32 +595,7 @@ def evaluate_many(forms_: Sequence[Form], samples: Iterable) -> List[List[List[c
     bit to evaluate(forms_[k], point, frame).  The samples are read, each
     checked as `evaluate` checks it, and walked together; errors are those
     of one sample after another (the module docstring)."""
-    forms_ = tuple(forms_)
-    if not forms_:
-        raise ValueError("need at least one form")
-    degree = forms_[0].degree
-    if any(a.degree != degree for a in forms_):
-        raise ValueError("forms of mixed degree %s" % sorted({a.degree for a in forms_}))
-    plan = _plan(forms_)
-    names = plan.names
-    batch, failure = [], None
-    try:
-        for x, frames in samples:
-            frames = list(frames)
-            if not all(map(degree.__eq__, map(len, frames))):
-                raise ValueError("need exactly %d vectors" % degree)
-            xm, xs = _coordinates(x, names)
-            batch.append((xm, xs, [[_coordinates(v, names, 0j)[1] for v in vectors]
-                                   for vectors in frames]))
-    except Exception as exc:  # raised once the samples read before it are evaluated
-        failure = exc
-    try:
-        out = _walk(plan, degree, batch)
-    except Exception:  # the first failing sample, walked alone, raises its own
-        out = [_walk(plan, degree, [sample])[0] for sample in batch]
-    if failure is not None:
-        raise failure
-    return out
+    return _Plan(forms_).evaluate(samples)
 
 
 def evaluate(a: Form, x, vectors: Sequence = ()) -> complex:

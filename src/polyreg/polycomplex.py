@@ -84,7 +84,7 @@ def _make_term(coefficient: int, depth: int, argument, wedge) -> Optional[ChainT
     if depth and argument is None:
         raise ValueError("bracket terms need an argument")
     if not depth and argument is not None:
-        raise ValueError("pure wedges carry no bracket argument")
+        raise ValueError("a bracket needs depth >= 2, not 0")
     if any(g.is_zero() for g in wedge):  # wherever it stands, before any shortcut
         raise ValueError("zero is not allowed in a wedge slot")
     if depth and argument.is_constant() and argument.constant_value() in (0, 1):

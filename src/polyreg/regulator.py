@@ -4,10 +4,10 @@ The dictionary: a depth-p bracket carrying m wedge slots goes to a
 degree-m form assembled from single-valued polylogarithm scalars and
 the two weighted-alternation patterns; a pure wedge goes to the
 alternating log/dlog/diarg combination with odd harmonic coefficients.
-Everything extends Z-linearly over the terms of an element.  Every bracket
-term, bare or with slots, is the pullback of the image the direct builder
-`_bracket_image` gives once per (depth, slots) on free atoms (`forms`
-docstring, "Free shapes").
+Everything extends Z-linearly over the terms of an element.  Every term, a
+bracket bare or with slots or a pure wedge, is the pullback of the image its
+direct builder (`_bracket_image`, `_wedge_image`) gives once per (depth,
+slots) on free atoms (`forms` docstring, "Free shapes").
 
 Three numeric suites probe the defining identities at generic points:
 
@@ -17,8 +17,8 @@ Three numeric suites probe the defining identities at generic points:
                        point extrapolates to 2*pi*i times r of the
                        residue element
 
-Samples keep the functions of the compared forms' evaluation plan generic,
-through `funcfield`'s one evaluator, and that plan evaluates the forms.
+Each check builds the plan of the forms it compares (`forms._Plan`), keeps
+its functions generic at the samples and evaluates the forms through it.
 golden_formula_tests compares the map symbolically against transcribed
 closed forms kept under golden/.
 """
@@ -36,7 +36,6 @@ from .forms import (
     Form,
     GenericityError,
     alpha,
-    evaluate_many,
     exterior_derivative,
     form,
     format_form,
@@ -47,7 +46,7 @@ from .forms import (
     weighted_alternation,
     _alternation_sum,
     _det,
-    _plan,
+    _Plan,
     _pullback,
 )
 from .funcfield import (
@@ -121,8 +120,8 @@ def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) 
     return form(m, terms)
 
 
-def _wedge_image(gs: Sequence[RationalFunction]) -> Form:
-    """Image of a pure wedge g_1^...^g_m.
+def _wedge_image(n: int, f, gs: Sequence[RationalFunction]) -> Form:
+    """Image of a pure wedge g_1^...^g_m, m >= 1; n = 0 and f are unread.
 
     The single-slot case is the bottom row of the weight-1 complex,
     log|g|; the sign there is pinned by the loop-residue normalization.
@@ -138,13 +137,11 @@ def _wedge_image(gs: Sequence[RationalFunction]) -> Form:
 def r_map(e: ChainElement) -> Form:
     """The regulator form of a chain element, extended Z-linearly."""
     terms = []
-    for t in e.terms:
-        if t.depth >= 2:  # its shape's image with t's functions put in
-            terms += _pullback(_bracket_image, t.depth, t.argument, t.wedge, t.coefficient)
-        elif t.depth == 0 and t.wedge:
-            terms += (_wedge_image(t.wedge) * t.coefficient).terms
-        else:
-            raise ValueError("malformed chain term")
+    for t in e.terms:  # its shape's image with t's functions put in
+        if not (t.depth or t.wedge):
+            raise ValueError("malformed chain term: an empty pure wedge")
+        terms += _pullback(_bracket_image if t.depth else _wedge_image, t.depth, t.argument,
+                           t.wedge, t.coefficient)
     return form(max(e.degree - 1, 0), terms)
 
 
@@ -299,7 +296,7 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
     image = r_map(e)
     lhs = exterior_derivative(image)
     rhs = r_map(delta(e))
-    plan = _plan((lhs, rhs))
+    plan = _Plan((lhs, rhs))
     names = plan.names
     rng = random.Random(cfg.seed)
     count = e.degree
@@ -311,10 +308,10 @@ def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = N
         x = _generic_point(rng, names, plan.guarded)
         samples.append((x, [_frame(rng, names, count) for _ in range(_FRAMES_PER_POINT)]))
         twists.append((x, [_frame(rng, names, count - 1)]))
-    for per_frame in evaluate_many((lhs, rhs), samples):
+    for per_frame in plan.evaluate(samples):
         for a, b in per_frame:
             worst = max(worst, abs(a - b))
-    for ((val,),) in evaluate_many((image,), twists):
+    for ((val,),) in _Plan((image,)).evaluate(twists):
         twist_worst = max(
             twist_worst, abs(val.real) if parity % 2 else abs(val.imag)
         )
@@ -386,14 +383,15 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
     image = r_map(pure_wedge(fs))
     lhs = exterior_derivative(image)
     names = sorted(set().union(*[set(f.variables()) for f in fs]))
-    functions = list(fs) + _plan((lhs,)).guarded
+    plan = _Plan((lhs,))
+    functions = list(fs) + plan.guarded
     rng = random.Random(cfg.seed)
     worst = 0.0
     samples = []
     for _ in range(cfg.samples):
         x = _generic_point(rng, names, functions)
         samples.append((x, [_frame(rng, names, n) for _ in range(_FRAMES_PER_POINT)]))
-    for (x, frames), per_frame in zip(samples, evaluate_many((lhs,), samples)):
+    for (x, frames), per_frame in zip(samples, plan.evaluate(samples)):
         for (a,), b in zip(per_frame, _holomorphic_parts(fs, x, frames)):
             worst = max(worst, abs(a + b))
     case = report_case("^".join(str(f) for f in fs), worst < cfg.tol, worst, cfg.tol)
@@ -466,7 +464,8 @@ def loop_residue_check(
     image = r_map(e)
     if image.degree != 1:
         raise ValueError("loop integration needs a 1-form image")
-    if len(_plan((image,)).names) != 1:
+    plan = _Plan((image,))
+    if len(plan.names) != 1:
         raise ValueError("loop integration needs a univariate element")
     try:  # a zero denominator, or a value past the double range
         point = Fraction(a)
@@ -478,8 +477,8 @@ def loop_residue_check(
     for eps in cfg.loop_radii:
         spokes = (cmath.rect(eps, orientation * 2 * math.pi * j / m) for j in range(m))
         total = 0j
-        for per_frame in evaluate_many(
-            (image,), ((center + spoke, [[orientation * 1j * spoke]]) for spoke in spokes)
+        for per_frame in plan.evaluate(
+            (center + spoke, [[orientation * 1j * spoke]]) for spoke in spokes
         ):
             total += per_frame[0][0]
         values.append(total * 2 * math.pi / m)

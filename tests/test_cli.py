@@ -70,8 +70,13 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: beta: %s must be >= " % option)
 
     def test_usage_error_identities_grid_names_max_k(self, capsys):
-        assert run(["verify-identities", "--max-k", "-1"]) == 2
-        assert capsys.readouterr().err.startswith("error: verify-identities: --max-k must be >= 1")
+        # each bound is named by its option; --max-m, --max-n and --max-p
+        # used to name the library functions' arguments
+        for option, value, least in (("--max-k", "-1", 1), ("--max-m", "0", 1),
+                                     ("--max-n", "2", 3), ("--max-p", "0", 1)):
+            assert run(["verify-identities", option, value]) == 2, option
+            assert capsys.readouterr().err.startswith(
+                "error: verify-identities: %s must be >= %d" % (option, least)), option
 
     @pytest.mark.parametrize("weight", ["10", "11", "12"])
     def test_usage_error_residue_weight_past_the_pool(self, capsys, weight):
@@ -115,6 +120,11 @@ class TestExitCodes:
         assert code == 2
         assert "the term '1' has weight 1 and degree 1" in capsys.readouterr().err
 
+    def test_usage_error_bracket_of_depth_zero(self, capsys):
+        # '{t}_0' used to be refused as a pure wedge carrying an argument
+        assert run(["chain-check", "--weight", "0", "--element", "{t}_0"]) == 2
+        assert capsys.readouterr().err.startswith("error: a bracket needs depth >= 2, not 0")
+
     def test_failing_suite_is_one(self, capsys):
         # the depth/valuation sampler at weight 4 hits both commutation
         # signs, so the single-sign residue suite reports a failure
@@ -142,8 +152,9 @@ def sweep_argvs() -> list:
     argvs += [
         ["beta", "--max-k", "0"], ["beta", "--max-k", "-1"],
         ["beta", "--max-p", "1"], ["beta", "--max-p", "0"],
-        ["verify-identities", "--max-m", "1", "--max-n", "1", "--max-p", "1", "--max-k", "1"],
-        ["verify-identities", "--max-m", "1", "--max-n", "1", "--max-p", "1", "--max-k", "0"],
+        ["verify-identities", "--max-m", "1", "--max-n", "3", "--max-p", "1", "--max-k", "1"],
+        ["verify-identities", "--max-m", "0"], ["verify-identities", "--max-n", "2"],
+        ["verify-identities", "--max-p", "0"], ["verify-identities", "--max-k", "0"],
         ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "1"],
         ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "0"],
         ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "54"],

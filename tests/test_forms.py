@@ -634,7 +634,7 @@ class TestPlanAgainstNaive:
     @pytest.mark.parametrize("label,a", list(plan_cases()), ids=lambda v: v if isinstance(v, str) else "")
     def test_bit_identical(self, label, a):
         rng = random.Random(label)
-        plan = F._plan((a,))
+        plan = F._Plan((a,))
         names = plan.names
         for _ in range(3):
             x = R._generic_point(rng, names, plan.guarded)
@@ -645,7 +645,7 @@ class TestPlanAgainstNaive:
         e = R.standard_chain_elements(5)[1][1]
         a = F.exterior_derivative(R.r_map(e))
         rng = random.Random(5)
-        plan = F._plan((a,))
+        plan = F._Plan((a,))
         names = plan.names
         samples = [
             (R._generic_point(rng, names, plan.guarded), R._frame(rng, names, a.degree))
@@ -671,20 +671,27 @@ class TestPlanAgainstNaive:
 
 
 def test_plan_kept_for_the_same_forms(monkeypatch):
+    """A check keeps the one plan it samples by for the forms it evaluates;
+    nothing is cached on a form, and evaluate_many builds a plan per call."""
     a, b = F.parse_form("log(t)*dlog(1-t)"), F.parse_form("L2(x)*darg(x+t)")
-    plan = F._plan((a, b))
-    assert F._plan((a, b)) is plan and plan.names == ["t", "x"]
+    plan = F._Plan((a, b))
+    assert plan.names == ["t", "x"] and plan.degree == 1
     assert sorted(g.key() for g in plan.guarded) == sorted(
         pf(text).key() for text in ("t", "1-t", "x", "x+t", "1-x")
     )
-    assert F._plan((a, F.parse_form("L2(x)*darg(x+t)"))) is not plan
+    assert not hasattr(a, "_plan") and not hasattr(b, "_plan")
     # a chain check builds one plan for both sides, sampling included, and
     # one for the image
-    built, plan_class = [], F._Plan
-    monkeypatch.setattr(F, "_Plan", lambda forms_: built.append(forms_) or plan_class(forms_))
+    built, init = [], F._Plan.__init__
+    monkeypatch.setattr(F._Plan, "__init__",
+                        lambda self, forms_: built.append(len(forms_)) or init(self, forms_))
     e = bracket_tensor(pf("(1-t)/(1+t)"), 2, [T])
     R.chain_check(3, e, R.RegulatorConfig(samples=2))
-    assert [len(forms_) for forms_ in built] == [2, 1]
+    assert built == [2, 1]
+    built.clear()
+    sample = ({"t": 0.3 + 0.2j, "x": 1.7 - 0.4j}, [[{"t": 1, "x": 1j}]])
+    first = F.evaluate_many((a, b), [sample])
+    assert F.evaluate_many((a, b), [sample]) == first and built == [2, 2]
 
 
 class _ReferencePlan:
@@ -976,7 +983,7 @@ class TestBatchedAgainstReference:
     )
     def test_chain_shapes(self, label, image, lhs, rhs):
         rng = random.Random(label)
-        plan = F._plan((lhs, rhs))
+        plan = F._Plan((lhs, rhs))
         names = plan.names
         points = [R._generic_point(rng, names, plan.guarded) for _ in range(3)]
         assert_batch_as_reference(
@@ -989,7 +996,7 @@ class TestBatchedAgainstReference:
         fs = [pf(text) for text in family.split(";")]
         lhs = F.exterior_derivative(R.r_map(pure_wedge(fs)))
         rng = random.Random(family)
-        plan = F._plan((lhs,))
+        plan = F._Plan((lhs,))
         names = plan.names
         functions = list(fs) + plan.guarded
         assert_batch_as_reference((lhs,), [
@@ -1176,7 +1183,7 @@ class TestBatchesAgainstReference:
     @pytest.mark.parametrize("label,image,lhs,rhs", list(chain_shapes())[::3],
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_mixed_frame_counts(self, label, image, lhs, rhs):
-        rng, plan = random.Random(label), F._plan((lhs, rhs))
+        rng, plan = random.Random(label), F._Plan((lhs, rhs))
         samples = [(R._generic_point(rng, plan.names, plan.guarded),
                     [R._frame(rng, plan.names, lhs.degree) for _ in range(count)])
                    for count in (2, 0, 3, 1, 1)]
@@ -1197,6 +1204,19 @@ def test_all_pass_as_reference(monkeypatch):
             assert cli.run(["all", "--seed", "89", "--samples", "1", "--json"]) == 0
         return out.getvalue()
 
-    batched = run()
-    monkeypatch.setattr(R, "evaluate_many", reference_many)
-    assert run() == batched
+    class ReferencePlan(F._Plan):
+        """The check's plan, sampled by as built; evaluated by reference_many."""
+
+        __slots__ = ("kept",)
+
+        def __init__(self, forms_):
+            super().__init__(forms_)
+            self.kept = tuple(forms_)
+
+        def evaluate(self, samples):
+            used.append(len(self.kept))
+            return reference_many(self.kept, samples)
+
+    batched, used = run(), []
+    monkeypatch.setattr(R, "_Plan", ReferencePlan)
+    assert run() == batched and used

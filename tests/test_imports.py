@@ -27,7 +27,9 @@ against an oracle never compares the package with itself.
 Free shapes live in one place: no module of the package but `forms`
 imports one of its free-shape helpers other than `_pullback` or defines a
 function named `*_shape`, so the slot layout (f, 1 - f, g_1, ...) is written
-once.
+once.  And the regulator's images are built one way: the direct builders
+`_bracket_image` and `_wedge_image` appear in the package only where they
+are defined and as the first argument of `_pullback`.
 
 mpmath is imported where it is used: no module of the package imports it at
 import time, and a fresh interpreter that imports `polyreg`, evaluates the
@@ -265,6 +267,48 @@ def test_free_shape_scan_finds_a_violation():
     want = [(1, "_shape"), (2, "_d_sv"), (6, "_bracket_shape")]
     assert free_shape_findings(source, "regulator.py") == want
     assert free_shape_findings(source, "forms.py") == []
+
+
+# the direct image builders of regulator, reached only through `_pullback`
+IMAGE_BUILDERS = {"_bracket_image", "_wedge_image"}
+
+
+def image_builder_findings(source: str) -> list:
+    """(line, name) of each use of an IMAGE_BUILDERS name (read, attribute
+    or import) that is not the first argument of a `_pullback` call or a
+    branch of a conditional there."""
+    tree, allowed = ast.parse(source), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args and "_pullback" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            todo = [node.args[0]]
+            while todo:
+                arg = todo.pop()
+                todo += [arg.body, arg.orelse] if isinstance(arg, ast.IfExp) else []
+                allowed.add(arg)
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name in IMAGE_BUILDERS and node not in allowed:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_one_image_route():
+    found = {path.name: image_builder_findings(path.read_text()) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_image_route_scan_finds_a_violation():
+    source = "def _wedge_image(n, f, gs):\n    return _pullback(_bracket_image, 2, f, gs, 1)\n"
+    source += "a = _pullback(_bracket_image if t.depth else _wedge_image, 0, None, gs, 1)\n"
+    source += "b = _wedge_image(t.wedge) + _pullback(build, 0, None, [_wedge_image], 1)\n"
+    source += "from .regulator import _bracket_image\nc = R._bracket_image(2, f, gs)\n"
+    want = [(4, "_wedge_image"), (4, "_wedge_image"), (5, "_bracket_image"),
+            (6, "_bracket_image")]
+    assert image_builder_findings(source) == want
 
 
 def eager_imports(source: str, module: str) -> list:

@@ -78,6 +78,11 @@ class TestRMap:
         with pytest.raises(ValueError):
             r_map(parse_element("{f}_2 (x) g", weight=4))
 
+    def test_empty_pure_wedge_refused(self):
+        # its free shape is the empty alternation; r_map must not read it as 0
+        with pytest.raises(ValueError, match="empty pure wedge"):
+            r_map(pure_wedge([]))
+
 
 def test_construction_pinned():
     """What r_map, d and delta build on 100 elements, printed in order and
@@ -100,29 +105,34 @@ def test_construction_pinned():
 
 
 def direct_r_map(e):
-    """r_map with each bracket image built directly on e's own functions, by
-    `_bracket_image` or, for a bare bracket, as its sv scalar, where r_map
-    pulls back the free shape."""
+    """r_map with each image built directly on e's own functions, by
+    `_bracket_image` or, for a bare bracket, as its sv scalar, and by
+    `_wedge_image` for a pure wedge, where r_map pulls back the free shape."""
     terms = []
     for t in e.terms:
         if t.depth >= 2:
             img = (R._bracket_image(t.depth, t.argument, t.wedge) if t.wedge
                    else F.sv_scalar(t.depth, t.argument))
         else:
-            img = R._wedge_image(t.wedge)
+            img = R._wedge_image(0, None, t.wedge)
         terms += (img * t.coefficient).terms
     return F.form(max(e.degree - 1, 0), terms)
 
 
 class TestFreeShapes:
-    """r_map pulls back each bracket term, bare or with slots, from the image
-    built once per (depth, slots) on free atoms; the forms are those of the
-    direct builder, term by term, coefficient types and text included."""
+    """r_map pulls back each term, a bracket bare or with slots or a pure
+    wedge, from the image built once per (depth, slots) on free atoms; the
+    forms are those of the direct builder, term by term, coefficient types
+    and text included."""
 
     def test_images_as_built_directly(self):
         elements = [random_element(w, random.Random(s)) for w in range(3, 9) for s in range(6)]
         elements += [bracket_tensor(f, n, [], c) for f in (FVAR, T, pf("(1-t)/(1+t)"), pf("1/2"))
                      for n in (2, 3, 4) for c in (1, -2, 3)]
+        rng, pool = random.Random(30), ["t", "t+2", "1-t", "x", "y", "x+y", "2", "1/2", "-3"]
+        wedges = [[pf(g) for g in family.split(";")] for family in TOP_FAMILIES]
+        wedges += [[pf(g) for g in rng.sample(pool, m)] for m in range(1, 8) for _ in range(3)]
+        elements += [pure_wedge(gs, c) for gs in wedges for c in (1, -2, 3)]
         for e in elements + collision_elements():
             assert form_record(r_map(e)) == form_record(direct_r_map(e)), str(e)
             if e.degree < e.weight and not e.is_zero():
@@ -139,6 +149,11 @@ class TestFreeShapes:
         F._shape.cache_clear()
         for f, gs in ((FVAR, [G]), (T, [pf("t+2")]), (pf("1/2"), [FVAR])):
             r_map(bracket_tensor(f, 3, gs, 2))
+        info = F._shape.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        F._shape.cache_clear()
+        for gs in ([FVAR, G, T], [T, pf("t+2"), pf("2")], [G, pf("1/2"), FVAR]):
+            r_map(pure_wedge(gs, -2))
         info = F._shape.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
