@@ -5,7 +5,9 @@ effective configuration, content digests of the golden files, the list of
 suite reports and whether all of them passed.  With --json the manifest is
 printed as sorted JSON, so a fixed (command, seed, precision) reproduces
 byte-identical output.  Exit code 0 means every suite passed, 1 means a suite failed,
-2 is a usage error.
+2 is a usage error.  `build_parser` is the table of options, their defaults and
+bounds, and `_NEEDS` says which option needs which: argparse refuses a value
+past a bound, naming the option, and `_reports` an option without the one it needs.
 
 `all` is the list of subcommand lines ALL_LINES: the same parser reads each
 line, and `_reports` runs it as that subcommand runs, but under the
@@ -17,6 +19,7 @@ loop-check keep their bounds, 1e-8 and 1e-3, which only their own --tol sets.
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -33,7 +36,7 @@ from .exact import (
     verify_row_identities,
 )
 from .funcfield import parse_function
-from .polycomplex import parse_element, residue_chain_check
+from .polycomplex import _WEDGE_POOL, parse_element, residue_chain_check
 from .polylog import sv_polylog, sv_polylog_check_symmetries
 from .regulator import (
     _GOLDEN_DIR,
@@ -82,18 +85,12 @@ ELEMENT_HELP = (
     " so write sums, differences and powers in a slot inside parentheses: '{t}_3 (x) (t-1)'"
 )
 
-# the arguments a command's manifest echoes under "config", beside the
-# fields of its RegulatorConfig
-_ECHOED = {
-    "beta": ("max_k", "max_p"),
-    "verify-identities": ("max_m", "max_n", "max_p", "max_k"),
-    "sv-polylog": ("precision",),
-    "polylog-symmetries": ("weight",),
-    "residue": ("weight",),
-    "chain-check": ("weight", "element"),
-    "top-check": ("functions",),
-    "loop-check": ("weight", "element", "at"),
-}
+# per subcommand, option -> the option it needs
+_NEEDS = {"chain-check": {"element": "weight"}, "loop-check": dict(
+    element="weight", weight="element", tol="element", at="element", orientation="element")}
+
+# not echoed under "config": what its RegulatorConfig holds, and what a loop case names
+_UNECHOED = ("command", "json", "seed", "tol", "samples", "nodes", "radii", "orientation")
 
 
 def _versions() -> dict:
@@ -106,7 +103,9 @@ def _versions() -> dict:
 def _config_dict(cfg: RegulatorConfig, args) -> dict:
     out = asdict(cfg)
     out["loop_radii"] = list(out["loop_radii"])
-    out.update((name, getattr(args, name)) for name in _ECHOED.get(args.command, ()))
+    # sv-polylog's case names its weight and point
+    skip = _UNECHOED + (("weight", "at") if args.command == "sv-polylog" else ())
+    out.update((name, value) for name, value in vars(args).items() if name not in skip)
     if args.command == "loop-check" and args.at is None:
         out["at"] = _LOOP_AT  # the point the run used
     return out
@@ -142,18 +141,23 @@ def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[d
 
 
 def _sv_report(weight: int, at: str, precision: int) -> dict:
-    if precision <= 53:
-        z = complex(at.replace("i", "j").replace(" ", ""))
-        try:
-            value = sv_polylog(weight, z, precision_bits=precision)
-        except OverflowError:
-            raise ValueError("sv-polylog: L_%d(%s) is outside the double range; "
-                             "it needs --precision > 53" % (weight, at)) from None
-        rendered = [value.real, value.imag]
-    else:
+    read = complex
+    if precision > 53:  # mpmath keeps the value of a point past the double range
         import mpmath as mp
 
-        value = sv_polylog(weight, mp.mpmathify(at.replace("i", "j")), precision_bits=precision)
+        read = mp.mpmathify
+    try:  # i for j, but not the i of inf
+        z = read(re.sub(r"(?i:(inf))|i", lambda m: m[1] or "j", at.replace(" ", "")))
+    except (TypeError, ValueError, AttributeError):  # mpmath raises each on text it cannot read
+        raise ValueError("sv-polylog: --at %r is not a complex number" % at) from None
+    try:
+        value = sv_polylog(weight, z, precision_bits=precision)
+    except OverflowError:
+        raise ValueError("sv-polylog: L_%d(%s) is outside the double range; "
+                         "it needs --precision > 53" % (weight, at)) from None
+    if precision <= 53:
+        rendered = [value.real, value.imag]
+    else:
         rendered = mp.nstr(value, max(17, round(precision * 0.302)))
     case = {
         "input": "L_%d(%s)" % (weight, at),
@@ -176,28 +180,16 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     Every suite is called through its name in this module at call time, so
     a wrapper installed on that name sees each call, from `all` as well."""
     command = args.command
-    if getattr(args, "element", None) and args.weight is None:
-        raise ValueError("--element needs --weight")
+    for option, needed in _NEEDS.get(command, {}).items():
+        if getattr(args, option) is not None and getattr(args, needed) is None:
+            raise ValueError("%s: --%s needs --%s" % (command, option, needed))
     if command == "beta":
-        if args.max_k < 0:
-            raise ValueError("beta: --max-k must be >= 0")
-        if args.max_p < 1:
-            raise ValueError("beta: --max-p must be >= 1")
         return [_beta_report(args.max_k, args.max_p)]
     if command == "verify-identities":
-        # rows m >= 1, the proposition's n >= 3 and p >= 1, and the
-        # beta-recursion grid k <= max_k, 1 <= p <= max_k
-        for option, value, least in (("--max-m", args.max_m, 1), ("--max-n", args.max_n, 3),
-                                     ("--max-p", args.max_p, 1), ("--max-k", args.max_k, 1)):
-            if value < least:
-                raise ValueError("verify-identities: %s must be >= %d" % (option, least))
         return _identities_report(args.max_m, args.max_n, args.max_p, args.max_k)
     if command == "sv-polylog":
         return [_sv_report(args.weight, args.at, args.precision)]
     if command == "polylog-symmetries":
-        if args.weight < 2:
-            raise ValueError("polylog-symmetries: --weight %d; the suite runs weights >= 2"
-                             % args.weight)
         tol = 1e-8 if args.tol is None else args.tol
         return [
             sv_polylog_check_symmetries(args.weight, samples=cfg.samples, tol=tol, seed=cfg.seed)
@@ -205,23 +197,18 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     if command == "residue":
         return [residue_chain_check(args.weight, samples=cfg.samples, seed=cfg.seed)]
     if command == "chain-check":
-        if args.element:
+        if args.element is not None:
             e = parse_element(args.element, weight=args.weight)
             return [chain_check(args.weight, e, cfg)]
         return [chain_suite((3, 4, 5, 6) if args.weight is None else (args.weight,), cfg)]
     if command == "top-check":
-        families = [args.functions] if args.functions else TOP_FAMILIES
+        families = TOP_FAMILIES if args.functions is None else [args.functions]
         return [_top_report(f, cfg) for f in families]
     if command == "loop-check":
-        if args.element:
+        cases = LOOP_CASES
+        if args.element is not None:
             at = _LOOP_AT if args.at is None else args.at
             cases = [(args.weight, args.element, at, args.orientation or 1)]
-        elif any(v is not None for v in (args.weight, args.tol, args.at, args.orientation)):
-            raise ValueError("loop-check: --weight, --tol, --at and --orientation apply to"
-                             " --element only; the default cases keep their own weights,"
-                             " points and orientations, and 1e-3")
-        else:
-            cases = LOOP_CASES
         tol = 1e-3 if args.tol is None else args.tol
         return [
             loop_residue_check(
@@ -239,6 +226,20 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
 # argument plumbing
 
 
+def _int(least: int, most: int = None):
+    """The type of an int option from least to most (None: no upper bound).
+    It keeps them as .least and .most, and is named int, as argparse names a
+    type in its errors ("invalid int value: 'x'")."""
+    def read(text: str) -> int:
+        value = int(text)
+        if value < least or most is not None and value > most:
+            raise argparse.ArgumentTypeError("must be " + (
+                ">= %d" % least if most is None else "from %d to %d" % (least, most)))
+        return value
+    read.__name__, read.least, read.most = "int", least, most
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyreg",
@@ -253,26 +254,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=samples, help="default %(default)s")
 
     p = sub.add_parser("beta", help="exact coefficient table")
-    p.add_argument("--max-k", type=int, default=8)
-    p.add_argument("--max-p", type=int, default=6)
+    p.add_argument("--max-k", type=_int(0), default=8)
+    p.add_argument("--max-p", type=_int(1), default=6)
 
     p = sub.add_parser("verify-identities", help="exact coefficient lemma grids")
-    p.add_argument("--max-m", type=int, default=50)
-    p.add_argument("--max-n", type=int, default=30)
-    p.add_argument("--max-p", type=int, default=30)
-    p.add_argument("--max-k", type=int, default=40)
+    # each least is its grid's smallest: the rows' m, the proposition's n and p, the beta grid's k
+    p.add_argument("--max-m", type=_int(1), default=50)
+    p.add_argument("--max-n", type=_int(3), default=30)
+    p.add_argument("--max-p", type=_int(1), default=30)
+    p.add_argument("--max-k", type=_int(1), default=40)
 
     p = sub.add_parser("sv-polylog", help="evaluate one single-valued polylog")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_int(1), required=True)
     p.add_argument("--at", required=True, help="complex point, e.g. '0.3+0.2j'")
-    p.add_argument("--precision", type=int, default=53)
+    p.add_argument("--precision", type=_int(1), default=53)
 
     p = sub.add_parser("polylog-symmetries", help="inversion/conjugation/parity suite")
-    p.add_argument("--weight", type=int, default=2)
+    p.add_argument("--weight", type=_int(2), default=2)
     common(p, "bound on each symmetry defect (default 1e-8, kept under all)", samples=25)
 
     p = sub.add_parser("residue", help="residue/differential commutation suite")
-    p.add_argument("--weight", type=int, default=3)
+    # past the wedge pool's size, a wedge of weight - 2 slots can run out of functions
+    p.add_argument("--weight", type=_int(2, len(_WEDGE_POOL) + 1), default=3)
     common(p)
 
     p = sub.add_parser("chain-check", help="d(r(e)) == r(delta(e)) at generic frames")
@@ -315,7 +318,7 @@ def _make_config(args) -> RegulatorConfig:
     given = vars(args)
     fields = {"seed": "seed", "tol": "tol", "samples": "samples", "nodes": "loop_nodes"}
     kw = {field: given[name] for name, field in fields.items() if given.get(name) is not None}
-    if given.get("radii"):
+    if given.get("radii") is not None:
         kw["loop_radii"] = tuple(float(r) for r in args.radii.split(","))
     return RegulatorConfig(**kw)
 

@@ -81,8 +81,8 @@ class RegulatorConfig:
     loop_nodes: int = 256
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.samples < 1:
             raise ValueError("need at least one sample")
         radii = tuple(float(r) for r in self.loop_radii)
@@ -90,8 +90,8 @@ class RegulatorConfig:
             raise ValueError("loop radii must be strictly decreasing")
         if len(radii) < 3:
             raise ValueError("need at least 3 loop radii: the residue fit has 3 unknowns")
-        if min(radii) <= 0:
-            raise ValueError("loop radii must be positive")
+        if not all(0 < r < math.inf for r in radii):
+            raise ValueError("loop radii must be positive and finite")
         if self.loop_nodes < 64:
             raise ValueError("need at least 64 loop nodes")
         object.__setattr__(self, "loop_radii", radii)

@@ -1,13 +1,23 @@
-"""CLI: exit codes, report schema, byte-identical determinism."""
+"""CLI: exit codes, report schema, byte-identical determinism, and the
+parser as the one table of options that the sweep and README's options
+table are checked against."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from polyreg import cli
 from polyreg.cli import build_parser, run
 from polyreg.polylog import sv_polylog
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def run_json(capsys, argv):
@@ -25,8 +35,21 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 2
 
     def test_usage_error_element_without_weight(self, capsys):
-        code, _ = run_json(capsys, ["chain-check", "--element", "{f}_2 (x) g"])
-        assert code == 2
+        assert run(["chain-check", "--element", "{f}_2 (x) g"]) == 2
+        assert capsys.readouterr().err == "error: chain-check: --element needs --weight\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["chain-check", "--weight", "3", "--element", ""], "empty element"),
+        (["loop-check", "--weight", "2", "--element", ""], "empty element"),
+        (["loop-check", "--element", ""], "loop-check: --element needs --weight"),
+        (["top-check", "--functions", ""], "need at least two functions"),
+    ], ids=["chain-check", "loop-check", "loop-check-without-weight", "top-check"])
+    def test_usage_error_empty_text_is_given(self, capsys, argv, message):
+        # an empty --element or --functions used to read as absent and run
+        # the standard suite, the default loop cases or the nine families
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_usage_error_zero_denominator(self, capsys):
         code = run(["chain-check", "--weight", "3", "--element", "{1/(t-t)}_3"])
@@ -51,7 +74,25 @@ class TestExitCodes:
     def test_usage_error_precision_below_one(self, capsys):
         code = run(["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "0"])
         assert code == 2
-        assert "precision_bits must be >= 1" in capsys.readouterr().err
+        assert "polyreg sv-polylog: error: argument --precision: must be >= 1\n" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("precision", ["53", "80"])
+    @pytest.mark.parametrize("at", ["x", "", "(1,2)"])
+    def test_usage_error_malformed_point(self, capsys, at, precision):
+        # above 53 bits each used to escape as a TypeError from mpmath, and
+        # at 53 the error did not name --at
+        assert run(["sv-polylog", "--weight", "2", "--at", at, "--precision", precision]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sv-polylog: --at %r is not a complex number\n" % at
+
+    @pytest.mark.parametrize("precision", ["53", "80"])
+    @pytest.mark.parametrize("at", ["inf", "-inf"])
+    def test_usage_error_infinite_point(self, capsys, at, precision):
+        # 'inf' used to become 'jnf': a malformed string at 53 bits, an
+        # AttributeError from mpmath above
+        assert run(["sv-polylog", "--weight", "2", "--at=" + at, "--precision", precision]) == 2
+        assert capsys.readouterr().err.startswith("error: sv_polylog: z must be finite, got ")
 
     @pytest.mark.parametrize("weight", ["0", "1", "-1", "7", "12"])
     def test_usage_error_chain_weight_without_shapes(self, capsys, weight):
@@ -67,7 +108,8 @@ class TestExitCodes:
     def test_usage_error_empty_beta_table(self, capsys, option, value):
         # an empty table used to pass
         assert run(["beta", option, value]) == 2
-        assert capsys.readouterr().err.startswith("error: beta: %s must be >= " % option)
+        assert "\npolyreg beta: error: argument %s: must be >= " % option in (
+            capsys.readouterr().err)
 
     def test_usage_error_identities_grid_names_max_k(self, capsys):
         # each bound is named by its option; --max-m, --max-n and --max-p
@@ -75,30 +117,30 @@ class TestExitCodes:
         for option, value, least in (("--max-k", "-1", 1), ("--max-m", "0", 1),
                                      ("--max-n", "2", 3), ("--max-p", "0", 1)):
             assert run(["verify-identities", option, value]) == 2, option
-            assert capsys.readouterr().err.startswith(
-                "error: verify-identities: %s must be >= %d" % (option, least)), option
+            assert "\npolyreg verify-identities: error: argument %s: must be >= %d\n" % (
+                option, least) in capsys.readouterr().err, option
 
     @pytest.mark.parametrize("weight", ["10", "11", "12"])
     def test_usage_error_residue_weight_past_the_pool(self, capsys, weight):
         # the sampler used to run out of wedge functions, at weight 10 for
         # most seeds
         assert run(["residue", "--weight", weight, "--samples", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: weight must be <= 9: ")
+        assert "\npolyreg residue: error: argument --weight: must be from 2 to 9\n" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("option", [["--weight", "2"], ["--tol", "0.5"], ["--at", "1"],
                                         ["--orientation", "-1"]], ids=" ".join)
     def test_usage_error_loop_option_without_element(self, capsys, option):
         # each used to be ignored, and --tol and --at echoed in the manifest
         assert run(["loop-check", *option, "--json"]) == 2
-        assert "apply to --element only" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: loop-check: %s needs --element\n" % option[0]
 
     @pytest.mark.parametrize("weight", ["1", "0", "-1"])
     def test_usage_error_symmetry_weight_below_two(self, capsys, weight):
         # weight 1 used to fail its inversion case: L_1(1/z) = L_1(z) + log|z|
         assert run(["polylog-symmetries", "--weight", weight, "--samples", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: polylog-symmetries: --weight %s; " % weight)
-        assert "weights >= 2" in err
+        assert "\npolyreg polylog-symmetries: error: argument --weight: must be >= 2\n" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [["residue", "--tol", "1e-3"],
                                       ["loop-check", "--seed", "1"],
@@ -135,67 +177,176 @@ class TestExitCodes:
         assert run(["--help"]) == 0
 
 
+VERDICT, USAGE = (0, 1), (2,)  # the exit classes: a suite's verdict, and a usage error
+
+
+def subcommands(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def bounds(parser) -> list:
+    """(subcommand, option, least, most) of each option whose type is a
+    `cli._int`, as the parser holds them."""
+    return [(command, action.option_strings[0], action.type.least, action.type.most)
+            for command, p in subcommands(parser).items() for action in p._actions
+            if hasattr(action.type, "least")]
+
+
+# a cheap line of each bounded subcommand, before the bounded option
+BASE = {"sv-polylog": ["--weight", "3", "--at", "0.3+0.2j"],
+        "polylog-symmetries": ["--samples", "1"], "residue": ["--samples", "1"]}
+
+# a line of each subcommand of `cli._NEEDS` that gives every option there
+NEEDS_LINES = {
+    "chain-check": ["--weight", "3", "--element", "{(1-t)/(1+t)}_2 (x) t", "--samples", "1"],
+    "loop-check": ["--weight", "2", "--element", "(t+2)^t", "--nodes", "64", "--tol", "0.5",
+                   "--at", "1", "--orientation", "-1"],
+}
+
+
 def sweep_argvs() -> list:
-    """Every subcommand that takes --weight at weights 0-12, chain-check and
-    loop-check with and without --element, the boundary values of README's
-    options table on both sides, and a value past the double range."""
+    """(argv, exit class) pairs.  Both sides of every bound of the parser:
+    least, and most if there is one, end in a verdict; least - 1 and
+    most + 1 in a usage error.  Each pair of `cli._NEEDS`: the option alone
+    is a usage error, and with what it needs a verdict.  Every subcommand
+    that takes --weight at weights 0-12, chain-check and loop-check with and
+    without --element.  And the limits the library owns: chain-check's
+    shapes at 2-6, bracket depth >= 2, --samples >= 1, a positive finite
+    --tol, --nodes >= 64, three positive finite decreasing radii, and the
+    double range."""
+    parser = build_parser()
     argvs = []
+    weights = {}
+    for command, option, least, most in bounds(parser):
+        line = [command, *BASE.get(command, []), option]
+        valid, invalid = [least], [least - 1]
+        if most is not None:
+            valid, invalid = [least, most], [least - 1, most + 1]
+        argvs += [(line + [str(v)], VERDICT) for v in valid]
+        argvs += [(line + [str(v)], USAGE) for v in invalid]
+        if option == "--weight":
+            weights[command] = range(least, 13 if most is None else most + 1)
+    for command, needs in cli._NEEDS.items():
+        given = dict(zip(NEEDS_LINES[command][::2], NEEDS_LINES[command][1::2]))
+        argvs.append(([command, *NEEDS_LINES[command]], VERDICT))
+        argvs += [([command, "--" + option, given["--" + option]], USAGE) for option in needs]
+    weights.update({"chain-check": range(2, 7), "element": range(2, 13)})
     for w in range(13):
         chain = "{(1-t)/(1+t)}_%d" % w
         loop = "(t+2)^t" if w == 2 else "{(2+t)/(1+t)}_%d (x) t" % (w - 1)
-        argvs += [[command, "--weight", str(w), *rest] for command, *rest in (
-            ("sv-polylog", "--at", "0.3+0.2j"), ("polylog-symmetries", "--samples", "1"),
-            ("residue", "--samples", "1"), ("chain-check", "--samples", "1"),
-            ("chain-check", "--element", chain, "--samples", "1"), ("loop-check",),
-            ("loop-check", "--element", loop, "--nodes", "64"))]
+        for command, *rest in (
+                ("sv-polylog", "--at", "0.3+0.2j"), ("polylog-symmetries", "--samples", "1"),
+                ("residue", "--samples", "1"), ("chain-check", "--samples", "1"),
+                ("chain-check", "--element", chain, "--samples", "1"), ("loop-check",),
+                ("loop-check", "--element", loop, "--nodes", "64")):
+            kind = "element" if "--element" in rest else command
+            valid = w in weights.get(kind, ())  # loop-check --weight alone needs --element
+            argvs.append(([command, "--weight", str(w), *rest], VERDICT if valid else USAGE))
     loop = ["loop-check", "--weight", "2", "--element", "(t+2)^t"]
-    argvs += [
-        ["beta", "--max-k", "0"], ["beta", "--max-k", "-1"],
-        ["beta", "--max-p", "1"], ["beta", "--max-p", "0"],
-        ["verify-identities", "--max-m", "1", "--max-n", "3", "--max-p", "1", "--max-k", "1"],
-        ["verify-identities", "--max-m", "0"], ["verify-identities", "--max-n", "2"],
-        ["verify-identities", "--max-p", "0"], ["verify-identities", "--max-k", "0"],
-        ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "1"],
-        ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "0"],
+    argvs += [(argv, VERDICT) for argv in (
         ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "54"],
+        ["top-check", "--functions", "t;1-t", "--samples", "1"],
+        [*loop, "--orientation", "-1"], [*loop, "--at", "1"], [*loop, "--nodes", "64"],
+        [*loop, "--radii", "1e-2,3e-3,1e-3"], ["loop-check"], ["golden"])]
+    argvs += [(argv, USAGE) for argv in (
         ["sv-polylog", "--weight", "300", "--at", "2e-290-1e-291j"],
+        ["sv-polylog", "--weight", "3", "--at", "0.3+"],
         ["polylog-symmetries", "--samples", "0"],
         ["polylog-symmetries", "--samples", "1", "--tol", "0"],
         ["residue", "--samples", "0"],
         ["chain-check", "--weight", "3", "--samples", "1", "--tol", "0"],
-        ["top-check", "--functions", "t;1-t", "--samples", "1"],
+        ["chain-check", "--weight", "3", "--samples", "1", "--tol", "inf"],
         ["top-check", "--functions", "t", "--samples", "1"], ["top-check", "--samples", "0"],
-        [*loop, "--orientation", "-1"], [*loop, "--orientation", "0"], [*loop, "--at", "1"],
-        [*loop, "--nodes", "64"], [*loop, "--nodes", "63"],
-        [*loop, "--radii", "1e-2,3e-3,1e-3"], [*loop, "--radii", "1e-2,1e-3"],
-        ["loop-check"], ["golden"], ["all", "--samples", "0"],
-    ]
+        [*loop, "--orientation", "0"], [*loop, "--nodes", "63"], [*loop, "--tol", "nan"],
+        [*loop, "--radii", "1e-2,1e-3"], [*loop, "--radii", "1e-2,3e-3,nan"],
+        [*loop, "--radii", ""],
+        ["all", "--samples", "0"])]
     return argvs
 
 
-def test_every_weight_and_bound_ends_in_a_verdict_or_a_usage_error(capsys):
-    """Each run ends in exit 0 or 1 with a manifest of the command and
-    weight asked for, or in exit 2 with an error on stderr and no report;
-    no exception escapes."""
+def run_captured(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def sweep_failures(argvs) -> list:
+    """The argv that end outside their exit class.  A verdict must print a
+    manifest of the command and weight asked for and nothing on stderr; a
+    usage error an error on stderr and no report; no exception escapes."""
     bad = []
-    for argv in sweep_argvs():
+    for argv, expected in argvs:
         try:
-            code = run(argv + ["--json"])
+            code, out, err = run_captured(argv + ["--json"])
         except Exception as exc:
             bad.append((argv, repr(exc)))
             continue
-        out, err = capsys.readouterr()
-        if code in (0, 1):
+        if code in VERDICT and code in expected:
             manifest = json.loads(out)
-            weight = argv[argv.index("--weight") + 1] if "--weight" in argv else None
+            weight = getattr(build_parser().parse_args(argv), "weight", None)
             asked = manifest["command"] == argv[0] and (
-                weight is None or manifest["config"].get("weight") == int(weight)
-                or manifest["results"][0]["cases"][0]["input"].startswith("L_%s(" % weight))
+                weight is None or manifest["config"].get("weight") == weight
+                or manifest["results"][0]["cases"][0]["input"].startswith("L_%d(" % weight))
             if not asked or err:
                 bad.append((argv, code, err))
-        elif code != 2 or out or "error: " not in err:
+        elif code not in expected or out or "error: " not in err:
             bad.append((argv, code, err))
-    assert bad == []
+    return bad
+
+
+def test_every_weight_and_bound_ends_in_a_verdict_or_a_usage_error():
+    argvs = sweep_argvs()
+    assert len(argvs) >= 121
+    assert sweep_failures(argvs) == []
+
+
+def options_table_mismatches(parser) -> list:
+    """Each row of README's options table against the parser: one row per
+    subcommand, which names exactly its options besides --json, and the
+    parenthesis after an option's first mention starts with the parser's
+    default where that is not None, and states exactly its `_int` bounds
+    ("≥ 1", "from 2 to 9") and no others."""
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, flags=re.M))
+    found = [] if set(rows) == set(subcommands(parser)) else [("rows", sorted(rows))]
+    for command, p in subcommands(parser).items():
+        row = rows.get(command, "")
+        options = {a.option_strings[0]: a for a in p._actions
+                   if a.option_strings and a.option_strings[0] not in ("-h", "--json")}
+        named = set(re.findall(r"`(--[a-z-]+)", row))
+        if named != set(options):
+            found.append((command, sorted(named ^ set(options))))
+        for option, action in options.items():
+            said = re.search(r"`%s` \(([^)]*)\)" % option, row)
+            items = re.split(r"[,;] ", said.group(1)) if said else []
+            stated = [i for i in items if re.fullmatch(r"≥ -?\d+|from -?\d+ to -?\d+", i)]
+            least, most = getattr(action.type, "least", None), getattr(action.type, "most", None)
+            bound = [] if least is None else [
+                "≥ %d" % least if most is None else "from %d to %d" % (least, most)]
+            default = action.default
+            if stated != bound or default is not None and items[:1] != [str(default)]:
+                found.append((command, option, items, default, bound))
+    return found
+
+
+def test_readme_options_table_is_the_parser():
+    assert options_table_mismatches(build_parser()) == []
+
+
+def test_a_moved_bound_fails_the_sweep_and_the_readme(monkeypatch):
+    """The control: residue's --weight bound moved by one, to 2-10, in the
+    parser alone."""
+    real = cli._int
+    monkeypatch.setattr(cli, "_int", lambda least, most=None: real(least, most if most is None
+                                                                  else most + 1))
+    parser = build_parser()
+    assert ("residue", "--weight", 2, 10) in bounds(parser)
+    moved = [(argv, want) for argv, want in sweep_argvs() if argv[0] == "residue"]
+    assert [argv for argv, *_ in sweep_failures(moved)] == [
+        ["residue", "--samples", "1", "--weight", "10"],
+        ["residue", "--weight", "10", "--samples", "1"]]
+    assert [m[:2] for m in options_table_mismatches(parser)] == [("residue", "--weight")]
 
 
 class TestReports:
@@ -227,6 +378,22 @@ class TestReports:
         case = json.loads(out)["results"][0]["cases"][0]
         want = sv_polylog(2, 1j)
         assert abs(complex(case["value"][0], case["value"][1]) - want) < 1e-15
+
+    @pytest.mark.parametrize("precision", [53, 80])
+    @pytest.mark.parametrize("at, z", [("1+2i", 1 + 2j), ("1 + 2i", 1 + 2j), ("1j", 1j),
+                                       ("0.3+0.2j", 0.3 + 0.2j)])
+    def test_sv_polylog_point_as_written(self, capsys, at, z, precision):
+        code, out = run_json(capsys, ["sv-polylog", "--weight", "2", "--at", at,
+                                      "--precision", str(precision), "--json"])
+        case = json.loads(out)["results"][0]["cases"][0]
+        assert code == 0 and case["input"] == "L_2(%s)" % at
+        want = sv_polylog(2, z, precision_bits=precision)
+        if precision == 53:
+            assert case["value"] == [want.real, want.imag]
+        else:
+            import mpmath as mp
+
+            assert case["value"] == mp.nstr(want, 24)
 
     def test_verify_identities(self, capsys):
         code, out = run_json(

@@ -31,6 +31,10 @@ once.  And the regulator's images are built one way: the direct builders
 `_bracket_image` and `_wedge_image` appear in the package only where they
 are defined and as the first argument of `_pullback`.
 
+The CLI's bounds live in its parser: `cli._reports` compares no `args.<name>`
+with a number, and `cli` keeps no second list of each subcommand's options
+(`_ECHOED`).
+
 mpmath is imported where it is used: no module of the package imports it at
 import time, and a fresh interpreter that imports `polyreg`, evaluates the
 double routes and runs `all` never loads it, while the 130-bit route still
@@ -309,6 +313,38 @@ def test_image_route_scan_finds_a_violation():
     want = [(4, "_wedge_image"), (4, "_wedge_image"), (5, "_bracket_image"),
             (6, "_bracket_image")]
     assert image_builder_findings(source) == want
+
+
+def bound_findings(source: str) -> list:
+    """(line, name) of each comparison in `_reports` between an `args.<name>`
+    attribute and a numeric literal, and of a module-level `_ECHOED`."""
+    tree = ast.parse(source)
+    found = [(node.lineno, "_ECHOED") for node in tree.body
+             if "_ECHOED" in module_level_names(ast.unparse(node))]
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef) or function.name != "_reports":
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                       for n in sides):
+                    found += [(n.lineno, n.attr) for n in sides if isinstance(n, ast.Attribute)
+                              and getattr(n.value, "id", None) == "args"]
+    return sorted(found)
+
+
+def test_cli_bounds_live_in_the_parser():
+    assert bound_findings((ROOT / "src" / "polyreg" / "cli.py").read_text()) == []
+
+
+def test_bound_scan_finds_a_refusal():
+    source = "_ECHOED = {}\n\n\ndef _reports(args, cfg, parse):\n"
+    source += "    if args.max_k < 0 or 2 > args.weight or args.tol is None:\n"
+    source += "        raise ValueError\n    return args.precision <= 53.0\n\n\n"
+    source += "def _sv_report(args):\n    return args.precision <= 53\n"
+    want = [(1, "_ECHOED"), (5, "max_k"), (5, "weight"), (7, "precision")]
+    assert bound_findings(source) == want
 
 
 def eager_imports(source: str, module: str) -> list:

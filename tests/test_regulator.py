@@ -423,6 +423,14 @@ class TestConfig:
         # the residue fit c + b eps log eps + d eps has three unknowns
         with pytest.raises(ValueError, match="at least 3"):
             RegulatorConfig(loop_radii=(1e-2, 1e-3))
+        # an infinite tol passed every sampled defect, and a radius of nan
+        # or inf failed later, at the loop's coordinates
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                RegulatorConfig(tol=tol)
+        for radii in ((1e-2, 3e-3, math.nan), (math.inf, 1e-2, 1e-3), (1e-2, 3e-3, -1e-3)):
+            with pytest.raises(ValueError, match="loop radii must be positive and finite"):
+                RegulatorConfig(loop_radii=radii)
 
 
 class TestResidueFit:
