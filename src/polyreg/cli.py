@@ -8,16 +8,19 @@ byte-identical output.  Exit code 0 means every suite passed, 1 means a suite fa
 2 is a usage error.  `build_parser` is the table of options, their defaults and
 bounds, and `_NEEDS` says which option needs which: argparse refuses a value
 past a bound, naming the option, and `_reports` an option without the one it needs.
+An --element carries its weight; an unset option leaves the library's default standing.
 
 `all` is the list of subcommand lines ALL_LINES: the same parser reads each
 line, and `_reports` runs it as that subcommand runs, but under the
 RegulatorConfig of `all`.  So its --seed and --samples reach every sampled
 suite, and its --tol chain-check and top-check; polylog-symmetries and
-loop-check keep their bounds, 1e-8 and 1e-3, which only their own --tol sets.
+loop-check keep their library's bounds, which only their own --tol sets.
 """
 
 import argparse
+import cmath
 import hashlib
+import inspect
 import json
 import re
 import sys
@@ -63,9 +66,9 @@ TOP_FAMILIES = (
 _LOOP_AT = "0"  # the point of loop-check --element when --at is not given
 
 LOOP_CASES = (
-    (2, "(t+2)^t", "0", 1),
-    (2, "(t+2)^t", "0", -1),
-    (3, "{(2+t)/(1+t)}_2 (x) t", "0", 1),
+    ("(t+2)^t", "0", 1),
+    ("(t+2)^t", "0", -1),
+    ("{(2+t)/(1+t)}_2 (x) t", "0", 1),
 )
 
 ALL_LINES = (
@@ -86,8 +89,7 @@ ELEMENT_HELP = (
 )
 
 # per subcommand, option -> the option it needs
-_NEEDS = {"chain-check": {"element": "weight"}, "loop-check": dict(
-    element="weight", weight="element", tol="element", at="element", orientation="element")}
+_NEEDS = {"loop-check": dict(weight="element", tol="element", at="element", orientation="element")}
 
 # not echoed under "config": what its RegulatorConfig holds, and what a loop case names
 _UNECHOED = ("command", "json", "seed", "tol", "samples", "nodes", "radii", "orientation")
@@ -141,15 +143,21 @@ def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[d
 
 
 def _sv_report(weight: int, at: str, precision: int) -> dict:
-    read = complex
-    if precision > 53:  # mpmath keeps the value of a point past the double range
+    text = re.sub(r"(?i:(inf))|i", lambda m: m[1] or "j", "".join(at.split()))  # not inf's i
+    try:  # complex()'s grammar on both routes
+        z = complex(text)
+    except ValueError:
+        raise ValueError("sv-polylog: --at %r is not a complex number" % at) from None
+    if precision > 53:  # mpmath reads each part's text, keeping a value past the double range
         import mpmath as mp
 
-        read = mp.mpmathify
-    try:  # i for j, but not the i of inf
-        z = read(re.sub(r"(?i:(inf))|i", lambda m: m[1] or "j", at.replace(" ", "")))
-    except (TypeError, ValueError, AttributeError):  # mpmath raises each on text it cannot read
-        raise ValueError("sv-polylog: --at %r is not a complex number" % at) from None
+        # real, then an imaginary part from the last sign that follows no exponent's e
+        real, imag = re.fullmatch(r"\(?(.*?)(?:([-+]?(?:[^-+eE]|[eE][-+]?)*)j)?\)?",
+                                  text.replace("_", ""), re.I).groups()
+        z = mp.mpf(real) if imag is None else mp.mpc(real or 0, imag + "1" * (imag in "+-"))
+    elif not cmath.isfinite(z) and not re.search("inf|nan", text, re.I):
+        raise ValueError("sv-polylog: --at %r is outside the double range; "
+                         "it needs --precision > 53" % at)
     try:
         value = sv_polylog(weight, z, precision_bits=precision)
     except OverflowError:
@@ -173,6 +181,10 @@ def _top_report(functions: str, cfg: RegulatorConfig) -> dict:
     return top_check(fs, cfg)
 
 
+def _given(**options) -> dict:  # those not None: the library's defaults stand for the rest
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     """The suite reports of one parsed subcommand line, run under cfg; parse
     is the parser's parse_args, which reads the lines of `all`.
@@ -190,32 +202,26 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     if command == "sv-polylog":
         return [_sv_report(args.weight, args.at, args.precision)]
     if command == "polylog-symmetries":
-        tol = 1e-8 if args.tol is None else args.tol
-        return [
-            sv_polylog_check_symmetries(args.weight, samples=cfg.samples, tol=tol, seed=cfg.seed)
-        ]
+        return [sv_polylog_check_symmetries(args.weight, samples=cfg.samples, seed=cfg.seed,
+                                            **_given(tol=args.tol))]
     if command == "residue":
         return [residue_chain_check(args.weight, samples=cfg.samples, seed=cfg.seed)]
     if command == "chain-check":
         if args.element is not None:
-            e = parse_element(args.element, weight=args.weight)
-            return [chain_check(args.weight, e, cfg)]
-        return [chain_suite((3, 4, 5, 6) if args.weight is None else (args.weight,), cfg)]
+            return [chain_check(parse_element(args.element, weight=args.weight), cfg)]
+        if args.weight is None:
+            return [chain_suite(cfg=cfg)]
+        return [chain_suite((args.weight,), cfg)]
     if command == "top-check":
         families = TOP_FAMILIES if args.functions is None else [args.functions]
         return [_top_report(f, cfg) for f in families]
     if command == "loop-check":
         cases = LOOP_CASES
         if args.element is not None:
-            at = _LOOP_AT if args.at is None else args.at
-            cases = [(args.weight, args.element, at, args.orientation or 1)]
-        tol = 1e-3 if args.tol is None else args.tol
-        return [
-            loop_residue_check(
-                w, parse_element(text, weight=w), at, cfg, orientation=sign, tol=tol
-            )
-            for w, text, at, sign in cases
-        ]
+            cases = [(args.element, _LOOP_AT if args.at is None else args.at, args.orientation)]
+        return [loop_residue_check(parse_element(text, weight=args.weight), at, cfg,
+                                   **_given(orientation=sign, tol=args.tol))
+                for text, at, sign in cases]
     if command == "golden":
         return [golden_formula_tests()]
     # all, since the parser admits no other command
@@ -247,10 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_help=None, samples=20):
+    def radii(text: str) -> tuple:  # named in argparse's errors; RegulatorConfig checks them
+        return tuple(map(float, text.split(",")))
+
+    def common(p, tol_help=None, samples=20, tol=RegulatorConfig.tol):
         p.add_argument("--seed", type=int, default=0)
         if tol_help:
-            p.add_argument("--tol", type=float, default=None, help=tol_help)
+            p.add_argument("--tol", type=float, default=None, help=tol_help % tol)
         p.add_argument("--samples", type=int, default=samples, help="default %(default)s")
 
     p = sub.add_parser("beta", help="exact coefficient table")
@@ -271,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polylog-symmetries", help="inversion/conjugation/parity suite")
     p.add_argument("--weight", type=_int(2), default=2)
-    common(p, "bound on each symmetry defect (default 1e-8, kept under all)", samples=25)
+    common(p, "bound on each symmetry defect (default %g, kept under all)", samples=25,
+           tol=inspect.signature(sv_polylog_check_symmetries).parameters["tol"].default)
 
     p = sub.add_parser("residue", help="residue/differential commutation suite")
     # past the wedge pool's size, a wedge of weight - 2 slots can run out of functions
@@ -281,22 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain-check", help="d(r(e)) == r(delta(e)) at generic frames")
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--element", default=None, help=ELEMENT_HELP)
-    common(p, "bound on each sampled defect (default 1e-6)")
+    common(p, "bound on each sampled defect (default %g)")
 
     p = sub.add_parser("top-check", help="top-row cycle condition")
     p.add_argument("--functions", default=None, help="semicolon-separated list")
-    common(p, "bound on each sampled defect (default 1e-6)", samples=10)
+    common(p, "bound on each sampled defect (default %g)", samples=10)
 
     p = sub.add_parser("loop-check", help="loop integral against 2*pi*i residues")
+    loop = inspect.signature(loop_residue_check).parameters  # its defaults, for the help
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--element", default=None, help=ELEMENT_HELP)
     p.add_argument("--at", default=None, help="point of --element (default %s)" % _LOOP_AT)
-    p.add_argument("--radii", default=None, help="comma-separated decreasing radii")
+    p.add_argument("--radii", type=radii, default=None, help="comma-separated decreasing radii")
     p.add_argument("--nodes", type=int, default=256)
     p.add_argument("--orientation", type=int, default=None, choices=(1, -1),
-                   help="of --element's loops (default 1)")
+                   help="of --element's loops (default %d)" % loop["orientation"].default)
     p.add_argument("--tol", type=float, default=None,
-                   help="bound on the defect of --element (default 1e-3)")
+                   help="bound on the defect of --element (default %g)" % loop["tol"].default)
 
     p = sub.add_parser("golden", help="symbolic comparison against stored formulas")
 
@@ -306,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="run the subcommand lines %s under this command's --seed and --samples"
         % ", ".join(map(repr, ALL_LINES)),
     )
-    common(p, "bound on each sampled defect of chain-check and top-check (default 1e-6)")
+    common(p, "bound on each sampled defect of chain-check and top-check (default %g)")
 
     for p in set(sub.choices.values()):
         p.add_argument("--json", action="store_true", help="emit the manifest as JSON")
@@ -316,10 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_config(args) -> RegulatorConfig:
     given = vars(args)
-    fields = {"seed": "seed", "tol": "tol", "samples": "samples", "nodes": "loop_nodes"}
+    fields = {"seed": "seed", "tol": "tol", "samples": "samples", "nodes": "loop_nodes",
+              "radii": "loop_radii"}
     kw = {field: given[name] for name, field in fields.items() if given.get(name) is not None}
-    if given.get("radii") is not None:
-        kw["loop_radii"] = tuple(float(r) for r in args.radii.split(","))
     return RegulatorConfig(**kw)
 
 

@@ -17,8 +17,9 @@ Three numeric suites probe the defining identities at generic points:
                        point extrapolates to 2*pi*i times r of the
                        residue element
 
-Each check builds the plan of the forms it compares (`forms._Plan`), keeps
-its functions generic at the samples and evaluates the forms through it.
+Each check reads the weight off its element, builds the plan of the forms it
+compares (`forms._Plan`), draws its samples by it (`_draw`) and evaluates
+the forms through it.
 golden_formula_tests compares the map symbolically against transcribed
 closed forms kept under golden/.
 """
@@ -250,74 +251,62 @@ def golden_formula_tests() -> dict:
 # generic sampling
 
 
-def _generic_point(
-    rng: random.Random, names: Sequence[str], functions: Sequence[RationalFunction]
-) -> dict:
-    # rejection sampling on a box; every listed function must stay in a
-    # moderate annulus so logs and polylog scalars are well conditioned
-    compiled = [_compile(h, names) for h in functions]
+# chain_check and top_check compare both sides on this many frames per point
+_FRAMES_PER_POINT = 3
+
+
+def _draw(rng: random.Random, names: Sequence[str], functions: Sequence[RationalFunction],
+          sizes: Sequence[int]) -> Tuple[dict, List[List[dict]]]:
+    """A point where each distinct function (by key, evaluated once per candidate) has modulus
+    in [1e-3, 1e3], keeping logs and sv scalars well conditioned; then a frame per size."""
+    compiled = [_compile(h, names) for h in {h.key(): h for h in functions}.values()]
     for _ in range(400):
         xs = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in names]
         x = dict(zip(names, xs))
         try:
             if all(1e-3 <= abs(_evaluate(c, xs, 1e-12, x)[0]) <= 1e3 for c in compiled):
-                return x
+                break
         except PoleError:
             continue
-    raise RuntimeError("non-generic sample exhaustion")
-
-
-# chain_check and top_check compare both sides on this many frames per point
-_FRAMES_PER_POINT = 3
-
-
-def _frame(rng: random.Random, names: Sequence[str], count: int) -> List[dict]:
-    return [
-        {n: cmath.rect(1.0, rng.uniform(0.0, 2 * math.pi)) for n in names}
-        for _ in range(count)
-    ]
+    else:
+        raise RuntimeError("non-generic sample exhaustion")
+    return x, [[{n: cmath.rect(1.0, rng.uniform(0.0, 2 * math.pi)) for n in names}
+                for _ in range(size)] for size in sizes]
 
 
 # ---------------------------------------------------------------------------
 # chain-map square
 
 
-def chain_check(weight: int, e: ChainElement, cfg: Optional[RegulatorConfig] = None) -> dict:
+def chain_check(e: ChainElement, cfg: Optional[RegulatorConfig] = None) -> dict:
     """Compare d(r(e)) with r(delta(e)) at generic sample frames.
 
     Also records the twist defect: values of r(e) itself must lie in
-    i^(weight-1) R.
+    i^(weight-1) R, at the weight of e.
     """
     cfg = cfg or RegulatorConfig()
-    if e.weight != weight:
-        raise ValueError("element weight does not match")
-    if e.degree >= weight:
+    if e.degree >= e.weight:
         raise ValueError("top-degree element; use top_check")
     image = r_map(e)
     lhs = exterior_derivative(image)
     rhs = r_map(delta(e))
     plan = _Plan((lhs, rhs))
-    names = plan.names
     rng = random.Random(cfg.seed)
-    count = e.degree
-    parity = weight - 1
-    worst = 0.0
-    twist_worst = 0.0
+    worst = twist_worst = 0.0
     samples, twists = [], []  # (point, frames): of both sides, and of r(e)
+    sizes = [e.degree] * _FRAMES_PER_POINT + [e.degree - 1]
     for _ in range(cfg.samples):
-        x = _generic_point(rng, names, plan.guarded)
-        samples.append((x, [_frame(rng, names, count) for _ in range(_FRAMES_PER_POINT)]))
-        twists.append((x, [_frame(rng, names, count - 1)]))
+        x, frames = _draw(rng, plan.names, plan.guarded, sizes)
+        samples.append((x, frames[:-1]))
+        twists.append((x, frames[-1:]))
     for per_frame in plan.evaluate(samples):
         for a, b in per_frame:
             worst = max(worst, abs(a - b))
     for ((val,),) in _Plan((image,)).evaluate(twists):
-        twist_worst = max(
-            twist_worst, abs(val.real) if parity % 2 else abs(val.imag)
-        )
+        twist_worst = max(twist_worst, abs(val.real if (e.weight - 1) % 2 else val.imag))
     okay = worst < cfg.tol and twist_worst < cfg.tol
     case = report_case(str(e), okay, worst, cfg.tol, twist_defect=twist_worst)
-    return suite_report("chain-map", [case], weight=weight, samples=cfg.samples, seed=cfg.seed)
+    return suite_report("chain-map", [case], weight=e.weight, samples=cfg.samples, seed=cfg.seed)
 
 
 def standard_chain_elements(weight: int) -> List[Tuple[str, ChainElement]]:
@@ -363,10 +352,7 @@ def chain_suite(
     cases = []
     for w in weights:
         for label, e in standard_chain_elements(w):
-            report = chain_check(w, e, cfg)
-            case = dict(report["cases"][0])
-            case["input"] = "weight %d: %s" % (w, label)
-            cases.append(case)
+            cases.append(dict(chain_check(e, cfg)["cases"][0], input="weight %d: %s" % (w, label)))
     return suite_report("chain-map", cases, samples=cfg.samples, seed=cfg.seed)
 
 
@@ -387,10 +373,7 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
     functions = list(fs) + plan.guarded
     rng = random.Random(cfg.seed)
     worst = 0.0
-    samples = []
-    for _ in range(cfg.samples):
-        x = _generic_point(rng, names, functions)
-        samples.append((x, [_frame(rng, names, n) for _ in range(_FRAMES_PER_POINT)]))
+    samples = [_draw(rng, names, functions, [n] * _FRAMES_PER_POINT) for _ in range(cfg.samples)]
     for (x, frames), per_frame in zip(samples, plan.evaluate(samples)):
         for (a,), b in zip(per_frame, _holomorphic_parts(fs, x, frames)):
             worst = max(worst, abs(a + b))
@@ -443,7 +426,6 @@ def _lstsq(columns: Sequence[Sequence[float]], rhs: Sequence[complex]) -> List[c
 
 
 def loop_residue_check(
-    weight: int,
     e: ChainElement,
     a,
     cfg: Optional[RegulatorConfig] = None,
@@ -459,8 +441,6 @@ def loop_residue_check(
     cfg = cfg or RegulatorConfig()
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    if e.weight != weight:
-        raise ValueError("element weight does not match")
     image = r_map(e)
     if image.degree != 1:
         raise ValueError("loop integration needs a 1-form image")
@@ -496,4 +476,4 @@ def loop_residue_check(
         loop_value=[loop_value.real, loop_value.imag],
         expected=[expected.real, expected.imag],
     )
-    return suite_report("loop-residue", [case], weight=weight)
+    return suite_report("loop-residue", [case], weight=e.weight)

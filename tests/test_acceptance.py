@@ -231,10 +231,10 @@ def test_item_10_loop_residues():
     e2 = parse_element("(t+2)^t", weight=2)
     e3 = parse_element("{(2+t)/(1+t)}_2 (x) t", weight=3)
 
-    w2 = loop_residue_check(2, e2, 0)
-    w2r = loop_residue_check(2, e2, 0, orientation=-1)
-    w3 = loop_residue_check(3, e3, 0)
-    w3r = loop_residue_check(3, e3, 0, orientation=-1)
+    w2 = loop_residue_check(e2, 0)
+    w2r = loop_residue_check(e2, 0, orientation=-1)
+    w3 = loop_residue_check(e3, 0)
+    w3r = loop_residue_check(e3, 0, orientation=-1)
     elapsed = time.perf_counter() - t0
 
     want = -2 * math.pi * math.log(2)

@@ -5,6 +5,7 @@ table are checked against."""
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import re
@@ -15,7 +16,8 @@ import pytest
 
 from polyreg import cli
 from polyreg.cli import build_parser, run
-from polyreg.polylog import sv_polylog
+from polyreg.polylog import sv_polylog, sv_polylog_check_symmetries
+from polyreg.regulator import RegulatorConfig, loop_residue_check
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -34,14 +36,30 @@ class TestExitCodes:
     def test_usage_error_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
-    def test_usage_error_element_without_weight(self, capsys):
-        assert run(["chain-check", "--element", "{f}_2 (x) g"]) == 2
-        assert capsys.readouterr().err == "error: chain-check: --element needs --weight\n"
+    @pytest.mark.parametrize("argv, weight", [
+        (["chain-check", "--element", "{(1-t)/(1+t)}_3 (x) t", "--samples", "2"], "4"),
+        (["loop-check", "--element", "(t+2)^t"], "2")], ids=["chain-check", "loop-check"])
+    def test_element_without_weight_reads_its_weight(self, capsys, argv, weight):
+        # --element used to need --weight; a given one is checked against it
+        code, out = run_json(capsys, argv + ["--json"])
+        code_weighted, weighted = run_json(capsys, argv + ["--weight", weight, "--json"])
+        assert code == code_weighted == 0
+        assert json.loads(out)["results"] == json.loads(weighted)["results"]
+        assert run(argv + ["--weight", "3"]) == 2
+        assert "has weight %s" % weight in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radii", ["a,b,c", ""])
+    def test_usage_error_radii_not_numbers(self, capsys, radii):
+        # used to say only "could not convert string to float"
+        argv = ["loop-check", "--weight", "2", "--element", "(t+2)^t", "--radii", radii]
+        assert run(argv) == 2
+        assert "polyreg loop-check: error: argument --radii: invalid radii value: %r\n" % radii in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, message", [
         (["chain-check", "--weight", "3", "--element", ""], "empty element"),
         (["loop-check", "--weight", "2", "--element", ""], "empty element"),
-        (["loop-check", "--element", ""], "loop-check: --element needs --weight"),
+        (["loop-check", "--element", ""], "empty element"),
         (["top-check", "--functions", ""], "need at least two functions"),
     ], ids=["chain-check", "loop-check", "loop-check-without-weight", "top-check"])
     def test_usage_error_empty_text_is_given(self, capsys, argv, message):
@@ -78,13 +96,21 @@ class TestExitCodes:
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("precision", ["53", "80"])
-    @pytest.mark.parametrize("at", ["x", "", "(1,2)"])
+    @pytest.mark.parametrize("at", ["x", "", "(1,2)", "1/3"])
     def test_usage_error_malformed_point(self, capsys, at, precision):
         # above 53 bits each used to escape as a TypeError from mpmath, and
-        # at 53 the error did not name --at
+        # at 53 the error did not name --at; '1/3' ran above 53 bits, where
+        # mpmath's grammar read the text
         assert run(["sv-polylog", "--weight", "2", "--at", at, "--precision", precision]) == 2
         err = capsys.readouterr().err
         assert err == "error: sv-polylog: --at %r is not a complex number\n" % at
+
+    @pytest.mark.parametrize("at", ["1e400", "1e400j", "-1-1e400i"])
+    def test_usage_error_point_past_the_double_range(self, capsys, at):
+        # at 53 bits each used to read as an infinity, "z must be finite"
+        assert run(["sv-polylog", "--weight", "2", "--at=" + at]) == 2
+        assert capsys.readouterr().err == ("error: sv-polylog: --at %r is outside the double "
+                                           "range; it needs --precision > 53\n" % at)
 
     @pytest.mark.parametrize("precision", ["53", "80"])
     @pytest.mark.parametrize("at", ["inf", "-inf"])
@@ -198,7 +224,6 @@ BASE = {"sv-polylog": ["--weight", "3", "--at", "0.3+0.2j"],
 
 # a line of each subcommand of `cli._NEEDS` that gives every option there
 NEEDS_LINES = {
-    "chain-check": ["--weight", "3", "--element", "{(1-t)/(1+t)}_2 (x) t", "--samples", "1"],
     "loop-check": ["--weight", "2", "--element", "(t+2)^t", "--nodes", "64", "--tol", "0.5",
                    "--at", "1", "--orientation", "-1"],
 }
@@ -301,14 +326,36 @@ def test_every_weight_and_bound_ends_in_a_verdict_or_a_usage_error():
     assert sweep_failures(argvs) == []
 
 
+def library_defaults() -> dict:
+    """(subcommand, option) -> the library's default that the option, when
+    not given, leaves standing, as a tuple of floats."""
+    cfg, loop = RegulatorConfig(), inspect.signature(loop_residue_check).parameters
+    out = {(command, "--tol"): (cfg.tol,) for command in ("chain-check", "top-check", "all")}
+    out[("polylog-symmetries", "--tol")] = (
+        inspect.signature(sv_polylog_check_symmetries).parameters["tol"].default,)
+    out[("loop-check", "--tol")] = (loop["tol"].default,)
+    out[("loop-check", "--radii")] = cfg.loop_radii
+    return out
+
+
+def floats(text: str):
+    """The comma-separated numbers of text as a tuple, or None."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        return None
+
+
 def options_table_mismatches(parser) -> list:
     """Each row of README's options table against the parser: one row per
     subcommand, which names exactly its options besides --json, and the
     parenthesis after an option's first mention starts with the parser's
-    default where that is not None, and states exactly its `_int` bounds
-    ("≥ 1", "from 2 to 9") and no others."""
+    default where that is not None, or else with the library's default
+    that the option leaves standing (`library_defaults`), and states
+    exactly its `_int` bounds ("≥ 1", "from 2 to 9") and no others."""
     section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
     rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, flags=re.M))
+    defaults = library_defaults()
     found = [] if set(rows) == set(subcommands(parser)) else [("rows", sorted(rows))]
     for command, p in subcommands(parser).items():
         row = rows.get(command, "")
@@ -327,6 +374,9 @@ def options_table_mismatches(parser) -> list:
             default = action.default
             if stated != bound or default is not None and items[:1] != [str(default)]:
                 found.append((command, option, items, default, bound))
+            library = defaults.get((command, option))
+            if library is not None and floats(items[0] if items else "") != library:
+                found.append((command, option, items, library))
     return found
 
 
@@ -347,6 +397,18 @@ def test_a_moved_bound_fails_the_sweep_and_the_readme(monkeypatch):
         ["residue", "--samples", "1", "--weight", "10"],
         ["residue", "--weight", "10", "--samples", "1"]]
     assert [m[:2] for m in options_table_mismatches(parser)] == [("residue", "--weight")]
+
+
+def test_a_moved_library_default_fails_the_readme(monkeypatch):
+    """The control: loop_residue_check's default tol moved, 1e-3 to 1e-2, in
+    the library alone; and RegulatorConfig's radii."""
+    monkeypatch.setattr(loop_residue_check, "__defaults__", (None, 1, 1e-2))
+    monkeypatch.setattr(RegulatorConfig.__init__, "__defaults__", tuple(
+        (2e-2, 3e-3, 1e-3) if value == (1e-2, 3e-3, 1e-3) else value
+        for value in RegulatorConfig.__init__.__defaults__))
+    assert library_defaults()[("loop-check", "--radii")] == (2e-2, 3e-3, 1e-3)
+    assert [m[:2] for m in options_table_mismatches(build_parser())] == [
+        ("loop-check", "--radii"), ("loop-check", "--tol")]
 
 
 class TestReports:
@@ -381,8 +443,11 @@ class TestReports:
 
     @pytest.mark.parametrize("precision", [53, 80])
     @pytest.mark.parametrize("at, z", [("1+2i", 1 + 2j), ("1 + 2i", 1 + 2j), ("1j", 1j),
-                                       ("0.3+0.2j", 0.3 + 0.2j)])
+                                       ("0.3+0.2j", 0.3 + 0.2j), ("i", 1j), ("1+j", 1 + 1j),
+                                       ("(1_0+2J)", 10 + 2j), ("2e-3-1E+1i", 0.002 - 10j)])
     def test_sv_polylog_point_as_written(self, capsys, at, z, precision):
+        # complex()'s grammar on both routes: above 53 bits i, 1+j and 1_0
+        # used to be refused
         code, out = run_json(capsys, ["sv-polylog", "--weight", "2", "--at", at,
                                       "--precision", str(precision), "--json"])
         case = json.loads(out)["results"][0]["cases"][0]
@@ -394,6 +459,16 @@ class TestReports:
             import mpmath as mp
 
             assert case["value"] == mp.nstr(want, 24)
+
+    def test_sv_polylog_point_past_the_double_range_keeps_its_value(self, capsys):
+        import mpmath as mp
+
+        for at, z in (("1e400", mp.mpf("1e400")), ("1e-400", mp.mpf("1e-400")),
+                      ("2-1e400i", mp.mpc(2, "-1e400"))):
+            code, out = run_json(capsys, ["sv-polylog", "--weight", "3", "--at", at,
+                                          "--precision", "80", "--json"])
+            case = json.loads(out)["results"][0]["cases"][0]
+            assert code == 0 and case["value"] == mp.nstr(sv_polylog(3, z, precision_bits=80), 24)
 
     def test_verify_identities(self, capsys):
         code, out = run_json(

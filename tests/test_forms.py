@@ -637,8 +637,7 @@ class TestPlanAgainstNaive:
         plan = F._Plan((a,))
         names = plan.names
         for _ in range(3):
-            x = R._generic_point(rng, names, plan.guarded)
-            vs = R._frame(rng, names, a.degree)
+            x, (vs,) = R._draw(rng, names, plan.guarded, [a.degree])
             assert F.evaluate(a, x, vs) == naive_evaluate(a, x, vs)
 
     def test_no_state_between_points(self):
@@ -647,12 +646,9 @@ class TestPlanAgainstNaive:
         rng = random.Random(5)
         plan = F._Plan((a,))
         names = plan.names
-        samples = [
-            (R._generic_point(rng, names, plan.guarded), R._frame(rng, names, a.degree))
-            for _ in range(3)
-        ]
-        interleaved = [F.evaluate(a, x, vs) for _ in range(2) for x, vs in samples]
-        fresh = [F.evaluate(F.Form(a.degree, a.terms), x, vs) for x, vs in samples]
+        samples = [R._draw(rng, names, plan.guarded, [a.degree]) for _ in range(3)]
+        interleaved = [F.evaluate(a, x, vs) for _ in range(2) for x, (vs,) in samples]
+        fresh = [F.evaluate(F.Form(a.degree, a.terms), x, vs) for x, (vs,) in samples]
         assert interleaved == fresh * 2
 
     @pytest.mark.parametrize(
@@ -686,7 +682,7 @@ def test_plan_kept_for_the_same_forms(monkeypatch):
     monkeypatch.setattr(F._Plan, "__init__",
                         lambda self, forms_: built.append(len(forms_)) or init(self, forms_))
     e = bracket_tensor(pf("(1-t)/(1+t)"), 2, [T])
-    R.chain_check(3, e, R.RegulatorConfig(samples=2))
+    R.chain_check(e, R.RegulatorConfig(samples=2))
     assert built == [2, 1]
     built.clear()
     sample = ({"t": 0.3 + 0.2j, "x": 1.7 - 0.4j}, [[{"t": 1, "x": 1j}]])
@@ -985,11 +981,10 @@ class TestBatchedAgainstReference:
         rng = random.Random(label)
         plan = F._Plan((lhs, rhs))
         names = plan.names
-        points = [R._generic_point(rng, names, plan.guarded) for _ in range(3)]
-        assert_batch_as_reference(
-            (lhs, rhs), [(x, [R._frame(rng, names, lhs.degree) for _ in range(3)]) for x in points]
-        )
-        assert_batch_as_reference((image,), [(x, [R._frame(rng, names, image.degree)]) for x in points])
+        draws = [R._draw(rng, names, plan.guarded, [lhs.degree] * 3 + [image.degree])
+                 for _ in range(3)]
+        assert_batch_as_reference((lhs, rhs), [(x, frames[:3]) for x, frames in draws])
+        assert_batch_as_reference((image,), [(x, frames[3:]) for x, frames in draws])
 
     @pytest.mark.parametrize("family", TOP_FAMILIES)
     def test_top_families(self, family):
@@ -999,16 +994,15 @@ class TestBatchedAgainstReference:
         plan = F._Plan((lhs,))
         names = plan.names
         functions = list(fs) + plan.guarded
-        assert_batch_as_reference((lhs,), [
-            (R._generic_point(rng, names, functions),
-             [R._frame(rng, names, len(fs)) for _ in range(3)])
-            for _ in range(3)
-        ])
+        assert_batch_as_reference(
+            (lhs,), [R._draw(rng, names, functions, [len(fs)] * 3) for _ in range(3)])
 
-    @pytest.mark.parametrize("case", LOOP_CASES, ids=str)
+    # each id leads with the weight of the case's element
+    @pytest.mark.parametrize("case", LOOP_CASES,
+                             ids=lambda c: str((parse_element(c[0]).weight, *c)))
     def test_loop_nodes(self, case):
-        weight, text, at, sign = case
-        image = R.r_map(parse_element(text, weight=weight))
+        text, at, sign = case
+        image = R.r_map(parse_element(text))
         cfg = R.RegulatorConfig()
         center, m = complex(Fraction(at)), cfg.loop_nodes
         for eps in cfg.loop_radii:
@@ -1026,7 +1020,7 @@ class TestBatchedAgainstReference:
         rng = random.Random(seed)
         for a in (image, F.exterior_derivative(image), R.r_map(delta(e))):
             names = form_variables(a)
-            samples = [(box_point(rng, names), [R._frame(rng, names, a.degree) for _ in range(2)])
+            samples = [(box_point(rng, names), R._draw(rng, names, (), [a.degree] * 2)[1])
                        for _ in range(3)]
             want = []
             for x, frames in samples:
@@ -1184,8 +1178,7 @@ class TestBatchesAgainstReference:
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_mixed_frame_counts(self, label, image, lhs, rhs):
         rng, plan = random.Random(label), F._Plan((lhs, rhs))
-        samples = [(R._generic_point(rng, plan.names, plan.guarded),
-                    [R._frame(rng, plan.names, lhs.degree) for _ in range(count)])
+        samples = [R._draw(rng, plan.names, plan.guarded, [lhs.degree] * count)
                    for count in (2, 0, 3, 1, 1)]
         got = batch_outcome(lambda: F.evaluate_many((lhs, rhs), samples))
         assert got[0] == "value" and [len(per_frame) for per_frame in got[1]] == [2, 0, 3, 1, 1]

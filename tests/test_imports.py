@@ -31,9 +31,11 @@ once.  And the regulator's images are built one way: the direct builders
 `_bracket_image` and `_wedge_image` appear in the package only where they
 are defined and as the first argument of `_pullback`.
 
-The CLI's bounds live in its parser: `cli._reports` compares no `args.<name>`
-with a number, and `cli` keeps no second list of each subcommand's options
-(`_ECHOED`).
+The CLI's bounds live in its parser and its defaults in the library:
+`cli._reports` holds no numeric literal, so it compares no `args.<name>` with
+a number and restates no default, and `cli` keeps no second list of each
+subcommand's options (`_ECHOED`).  An element carries its weight: no
+function of `regulator` takes both an element `e` and a `weight`.
 
 mpmath is imported where it is used: no module of the package imports it at
 import time, and a fresh interpreter that imports `polyreg`, evaluates the
@@ -334,8 +336,44 @@ def bound_findings(source: str) -> list:
     return sorted(found)
 
 
+def numeric_literals(source: str, name: str = "_reports") -> list:
+    """(line, value) of each int, float or complex literal in the function `name`."""
+    return sorted((node.lineno, node.value) for function in ast.walk(ast.parse(source))
+                  if isinstance(function, ast.FunctionDef) and function.name == name
+                  for node in ast.walk(function) if isinstance(node, ast.Constant)
+                  and type(node.value) in (int, float, complex))
+
+
 def test_cli_bounds_live_in_the_parser():
-    assert bound_findings((ROOT / "src" / "polyreg" / "cli.py").read_text()) == []
+    source = (ROOT / "src" / "polyreg" / "cli.py").read_text()
+    assert bound_findings(source) == []
+    assert numeric_literals(source) == []
+
+
+def test_literal_scan_finds_a_restated_default():
+    source = "def _reports(args, cfg, parse):\n    tol = 1e-8 if args.tol is None else args.tol\n"
+    source += "    weights = (3, 4) if args.weight is None else (args.weight,)\n"
+    source += "    return args.orientation or 1, False, None, 'all'\n\n\n"
+    source += "def _sv_report(precision):\n    return precision > 53\n"
+    assert numeric_literals(source) == [(2, 1e-8), (3, 3), (3, 4), (4, 1)]
+
+
+def element_weight_findings(source: str) -> list:
+    """(line, name) of each function that takes both an element `e` and a `weight`."""
+    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and {"e", "weight"} <= {
+                a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}]
+
+
+def test_checks_read_the_weight_off_the_element():
+    assert element_weight_findings((ROOT / "src" / "polyreg" / "regulator.py").read_text()) == []
+
+
+def test_element_weight_scan_finds_a_second_weight():
+    source = "def chain_check(weight, e, cfg=None):\n    pass\n\n\n"
+    source += "def loop_residue_check(e, a, *, weight=2):\n    pass\n\n\n"
+    source += "def standard_chain_elements(weight):\n    pass\n\n\ndef r_map(e):\n    pass\n"
+    assert element_weight_findings(source) == [(1, "chain_check"), (5, "loop_residue_check")]
 
 
 def test_bound_scan_finds_a_refusal():

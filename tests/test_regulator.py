@@ -18,7 +18,7 @@ from polyreg.polylog import pi_projection, sv_polylog
 from polyreg.regulator import (
     RegulatorConfig,
     _constant_r_value,
-    _frame,
+    _draw,
     _holomorphic_parts,
     _lstsq,
     chain_check,
@@ -244,8 +244,7 @@ class TestHolomorphicPartsAgainstReference:
         rng = random.Random(family)
         for _ in range(6):
             x = {v: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for v in names}
-            frames = _frame(rng, names, len(fs) * 3)
-            frames = [frames[i : i + len(fs)] for i in range(0, len(frames), len(fs))]
+            frames = _draw(rng, names, (), [len(fs)] * 3)[1]
             want = [_outcome(reference_holomorphic_part, fs, x, vs) for vs in frames]
             if all(isinstance(w, list) for w in want):
                 want = [w[0] for w in want]
@@ -285,37 +284,40 @@ CFG = RegulatorConfig(samples=5, seed=7)
 class TestChainCheck:
     def test_weight3_univariate(self):
         e = bracket_tensor(pf("(1-t)/(1+t)"), 2, [T])
-        rep = chain_check(3, e, CFG)
+        rep = chain_check(e, CFG)
         assert rep["pass"]
         assert rep["cases"][0]["max_defect"] < 1e-6
 
     def test_weight5_two_variables(self):
         e = bracket_tensor(pf("(1-x)/(1+y)"), 3, [pf("x"), pf("y")])
-        rep = chain_check(5, e, CFG)
+        rep = chain_check(e, CFG)
         assert rep["pass"]
         assert rep["cases"][0]["max_defect"] < 1e-6
 
     def test_constant_bracket_argument(self):
         e = bracket_tensor(pf("3"), 2, [T])
-        rep = chain_check(3, e, CFG)
+        rep = chain_check(e, CFG)
         assert rep["pass"]
 
     def test_twist_recorded(self):
         e = bracket_tensor(pf("(1-t)/(1+t)"), 3, [T])
-        rep = chain_check(4, e, CFG)
+        rep = chain_check(e, CFG)
         assert rep["cases"][0]["twist_defect"] < 1e-8
 
     def test_rejects_top_degree(self):
         with pytest.raises(ValueError):
-            chain_check(2, pure_wedge([T, pf("t+2")]), CFG)
+            chain_check(pure_wedge([T, pf("t+2")]), CFG)
 
     def test_rejects_weight_mismatch(self):
-        with pytest.raises(ValueError):
-            chain_check(4, bracket_tensor(FVAR, 2, [G]), CFG)
+        # the check reads the element's weight; a stated one is checked where
+        # the element is read
+        with pytest.raises(ValueError, match="weight 3"):
+            parse_element("{f}_2 (x) g", weight=4)
+        assert chain_check(bracket_tensor(FVAR, 2, [G]), CFG)["weight"] == 3
 
     def test_deterministic(self):
         e = bracket_tensor(pf("(1-t)/(1+t)"), 2, [T])
-        assert chain_check(3, e, CFG) == chain_check(3, e, CFG)
+        assert chain_check(e, CFG) == chain_check(e, CFG)
 
     def test_shape_table(self):
         shapes = standard_chain_elements(5)
@@ -324,6 +326,35 @@ class TestChainCheck:
         assert rep["pass"]
         with pytest.raises(ValueError, match="weight 1 .*weights 3-6"):
             chain_suite(weights=(3, 1), cfg=RegulatorConfig(samples=3, seed=1))
+
+
+class TestDraw:
+    """A candidate point evaluates each distinct guarded function once."""
+
+    @pytest.mark.parametrize("check", ["top x;y;x+y", "chain w4 depth 3"])
+    def test_each_guard_once_per_candidate(self, monkeypatch, check):
+        points, real = [], R._evaluate
+
+        def counted(compiled, xs, clearance, point, slopes=False):
+            if not slopes:  # a guard, not top_check's holomorphic part
+                points.append(tuple(xs))
+            return real(compiled, xs, clearance, point, slopes)
+
+        monkeypatch.setattr(R, "_evaluate", counted)
+        cfg = RegulatorConfig(samples=3)
+        if check.startswith("top"):
+            fs = [pf(text) for text in ("x", "y", "x+y")]
+            guards = fs + F._Plan((F.exterior_derivative(r_map(pure_wedge(fs))),)).guarded
+            top_check(fs, cfg)
+        else:
+            label, e = standard_chain_elements(4)[1]
+            assert label == "{(-t+1)/(t+1)}_3, 1 slots, vars t"
+            guards = F._Plan((F.exterior_derivative(r_map(e)), r_map(delta(e)))).guarded
+            chain_check(e, cfg)
+        keys = {g.key() for g in guards}
+        assert len(keys) < len(guards)  # a function guarded twice
+        assert len(set(points)) >= cfg.samples  # the candidates drawn
+        assert len(points) == len(set(points)) * len(keys)
 
 
 class TestTopCheck:
@@ -350,7 +381,7 @@ class TestTopCheck:
 class TestLoopResidue:
     def test_weight2_log2(self):
         e = parse_element("(t+2)^t", weight=2)
-        rep = loop_residue_check(2, e, 0)
+        rep = loop_residue_check(e, 0)
         c = rep["cases"][0]
         assert c["pass"]
         assert abs(c["expected"][1] + 2 * math.pi * math.log(2)) < 1e-12
@@ -358,7 +389,7 @@ class TestLoopResidue:
 
     def test_weight3_dilog_at_2(self):
         e = parse_element("{(2+t)/(1+t)}_2 (x) t", weight=3)
-        rep = loop_residue_check(3, e, 0)
+        rep = loop_residue_check(e, 0)
         c = rep["cases"][0]
         assert c["pass"]
         # the residue element is {2}_2 and its scalar vanishes on the reals
@@ -366,7 +397,7 @@ class TestLoopResidue:
 
     def test_weight4_nonzero_probe(self):
         e = parse_element("{(2+t)/(1+t)}_3 (x) t", weight=4)
-        rep = loop_residue_check(4, e, 0)
+        rep = loop_residue_check(e, 0)
         c = rep["cases"][0]
         want = 2j * math.pi * sv_polylog(3, 2.0).real
         assert abs(complex(*c["expected"]) - want) < 1e-12
@@ -375,30 +406,30 @@ class TestLoopResidue:
 
     def test_orientation_flip(self):
         e = parse_element("(t+2)^t", weight=2)
-        fwd = loop_residue_check(2, e, 0)["cases"][0]
-        rev = loop_residue_check(2, e, 0, orientation=-1)["cases"][0]
+        fwd = loop_residue_check(e, 0)["cases"][0]
+        rev = loop_residue_check(e, 0, orientation=-1)["cases"][0]
         assert rev["pass"]
         assert abs(rev["loop_value"][1] + fwd["loop_value"][1]) < 1e-12
 
     def test_units_give_zero(self):
         e = parse_element("(t+2)^(t+3)", weight=2)
-        rep = loop_residue_check(2, e, 0)
+        rep = loop_residue_check(e, 0)
         c = rep["cases"][0]
         assert c["pass"] and abs(complex(*c["loop_value"])) < 1e-6
 
     def test_rejects_multivariate(self):
         e = pure_wedge([pf("x"), pf("y")])
         with pytest.raises(ValueError):
-            loop_residue_check(2, e, 0)
+            loop_residue_check(e, 0)
 
     def test_rejects_scalar_image(self):
         with pytest.raises(ValueError):
-            loop_residue_check(2, parse_element("{t}_2", weight=2), 0)
+            loop_residue_check(parse_element("{t}_2", weight=2), 0)
 
     def test_rejects_bad_orientation(self):
         e = parse_element("(t+2)^t", weight=2)
         with pytest.raises(ValueError):
-            loop_residue_check(2, e, 0, orientation=2)
+            loop_residue_check(e, 0, orientation=2)
 
     def test_constant_value_guard(self):
         with pytest.raises(ValueError):
