@@ -143,7 +143,7 @@ def _identities_report(max_m: int, max_n: int, max_p: int, max_k: int) -> List[d
 
 
 def _sv_report(weight: int, at: str, precision: int) -> dict:
-    text = re.sub(r"(?i:(inf))|i", lambda m: m[1] or "j", "".join(at.split()))  # not inf's i
+    text = re.sub(r"(?i:(inf)|i)", lambda m: m[1] or "j", "".join(at.split()))  # not inf's i
     try:  # complex()'s grammar on both routes
         z = complex(text)
     except ValueError:
@@ -256,11 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     def radii(text: str) -> tuple:  # named in argparse's errors; RegulatorConfig checks them
         return tuple(map(float, text.split(",")))
 
-    def common(p, tol_help=None, samples=20, tol=RegulatorConfig.tol):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, tol_help=None, samples=None, tol=RegulatorConfig.tol):
+        p.add_argument("--seed", type=int, default=None,
+                       help="default %d" % RegulatorConfig.seed)
         if tol_help:
             p.add_argument("--tol", type=float, default=None, help=tol_help % tol)
-        p.add_argument("--samples", type=int, default=samples, help="default %(default)s")
+        p.add_argument("--samples", type=int, default=samples,
+                       help="default %d" % (samples or RegulatorConfig.samples))
 
     p = sub.add_parser("beta", help="exact coefficient table")
     p.add_argument("--max-k", type=_int(0), default=8)
@@ -303,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", default=None, help=ELEMENT_HELP)
     p.add_argument("--at", default=None, help="point of --element (default %s)" % _LOOP_AT)
     p.add_argument("--radii", type=radii, default=None, help="comma-separated decreasing radii")
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=int, default=None,
+                   help="per loop (default %d)" % RegulatorConfig.loop_nodes)
     p.add_argument("--orientation", type=int, default=None, choices=(1, -1),
                    help="of --element's loops (default %d)" % loop["orientation"].default)
     p.add_argument("--tol", type=float, default=None,

@@ -52,7 +52,9 @@ samples, and `evaluate` is its one-sample, one-frame case.  The forms
 compile into one plan (`_Plan`; a check samples by it and evaluates through
 it): their degree, variables, the functions a sample point must keep
 generic, their distinct functions, scalars and generators, and every term
-as (complex coefficient, scalar indices, generator indices).
+as (complex coefficient, scalar indices, generator indices).  A constant is
+exact: the guards (a value near 0, an sv argument near 1) apply to functions
+with variables, and a constant is refused only when it is 0.
 A batch of samples walks the plan once, column by column: each function
 value, partial and guard is a column over the points from `funcfield`'s
 evaluator, each scalar a column, and each covector, cofactor minor, term
@@ -397,7 +399,8 @@ class _Plan:
     """The evaluation plan of forms of one degree, the one walk over their
     terms: their `degree`, the sorted variable `names` of their functions,
     the functions a sample point keeps in a moderate annulus (`guarded`:
-    every function, and 1 - f for each sv argument f), the distinct
+    every function, and 1 - f for each sv argument f; a draw skips the
+    constants among them, which are exact), the distinct
     functions, scalars and generators, and per form its terms as ((complex
     coefficient, scalar indices), ...) and their generator indices.  A
     function is (its term lists compiled on the slots of names, is an sv
@@ -541,9 +544,12 @@ def _walk(plan: _Plan, batch: list) -> list:
             val, partials = _evaluate_columns(compiled, xcols, _CLEARANCE, points, generator)
         except PoleError as exc:
             raise GenericityError(str(exc)) from None
+        if not compiled[2]:  # a constant is exact: only 0 is refused
+            if val and val[0] == 0:
+                raise GenericityError("function value too close to zero")
         # the per-entry guards run where a C-level pass flags an entry below
         # the clearance or a NaN (which a min would pass over)
-        if not all(map(_CLEARANCE.__le__, map(abs, val))) or (sv_argument and not all(
+        elif not all(map(_CLEARANCE.__le__, map(abs, val))) or (sv_argument and not all(
                 map(_CLEARANCE.__le__, map(abs, map(_ONE.__rsub__, val))))):
             for v in val:
                 if abs(v) < _CLEARANCE:

@@ -499,7 +499,7 @@ def sv_polylog_check_symmetries(
         a = sv_polylog(n, z)
         worst_inv = max(worst_inv, abs(sv_polylog(n, 1.0 / z) - sign * a))
         worst_conj = max(worst_conj, abs(sv_polylog(n, z.conjugate()) - sign * a))
-        worst_par = max(worst_par, abs(a.real) if n % 2 == 0 else abs(a.imag))
+        worst_par = max(worst_par, abs(a - pi_projection(n, a)))
     record("inversion z -> 1/z", worst_inv)
     record("conjugation z -> conj z", worst_conj)
     record("parity (value in i^(n-1) R)", worst_par)

@@ -271,6 +271,8 @@ def sweep_argvs() -> list:
     argvs += [(argv, VERDICT) for argv in (
         ["sv-polylog", "--weight", "3", "--at", "0.3", "--precision", "54"],
         ["top-check", "--functions", "t;1-t", "--samples", "1"],
+        # a constant is exact: no draw refuses it as outside [1e-3, 1e3]
+        ["chain-check", "--element", "{t}_2 (x) 5000"], ["top-check", "--functions", "t;2000"],
         [*loop, "--orientation", "-1"], [*loop, "--at", "1"], [*loop, "--nodes", "64"],
         [*loop, "--radii", "1e-2,3e-3,1e-3"], ["loop-check"], ["golden"])]
     argvs += [(argv, USAGE) for argv in (
@@ -335,6 +337,11 @@ def library_defaults() -> dict:
         inspect.signature(sv_polylog_check_symmetries).parameters["tol"].default,)
     out[("loop-check", "--tol")] = (loop["tol"].default,)
     out[("loop-check", "--radii")] = cfg.loop_radii
+    out[("loop-check", "--nodes")] = (cfg.loop_nodes,)
+    for command in ("polylog-symmetries", "residue", "chain-check", "top-check", "all"):
+        out[(command, "--seed")] = (cfg.seed,)
+    for command in ("residue", "chain-check", "all"):
+        out[(command, "--samples")] = (cfg.samples,)
     return out
 
 
@@ -444,10 +451,10 @@ class TestReports:
     @pytest.mark.parametrize("precision", [53, 80])
     @pytest.mark.parametrize("at, z", [("1+2i", 1 + 2j), ("1 + 2i", 1 + 2j), ("1j", 1j),
                                        ("0.3+0.2j", 0.3 + 0.2j), ("i", 1j), ("1+j", 1 + 1j),
-                                       ("(1_0+2J)", 10 + 2j), ("2e-3-1E+1i", 0.002 - 10j)])
+                                       ("(1_0+2J)", 10 + 2j), ("2e-3-1E+1i", 0.002 - 10j),
+                                       ("2I", 2j), ("1+I", 1 + 1j)])
     def test_sv_polylog_point_as_written(self, capsys, at, z, precision):
-        # complex()'s grammar on both routes: above 53 bits i, 1+j and 1_0
-        # used to be refused
+        # complex()'s grammar on both routes, with i read as j in either case
         code, out = run_json(capsys, ["sv-polylog", "--weight", "2", "--at", at,
                                       "--precision", str(precision), "--json"])
         case = json.loads(out)["results"][0]["cases"][0]

@@ -249,6 +249,22 @@ class TestEvaluate:
         with pytest.raises(F.GenericityError):
             F.evaluate(F.log_abs(pf("1/t")), 1e-12, [])
 
+    def test_a_constant_is_exact(self):
+        # no point makes a constant non-generic: near 0 and at sv's 1 it is
+        # valued, and only 0 itself is refused
+        assert F.evaluate(F.log_abs(pf("1/10000000")), 0) == math.log(1e-7)
+        assert F.evaluate(F.sv_scalar(2, pf("1")), 0) == 0j
+        assert F.evaluate(F.dlog(pf("1/10000000")), 0, [1]) == 0j
+        a = F.log_abs(pf("1/10000000")).wedge(F.dlog(T)) + F.sv_scalar(3, pf("1")).wedge(F.diarg(T))
+        for x in (2, 0.3 + 0.2j):
+            assert F.evaluate(a, x, [1j]) == naive_evaluate(a, x, [1j]) == reference_evaluate(
+                a, x, [1j])
+        for zero in (F.log_abs(pf("0")), F.sv_scalar(2, pf("0"))):
+            with pytest.raises(F.GenericityError, match="function value too close to zero"):
+                F.evaluate(zero, 0)
+        with pytest.raises(F.GenericityError, match="function value too close to zero"):
+            F.evaluate(F.dlog(pf("0")), 0, [1])
+
     @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
     def test_non_finite_rejected(self, bad):
         xy = F.log_abs(pf("x")).wedge(F.dlog(pf("y")))
@@ -588,7 +604,7 @@ def naive_evaluate(a, x, vectors, clearance=1e-6):
             val = rf_eval(g, xm, clearance=clearance)
         except PoleError as exc:
             raise F.GenericityError(str(exc))
-        if abs(val) < clearance:
+        if abs(val) < clearance and (g.variables() or val == 0):  # a constant is exact
             raise F.GenericityError("function value too close to zero")
         return val
 
@@ -596,7 +612,7 @@ def naive_evaluate(a, x, vectors, clearance=1e-6):
         if s[0] == "log":
             return math.log(abs(value(s[1])))
         zf = value(s[2])
-        if abs(zf - 1.0) < clearance:
+        if abs(zf - 1.0) < clearance and s[2].variables():
             raise F.GenericityError("sv argument too close to 1")
         return sv_state(s[1], zf)[s[1] - 1]
 
@@ -731,8 +747,9 @@ class _ReferencePlan:
 
 def reference_evaluate(a, x, vectors=()):
     """`forms.evaluate` as it was before evaluation was batched: one form,
-    one frame, every table rebuilt per call.  Kept verbatim as the reference
-    the batched core must reproduce bit for bit, exceptions included."""
+    one frame, every table rebuilt per call, under the one genericity rule
+    (a constant is exact: only 0 is refused).  Kept as the reference the
+    batched core must reproduce bit for bit, exceptions included."""
     if len(vectors) != a.degree:
         raise ValueError("need exactly %d vectors" % a.degree)
     plan = _ReferencePlan(a)
@@ -750,9 +767,12 @@ def reference_evaluate(a, x, vectors=()):
             raise F.GenericityError(str(exc))
         n = terms_at(num, xs)
         val = n / d
-        if abs(val) < F._CLEARANCE:
+        if not g.variables():  # a constant is exact: only 0 is refused
+            if val == 0:
+                raise F.GenericityError("function value too close to zero")
+        elif abs(val) < F._CLEARANCE:
             raise F.GenericityError("function value too close to zero")
-        if sv_argument and abs(val - 1.0) < F._CLEARANCE:
+        elif sv_argument and abs(val - 1.0) < F._CLEARANCE:
             raise F.GenericityError("sv argument too close to 1")
         values.append(val)
         if not generator:

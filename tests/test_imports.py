@@ -37,6 +37,10 @@ a number and restates no default, and `cli` keeps no second list of each
 subcommand's options (`_ECHOED`).  An element carries its weight: no
 function of `regulator` takes both an element `e` and a `weight`.
 
+The regulator values r through the evaluation plan alone: `regulator`
+imports nothing from `polylog` but `pi_projection`, so it computes no sv
+value of its own.
+
 mpmath is imported where it is used: no module of the package imports it at
 import time, and a fresh interpreter that imports `polyreg`, evaluates the
 double routes and runs `all` never loads it, while the 130-bit route still
@@ -374,6 +378,34 @@ def test_element_weight_scan_finds_a_second_weight():
     source += "def loop_residue_check(e, a, *, weight=2):\n    pass\n\n\n"
     source += "def standard_chain_elements(weight):\n    pass\n\n\ndef r_map(e):\n    pass\n"
     assert element_weight_findings(source) == [(1, "chain_check"), (5, "loop_residue_check")]
+
+
+def polylog_findings(source: str) -> list:
+    """(line, name) of each import of `polylog`, or of a name from it, other
+    than `pi_projection`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "polylog":
+                found += [(node.lineno, a.name) for a in node.names if a.name != "pi_projection"]
+            else:
+                found += [(node.lineno, a.name) for a in node.names if a.name == "polylog"]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if "polylog" in a.name.split(".")]
+    return sorted(found)
+
+
+def test_regulator_values_sv_through_the_plan():
+    assert polylog_findings((ROOT / "src" / "polyreg" / "regulator.py").read_text()) == []
+
+
+def test_polylog_scan_finds_an_sv_evaluator():
+    source = "from .polylog import pi_projection, sv_polylog\nfrom . import forms, polylog\n"
+    source += "import polyreg.polylog as P\nfrom polyreg.polylog import pi_projection\n"
+    source += "from .polycomplex import residue\n"
+    assert polylog_findings(source) == [(1, "sv_polylog"), (2, "polylog"),
+                                        (3, "polyreg.polylog")]
 
 
 def test_bound_scan_finds_a_refusal():

@@ -17,7 +17,6 @@ from polyreg.polycomplex import bracket_tensor, delta, parse_element, pure_wedge
 from polyreg.polylog import pi_projection, sv_polylog
 from polyreg.regulator import (
     RegulatorConfig,
-    _constant_r_value,
     _draw,
     _holomorphic_parts,
     _lstsq,
@@ -431,9 +430,27 @@ class TestLoopResidue:
         with pytest.raises(ValueError):
             loop_residue_check(e, 0, orientation=2)
 
-    def test_constant_value_guard(self):
-        with pytest.raises(ValueError):
-            _constant_r_value(bracket_tensor(T, 2, []))
+    @pytest.mark.parametrize("text, want", [
+        ("(t*(t+2))^(t*(t+5))", 2j * math.pi * math.log(5 / 2)),  # res = (5) - (2)
+        ("3*{(2+t)/(1+t)}_3 (x) t - 2*{(t+3)/(t-5)}_3 (x) t",
+         2j * math.pi * (3 * sv_polylog(3, 2.0) - 2 * sv_polylog(3, -3 / 5)).real),
+    ])
+    def test_residue_of_several_terms(self, text, want):
+        c = loop_residue_check(parse_element(text), 0)["cases"][0]
+        assert c["pass"]
+        assert abs(complex(*c["expected"]) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("text, passes", [
+        ("{(10000001+10000000*t)/10000000}_2 (x) t", True),
+        ("{(10000001+10000000*t)/10000000}_3 (x) t", True),
+        ("(1+10000000*t)/10000000 ^ t", False),
+    ])
+    def test_residue_a_constant_near_a_guard(self, text, passes):
+        # the residue {1 + 1e-7}_n or (1e-7) is a constant within the plan's
+        # clearance of 1 or 0; a constant is exact, so it is valued, not
+        # refused.  The wedge fails: the zero of its slot at -1e-7 lies inside
+        # every loop, so the loops do not see the residue at 0 alone.
+        assert loop_residue_check(parse_element(text), 0)["pass"] is passes
 
 
 class TestConfig:
