@@ -148,13 +148,14 @@ def _sv_report(weight: int, at: str, precision: int) -> dict:
         z = complex(text)
     except ValueError:
         raise ValueError("sv-polylog: --at %r is not a complex number" % at) from None
-    if precision > 53:  # mpmath reads each part's text, keeping a value past the double range
+    if precision > 53:  # mpmath reads each part's text at the precision, past the double range too
         import mpmath as mp
 
         # real, then an imaginary part from the last sign that follows no exponent's e
         real, imag = re.fullmatch(r"\(?(.*?)(?:([-+]?(?:[^-+eE]|[eE][-+]?)*)j)?\)?",
                                   text.replace("_", ""), re.I).groups()
-        z = mp.mpf(real) if imag is None else mp.mpc(real or 0, imag + "1" * (imag in "+-"))
+        with mp.workprec(precision):
+            z = mp.mpf(real) if imag is None else mp.mpc(real or 0, imag + "1" * (imag in "+-"))
     elif not cmath.isfinite(z) and not re.search("inf|nan", text, re.I):
         raise ValueError("sv-polylog: --at %r is outside the double range; "
                          "it needs --precision > 53" % at)

@@ -2,17 +2,17 @@
 
 Sparse polynomials over Q, rational functions in canonical form,
 complex-point evaluation with pole clearance, exact partial derivatives, and
-discrete-valuation data (order and unit part) at rational points of the line
-and at infinity.  A place's order and unit part are found together, by one
-Horner pass over num and one over den (`_order_and_unit`); `ord_at` and
-`unit_part` are its two parts.  This module alone evaluates functions:
-each compiles once per layout of its variables on a caller's slots, into
-complex term lists for num, den and their partials in the order of each
-polynomial's terms, so values agree bit for bit with summing the terms one
-by one (`polynomial_evaluate` in tests/oracles.py).  One evaluator,
-`_evaluate_columns`, gives values and partials behind one pole guard as
-columns over a batch of points (form evaluation); `_evaluate` is its batch
-of one (`rf_eval`, the samplers and holomorphic parts of `regulator`).
+discrete-valuation data (order and unit part) at the places of Q(t).  A place
+is its point: a rational a, or None for infinity.  Its order and unit part
+are found together (`_order_and_unit`), at a by exact division of num and den
+by t - a (`_dense_divmod`); `ord_at` and `unit_part` are its two parts.  This
+module alone evaluates functions: each compiles once per layout of its
+variables on a caller's slots, into complex term lists for num, den and their
+partials in the order of each polynomial's terms, so values agree bit for bit
+with summing the terms one by one (`polynomial_evaluate` in tests/oracles.py).
+One evaluator, `_evaluate_columns`, gives values and partials behind one pole
+guard as columns over a batch of points (form evaluation); `_evaluate` is its
+batch of one (`rf_eval`, the samplers and holomorphic parts of `regulator`).
 
 Exact rationals: every exact value here (a polynomial coefficient, a
 constant value, a content, a unit part, the point of a place, a coefficient
@@ -622,71 +622,57 @@ def rf_eval(f: RationalFunction, x, clearance: float = 1e-12) -> complex:
 
 
 class Valuation:
-    """A place of Q(t): a rational finite point (uniformizer t-a) or infinity
-    (uniformizer 1/t)."""
+    """A place of Q(t), kept as its point: a rational a (uniformizer t - a),
+    or None for infinity (uniformizer 1/t).  Equality, hashing and text go by
+    the point alone."""
 
-    __slots__ = ("kind", "point")
+    __slots__ = ("point",)
 
-    def __init__(self, kind: str, point: int | Fraction | None = None):
-        if kind not in ("finite", "infinity"):
-            raise ValueError("kind must be 'finite' or 'infinity'")
-        if kind == "finite" and point is None:
-            raise ValueError("finite valuation needs a point")
-        self.kind = kind
-        self.point = _exact(point) if kind == "finite" else None
+    def __init__(self, point: int | Fraction | None):
+        self.point = None if point is None else _exact(point)
 
     @staticmethod
     def finite(a) -> "Valuation":
-        return Valuation("finite", _exact(a))
+        return Valuation(_exact(a))
 
     @staticmethod
     def infinity() -> "Valuation":
-        return Valuation("infinity")
+        return Valuation(None)
 
     def __str__(self):
-        return "inf" if self.kind == "infinity" else str(self.point)
+        return "inf" if self.point is None else str(self.point)
 
     __repr__ = __str__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Valuation)
-            and self.kind == other.kind
-            and self.point == other.point
-        )
+        return isinstance(other, Valuation) and self.point == other.point
 
     def __hash__(self):
-        return hash((self.kind, self.point))
+        return hash(self.point)
 
 
 def _poly_order_at(p: Polynomial, a: int | Fraction):
-    """(multiplicity m of (t-a) in p, value at a of p / (t-a)^m), by Horner
-    synthetic division on the dense coefficient list."""
+    """(multiplicity m of (t-a) in p, value at a of p / (t-a)^m), by exact
+    division by t - a until a remainder is left: its one entry is that value."""
     if p.is_zero():
         raise ValueError("zero polynomial has no finite order")
-    coeffs = p._univariate_coeffs()
-    order = 0
+    coeffs, order = p._univariate_coeffs(), 0
     while True:
-        acc, quotient = 0, []
-        for c in reversed(coeffs):
-            acc = _fold(acc * a + c)
-            quotient.append(acc)
-        value = quotient.pop()  # the remainder, p(a)
-        if value:
-            return order, value
-        coeffs = quotient[::-1]
-        order += 1
+        quotient, rest = _dense_divmod(coeffs, [-a, 1])
+        if rest:
+            return order, rest[0]
+        coeffs, order = quotient, order + 1
 
 
 def _order_and_unit(f: RationalFunction, v: Valuation) -> tuple:
-    """(ord_v(f), unit part of f at v), found together: one Horner pass over
-    num and one over den at a finite place, the degrees and leading
+    """(ord_v(f), unit part of f at v), found together: by division of num
+    and den by t - a at a finite place, from the degrees and leading
     coefficients at infinity."""
     if f.is_zero():
         raise ValueError("the zero function has no order or unit part")
     if len(f.variables()) > 1:
         raise ValueError("a place's order and unit part need a univariate function")
-    if v.kind == "infinity":
+    if v.point is None:
         order = f.den.degree() - f.num.degree()
         return order, _quo(f.num.leading()[1], f.den.leading()[1])
     en, nval = _poly_order_at(f.num, v.point)

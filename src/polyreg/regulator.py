@@ -46,7 +46,6 @@ from .forms import (
     parse_form,
     sv_pq,
     sv_scalar,
-    weighted_alternation,
     _alternation_sum,
     _det,
     _Plan,
@@ -105,21 +104,17 @@ class RegulatorConfig:
 
 
 def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) -> Form:
-    """Image of {f}_n tensor g_1^...^g_m, m >= 0."""
+    """Image of {f}_n tensor g_1^...^g_m, m >= 0: sv_n(f) on the dlog/diarg
+    alternation, plus, for each k < n, the lead sv_{n-k,k}(f) wedged once on
+    its row, the log-prefixed alternations weighted by beta_{k,s}."""
     m = len(gs)
     head = _alternation_sum(
         gs, False, [(2 * p, Fraction(1, 2 * p + 1)) for p in range(m // 2 + 1)]
     )
     terms = list(sv_scalar(n, f).wedge(head).terms)
-    tails = {}  # split -> weighted_alternation(gs, split, True), built once
     for k in range(1, n):
-        lead = sv_pq(n - k, k, f)
-        for split in range(1, m + 1):
-            c = beta_kp(k, split)
-            if c:
-                if split not in tails:
-                    tails[split] = weighted_alternation(gs, split, True)
-                terms += (lead * c).wedge(tails[split]).terms
+        row = _alternation_sum(gs, True, [(s, beta_kp(k, s)) for s in range(1, m + 1)])
+        terms += sv_pq(n - k, k, f).wedge(row).terms
     return form(m, terms)
 
 
@@ -314,49 +309,40 @@ def chain_check(e: ChainElement, cfg: Optional[RegulatorConfig] = None) -> dict:
 
 
 def standard_chain_elements(weight: int) -> List[Tuple[str, ChainElement]]:
-    """One element per bracket shape (depth p >= 2, p + slots = weight),
-    in one, two, or three variables as the form degree demands."""
+    """One element per bracket shape of the weight, depth p from 2 to the
+    weight with q = weight - p slots (the last, q = 0, a bare bracket), in
+    one, two, or three variables as the form degree demands.  The shapes
+    cover weights 2-6: below 2 no bracket of depth >= 2 fits, and above 6 a
+    5-slot shape needs a fourth variable."""
+    if not 2 <= weight <= 6:
+        raise ValueError("no standard chain shapes at weight %d (they cover weights 2-6); "
+                         "the chain-map suite runs weights 3-6 by default" % weight)
     out = []
     uni = ["t", "t+2", "2*t-1", "t-3"]
     two = ["x", "y", "x+y", "x-2*y"]
     three = ["x", "y", "z", "x+y-z"]
-    for p in range(2, weight):
+    for p in range(2, weight + 1):
         q = weight - p
         # degree of the compared forms is q + 1; a frame of k vectors is
         # degenerate once k exceeds twice the variable count: take the fewest
-        # variables that carry it, ceil((q + 1) / 2), and none past three
+        # variables that carry it, ceil((q + 1) / 2)
         nvars = (q + 2) // 2
-        if nvars > 3:
-            continue
         names, pool = (("t", uni), ("x,y", two), ("x,y,z", three))[nvars - 1]
-        fvar = "t" if nvars == 1 else "x"
-        other = "t" if nvars == 1 else "y"
-        f = parse_function("(1-%s)/(1+%s)" % (fvar, other))
-        gs = [parse_function(g) for g in pool[:q]]
-        out.append(
-            ("{%s}_%d, %d slots, vars %s" % (f, p, q, names),
-             bracket_tensor(f, p, gs))
-        )
-    # depth == weight, no slots: first square of the ladder
-    f = parse_function("(1-t)/(1+t)")
-    out.append(("{%s}_%d, 0 slots, vars t" % (f, weight), bracket_tensor(f, weight, [])))
+        f = parse_function("(1-t)/(1+t)" if nvars == 1 else "(1-x)/(1+y)")
+        out.append(("{%s}_%d, %d slots, vars %s" % (f, p, q, names),
+                    bracket_tensor(f, p, [parse_function(g) for g in pool[:q]])))
     return out
 
 
 def chain_suite(
     weights: Sequence[int] = (3, 4, 5, 6), cfg: Optional[RegulatorConfig] = None
 ) -> dict:
+    """chain_check on every standard shape of each weight, the shapes of
+    all weights built (and a weight outside 2-6 refused) before any runs."""
     cfg = cfg or RegulatorConfig()
-    for w in weights:
-        # below 2 no bracket of depth >= 2 fits; above 6 a 5-slot shape needs
-        # a fourth variable (see standard_chain_elements)
-        if not 2 <= w <= 6:
-            raise ValueError("no standard chain shapes at weight %d (they cover weights 2-6); "
-                             "the chain-map suite runs weights 3-6 by default" % w)
-    cases = []
-    for w in weights:
-        for label, e in standard_chain_elements(w):
-            cases.append(dict(chain_check(e, cfg)["cases"][0], input="weight %d: %s" % (w, label)))
+    shapes = [(w, label, e) for w in weights for label, e in standard_chain_elements(w)]
+    cases = [dict(chain_check(e, cfg)["cases"][0], input="weight %d: %s" % (w, label))
+             for w, label, e in shapes]
     return suite_report("chain-map", cases, samples=cfg.samples, seed=cfg.seed)
 
 

@@ -247,6 +247,19 @@ def test_ord_ultrametric():
     assert ord_at(f + h, v) == min(ord_at(f, v), ord_at(h, v))  # distinct orders
 
 
+def test_a_place_is_its_point():
+    """Places compare, hash and print by their point, exact whatever its type."""
+    assert Valuation.finite(2) == Valuation.finite(Fraction(2))
+    assert hash(Valuation.finite(2)) == hash(Valuation.finite(Fraction(2)))
+    assert Valuation.finite(0) != Valuation.infinity()
+    assert Valuation.finite(0) != 0 and Valuation.finite(Fraction(1, 2)) != Fraction(1, 2)
+    assert str(Valuation.infinity()) == "inf"
+    assert str(Valuation.finite(Fraction(2, 4))) == "1/2"
+    for point in (None, 0.5):
+        with pytest.raises(TypeError):
+            Valuation.finite(point)
+
+
 def test_zero_function_errors():
     with pytest.raises(ValueError):
         ord_at(const(0), Valuation.finite(0))
@@ -450,7 +463,8 @@ def test_canonical_forms_match_euclid_reference(a, b, common, c, d):
     """Quotients with common factors and constant denominators come out as the
     Euclid route on Polynomial objects builds them: same variables, terms in
     the same order, same key; and so do the field operations, one_minus,
-    and the orders and unit parts at 0, 1, 1/2 and infinity."""
+    and the orders and unit parts at 0, 1, 1/2, -2, -3/5 and infinity (-2 a
+    root the strategy draws, -3/5 a negative point with a denominator)."""
     assume(not (b * common).is_zero() and not d.is_zero())
     f = RationalFunction(a * common, b * common)
     g = RationalFunction(c, d)
@@ -470,7 +484,7 @@ def test_canonical_forms_match_euclid_reference(a, b, common, c, d):
     for h in (f, g):
         if h.is_zero():
             continue
-        for point in (Fraction(0), Fraction(1), Fraction(1, 2)):
+        for point in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2), Fraction(-3, 5)):
             (en, nv), (ed, dv) = _ref_order(h.num, point), _ref_order(h.den, point)
             v = Valuation.finite(point)
             want = (en - ed, Fraction(nv) / dv)

@@ -488,6 +488,6 @@ def test_high_precision_route_from_a_fresh_interpreter():
             "input": "L_3(0.3+0.2i)",
             "pass": True,
             "precision_bits": 130,
-            "value": "(0.732480410697545448339961744583072635195 + 0.0j)",
+            "value": "(0.732480410697545477995774684177864021857 + 0.0j)",
         }
     ]

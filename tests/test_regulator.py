@@ -84,10 +84,13 @@ class TestRMap:
 
 
 def test_construction_pinned():
-    """What r_map, d and delta build on 100 elements, printed in order and
-    hashed.  The digest was taken with univariate functions still reduced by
-    Euclid on Polynomial objects and every sum grown one summand at a time."""
-    elements = [e for w in range(3, 8) for _, e in standard_chain_elements(w)]
+    """What r_map, d and delta build on 95 elements, printed in order and
+    hashed: the 15 standard shapes of weights 2-6 and 80 random elements.
+    The digest was taken on the code that still built each beta row one
+    split at a time and met the earlier pin over weights 3-7, itself taken
+    with univariate functions still reduced by Euclid on Polynomial objects
+    and every sum grown one summand at a time."""
+    elements = [e for w in range(2, 7) for _, e in standard_chain_elements(w)]
     elements += [random_element(w, random.Random(s)) for s in range(20) for w in (3, 4, 5, 6)]
     digest = hashlib.sha256()
     for e in elements:
@@ -97,9 +100,9 @@ def test_construction_pinned():
             parts += [str(delta(e)), F.format_form(r_map(delta(e)))]
         for part in parts:
             digest.update(part.encode())
-    assert len(elements) == 100
+    assert len(elements) == 95
     assert digest.hexdigest() == (
-        "ab75de56f9a05f70a13dfe3dfc49bb338207c2a564e0410270e8d973e41de0e2"
+        "af4e006cb19a671867703926ff9367b8bb274fe2d6153d727e22b59a3beb6106"
     )
 
 
@@ -325,6 +328,22 @@ class TestChainCheck:
         assert rep["pass"]
         with pytest.raises(ValueError, match="weight 1 .*weights 3-6"):
             chain_suite(weights=(3, 1), cfg=RegulatorConfig(samples=3, seed=1))
+
+    @pytest.mark.parametrize("weight", [1, 7, 8])
+    def test_shapes_outside_their_range_are_refused(self, weight):
+        with pytest.raises(ValueError, match="weight %d .*weights 2-6" % weight):
+            standard_chain_elements(weight)
+
+    @pytest.mark.parametrize("weight", range(2, 7))
+    def test_each_label_matches_its_element(self, weight):
+        shapes = standard_chain_elements(weight)
+        assert len(shapes) == weight - 1  # depths 2..weight
+        for depth, (label, e) in enumerate(shapes, 2):
+            (t,) = e.terms
+            names = sorted({v for g in (t.argument, *t.wedge) for v in g.variables()})
+            assert label == "{%s}_%d, %d slots, vars %s" % (t.argument, depth, len(t.wedge),
+                                                             ",".join(names))
+            assert (t.depth, e.weight) == (depth, weight)
 
 
 class TestDraw:
