@@ -21,7 +21,9 @@ of terms (a wedge, a term of d, a parsed term) is built from the (key,
 factor) pairs its factors hold (`FormTerm.pairs`), and `scaled` copies pass
 the key on.  Sums collect their terms and merge once, and a single-term form
 is built without a merge.  The parser (`parse_form`) does the same from
-text: one build per term, one merge per form.
+text: one build per term, one merge per form.  It reads call heads, joins
+and powers in one compiled match each, and builds each call once per text
+(`_call`, interned as `parse_function` is).
 
 Free shapes: the image under `regulator` of each chain term (a bracket,
 bare or with slots, or a pure wedge) and d of an sv scalar are one formula
@@ -77,12 +79,13 @@ import functools
 import math
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import beta
 from .funcfield import (
+    _INTERNED,
     Combination,
     PoleError,
     RationalFunction,
@@ -148,7 +151,7 @@ class FormTerm:
         return FormTerm(coefficient, self.scalars, self.generators, self._key)
 
     def __repr__(self):
-        return "FormTerm(%s)" % format_term(self)
+        return "FormTerm(%s)" % format_term(self.coefficient, self)
 
 
 def _keyed_term(coefficient: Rational, scalars, generators) -> Optional[FormTerm]:
@@ -185,7 +188,7 @@ class Form(Combination):
         return (self.degree,)
 
     def _format_term(self, coefficient: Rational, t: FormTerm) -> str:
-        return format_term(t.scaled(coefficient))
+        return format_term(coefficient, t)
 
     def wedge(self, other: "Form") -> "Form":
         product = _product([(a.coefficient, *a.pairs()) for a in self.terms],
@@ -288,7 +291,7 @@ def exterior_derivative(a: Form) -> Form:
                 d = _pullback(_d_sv, s[1], s[2], (), 1) if s[0] == "sv" else dlog(s[1]).terms
                 ds = derivatives[k] = [(u.coefficient, *u.pairs()) for u in d if u is not None]
             rest = scalars[:i] + scalars[i + 1 :]
-            out += [_keyed_term(t.coefficient * c, rest + us, ug + generators)
+            out += [_keyed_term(_times(t.coefficient, c), rest + us, ug + generators)
                     for c, us, ug in ds]
     return form(a.degree + 1, out)
 
@@ -365,8 +368,13 @@ def _pullback(build, n: int, f: Optional[RationalFunction], gs: Sequence[Rationa
     atoms = ((None, None) if f is None else (f, one_minus(f))) + tuple(gs)
     pairs = [(_gen_pair if x[0] in ("dlog", "diarg") else _scalar_pair)((*x[:-1], atoms[x[-1]]))
              for x in factors]
-    return [_keyed_term(a if c == 1 else a * c, [pairs[i] for i in sidx],
-                        [pairs[i] for i in gidx]) for a, sidx, gidx in terms]
+    return [_keyed_term(_times(a, c), [pairs[i] for i in sidx], [pairs[i] for i in gidx])
+            for a, sidx, gidx in terms]
+
+
+def _times(a: Rational, c: Rational) -> Rational:
+    """a * c, with a copied or negated when c is 1 or -1."""
+    return a if c == 1 else -a if c == -1 else a * c
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +621,15 @@ def evaluate(a: Form, x, vectors: Sequence = ()) -> complex:
 # pretty-printing and the golden-file grammar
 
 
-def format_term(t: FormTerm) -> str:
+def format_term(c: Rational, t: FormTerm) -> str:
+    """The text of t with coefficient c."""
     bits = []
-    c = t.coefficient
     if c != 1 or (not t.scalars and not t.generators):
         bits.append("(%s)" % c if c.denominator != 1 or c < 0 else str(c))
-    i = 0
-    scalars = list(t.scalars)
-    while i < len(scalars):
-        s = scalars[i]
-        j = i
-        while j < len(scalars) and scalars[j] == s:
-            j += 1
-        power = j - i
-        if s[0] == "log":
-            text = "log(%s)" % s[1]
-        else:
-            text = "L%d(%s)" % (s[1], s[2])
+    for s, run in groupby(t.scalars):  # a run of equal scalars is a power
+        power = len(list(run))
+        text = "log(%s)" % s[1] if s[0] == "log" else "L%d(%s)" % (s[1], s[2])
         bits.append(text + ("^%d" % power if power > 1 else ""))
-        i = j
     gen_text = "^".join(
         ("dlog(%s)" if k == "dlog" else "darg(%s)") % g
         for k, g in t.generators
@@ -653,6 +651,14 @@ def _product(a: list, b: list) -> list:
     return [(c * e if e != 1 else c, s + t, g + h) for c, s, g in a for e, t, h in b]
 
 
+_BLANK = "[ \t·]"  # a character that may stand between tokens
+# one match each, past blanks: a join ('*', '^' or a factor's start), a call
+# head (name, blanks and '(' if one follows) and a power ('^', digits and '/')
+_JOIN = re.compile(r"%s*(?:[*^]|(?=[^\W_]|\())" % _BLANK).match
+_CALL_HEAD = re.compile(r"(\w*)%s*(\(?)" % _BLANK).match
+_POWER = re.compile(r"%s*\^%s*(\d+)%s*(/?)" % ((_BLANK,) * 3)).match
+
+
 class _FormParser(_Reader):
     """Grammar for golden files and the CLI:
 
@@ -664,15 +670,15 @@ class _FormParser(_Reader):
 
     A product of factors multiplies scalars and wedges generators in the
     written order, whether joined by '*', '^' or nothing; '^' followed by
-    digits is a power.  '·' counts as a blank.  Arguments are read by the
-    interning `parse_function`.  A factor is read as raw (coefficient,
-    scalar pairs, generator pairs) triples, each factor keyed once:
-    alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k' repeats the factor.
-    Each term's triples are built once by `_keyed_term` and the form is
-    merged once.
+    digits is a power.  '·' counts as a blank.  Joins, call heads and
+    powers are read in one compiled match each.  A factor is read as raw
+    (coefficient, scalar pairs, generator pairs) triples, each factor keyed
+    once: alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k' repeats the
+    factor.  A call is built by `_call`, interned by its text.  Each term's
+    triples are built once by `_keyed_term` and the form is merged once.
     """
 
-    BLANKS = re.compile("[ \t·]")
+    BLANKS = re.compile(_BLANK)
 
     def parse(self) -> Form:
         parts = []  # (degree, terms) per signed term; the first sign is optional
@@ -692,72 +698,53 @@ class _FormParser(_Reader):
     def term(self, sign: int) -> tuple:
         """(degree, terms) of one signed product of factors."""
         degree, triples = self.factor()
-        while True:
-            ch = self.peek()
-            if ch and ch in "*^":
-                self.pos += 1
-            elif not (ch and (ch.isalnum() or ch == "(")):
-                return degree, [_keyed_term(c if sign > 0 else -c, s, g) for c, s, g in triples]
+        while join := _JOIN(self.text, self.pos):
+            self.pos = join.end()
             more_degree, more = self.factor()
             degree, triples = degree + more_degree, _product(triples, more)
+        return degree, [_keyed_term(c if sign > 0 else -c, s, g) for c, s, g in triples]
 
     def factor(self) -> tuple:
         """(degree, raw triples) of one factor."""
-        if self.take("("):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
             c = self.coeff()
             if not self.take(")"):
                 self.error("expected ) after coefficient")
             return 0, [(c, (), ())]
-        ch = self.peek()
         if ch.isdigit():
             return 0, [(self.coeff(), (), ())]
         if not ch.isalpha():
             self.error("expected a factor")
-        name = self.name()
-        ch = self.peek()
-        if ch != "(":
-            self.error("expected ( after %r" % name)
-        args = []
-        while ch != ")":  # past the '(' or ',' before each argument
-            self.pos += 1
+        head = _CALL_HEAD(self.text, self.pos)
+        self.pos = head.end()
+        if not head.group(2):
+            self.error("expected ( after %r" % head.group(1))
+        args, ch = [], "("
+        while ch != ")":  # span stops at the ',' or ')' after each argument, or at the end
             args.append(self.span(",)"))
-            ch = self.peek()
+            ch = self.text[self.pos : self.pos + 1]
             if not ch:
                 self.error("unbalanced parentheses in call")
-        self.pos += 1
-        degree, triples = self.build(name, args)
-        save = self.pos
-        if self.take("^") and self.peek().isdigit():
-            power = self.coeff()
+            self.pos += 1
+        try:
+            degree, triples = _call(head.group(1), tuple(args))
+        except LookupError:
+            self.error("unknown call %s/%d" % (head.group(1), len(args)))
+        power = _POWER(self.text, self.pos)
+        if power:  # read as a coefficient when a '/' follows
+            self.pos = power.start(1) if power.group(2) else power.end()
+            power = self.coeff() if power.group(2) else int(power.group(1))
             if power.denominator != 1 or power < 1:
                 self.error("bad power")
-            base, step = triples, degree
-            for _ in range(int(power) - 1):  # merged per step: a vanishing power stays small
-                degree += step
+            base, step, left = triples, degree, int(power) - 1
+            while left and triples:  # merged per step: a vanishing power stays small
+                degree, left = degree + step, left - 1
                 terms = form(degree, [_keyed_term(*t) for t in _product(triples, base)]).terms
                 triples = [(t.coefficient, *t.pairs()) for t in terms]
-        else:  # a '^' before a factor wedges it on
-            self.pos = save
+            degree += left * step  # and stops: the factors left add only their degree
         return degree, triples
-
-    def build(self, name: str, args: list) -> tuple:
-        """(degree, raw triples) of one call."""
-        fs = [parse_function(a.strip()) for a in args]
-        if name == "alpha" and len(fs) == 2:  # -log|f| dlog|g| + log|g| dlog|f|
-            f, g = fs
-            return 1, [(-1, (_scalar_pair(("log", f)),), (_gen_pair(("dlog", g)),)),
-                       (1, (_scalar_pair(("log", g)),), (_gen_pair(("dlog", f)),))]
-        if len(fs) == 1:
-            if name == "log":
-                return 0, [(1, (_scalar_pair(("log", fs[0])),), ())]
-            if name in ("dlog", "darg"):
-                return 1, [(1, (), (_gen_pair(("dlog" if name == "dlog" else "diarg", fs[0])),))]
-            p = int(name[1:]) if name[:1] == "L" and name[1:].isdigit() else 0
-            if p == 1:  # sv(1, f) = -log|1-f|
-                return 0, [(-1, (_scalar_pair(("log", one_minus(fs[0]))),), ())]
-            if p > 1:
-                return 0, [(1, (_scalar_pair(("sv", p, fs[0])),), ())]
-        self.error("unknown call %s/%d" % (name, len(args)))
 
     def coeff(self) -> Rational:
         sign = -1 if self.take("-") else 1
@@ -769,6 +756,28 @@ class _FormParser(_Reader):
         if not den:
             self.error("zero denominator")
         return Fraction(num, den)
+
+
+@functools.lru_cache(maxsize=_INTERNED)
+def _call(name: str, args: tuple) -> tuple:
+    """(degree, raw triples) of the call name(args), the same tuples for the
+    same texts; LookupError when no call has that name and arity."""
+    fs = [parse_function(a.strip()) for a in args]
+    if name == "alpha" and len(fs) == 2:  # -log|f| dlog|g| + log|g| dlog|f|
+        f, g = fs
+        return 1, ((-1, (_scalar_pair(("log", f)),), (_gen_pair(("dlog", g)),)),
+                   (1, (_scalar_pair(("log", g)),), (_gen_pair(("dlog", f)),)))
+    if len(fs) == 1:
+        if name == "log":
+            return 0, ((1, (_scalar_pair(("log", fs[0])),), ()),)
+        if name in ("dlog", "darg"):
+            return 1, ((1, (), (_gen_pair(("dlog" if name == "dlog" else "diarg", fs[0])),)),)
+        p = int(name[1:]) if name[:1] == "L" and name[1:].isdigit() else 0
+        if p == 1:  # sv(1, f) = -log|1-f|
+            return 0, ((-1, (_scalar_pair(("log", one_minus(fs[0]))),), ()),)
+        if p > 1:
+            return 0, ((1, (_scalar_pair(("sv", p, fs[0])),), ()),)
+    raise LookupError(name)
 
 
 def parse_form(text: str) -> Form:

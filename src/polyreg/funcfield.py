@@ -5,11 +5,12 @@ complex-point evaluation with pole clearance, exact partial derivatives, and
 discrete-valuation data (order and unit part) at the places of Q(t).  A place
 is its point: a rational a, or None for infinity.  Its order and unit part
 are found together (`_order_and_unit`), at a by exact division of num and den
-by t - a (`_dense_divmod`); `ord_at` and `unit_part` are its two parts.  This
-module alone evaluates functions: each compiles once per layout of its
-variables on a caller's slots, into complex term lists for num, den and their
-partials in the order of each polynomial's terms, so values agree bit for bit
-with summing the terms one by one (`polynomial_evaluate` in tests/oracles.py).
+by t - a (`_dense_divmod`), and kept on the function by point; `ord_at` and
+`unit_part` are its two parts.  This module alone evaluates functions: each
+compiles once per layout of its variables on a caller's slots, into complex
+term lists for num, den and their partials in the order of each polynomial's
+terms, so values agree bit for bit with summing the terms one by one
+(`polynomial_evaluate` in tests/oracles.py).
 One evaluator, `_evaluate_columns`, gives values and partials behind one pole
 guard as columns over a batch of points (form evaluation); `_evaluate` is its
 batch of one (`rf_eval`, the samplers and holomorphic parts of `regulator`).
@@ -40,12 +41,14 @@ so intermediate results of arithmetic and parsing are never printed, and
 starts without it).
 
 Text: the grammars of functions (`parse_function`), forms and chain elements
-read through one cursor, `_Reader`, and keep only their rules.  Parsed
-functions are interned by text: `parse_function` keeps the last
-`_INTERNED` distinct texts it parsed and gives the same function for the
-same text, which is safe because a function is immutable and what it
-builds on first use (key, text, compiled term lists, 1 - f) is derived
-from it alone.  A text that fails to parse is read again on each call.
+read through one cursor, `_Reader`, and keep only their rules; its `span`
+jumps over each run of characters that are neither brackets nor stops in one
+match.  Parsed functions are interned by text: `parse_function` keeps the
+last `_INTERNED` distinct texts it parsed and gives the same function for
+the same text, which is safe because a function is immutable and what it
+builds on first use (key, text, compiled term lists, 1 - f, order and unit
+part per place) is derived from it alone.  Errors are never kept: a text
+that fails to parse, or a place where f has no order, fails on each call.
 
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
@@ -358,7 +361,7 @@ def _dense_divmod(a: list, b: list):
 class RationalFunction:
     """Quotient of polynomials in canonical form (see module docstring)."""
 
-    __slots__ = ("num", "den", "_key", "_text", "_compiled", "_complement")
+    __slots__ = ("num", "den", "_key", "_text", "_compiled", "_complement", "_places")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -401,7 +404,7 @@ class RationalFunction:
     def _set(self, num: Polynomial, den: Polynomial):
         self.num = num
         self.den = den
-        self._key = self._text = self._compiled = self._complement = None
+        self._key = self._text = self._compiled = self._complement = self._places = None
 
     # --- structure -------------------------------------------------------
     def variables(self) -> tuple:
@@ -667,17 +670,20 @@ def _poly_order_at(p: Polynomial, a: int | Fraction):
 def _order_and_unit(f: RationalFunction, v: Valuation) -> tuple:
     """(ord_v(f), unit part of f at v), found together: by division of num
     and den by t - a at a finite place, from the degrees and leading
-    coefficients at infinity."""
+    coefficients at infinity; kept on f by point, errors never."""
+    if f._places and v.point in f._places:
+        return f._places[v.point]
     if f.is_zero():
         raise ValueError("the zero function has no order or unit part")
     if len(f.variables()) > 1:
         raise ValueError("a place's order and unit part need a univariate function")
     if v.point is None:
-        order = f.den.degree() - f.num.degree()
-        return order, _quo(f.num.leading()[1], f.den.leading()[1])
-    en, nval = _poly_order_at(f.num, v.point)
-    ed, dval = _poly_order_at(f.den, v.point)
-    return en - ed, _quo(nval, dval)
+        out = f.den.degree() - f.num.degree(), _quo(f.num.leading()[1], f.den.leading()[1])
+    else:
+        (en, nval), (ed, dval) = _poly_order_at(f.num, v.point), _poly_order_at(f.den, v.point)
+        out = en - ed, _quo(nval, dval)
+    f._places = {**(f._places or {}), v.point: out}
+    return out
 
 
 def ord_at(f: RationalFunction, v: Valuation) -> int:
@@ -744,17 +750,24 @@ class _Reader:
     def span(self, stops: str) -> str:
         """The text from the cursor to the first of the stops outside (), {}
         and [], or to the end, where the cursor is left.  Unbalanced text
-        runs to the end, where the caller's next step fails."""
-        text, depth = self.text, 0
+        runs to the end, where the caller's next step fails.  Runs of other
+        characters are jumped in one match, so it loops only at brackets."""
+        text, depth, plain = self.text, 0, _plain_run(stops)
         start = pos = self.pos
-        while pos < len(text) and (depth or text[pos] not in stops):
-            if text[pos] in "({[":
-                depth += 1
-            elif text[pos] in ")}]":
-                depth -= 1
+        while (pos := plain(text, pos).end()) < len(text):
+            ch = text[pos]
+            if not depth and ch in stops:
+                break
+            depth += 1 if ch in "({[" else -1 if ch in ")}]" else 0
             pos += 1
         self.pos = pos
         return text[start:pos]
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_run(stops: str):
+    """The match of a run of characters that are neither brackets nor stops."""
+    return re.compile(r"[^(){}\[\]%s]*" % re.escape(stops)).match
 
 
 class _FunctionParser(_Reader):
@@ -835,6 +848,8 @@ def sort_signed(pairs):
     the sign being the parity of the sorting permutation; None when two keys
     are equal."""
     keyed = list(pairs)
+    if len(keyed) < 2:
+        return (1, (keyed[0][0],), (keyed[0][1],)) if keyed else (1, (), ())
     sign = 1
     for i in range(1, len(keyed)):  # insertion sort, one sign flip per swap
         j = i
@@ -844,8 +859,6 @@ def sort_signed(pairs):
             j -= 1
         if j and keyed[j][0] == keyed[j - 1][0]:  # the sorted prefix repeats a key
             return None
-    if not keyed:
-        return sign, (), ()
     keys, items = zip(*keyed)
     return sign, keys, items
 

@@ -391,6 +391,20 @@ def polynomial_evaluate(self: Polynomial, point: dict) -> complex:
 BIG_POWER = re.compile(r"\^[\s-]*\d\d")
 
 
+def reference_span(text: str, pos: int, stops: str) -> tuple:
+    """(the text from pos to the first of the stops outside (), {} and [],
+    or to the end; the position where it ends), one character at a time:
+    the cursor's span as it was before it jumped over plain runs."""
+    depth, start = 0, pos
+    while pos < len(text) and (depth or text[pos] not in stops):
+        if text[pos] in "({[":
+            depth += 1
+        elif text[pos] in ")}]":
+            depth -= 1
+        pos += 1
+    return text[start:pos], pos
+
+
 class _ReferenceFunctionParser:
     """expr := term (('+'|'-') term)*, term := factor (('*'|'/') factor)*,
     factor := ('-')* base ('^' ['-'] integer)?, base := integer | name |

@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -535,11 +536,16 @@ HAND_TEXTS = [
     "(1/3)*log(t)^2*dlog(t) - 2*darg(t)", "log(x*y)^2*dlog(x)^darg(y)",
     "log((t+1)/(t-2))*dlog(t+1) - log(1+t)*dlog(t+1)", "log(t)*log(1-t) - log(1-t)*log(t)",
     "alpha(x, 1-y)^2^alpha(y, x)", "alpha(t, 1-t)^3*log(t)", "2*alpha(x, y)^2*L2(x)^3",
+    "dlog (t)", "log(t)^ 2", "log(t) ^2", "log(t)^02", "L02(t)", "(1/2)(1/3)log(t)",
+    "log((t+1))", "log(((t+1)/(t-2)))", "alpha((t+1), (t-2))", "log(t)\t+ log(t)",
+    "log(t)·dlog(t)", "log(é)",
 ]
 MALFORMED_TEXTS = [
     "", "log(t", "frob(t)", "log(t)*", "1/", "L3(t)^", "L0(t)", "L(t)", "log(t, t)",
     "alpha(t)", "log(t)^0", "log(t)^3/2", "(log(t))", "dlog(t) - dlog(t) + log(t)",
     "log(t) + dlog(t)", "(- 3)*log(t)", "log(t) $", "log(t))", "(1/2", "log(t +)",
+    "log_(t)", "log([t])", "log({t})", "alpha(t,(1,2))", "log(t,)", "log()", "Log(t)",
+    "log(t)--log(t)", "log(t) + + log(t)",
 ]
 
 
@@ -575,6 +581,27 @@ class TestParserAgainstReference:
         monkeypatch.setattr(F, "_product", bounded)
         a = F.parse_form("alpha(t, 1-t)^22")
         assert a.is_zero() and a.degree == 22
+
+    def test_vanishing_power_stops_early(self):
+        # once the product vanishes, the factors left add only their degree
+        started = time.perf_counter()
+        a = F.parse_form("dlog(t)^1000000")
+        assert a.is_zero() and a.degree == 10**6
+        assert F.parse_form("alpha(t, 1-t)^1000000").degree == 10**6
+        assert time.perf_counter() - started < 0.5
+
+    def test_a_call_is_built_once_per_text(self):
+        F._call.cache_clear()
+        text = "log(t+7)*dlog(t+7) + 2*log(t+7)^2*dlog(t+7) - dlog(t+7)"
+        assert F.parse_form(text) == F.parse_form(text) == _ReferenceFormParser(text).parse()
+        info = F._call.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)  # log(t+7) and dlog(t+7)
+        for _ in range(2):  # an error is raised again, with its position, and not kept
+            with pytest.raises(ValueError, match="position 7: unknown call frob/1"):
+                F.parse_form("frob(t)")
+            with pytest.raises(ValueError, match=r"position 3: .* in 't \+'"):
+                F.parse_form("log(t +)")
+        assert F._call.cache_info().currsize == 2
 
     @given(st.lists(st.sampled_from([
         "log(t)", "log(1-t)", "dlog(t)", "darg(1-t)", "darg(x*y)", "alpha(t, 1-t)",

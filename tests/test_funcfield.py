@@ -6,11 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import BIG_POWER, polynomial_evaluate, reference_parse_function, rf_dir_derivative
-from oracles import value_and_partials
+from oracles import BIG_POWER, polynomial_evaluate, reference_parse_function, reference_span
+from oracles import rf_dir_derivative, value_and_partials
 from polyreg import forms as F
 from polyreg.funcfield import (
     PoleError,
@@ -18,6 +18,7 @@ from polyreg.funcfield import (
     RationalFunction,
     Valuation,
     _compile,
+    _FunctionParser,
     _evaluate,
     _evaluate_columns,
     _order_and_unit,
@@ -492,6 +493,65 @@ def test_canonical_forms_match_euclid_reference(a, b, common, c, d):
         v = Valuation.infinity()
         want = (h.den.degree() - h.num.degree(), Fraction(h.num.leading()[1]) / h.den.leading()[1])
         assert (ord_at(h, v), unit_part(h, v)) == _order_and_unit(h, v) == want
+
+
+@given(_polynomials(), _polynomials())
+@settings(max_examples=60, deadline=None)
+def test_places_are_kept_on_the_function(a, b):
+    """A place's order and unit part, worked out on the first call, are kept
+    on the function: the first and second calls, ord_at and unit_part all
+    give the pair built from the Euclid route's orders of num and den."""
+    assume(not a.is_zero() and not b.is_zero())
+    h = RationalFunction(a, b)
+    assert h._places is None  # nothing is kept before the first call
+    for point in (0, 1, -1, Fraction(1, 2), -2, None):
+        if point is None:
+            want = (h.den.degree() - h.num.degree(),
+                    Fraction(h.num.leading()[1]) / h.den.leading()[1])
+        else:
+            (en, nv), (ed, dv) = _ref_order(h.num, point), _ref_order(h.den, point)
+            want = (en - ed, Fraction(nv) / dv)
+        v = Valuation(point)
+        assert _order_and_unit(h, v) == want and _order_and_unit(h, v) == want
+        assert (ord_at(h, v), unit_part(h, v)) == want
+    assert len(h._places) == 6
+
+
+def test_places_keep_no_error():
+    for f in (const(0), parse_function("x*y")):
+        for v in (Valuation.finite(0), Valuation.infinity()):
+            for ask in (_order_and_unit, _order_and_unit, ord_at, unit_part):
+                with pytest.raises(ValueError):
+                    ask(f, v)
+        assert f._places is None
+
+
+STOP_SETS = [",)", "}", "^+-", "*^+-"]  # the stops the three grammars pass to span
+
+
+@given(st.text(st.sampled_from("(){}[],^+-*t1 "), max_size=16), st.integers(0, 16),
+       st.sampled_from(STOP_SETS))
+@example("[,]", 0, ",)")
+@example("{}}", 0, "}")
+@example("(^)+", 0, "^+-")
+@settings(max_examples=300, deadline=None)
+def test_span_as_its_old_loop(text, pos, stops):
+    """span, jumping over plain runs, returns the text and leaves the cursor
+    where the loop over single characters did, on bracket soups."""
+    reader = _FunctionParser(text)
+    reader.pos = pos = min(pos, len(text))
+    assert (reader.span(stops), reader.pos) == reference_span(text, pos, stops)
+
+
+def test_span_check_finds_a_broken_span(monkeypatch):
+    def forgets_square_brackets(self, stops):  # reads them as blanks
+        _, end = reference_span(self.text.replace("[", " ").replace("]", " "), self.pos, stops)
+        start, self.pos = self.pos, end
+        return self.text[start:end]
+
+    monkeypatch.setattr(_FunctionParser, "span", forgets_square_brackets)
+    with pytest.raises(AssertionError):
+        test_span_as_its_old_loop()
 
 
 @pytest.mark.parametrize("value", [0, 1, -1, 7, Fraction(-3, 4), Fraction(5, 2)])
