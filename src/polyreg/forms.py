@@ -22,8 +22,8 @@ factor) pairs its factors hold (`FormTerm.pairs`), and `scaled` copies pass
 the key on.  Sums collect their terms and merge once, and a single-term form
 is built without a merge.  The parser (`parse_form`) does the same from
 text: one build per term, one merge per form.  It reads call heads, joins
-and powers in one compiled match each, and builds each call once per text
-(`_call`, interned as `parse_function` is).
+and a power's '^' in one compiled match each, and builds each call once per
+text (`_call`, interned as `parse_function` is).
 
 Free shapes: the image under `regulator` of each chain term (a bracket,
 bare or with slots, or a pure wedge) and d of an sv scalar are one formula
@@ -645,18 +645,18 @@ def format_form(a: Form) -> str:
 
 def _product(a: list, b: list) -> list:
     """Raw (coefficient, scalar pairs, generator pairs) triples of the
-    product of two sums of them: coefficients multiply (most are the int 1,
-    and a Fraction times an int is slow), scalars and generators
-    concatenate."""
-    return [(c * e if e != 1 else c, s + t, g + h) for c, s, g in a for e, t, h in b]
+    product of two sums of them: coefficients multiply by `_times` (most
+    are the int 1, and a Fraction times an int is slow), scalars and
+    generators concatenate."""
+    return [(_times(c, e), s + t, g + h) for c, s, g in a for e, t, h in b]
 
 
 _BLANK = "[ \t·]"  # a character that may stand between tokens
 # one match each, past blanks: a join ('*', '^' or a factor's start), a call
-# head (name, blanks and '(' if one follows) and a power ('^', digits and '/')
+# head (name, blanks and '(' if one follows) and a power's '^' (digits follow)
 _JOIN = re.compile(r"%s*(?:[*^]|(?=[^\W_]|\())" % _BLANK).match
 _CALL_HEAD = re.compile(r"(\w*)%s*(\(?)" % _BLANK).match
-_POWER = re.compile(r"%s*\^%s*(\d+)%s*(/?)" % ((_BLANK,) * 3)).match
+_POWER = re.compile(r"%s*\^%s*(?=\d)" % (_BLANK, _BLANK)).match
 
 
 class _FormParser(_Reader):
@@ -670,8 +670,8 @@ class _FormParser(_Reader):
 
     A product of factors multiplies scalars and wedges generators in the
     written order, whether joined by '*', '^' or nothing; '^' followed by
-    digits is a power.  '·' counts as a blank.  Joins, call heads and
-    powers are read in one compiled match each.  A factor is read as raw
+    digits is a power.  '·' counts as a blank.  Joins, call heads and a
+    power's '^' are read in one compiled match each.  A factor is read as raw
     (coefficient, scalar pairs, generator pairs) triples, each factor keyed
     once: alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k' repeats the
     factor.  A call is built by `_call`, interned by its text.  Each term's
@@ -733,9 +733,9 @@ class _FormParser(_Reader):
         except LookupError:
             self.error("unknown call %s/%d" % (head.group(1), len(args)))
         power = _POWER(self.text, self.pos)
-        if power:  # read as a coefficient when a '/' follows
-            self.pos = power.start(1) if power.group(2) else power.end()
-            power = self.coeff() if power.group(2) else int(power.group(1))
+        if power:
+            self.pos = power.end()
+            power = self.coeff()
             if power.denominator != 1 or power < 1:
                 self.error("bad power")
             base, step, left = triples, degree, int(power) - 1

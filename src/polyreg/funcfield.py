@@ -4,13 +4,13 @@ Sparse polynomials over Q, rational functions in canonical form,
 complex-point evaluation with pole clearance, exact partial derivatives, and
 discrete-valuation data (order and unit part) at the places of Q(t).  A place
 is its point: a rational a, or None for infinity.  Its order and unit part
-are found together (`_order_and_unit`), at a by exact division of num and den
-by t - a (`_dense_divmod`), and kept on the function by point; `ord_at` and
-`unit_part` are its two parts.  This module alone evaluates functions: each
-compiles once per layout of its variables on a caller's slots, into complex
-term lists for num, den and their partials in the order of each polynomial's
-terms, so values agree bit for bit with summing the terms one by one
-(`polynomial_evaluate` in tests/oracles.py).
+are found together (`_order_and_unit`, at a by exact division of num and den
+by t - a) and kept on the function by point; `ord_at` and `unit_part` are its
+two parts.  This module alone evaluates functions: each compiles once per
+layout of its variables on a caller's slots, into complex term lists for num,
+den and their partials in the order of each polynomial's terms, so values
+agree bit for bit with summing the terms one by one (`polynomial_evaluate`
+in tests/oracles.py).
 One evaluator, `_evaluate_columns`, gives values and partials behind one pole
 guard as columns over a batch of points (form evaluation); `_evaluate` is its
 batch of one (`rf_eval`, the samplers and holomorphic parts of `regulator`).
@@ -42,13 +42,13 @@ starts without it).
 
 Text: the grammars of functions (`parse_function`), forms and chain elements
 read through one cursor, `_Reader`, and keep only their rules; its `span`
-jumps over each run of characters that are neither brackets nor stops in one
-match.  Parsed functions are interned by text: `parse_function` keeps the
-last `_INTERNED` distinct texts it parsed and gives the same function for
-the same text, which is safe because a function is immutable and what it
-builds on first use (key, text, compiled term lists, 1 - f, order and unit
-part per place) is derived from it alone.  Errors are never kept: a text
-that fails to parse, or a place where f has no order, fails on each call.
+jumps over plain runs and bracketed groups with no bracket inside in one
+match.  `parse_function` keeps the last `_INTERNED` texts it parsed, and
+`const` as many values: the same text or value gives the same function,
+which is safe as a function is immutable and what it builds on first use
+(key, text, compiled term lists, 1 - f, order and unit part per place) is
+derived from it alone.  Errors are never kept: a text that fails to parse,
+or a place where f has no order, fails on each call.
 
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
@@ -194,9 +194,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=-1)
 
     def leading(self):
         """(exponent, coefficient) of the lex-largest term."""
@@ -442,9 +440,7 @@ class RationalFunction:
 
     # --- field arithmetic --------------------------------------------------
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return const(other)
-        return other
+        return const(other) if isinstance(other, (int, Fraction)) else other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -491,10 +487,14 @@ class RationalFunction:
     __repr__ = __str__
 
 
+_INTERNED = 512  # distinct texts parse_function keeps, and values const keeps
+
+
 def var(name: str) -> RationalFunction:
     return RationalFunction._raw(Polynomial.variable(name), Polynomial.constant(1, (name,)))
 
 
+@functools.lru_cache(maxsize=_INTERNED, typed=True)  # typed: 0.5 is refused, not taken as 1/2
 def const(value) -> RationalFunction:
     return RationalFunction._raw(Polynomial.constant(value), Polynomial.constant(1))
 
@@ -682,7 +682,9 @@ def _order_and_unit(f: RationalFunction, v: Valuation) -> tuple:
     else:
         (en, nval), (ed, dval) = _poly_order_at(f.num, v.point), _poly_order_at(f.den, v.point)
         out = en - ed, _quo(nval, dval)
-    f._places = {**(f._places or {}), v.point: out}
+    if f._places is None:
+        f._places = {}
+    f._places[v.point] = out
     return out
 
 
@@ -750,11 +752,11 @@ class _Reader:
     def span(self, stops: str) -> str:
         """The text from the cursor to the first of the stops outside (), {}
         and [], or to the end, where the cursor is left.  Unbalanced text
-        runs to the end, where the caller's next step fails.  Runs of other
-        characters are jumped in one match, so it loops only at brackets."""
-        text, depth, plain = self.text, 0, _plain_run(stops)
+        runs to the end, where the caller's next step fails.  It loops only
+        at brackets that `_runs` does not jump."""
+        text, depth, (jump, plain) = self.text, 0, _runs(stops)
         start = pos = self.pos
-        while (pos := plain(text, pos).end()) < len(text):
+        while (pos := (jump if depth >= 0 else plain)(text, pos).end()) < len(text):
             ch = text[pos]
             if not depth and ch in stops:
                 break
@@ -765,9 +767,12 @@ class _Reader:
 
 
 @functools.lru_cache(maxsize=None)
-def _plain_run(stops: str):
-    """The match of a run of characters that are neither brackets nor stops."""
-    return re.compile(r"[^(){}\[\]%s]*" % re.escape(stops)).match
+def _runs(stops: str) -> tuple:
+    """Matches of runs of characters neither brackets nor stops: with bracketed
+    groups holding none, and without, for a negative depth (a group may end at 0)."""
+    plain = r"[^(){}\[\]%s]" % re.escape(stops)
+    return (re.compile(r"(?:%s+|[({[][^(){}\[\]]*[)}\]])*" % plain).match,
+            re.compile(plain + "*").match)
 
 
 class _FunctionParser(_Reader):
@@ -821,9 +826,6 @@ class _FunctionParser(_Reader):
         if c.isalpha() or c == "_":
             return var(self.name())
         self.error("expected a number, name, or '('")
-
-
-_INTERNED = 512  # distinct texts parse_function keeps
 
 
 @functools.lru_cache(maxsize=_INTERNED)

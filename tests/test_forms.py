@@ -972,7 +972,7 @@ class TestSymbolicElements:
             built += [F.parse_form(F.format_form(a)) for a in built[:3]]
             for a in built:
                 for t in a.terms:
-                    assert t._key == fresh_form_key(t), F.format_term(t)
+                    assert t._key == fresh_form_key(t), F.format_term(t.coefficient, t)
 
     def test_texts_pinned(self, symbolic):
         texts = []

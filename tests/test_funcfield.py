@@ -526,6 +526,17 @@ def test_places_keep_no_error():
         assert f._places is None
 
 
+def test_constants_are_interned_by_value():
+    """const gives the same function for the same value; a value that is not
+    an exact rational is refused on every call."""
+    assert const(2) is const(2) and const(Fraction(1, 2)) is const(Fraction(2, 4))
+    assert const(Fraction(4, 2)) == const(2) and type(const(Fraction(4, 2)).constant_value()) is int
+    assert const(2) is not const(3) and str(const(Fraction(-1, 2))) == "-1/2"
+    for _ in range(2):
+        with pytest.raises(TypeError, match="expected exact rational, got float"):
+            const(0.5)
+
+
 STOP_SETS = [",)", "}", "^+-", "*^+-"]  # the stops the three grammars pass to span
 
 
@@ -534,6 +545,7 @@ STOP_SETS = [",)", "}", "^+-", "*^+-"]  # the stops the three grammars pass to s
 @example("[,]", 0, ",)")
 @example("{}}", 0, "}")
 @example("(^)+", 0, "^+-")
+@example("][)", 0, ",)")  # a group that would close at depth 0
 @settings(max_examples=300, deadline=None)
 def test_span_as_its_old_loop(text, pos, stops):
     """span, jumping over plain runs, returns the text and leaves the cursor
