@@ -732,8 +732,7 @@ class _FormParser(_Reader):
             degree, triples = _call(head.group(1), tuple(args))
         except LookupError:
             self.error("unknown call %s/%d" % (head.group(1), len(args)))
-        power = _POWER(self.text, self.pos)
-        if power:
+        if power := _POWER(self.text, self.pos):
             self.pos = power.end()
             power = self.coeff()
             if power.denominator != 1 or power < 1:

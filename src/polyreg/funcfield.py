@@ -4,13 +4,12 @@ Sparse polynomials over Q, rational functions in canonical form,
 complex-point evaluation with pole clearance, exact partial derivatives, and
 discrete-valuation data (order and unit part) at the places of Q(t).  A place
 is its point: a rational a, or None for infinity.  Its order and unit part
-are found together (`_order_and_unit`, at a by exact division of num and den
-by t - a) and kept on the function by point; `ord_at` and `unit_part` are its
-two parts.  This module alone evaluates functions: each compiles once per
-layout of its variables on a caller's slots, into complex term lists for num,
-den and their partials in the order of each polynomial's terms, so values
-agree bit for bit with summing the terms one by one (`polynomial_evaluate`
-in tests/oracles.py).
+are found together (`_order_and_unit`, at a by exact division by t - a) and
+kept on f by point; `ord_at` and `unit_part` are its two parts.  This module
+alone evaluates functions: each compiles once per layout of its variables on
+a caller's slots, into complex term lists for num, den and their partials in
+the order of each polynomial's terms, so values agree bit for bit with
+summing the terms one by one (`polynomial_evaluate` in tests/oracles.py).
 One evaluator, `_evaluate_columns`, gives values and partials behind one pole
 guard as columns over a batch of points (form evaluation); `_evaluate` is its
 batch of one (`rf_eval`, the samplers and holomorphic parts of `regulator`).
@@ -85,6 +84,8 @@ __all__ = [
     "sort_signed",
     "Combination",
 ]
+
+_INTERNED = 512  # distinct texts parse_function keeps, and values const keeps
 
 
 class PoleError(ArithmeticError):
@@ -194,7 +195,9 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
 
     def leading(self):
         """(exponent, coefficient) of the lex-largest term."""
@@ -440,7 +443,9 @@ class RationalFunction:
 
     # --- field arithmetic --------------------------------------------------
     def _coerce(self, other):
-        return const(other) if isinstance(other, (int, Fraction)) else other
+        if isinstance(other, (int, Fraction)):
+            return const(other)
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -485,9 +490,6 @@ class RationalFunction:
         return self._text
 
     __repr__ = __str__
-
-
-_INTERNED = 512  # distinct texts parse_function keeps, and values const keeps
 
 
 def var(name: str) -> RationalFunction:
@@ -682,8 +684,7 @@ def _order_and_unit(f: RationalFunction, v: Valuation) -> tuple:
     else:
         (en, nval), (ed, dval) = _poly_order_at(f.num, v.point), _poly_order_at(f.den, v.point)
         out = en - ed, _quo(nval, dval)
-    if f._places is None:
-        f._places = {}
+    f._places = f._places or {}
     f._places[v.point] = out
     return out
 
@@ -752,8 +753,7 @@ class _Reader:
     def span(self, stops: str) -> str:
         """The text from the cursor to the first of the stops outside (), {}
         and [], or to the end, where the cursor is left.  Unbalanced text
-        runs to the end, where the caller's next step fails.  It loops only
-        at brackets that `_runs` does not jump."""
+        runs to the end, where the caller's next step fails."""
         text, depth, (jump, plain) = self.text, 0, _runs(stops)
         start = pos = self.pos
         while (pos := (jump if depth >= 0 else plain)(text, pos).end()) < len(text):
