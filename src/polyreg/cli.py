@@ -91,8 +91,10 @@ ELEMENT_HELP = (
 # per subcommand, option -> the option it needs
 _NEEDS = {"loop-check": dict(weight="element", tol="element", at="element", orientation="element")}
 
+# option -> the RegulatorConfig field it sets
+_CONFIG = dict(seed="seed", tol="tol", samples="samples", nodes="loop_nodes", radii="loop_radii")
 # not echoed under "config": what its RegulatorConfig holds, and what a loop case names
-_UNECHOED = ("command", "json", "seed", "tol", "samples", "nodes", "radii", "orientation")
+_UNECHOED = ("command", "json", *_CONFIG, "orientation")
 
 
 def _versions() -> dict:
@@ -331,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_config(args) -> RegulatorConfig:
     given = vars(args)
-    fields = {"seed": "seed", "tol": "tol", "samples": "samples", "nodes": "loop_nodes",
-              "radii": "loop_radii"}
-    kw = {field: given[name] for name, field in fields.items() if given.get(name) is not None}
+    kw = {field: given[name] for name, field in _CONFIG.items() if given.get(name) is not None}
     return RegulatorConfig(**kw)
 
 

@@ -22,8 +22,9 @@ factor) pairs its factors hold (`FormTerm.pairs`), and `scaled` copies pass
 the key on.  Sums collect their terms and merge once, and a single-term form
 is built without a merge.  The parser (`parse_form`) does the same from
 text: one build per term, one merge per form.  It reads call heads, joins
-and a power's '^' in one compiled match each, and builds each call once per
-text (`_call`, interned as `parse_function` is).
+and a power's '^' in one compiled match each; a call and its power are built
+by the builders above and `Form.wedge`, once per text (`_call`, interned as
+`parse_function` is), so the grammar writes no term of its own.
 
 Free shapes: the image under `regulator` of each chain term (a bracket,
 bare or with slots, or a pure wedge) and d of an sv scalar are one formula
@@ -94,6 +95,7 @@ from .funcfield import (
     _evaluate_columns,
     _fold,
     _Reader,
+    _times,
     one_minus,
     parse_function,
     sort_signed,
@@ -370,11 +372,6 @@ def _pullback(build, n: int, f: Optional[RationalFunction], gs: Sequence[Rationa
              for x in factors]
     return [_keyed_term(_times(a, c), [pairs[i] for i in sidx], [pairs[i] for i in gidx])
             for a, sidx, gidx in terms]
-
-
-def _times(a: Rational, c: Rational) -> Rational:
-    """a * c, with a copied or negated when c is 1 or -1."""
-    return a if c == 1 else -a if c == -1 else a * c
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +669,9 @@ class _FormParser(_Reader):
     written order, whether joined by '*', '^' or nothing; '^' followed by
     digits is a power.  '·' counts as a blank.  Joins, call heads and a
     power's '^' are read in one compiled match each.  A factor is read as raw
-    (coefficient, scalar pairs, generator pairs) triples, each factor keyed
-    once: alpha(f, g) gives two, L1(f) gives -log|1-f|, '^k' repeats the
-    factor.  A call is built by `_call`, interned by its text.  Each term's
-    triples are built once by `_keyed_term` and the form is merged once.
+    (coefficient, scalar pairs, generator pairs) triples: a call and its power
+    are built by `_call`, through the form builders and Form.wedge, interned
+    by text.  Each term is built once by `_keyed_term`, the form merged once.
     """
 
     BLANKS = re.compile(_BLANK)
@@ -728,8 +724,8 @@ class _FormParser(_Reader):
             if not ch:
                 self.error("unbalanced parentheses in call")
             self.pos += 1
-        try:
-            degree, triples = _call(head.group(1), tuple(args))
+        try:  # resolved before its power is read, so each error keeps its place
+            call = _call(head.group(1), tuple(args), 1)
         except LookupError:
             self.error("unknown call %s/%d" % (head.group(1), len(args)))
         if power := _POWER(self.text, self.pos):
@@ -737,13 +733,8 @@ class _FormParser(_Reader):
             power = self.coeff()
             if power.denominator != 1 or power < 1:
                 self.error("bad power")
-            base, step, left = triples, degree, int(power) - 1
-            while left and triples:  # merged per step: a vanishing power stays small
-                degree, left = degree + step, left - 1
-                terms = form(degree, [_keyed_term(*t) for t in _product(triples, base)]).terms
-                triples = [(t.coefficient, *t.pairs()) for t in terms]
-            degree += left * step  # and stops: the factors left add only their degree
-        return degree, triples
+            call = _call(head.group(1), tuple(args), int(power))
+        return call
 
     def coeff(self) -> Rational:
         sign = -1 if self.take("-") else 1
@@ -757,26 +748,25 @@ class _FormParser(_Reader):
         return Fraction(num, den)
 
 
+# the form builder of each call name and arity; L<p>(f) is sv_scalar(p, f) for a decimal p >= 1
+_BUILDERS = {("log", 1): log_abs, ("dlog", 1): dlog, ("darg", 1): diarg, ("alpha", 2): alpha}
+
+
 @functools.lru_cache(maxsize=_INTERNED)
-def _call(name: str, args: tuple) -> tuple:
-    """(degree, raw triples) of the call name(args), the same tuples for the
-    same texts; LookupError when no call has that name and arity."""
+def _call(name: str, args: tuple, power: int) -> tuple:
+    """(degree, raw triples) of name(args)^power by its form builder and Form.wedge,
+    the same tuples for the same texts; LookupError for an unknown name or arity."""
     fs = [parse_function(a.strip()) for a in args]
-    if name == "alpha" and len(fs) == 2:  # -log|f| dlog|g| + log|g| dlog|f|
-        f, g = fs
-        return 1, ((-1, (_scalar_pair(("log", f)),), (_gen_pair(("dlog", g)),)),
-                   (1, (_scalar_pair(("log", g)),), (_gen_pair(("dlog", f)),)))
-    if len(fs) == 1:
-        if name == "log":
-            return 0, ((1, (_scalar_pair(("log", fs[0])),), ()),)
-        if name in ("dlog", "darg"):
-            return 1, ((1, (), (_gen_pair(("dlog" if name == "dlog" else "diarg", fs[0])),)),)
-        p = int(name[1:]) if name[:1] == "L" and name[1:].isdigit() else 0
-        if p == 1:  # sv(1, f) = -log|1-f|
-            return 0, ((-1, (_scalar_pair(("log", one_minus(fs[0]))),), ()),)
-        if p > 1:
-            return 0, ((1, (_scalar_pair(("sv", p, fs[0])),), ()),)
-    raise LookupError(name)
+    p = int(name[1:]) if name[:1] == "L" and name[1:].isdecimal() else 0
+    build = (lambda f: sv_scalar(p, f)) if p and len(fs) == 1 else _BUILDERS.get((name, len(fs)))
+    if build is None:
+        raise LookupError(name)
+    base = out = build(*fs)
+    for _ in range(power - 1):  # once it vanishes, the factors left add only their degree
+        if not out.terms:
+            break
+        out = out.wedge(base)
+    return base.degree * power, tuple((t.coefficient, *t.pairs()) for t in out.terms)
 
 
 def parse_form(text: str) -> Form:

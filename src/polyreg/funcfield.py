@@ -17,9 +17,10 @@ batch of one (`rf_eval`, the samplers and holomorphic parts of `regulator`).
 Exact rationals: every exact value here (a polynomial coefficient, a
 constant value, a content, a unit part, the point of a place, a coefficient
 of a `Combination`) is an int when integral and a Fraction only when its
-denominator is not 1.  `_quo` does every exact division, and Fraction
-results that come out integral fold back to int (`_fold`), so integral
-arithmetic runs at int speed.  Printing, keys, equality, hashes and complex
+denominator is not 1.  `_quo` does every exact division, `_times` scales a
+coefficient (a factor of 1 or -1 copies or negates it), and Fraction results
+that come out integral fold back to int (`_fold`), so integral arithmetic
+runs at int speed.  Printing, keys, equality, hashes and complex
 values are those of the equal Fraction.
 
 Canonical forms: a univariate quotient is gcd-reduced with monic denominator,
@@ -113,6 +114,11 @@ def _quo(a, b) -> int | Fraction:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _fold(a / b)
+
+
+def _times(a, c) -> int | Fraction:
+    """a * c for exact rationals, with a copied or negated when c is 1 or -1."""
+    return a if c == 1 else -a if c == -1 else a * c
 
 
 class Polynomial:
@@ -935,11 +941,9 @@ class Combination:
             return type(self)(*self.grading, ())
         if c == 1:
             return self
-        if c == -1:  # a negation, not a product
-            return type(self)(*self.grading, tuple(t.scaled(-t.coefficient) for t in self.terms))
         c = _fold(c)
-        terms = tuple(t.scaled(_fold(c * t.coefficient)) for t in self.terms)
-        return type(self)(*self.grading, terms)
+        return type(self)(*self.grading, tuple(t.scaled(_fold(_times(t.coefficient, c)))
+                                               for t in self.terms))
 
     __rmul__ = __mul__
 

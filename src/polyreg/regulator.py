@@ -20,8 +20,8 @@ Three numeric suites probe the defining identities at generic points:
 Each check reads the weight off its element, builds the plan of the forms it
 compares (`forms._Plan`), draws its samples by it (`_draw`) and evaluates
 the forms through it.  The loop check's expected value is r of the residue
-element evaluated through a plan of its own: the residue's entries are
-constants, and a constant is exact, so no guard refuses one but 0.
+element by `forms.evaluate`, on a plan of its own: the residue's entries
+are constants, and a constant is exact, so no guard refuses one but 0.
 golden_formula_tests compares the map symbolically against transcribed
 closed forms kept under golden/.
 """
@@ -39,6 +39,7 @@ from .forms import (
     Form,
     GenericityError,
     alpha,
+    evaluate,
     exterior_derivative,
     form,
     format_form,
@@ -250,25 +251,28 @@ def golden_formula_tests() -> dict:
 
 # chain_check and top_check compare both sides on this many frames per point
 _FRAMES_PER_POINT = 3
+_DRAWS = 400  # candidate points _draw tries before it gives up
 
 
 def _draw(rng: random.Random, names: Sequence[str], functions: Sequence[RationalFunction],
           sizes: Sequence[int]) -> Tuple[dict, List[List[dict]]]:
     """A point where each distinct function with variables (by key, evaluated once per
     candidate) has modulus in [1e-3, 1e3], keeping logs and sv scalars well conditioned; then
-    a frame per size.  A constant is exact, so no point makes it non-generic."""
+    a frame per size.  A constant is exact, so no point makes it non-generic.  A candidate at
+    a pole or past the double range is skipped; GenericityError after _DRAWS candidates."""
     compiled = [_compile(h, names) for h in {h.key(): h for h in functions}.values()
                 if h.variables()]
-    for _ in range(400):
+    for _ in range(_DRAWS):
         xs = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in names]
         x = dict(zip(names, xs))
         try:
             if all(1e-3 <= abs(_evaluate(c, xs, 1e-12, x)[0]) <= 1e3 for c in compiled):
                 break
-        except PoleError:
+        except ArithmeticError:  # a pole, or a value past the double range
             continue
     else:
-        raise RuntimeError("non-generic sample exhaustion")
+        raise GenericityError("no generic sample point in %d draws: no candidate put every"
+                              " function's modulus in [1e-3, 1e3]" % _DRAWS)
     return x, [[{n: cmath.rect(1.0, rng.uniform(0.0, 2 * math.pi)) for n in names}
                 for _ in range(size)] for size in sizes]
 
@@ -426,17 +430,17 @@ def loop_residue_check(
     m = cfg.loop_nodes
     for eps in cfg.loop_radii:
         spokes = (cmath.rect(eps, orientation * 2 * math.pi * j / m) for j in range(m))
-        total = 0j
-        for per_frame in plan.evaluate(
-            (center + spoke, [[orientation * 1j * spoke]]) for spoke in spokes
-        ):
-            total += per_frame[0][0]
-        values.append(total * 2 * math.pi / m)
+        try:
+            nodes = plan.evaluate((center + s, [[orientation * 1j * s]]) for s in spokes)
+        except OverflowError:
+            raise GenericityError("a loop value past the double range at radius %g"
+                                  % eps) from None
+        values.append(sum((per_frame[0][0] for per_frame in nodes), 0j) * 2 * math.pi / m)
     design = [[1.0] * len(values), [eps * math.log(eps) for eps in cfg.loop_radii], cfg.loop_radii]
     loop_value = _lstsq(design, values)[0]
 
     res = residue(e, Valuation.finite(point))  # of degree 0, its entries constants
-    expected = orientation * 2j * math.pi * _Plan((r_map(res),)).evaluate([(center, [()])])[0][0][0]
+    expected = orientation * 2j * math.pi * evaluate(r_map(res), center)
     defect = abs(loop_value - expected) / max(1.0, abs(expected))
     case = report_case(
         "%s at %s%s" % (e, a, ", reversed" if orientation < 0 else ""),

@@ -69,6 +69,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["top-check", "--functions", "t^600;t+1"], 0, ""),
+        (["chain-check", "--element", "{(t^600+1)/(t^600+2)}_2 (x) t"], 0, ""),
+        (["chain-check", "--element", "{t^2000}_2 (x) t"], 2, "no generic sample point in 400"
+         " draws: no candidate put every function's modulus in [1e-3, 1e3]"),
+        (["top-check", "--functions", "t^2000;t+1"], 2, "no generic sample point in 400 draws"),
+        (["loop-check", "--element", "{t^600}_2 (x) (t-5)", "--at", "5"], 2,
+         "a loop value past the double range at radius 0.01"),
+    ], ids=["top-check", "chain-check", "chain-check-exhausted", "top-check-exhausted",
+            "loop-check"])
+    def test_function_values_past_the_double_range(self, capsys, argv, code, message):
+        # each used to end in an OverflowError traceback with exit 1: the
+        # samplers now skip such a candidate, and refuse once none is left
+        if argv[0] != "loop-check":
+            argv = argv + ["--samples", "3"]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % message) if code else err == ""
+
     def test_usage_error_zero_denominator(self, capsys):
         code = run(["chain-check", "--weight", "3", "--element", "{1/(t-t)}_3"])
         assert code == 2

@@ -545,7 +545,7 @@ MALFORMED_TEXTS = [
     "alpha(t)", "log(t)^0", "log(t)^3/2", "(log(t))", "dlog(t) - dlog(t) + log(t)",
     "log(t) + dlog(t)", "(- 3)*log(t)", "log(t) $", "log(t))", "(1/2", "log(t +)",
     "log_(t)", "log([t])", "log({t})", "alpha(t,(1,2))", "log(t,)", "log()", "Log(t)",
-    "log(t)--log(t)", "log(t) + + log(t)",
+    "log(t)--log(t)", "log(t) + + log(t)", "L²(t)",
 ]
 
 
@@ -595,13 +595,14 @@ class TestParserAgainstReference:
         text = "log(t+7)*dlog(t+7) + 2*log(t+7)^2*dlog(t+7) - dlog(t+7)"
         assert F.parse_form(text) == F.parse_form(text) == _ReferenceFormParser(text).parse()
         info = F._call.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)  # log(t+7) and dlog(t+7)
+        # log(t+7) and dlog(t+7), and log(t+7)^2, raised by Form.wedge and kept by its text
+        assert (info.misses, info.currsize) == (3, 3)
         for _ in range(2):  # an error is raised again, with its position, and not kept
             with pytest.raises(ValueError, match="position 7: unknown call frob/1"):
                 F.parse_form("frob(t)")
             with pytest.raises(ValueError, match=r"position 3: .* in 't \+'"):
                 F.parse_form("log(t +)")
-        assert F._call.cache_info().currsize == 2
+        assert F._call.cache_info().currsize == 3
 
     @given(st.lists(st.sampled_from([
         "log(t)", "log(1-t)", "dlog(t)", "darg(1-t)", "darg(x*y)", "alpha(t, 1-t)",
@@ -617,6 +618,12 @@ class TestParserAgainstReference:
     def test_zero_denominator_is_a_usage_error(self, text):
         with pytest.raises(ValueError, match="offset|position"):
             F.parse_form(text)
+
+    def test_a_weight_is_decimal_digits(self):
+        # '²' is a digit to str.isdigit but not to int: it used to raise a
+        # bare "invalid literal for int()" with no position
+        with pytest.raises(ValueError, match=r"^parse error at position 5: unknown call L²/1"):
+            F.parse_form("L²(t)")
 
 
 def naive_evaluate(a, x, vectors, clearance=1e-6):

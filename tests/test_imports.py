@@ -37,6 +37,11 @@ a number and restates no default, and `cli` keeps no second list of each
 subcommand's options (`_ECHOED`).  An element carries its weight: no
 function of `regulator` takes both an element `e` and a `weight`.
 
+A form's factors are keyed by its builders alone: `_scalar_pair` and
+`_gen_pair` are used only in `_single`, `_alternation_sum` and `_pullback`,
+so the grammar builds its calls through the builders.  And a coefficient is
+scaled by one rule: `_times` is defined once in the package.
+
 The regulator values r through the evaluation plan alone: `regulator`
 imports nothing from `polylog` but `pi_projection`, so it computes no sv
 value of its own.
@@ -398,6 +403,67 @@ def polylog_findings(source: str) -> list:
 
 def test_regulator_values_sv_through_the_plan():
     assert polylog_findings((ROOT / "src" / "polyreg" / "regulator.py").read_text()) == []
+
+
+# the factor keyers of forms, and the builders that may use them
+KEYERS = {"_scalar_pair", "_gen_pair"}
+KEYER_USERS = {"_single", "_alternation_sum", "_pullback"}
+
+
+def keyer_findings(source: str) -> list:
+    """(line, def) of each use of a KEYERS name (a read, an attribute or an
+    import) outside the defs of KEYER_USERS, by its outermost def (None at
+    module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            name = child.name if isinstance(child, ast.alias) else (
+                getattr(child, "id", None) or getattr(child, "attr", None))
+            if name in KEYERS and inner not in KEYER_USERS:
+                found.append((child.lineno, inner))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_factors_are_keyed_by_the_builders():
+    found = {path.name: keyer_findings(path.read_text()) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_keyer_scan_finds_a_violation():
+    source = "def _single(d, c, scalars=()):\n    return list(map(_scalar_pair, scalars))\n\n\n"
+    source += "def _call(name, args):\n    def inner(f):\n        return _gen_pair(('dlog', f))\n"
+    source += "    return _scalar_pair(('log', f))\n\n\n"
+    source += "class _FormParser:\n    def factor(self):\n        return F._gen_pair(g)\n"
+    source += "from .forms import _scalar_pair\n"
+    want = [(7, "_call"), (8, "_call"), (13, "factor"), (14, None)]
+    assert keyer_findings(source) == want
+
+
+def definitions(source: str, name: str) -> list:
+    """Lines where the source defines `name`: a def, or an assignment to it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+                  or isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == name for t in node.targets))
+
+
+def test_one_scaling_rule():
+    found = {path.name: definitions(path.read_text(), "_times") for path in PACKAGE}
+    assert [(name, len(lines)) for name, lines in found.items() if lines] == [("funcfield.py", 1)]
+
+
+def test_definition_scan_finds_a_second_rule():
+    source = "def _times(a, c):\n    return a * c\n\n\n"
+    source += "class C:\n    def _times(self, c):\n        pass\n\n\n"
+    source += "_times = lambda a, c: a * c\ntimes = _times(2, 3)\n"
+    assert definitions(source, "_times") == [1, 6, 10]
 
 
 def test_polylog_scan_finds_an_sv_evaluator():

@@ -375,6 +375,31 @@ class TestDraw:
         assert len(points) == len(set(points)) * len(keys)
 
 
+    def test_a_candidate_past_the_double_range_is_skipped(self, monkeypatch):
+        # a guard's x ** e past the double range raises OverflowError, which
+        # used to end the draw; it is skipped as a pole is
+        points, real = [], R._evaluate
+
+        def overflowing(compiled, xs, clearance, point, slopes=False):
+            points.append(tuple(xs))
+            if len(points) <= 3:
+                raise OverflowError("complex exponentiation")
+            return real(compiled, xs, clearance, point, slopes)
+
+        monkeypatch.setattr(R, "_evaluate", overflowing)
+        x, _ = R._draw(random.Random(5), ["t"], [pf("t+1")], [1])
+        rng = random.Random(5)
+        candidates = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(4)]
+        assert points == [(c,) for c in candidates] and x == {"t": candidates[3]}
+
+    def test_no_generic_point_is_a_genericity_error(self):
+        # |t^2 + 10000| > 1e3 on the whole square drawn from; this used to be
+        # a RuntimeError, a traceback in the CLI
+        with pytest.raises(F.GenericityError, match=r"^no generic sample point in 400 draws: "
+                           r"no candidate put every function's modulus in \[1e-3, 1e3\]$"):
+            R._draw(random.Random(0), ["t"], [pf("t^2+10000")], [1])
+
+
 class TestTopCheck:
     def test_pair(self):
         rep = top_check([T, one_minus(T)], CFG)
