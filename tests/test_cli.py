@@ -80,8 +80,9 @@ class TestExitCodes:
     ], ids=["top-check", "chain-check", "chain-check-exhausted", "top-check-exhausted",
             "loop-check"])
     def test_function_values_past_the_double_range(self, capsys, argv, code, message):
-        # each used to end in an OverflowError traceback with exit 1: the
-        # samplers now skip such a candidate, and refuse once none is left
+        # each used to end in an OverflowError traceback with exit 1: a draw
+        # skips such a candidate and refuses once none is left, and the loop
+        # check names the radius
         if argv[0] != "loop-check":
             argv = argv + ["--samples", "3"]
         assert run(argv) == code

@@ -374,7 +374,6 @@ class TestDraw:
         assert len(set(points)) >= cfg.samples  # the candidates drawn
         assert len(points) == len(set(points)) * len(keys)
 
-
     def test_a_candidate_past_the_double_range_is_skipped(self, monkeypatch):
         # a guard's x ** e past the double range raises OverflowError, which
         # used to end the draw; it is skipped as a pole is
