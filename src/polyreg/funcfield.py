@@ -23,22 +23,23 @@ that come out integral fold back to int (`_fold`), so integral arithmetic
 runs at int speed.  Printing, keys, equality, hashes and complex
 values are those of the equal Fraction.
 
-Canonical forms: a univariate quotient is gcd-reduced with monic denominator,
-so syntactic equality is mathematical equality. Multivariate quotients are
-only content-normalized (denominator primitive over Z with positive leading
-coefficient in lex order); mathematical equality is decided separately by
-cross-multiplication (`equals`). Unused variables are pruned, constants live
-over the empty variable tuple, and so do zero and every univariate
-quotient that reduces to a constant.  The univariate reduction runs on dense
-ascending coefficient lists: Euclid for a gcd, the exact quotients only when
-the gcd is not constant, then division by the leading coefficient of the
-denominator.  Results that are clean or canonical by construction (sums and
-products of polynomials, `var`, `const`, negation) skip validation through
-the trusted constructors `Polynomial._raw` and `RationalFunction._raw`.  A
-function's key "(num)/(den)" and its text are built together on first use,
-so intermediate results of arithmetic and parsing are never printed, and
-`one_minus(f)` is built on first use and kept on f (a result of arithmetic
-starts without it).
+Canonical forms: a univariate quotient is gcd-reduced with monic
+denominator, so syntactic equality is mathematical equality.  Multivariate
+quotients are only content-normalized (denominator primitive over Z with
+positive leading coefficient in lex order); mathematical equality is decided
+separately by cross-multiplication (`equals`).  `Polynomial.embed` lays num
+and den out once over the sorted variables either uses (exponents read by
+name, terms in order), so constants live over the empty variable tuple, and
+so do zero and every univariate quotient that reduces to a constant.  The
+univariate reduction runs on dense ascending coefficient lists: `_dense_gcd`
+(Euclid) for a gcd, the exact quotients only when the gcd is not constant,
+then division by the leading coefficient of the denominator.  Results that
+are clean or canonical by construction (sums and products of polynomials,
+`var`, `const`, negation) skip validation through the trusted constructors
+`Polynomial._raw` and `RationalFunction._raw`.  A function's key
+"(num)/(den)" and its text are built together on first use, so intermediate
+results of arithmetic and parsing are never printed, and `one_minus(f)` is
+built on first use and kept on f (a result of arithmetic starts without it).
 
 Text: the grammars of functions (`parse_function`), forms and chain elements
 read through one cursor, `_Reader`, and keep only their rules; its `span`
@@ -185,19 +186,15 @@ class Polynomial:
         return tuple(sorted(used))
 
     def embed(self, variables) -> "Polynomial":
-        """Reexpress over a superset of variables (sorted tuple expected)."""
+        """Reexpress over a sorted tuple holding every variable used here: each
+        exponent is read by name, unused variables drop, terms keep their order."""
         variables = tuple(variables)
         if variables == self.variables:
             return self
-        idx = {name: i for i, name in enumerate(variables)}
-        pos = [idx[name] for name in self.variables]
-        terms = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for p, e in zip(pos, expo):
-                new[p] = e
-            terms[tuple(new)] = coeff
-        return Polynomial._raw(variables, terms)
+        width = len(self.variables)  # the slot of the 0 appended to each exponent
+        src = [self.variables.index(v) if v in self.variables else width for v in variables]
+        return Polynomial._raw(variables, {
+            tuple(map((expo + (0,)).__getitem__, src)): c for expo, c in self.terms.items()})
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -249,8 +246,7 @@ class Polynomial:
         return Polynomial._raw(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -285,15 +281,6 @@ class Polynomial:
             return NotImplemented
         a, b = self._pair(other)
         return a.terms == b.terms
-
-    def _prune(self, used: tuple) -> "Polynomial":
-        if used == self.variables:
-            return self
-        keep = [i for i, name in enumerate(self.variables) if name in used]
-        terms = {
-            tuple(expo[i] for i in keep): coeff for expo, coeff in self.terms.items()
-        }
-        return Polynomial._raw(used, terms)
 
     # --- univariate helpers ---------------------------------------------
     def _univariate_coeffs(self):
@@ -365,6 +352,13 @@ def _dense_divmod(a: list, b: list):
     return q, r
 
 
+def _dense_gcd(a: list, b: list) -> list:
+    """A gcd of dense ascending coefficient lists, by Euclid (not made monic)."""
+    while b:
+        a, b = b, _dense_divmod(a, b)[1]
+    return a
+
+
 class RationalFunction:
     """Quotient of polynomials in canonical form (see module docstring)."""
 
@@ -373,17 +367,13 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        union = tuple(sorted(set(num.variables) | set(den.variables)))
-        num, den = num.embed(union), den.embed(union)
         used = tuple(sorted(set(num.used_variables()) | set(den.used_variables())))
-        num, den = num._prune(used), den._prune(used)
+        num, den = num.embed(used), den.embed(used)
         if num.is_zero():
             num, den = Polynomial.constant(0), Polynomial.constant(1)
         elif len(used) == 1:
             n, d = num._univariate_coeffs(), den._univariate_coeffs()
-            a, b = n, d
-            while b:  # Euclid: a ends as a gcd of n and d
-                a, b = b, _dense_divmod(a, b)[1]
+            a = _dense_gcd(n, d)
             if len(a) > 1:
                 n, d = _dense_divmod(n, a)[0], _dense_divmod(d, a)[0]
             if len(n) == len(d) == 1:  # a constant quotient drops its variable
@@ -560,16 +550,19 @@ def _terms(p: Polynomial, slots: tuple) -> tuple:
 
 def _compile(f: RationalFunction, names: Sequence[str]) -> tuple:
     """Term lists of num, den and (slot, d num, d den) per variable of f,
-    each variable on its slot in names; built once per slot layout and
-    kept on the function."""
+    each variable on its slot in names; built once per slot layout, kept on
+    the function; a coefficient past the double range is a ValueError."""
     slots = tuple(map(names.index, f.variables()))
     cache = f._compiled = f._compiled or {}
     out = cache.get(slots)
     if out is None:
         num, den = f.num, f.den
-        partials = tuple((k, _terms(num.partial(v), slots), _terms(den.partial(v), slots))
-                         for k, v in zip(slots, f.variables()))
-        out = cache[slots] = (_terms(num, slots), _terms(den, slots), partials)
+        try:
+            partials = tuple((k, _terms(num.partial(v), slots), _terms(den.partial(v), slots))
+                             for k, v in zip(slots, f.variables()))
+            out = cache[slots] = (_terms(num, slots), _terms(den, slots), partials)
+        except OverflowError:
+            raise ValueError(f"a coefficient outside the double range in {f}") from None
     return out
 
 

@@ -21,6 +21,10 @@ compares the package with itself:
     function and one point at a time, and term-by-term sums of compiled
     term lists and of polynomials, against the one (column) evaluator of
     `funcfield` and its compiled term lists;
+  * `reference_embed` and `reference_layout`: a polynomial written slot by
+    slot into a wider variable tuple, and num/den laid out in two steps
+    (into the union of their variables, then unused variables dropped),
+    against `Polynomial.embed`, which lays out in one;
   * `form_variables`: the variables of forms read off their terms, for the
     references of form evaluation;
   * `reference_parse_function` and `reference_parse_element`: the function
@@ -381,6 +385,29 @@ def polynomial_evaluate(self: Polynomial, point: dict) -> complex:
                 term *= complex(point[name]) ** e
         total += term
     return total
+
+
+def reference_embed(p: Polynomial, variables: tuple) -> Polynomial:
+    """p over variables, a sorted tuple holding each of p's: every exponent
+    written into a row of zeros at its variable's place, terms in order."""
+    terms = {}
+    for expo, coeff in p.terms.items():
+        row = [0] * len(variables)
+        for name, e in zip(p.variables, expo):
+            row[variables.index(name)] = e
+        terms[tuple(row)] = coeff
+    return Polynomial._raw(tuple(variables), terms)
+
+
+def reference_layout(num: Polynomial, den: Polynomial) -> tuple:
+    """(num, den) laid out in two steps: both embedded into the union of
+    their variables, then every variable neither uses dropped; terms in order."""
+    union = tuple(sorted(set(num.variables) | set(den.variables)))
+    num, den = reference_embed(num, union), reference_embed(den, union)
+    keep = [i for i in range(len(union)) if any(e[i] for p in (num, den) for e in p.terms)]
+    used = tuple(union[i] for i in keep)
+    return tuple(Polynomial._raw(used, {tuple(e[i] for i in keep): c for e, c in p.terms.items()})
+                 for p in (num, den))
 
 
 # ---------------------------------------------------------------------------

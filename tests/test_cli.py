@@ -77,12 +77,20 @@ class TestExitCodes:
         (["top-check", "--functions", "t^2000;t+1"], 2, "no generic sample point in 400 draws"),
         (["loop-check", "--element", "{t^600}_2 (x) (t-5)", "--at", "5"], 2,
          "a loop value past the double range at radius 0.01"),
+        (["chain-check", "--element", "{(10^400)*t}_2 (x) t"], 2,
+         "a coefficient outside the double range in "),
+        (["top-check", "--functions", "(10^400)*t;t+1"], 2,
+         "a coefficient outside the double range in "),
+        (["loop-check", "--element", "{(10^400)*(t-4)}_2 (x) (t-5)", "--at", "5"], 2,
+         "a coefficient outside the double range in "),
     ], ids=["top-check", "chain-check", "chain-check-exhausted", "top-check-exhausted",
-            "loop-check"])
+            "loop-check", "chain-check-coefficient", "top-check-coefficient",
+            "loop-check-coefficient"])
     def test_function_values_past_the_double_range(self, capsys, argv, code, message):
         # each used to end in an OverflowError traceback with exit 1: a draw
-        # skips such a candidate and refuses once none is left, and the loop
-        # check names the radius
+        # skips such a candidate and refuses once none is left, the loop
+        # check names the radius, and a coefficient past the double range is
+        # refused with the function that holds it
         if argv[0] != "loop-check":
             argv = argv + ["--samples", "3"]
         assert run(argv) == code

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import BIG_POWER, polynomial_evaluate, reference_parse_function, reference_span
-from oracles import rf_dir_derivative, value_and_partials
+from oracles import reference_embed, reference_layout, rf_dir_derivative, value_and_partials
 from polyreg import forms as F
 from polyreg.funcfield import (
     PoleError,
@@ -18,6 +18,7 @@ from polyreg.funcfield import (
     RationalFunction,
     Valuation,
     _compile,
+    _dense_gcd,
     _FunctionParser,
     _evaluate,
     _evaluate_columns,
@@ -126,6 +127,11 @@ def test_missing_coordinate_is_a_value_error():
     for call in calls:
         with pytest.raises(ValueError, match="no coordinate 'y'"):
             call()
+
+
+def test_a_coefficient_past_the_double_range_is_a_value_error():
+    with pytest.raises(ValueError, match="a coefficient outside the double range in 1000"):
+        rf_eval(parse_function("(10^400)*t"), 0.5)
 
 
 def test_dir_derivative_vs_central_difference():
@@ -408,6 +414,13 @@ def _ref_divmod(a, b):
     return tuple(Polynomial(("t",), {(i,): c for i, c in enumerate(cs)}) for cs in (q, r))
 
 
+def _ref_gcd(a, b):
+    """A gcd of two polynomials in t by Euclid, not made monic."""
+    while not b.is_zero():
+        a, b = b, _ref_divmod(a, b)[1]
+    return a
+
+
 def _ref_canonical(num, den):
     """(num, den) of num/den, both over ("t",), in canonical form: the monic
     gcd by Euclid, both sides divided by it, then by the leading coefficient
@@ -415,9 +428,7 @@ def _ref_canonical(num, den):
     f = RationalFunction(num, den)
     if f.is_zero() or f.variables() != ("t",):
         return f.num, f.den
-    a, b = num, den
-    while not b.is_zero():
-        a, b = b, _ref_divmod(a, b)[1]
+    a = _ref_gcd(num, den)
     g = a * (Fraction(1) / a.leading()[1])
     num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
     lc = den.leading()[1]
@@ -493,6 +504,61 @@ def test_canonical_forms_match_euclid_reference(a, b, common, c, d):
         v = Valuation.infinity()
         want = (h.den.degree() - h.num.degree(), Fraction(h.num.leading()[1]) / h.den.leading()[1])
         assert (ord_at(h, v), unit_part(h, v)) == _order_and_unit(h, v) == want
+
+
+@given(_polynomials(), _polynomials())
+@settings(max_examples=100, deadline=None)
+def test_dense_gcd_as_euclid_reference(a, b):
+    assert _dense_gcd(a._univariate_coeffs(), b._univariate_coeffs()) == (
+        _ref_gcd(a, b)._univariate_coeffs())
+
+
+_SPARSE_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _sparse(rng):
+    """A polynomial over a subset of x, y, z whose terms use a subset of it
+    (none: a constant), with up to four terms (none: zero) in drawn order."""
+    names = tuple(sorted(rng.sample(("x", "y", "z"), rng.randint(0, 3))))
+    used = [rng.random() < 0.7 for _ in names]
+    return Polynomial(names, {tuple(rng.randint(0, 2) if u else 0 for u in used):
+                              rng.choice(_SPARSE_COEFFS) for _ in range(rng.randint(0, 4))})
+
+
+def _laid_out(p):
+    """Variables, terms in order, and key of a polynomial."""
+    return p.variables, list(p.terms.items()), str(p)
+
+
+def test_layout_matches_the_two_step_reference():
+    """RationalFunction(num, den) lays num and den out as the two steps of
+    the reference do (into the union of their variables, then unused ones
+    dropped), and sums, differences and products of polynomials as the
+    union embedding does: same variables, terms in the same order, same
+    key.  Evaluation sums terms in their order, so the order is part of
+    every value: the multivariate twin of the Euclid reference above."""
+    rng = random.Random(41)
+    for _ in range(400):
+        a, b = _sparse(rng), _sparse(rng)
+        union = tuple(sorted(set(a.variables) | set(b.variables)))
+        ua, ub = reference_embed(a, union), reference_embed(b, union)
+        for got, want in ((a + b, ua + ub), (a - b, ua + (-ub)), (a * b, ua * ub)):
+            assert _laid_out(got) == _laid_out(want)
+        if not b.is_zero():
+            got, want = RationalFunction(a, b), RationalFunction(*reference_layout(a, b))
+            assert _as_built(got.num, got.den) == _as_built(want.num, want.den)
+
+
+def test_layout_check_finds_a_sorting_embed(monkeypatch):
+    embed = Polynomial.embed
+
+    def sorts_its_terms(self, variables):
+        p = embed(self, variables)
+        return p if p is self else Polynomial._raw(p.variables, dict(sorted(p.terms.items())))
+
+    monkeypatch.setattr(Polynomial, "embed", sorts_its_terms)
+    with pytest.raises(AssertionError):
+        test_layout_matches_the_two_step_reference()
 
 
 @given(_polynomials(), _polynomials())
