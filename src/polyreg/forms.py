@@ -71,7 +71,9 @@ its order (`_det`'s expansion order, its zero skip and its 2x2 formula), so
 the values are bit-identical to it.  So are the errors: the first failing
 sample raises its own (a failing batch is walked again a sample at a time),
 and a sample that cannot be read raises once the samples before it are
-evaluated.  The plan holds nothing that depends on a point.
+evaluated.  The plan holds nothing that depends on a point.  A NaN entry is
+not refused by the evaluator; the chain and top checks refuse a defect that
+is not finite.
 """
 
 from __future__ import annotations

@@ -11,10 +11,8 @@ are continuous on C minus {0, 1} with limits sv(n, 0) = 0 and, for n >= 2,
 sv(n, 1) = pi_n(zeta(n)).
 
 Double precision (precision_bits <= 53) takes one of three routes by |z|:
-  * |z| <= 1/2: the power series of Li_1 .. Li_n, each summed until a term
-    falls to eps times the sum; its leading terms r^k/k^n, r = |z|, above
-    e^0.01 eps max(1, r/(1-r)) are added without that test, which cannot
-    fire on them (`_li_series`: one bisection of a table per (n, eps));
+  * |z| <= 1/2: the power series of Li_1 .. Li_n, each one loop that adds
+    z^k/k^n until a term falls to eps times the sum (`_li_series`);
   * 1/2 < |z| <= 2: the log-expansion of Li_k(e^w) in w = log z, or of
     Li_k(-e^u) in u = log(-z) when Re z < 0 (D. C. Wood 1992, R. Crandall 2006);
   * |z| > 2: inversion, sv(n, z) = (-1)^(n-1) sv(n, 1/z) for n >= 2.
@@ -41,7 +39,6 @@ that transport and perfbench raise it.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import itertools
@@ -100,11 +97,8 @@ def pi_projection(n: int, w: complex) -> complex:
 
 def li(n: int, z: complex, precision_bits: int = 53):
     """Polylogarithm by its power series; defined for |z| <= 1/2 only."""
-    if n < 1:
-        raise ValueError("weight must be >= 1")
-    if precision_bits < 1:
-        raise ValueError("li: precision_bits must be >= 1, got %s" % precision_bits)
-    if not abs(complex(z)) <= 0.5:
+    _check_argument("li", n, z, precision_bits)
+    if not abs(z) <= 0.5:
         raise ValueError("li: series route requires |z| <= 1/2")
     if precision_bits <= 53:
         return _li_series(n, complex(z), 2.0 ** (-precision_bits))
@@ -124,41 +118,11 @@ def _series_powers(n: int) -> tuple:
     return tuple(powers)
 
 
-@functools.lru_cache(maxsize=256)
-def _series_prefix(n: int, eps: float) -> tuple:
-    """(powers, limits, bound) of the Li_n series at stop bound eps: powers
-    from _series_powers, bound = e^0.01 max(eps, 2^-1000), and limits[k-1]
-    the least |z| = r with r^k/k^n > bound, ascending, for each k <= 64
-    below the size of powers where it is below 1; None for fewer than two."""
-    powers = _series_powers(n)
-    bound = math.exp(0.01) * max(eps, 2.0**-1000)  # 2^-1000: prefix terms stay normal
-    logged, limits, least = math.log(bound), [], 0.0
-    for k in range(1, min(_SERIES_POWERS + 1, len(powers))):
-        least = max(least, math.exp((logged + n * math.log(k)) / k))
-        if not least < 1.0:
-            break
-        limits.append(least)
-    return powers, tuple(limits) if len(limits) > 1 else None, bound
-
-
 def _li_series(n: int, z: complex, eps: float) -> complex:
-    powers, limits, bound = _series_prefix(n, eps)
+    powers = _series_powers(n)
     size = len(powers)
     total, zk = 0j, 1 + 0j
-    r, start = abs(z), 1
-    if limits and limits[1] < r < 1.0:
-        # the terms r^k/k^n > bound max(1, r/(1 - r)) lead the series, and
-        # the stop test cannot fire on them: the partial sums stay below
-        # r/(1 - r), and k <= 64 steps of rounding move them by < 1e-13
-        start = bisect.bisect_left(limits, r)
-        if r > 0.5:
-            while start and r**start / powers[start] <= bound * r / (1.0 - r):
-                start -= 1
-        for k in range(1, start + 1):
-            zk *= z
-            total += zk / powers[k]
-        start += 1
-    for k in itertools.count(start):
+    for k in itertools.count(1):
         zk *= z
         try:
             term = zk / (powers[k] if k < size else float(k) ** n)

@@ -19,7 +19,8 @@ Three numeric suites probe the defining identities at generic points:
 
 Each check reads the weight off its element, builds the plan of the forms it
 compares (`forms._Plan`), draws its samples by it (`_draw`) and evaluates
-the forms through it.  The loop check's expected value is r of the residue
+the forms through it; the chain and top checks refuse a defect that is not
+finite (`_worse`).  The loop check's expected value is r of the residue
 element by `forms.evaluate`, on a plan of its own: the residue's entries
 are constants, and a constant is exact, so no guard refuses one but 0.
 golden_formula_tests compares the map symbolically against transcribed
@@ -277,6 +278,15 @@ def _draw(rng: random.Random, names: Sequence[str], functions: Sequence[Rational
                 for _ in range(size)] for size in sizes]
 
 
+def _worse(worst: float, defect: float, x: dict) -> float:
+    """max(worst, defect) for a finite defect; a NaN or infinite one, which
+    max() would pass by, is refused as non-generic, naming the point x."""
+    if not math.isfinite(defect):
+        raise GenericityError("a non-finite defect (%s) at the sample point %s" % (
+            defect, ", ".join("%s=%r" % item for item in sorted(x.items()))))
+    return max(worst, defect)
+
+
 # ---------------------------------------------------------------------------
 # chain-map square
 
@@ -302,11 +312,11 @@ def chain_check(e: ChainElement, cfg: Optional[RegulatorConfig] = None) -> dict:
         x, frames = _draw(rng, plan.names, plan.guarded, sizes)
         samples.append((x, frames[:-1]))
         twists.append((x, frames[-1:]))
-    for per_frame in plan.evaluate(samples):
+    for (x, _), per_frame in zip(samples, plan.evaluate(samples)):
         for a, b in per_frame:
-            worst = max(worst, abs(a - b))
-    for ((val,),) in _Plan((image,)).evaluate(twists):
-        twist_worst = max(twist_worst, abs(val - pi_projection(e.weight, val)))
+            worst = _worse(worst, abs(a - b), x)
+    for (x, _), ((val,),) in zip(twists, _Plan((image,)).evaluate(twists)):
+        twist_worst = _worse(twist_worst, abs(val - pi_projection(e.weight, val)), x)
     okay = worst < cfg.tol and twist_worst < cfg.tol
     case = report_case(str(e), okay, worst, cfg.tol, twist_defect=twist_worst)
     return suite_report("chain-map", [case], weight=e.weight, samples=cfg.samples, seed=cfg.seed)
@@ -370,7 +380,7 @@ def top_check(fs: Sequence[RationalFunction], cfg: Optional[RegulatorConfig] = N
     samples = [_draw(rng, names, functions, [n] * _FRAMES_PER_POINT) for _ in range(cfg.samples)]
     for (x, frames), per_frame in zip(samples, plan.evaluate(samples)):
         for (a,), b in zip(per_frame, _holomorphic_parts(fs, x, frames)):
-            worst = max(worst, abs(a + b))
+            worst = _worse(worst, abs(a + b), x)
     case = report_case("^".join(str(f) for f in fs), worst < cfg.tol, worst, cfg.tol)
     return suite_report("top-cycle", [case], samples=cfg.samples, seed=cfg.seed)
 

@@ -97,6 +97,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: %s" % message) if code else err == ""
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["top-check", "--functions", "y;(10^200*x+1)/(10^200*y+1)", "--samples", "3"], 2,
+         "error: a non-finite defect (nan) at the sample point x=("),
+        (["chain-check", "--element", "{(10^300*x+1)/(10^300*y+1)}_2 (x) x", "--samples", "2"], 2,
+         "error: a non-finite defect (nan) at the sample point x=("),
+        (["top-check", "--functions", "x;y;x+y", "--samples", "3", "--tol", "1e-300"], 1, ""),
+        (["chain-check", "--element", "{(1-x)/(1+y)}_2 (x) x", "--samples", "2", "--tol",
+          "1e-300"], 1, ""),
+    ], ids=["top-check", "chain-check", "top-check-finite", "chain-check-finite"])
+    def test_non_finite_defect_is_a_usage_error(self, capsys, argv, code, message):
+        # a slope (p*b - a*q)/(b*b) past the double range is NaN at the drawn
+        # point, and max(0.0, nan) kept 0.0: both NaN rows passed with
+        # max_defect 0; a finite defect above tol still fails
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert err.startswith(message) and ", y=(" in err and "Traceback" not in err
+        else:
+            assert err == "" and "[FAIL]" in out and "max_defect=" in out
+
     def test_usage_error_zero_denominator(self, capsys):
         code = run(["chain-check", "--weight", "3", "--element", "{1/(t-t)}_3"])
         assert code == 2

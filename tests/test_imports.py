@@ -46,6 +46,9 @@ The regulator values r through the evaluation plan alone: `regulator`
 imports nothing from `polylog` but `pi_projection`, so it computes no sv
 value of its own.
 
+An sv argument is checked in one place: every public function of `polylog`
+that takes (n, z) calls `_check_argument`.
+
 mpmath is imported where it is used: no module of the package imports it at
 import time, and a fresh interpreter that imports `polyreg`, evaluates the
 double routes and runs `all` never loads it, while the 130-bit route still
@@ -472,6 +475,35 @@ def test_polylog_scan_finds_an_sv_evaluator():
     source += "from .polycomplex import residue\n"
     assert polylog_findings(source) == [(1, "sv_polylog"), (2, "polylog"),
                                         (3, "polyreg.polylog")]
+
+
+def unchecked_entry_points(source: str) -> tuple:
+    """(entry points, unchecked): the public module-level functions whose
+    first two arguments are (n, z), and those of them with no call of
+    `_check_argument`."""
+    entries, unchecked = [], []
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and [a.arg for a in node.args.args[:2]] == ["n", "z"]):
+            entries.append(node.name)
+            if not any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_check_argument"
+                       for c in ast.walk(node)):
+                unchecked.append(node.name)
+    return entries, unchecked
+
+
+def test_one_argument_check_per_entry_point():
+    source = (ROOT / "src" / "polyreg" / "polylog.py").read_text()
+    assert unchecked_entry_points(source) == (["li", "sv_polylog", "sv_state"], [])
+
+
+def test_argument_check_scan_finds_an_unchecked_entry_point():
+    source = "def li(n, z, precision_bits=53):\n    if n < 1:\n        raise ValueError\n\n\n"
+    source += "def sv_state(n, z):\n    _check_argument('sv_state', n, z)\n\n\n"
+    source += "def pi_projection(n, w):\n    pass\n\n\n"
+    source += "def _li_series(n, z, eps):\n    pass\n\n\n"
+    source += "class C:\n    def sv(self, n, z):\n        pass\n"
+    assert unchecked_entry_points(source) == (["li", "sv_state"], ["li"])
 
 
 def test_bound_scan_finds_a_refusal():

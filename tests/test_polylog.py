@@ -7,6 +7,7 @@ make a failing run pass.
 """
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -613,6 +614,65 @@ def test_li_series_past_the_table():
     with pytest.raises(OverflowError):  # 2.0 ** 2000 overflows
         _li_series_reference(2000, 0.5 + 0j, 2.0**-53)
     assert P._li_series(2000, 0.5 + 0j, 2.0**-53) == 0.5
+
+
+# sha256 of the float.hex of sv_state(6, z) over _sweep_points(), pinned on
+# the double routes as they stood before the Li_n series became one loop
+SV_STATE_SHA256 = "b540258f8302556d34f727daf1cd6b4795f1b7a6c45e5d4ff1cd6802e421bf14"
+
+
+def _sweep_points():
+    """40 seeded points in each of the five regions of the sv-sweep
+    benchmark: the disc |z| <= 1/2 and the annulus 1/2 < |z| <= 2, each
+    uniform in area; |z| log-uniform on [2, 1e12]; |z - 1| log-uniform on
+    [1e-8, 1e-2]; and the cut (1, 1e3], log-uniform, with either signed zero."""
+    rng = random.Random(42)
+    points = []
+    for _ in range(40):
+        phi = rng.uniform(-math.pi, math.pi)
+        points += [cmath.rect(0.5 * math.sqrt(rng.random()), phi),
+                   cmath.rect(math.sqrt(0.25 + 3.75 * rng.random()), phi),
+                   cmath.rect(2.0 * 5e11 ** rng.random(), phi),
+                   1.0 + cmath.rect(1e-8 * 1e6 ** rng.random(), phi),
+                   complex(1e3 ** (1.0 - rng.random()), rng.choice((0.0, -0.0)))]
+    return points
+
+
+def _sv_state_digest():
+    P.clear_cache()  # every value from its route, none from the cache
+    try:
+        lines = [" ".join("%s %s" % _hex(v) for v in P.sv_state(6, z)) for z in _sweep_points()]
+    finally:
+        P.clear_cache()
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_double_routes_pinned():
+    assert _sv_state_digest() == SV_STATE_SHA256
+
+
+def test_double_route_pin_finds_a_series_one_term_short(monkeypatch):
+    def one_term_short(n, z, eps):
+        total, zk = 0j, 1 + 0j
+        for k in itertools.count(1):
+            zk *= z
+            term = zk / float(k) ** n
+            if abs(term) <= eps * (abs(total + term) + 1e-300):
+                return total
+            total += term
+
+    monkeypatch.setattr(P, "_li_series", one_term_short)
+    assert _sv_state_digest() != SV_STATE_SHA256
+
+
+@pytest.mark.parametrize("bits, message", [
+    (53, "li: z = %d is outside the double range; it needs precision_bits > 53" % 10**400),
+    (200, "li: series route requires |z| <= 1/2")], ids=["double", "high-precision"])
+def test_li_point_outside_the_double_range(bits, message):
+    # both used to end in OverflowError: int too large to convert to float
+    with pytest.raises(ValueError) as info:
+        P.li(3, 10**400, precision_bits=bits)
+    assert str(info.value) == message
 
 
 # sv(1030, -0.45+0.1j) at 130 bits, from

@@ -420,6 +420,30 @@ class TestTopCheck:
             top_check([T], CFG)
 
 
+class TestNonFiniteDefect:
+    """A NaN defect used to pass: max(0.0, nan) is 0.0.  Here the slope
+    (p*b - a*q)/(b*b) of the large-coefficient quotient overflows to NaN at
+    the drawn point, while its value stays moderate."""
+
+    MESSAGE = r"^a non-finite defect \(nan\) at the sample point x=\(.*\), y=\(.*\)$"
+
+    def test_top_check(self):
+        with pytest.raises(F.GenericityError, match=self.MESSAGE):
+            top_check([pf("y"), pf("(10^200*x+1)/(10^200*y+1)")], RegulatorConfig(samples=3))
+
+    def test_chain_check(self):
+        e = bracket_tensor(pf("(10^300*x+1)/(10^300*y+1)"), 2, [pf("x")])
+        with pytest.raises(F.GenericityError, match=self.MESSAGE):
+            chain_check(e, RegulatorConfig(samples=2))
+
+    def test_a_finite_defect_above_tol_still_fails(self):
+        cfg = RegulatorConfig(samples=2, tol=1e-300)
+        for rep in (top_check([pf("x"), pf("y"), pf("x+y")], cfg),
+                    chain_check(bracket_tensor(pf("(1-x)/(1+y)"), 2, [pf("x")]), cfg)):
+            (case,) = rep["cases"]
+            assert not rep["pass"] and 0.0 < case["max_defect"] < 1e-6
+
+
 class TestLoopResidue:
     def test_weight2_log2(self):
         e = parse_element("(t+2)^t", weight=2)
