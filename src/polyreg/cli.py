@@ -15,6 +15,10 @@ line, and `_reports` runs it as that subcommand runs, but under the
 RegulatorConfig of `all`.  So its --seed and --samples reach every sampled
 suite, and its --tol chain-check and top-check; polylog-symmetries and
 loop-check keep their library's bounds, which only their own --tol sets.
+The lines run on the CPUs of the process's affinity mask, in forked
+workers (`_run_lines`), so `taskset -c 0 polyreg all` runs them in one
+process; the manifest is the same bytes either way, and the first line
+in ALL_LINES order that fails raises its error.
 """
 
 import argparse
@@ -22,11 +26,13 @@ import cmath
 import hashlib
 import inspect
 import json
+import marshal
+import os
 import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import List
+from typing import List, Sequence
 
 from . import __version__
 from .exact import (
@@ -71,6 +77,7 @@ LOOP_CASES = (
     ("{(2+t)/(1+t)}_2 (x) t", "0", 1),
 )
 
+# handed out last first (`_run_lines`), so the longest lines, listed last, start first
 ALL_LINES = (
     "beta",
     "verify-identities",
@@ -193,7 +200,8 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     is the parser's parse_args, which reads the lines of `all`.
 
     Every suite is called through its name in this module at call time, so
-    a wrapper installed on that name sees each call, from `all` as well."""
+    a wrapper installed on that name sees each call made in its process:
+    from `all`, those of the lines no worker ran."""
     command = args.command
     for option, needed in _NEEDS.get(command, {}).items():
         if getattr(args, option) is not None and getattr(args, needed) is None:
@@ -228,7 +236,73 @@ def _reports(args, cfg: RegulatorConfig, parse) -> List[dict]:
     if command == "golden":
         return [golden_formula_tests()]
     # all, since the parser admits no other command
-    return [report for line in ALL_LINES for report in _reports(parse(line.split()), cfg, parse)]
+    return _run_lines(ALL_LINES, lambda line: _reports(parse(line.split()), cfg, parse))
+
+
+def _take(tasks: int, lines: Sequence[str], run) -> dict:
+    """index -> run(line) of each line whose index this process reads off the
+    pipe tasks, a byte each, until it is empty; a line that raises gets none."""
+    results = {}
+    for index in iter(lambda: os.read(tasks, 1), b""):
+        try:
+            results[index[0]] = run(lines[index[0]])
+        except Exception:  # the parent reruns the line
+            continue
+    return results
+
+
+def _run_lines(lines: Sequence[str], run) -> List[dict]:
+    """The reports of run(line) for each line, chained in the order of lines.
+
+    A process per CPU of the affinity mask, at most one per line, takes the
+    next index off a pipe, last first, with a one-byte read, which a pipe
+    keeps atomic (so up to 256 lines); one process runs them where fork or
+    the mask is missing, or beside a thread, which a fork would not copy.  A
+    worker marshals its results back and ends in os._exit.  The parent
+    drains the indices left, reads each worker's results and reaps it in a
+    finally, then runs in order each line with no result (it raised, its
+    worker died, or its reports did not marshal): so the first failing line
+    raises its error, and with one process that loop is the whole run."""
+    try:
+        alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+        processes = min(len(os.sched_getaffinity(0)), len(lines)) if alone else 1
+    except (AttributeError, OSError):
+        processes = 1
+    results, workers = {}, {}
+    if processes > 1:
+        tasks, feed = os.pipe()
+        os.write(feed, bytes(reversed(range(len(lines)))))
+        os.close(feed)
+        try:
+            for _ in range(processes - 1):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no more processes: those started share the lines
+                    os.close(read)
+                    os.close(write)
+                    break
+                if pid == 0:  # a worker
+                    try:
+                        with os.fdopen(write, "wb") as pipe:
+                            marshal.dump(_take(tasks, lines, run), pipe)
+                    finally:
+                        os._exit(0)
+                os.close(write)
+                workers[pid] = read
+            results = _take(tasks, lines, run)
+        finally:
+            os.read(tasks, len(lines))
+            os.close(tasks)
+            for pid, read in workers.items():
+                with os.fdopen(read, "rb") as pipe:
+                    try:
+                        results.update(marshal.load(pipe))
+                    except (EOFError, ValueError):  # none from this worker
+                        pass
+                os.waitpid(pid, 0)
+    return [report for index, line in enumerate(lines)
+            for report in (results[index] if index in results else run(line))]
 
 
 # ---------------------------------------------------------------------------

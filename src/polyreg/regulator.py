@@ -116,7 +116,8 @@ def _bracket_image(n: int, f: RationalFunction, gs: Sequence[RationalFunction]) 
     terms = list(sv_scalar(n, f).wedge(head).terms)
     for k in range(1, n):
         row = _alternation_sum(gs, True, [(s, beta_kp(k, s)) for s in range(1, m + 1)])
-        terms += sv_pq(n - k, k, f).wedge(row).terms
+        if row.terms:  # none when m = 0: no sv_{n-k,k}(f) to build
+            terms += sv_pq(n - k, k, f).wedge(row).terms
     return form(m, terms)
 
 

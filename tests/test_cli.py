@@ -8,7 +8,9 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -634,3 +636,143 @@ def test_parser_lists_all_subcommands():
         "beta", "verify-identities", "sv-polylog", "polylog-symmetries",
         "residue", "chain-check", "top-check", "loop-check", "golden", "all",
     }
+
+
+ALL_ARGV = ["all", "--seed", "89", "--samples", "1", "--json"]
+
+
+def shares_lines() -> bool:
+    """Whether `all` forks here: the affinity mask holds more than one CPU
+    and the process runs one thread."""
+    forks, real = [], os.fork
+    os.fork = lambda: forks.append(None) or real()
+    try:
+        cli._run_lines(("x", "y"), lambda line: [line])
+    finally:
+        os.fork = real
+    return bool(forks)
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wrap_lines(monkeypatch, act):
+    """Run each line of `all` as act(in_worker, command, call): in_worker
+    tells a worker, a process other than this one, and call() runs the line."""
+    parent, real = os.getpid(), cli._reports
+
+    def reports(args, cfg, parse):
+        if args.command == "all":
+            return real(args, cfg, parse)
+        return act(os.getpid() != parent, args.command, lambda: real(args, cfg, parse))
+    monkeypatch.setattr(cli, "_reports", reports)
+
+
+need_workers = pytest.mark.skipif(not shares_lines(), reason="`all` runs in one process here")
+
+
+class TestSharedLines:
+    """`all` runs its lines on the CPUs of its affinity mask (`cli._run_lines`):
+    the manifest and the first failing line's error are those of one process,
+    and no worker outlives `cli.run`."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two CPUs")
+    def test_one_cpu_and_every_cpu_give_the_same_bytes(self, capsys, monkeypatch):
+        mask, forks, real = os.sched_getaffinity(0), [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real())
+        try:
+            os.sched_setaffinity(0, {min(mask)})
+            alone = run_json(capsys, ALL_ARGV)
+            assert forks == []  # one CPU: every line in this process
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert os.sched_getaffinity(0) == mask
+        shared = run_json(capsys, ALL_ARGV)
+        assert shared == alone and alone[0] == 0
+        assert len(forks) == (min(len(mask), len(cli.ALL_LINES)) - 1 if shares_lines() else 0)
+        assert_no_worker_left()
+
+    def test_first_failing_line_raises_its_error(self, capsys, monkeypatch):
+        # golden is an earlier line than loop-check, which is handed out first
+        def act(in_worker, command, call):
+            if command in ("golden", "loop-check"):
+                raise ValueError(command + " broke")
+            return call()
+
+        wrap_lines(monkeypatch, act)
+        assert run(ALL_ARGV) == 2
+        assert capsys.readouterr().err == "error: golden broke\n"
+        assert_no_worker_left()
+
+    def test_every_line_once_in_order(self):
+        # 256 lines, as many as one-byte indices can name; each reports its index
+        lines = tuple(map(str, range(256)))
+        assert cli._run_lines(lines, lambda line: [int(line)]) == list(range(256))
+        assert_no_worker_left()
+
+    def test_a_second_thread_keeps_the_lines_in_this_process(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("forked beside a second thread")
+        monkeypatch.setattr(os, "fork", forbidden)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert cli._run_lines(("a", "b"), lambda line: [line]) == ["a", "b"]
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @need_workers
+    def test_a_refused_fork_leaves_the_lines_to_this_process(self, capsys, monkeypatch):
+        expected, fds = run_json(capsys, ALL_ARGV), set(os.listdir("/proc/self/fd"))
+
+        def refused():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", refused)
+        assert run_json(capsys, ALL_ARGV) == expected
+        assert set(os.listdir("/proc/self/fd")) == fds  # the refused fork's pipe is closed
+        assert_no_worker_left()
+
+    @need_workers
+    @pytest.mark.parametrize("mode", ["raises", "dies", "interrupted", "unmarshallable"])
+    def test_a_line_failing_in_a_worker_is_rerun(self, capsys, monkeypatch, mode):
+        expected = run_json(capsys, ALL_ARGV)
+
+        def act(in_worker, command, call):
+            reports = call()
+            if not in_worker:
+                return reports
+            if mode == "raises":
+                raise ValueError("only in a worker: " + command)
+            if mode == "dies":
+                os._exit(3)
+            if mode == "interrupted":
+                raise KeyboardInterrupt
+            return [{"suite": object()}]
+
+        wrap_lines(monkeypatch, act)
+        assert run_json(capsys, ALL_ARGV) == expected
+        assert_no_worker_left()
+
+    @need_workers
+    def test_interrupted_parent_reaps_its_workers(self, monkeypatch, tmp_path):
+        # the parent's first line raises; its workers start no line after that
+        ran = tmp_path / "ran"
+
+        def act(in_worker, command, call):
+            if not in_worker:
+                raise KeyboardInterrupt
+            with open(ran, "a") as log:
+                log.write(command + "\n")
+            return call()
+
+        wrap_lines(monkeypatch, act)
+        with pytest.raises(KeyboardInterrupt):
+            run(ALL_ARGV)
+        assert_no_worker_left()
+        assert len(ran.read_text().split() if ran.exists() else []) < len(cli.ALL_LINES) - 1

@@ -583,11 +583,11 @@ def _hex(w):
 
 
 def test_li_series_power_table_bit_identical():
-    """The tabulated denominators, and the prefix summed without the stop
-    test, give the reference series bit for bit: on the disc |z| <= 1/2,
-    where the double routes call it, with |z| in [0.45, 0.5] where the
-    prefix is longest, out to |z| = 0.97, at subnormal |z|, and with stop
-    bounds from 2^-60 to 2^-1."""
+    """The one loop over the tabulated denominators, with its stop test on
+    every term, gives the reference series bit for bit: on the disc
+    |z| <= 1/2, where the double routes call it, with |z| in [0.45, 0.5]
+    where the series is longest, out to |z| = 0.97, at subnormal |z|, and
+    with stop bounds from 2^-60 to 2^-1."""
     rng = random.Random(20)
     points = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0.5 + 0j, -0.5 + 0j]
     points += [cmath.rect(0.5, rng.uniform(-math.pi, math.pi)) for _ in range(40)]

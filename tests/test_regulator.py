@@ -160,6 +160,34 @@ class TestFreeShapes:
         assert (info.misses, info.hits) == (1, 2)
 
 
+def bracket_image_every_row(n, f, gs):
+    """`_bracket_image` building sv_{n-k,k}(f) on every row, empty ones included."""
+    m = len(gs)
+    head = F._alternation_sum(
+        gs, False, [(2 * p, Fraction(1, 2 * p + 1)) for p in range(m // 2 + 1)]
+    )
+    terms = list(F.sv_scalar(n, f).wedge(head).terms)
+    for k in range(1, n):
+        row = F._alternation_sum(gs, True, [(s, R.beta_kp(k, s)) for s in range(1, m + 1)])
+        terms += F.sv_pq(n - k, k, f).wedge(row).terms
+    return F.form(m, terms)
+
+
+class TestBracketImage:
+    def test_as_built_on_every_row(self):
+        gs = [G, T, pf("t+2"), pf("1-g")]
+        for n in range(2, 9):
+            for m in range(5):
+                got = R._bracket_image(n, FVAR, gs[:m])
+                assert form_record(got) == form_record(bracket_image_every_row(n, FVAR, gs[:m]))
+
+    def test_no_slots_build_no_row(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(R, "sv_pq", lambda *args: built.append(args))
+        R._bracket_image(6, FVAR, [])
+        assert built == []
+
+
 class TestGolden:
     def test_all_transcriptions(self):
         rep = golden_formula_tests()
