@@ -62,18 +62,16 @@ A batch of samples walks the plan once, column by column: each function
 value, partial and guard is a column over the points from `funcfield`'s
 evaluator, each scalar a column, and each covector, cofactor minor, term
 weight and form total a column over the (sample, frame) pairs.  The minors
-of a term's generator rows are built per row suffix, for every column set
-of its size at once, from one table per degree of each set's first-row
-expansion (`_expansions`), and kept per batch by suffix.  A guard's loop
-over its column runs only where a C-level pass over the column flags an
-entry (at the clearance or NaN).  Each entry is the one-point arithmetic in
-its order (`_det`'s expansion order, its zero skip and its 2x2 formula), so
-the values are bit-identical to it.  So are the errors: the first failing
-sample raises its own (a failing batch is walked again a sample at a time),
-and a sample that cannot be read raises once the samples before it are
-evaluated.  The plan holds nothing that depends on a point.  A NaN entry is
-not refused by the evaluator; the chain and top checks refuse a defect that
-is not finite.
+of a term's generator rows are built per row suffix, for every column set of
+its size at once, from one table per degree of each set's first-row
+expansion (`_expansions`), and kept per batch by suffix.  Each entry is the
+one-point arithmetic in its order (`_det`'s expansion order, its zero skip
+and its 2x2 formula), so the values are bit-identical to it.  So are the
+errors: the first failing sample raises its own (a failing batch is walked
+again a sample at a time), and a sample that cannot be read raises once the
+samples before it are evaluated.  The plan holds nothing that depends on a
+point.  A NaN entry is not refused by the evaluator; the chain and top
+checks refuse a defect that is not finite.
 """
 
 from __future__ import annotations
@@ -382,7 +380,6 @@ def _pullback(build, n: int, f: Optional[RationalFunction], gs: Sequence[Rationa
 
 # genericity guard of evaluate (pole, zero, sv argument at 1)
 _CLEARANCE = 1e-6
-_ONE = 1 + 0j  # _ONE.__rsub__(v) is v - 1.0, bit for bit
 
 
 def _det(mat: List[List[complex]]) -> complex:
@@ -554,10 +551,7 @@ def _walk(plan: _Plan, batch: list) -> list:
         if not compiled[2]:  # a constant is exact: only 0 is refused
             if val and val[0] == 0:
                 raise GenericityError("function value too close to zero")
-        # the per-entry guards run where a C-level pass flags an entry below
-        # the clearance or a NaN (which a min would pass over)
-        elif not all(map(_CLEARANCE.__le__, map(abs, val))) or (sv_argument and not all(
-                map(_CLEARANCE.__le__, map(abs, map(_ONE.__rsub__, val))))):
+        else:
             for v in val:
                 if abs(v) < _CLEARANCE:
                     raise GenericityError("function value too close to zero")

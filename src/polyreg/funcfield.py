@@ -33,23 +33,20 @@ name, terms in order), so constants live over the empty variable tuple, and
 so do zero and every univariate quotient that reduces to a constant.  The
 univariate reduction runs on dense ascending coefficient lists: `_dense_gcd`
 (Euclid) for a gcd, the exact quotients only when the gcd is not constant,
-then division by the leading coefficient of the denominator.  Results that
-are clean or canonical by construction (sums and products of polynomials,
-`var`, `const`, negation) skip validation through the trusted constructors
-`Polynomial._raw` and `RationalFunction._raw`.  A function's key
+then division by the leading coefficient of the denominator.  Each exact
+type has one constructor, which validates what it builds.  A function's key
 "(num)/(den)" and its text are built together on first use, so intermediate
 results of arithmetic and parsing are never printed, and `one_minus(f)` is
 built on first use and kept on f (a result of arithmetic starts without it).
 
 Text: the grammars of functions (`parse_function`), forms and chain elements
-read through one cursor, `_Reader`, and keep only their rules; its `span`
-jumps over plain runs and bracketed groups with no bracket inside in one
-match.  `parse_function` keeps the last `_INTERNED` texts it parsed, and
-`const` as many values: the same text or value gives the same function,
-which is safe as a function is immutable and what it builds on first use
-(key, text, compiled term lists, 1 - f, order and unit part per place) is
-derived from it alone.  Errors are never kept: a text that fails to parse,
-or a place where f has no order, fails on each call.
+read through one cursor, `_Reader`, and keep only their rules.
+`parse_function` keeps the last `_INTERNED` texts it parsed, and `const` as
+many values: the same text or value gives the same function, which is safe as
+a function is immutable and what it builds on first use (key, text, compiled
+term lists, 1 - f, order and unit part per place) is derived from it alone.
+Errors are never kept: a text that fails to parse, or a place where f has no
+order, fails on each call.
 
 Signed combinations: chain elements (`polycomplex`) and differential forms
 (`forms`) are both combinations sum c_i * t_i of terms whose wedge part obeys
@@ -65,7 +62,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import operator
 import re
 from fractions import Fraction
 from math import gcd as _intgcd
@@ -126,7 +122,8 @@ class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     terms maps exponent tuples (one slot per variable) to nonzero
-    coefficients, each an int when integral and a Fraction otherwise.
+    coefficients, each an int when integral and a Fraction otherwise; the
+    constructor, which checks them, is the one way to build a polynomial.
     """
 
     __slots__ = ("variables", "terms")
@@ -146,24 +143,14 @@ class Polynomial:
         self.terms = {e: _fold(c) for e, c in clean.items() if c != 0}
 
     # --- constructors -------------------------------------------------
-    @classmethod
-    def _raw(cls, variables: tuple, terms: dict) -> "Polynomial":
-        """Trusted constructor: terms already maps distinct exponent tuples of
-        the right width to nonzero exact rationals, ints where integral."""
-        p = object.__new__(cls)
-        p.variables = variables
-        p.terms = terms
-        return p
-
     @staticmethod
     def constant(value, variables=()) -> "Polynomial":
-        value = _exact(value)
         variables = tuple(variables)
-        return Polynomial._raw(variables, {(0,) * len(variables): value} if value else {})
+        return Polynomial(variables, {(0,) * len(variables): value})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial._raw((name,), {(1,): 1})
+        return Polynomial((name,), {(1,): 1})
 
     # --- structure ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -193,7 +180,7 @@ class Polynomial:
             return self
         width = len(self.variables)  # the slot of the 0 appended to each exponent
         src = [self.variables.index(v) if v in self.variables else width for v in variables]
-        return Polynomial._raw(variables, {
+        return Polynomial(variables, {
             tuple(map((expo + (0,)).__getitem__, src)): c for expo, c in self.terms.items()})
 
     def degree(self) -> int:
@@ -238,12 +225,12 @@ class Polynomial:
                 terms[expo] = _fold(c)
             else:
                 del terms[expo]
-        return Polynomial._raw(a.variables, terms)
+        return Polynomial(a.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -260,7 +247,7 @@ class Polynomial:
                 terms[expo] = terms.get(expo, 0) + c1 * c2
         # zeros drop only at the end, so every kept term stays where it first
         # appeared (term order fixes the order of evaluation)
-        return Polynomial._raw(a.variables, {e: _fold(c) for e, c in terms.items() if c})
+        return Polynomial(a.variables, {e: _fold(c) for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -297,7 +284,7 @@ class Polynomial:
 
     def partial(self, name: str) -> "Polynomial":
         if name not in self.variables:
-            return Polynomial._raw(self.variables, {})
+            return Polynomial(self.variables, {})
         i = self.variables.index(name)
         terms = {}
         for expo, coeff in self.terms.items():
@@ -306,7 +293,7 @@ class Polynomial:
             new = list(expo)
             new[i] -= 1
             terms[tuple(new)] = _fold(coeff * expo[i])
-        return Polynomial._raw(self.variables, terms)
+        return Polynomial(self.variables, terms)
 
     # --- printing ---------------------------------------------------------
     def _term_str(self, expo, coeff, lead=False):
@@ -380,25 +367,15 @@ class RationalFunction:
                 num, den = Polynomial.constant(_quo(n[0], d[0])), Polynomial.constant(1)
             else:
                 lead = d[-1]
-                num = Polynomial._raw(used, {(i,): _quo(c, lead) for i, c in enumerate(n) if c})
-                den = Polynomial._raw(used, {(i,): _quo(c, lead) for i, c in enumerate(d) if c})
+                num = Polynomial(used, {(i,): _quo(c, lead) for i, c in enumerate(n) if c})
+                den = Polynomial(used, {(i,): _quo(c, lead) for i, c in enumerate(d) if c})
         else:  # constants and the multivariate case: content-normalize only
             scale = den.content()
             if den.leading()[1] < 0:
                 scale = -scale
             if scale != 1:
-                num = Polynomial._raw(used, {e: _quo(c, scale) for e, c in num.terms.items()})
-                den = Polynomial._raw(used, {e: _quo(c, scale) for e, c in den.terms.items()})
-        self._set(num, den)
-
-    @classmethod
-    def _raw(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Trusted constructor: num/den is already in canonical form."""
-        f = object.__new__(cls)
-        f._set(num, den)
-        return f
-
-    def _set(self, num: Polynomial, den: Polynomial):
+                num = Polynomial(used, {e: _quo(c, scale) for e, c in num.terms.items()})
+                den = Polynomial(used, {e: _quo(c, scale) for e, c in den.terms.items()})
         self.num = num
         self.den = den
         self._key = self._text = self._compiled = self._complement = self._places = None
@@ -452,7 +429,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._raw(-self.num, self.den)
+        return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -489,12 +466,12 @@ class RationalFunction:
 
 
 def var(name: str) -> RationalFunction:
-    return RationalFunction._raw(Polynomial.variable(name), Polynomial.constant(1, (name,)))
+    return RationalFunction(Polynomial.variable(name), Polynomial.constant(1, (name,)))
 
 
 @functools.lru_cache(maxsize=_INTERNED, typed=True)  # typed: 0.5 is refused, not taken as 1/2
 def const(value) -> RationalFunction:
-    return RationalFunction._raw(Polynomial.constant(value), Polynomial.constant(1))
+    return RationalFunction(Polynomial.constant(value), Polynomial.constant(1))
 
 
 def one_minus(f: RationalFunction) -> RationalFunction:
@@ -591,11 +568,9 @@ def _evaluate_columns(compiled: tuple, cols: Sequence[Sequence[complex]], cleara
     num, den, partials = compiled
     size = len(points)
     d = _poly_column(den, cols, size)
-    # the loop runs where a C-level pass flags an entry within the clearance or a NaN
-    if not all(map(functools.partial(operator.lt, clearance), map(abs, d))):
-        for b, point in zip(d, points):
-            if abs(b) <= clearance:
-                raise PoleError(f"denominator magnitude {abs(b):.3e} at {point}")
+    for b, point in zip(d, points):
+        if abs(b) <= clearance:
+            raise PoleError(f"denominator magnitude {abs(b):.3e} at {point}")
     n = _poly_column(num, cols, size)
     values = [a / b for a, b in zip(n, d)]
     if not slopes:
@@ -750,28 +725,17 @@ class _Reader:
         return m.group()
 
     def span(self, stops: str) -> str:
-        """The text from the cursor to the first of the stops outside (), {}
-        and [], or to the end, where the cursor is left.  Unbalanced text
-        runs to the end, where the caller's next step fails."""
-        text, depth, (jump, plain) = self.text, 0, _runs(stops)
+        """One character at a time, the text from the cursor to the first of
+        the stops outside (), {} and [], or to the end, where the cursor is
+        left.  Unbalanced text runs to the end, where the caller's next step
+        fails."""
+        text, depth = self.text, 0
         start = pos = self.pos
-        while (pos := (jump if depth >= 0 else plain)(text, pos).end()) < len(text):
-            ch = text[pos]
-            if not depth and ch in stops:
-                break
-            depth += 1 if ch in "({[" else -1 if ch in ")}]" else 0
+        while pos < len(text) and (depth or text[pos] not in stops):
+            depth += 1 if text[pos] in "({[" else -1 if text[pos] in ")}]" else 0
             pos += 1
         self.pos = pos
         return text[start:pos]
-
-
-@functools.lru_cache(maxsize=None)
-def _runs(stops: str) -> tuple:
-    """Matches of runs of characters neither brackets nor stops: with bracketed
-    groups holding none, and without, for a negative depth (a group may end at 0)."""
-    plain = r"[^(){}\[\]%s]" % re.escape(stops)
-    return (re.compile(r"(?:%s+|[({[][^(){}\[\]]*[)}\]])*" % plain).match,
-            re.compile(plain + "*").match)
 
 
 class _FunctionParser(_Reader):

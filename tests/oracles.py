@@ -396,7 +396,7 @@ def reference_embed(p: Polynomial, variables: tuple) -> Polynomial:
         for name, e in zip(p.variables, expo):
             row[variables.index(name)] = e
         terms[tuple(row)] = coeff
-    return Polynomial._raw(tuple(variables), terms)
+    return Polynomial(tuple(variables), terms)
 
 
 def reference_layout(num: Polynomial, den: Polynomial) -> tuple:
@@ -406,7 +406,7 @@ def reference_layout(num: Polynomial, den: Polynomial) -> tuple:
     num, den = reference_embed(num, union), reference_embed(den, union)
     keep = [i for i in range(len(union)) if any(e[i] for p in (num, den) for e in p.terms)]
     used = tuple(union[i] for i in keep)
-    return tuple(Polynomial._raw(used, {tuple(e[i] for i in keep): c for e, c in p.terms.items()})
+    return tuple(Polynomial(used, {tuple(e[i] for i in keep): c for e, c in p.terms.items()})
                  for p in (num, den))
 
 

@@ -42,6 +42,9 @@ A form's factors are keyed by its builders alone: `_scalar_pair` and
 so the grammar builds its calls through the builders.  And a coefficient is
 scaled by one rule: `_times` is defined once in the package.
 
+Every constructor validates what it builds: no module of the package calls
+`object.__new__`, so every object is made through its class's `__init__`.
+
 The regulator values r through the evaluation plan alone: `regulator`
 imports nothing from `polylog` but `pi_projection`, so it computes no sv
 value of its own.
@@ -467,6 +470,26 @@ def test_definition_scan_finds_a_second_rule():
     source += "class C:\n    def _times(self, c):\n        pass\n\n\n"
     source += "_times = lambda a, c: a * c\ntimes = _times(2, 3)\n"
     assert definitions(source, "_times") == [1, 6, 10]
+
+
+def bypass_findings(source: str) -> list:
+    """Lines of each call of `object.__new__`, which makes an object without
+    running its class's `__init__`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__new__" and getattr(node.func.value, "id", None) == "object")
+
+
+def test_one_constructor_per_type():
+    found = {path.name: bypass_findings(path.read_text()) for path in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_constructor_scan_finds_a_bypass():
+    source = "class P:\n    @classmethod\n    def _raw(cls, terms):\n"
+    source += "        p = object.__new__(cls)\n        p.terms = terms\n        return p\n\n\n"
+    source += "q = object.__new__(P)\nr = P.__new__(P)\ns = super().__new__(P)\n"
+    assert bypass_findings(source) == [4, 9]
 
 
 def test_polylog_scan_finds_an_sv_evaluator():
