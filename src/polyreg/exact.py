@@ -191,8 +191,6 @@ def _beta_kp_cells(max_k: int, max_p: int):
     meet by integer cross-multiplication: p * den * beta_{k,p} from
     _closed_sum against p! * D * beta_{k,p} from _recursion_grid.  An empty
     grid (max_k < 0 or max_p < 1) yields nothing."""
-    if max_k < 0 or max_p < 1:
-        return
     den, num = _table.common(max_k + max_p)
     scale, recursive = _recursion_grid(max_k, max_p)
     # closed / (p den) = rec / (p! D)  <=>  closed (p-1)! D = rec den

@@ -67,11 +67,11 @@ its size at once, from one table per degree of each set's first-row
 expansion (`_expansions`), and kept per batch by suffix.  Each entry is the
 one-point arithmetic in its order (`_det`'s expansion order, its zero skip
 and its 2x2 formula), so the values are bit-identical to it.  So are the
-errors: the first failing sample raises its own (a failing batch is walked
-again a sample at a time), and a sample that cannot be read raises once the
-samples before it are evaluated.  The plan holds nothing that depends on a
-point.  A NaN entry is not refused by the evaluator; the chain and top
-checks refuse a defect that is not finite.
+errors: the first failing sample raises its own, whether it cannot be read
+or is degenerate, since a failing batch, or one holding a sample that
+cannot be read, is read and walked again a sample at a time.  The plan
+holds nothing that depends on a point.  A NaN entry is not refused by the
+evaluator; the chain and top checks refuse a defect that is not finite.
 """
 
 from __future__ import annotations
@@ -462,27 +462,22 @@ class _Plan:
         self.scalars = tuple(scalars)
         self.generators = tuple(generators)
 
+    def _read(self, x, frames: list) -> tuple:
+        """The sample (point x, frames) as `_walk` reads it (its docstring)."""
+        if not all(map(self.degree.__eq__, map(len, frames))):
+            raise ValueError("need exactly %d vectors" % self.degree)
+        xm, xs = _coordinates(x, self.names)
+        return xm, xs, [[_coordinates(v, self.names, 0j)[1] for v in vectors] for vectors in frames]
+
     def evaluate(self, samples: Iterable) -> List[List[List[complex]]]:
-        """evaluate_many of the plan's forms at the samples."""
-        degree, names = self.degree, self.names
-        batch, failure = [], None
+        """evaluate_many of the plan's forms at the samples, each frames listed
+        once; a batch that fails to be read or walked is read and walked
+        again one sample at a time."""
+        samples = [(x, list(frames)) for x, frames in samples]
         try:
-            for x, frames in samples:
-                frames = list(frames)
-                if not all(map(degree.__eq__, map(len, frames))):
-                    raise ValueError("need exactly %d vectors" % degree)
-                xm, xs = _coordinates(x, names)
-                batch.append((xm, xs, [[_coordinates(v, names, 0j)[1] for v in vectors]
-                                       for vectors in frames]))
-        except Exception as exc:  # raised once the samples read before it are evaluated
-            failure = exc
-        try:
-            out = _walk(self, batch)
-        except Exception:  # the first failing sample, walked alone, raises its own
-            out = [_walk(self, [sample])[0] for sample in batch]
-        if failure is not None:
-            raise failure
-        return out
+            return _walk(self, [self._read(x, frames) for x, frames in samples])
+        except Exception:
+            return [_walk(self, [self._read(x, frames)])[0] for x, frames in samples]
 
 
 @functools.lru_cache(maxsize=None)

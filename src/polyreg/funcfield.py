@@ -34,10 +34,11 @@ so do zero and every univariate quotient that reduces to a constant.  The
 univariate reduction runs on dense ascending coefficient lists: `_dense_gcd`
 (Euclid) for a gcd, the exact quotients only when the gcd is not constant,
 then division by the leading coefficient of the denominator.  Each exact
-type has one constructor, which validates what it builds.  A function's key
-"(num)/(den)" and its text are built together on first use, so intermediate
-results of arithmetic and parsing are never printed, and `one_minus(f)` is
-built on first use and kept on f (a result of arithmetic starts without it).
+type has one constructor, which validates and folds what it builds once:
+arithmetic hands it raw sums and products.  A function's key "(num)/(den)"
+and its text are built together on first use, so intermediate results of
+arithmetic and parsing are never printed, and `one_minus(f)` is built on
+first use and kept on f (a result of arithmetic starts without it).
 
 Text: the grammars of functions (`parse_function`), forms and chain elements
 read through one cursor, `_Reader`, and keep only their rules.
@@ -123,14 +124,16 @@ class Polynomial:
 
     terms maps exponent tuples (one slot per variable) to nonzero
     coefficients, each an int when integral and a Fraction otherwise; the
-    constructor, which checks them, is the one way to build a polynomial.
+    constructor, the one way to build a polynomial, checks and folds each
+    once and drops zero ones in first-seen order (the order of evaluation),
+    so `+`, `*` and `partial` hand it raw sums and products.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
-        clean = {}
+        self.terms = clean = {}
         width = len(self.variables)
         for expo, coeff in terms.items():
             coeff = _exact(coeff)
@@ -139,8 +142,7 @@ class Polynomial:
             expo = tuple(expo)
             if len(expo) != width:
                 raise ValueError("exponent width mismatch")
-            clean[expo] = clean.get(expo, 0) + coeff
-        self.terms = {e: _fold(c) for e, c in clean.items() if c != 0}
+            clean[expo] = coeff
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -220,11 +222,7 @@ class Polynomial:
         a, b = self._pair(other)
         terms = dict(a.terms)
         for expo, coeff in b.terms.items():
-            c = terms.get(expo, 0) + coeff
-            if c:
-                terms[expo] = _fold(c)
-            else:
-                del terms[expo]
+            terms[expo] = terms.get(expo, 0) + coeff
         return Polynomial(a.variables, terms)
 
     __radd__ = __add__
@@ -245,9 +243,7 @@ class Polynomial:
             for e2, c2 in b.terms.items():
                 expo = tuple(x + y for x, y in zip(e1, e2))
                 terms[expo] = terms.get(expo, 0) + c1 * c2
-        # zeros drop only at the end, so every kept term stays where it first
-        # appeared (term order fixes the order of evaluation)
-        return Polynomial(a.variables, {e: _fold(c) for e, c in terms.items() if c})
+        return Polynomial(a.variables, terms)
 
     __rmul__ = __mul__
 
@@ -292,7 +288,7 @@ class Polynomial:
                 continue
             new = list(expo)
             new[i] -= 1
-            terms[tuple(new)] = _fold(coeff * expo[i])
+            terms[tuple(new)] = coeff * expo[i]
         return Polynomial(self.variables, terms)
 
     # --- printing ---------------------------------------------------------

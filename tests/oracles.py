@@ -25,6 +25,12 @@ compares the package with itself:
     slot into a wider variable tuple, and num/den laid out in two steps
     (into the union of their variables, then unused variables dropped),
     against `Polynomial.embed`, which lays out in one;
+  * `reference_add`, `reference_mul` and `reference_partial`: polynomial
+    sums, products and partials that fold each coefficient and drop zero
+    ones term by term, against the arithmetic of `Polynomial`, which hands
+    raw values to its constructor;
+  * `reference_span`: the cursor's span found from the running bracket
+    balance, against `_Reader.span`'s character loop;
   * `form_variables`: the variables of forms read off their terms, for the
     references of form evaluation;
   * `reference_parse_function` and `reference_parse_element`: the function
@@ -70,6 +76,7 @@ from polyreg.funcfield import (
     RationalFunction,
     _as_mapping,
     _compile,
+    _fold,
     const,
     one_minus,
     parse_function,
@@ -410,6 +417,48 @@ def reference_layout(num: Polynomial, den: Polynomial) -> tuple:
                  for p in (num, den))
 
 
+def reference_add(self: Polynomial, other) -> Polynomial:
+    """self + other, each sum folded and a zero one deleted term by term."""
+    a, b = self._pair(other)
+    terms = dict(a.terms)
+    for expo, coeff in b.terms.items():
+        c = terms.get(expo, 0) + coeff
+        if c:
+            terms[expo] = _fold(c)
+        else:
+            del terms[expo]
+    return Polynomial(a.variables, terms)
+
+
+def reference_mul(self: Polynomial, other) -> Polynomial:
+    """self * other, the products summed per exponent, then each sum folded
+    and the zero ones dropped."""
+    a, b = self._pair(other)
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            terms[expo] = terms.get(expo, 0) + c1 * c2
+    # zeros drop only at the end, so every kept term stays where it first
+    # appeared (term order fixes the order of evaluation)
+    return Polynomial(a.variables, {e: _fold(c) for e, c in terms.items() if c})
+
+
+def reference_partial(self: Polynomial, name: str) -> Polynomial:
+    """d self / d name, each coefficient folded term by term."""
+    if name not in self.variables:
+        return Polynomial(self.variables, {})
+    i = self.variables.index(name)
+    terms = {}
+    for expo, coeff in self.terms.items():
+        if expo[i] == 0:
+            continue
+        new = list(expo)
+        new[i] -= 1
+        terms[tuple(new)] = _fold(coeff * expo[i])
+    return Polynomial(self.variables, terms)
+
+
 # ---------------------------------------------------------------------------
 # text: the function and element grammars with their own character loops
 
@@ -420,16 +469,14 @@ BIG_POWER = re.compile(r"\^[\s-]*\d\d")
 
 def reference_span(text: str, pos: int, stops: str) -> tuple:
     """(the text from pos to the first of the stops outside (), {} and [],
-    or to the end; the position where it ends), one character at a time:
-    the cursor's span as it was before it jumped over plain runs."""
-    depth, start = 0, pos
-    while pos < len(text) and (depth or text[pos] not in stops):
-        if text[pos] in "({[":
-            depth += 1
-        elif text[pos] in ")}]":
-            depth -= 1
-        pos += 1
-    return text[start:pos], pos
+    or to the end; the position where it ends): the first index at or after
+    pos where the running bracket balance of text[pos:] is 0 and the
+    character is a stop, else the end."""
+    rest = text[pos:]
+    balance = itertools.accumulate(((c in "({[") - (c in ")}]") for c in rest), initial=0)
+    end = next((pos + i for i, (depth, c) in enumerate(zip(balance, rest))
+                if depth == 0 and c in stops), len(text))
+    return text[pos:end], end
 
 
 class _ReferenceFunctionParser:

@@ -430,6 +430,12 @@ def reference_beta_report(max_k, max_p):
     return {"suite": "beta-table", "cases": cases, "pass": all(c["pass"] for c in cases)}
 
 
+@pytest.mark.parametrize("max_k, max_p",
+                         [(-1, 3), (-5, 3), (3, 0), (2, -3), (-1, 0), (-3, -3), (0, 0)])
+def test_an_empty_grid_yields_no_cell(max_k, max_p):
+    assert list(exact._beta_kp_cells(max_k, max_p)) == []
+
+
 @pytest.mark.parametrize("max_k, max_p", [(12, 9), (8, 6), (0, 1), (5, 0), (-1, 3)])
 def test_beta_report_matches_fraction_reference(max_k, max_p):
     assert cli._beta_report(max_k, max_p) == reference_beta_report(max_k, max_p)

@@ -1239,6 +1239,18 @@ class TestBatchesAgainstReference:
         assert got == batch_outcome(lambda: reference_many((lhs, rhs), samples))
 
 
+@pytest.mark.parametrize("odd", sorted(ODD_SAMPLES))
+def test_frames_given_once_are_read_once(odd):
+    """A failing batch is read again a sample at a time, and frames given
+    as one-shot iterators give what the same frames as lists give."""
+    A = TestBatchesAgainstReference.A
+    samples = [GENERIC[0], ODD_SAMPLES[odd], GENERIC[1]]
+    once = [(x, iter(frames)) for x, frames in samples]
+    expected = batch_outcome(lambda: F.evaluate_many((A,), samples))
+    assert expected[0] != "value"
+    assert batch_outcome(lambda: F.evaluate_many((A,), once)) == expected
+
+
 def test_all_pass_as_reference(monkeypatch):
     """`all --seed 89 --samples 1 --json` gives the same bytes when every
     form evaluation of the checks goes through reference_evaluate, one

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import BIG_POWER, polynomial_evaluate, reference_parse_function, reference_span
-from oracles import reference_embed, reference_layout, rf_dir_derivative, value_and_partials
+from oracles import reference_add, reference_embed, reference_layout, reference_mul
+from oracles import reference_partial, rf_dir_derivative, value_and_partials
 from polyreg import forms as F
 from polyreg.funcfield import (
     PoleError,
@@ -549,6 +550,40 @@ def test_layout_matches_the_two_step_reference():
             assert _as_built(got.num, got.den) == _as_built(want.num, want.den)
 
 
+def _typed(p):
+    """_laid_out, and the type of each coefficient in order."""
+    return _laid_out(p), [type(c) for c in p.terms.values()]
+
+
+def test_arithmetic_matches_the_term_by_term_reference():
+    """Sums, differences, products and partials, whose raw values the
+    constructor folds and whose zeros it drops, give the terms, in order and
+    with their coefficient types, that folding and dropping term by term
+    gives."""
+    rng = random.Random(45)
+    for _ in range(400):
+        a, b = _sparse(rng), _sparse(rng)
+        assert _typed(a + b) == _typed(reference_add(a, b))
+        assert _typed(a - b) == _typed(reference_add(a, -b))
+        assert _typed(a * b) == _typed(reference_mul(a, b))
+        for v in ("x", "y", "z"):
+            assert _typed(a.partial(v)) == _typed(reference_partial(a, v))
+
+
+def test_arithmetic_check_finds_a_reordering_sum(monkeypatch):
+    add = Polynomial.__add__
+
+    def puts_new_terms_first(self, other):
+        p = add(self, other)
+        old = [e for e in p.terms if e in self.terms]
+        order = sorted(p.terms, key=old.__contains__)
+        return Polynomial(p.variables, {e: p.terms[e] for e in order})
+
+    monkeypatch.setattr(Polynomial, "__add__", puts_new_terms_first)
+    with pytest.raises(AssertionError):
+        test_arithmetic_matches_the_term_by_term_reference()
+
+
 def test_layout_check_finds_a_sorting_embed(monkeypatch):
     embed = Polynomial.embed
 
@@ -614,8 +649,9 @@ STOP_SETS = [",)", "}", "^+-", "*^+-"]  # the stops the three grammars pass to s
 @example("][)", 0, ",)")  # a group that would close at depth 0
 @settings(max_examples=300, deadline=None)
 def test_span_as_its_old_loop(text, pos, stops):
-    """span, jumping over plain runs, returns the text and leaves the cursor
-    where the loop over single characters did, on bracket soups."""
+    """span, a loop over single characters, returns the text and leaves the
+    cursor where the running bracket balance of the reference ends, on
+    bracket soups."""
     reader = _FunctionParser(text)
     reader.pos = pos = min(pos, len(text))
     assert (reader.span(stops), reader.pos) == reference_span(text, pos, stops)

@@ -44,6 +44,8 @@ scaled by one rule: `_times` is defined once in the package.
 
 Every constructor validates what it builds: no module of the package calls
 `object.__new__`, so every object is made through its class's `__init__`.
+And a polynomial's coefficients are folded once: no method of `Polynomial`
+but `__init__` calls `_fold` or `_exact`.
 
 The regulator values r through the evaluation plan alone: `regulator`
 imports nothing from `polylog` but `pi_projection`, so it computes no sv
@@ -490,6 +492,32 @@ def test_constructor_scan_finds_a_bypass():
     source += "        p = object.__new__(cls)\n        p.terms = terms\n        return p\n\n\n"
     source += "q = object.__new__(P)\nr = P.__new__(P)\ns = super().__new__(P)\n"
     assert bypass_findings(source) == [4, 9]
+
+
+def fold_findings(source: str) -> list:
+    """(method, line) of each call of `_fold` or `_exact` in a method of
+    class `Polynomial` other than `__init__`."""
+    return sorted((method.name, node.lineno) for cls in ast.parse(source).body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Polynomial"
+                  for method in cls.body
+                  if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+                  for node in ast.walk(method)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_fold", "_exact"))
+
+
+def test_polynomial_folds_in_its_constructor_alone():
+    source = (ROOT / "src" / "polyreg" / "funcfield.py").read_text()
+    assert "\nclass Polynomial:" in source and fold_findings(source) == []
+
+
+def test_fold_scan_finds_a_second_fold():
+    source = "class Polynomial:\n    def __init__(self, terms):\n"
+    source += "        self.terms = {e: _exact(c) for e, c in terms.items()}\n\n"
+    source += "    def __add__(self, other):\n        return _fold(1)\n\n"
+    source += "    @staticmethod\n    def constant(value):\n        return [_exact(value)]\n\n\n"
+    source += "def _quo(a, b):\n    return _fold(a / b)\n\n\n"
+    source += "class RationalFunction:\n    def __neg__(self):\n        return _fold(-1)\n"
+    assert fold_findings(source) == [("__add__", 6), ("constant", 10)]
 
 
 def test_polylog_scan_finds_an_sv_evaluator():
